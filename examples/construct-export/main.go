@@ -67,7 +67,7 @@ func main() {
 			?trial t:tests ?drug .
 			?trial t:phase ?phase .
 		}`
-	triples, prof, err := lusail.Construct(context.Background(), eng, query)
+	triples, prof, err := eng.ConstructString(context.Background(), query)
 	if err != nil {
 		log.Fatal(err)
 	}

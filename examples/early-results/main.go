@@ -57,15 +57,19 @@ func main() {
 		}`
 
 	start := time.Now()
-	n := 0
-	streamed, err := lusail.QueryEarly(context.Background(), eng, query, func(row map[string]lusail.Term) bool {
-		n++
-		fmt.Printf("%8v  result %d: %s\n", time.Since(start).Round(time.Millisecond), n, row["title"].Value)
-		return true
-	})
+	rows, err := eng.Select(context.Background(), query)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nstreamed=%v total=%v results=%d\n", streamed, time.Since(start).Round(time.Millisecond), n)
+	defer rows.Close()
+	n := 0
+	for rows.Next() {
+		n++
+		fmt.Printf("%8v  result %d: %s\n", time.Since(start).Round(time.Millisecond), n, rows.Binding()["title"].Value)
+	}
+	if err := rows.Err(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\ntotal=%v results=%d\n", time.Since(start).Round(time.Millisecond), n)
 	fmt.Println("note how the fast endpoints' rows arrive before the slow endpoint answers")
 }

@@ -1,0 +1,333 @@
+// Package baseline implements the three systems the paper compares Lusail
+// against — FedX (Schwarte et al., ISWC 2011), HiBISCuS (Saleem & Ngonga
+// Ngomo, ESWC 2014) and SPLENDID (Görlitz & Staab, COLD 2011) — as three
+// policies over one left-deep executor, so the figures compare strategies
+// on identical joins, decoders and request plumbing.
+//
+// The executor selects sources per triple pattern, forms execution units,
+// runs them one at a time in the policy's order, and joins each unit into
+// the intermediate relation either by shipping the relation's bindings in
+// VALUES blocks (a bound join) or by fetching the unit whole and hash
+// joining. What a policy decides is in policy.go.
+//
+// The crucial contrast with Lusail: FedX groups triple patterns only when a
+// single endpoint can answer them (an exclusive group). When several
+// endpoints share a schema — as in LUBM — no exclusive groups exist, the
+// query executes one triple pattern at a time, and the number of remote
+// requests explodes with the number of endpoints and the size of
+// intermediate results. That behavior is what the paper's Figures 9 and 14
+// measure.
+package baseline
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"sort"
+
+	"lusail/internal/erh"
+	"lusail/internal/federation"
+	"lusail/internal/qplan"
+	"lusail/internal/sparql"
+)
+
+// Engine is one comparator system: the shared executor under one policy.
+type Engine struct {
+	fed  *federation.Federation
+	pool *erh.Pool
+	pol  policy
+}
+
+// QueryString parses and executes a federated query.
+func (e *Engine) QueryString(ctx context.Context, query string) (*sparql.Results, error) {
+	q, err := sparql.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	branches, err := qplan.Normalize(q)
+	if err != nil {
+		return nil, err
+	}
+	var all *sparql.Results
+	for _, br := range branches {
+		rel, err := e.evalBranch(ctx, q, br)
+		if err != nil {
+			return nil, err
+		}
+		all = qplan.UnionRelations(all, rel)
+	}
+	if all != nil {
+		all.Rows = sparql.DistinctRows(all.Rows)
+	}
+	return qplan.Finalize(q, all)
+}
+
+// unit is one execution step: an exclusive group or a single pattern, with
+// the filters it can evaluate at the endpoints.
+type unit struct {
+	patterns  []sparql.TriplePattern
+	sources   []string
+	exclusive bool
+	filters   []sparql.Expr
+}
+
+// vars returns the unit's variables, sorted.
+func (u *unit) vars() []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, tp := range u.patterns {
+		for _, v := range tp.Vars() {
+			if !seen[v] {
+				seen[v] = true
+				out = append(out, v)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// query renders the unit as a SELECT DISTINCT, optionally restricted by a
+// VALUES block.
+func (u *unit) query(values *sparql.InlineData) string {
+	q := sparql.NewSelect(u.vars()...)
+	q.Distinct = true
+	for _, tp := range u.patterns {
+		q.Where.Elements = append(q.Where.Elements, tp)
+	}
+	if values != nil {
+		q.Where.Elements = append(q.Where.Elements, *values)
+	}
+	for _, f := range u.filters {
+		q.Where.Elements = append(q.Where.Elements, sparql.Filter{Expr: f})
+	}
+	return q.String()
+}
+
+// sharedWith returns the unit's variables the relation also carries.
+func (u *unit) sharedWith(rel *sparql.Results) []string {
+	var out []string
+	for _, v := range u.vars() {
+		if rel.VarIndex(v) >= 0 {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// planUnits selects sources for a conjunctive block of patterns and forms
+// its units. It returns nil units when some pattern has no source, i.e. the
+// block cannot match anywhere.
+func (e *Engine) planUnits(ctx context.Context, patterns []sparql.TriplePattern, filters []sparql.Expr) ([]*unit, error) {
+	sources := make([][]string, len(patterns))
+	err := e.pool.ForEach(ctx, len(patterns), func(i int) error {
+		s, err := e.pol.sources(ctx, patterns[i])
+		sources[i] = s
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("baseline: source selection: %w", err)
+	}
+	if e.pol.prune != nil {
+		sources = e.pol.prune(patterns, sources)
+	}
+	for _, s := range sources {
+		if len(s) == 0 {
+			return nil, nil
+		}
+	}
+	return buildUnits(patterns, sources, filters, e.pol.exclusive), nil
+}
+
+// buildUnits makes one unit per pattern. With exclusive set it instead
+// merges the patterns whose only relevant endpoint is the same single
+// source into one exclusive group, and pushes each filter into every unit
+// that binds all of its variables (the filter is still applied to the
+// final relation, so pushing only trims what is shipped).
+func buildUnits(patterns []sparql.TriplePattern, sources [][]string, filters []sparql.Expr, exclusive bool) []*unit {
+	var units []*unit
+	bySource := map[string]*unit{}
+	for i, tp := range patterns {
+		if exclusive && len(sources[i]) == 1 {
+			if u, ok := bySource[sources[i][0]]; ok {
+				u.patterns = append(u.patterns, tp)
+				continue
+			}
+			u := &unit{patterns: []sparql.TriplePattern{tp}, sources: sources[i], exclusive: true}
+			bySource[sources[i][0]] = u
+			units = append(units, u)
+			continue
+		}
+		units = append(units, &unit{patterns: []sparql.TriplePattern{tp}, sources: sources[i]})
+	}
+	if !exclusive {
+		return units
+	}
+	for _, u := range units {
+		vars := map[string]bool{}
+		for _, v := range u.vars() {
+			vars[v] = true
+		}
+	filters:
+		for _, f := range filters {
+			if _, isExists := f.(sparql.ExprExists); isExists {
+				continue
+			}
+			used := sparql.ExprVars(f)
+			for _, v := range used {
+				if !vars[v] {
+					continue filters
+				}
+			}
+			if len(used) > 0 {
+				u.filters = append(u.filters, f)
+			}
+		}
+	}
+	return units
+}
+
+func (e *Engine) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.Branch) (*sparql.Results, error) {
+	units, err := e.planUnits(ctx, br.Patterns, br.Filters)
+	if err != nil {
+		return nil, err
+	}
+	if units == nil && len(br.Patterns) > 0 { // a branch of OPTIONALs only has no units either
+		return qplan.EmptyRelation(br.Vars()), nil
+	}
+
+	// Early termination applies when any N results are acceptable: FedX
+	// stops once LIMIT results are complete (the paper's C4 observation).
+	limit := -1
+	if e.pol.limitStop && q.Limit >= 0 && len(q.OrderBy) == 0 && !q.Distinct && !q.HasAggregates() &&
+		len(br.Optionals) == 0 && q.Offset == 0 {
+		limit = q.Limit
+	}
+
+	// Left-deep pipeline: the first unit runs unbound, each later one is
+	// joined into the intermediate relation.
+	var rel *sparql.Results
+	bound := map[string]bool{}
+	for len(units) > 0 {
+		next, best := 0, math.Inf(1)
+		for i, u := range units {
+			if c := e.pol.cost(u, bound); c < best {
+				next, best = i, c
+			}
+		}
+		u := units[next]
+		units = append(units[:next], units[next+1:]...)
+		if rel == nil {
+			rel, err = e.fetch(ctx, u, nil)
+		} else {
+			stopAt := -1
+			if len(units) == 0 {
+				stopAt = limit
+			}
+			var right *sparql.Results
+			if right, err = e.fetchFor(ctx, u, rel, false, stopAt); err == nil {
+				rel = qplan.HashJoin(rel, right)
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(rel.Rows) == 0 {
+			return qplan.EmptyRelation(br.Vars()), nil
+		}
+		for _, v := range u.vars() {
+			bound[v] = true
+		}
+	}
+	if rel == nil {
+		rel = qplan.EmptyRelation(nil)
+	}
+
+	for _, ob := range br.Optionals {
+		orel, err := e.evalOptional(ctx, ob, rel)
+		if err != nil {
+			return nil, err
+		}
+		rel = qplan.LeftJoin(rel, orel)
+	}
+	return qplan.ApplyFilters(rel, br.Filters), nil
+}
+
+// evalOptional evaluates an OPTIONAL block for the caller to left-join:
+// its units are fetched against the current relation and joined with each
+// other.
+func (e *Engine) evalOptional(ctx context.Context, ob *qplan.OptionalBlock, rel *sparql.Results) (*sparql.Results, error) {
+	units, err := e.planUnits(ctx, ob.Patterns, ob.Filters)
+	if err != nil {
+		return nil, err
+	}
+	if units == nil {
+		return qplan.EmptyRelation(nil), nil // matches nowhere: extends no row
+	}
+	var orel *sparql.Results
+	for _, u := range units {
+		right, err := e.fetchFor(ctx, u, rel, true, -1)
+		if err != nil {
+			return nil, err
+		}
+		if orel == nil {
+			orel = right
+		} else {
+			orel = qplan.HashJoin(orel, right)
+		}
+	}
+	return qplan.ApplyFilters(orel, ob.Filters), nil
+}
+
+// fetch evaluates the unit at all its sources concurrently and returns the
+// distinct union of the answers.
+func (e *Engine) fetch(ctx context.Context, u *unit, values *sparql.InlineData) (*sparql.Results, error) {
+	text := u.query(values)
+	partial := make([]*sparql.Results, len(u.sources))
+	err := e.pool.ForEach(ctx, len(u.sources), func(i int) error {
+		res, err := e.fed.Get(u.sources[i]).Query(ctx, text)
+		if err != nil {
+			return fmt.Errorf("baseline: unit at %s: %w", u.sources[i], err)
+		}
+		partial[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rel := qplan.EmptyRelation(u.vars())
+	for _, p := range partial {
+		rel = qplan.UnionRelations(rel, p)
+	}
+	rel.Rows = sparql.DistinctRows(rel.Rows)
+	return rel, nil
+}
+
+// fetchFor fetches the unit's side of a join with rel. When the policy
+// picks a bound join, only rows compatible with rel's bindings come back,
+// shipped in VALUES blocks; otherwise, and when nothing is shared, the
+// unit is fetched whole. With stopAt >= 0, a bound join stops as soon as
+// that many joined rows exist (LIMIT pushdown).
+func (e *Engine) fetchFor(ctx context.Context, u *unit, rel *sparql.Results, optional bool, stopAt int) (*sparql.Results, error) {
+	shared := u.sharedWith(rel)
+	if len(shared) == 0 || !e.pol.bind(len(rel.Rows), optional) {
+		return e.fetch(ctx, u, nil)
+	}
+	rows := qplan.ProjectDistinct(rel, shared)
+	right := qplan.EmptyRelation(u.vars())
+	joined := 0
+	for start := 0; start < len(rows); start += e.pol.block {
+		block := sparql.InlineData{Vars: shared, Rows: rows[start:min(start+e.pol.block, len(rows))]}
+		part, err := e.fetch(ctx, u, &block)
+		if err != nil {
+			return nil, err
+		}
+		right = qplan.UnionRelations(right, part)
+		if stopAt >= 0 {
+			if joined += len(qplan.HashJoin(rel, part).Rows); joined >= stopAt {
+				break
+			}
+		}
+	}
+	return right, nil
+}

@@ -1,0 +1,211 @@
+package baseline
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"lusail/internal/catalog"
+	"lusail/internal/client"
+	"lusail/internal/erh"
+	"lusail/internal/eval"
+	"lusail/internal/federation"
+	"lusail/internal/rdf"
+	"lusail/internal/sparql"
+	"lusail/internal/store"
+)
+
+const ub = "http://lubm.org/ub#"
+
+func u(s string) rdf.Term { return rdf.NewIRI(ub + s) }
+
+// sameSchema builds n endpoints with one schema, each a small university
+// of students, advisors and courses, every professor holding a degree from
+// university 0 (the interlink).
+func sameSchema(n, studentsPer int) [][]rdf.Triple {
+	typ := rdf.NewIRI(rdf.RDFType)
+	var out [][]rdf.Triple
+	for uni := 0; uni < n; uni++ {
+		triples := []rdf.Triple{
+			{S: u(fmt.Sprintf("univ%d", uni)), P: u("address"), O: rdf.NewLiteral(fmt.Sprintf("Addr%d", uni))},
+		}
+		for s := 0; s < studentsPer; s++ {
+			stu := u(fmt.Sprintf("u%d_s%d", uni, s))
+			prof := u(fmt.Sprintf("u%d_p%d", uni, s%3))
+			course := u(fmt.Sprintf("u%d_c%d", uni, s%3))
+			triples = append(triples,
+				rdf.Triple{S: stu, P: typ, O: u("GraduateStudent")},
+				rdf.Triple{S: stu, P: u("advisor"), O: prof},
+				rdf.Triple{S: stu, P: u("takesCourse"), O: course},
+				rdf.Triple{S: prof, P: typ, O: u("Professor")},
+				rdf.Triple{S: prof, P: u("teacherOf"), O: course},
+				rdf.Triple{S: course, P: typ, O: u("Course")},
+				rdf.Triple{S: prof, P: u("PhDDegreeFrom"), O: u("univ0")},
+			)
+		}
+		out = append(out, triples)
+	}
+	return out
+}
+
+func iri(host, local string) rdf.Term { return rdf.NewIRI("http://" + host + "/" + local) }
+
+// crossDomain builds endpoints with different URI authorities (like
+// LargeRDFBench's datasets): drugbank links into kegg, and chebi reuses
+// kegg's pathway predicate on subjects of its own authority, so only
+// join-aware pruning can tell that drug targets never reach it.
+func crossDomain() [][]rdf.Triple {
+	return [][]rdf.Triple{
+		{
+			{S: iri("drugbank.org", "d1"), P: iri("drugbank.org", "name"), O: rdf.NewLiteral("aspirin")},
+			{S: iri("drugbank.org", "d1"), P: iri("drugbank.org", "target"), O: iri("kegg.org", "k9")},
+			{S: iri("drugbank.org", "d2"), P: iri("drugbank.org", "name"), O: rdf.NewLiteral("ibuprofen")},
+		},
+		{
+			{S: iri("kegg.org", "k9"), P: iri("kegg.org", "pathway"), O: rdf.NewLiteral("pw1")},
+			{S: iri("kegg.org", "k10"), P: iri("kegg.org", "pathway"), O: rdf.NewLiteral("pw2")},
+		},
+		{
+			{S: iri("chebi.org", "c1"), P: iri("kegg.org", "pathway"), O: rdf.NewLiteral("pw3")},
+		},
+	}
+}
+
+// federate serves each dataset in process behind a shared request counter
+// and builds the engine of the given system over it; the catalog the
+// index-based systems read is built on the uncounted endpoints, as
+// offline preprocessing.
+func federate(t *testing.T, system string, datasets [][]rdf.Triple) (*Engine, *client.Metrics) {
+	t.Helper()
+	var m client.Metrics
+	var raw, counted []client.Endpoint
+	for i, triples := range datasets {
+		ep := client.NewInProcess(fmt.Sprintf("ep%d", i), store.NewFromTriples(triples))
+		raw = append(raw, ep)
+		counted = append(counted, client.NewInstrumented(ep, &m))
+	}
+	fed := federation.MustNew(counted...)
+	if system == "FedX" {
+		return NewFedX(fed), &m
+	}
+	cat := catalog.NewStore("", 0)
+	if err := catalog.Build(context.Background(), federation.MustNew(raw...), erh.New(0), cat); err != nil {
+		t.Fatal(err)
+	}
+	if system == "HiBISCuS" {
+		return NewHiBISCuS(fed, cat), &m
+	}
+	return NewSPLENDID(fed, cat), &m
+}
+
+const (
+	prefixes = `PREFIX ub: <http://lubm.org/ub#>
+		PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> `
+	studentAdvisor = prefixes + `SELECT ?s ?p ?c WHERE {
+		?s rdf:type ub:GraduateStudent . ?s ub:advisor ?p .
+		?s ub:takesCourse ?c . ?p ub:teacherOf ?c }`
+	advisorCourses = prefixes + `SELECT ?s ?p ?c WHERE { ?s ub:advisor ?p . ?s ub:takesCourse ?c }`
+)
+
+// TestSystems runs every comparator system over the same cases. Each case
+// checks the answer against centralized evaluation of the union of the
+// datasets, and pins request counts where they expose a policy decision.
+func TestSystems(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		datasets [][]rdf.Triple
+		query    string
+		rows     int              // expected row count; -1: whatever the oracle says
+		requests map[string]int64 // exact request count per system, where pinned
+	}{
+		{name: "same-schema join", datasets: sameSchema(3, 4), query: studentAdvisor, rows: 12},
+		{name: "interlink join", datasets: sameSchema(3, 4), rows: 9,
+			query: prefixes + `SELECT ?p ?a WHERE { ?p ub:PhDDegreeFrom ?u . ?u ub:address ?a }`},
+		{name: "optional and filter", datasets: sameSchema(2, 4), rows: 6,
+			query: prefixes + `SELECT ?p ?a WHERE {
+				?p ub:PhDDegreeFrom ?u . OPTIONAL { ?u ub:address ?a } FILTER(ISIRI(?p)) }`},
+		{name: "union", datasets: sameSchema(2, 4), rows: -1,
+			query: prefixes + `SELECT ?x WHERE { { ?x ub:teacherOf ?c } UNION { ?x ub:takesCourse ?c } }`},
+		{name: "pattern without sources", datasets: sameSchema(2, 4), rows: 0,
+			query: `SELECT ?s WHERE { ?s <http://nowhere/p> ?o }`},
+		// Disjoint schemas: FedX ASKs 3 patterns × 2 endpoints, then the
+		// two patterns only ep0 answers collapse into one exclusive group
+		// and the third is one bound join. SPLENDID keeps three units.
+		{name: "exclusive groups", rows: 1,
+			datasets: [][]rdf.Triple{
+				{{S: u("a"), P: u("onlyAt0"), O: u("b")}, {S: u("a"), P: u("alsoOnlyAt0"), O: u("c")}},
+				{{S: u("b"), P: u("onlyAt1"), O: u("d")}},
+			},
+			query:    prefixes + `SELECT * WHERE { ?a ub:onlyAt0 ?b . ?a ub:alsoOnlyAt0 ?c . ?b ub:onlyAt1 ?d }`,
+			requests: map[string]int64{"FedX": 8, "HiBISCuS": 2, "SPLENDID": 3}},
+		// Variable counting runs the one-free-variable pattern first: its
+		// 14 students fit one VALUES block for takesCourse at both
+		// endpoints. Starting from takesCourse's 80 students would ship 6.
+		{name: "variable counting", datasets: sameSchema(2, 40), rows: 14,
+			query:    prefixes + `SELECT ?s ?c WHERE { ?s ub:takesCourse ?c . ?s ub:advisor ub:u0_p0 }`,
+			requests: map[string]int64{"FedX": 4 + 1 + 2}},
+		// LIMIT lets FedX and HiBISCuS stop after the first block of the
+		// last bound join; SPLENDID has no such pushdown and pays for the
+		// whole join (the LIMIT-free case below).
+		{name: "limit", datasets: sameSchema(2, 40), query: advisorCourses + ` LIMIT 1`, rows: 1,
+			requests: map[string]int64{"FedX": 4 + 2 + 2, "HiBISCuS": 2 + 2, "SPLENDID": 2 + 4*2}},
+		// 80 advisor rows are within SPLENDID's bind-join threshold: 4
+		// blocks of 20 to both endpoints. FedX ships 6 blocks of 15.
+		{name: "bind join below threshold", datasets: sameSchema(2, 40), query: advisorCourses, rows: 80,
+			requests: map[string]int64{"FedX": 4 + 2 + 6*2, "HiBISCuS": 2 + 6*2, "SPLENDID": 2 + 4*2}},
+		// 120 rows are over it: SPLENDID fetches takesCourse whole and
+		// hash joins; FedX keeps shipping bindings.
+		{name: "hash join above threshold", datasets: sameSchema(2, 60), query: advisorCourses, rows: 120,
+			requests: map[string]int64{"FedX": 4 + 2 + 8*2, "HiBISCuS": 2 + 8*2, "SPLENDID": 2 + 2}},
+		// Only the authorities of ?k on both sides of the join rule chebi
+		// out for the pathway pattern; HiBISCuS then has two exclusive
+		// groups, the others query chebi too.
+		{name: "join-aware pruning", datasets: crossDomain(), rows: 1,
+			query: `SELECT ?d ?p WHERE {
+				?d <http://drugbank.org/target> ?k . ?k <http://kegg.org/pathway> ?p }`,
+			requests: map[string]int64{"FedX": 6 + 1 + 2, "HiBISCuS": 1 + 1, "SPLENDID": 1 + 2}},
+		// A constant subject of a foreign authority: the authority sketch
+		// answers without traffic, VoID counts need ASK confirmation at
+		// both endpoints that have the predicate.
+		{name: "authority pruning", datasets: crossDomain(), rows: 0,
+			query:    `SELECT ?o WHERE { <http://elsewhere.org/x> <http://kegg.org/pathway> ?o }`,
+			requests: map[string]int64{"FedX": 3, "HiBISCuS": 0, "SPLENDID": 2}},
+	} {
+		oracle := store.New()
+		for _, triples := range tc.datasets {
+			oracle.AddAll(triples)
+		}
+		want, err := eval.New(oracle).QueryString(tc.query)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", tc.name, err)
+		}
+		want.Rows = sparql.DistinctRows(want.Rows)
+		want.Sort()
+		if tc.rows >= 0 && len(want.Rows) != tc.rows {
+			t.Fatalf("%s: oracle has %d rows, case expects %d", tc.name, len(want.Rows), tc.rows)
+		}
+		for _, system := range []string{"FedX", "HiBISCuS", "SPLENDID"} {
+			t.Run(tc.name+"/"+system, func(t *testing.T) {
+				eng, m := federate(t, system, tc.datasets)
+				got, err := eng.QueryString(context.Background(), tc.query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.Rows = sparql.DistinctRows(got.Rows)
+				got.Sort()
+				if sparql.MustParse(tc.query).Limit >= 0 {
+					// Any LIMIT-sized subset is a valid answer.
+					if len(got.Rows) != len(want.Rows) {
+						t.Errorf("%d rows, want %d", len(got.Rows), len(want.Rows))
+					}
+				} else if !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Errorf("%d rows, oracle %d", len(got.Rows), len(want.Rows))
+				}
+				if pinned, ok := tc.requests[system]; ok && m.Snapshot().Requests != pinned {
+					t.Errorf("%d requests, want %d", m.Snapshot().Requests, pinned)
+				}
+			})
+		}
+	}
+}

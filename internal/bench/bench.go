@@ -14,16 +14,14 @@ import (
 	"sync"
 	"time"
 
+	"lusail/internal/baseline"
 	"lusail/internal/catalog"
 	"lusail/internal/client"
 	"lusail/internal/core"
 	"lusail/internal/erh"
 	"lusail/internal/federation"
-	"lusail/internal/fedx"
-	"lusail/internal/hibiscus"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
-	"lusail/internal/splendid"
 	"lusail/internal/store"
 )
 
@@ -48,7 +46,8 @@ const (
 	// LusailCatalog is Lusail with the endpoint catalog installed: source
 	// selection and cardinality estimation answer from precomputed
 	// summaries instead of per-query ASK/COUNT probes. The catalog is
-	// built offline (like the baselines' indexes) before measurement.
+	// built offline before measurement, and shared with the index-based
+	// baselines.
 	LusailCatalog EngineKind = "Lusail+Cat"
 	// LusailLADE is the ablation with SAPE disabled (Figure 14).
 	LusailLADE EngineKind = "Lusail-LADE"
@@ -90,16 +89,14 @@ func GeoDistributed() NetworkProfile {
 }
 
 // Fed is a live benchmark federation: instrumented (and possibly
-// latency-wrapped) endpoints plus lazily built baseline indexes.
+// latency-wrapped) endpoints plus the lazily built endpoint catalog.
 type Fed struct {
 	Federation *federation.Federation
 	Metrics    *client.Metrics
 	Datasets   []Dataset
 
-	rawFed   *federation.Federation // un-instrumented, for index builds
-	indexMu  sync.Mutex
-	hibIndex *hibiscus.Index
-	splIndex *splendid.Index
+	rawFed   *federation.Federation // un-instrumented, for the catalog build
+	catMu    sync.Mutex
 	catStore *catalog.Store
 }
 
@@ -145,44 +142,15 @@ func newFed(datasets []Dataset, net NetworkProfile, wrap func(client.Endpoint) c
 	}, nil
 }
 
-// EnsureIndexes builds the HiBISCuS and SPLENDID indexes if they have not
-// been built yet. Index construction runs against the raw (un-delayed)
-// endpoints: it is an offline preprocessing phase whose cost is reported
-// separately (Section 5.1 of the paper), not charged to queries.
-func (f *Fed) EnsureIndexes(ctx context.Context) error {
-	f.indexMu.Lock()
-	defer f.indexMu.Unlock()
-	if f.hibIndex != nil {
-		return nil
-	}
-	pool := erh.New(0)
-	hibIdx, err := hibiscus.BuildIndex(ctx, f.rawFed, pool)
-	if err != nil {
-		return fmt.Errorf("bench: building HiBISCuS index: %w", err)
-	}
-	splIdx, err := splendid.BuildIndex(ctx, f.rawFed, pool)
-	if err != nil {
-		return fmt.Errorf("bench: building SPLENDID index: %w", err)
-	}
-	f.hibIndex, f.splIndex = hibIdx, splIdx
-	return nil
-}
-
-// PreprocessingTimes returns the HiBISCuS and SPLENDID index build times,
-// building the indexes if necessary.
-func (f *Fed) PreprocessingTimes(ctx context.Context) (hibiscusPrep, splendidPrep time.Duration, err error) {
-	if err := f.EnsureIndexes(ctx); err != nil {
-		return 0, 0, err
-	}
-	return f.hibIndex.BuildTime, f.splIndex.BuildTime, nil
-}
-
 // EnsureCatalog builds the endpoint catalog if it has not been built yet.
-// Like EnsureIndexes, the build runs against the raw endpoints: catalog
-// construction is offline preprocessing, not charged to queries.
+// It is the one data summary in the tree: Lusail+Cat answers its probes
+// from it, and it stands in for the HiBISCuS and SPLENDID indexes. The
+// build runs against the raw (un-delayed) endpoints: it is an offline
+// preprocessing phase whose cost is reported separately (Section 5.1 of the
+// paper), not charged to queries.
 func (f *Fed) EnsureCatalog(ctx context.Context) (*catalog.Store, error) {
-	f.indexMu.Lock()
-	defer f.indexMu.Unlock()
+	f.catMu.Lock()
+	defer f.catMu.Unlock()
 	if f.catStore != nil {
 		return f.catStore, nil
 	}
@@ -250,17 +218,16 @@ func (f *Fed) NewEngine(ctx context.Context, kind EngineKind) (engine, error) {
 		opts.DisableSAPE = true
 		return &lusailAdapter{e: core.MustNew(f.Federation, opts)}, nil
 	case FedX:
-		return fedx.New(f.Federation, fedx.Options{}), nil
-	case HiBISCuS:
-		if err := f.EnsureIndexes(ctx); err != nil {
+		return baseline.NewFedX(f.Federation), nil
+	case HiBISCuS, SPLENDID:
+		st, err := f.EnsureCatalog(ctx)
+		if err != nil {
 			return nil, err
 		}
-		return hibiscus.New(f.Federation, f.hibIndex, fedx.Options{}), nil
-	case SPLENDID:
-		if err := f.EnsureIndexes(ctx); err != nil {
-			return nil, err
+		if kind == HiBISCuS {
+			return baseline.NewHiBISCuS(f.Federation, st), nil
 		}
-		return splendid.New(f.Federation, f.splIndex, splendid.Options{}), nil
+		return baseline.NewSPLENDID(f.Federation, st), nil
 	}
 	return nil, fmt.Errorf("bench: unknown engine %q", kind)
 }

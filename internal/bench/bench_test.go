@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"lusail/internal/eval"
-	"lusail/internal/qplan"
 	"lusail/internal/sparql"
 	"lusail/internal/store"
 )
@@ -23,7 +22,7 @@ func oracleFor(t *testing.T, datasets []Dataset, query string) *sparql.Results {
 	if err != nil {
 		t.Fatalf("oracle for %s: %v", query, err)
 	}
-	res.Rows = qplan.DistinctRows(res.Rows)
+	res.Rows = sparql.DistinctRows(res.Rows)
 	res.Sort()
 	return res
 }
@@ -51,7 +50,7 @@ func checkAllEngines(t *testing.T, datasets []Dataset, q Query) {
 			t.Errorf("%s / %s: %v", kind, q.Name, err)
 			continue
 		}
-		got.Rows = qplan.DistinctRows(got.Rows)
+		got.Rows = sparql.DistinctRows(got.Rows)
 		got.Sort()
 		if limited {
 			if len(got.Rows) != len(want.Rows) {

@@ -4,14 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"lusail/internal/client"
 	"lusail/internal/core"
+	"lusail/internal/federation"
 	"lusail/internal/lint/leakcheck"
 	"lusail/internal/rdf"
 	"lusail/internal/resilience"
+	"lusail/internal/sparql"
+	"lusail/internal/store"
 )
 
 // rowKey renders one solution as a canonical "var=term" string so result
@@ -118,12 +124,15 @@ func TestSelectMatchesQueryModifiers(t *testing.T) {
 		// two paths may legally keep different rows: assert count parity
 		// and containment in the unmodified result instead of equality.
 		sliced bool
+		// rows is the exact row count the cursor must deliver (0: only
+		// parity with the materialized path is checked).
+		rows int
 	}{
-		{"distinct", strings.Replace(base, "SELECT", "SELECT DISTINCT", 1), false},
-		{"limit", base + " LIMIT 5", true},
-		{"offset", base + " OFFSET 3", true},
-		{"orderby", base + " ORDER BY ?X", false},
-		{"count", strings.Replace(base, "SELECT ?X ?Y ?U ?A", "SELECT (COUNT(?X) AS ?n)", 1), false},
+		{"distinct", strings.Replace(base, "SELECT", "SELECT DISTINCT", 1), false, 0},
+		{"limit", base + " LIMIT 5", true, 5},
+		{"offset", base + " OFFSET 3", true, 0},
+		{"orderby", base + " ORDER BY ?X", false, 0},
+		{"count", strings.Replace(base, "SELECT ?X ?Y ?U ?A", "SELECT (COUNT(?X) AS ?n)", 1), false, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, _, err := eng.QueryString(context.Background(), tc.query)
@@ -133,6 +142,12 @@ func TestSelectMatchesQueryModifiers(t *testing.T) {
 			vars, rows := drainSelect(t, eng, tc.query)
 			if len(rows) != len(res.Rows) {
 				t.Errorf("row count: materialized %d, streamed %d", len(res.Rows), len(rows))
+			}
+			if tc.rows > 0 && len(rows) != tc.rows {
+				t.Errorf("streamed %d rows, want %d", len(rows), tc.rows)
+			}
+			if len(sparql.MustParse(tc.query).OrderBy) > 0 && !reflect.DeepEqual(rows, res.Rows) {
+				t.Error("ordered result: streamed and materialized row sequences differ")
 			}
 			if tc.sliced {
 				full, _, err := eng.QueryString(context.Background(), base)
@@ -198,6 +213,43 @@ func TestSelectMidStreamCancel(t *testing.T) {
 			t.Errorf("cancelled cursor: Err() = %v, want context.Canceled", rows.Err())
 		}
 	})
+}
+
+// TestSelectFirstRowBeforeSlowEndpoint pins incremental delivery: with one
+// endpoint a slow round trip away, the fast endpoint's rows must reach the
+// cursor while the slow endpoint's final subquery is still in flight.
+func TestSelectFirstRowBeforeSlowEndpoint(t *testing.T) {
+	leakcheck.Check(t)
+	const slowRTT = 300 * time.Millisecond
+	datasets := GenerateLUBM(DefaultLUBM(2))
+	fast := client.NewInProcess(datasets[0].Name, store.NewFromTriples(datasets[0].Triples))
+	slow := client.NewLatency(client.NewInProcess(datasets[1].Name, store.NewFromTriples(datasets[1].Triples)), slowRTT, 0)
+	eng := core.MustNew(federation.MustNew(fast, slow), core.DefaultOptions())
+
+	start := time.Now()
+	rows, err := eng.Select(context.Background(), LUBMQueries()[2].Text) // Q3: one subquery per endpoint
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	var first time.Duration
+	for n := 0; rows.Next(); n++ {
+		if n == 0 {
+			first = time.Since(start)
+		}
+	}
+	total := time.Since(start)
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if first == 0 {
+		t.Fatal("no rows")
+	}
+	// Planning probes pay the slow round trip on both paths; after them the
+	// fast endpoint answers at once and the slow one a full RTT later.
+	if total-first < slowRTT/2 {
+		t.Errorf("first row after %v, last after %v: rows waited for the slow endpoint", first, total)
+	}
 }
 
 // TestSelectDegradeParity pins partial-result parity: with one endpoint

@@ -387,7 +387,7 @@ func (s *leftJoinStream) optionalRel(blockRel *sparql.Results) (*sparql.Results,
 			rel = qplan.UnionRelations(rel, p)
 		}
 	}
-	rel.Rows = qplan.DistinctRows(rel.Rows)
+	rel.Rows = sparql.DistinctRows(rel.Rows)
 	return qplan.ApplyFilters(rel, s.ob.residual), nil
 }
 
@@ -408,7 +408,7 @@ func (s *leftJoinStream) drainUnbound() (*sparql.Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	rel.Rows = qplan.DistinctRows(rel.Rows)
+	rel.Rows = sparql.DistinctRows(rel.Rows)
 	return qplan.ApplyFilters(rel, s.ob.residual), nil
 }
 

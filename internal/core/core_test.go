@@ -128,7 +128,7 @@ func oracleResults(t *testing.T, oracle *store.Store, query string) *sparql.Resu
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
-	res.Rows = qplan.DistinctRows(res.Rows)
+	res.Rows = sparql.DistinctRows(res.Rows)
 	res.Sort()
 	return res
 }
@@ -139,7 +139,7 @@ func runLusail(t *testing.T, e *Engine, query string) (*sparql.Results, *Profile
 	if err != nil {
 		t.Fatalf("lusail: %v", err)
 	}
-	res.Rows = qplan.DistinctRows(res.Rows)
+	res.Rows = sparql.DistinctRows(res.Rows)
 	res.Sort()
 	return res, prof
 }
@@ -371,6 +371,34 @@ func TestLimitTruncatesCompleteResult(t *testing.T) {
 	}
 }
 
+// ORDER BY on a variable the query does not project: the tail must sort the
+// joined relation before projecting the key away.
+func TestSelectOrdersByNonProjectedVariable(t *testing.T) {
+	age := func(x string, a int64) rdf.Triple {
+		return rdf.Triple{S: rdf.NewIRI("http://ex/" + x), P: rdf.NewIRI("http://ex/age"), O: rdf.NewInteger(a)}
+	}
+	e := newEngine(t, []*client.InProcess{
+		client.NewInProcess("ep1", store.NewFromTriples([]rdf.Triple{age("x3", 3), age("x1", 1)})),
+		client.NewInProcess("ep2", store.NewFromTriples([]rdf.Triple{age("x2", 2)})),
+	}, DefaultOptions())
+	for order, want := range map[string]string{"?a": "http://ex/x1", "DESC(?a)": "http://ex/x3"} {
+		rows, err := e.Select(context.Background(), `SELECT ?x WHERE { ?x <http://ex/age> ?a } ORDER BY `+order+` LIMIT 1`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for rows.Next() {
+			got = append(got, rows.Row()[0].Value)
+		}
+		if err := rows.Close(); err != nil || rows.Err() != nil {
+			t.Fatal(err, rows.Err())
+		}
+		if !reflect.DeepEqual(rows.Vars(), []string{"x"}) || !reflect.DeepEqual(got, []string{want}) {
+			t.Errorf("ORDER BY %s: %v %v, want [%s]", order, rows.Vars(), got, want)
+		}
+	}
+}
+
 func TestEmptyResultForUnknownPredicate(t *testing.T) {
 	eps, _ := paperFederation(false)
 	e := newEngine(t, eps, DefaultOptions())
@@ -494,7 +522,7 @@ func TestFailureInjection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("with retry: %v", err)
 	}
-	got.Rows = qplan.DistinctRows(got.Rows)
+	got.Rows = sparql.DistinctRows(got.Rows)
 	got.Sort()
 	assertSameResults(t, got, want)
 

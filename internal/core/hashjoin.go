@@ -16,10 +16,9 @@ import (
 	"lusail/internal/rdf"
 )
 
-// Probe parallelism: once the build table holds at least
-// parallelProbeMin rows, probe rows are pulled in batches and probed
-// across the pool in chunks (mirroring the materialized parallelHashJoin
-// threshold).
+// Probe parallelism (the paper's parallel in-memory hash join, Section
+// 4.2): once the build table holds at least parallelProbeMin rows, probe
+// rows are pulled in batches and probed across the pool in chunks.
 const (
 	parallelProbeMin  = 4096
 	probeBatchRows    = 512

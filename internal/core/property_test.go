@@ -10,8 +10,8 @@ import (
 
 	"lusail/internal/client"
 	"lusail/internal/federation"
-	"lusail/internal/qplan"
 	"lusail/internal/rdf"
+	"lusail/internal/sparql"
 	"lusail/internal/store"
 )
 
@@ -111,7 +111,7 @@ func TestFederatedMatchesCentralizedProperty(t *testing.T) {
 				return false
 			}
 			want := oracleResults(t, oracle, q)
-			got.Rows = qplan.DistinctRows(got.Rows)
+			got.Rows = sparql.DistinctRows(got.Rows)
 			got.Sort()
 			if !reflect.DeepEqual(got.Vars, want.Vars) || !reflect.DeepEqual(got.Rows, want.Rows) {
 				t.Logf("seed %d mismatch on %s:\n got %d rows\nwant %d rows", seed, q, len(got.Rows), len(want.Rows))
@@ -154,7 +154,7 @@ func TestPlanningChoicesNeverChangeAnswersProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("config %d query %s: %v", ci, q, err)
 			}
-			got.Rows = qplan.DistinctRows(got.Rows)
+			got.Rows = sparql.DistinctRows(got.Rows)
 			got.Sort()
 			if !reflect.DeepEqual(got.Rows, want.Rows) {
 				t.Errorf("config %d query %s: %d rows, want %d", ci, q, len(got.Rows), len(want.Rows))

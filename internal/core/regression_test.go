@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"lusail/internal/federation"
-	"lusail/internal/qplan"
+	"lusail/internal/sparql"
 )
 
 // Regression: the check-query cache key must encode the join variable's
@@ -30,7 +30,7 @@ func TestCheckCacheKeyEncodesVariablePositions(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := oracleResults(t, oracle, q)
-		got.Rows = qplan.DistinctRows(got.Rows)
+		got.Rows = sparql.DistinctRows(got.Rows)
 		got.Sort()
 		if !reflect.DeepEqual(got.Rows, want.Rows) {
 			t.Errorf("trial %d: %s: got %d rows, want %d", trial, q, len(got.Rows), len(want.Rows))

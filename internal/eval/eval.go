@@ -6,7 +6,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"lusail/internal/rdf"
@@ -252,235 +251,23 @@ func (e *Evaluator) stream(remaining []sparql.TriplePattern, b Binding, emit fun
 	return cont
 }
 
-// finishSelect applies aggregation, projection, DISTINCT, ORDER BY, and
-// LIMIT/OFFSET to the raw solution rows.
+// finishSelect lays the raw solutions out as a positional relation over
+// the variables the solution modifiers read — none at all for COUNT(*) —
+// and hands it to the shared modifier tail.
 func (e *Evaluator) finishSelect(q *sparql.Query, rows []Binding) (*sparql.Results, error) {
-	if len(q.GroupBy) > 0 {
-		return GroupAggregate(q, rows)
-	}
-	if q.HasAggregates() {
-		return aggregate(q, rows)
-	}
-	vars := q.ProjectedVars()
-	res := sparql.NewResults(vars)
-	res.Rows = make([][]rdf.Term, 0, len(rows))
-	for _, b := range rows {
-		row := make([]rdf.Term, len(vars))
-		for i, v := range vars {
-			row[i] = b[v] // zero Term if unbound
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	if len(q.OrderBy) > 0 {
-		orderRows(res, q.OrderBy)
-	}
-	if q.Distinct {
-		res.Rows = dedupeRows(res.Rows)
-	}
-	applyLimitOffset(res, q.Limit, q.Offset)
-	return res, nil
-}
-
-func orderRows(res *sparql.Results, conds []sparql.OrderCond) {
-	idx := make([]int, 0, len(conds))
-	desc := make([]bool, 0, len(conds))
-	for _, c := range conds {
-		if i := res.VarIndex(c.Var); i >= 0 {
-			idx = append(idx, i)
-			desc = append(desc, c.Desc)
-		}
-	}
-	sort.SliceStable(res.Rows, func(a, b int) bool {
-		for k, i := range idx {
-			c := res.Rows[a][i].Compare(res.Rows[b][i])
-			if c == 0 {
-				continue
+	vars := sparql.ModifierVars(q)
+	rel := sparql.NewResults(vars)
+	rel.Rows = make([][]rdf.Term, len(rows))
+	if len(vars) > 0 {
+		for r, b := range rows {
+			row := make([]rdf.Term, len(vars))
+			for i, v := range vars {
+				row[i] = b[v] // zero Term if unbound
 			}
-			if desc[k] {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-}
-
-func dedupeRows(rows [][]rdf.Term) [][]rdf.Term {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	for _, row := range rows {
-		key := rowKey(row)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, row)
+			rel.Rows[r] = row
 		}
 	}
-	return out
-}
-
-func rowKey(row []rdf.Term) string {
-	var b []byte
-	for _, t := range row {
-		b = append(b, t.String()...)
-		b = append(b, 0)
-	}
-	return string(b)
-}
-
-func applyLimitOffset(res *sparql.Results, limit, offset int) {
-	if offset > 0 {
-		if offset >= len(res.Rows) {
-			res.Rows = nil
-		} else {
-			res.Rows = res.Rows[offset:]
-		}
-	}
-	if limit >= 0 && limit < len(res.Rows) {
-		res.Rows = res.Rows[:limit]
-	}
-}
-
-func aggregate(q *sparql.Query, rows []Binding) (*sparql.Results, error) {
-	vars := make([]string, len(q.Projection))
-	out := make([]rdf.Term, len(q.Projection))
-	for i, p := range q.Projection {
-		vars[i] = p.Var
-		if p.Agg == nil {
-			return nil, fmt.Errorf("eval: mixing plain variables and aggregates without GROUP BY is unsupported")
-		}
-		v, err := evalAggregate(p.Agg, rows)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	res := sparql.NewResults(vars)
-	res.Rows = [][]rdf.Term{out}
-	return res, nil
-}
-
-// GroupAggregate implements GROUP BY: rows are partitioned by the grouping
-// variables and each projection is either a grouping variable or an
-// aggregate over the partition. It is exported for the federated engines,
-// which apply grouping to the joined global relation.
-func GroupAggregate(q *sparql.Query, rows []Binding) (*sparql.Results, error) {
-	grouped := map[string][]Binding{}
-	var order []string
-	for _, b := range rows {
-		key := groupKey(q.GroupBy, b)
-		if _, ok := grouped[key]; !ok {
-			order = append(order, key)
-		}
-		grouped[key] = append(grouped[key], b)
-	}
-	groupVars := map[string]bool{}
-	for _, v := range q.GroupBy {
-		groupVars[v] = true
-	}
-	vars := make([]string, len(q.Projection))
-	for i, p := range q.Projection {
-		vars[i] = p.Var
-		if p.Agg == nil && !groupVars[p.Var] {
-			return nil, fmt.Errorf("eval: projected variable ?%s is neither grouped nor aggregated", p.Var)
-		}
-	}
-	if len(vars) == 0 {
-		// SELECT * with GROUP BY projects the grouping variables.
-		vars = append([]string(nil), q.GroupBy...)
-	}
-	res := sparql.NewResults(vars)
-	for _, key := range order {
-		group := grouped[key]
-		row := make([]rdf.Term, len(vars))
-		for i, v := range vars {
-			var p *sparql.Projection
-			if i < len(q.Projection) {
-				p = &q.Projection[i]
-			}
-			if p != nil && p.Agg != nil {
-				val, err := evalAggregate(p.Agg, group)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = val
-				continue
-			}
-			row[i] = group[0][v] // constant within the group
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	if len(q.OrderBy) > 0 {
-		orderRows(res, q.OrderBy)
-	}
-	applyLimitOffset(res, q.Limit, q.Offset)
-	return res, nil
-}
-
-func groupKey(vars []string, b Binding) string {
-	var buf []byte
-	for _, v := range vars {
-		t := b[v]
-		buf = append(buf, t.String()...)
-		buf = append(buf, 0)
-	}
-	return string(buf)
-}
-
-func evalAggregate(a *sparql.Aggregate, rows []Binding) (rdf.Term, error) {
-	switch a.Func {
-	case "COUNT":
-		if a.Var == "" {
-			return rdf.NewInteger(int64(len(rows))), nil
-		}
-		if a.Distinct {
-			seen := map[rdf.Term]bool{}
-			for _, b := range rows {
-				if t, ok := b[a.Var]; ok {
-					seen[t] = true
-				}
-			}
-			return rdf.NewInteger(int64(len(seen))), nil
-		}
-		n := 0
-		for _, b := range rows {
-			if _, ok := b[a.Var]; ok {
-				n++
-			}
-		}
-		return rdf.NewInteger(int64(n)), nil
-	case "SUM", "AVG", "MIN", "MAX":
-		var vals []float64
-		for _, b := range rows {
-			if t, ok := b[a.Var]; ok {
-				if f, ok := t.Numeric(); ok {
-					vals = append(vals, f)
-				}
-			}
-		}
-		if len(vals) == 0 {
-			return rdf.NewInteger(0), nil
-		}
-		agg := vals[0]
-		for _, v := range vals[1:] {
-			switch a.Func {
-			case "SUM", "AVG":
-				agg += v
-			case "MIN":
-				if v < agg {
-					agg = v
-				}
-			case "MAX":
-				if v > agg {
-					agg = v
-				}
-			}
-		}
-		if a.Func == "AVG" {
-			agg /= float64(len(vals))
-		}
-		return rdf.NewDouble(agg), nil
-	}
-	return rdf.Term{}, fmt.Errorf("eval: unsupported aggregate %s", a.Func)
+	return sparql.ApplyModifiers(q, rel)
 }
 
 // evalGroup evaluates a group graph pattern seeded with the given solutions.

@@ -85,3 +85,23 @@ func BenchmarkFilterNotExists(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkDistinctOrderBy(b *testing.B) {
+	st := benchUniversity(2000)
+	e := New(st)
+	q := `SELECT DISTINCT ?p ?c WHERE {
+		?s <http://ex/advisor> ?p .
+		?s <http://ex/takesCourse> ?c .
+	} ORDER BY DESC(?p) ?c`
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.QueryString(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Len() != 20 {
+			b.Fatalf("rows = %d", res.Len())
+		}
+	}
+}

@@ -300,6 +300,19 @@ func TestDistinctLimitOffsetOrder(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Errorf("offset wrong: %v", res.Rows)
 	}
+	// The ORDER BY key need not be projected: rows are sorted before
+	// projection drops it.
+	ages := store.NewFromTriples([]rdf.Triple{
+		{S: iri("x3"), P: iri("age"), O: rdf.NewInteger(3)},
+		{S: iri("x1"), P: iri("age"), O: rdf.NewInteger(1)},
+		{S: iri("x2"), P: iri("age"), O: rdf.NewInteger(2)},
+	})
+	for order, want := range map[string]rdf.Term{"?a": iri("x1"), "DESC(?a)": iri("x3")} {
+		res = mustRows(t, ages, `SELECT ?x WHERE { ?x <http://ex/age> ?a } ORDER BY `+order+` LIMIT 1`)
+		if !reflect.DeepEqual(res.Vars, []string{"x"}) || len(res.Rows) != 1 || res.Rows[0][0] != want {
+			t.Errorf("ORDER BY %s on a non-projected key: %v %v, want %v", order, res.Vars, res.Rows, want)
+		}
+	}
 }
 
 func TestBindExpression(t *testing.T) {

@@ -7,10 +7,8 @@ package qplan
 
 import (
 	"fmt"
-	"lusail/internal/eval"
 	"sort"
 
-	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 )
 
@@ -155,8 +153,8 @@ func copyBranch(br *Branch) *Branch {
 	return nb
 }
 
-// finalize applies the query's solution modifiers (aggregates, projection,
-// DISTINCT, ORDER BY, LIMIT/OFFSET) to the global relation.
+// Finalize answers ASK from the global relation and otherwise applies the
+// query's solution modifiers to it.
 func Finalize(q *sparql.Query, rel *sparql.Results) (*sparql.Results, error) {
 	if rel == nil {
 		rel = EmptyRelation(nil)
@@ -164,156 +162,5 @@ func Finalize(q *sparql.Query, rel *sparql.Results) (*sparql.Results, error) {
 	if q.Form == sparql.AskForm {
 		return sparql.BoolResults(len(rel.Rows) > 0), nil
 	}
-	if len(q.GroupBy) > 0 {
-		bindings := make([]eval.Binding, len(rel.Rows))
-		for i := range rel.Rows {
-			bindings[i] = rel.Binding(i)
-		}
-		return eval.GroupAggregate(q, bindings)
-	}
-	if q.HasAggregates() {
-		return aggregateRelation(q, rel)
-	}
-	// ProjectedVars returns the WHERE clause's sorted variables for
-	// SELECT *, matching single-store evaluation exactly.
-	vars := q.ProjectedVars()
-	out := sparql.NewResults(vars)
-	idx := make([]int, len(vars))
-	for i, v := range vars {
-		idx[i] = rel.VarIndex(v)
-	}
-	out.Rows = make([][]rdf.Term, len(rel.Rows))
-	for r, row := range rel.Rows {
-		nr := make([]rdf.Term, len(vars))
-		for i, j := range idx {
-			if j >= 0 {
-				nr[i] = row[j]
-			}
-		}
-		out.Rows[r] = nr
-	}
-	if len(q.OrderBy) > 0 {
-		sortByOrder(out, q.OrderBy)
-	}
-	if q.Distinct {
-		out.Rows = DistinctRows(out.Rows)
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(out.Rows) {
-			out.Rows = nil
-		} else {
-			out.Rows = out.Rows[q.Offset:]
-		}
-	}
-	// Lusail's LIMIT strategy (noted in the paper's C4 discussion):
-	// compute the complete result, then truncate.
-	if q.Limit >= 0 && q.Limit < len(out.Rows) {
-		out.Rows = out.Rows[:q.Limit]
-	}
-	return out, nil
-}
-
-func sortByOrder(res *sparql.Results, conds []sparql.OrderCond) {
-	var idx []int
-	var desc []bool
-	for _, c := range conds {
-		if i := res.VarIndex(c.Var); i >= 0 {
-			idx = append(idx, i)
-			desc = append(desc, c.Desc)
-		}
-	}
-	sort.SliceStable(res.Rows, func(a, b int) bool {
-		for k, i := range idx {
-			c := res.Rows[a][i].Compare(res.Rows[b][i])
-			if c == 0 {
-				continue
-			}
-			if desc[k] {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-}
-
-func aggregateRelation(q *sparql.Query, rel *sparql.Results) (*sparql.Results, error) {
-	vars := make([]string, len(q.Projection))
-	row := make([]rdf.Term, len(q.Projection))
-	for i, p := range q.Projection {
-		vars[i] = p.Var
-		if p.Agg == nil {
-			return nil, fmt.Errorf("lusail: mixing variables and aggregates is not supported")
-		}
-		v, err := computeAggregate(p.Agg, rel)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
-	}
-	out := sparql.NewResults(vars)
-	out.Rows = [][]rdf.Term{row}
-	return out, nil
-}
-
-func computeAggregate(a *sparql.Aggregate, rel *sparql.Results) (rdf.Term, error) {
-	switch a.Func {
-	case "COUNT":
-		if a.Var == "" {
-			return rdf.NewInteger(int64(len(rel.Rows))), nil
-		}
-		idx := rel.VarIndex(a.Var)
-		if idx < 0 {
-			return rdf.NewInteger(0), nil
-		}
-		if a.Distinct {
-			seen := map[rdf.Term]bool{}
-			for _, row := range rel.Rows {
-				if !row[idx].IsZero() {
-					seen[row[idx]] = true
-				}
-			}
-			return rdf.NewInteger(int64(len(seen))), nil
-		}
-		n := 0
-		for _, row := range rel.Rows {
-			if !row[idx].IsZero() {
-				n++
-			}
-		}
-		return rdf.NewInteger(int64(n)), nil
-	case "SUM", "MIN", "MAX", "AVG":
-		idx := rel.VarIndex(a.Var)
-		var vals []float64
-		if idx >= 0 {
-			for _, row := range rel.Rows {
-				if f, ok := row[idx].Numeric(); ok {
-					vals = append(vals, f)
-				}
-			}
-		}
-		if len(vals) == 0 {
-			return rdf.NewInteger(0), nil
-		}
-		agg := vals[0]
-		for _, v := range vals[1:] {
-			switch a.Func {
-			case "SUM", "AVG":
-				agg += v
-			case "MIN":
-				if v < agg {
-					agg = v
-				}
-			case "MAX":
-				if v > agg {
-					agg = v
-				}
-			}
-		}
-		if a.Func == "AVG" {
-			agg /= float64(len(vals))
-		}
-		return rdf.NewDouble(agg), nil
-	}
-	return rdf.Term{}, fmt.Errorf("lusail: unsupported aggregate %s", a.Func)
+	return sparql.ApplyModifiers(q, rel)
 }

@@ -176,19 +176,6 @@ func TestLeftJoinKeepsUnmatched(t *testing.T) {
 	}
 }
 
-func TestDistinctRows(t *testing.T) {
-	rows := [][]rdf.Term{row("a"), row("a"), row("b")}
-	got := DistinctRows(rows)
-	if len(got) != 2 {
-		t.Errorf("distinct rows = %d", len(got))
-	}
-	// Kind matters: an IRI and a literal with the same text are distinct.
-	rows = [][]rdf.Term{{rdf.NewIRI("x")}, {rdf.NewLiteral("x")}}
-	if got := DistinctRows(rows); len(got) != 2 {
-		t.Errorf("IRI vs literal collapsed: %d", len(got))
-	}
-}
-
 func TestProjectDistinct(t *testing.T) {
 	r := rel([]string{"x", "y", "z"},
 		row("a", "k", "1"), row("a", "k", "2"), row("b", "k", "3"), row("c", "", "4"))

@@ -56,34 +56,6 @@ func UnionRelations(a, b *sparql.Results) *sparql.Results {
 	return out
 }
 
-// DistinctRows removes duplicate rows (set semantics).
-func DistinctRows(rows [][]rdf.Term) [][]rdf.Term {
-	seen := make(map[string]bool, len(rows))
-	out := make([][]rdf.Term, 0, len(rows))
-	for _, row := range rows {
-		k := TermsKey(row)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, row)
-		}
-	}
-	return out
-}
-
-func TermsKey(row []rdf.Term) string {
-	var b []byte
-	for _, t := range row {
-		b = append(b, byte(t.Kind))
-		b = append(b, t.Value...)
-		b = append(b, 1)
-		b = append(b, t.Lang...)
-		b = append(b, 2)
-		b = append(b, t.Datatype...)
-		b = append(b, 0)
-	}
-	return string(b)
-}
-
 // SharedVars returns variables common to both relations.
 func SharedVars(a, b *sparql.Results) []string {
 	var out []string
@@ -251,7 +223,7 @@ func ProjectDistinct(rel *sparql.Results, vars []string) [][]rdf.Term {
 		if skip {
 			continue
 		}
-		k := TermsKey(nr)
+		k := sparql.TermsKey(nr)
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, nr)

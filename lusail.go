@@ -48,10 +48,6 @@
 //	res, prof, err := eng.QueryString(ctx, query)         // SELECT / ASK, materialized
 //	triples, prof, err := eng.ConstructString(ctx, query) // CONSTRUCT
 //
-// Engine.QueryEarly (emit-callback delivery) is deprecated in favor of
-// Select; the package-level Construct and QueryEarly functions are
-// deprecated thin wrappers kept for compatibility.
-//
 // # Resilience
 //
 // Real federations are flaky. Options has a Resilience section that makes
@@ -362,28 +358,8 @@ func RefreshCatalog(ctx context.Context, endpoints []Endpoint, cat *Catalog) (in
 	return catalog.Refresh(ctx, fed, erh.New(0), cat)
 }
 
-// QueryEarly executes a federated query and delivers solutions to emit as
-// soon as they are complete (the paper's future-work "fast and early
-// results" mode). See Engine.QueryEarly for eligibility rules; the
-// returned bool reports whether streaming was possible.
-//
-// Deprecated: call eng.QueryEarly(ctx, query, emit) directly; query entry
-// points are Engine methods.
-func QueryEarly(ctx context.Context, eng *Engine, query string, emit func(map[string]Term) bool) (bool, error) {
-	return eng.QueryEarly(ctx, query, emit)
-}
-
 // Parse parses a SPARQL query in the supported subset.
 func Parse(query string) (*Query, error) { return sparql.Parse(query) }
-
-// Construct executes a federated CONSTRUCT query, returning the
-// instantiated (deduplicated) triples.
-//
-// Deprecated: call eng.ConstructString(ctx, query) directly; query entry
-// points are Engine methods.
-func Construct(ctx context.Context, eng *Engine, query string) ([]Triple, *Profile, error) {
-	return eng.ConstructString(ctx, query)
-}
 
 // ParseNTriples reads an N-Triples document.
 func ParseNTriples(r io.Reader) ([]Triple, error) { return rdf.ParseNTriples(r) }
