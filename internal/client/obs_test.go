@@ -17,7 +17,11 @@ func TestObsConcurrentInstrumentedRetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	var m Metrics
 	flaky := NewFlaky(testEP(), 5) // every 5th request fails once, then retried
-	retry := NewRetry(flaky, 3, time.Microsecond)
+	// The other goroutines advance the shared request counter between one
+	// query's attempts, so each attempt fails with probability about 1/5:
+	// with 3 attempts some query exhausted them in ~15% of runs, with 8 in
+	// about one run in a thousand.
+	retry := NewRetry(flaky, 8, time.Microsecond)
 	inst := NewInstrumentedWith(retry, &m, reg)
 
 	const goroutines, perG = 16, 25

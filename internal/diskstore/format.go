@@ -37,6 +37,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"lusail/internal/store"
 )
 
 const (
@@ -54,12 +56,13 @@ const (
 	statEntrySize = 12 // uint32 predicate id + uint64 count
 )
 
-// permutation indexes into footer.perms and Store.dirs.
+// permutation indexes into footer.perms and Store.dirs: the key layouts of
+// store.KeyRange, which picks the permutation a pattern scans.
 const (
-	permSPO = iota
-	permPOS
-	permOSP
-	permCount
+	permSPO   = store.PermSPO
+	permPOS   = store.PermPOS
+	permOSP   = store.PermOSP
+	permCount = 3
 )
 
 // permRegion locates one permutation's blocks and directory.

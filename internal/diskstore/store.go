@@ -137,6 +137,12 @@ func open(f *os.File, path string, opts Options) (*Store, error) {
 		}
 		s.dirs[p] = dir
 	}
+	blocks := (s.ft.tripleCount + s.ft.tripleBlockSize - 1) / s.ft.tripleBlockSize
+	for p, reg := range s.ft.perms {
+		if reg.dirCount != blocks {
+			return nil, fmt.Errorf("diskstore: %s: permutation %d has %d blocks for %d triples of %d per block", path, p, reg.dirCount, s.ft.tripleCount, s.ft.tripleBlockSize)
+		}
+	}
 	raw := make([]byte, s.ft.statsCount*statEntrySize)
 	if err := readFullAt(f, raw, int64(s.ft.statsOff)); err != nil {
 		return nil, err
@@ -234,72 +240,137 @@ func (s *Store) Predicates() []rdf.Term {
 	return out
 }
 
-// permToSPO maps a permuted triple back to (s, p, o) ids.
-func permToSPO(perm int, t tripleID) (sub, pred, obj uint32) {
-	switch perm {
-	case permSPO:
-		return t[0], t[1], t[2]
-	case permPOS: // x=p y=o z=s
-		return t[2], t[0], t[1]
-	default: // permOSP: x=o y=s z=p
-		return t[1], t[2], t[0]
+// Lookup implements store.Graph.
+func (s *Store) Lookup(t rdf.Term) (uint32, bool) { return s.resolveTerm(t) }
+
+// Term implements store.Graph.
+func (s *Store) Term(id uint32) (rdf.Term, bool) {
+	if uint64(id) >= s.ft.termCount {
+		return rdf.Term{}, false
 	}
+	t, err := s.dict.term(id)
+	if err != nil {
+		s.setCorrupt(err)
+		return rdf.Term{}, false
+	}
+	return t, true
 }
 
-// emit materializes the permuted id-triple and delivers it to fn.
-func (s *Store) emit(perm int, t tripleID, fn func(rdf.Triple) bool) bool {
-	sid, pid, oid := permToSPO(perm, t)
-	sub, err := s.dict.term(sid)
-	if err != nil {
-		s.setCorrupt(err)
-		return false
-	}
-	pred, err := s.dict.term(pid)
-	if err != nil {
-		s.setCorrupt(err)
-		return false
-	}
-	obj, err := s.dict.term(oid)
-	if err != nil {
-		s.setCorrupt(err)
-		return false
-	}
-	return fn(rdf.Triple{S: sub, P: pred, O: obj})
-}
-
-// Match implements store.Graph with the same index-selection rule as the
-// in-memory store: the permutation whose sort prefix covers the bound
-// positions, scanned over a binary-searched block range.
+// Match implements store.Graph: resolve the bound terms, match on ids,
+// decode what matched.
 func (s *Store) Match(sub, pred, obj *rdf.Term, fn func(rdf.Triple) bool) {
-	var sid, pid, oid uint32
-	var sOK, pOK, oOK bool
-	resolve := func(t *rdf.Term) (uint32, bool, bool) {
-		if t == nil {
-			return 0, false, true
+	ids, ok := s.resolvePattern(sub, pred, obj)
+	if !ok {
+		return
+	}
+	s.MatchIDs(ids[0], ids[1], ids[2], func(sid, pid, oid uint32) bool {
+		st, sok := s.Term(sid)
+		pt, pok := s.Term(pid)
+		ot, ook := s.Term(oid)
+		if !sok || !pok || !ook {
+			return false // corrupt dictionary block, recorded by Term
 		}
-		id, ok := s.resolveTerm(*t)
-		return id, true, ok
+		return fn(rdf.Triple{S: st, P: pt, O: ot})
+	})
+}
+
+// Count returns the number of triples matching the pattern.
+func (s *Store) Count(sub, pred, obj *rdf.Term) int {
+	ids, ok := s.resolvePattern(sub, pred, obj)
+	if !ok {
+		return 0
 	}
-	var present bool
-	if sid, sOK, present = resolve(sub); !present {
-		return
+	return s.CountIDs(ids[0], ids[1], ids[2])
+}
+
+// Contains reports whether at least one triple matches the pattern.
+func (s *Store) Contains(sub, pred, obj *rdf.Term) bool {
+	return s.Count(sub, pred, obj) > 0
+}
+
+// resolvePattern maps a term pattern to an id pattern; ok is false when a
+// bound term is not in the dictionary, so that nothing matches.
+func (s *Store) resolvePattern(sub, pred, obj *rdf.Term) (ids [3]uint32, ok bool) {
+	for i, t := range [3]*rdf.Term{sub, pred, obj} {
+		ids[i] = store.Wildcard
+		if t != nil {
+			if ids[i], ok = s.resolveTerm(*t); !ok {
+				return ids, false
+			}
+		}
 	}
-	if pid, pOK, present = resolve(pred); !present {
-		return
+	return ids, true
+}
+
+// MatchIDs implements store.Graph with the in-memory store's index
+// selection (store.KeyRange): one range of one permutation, entered where
+// seek finds its first triple.
+func (s *Store) MatchIDs(sub, pred, obj uint32, fn func(sub, pred, obj uint32) bool) {
+	perm, lo, hi := store.KeyRange(sub, pred, obj)
+	i, blk, j, ok := s.seek(perm, lo, false)
+	dir := s.dirs[perm]
+	for ; ok && i < len(dir); i, blk, j = i+1, nil, 0 {
+		if blk == nil {
+			if tripleLess(hi, dir[i].first) {
+				return
+			}
+			if blk, ok = s.tripleBlock(perm, i); !ok {
+				return
+			}
+		}
+		for _, t := range blk[j:] {
+			if tripleLess(hi, t) {
+				return
+			}
+			if !fn(store.FromKey(perm, t)) {
+				return
+			}
+		}
 	}
-	if oid, oOK, present = resolve(obj); !present {
-		return
+}
+
+// CountIDs implements store.Graph: the distance between the positions of
+// the range's two ends, so at most two blocks are read and none is walked.
+// Every block but the last holds exactly tripleBlockSize triples, which
+// Open and tripleBlock check, so a position follows from a block's index
+// and an offset inside it.
+func (s *Store) CountIDs(sub, pred, obj uint32) int {
+	perm, lo, hi := store.KeyRange(sub, pred, obj)
+	from, _, fromJ, ok := s.seek(perm, lo, false)
+	if !ok {
+		return 0
 	}
-	switch {
-	case sOK: // SPO: x=s, y=p, z=o
-		s.scan(permSPO, sid, pid, pOK, oid, oOK, fn)
-	case pOK: // POS: x=p, y=o, z=s (s unbound here)
-		s.scan(permPOS, pid, oid, oOK, 0, false, fn)
-	case oOK: // OSP: x=o, y=s, z=p (s and p unbound here)
-		s.scan(permOSP, oid, 0, false, 0, false, fn)
-	default:
-		s.scanAll(fn)
+	to, _, toJ, ok := s.seek(perm, hi, true)
+	if !ok {
+		return 0
 	}
+	size := int(s.ft.tripleBlockSize)
+	return to*size + toJ - (from*size + fromJ)
+}
+
+// seek finds the first triple of the permutation that is not ordered
+// before key (with inclusive, not before or equal to it): a directory
+// search for the block, then a search inside the decoded block. It
+// returns the block's index, the block, and the triple's offset there
+// (which may be the block's length: the position is then the next
+// block's start). When the position is the permutation's very start it
+// decodes nothing and returns block 0 as nil.
+func (s *Store) seek(perm int, key tripleID, inclusive bool) (i int, blk []tripleID, j int, ok bool) {
+	before := func(t tripleID) bool {
+		if inclusive {
+			return !tripleLess(key, t)
+		}
+		return tripleLess(t, key)
+	}
+	dir := s.dirs[perm]
+	i = sort.Search(len(dir), func(i int) bool { return !before(dir[i].first) })
+	if i == 0 {
+		return 0, nil, 0, true
+	}
+	if blk, ok = s.tripleBlock(perm, i-1); !ok {
+		return 0, nil, 0, false
+	}
+	return i - 1, blk, sort.Search(len(blk), func(j int) bool { return !before(blk[j]) }), true
 }
 
 func tripleLess(a, b tripleID) bool {
@@ -310,80 +381,6 @@ func tripleLess(a, b tripleID) bool {
 		return a[1] < b[1]
 	}
 	return a[2] < b[2]
-}
-
-// scan walks the permutation's blocks over the range where the bound
-// prefix (vx; optionally vy; optionally vz) matches, mirroring the
-// in-memory store's scan semantics exactly.
-func (s *Store) scan(perm int, vx uint32, vy uint32, yOK bool, vz uint32, zOK bool, fn func(rdf.Triple) bool) {
-	dir := s.dirs[perm]
-	seek := tripleID{vx, 0, 0}
-	if yOK {
-		seek[1] = vy
-		if zOK {
-			seek[2] = vz
-		}
-	}
-	// First block whose first triple is >= the seek point may be preceded
-	// by a block that still contains the start of the range.
-	i := sort.Search(len(dir), func(i int) bool { return !tripleLess(dir[i].first, seek) })
-	if i > 0 {
-		i--
-	}
-	upper := tripleID{vx, ^uint32(0), ^uint32(0)}
-	if yOK {
-		upper[1] = vy
-		if zOK {
-			upper[2] = vz
-		}
-	}
-	for ; i < len(dir); i++ {
-		if tripleLess(upper, dir[i].first) {
-			return // block starts past the bound range
-		}
-		blk, ok := s.tripleBlock(perm, i)
-		if !ok {
-			return
-		}
-		for _, t := range blk {
-			if t[0] != vx {
-				if t[0] > vx {
-					return
-				}
-				continue
-			}
-			if yOK && t[1] != vy {
-				if t[1] > vy {
-					return // sorted: past the (x,y) range
-				}
-				continue
-			}
-			if zOK && t[2] != vz {
-				if yOK && t[2] > vz {
-					return // sorted by z within the (x,y) prefix
-				}
-				continue
-			}
-			if !s.emit(perm, t, fn) {
-				return
-			}
-		}
-	}
-}
-
-// scanAll streams every triple in SPO order.
-func (s *Store) scanAll(fn func(rdf.Triple) bool) {
-	for i := range s.dirs[permSPO] {
-		blk, ok := s.tripleBlock(permSPO, i)
-		if !ok {
-			return
-		}
-		for _, t := range blk {
-			if !s.emit(permSPO, t, fn) {
-				return
-			}
-		}
-	}
 }
 
 // tripleBlock loads and decodes one block through the cache.
@@ -399,6 +396,9 @@ func (s *Store) tripleBlock(perm, i int) ([]tripleID, bool) {
 		return nil, false
 	}
 	blk, err := decodeTripleBlock(raw)
+	if err == nil && len(blk) != s.blockLen(i) {
+		err = fmt.Errorf("diskstore: block holds %d triples, want %d", len(blk), s.blockLen(i))
+	}
 	if err != nil {
 		s.setCorrupt(fmt.Errorf("%w (permutation %d block %d)", err, perm, i))
 		return nil, false
@@ -407,18 +407,11 @@ func (s *Store) tripleBlock(perm, i int) ([]tripleID, bool) {
 	return blk, true
 }
 
-// Count returns the number of triples matching the pattern.
-func (s *Store) Count(sub, pred, obj *rdf.Term) int {
-	n := 0
-	s.Match(sub, pred, obj, func(rdf.Triple) bool { n++; return true })
-	return n
-}
-
-// Contains reports whether at least one triple matches the pattern.
-func (s *Store) Contains(sub, pred, obj *rdf.Term) bool {
-	found := false
-	s.Match(sub, pred, obj, func(rdf.Triple) bool { found = true; return false })
-	return found
+// blockLen is the number of triples block i of any permutation holds: the
+// loader fills every block but the last.
+func (s *Store) blockLen(i int) int {
+	size := s.ft.tripleBlockSize
+	return int(min(size, s.ft.tripleCount-uint64(i)*size))
 }
 
 // Triples returns all triples in SPO order (intended for tests and small
@@ -436,7 +429,9 @@ func (s *Store) Triples() []rdf.Triple {
 // dictionary. It is shared by the open store and the bulk loader (which
 // resolves triples against the dictionary it just wrote).
 type dictReader struct {
-	r         interface{ ReadAt([]byte, int64) (int, error) }
+	r interface {
+		ReadAt([]byte, int64) (int, error)
+	}
 	offsets   []uint64 // absolute file offset per block
 	dictEnd   uint64
 	blockSize int

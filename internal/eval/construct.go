@@ -16,19 +16,23 @@ func (e *Evaluator) Construct(q *sparql.Query) ([]rdf.Triple, error) {
 	if q.Form != sparql.ConstructForm {
 		return nil, fmt.Errorf("eval: Construct requires a CONSTRUCT query")
 	}
-	rows, err := e.evalGroup(q.Where, []Binding{{}})
+	sc := newScope(e)
+	sc.addGroup(q.Where)
+	rows, err := sc.evalGroup(q.Where, []row{sc.emptyRow()}, -1)
 	if err != nil {
 		return nil, err
 	}
-	return InstantiateTemplate(q.Template, rowsToMaps(rows)), nil
-}
-
-func rowsToMaps(rows []Binding) []map[string]rdf.Term {
-	out := make([]map[string]rdf.Term, len(rows))
-	for i, b := range rows {
-		out[i] = b
+	solutions := make([]map[string]rdf.Term, len(rows))
+	for i, r := range rows {
+		b := map[string]rdf.Term{}
+		for v, s := range sc.slots {
+			if r[s] != unbound {
+				b[v] = sc.term(r[s])
+			}
+		}
+		solutions[i] = b
 	}
-	return out
+	return InstantiateTemplate(q.Template, solutions), nil
 }
 
 // InstantiateTemplate substitutes each solution into the template and

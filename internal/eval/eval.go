@@ -1,10 +1,16 @@
 // Package eval evaluates SPARQL queries (in the subset defined by package
-// sparql) against an in-memory triple store. It is the query engine behind
-// each endpoint in the simulated federation, standing in for Jena Fuseki /
+// sparql) against a store.Graph backend. It is the query engine behind each
+// endpoint in the simulated federation, standing in for Jena Fuseki /
 // Virtuoso in the paper's experimental setup.
+//
+// Evaluation runs on dictionary ids: a query's variables are compiled to
+// the slots of fixed-width rows of ids, joins and DISTINCT compare
+// integers, and terms are decoded only where an expression reads them and
+// for the projected columns of the result.
 package eval
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -12,10 +18,6 @@ import (
 	"lusail/internal/sparql"
 	"lusail/internal/store"
 )
-
-// Binding is one solution mapping from variable names to terms. Variables
-// absent from the map are unbound.
-type Binding map[string]rdf.Term
 
 // Evaluator executes queries against a single graph backend (the in-memory
 // store or the disk-backed store).
@@ -130,31 +132,66 @@ func (e *Evaluator) QueryString(q string) (*sparql.Results, error) {
 // a boolean result set.
 //
 // ASK queries and plain LIMIT queries over streamable groups (triple
-// patterns plus filters only) are evaluated with an early-terminating
-// depth-first search instead of full materialization; Lusail's LIMIT 1
-// check queries depend on this stopping at the first witness.
+// patterns, filters and VALUES only) stop at the limit instead of
+// materializing every solution; Lusail's LIMIT 1 check queries depend on
+// this stopping at the first witness.
 func (e *Evaluator) Query(q *sparql.Query) (*sparql.Results, error) {
 	if q.Form == sparql.ConstructForm {
 		return nil, fmt.Errorf("eval: use Construct for CONSTRUCT queries")
 	}
-	if hint := limitHint(q); hint >= 0 && streamable(q.Where) {
-		rows, err := e.evalStreamLimited(q.Where, hint)
-		if err != nil {
-			return nil, err
-		}
-		if q.Form == sparql.AskForm {
-			return sparql.BoolResults(len(rows) > 0), nil
-		}
-		return e.finishSelect(q, rows)
+	if res, ok := e.countProbe(q); ok {
+		return res, nil
 	}
-	rows, err := e.evalGroup(q.Where, []Binding{{}})
+	sc := newScope(e)
+	sc.addGroup(q.Where)
+	rows, err := sc.evalGroup(q.Where, []row{sc.emptyRow()}, limitHint(q))
 	if err != nil {
 		return nil, err
 	}
 	if q.Form == sparql.AskForm {
 		return sparql.BoolResults(len(rows) > 0), nil
 	}
-	return e.finishSelect(q, rows)
+	return sc.finishSelect(q, rows)
+}
+
+// countProbe answers SAPE's cardinality probe, SELECT (COUNT(*) AS ?c)
+// over a single triple pattern, from the index bounds without visiting a
+// match. A pattern that repeats a variable (?x p ?x) counts only the
+// matches that agree with themselves and takes the join path.
+func (e *Evaluator) countProbe(q *sparql.Query) (*sparql.Results, bool) {
+	if q.Form != sparql.SelectForm || q.Distinct || len(q.GroupBy) > 0 ||
+		len(q.Projection) != 1 || len(q.Where.Elements) != 1 {
+		return nil, false
+	}
+	agg := q.Projection[0].Agg
+	if agg == nil || agg.Func != "COUNT" || agg.Var != "" || agg.Distinct {
+		return nil, false
+	}
+	tp, ok := q.Where.Elements[0].(sparql.TriplePattern)
+	if !ok {
+		return nil, false
+	}
+	var ids [3]uint32
+	vars := 0
+	for i, pt := range [3]sparql.PatternTerm{tp.S, tp.P, tp.O} {
+		ids[i] = store.Wildcard
+		if pt.IsVar() {
+			vars++
+		} else if id, found := e.st.Lookup(pt.Term); found {
+			ids[i] = id
+		} else {
+			ids[i] = localBase // in no triple
+		}
+	}
+	if vars != len(tp.Vars()) {
+		return nil, false
+	}
+	res := sparql.NewResults([]string{q.Projection[0].Var})
+	if q.Offset == 0 && q.Limit != 0 {
+		n := e.st.CountIDs(ids[0], ids[1], ids[2])
+		res.Rows = [][]rdf.Term{{rdf.NewInteger(int64(n))}}
+	}
+	return res, true
 }
 
 // limitHint returns the number of solutions after which evaluation may
@@ -170,13 +207,13 @@ func limitHint(q *sparql.Query) int {
 	return -1
 }
 
-// streamable reports whether the group consists solely of triple patterns
-// and filters, so depth-first enumeration with leaf-level filtering is
-// equivalent to full evaluation.
+// streamable reports whether the group consists solely of triple patterns,
+// filters and VALUES blocks, so one depth-first pass over the VALUES rows
+// with the filters at the leaves is equivalent to full evaluation.
 func streamable(g *sparql.GroupPattern) bool {
 	for _, el := range g.Elements {
 		switch el.(type) {
-		case sparql.TriplePattern, sparql.Filter:
+		case sparql.TriplePattern, sparql.Filter, sparql.InlineData:
 		default:
 			return false
 		}
@@ -184,133 +221,128 @@ func streamable(g *sparql.GroupPattern) bool {
 	return true
 }
 
-// evalStreamLimited enumerates solutions depth-first, applying filters at
-// each complete assignment, and stops once limit rows are produced.
-func (e *Evaluator) evalStreamLimited(g *sparql.GroupPattern, limit int) ([]Binding, error) {
-	patterns := g.TriplePatterns()
-	var filters []sparql.Expr
-	for _, el := range g.Elements {
-		if f, ok := el.(sparql.Filter); ok {
-			filters = append(filters, f.Expr)
-		}
-	}
-	var out []Binding
-	var evalErr error
-	if limit == 0 {
-		return nil, nil
-	}
-	e.stream(patterns, Binding{}, func(b Binding) bool {
-		for _, f := range filters {
-			ok, err := evalEBV(e, f, b)
-			if err != nil {
-				return true // filter error removes the row; keep searching
-			}
-			if !ok {
-				return true
-			}
-		}
-		out = append(out, b)
-		return len(out) < limit
-	}, &evalErr)
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return out, nil
-}
-
-// stream recursively extends the binding one pattern at a time, choosing
-// the most selective pattern at each depth. emit returns false to stop the
-// whole enumeration.
-func (e *Evaluator) stream(remaining []sparql.TriplePattern, b Binding, emit func(Binding) bool, evalErr *error) bool {
-	if len(remaining) == 0 {
-		return emit(b)
-	}
-	bound := map[string]bool{}
-	for v := range b {
-		bound[v] = true
-	}
-	best, bestScore := 0, -1<<30
-	for i, tp := range remaining {
-		if score := patternScore(tp, bound, e.st); score > bestScore {
-			best, bestScore = i, score
-		}
-	}
-	tp := remaining[best]
-	rest := make([]sparql.TriplePattern, 0, len(remaining)-1)
-	rest = append(rest, remaining[:best]...)
-	rest = append(rest, remaining[best+1:]...)
-
-	cont := true
-	e.st.Match(resolve(tp.S, b), resolve(tp.P, b), resolve(tp.O, b), func(t rdf.Triple) bool {
-		nb := extendBinding(b, tp, t)
-		if nb != nil {
-			cont = e.stream(rest, nb, emit, evalErr)
-		}
-		return cont
-	})
-	return cont
-}
-
-// finishSelect lays the raw solutions out as a positional relation over
-// the variables the solution modifiers read — none at all for COUNT(*) —
-// and hands it to the shared modifier tail.
-func (e *Evaluator) finishSelect(q *sparql.Query, rows []Binding) (*sparql.Results, error) {
+// finishSelect decodes the solutions into a positional relation over the
+// variables the solution modifiers read — none at all for COUNT(*) — and
+// hands it to the shared modifier tail. Without grouping or ordering those
+// variables are the projection, so DISTINCT, OFFSET and LIMIT run on ids
+// first and only the surviving rows are decoded.
+func (sc *scope) finishSelect(q *sparql.Query, rows []row) (*sparql.Results, error) {
 	vars := sparql.ModifierVars(q)
+	cols := make([]int, len(vars))
+	for i, v := range vars {
+		cols[i] = sc.slot(v)
+	}
+	if len(q.GroupBy) == 0 && !q.HasAggregates() && len(q.OrderBy) == 0 {
+		if q.Distinct {
+			rows = distinctRows(rows, cols)
+		}
+		rows = rows[min(q.Offset, len(rows)):]
+		if q.Limit >= 0 && q.Limit < len(rows) {
+			rows = rows[:q.Limit]
+		}
+		tail := *q
+		tail.Distinct, tail.Offset, tail.Limit = false, 0, -1
+		q = &tail
+	}
 	rel := sparql.NewResults(vars)
 	rel.Rows = make([][]rdf.Term, len(rows))
-	if len(vars) > 0 {
-		for r, b := range rows {
-			row := make([]rdf.Term, len(vars))
-			for i, v := range vars {
-				row[i] = b[v] // zero Term if unbound
+	if n := len(vars); n > 0 {
+		cells := make([]rdf.Term, len(rows)*n)
+		for r, ids := range rows {
+			out := cells[r*n : (r+1)*n : (r+1)*n]
+			for i, c := range cols {
+				if c >= 0 {
+					out[i] = sc.term(ids[c])
+				}
 			}
-			rel.Rows[r] = row
+			rel.Rows[r] = out
 		}
 	}
 	return sparql.ApplyModifiers(q, rel)
 }
 
-// evalGroup evaluates a group graph pattern seeded with the given solutions.
-// Filters are collected and applied at the end of the group, per SPARQL
-// scoping rules.
-func (e *Evaluator) evalGroup(g *sparql.GroupPattern, input []Binding) ([]Binding, error) {
+// distinctRows keeps the first of the rows that agree on every column.
+func distinctRows(rows []row, cols []int) []row {
+	seen := make(map[string]struct{}, len(rows))
+	out := make([]row, 0, len(rows))
+	key := make([]byte, 4*len(cols))
+	for _, r := range rows {
+		for i, c := range cols {
+			id := unbound
+			if c >= 0 {
+				id = r[c]
+			}
+			binary.LittleEndian.PutUint32(key[4*i:], id)
+		}
+		if _, dup := seen[string(key)]; dup {
+			continue
+		}
+		seen[string(key)] = struct{}{}
+		out = append(out, r)
+	}
+	return out
+}
+
+// evalGroup evaluates a group graph pattern seeded with the given rows and
+// returns at most limit solutions (every one when limit < 0). Filters apply
+// to the whole group, per SPARQL scoping rules.
+func (sc *scope) evalGroup(g *sparql.GroupPattern, input []row, limit int) ([]row, error) {
+	if limit == 0 {
+		return nil, nil
+	}
 	rows := input
 	// Hoist VALUES blocks to the front: joining the inline data first seeds
 	// the basic graph pattern with bound variables, so bound subqueries
 	// (Lusail's and FedX's VALUES-based bound joins) evaluate with index
 	// lookups instead of scanning and post-filtering. Join is commutative,
 	// so this is semantics-preserving.
+	var filters []sparql.Expr
 	for _, el := range g.Elements {
-		if d, ok := el.(sparql.InlineData); ok {
-			rows = joinWithValues(rows, d)
+		switch el := el.(type) {
+		case sparql.InlineData:
+			rows = sc.joinTerms(rows, el.Vars, el.Rows)
+		case sparql.Filter:
+			filters = append(filters, el.Expr)
 		}
 	}
-	var filters []sparql.Expr
-	var bgp []sparql.TriplePattern
+	if streamable(g) {
+		var out []row
+		sc.bgp(g.TriplePatterns(), rows, func(r row) bool {
+			if sc.passes(filters, r) {
+				out = append(out, sc.copyRow(r))
+			}
+			return limit < 0 || len(out) < limit
+		})
+		return out, nil
+	}
 
+	var bgp []sparql.TriplePattern
 	flushBGP := func() {
 		if len(bgp) > 0 {
-			rows = e.evalBGP(bgp, rows)
-			bgp = nil
+			var out []row
+			sc.bgp(bgp, rows, func(r row) bool {
+				out = append(out, sc.copyRow(r))
+				return true
+			})
+			rows, bgp = out, nil
 		}
 	}
-
 	for _, el := range g.Elements {
 		switch el := el.(type) {
 		case sparql.TriplePattern:
 			bgp = append(bgp, el)
-		case sparql.Filter:
-			filters = append(filters, el.Expr)
+		case sparql.Filter, sparql.InlineData:
+			// Collected and joined above.
 		case sparql.Optional:
 			flushBGP()
-			next := make([]Binding, 0, len(rows))
-			for _, b := range rows {
-				ext, err := e.evalGroup(el.Group, []Binding{b})
+			next := make([]row, 0, len(rows))
+			for _, r := range rows {
+				ext, err := sc.evalGroup(el.Group, []row{r}, -1)
 				if err != nil {
 					return nil, err
 				}
 				if len(ext) == 0 {
-					next = append(next, b)
+					next = append(next, r)
 				} else {
 					next = append(next, ext...)
 				}
@@ -318,9 +350,9 @@ func (e *Evaluator) evalGroup(g *sparql.GroupPattern, input []Binding) ([]Bindin
 			rows = next
 		case sparql.Union:
 			flushBGP()
-			var next []Binding
+			var next []row
 			for _, br := range el.Branches {
-				out, err := e.evalGroup(br, rows)
+				out, err := sc.evalGroup(br, rows, -1)
 				if err != nil {
 					return nil, err
 				}
@@ -329,22 +361,24 @@ func (e *Evaluator) evalGroup(g *sparql.GroupPattern, input []Binding) ([]Bindin
 			rows = next
 		case sparql.SubSelect:
 			flushBGP()
-			sub, err := e.subSelect(el.Query)
+			sub, err := sc.e.subSelect(el.Query)
 			if err != nil {
 				return nil, err
 			}
-			rows = joinWithResults(rows, sub)
-		case sparql.InlineData:
-			// Already joined in the hoisting pass above.
+			rows = sc.joinTerms(rows, sub.Vars, sub.Rows)
 		case sparql.Bind:
 			flushBGP()
-			for i, b := range rows {
-				if v, err := evalExpr(e, el.Expr, b); err == nil && !v.IsZero() {
-					nb := cloneBinding(b)
-					nb[el.Var] = v
-					rows[i] = nb
+			slot := sc.slot(el.Var)
+			next := make([]row, len(rows))
+			for i, r := range rows {
+				next[i] = r
+				if v, err := evalExpr(el.Expr, rowBinding{sc, r}); err == nil && !v.IsZero() {
+					nr := sc.copyRow(r)
+					nr[slot] = sc.id(v)
+					next[i] = nr
 				}
 			}
+			rows = next
 		default:
 			return nil, fmt.Errorf("eval: unsupported group element %T", el)
 		}
@@ -355,202 +389,146 @@ func (e *Evaluator) evalGroup(g *sparql.GroupPattern, input []Binding) ([]Bindin
 		}
 	}
 	flushBGP()
+	kept := make([]row, 0, len(rows))
+	for _, r := range rows {
+		if sc.passes(filters, r) {
+			kept = append(kept, r)
+		}
+	}
+	if limit >= 0 && len(kept) > limit {
+		kept = kept[:limit]
+	}
+	return kept, nil
+}
+
+// passes reports whether the row satisfies every filter; an expression
+// error removes the row.
+func (sc *scope) passes(filters []sparql.Expr, r row) bool {
 	for _, f := range filters {
-		kept := rows[:0]
-		for _, b := range rows {
-			ok, err := evalEBV(e, f, b)
-			if err == nil && ok {
-				kept = append(kept, b)
-			}
+		if ok, err := evalEBV(f, rowBinding{sc, r}); err != nil || !ok {
+			return false
 		}
-		rows = kept
 	}
-	return rows, nil
+	return true
 }
 
-// evalBGP evaluates a basic graph pattern by joining its triple patterns
-// into the current solutions. Patterns are chosen greedily: at each step,
-// pick the pattern with the most positions bound (by constants or
-// already-bound variables), breaking ties by smaller predicate cardinality.
-func (e *Evaluator) evalBGP(patterns []sparql.TriplePattern, rows []Binding) []Binding {
-	remaining := append([]sparql.TriplePattern(nil), patterns...)
-	bound := map[string]bool{}
-	if len(rows) > 0 {
-		for v := range rows[0] {
-			bound[v] = true
+// bgp joins the triple patterns into every seed row depth-first, in one
+// order joinOrder picks for the whole evaluation, and hands each complete
+// solution to emit until emit returns false. The row emit sees is scratch
+// space: copy it to keep it.
+func (sc *scope) bgp(tps []sparql.TriplePattern, seeds []row, emit func(row) bool) {
+	if len(seeds) == 0 {
+		return
+	}
+	pats := make([]pattern, len(tps))
+	for i, tp := range tps {
+		pats[i] = sc.compile(tp)
+	}
+	order := sc.joinOrder(pats, seeds[0])
+	depth := make([]row, len(order)+1)
+	for d := 1; d < len(depth); d++ {
+		depth[d] = make(row, sc.width)
+	}
+	var walk func(d int) bool
+	walk = func(d int) bool {
+		if d == len(order) {
+			return emit(depth[d])
 		}
-		// Variables bound in *any* seed row count as bound for ordering
-		// purposes; correctness does not depend on this, only efficiency.
-		for _, r := range rows {
-			for v := range r {
-				bound[v] = true
+		p := &pats[order[d]]
+		cur, next := depth[d], depth[d+1]
+		ids := p.resolve(cur)
+		cont := true
+		sc.st.MatchIDs(ids[0], ids[1], ids[2], func(s, pr, o uint32) bool {
+			copy(next, cur)
+			if p.bind(next, [3]uint32{s, pr, o}) {
+				cont = walk(d + 1)
 			}
-		}
-	}
-	for len(remaining) > 0 && len(rows) > 0 {
-		best := 0
-		bestScore := -1 << 30
-		for i, tp := range remaining {
-			score := patternScore(tp, bound, e.st)
-			if score > bestScore {
-				bestScore = score
-				best = i
-			}
-		}
-		tp := remaining[best]
-		remaining = append(remaining[:best], remaining[best+1:]...)
-		rows = e.joinPattern(tp, rows)
-		for _, v := range tp.Vars() {
-			bound[v] = true
-		}
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	return rows
-}
-
-// patternScore ranks a pattern for greedy join ordering: more bound
-// positions first, then rarer predicates. The predicate statistic comes
-// through the Graph interface, so both the in-memory and the disk backend
-// order joins identically on identical data.
-func patternScore(tp sparql.TriplePattern, bound map[string]bool, st store.Graph) int {
-	score := 0
-	for _, pt := range []sparql.PatternTerm{tp.S, tp.P, tp.O} {
-		if !pt.IsVar() || bound[pt.Var] {
-			score += 1000
-		}
-	}
-	if !tp.P.IsVar() {
-		// Prefer selective predicates: subtract (bounded) predicate count.
-		c := st.PredicateCount(tp.P.Term)
-		if c > 999 {
-			c = 999
-		}
-		score -= c
-	}
-	return score
-}
-
-// joinPattern extends every solution with matches of the pattern.
-func (e *Evaluator) joinPattern(tp sparql.TriplePattern, rows []Binding) []Binding {
-	var out []Binding
-	for _, b := range rows {
-		s := resolve(tp.S, b)
-		p := resolve(tp.P, b)
-		o := resolve(tp.O, b)
-		e.st.Match(s, p, o, func(t rdf.Triple) bool {
-			nb := extendBinding(b, tp, t)
-			if nb != nil {
-				out = append(out, nb)
-			}
-			return true
+			return cont
 		})
+		return cont
 	}
-	return out
+	for _, seed := range seeds {
+		depth[0] = seed
+		if !walk(0) {
+			return
+		}
+	}
 }
 
-// resolve turns a pattern position into a concrete match term: nil for an
-// unbound variable (wildcard), the bound value for a bound variable, or the
-// constant.
-func resolve(pt sparql.PatternTerm, b Binding) *rdf.Term {
-	if pt.IsVar() {
-		if t, ok := b[pt.Var]; ok {
-			return &t
-		}
-		return nil
+// joinOrder decides, once per evaluation, the order bgp joins the patterns
+// in: each step takes, from the patterns that share a variable with those
+// already bound (every pattern when none does), the one with the fewest
+// matches under its constants and the first seed row's bindings. Ties go
+// to the pattern written first.
+func (sc *scope) joinOrder(pats []pattern, seed row) []int {
+	order := make([]int, 0, len(pats))
+	if len(pats) == 1 {
+		return append(order, 0)
 	}
-	t := pt.Term
-	return &t
-}
-
-// extendBinding binds the pattern's unbound variables from the matched
-// triple. It returns nil when the same variable would need two different
-// values (e.g. pattern ?x p ?x matching a triple with s != o).
-func extendBinding(b Binding, tp sparql.TriplePattern, t rdf.Triple) Binding {
-	nb := cloneBinding(b)
-	for _, pair := range [3]struct {
-		pt  sparql.PatternTerm
-		val rdf.Term
-	}{{tp.S, t.S}, {tp.P, t.P}, {tp.O, t.O}} {
-		if !pair.pt.IsVar() {
-			continue
-		}
-		if existing, ok := nb[pair.pt.Var]; ok {
-			if existing != pair.val {
-				return nil
+	counts := make([]int, len(pats))
+	for i := range pats {
+		ids := pats[i].resolve(seed)
+		counts[i] = sc.st.CountIDs(ids[0], ids[1], ids[2])
+	}
+	bound := make([]bool, sc.width)
+	for i, id := range seed {
+		bound[i] = id != unbound
+	}
+	done := make([]bool, len(pats))
+	for len(order) < len(pats) {
+		best, bestLinked := -1, false
+		for i := range pats {
+			if done[i] {
+				continue
 			}
-			continue
+			linked := pats[i].linked(bound)
+			if best < 0 || linked && !bestLinked || linked == bestLinked && counts[i] < counts[best] {
+				best, bestLinked = i, linked
+			}
 		}
-		nb[pair.pt.Var] = pair.val
-	}
-	return nb
-}
-
-func cloneBinding(b Binding) Binding {
-	nb := make(Binding, len(b)+2)
-	for k, v := range b {
-		nb[k] = v
-	}
-	return nb
-}
-
-// joinWithResults joins current solutions with a materialized result set on
-// their shared variables (used for sub-selects).
-func joinWithResults(rows []Binding, sub *sparql.Results) []Binding {
-	var out []Binding
-	for _, b := range rows {
-		for i := range sub.Rows {
-			sb := sub.Binding(i)
-			if nb := mergeCompatible(b, sb); nb != nil {
-				out = append(out, nb)
+		done[best] = true
+		order = append(order, best)
+		for _, s := range pats[best].slot {
+			if s >= 0 {
+				bound[s] = true
 			}
 		}
 	}
-	return out
+	return order
 }
 
-// joinWithValues joins current solutions with a VALUES block; UNDEF cells
-// impose no constraint.
-func joinWithValues(rows []Binding, d sparql.InlineData) []Binding {
-	var out []Binding
-	for _, b := range rows {
-		for _, vr := range d.Rows {
-			nb := cloneBinding(b)
-			ok := true
-			for i, v := range d.Vars {
-				if vr[i].IsZero() {
-					continue
+// joinTerms is the nested-loop join of the rows with a relation of terms
+// (a VALUES block, a sub-select's results): a pair joins when it agrees on
+// every variable both bind, and a zero cell (UNDEF, unbound) binds nothing.
+func (sc *scope) joinTerms(rows []row, vars []string, rel [][]rdf.Term) []row {
+	slots := make([]int, len(vars))
+	for i, v := range vars {
+		slots[i] = sc.slot(v)
+	}
+	vals := make([][]uint32, len(rel))
+	for i, cells := range rel {
+		vals[i] = make([]uint32, len(cells))
+		for j, t := range cells {
+			vals[i][j] = sc.id(t)
+		}
+	}
+	var out []row
+	for _, r := range rows {
+	next:
+		for _, vr := range vals {
+			for i, s := range slots {
+				if s >= 0 && vr[i] != unbound && r[s] != unbound && r[s] != vr[i] {
+					continue next
 				}
-				if existing, bound := nb[v]; bound {
-					if existing != vr[i] {
-						ok = false
-						break
-					}
-					continue
+			}
+			nr := sc.copyRow(r)
+			for i, s := range slots {
+				if s >= 0 && vr[i] != unbound {
+					nr[s] = vr[i]
 				}
-				nb[v] = vr[i]
 			}
-			if ok {
-				out = append(out, nb)
-			}
+			out = append(out, nr)
 		}
 	}
 	return out
-}
-
-// mergeCompatible merges two bindings when they agree on shared variables,
-// returning nil otherwise.
-func mergeCompatible(a, b Binding) Binding {
-	nb := cloneBinding(a)
-	for k, v := range b {
-		if existing, ok := nb[k]; ok {
-			if existing != v {
-				return nil
-			}
-			continue
-		}
-		nb[k] = v
-	}
-	return nb
 }

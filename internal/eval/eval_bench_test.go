@@ -2,8 +2,10 @@ package eval
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
+	"lusail/internal/diskstore"
 	"lusail/internal/rdf"
 	"lusail/internal/store"
 )
@@ -25,8 +27,31 @@ func benchUniversity(students int) *store.Store {
 	return st
 }
 
+// benchDisk bulk-loads the same graph into a disk store behind a 1 MiB block
+// cache, the size the benchmark's lubm_bulk_disk endpoints run with.
+func benchDisk(b *testing.B, st *store.Store) *diskstore.Store {
+	b.Helper()
+	path := filepath.Join(b.TempDir(), "bench.lds")
+	if err := diskstore.BuildFromGraph(path, st, diskstore.BuildOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	ds, err := diskstore.Open(path, diskstore.Options{CacheBytes: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ds.Close() })
+	return ds
+}
+
 func BenchmarkBGPTriangleJoin(b *testing.B) {
-	st := benchUniversity(2000)
+	benchTriangle(b, benchUniversity(2000))
+}
+
+func BenchmarkBGPTriangleJoinDisk(b *testing.B) {
+	benchTriangle(b, benchDisk(b, benchUniversity(2000)))
+}
+
+func benchTriangle(b *testing.B, st store.Graph) {
 	e := New(st)
 	q := `SELECT ?s ?p ?c WHERE {
 		?s <http://ex/advisor> ?p .
@@ -59,7 +84,14 @@ func BenchmarkAsk(b *testing.B) {
 }
 
 func BenchmarkCountAggregate(b *testing.B) {
-	st := benchUniversity(2000)
+	benchCount(b, benchUniversity(2000))
+}
+
+func BenchmarkCountAggregateDisk(b *testing.B) {
+	benchCount(b, benchDisk(b, benchUniversity(2000)))
+}
+
+func benchCount(b *testing.B, st store.Graph) {
 	e := New(st)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -419,9 +419,9 @@ func bruteForce(t *testing.T, st *store.Store, q string) *sparql.Results {
 	}
 	pats := parsed.Where.TriplePatterns()
 	all := st.Triples()
-	rows := []Binding{{}}
+	rows := []map[string]rdf.Term{{}}
 	for _, tp := range pats {
-		var next []Binding
+		var next []map[string]rdf.Term
 		for _, b := range rows {
 			for _, tri := range all {
 				if nb := tryExtend(b, tp, tri); nb != nil {
@@ -443,8 +443,11 @@ func bruteForce(t *testing.T, st *store.Store, q string) *sparql.Results {
 	return res
 }
 
-func tryExtend(b Binding, tp sparql.TriplePattern, tri rdf.Triple) Binding {
-	nb := cloneBinding(b)
+func tryExtend(b map[string]rdf.Term, tp sparql.TriplePattern, tri rdf.Triple) map[string]rdf.Term {
+	nb := make(map[string]rdf.Term, len(b)+3)
+	for k, v := range b {
+		nb[k] = v
+	}
 	for _, pair := range [3]struct {
 		pt  sparql.PatternTerm
 		val rdf.Term

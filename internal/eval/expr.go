@@ -18,10 +18,43 @@ var errExpr = fmt.Errorf("expression error")
 // emptyEvaluator backs FilterBinding: expression evaluation over no graph.
 var emptyEvaluator = New(store.New())
 
+// binding is what an expression reads variables from: a row of a query
+// being evaluated, or a plain map (FilterBinding, ConstEval).
+type binding interface {
+	// get returns the term bound to v.
+	get(v string) (rdf.Term, bool)
+	// exists evaluates an EXISTS block with the binding's variables in
+	// scope.
+	exists(g *sparql.GroupPattern) (bool, error)
+}
+
+// mapBinding is a binding outside any query; its EXISTS blocks see the
+// empty graph.
+type mapBinding map[string]rdf.Term
+
+func (m mapBinding) get(v string) (rdf.Term, bool) {
+	t, ok := m[v]
+	return t, ok
+}
+
+func (m mapBinding) exists(g *sparql.GroupPattern) (bool, error) {
+	sc := newScope(emptyEvaluator)
+	sc.addGroup(g)
+	for v := range m {
+		sc.addVar(v)
+	}
+	r := sc.emptyRow()
+	for v, t := range m {
+		r[sc.slot(v)] = sc.id(t)
+	}
+	rows, err := sc.evalGroup(g, []row{r}, 1)
+	return len(rows) > 0, err
+}
+
 // evalEBV evaluates an expression and converts it to its effective boolean
 // value.
-func evalEBV(e *Evaluator, x sparql.Expr, b Binding) (bool, error) {
-	t, err := evalExpr(e, x, b)
+func evalEBV(x sparql.Expr, b binding) (bool, error) {
+	t, err := evalExpr(x, b)
 	if err != nil {
 		return false, err
 	}
@@ -50,54 +83,42 @@ func ebv(t rdf.Term) (bool, error) {
 
 // evalExpr evaluates an expression to an RDF term. Boolean results are
 // xsd:boolean literals.
-func evalExpr(e *Evaluator, x sparql.Expr, b Binding) (rdf.Term, error) {
+func evalExpr(x sparql.Expr, b binding) (rdf.Term, error) {
 	switch x := x.(type) {
 	case sparql.ExprTerm:
 		return x.Term, nil
 	case sparql.ExprVar:
-		t, ok := b[x.Name]
+		t, ok := b.get(x.Name)
 		if !ok {
 			return rdf.Term{}, errExpr
 		}
 		return t, nil
 	case sparql.ExprUnary:
-		return evalUnary(e, x, b)
+		return evalUnary(x, b)
 	case sparql.ExprBinary:
-		return evalBinary(e, x, b)
+		return evalBinary(x, b)
 	case sparql.ExprCall:
-		return evalCall(e, x, b)
+		return evalCall(x, b)
 	case sparql.ExprExists:
-		// Fast path for Lusail's check-query shape: EXISTS over a single
-		// sub-select projecting one variable reduces to set membership on
-		// the (memoized) sub-select column.
-		if sub, v, ok := singleVarSubSelect(x.Group); ok {
-			if val, bound := b[v]; bound {
-				set, err := e.subSelectSet(sub, v)
-				if err != nil {
-					return rdf.Term{}, err
-				}
-				return rdf.NewBoolean(set[val] != x.Not), nil
-			}
-		}
-		rows, err := e.evalGroup(x.Group, []Binding{b})
+		found, err := b.exists(x.Group)
 		if err != nil {
 			return rdf.Term{}, err
 		}
-		return rdf.NewBoolean((len(rows) > 0) != x.Not), nil
+		return rdf.NewBoolean(found != x.Not), nil
 	}
 	return rdf.Term{}, fmt.Errorf("eval: unsupported expression %T", x)
 }
 
-func evalUnary(e *Evaluator, x sparql.ExprUnary, b Binding) (rdf.Term, error) {
+func evalUnary(x sparql.ExprUnary, b binding) (rdf.Term, error) {
 	switch x.Op {
 	case "!":
-		v, err := evalEBV(e, x.X, b)
+		v, err := evalEBV(x.X, b)
 		if err != nil {
 			return rdf.Term{}, err
 		}
 		return rdf.NewBoolean(!v), nil
 	case "-":
-		t, err := evalExpr(e, x.X, b)
+		t, err := evalExpr(x.X, b)
 		if err != nil {
 			return rdf.Term{}, err
 		}
@@ -110,14 +131,14 @@ func evalUnary(e *Evaluator, x sparql.ExprUnary, b Binding) (rdf.Term, error) {
 	return rdf.Term{}, fmt.Errorf("eval: unsupported unary %q", x.Op)
 }
 
-func evalBinary(e *Evaluator, x sparql.ExprBinary, b Binding) (rdf.Term, error) {
+func evalBinary(x sparql.ExprBinary, b binding) (rdf.Term, error) {
 	switch x.Op {
 	case "&&":
-		l, err := evalEBV(e, x.L, b)
+		l, err := evalEBV(x.L, b)
 		if err == nil && !l {
 			return rdf.NewBoolean(false), nil
 		}
-		r, rerr := evalEBV(e, x.R, b)
+		r, rerr := evalEBV(x.R, b)
 		if rerr == nil && !r {
 			return rdf.NewBoolean(false), nil
 		}
@@ -129,11 +150,11 @@ func evalBinary(e *Evaluator, x sparql.ExprBinary, b Binding) (rdf.Term, error) 
 		}
 		return rdf.NewBoolean(true), nil
 	case "||":
-		l, err := evalEBV(e, x.L, b)
+		l, err := evalEBV(x.L, b)
 		if err == nil && l {
 			return rdf.NewBoolean(true), nil
 		}
-		r, rerr := evalEBV(e, x.R, b)
+		r, rerr := evalEBV(x.R, b)
 		if rerr == nil && r {
 			return rdf.NewBoolean(true), nil
 		}
@@ -146,11 +167,11 @@ func evalBinary(e *Evaluator, x sparql.ExprBinary, b Binding) (rdf.Term, error) 
 		return rdf.NewBoolean(false), nil
 	}
 
-	l, err := evalExpr(e, x.L, b)
+	l, err := evalExpr(x.L, b)
 	if err != nil {
 		return rdf.Term{}, err
 	}
-	r, err := evalExpr(e, x.R, b)
+	r, err := evalExpr(x.R, b)
 	if err != nil {
 		return rdf.Term{}, err
 	}
@@ -272,12 +293,12 @@ func compileRegex(pattern, flags string) (*regexp.Regexp, error) {
 	return re, nil
 }
 
-func evalCall(e *Evaluator, x sparql.ExprCall, b Binding) (rdf.Term, error) {
+func evalCall(x sparql.ExprCall, b binding) (rdf.Term, error) {
 	arg := func(i int) (rdf.Term, error) {
 		if i >= len(x.Args) {
 			return rdf.Term{}, errExpr
 		}
-		return evalExpr(e, x.Args[i], b)
+		return evalExpr(x.Args[i], b)
 	}
 	switch x.Func {
 	case "BOUND":
@@ -288,7 +309,7 @@ func evalCall(e *Evaluator, x sparql.ExprCall, b Binding) (rdf.Term, error) {
 		if !ok {
 			return rdf.Term{}, errExpr
 		}
-		_, bound := b[v.Name]
+		_, bound := b.get(v.Name)
 		return rdf.NewBoolean(bound), nil
 	case "STR":
 		t, err := arg(0)
@@ -415,7 +436,7 @@ func evalCall(e *Evaluator, x sparql.ExprCall, b Binding) (rdf.Term, error) {
 // intermediate results. Per SPARQL semantics, an erroring expression counts
 // as false.
 func FilterBinding(x sparql.Expr, b map[string]rdf.Term) bool {
-	ok, err := evalEBV(emptyEvaluator, x, Binding(b))
+	ok, err := evalEBV(x, mapBinding(b))
 	return err == nil && ok
 }
 
@@ -434,7 +455,7 @@ func ConstEval(x sparql.Expr) (rdf.Term, error) {
 	if !exprIsConst(x) {
 		return rdf.Term{}, ErrNonConst
 	}
-	return evalExpr(emptyEvaluator, x, Binding{})
+	return evalExpr(x, mapBinding(nil))
 }
 
 // ConstEBV is ConstEval followed by the effective-boolean-value conversion
@@ -443,7 +464,7 @@ func ConstEBV(x sparql.Expr) (bool, error) {
 	if !exprIsConst(x) {
 		return false, ErrNonConst
 	}
-	return evalEBV(emptyEvaluator, x, Binding{})
+	return evalEBV(x, mapBinding(nil))
 }
 
 // exprIsConst reports whether the expression is ground: no variables and no

@@ -4,29 +4,44 @@
 // Virtuoso; any conformant store exercises the same federation code paths).
 //
 // Terms are interned into a dictionary so triples are stored and compared as
-// [3]uint32 identifiers. Pattern matching picks the index whose prefix covers
-// the bound positions of the pattern and scans a binary-searched range.
+// [3]uint32 identifiers. Pattern matching picks the permutation whose key
+// prefix covers the bound positions of the pattern, so every match is one
+// binary-searched range and every count is the width of that range.
 package store
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
 	"lusail/internal/rdf"
 )
 
-type tripleID [3]uint32 // always in (s, p, o) order
+type tripleID [3]uint32
+
+// The permutation indexes both backends keep, named by the triple
+// positions their keys hold, in order: an SPO key is (s, p, o), a POS key
+// (p, o, s), an OSP key (o, s, p).
+const (
+	PermSPO = iota
+	PermPOS
+	PermOSP
+)
 
 // Store is a thread-safe in-memory triple store. The zero value is not
 // usable; call New.
 type Store struct {
 	mu    sync.RWMutex
-	terms []rdf.Term          // id -> term
+	terms []rdf.Term          // id -> term; append-only, entries never change
 	ids   map[rdf.Term]uint32 // term -> id
 	set   map[tripleID]struct{}
 
-	spo, pos, osp []tripleID
-	dirty         bool // true when indexes need rebuilding
+	// idx holds the triples of set as sorted keys of each permutation. A
+	// rebuild allocates new slices rather than sorting in place, so a
+	// reader that copied the slice headers under the lock can scan them
+	// after releasing it.
+	idx   [3][]tripleID
+	dirty bool // true when idx lags behind set
 
 	predCount map[uint32]int // predicate id -> triple count
 	version   int64          // bumped on every successful insert
@@ -78,7 +93,6 @@ func (s *Store) addLocked(t rdf.Triple) {
 		return
 	}
 	s.set[id] = struct{}{}
-	s.spo = append(s.spo, id)
 	s.predCount[id[1]]++
 	s.dirty = true
 	s.version++
@@ -142,126 +156,185 @@ func (s *Store) Triples() []rdf.Triple {
 	return out
 }
 
-// ensureIndexes rebuilds the sorted permutation indexes if needed. It must
-// be called without holding the lock; it acquires the write lock only when
-// a rebuild is pending.
-func (s *Store) ensureIndexes() {
+// Lookup implements Graph.
+func (s *Store) Lookup(t rdf.Term) (uint32, bool) {
 	s.mu.RLock()
-	dirty := s.dirty
-	s.mu.RUnlock()
-	if !dirty {
-		return
+	defer s.mu.RUnlock()
+	id, ok := s.ids[t]
+	return id, ok
+}
+
+// Term implements Graph.
+func (s *Store) Term(id uint32) (rdf.Term, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if int64(id) >= int64(len(s.terms)) {
+		return rdf.Term{}, false
 	}
+	return s.terms[id], true
+}
+
+// KeyRange is the index-selection rule both backends share: it picks the
+// permutation whose key prefix covers the bound positions of an id pattern
+// and returns the inclusive key bounds of the matching range. Unbound key
+// positions span [0, Wildcard], and no dictionary id equals Wildcard, so
+// every pattern is one contiguous range.
+func KeyRange(sub, pred, obj uint32) (perm int, lo, hi [3]uint32) {
+	sb, pb, ob := sub != Wildcard, pred != Wildcard, obj != Wildcard
+	switch {
+	case sb && (pb || !ob):
+		perm, lo = PermSPO, [3]uint32{sub, pred, obj}
+	case sb: // s and o bound, p not
+		perm, lo = PermOSP, [3]uint32{obj, sub, pred}
+	case pb:
+		perm, lo = PermPOS, [3]uint32{pred, obj, sub}
+	case ob:
+		perm, lo = PermOSP, [3]uint32{obj, sub, pred}
+	default:
+		perm, lo = PermSPO, [3]uint32{sub, pred, obj}
+	}
+	// The bound positions form a prefix of the key; the first Wildcard
+	// ends it.
+	hi = lo
+	for i := range lo {
+		if lo[i] == Wildcard {
+			for j := i; j < 3; j++ {
+				lo[j], hi[j] = 0, Wildcard
+			}
+			break
+		}
+	}
+	return perm, lo, hi
+}
+
+// FromKey maps a permutation key back to (s, p, o).
+func FromKey(perm int, k [3]uint32) (sub, pred, obj uint32) {
+	switch perm {
+	case PermSPO:
+		return k[0], k[1], k[2]
+	case PermPOS:
+		return k[2], k[0], k[1]
+	default: // PermOSP
+		return k[1], k[2], k[0]
+	}
+}
+
+func compareKeys(a, b tripleID) int {
+	for i := range a {
+		if a[i] != b[i] {
+			if a[i] < b[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// view returns the keys matching an id pattern, their permutation, and the
+// dictionary, from one snapshot: the caller scans them with no lock held,
+// so a callback may re-enter the store, and a concurrent write neither
+// waits for the scan nor changes what it sees.
+func (s *Store) view(sub, pred, obj uint32) (int, []tripleID, []rdf.Term) {
+	perm, lo, hi := KeyRange(sub, pred, obj)
+	s.mu.RLock()
+	if s.dirty {
+		s.mu.RUnlock()
+		s.rebuild()
+		s.mu.RLock()
+	}
+	keys, terms := s.idx[perm], s.terms
+	s.mu.RUnlock()
+	keys = keys[sort.Search(len(keys), func(i int) bool { return compareKeys(keys[i], lo) >= 0 }):]
+	keys = keys[:sort.Search(len(keys), func(j int) bool { return compareKeys(keys[j], hi) > 0 })]
+	return perm, keys, terms
+}
+
+// resolve maps a term pattern to an id pattern; ok is false when a bound
+// term is not in the dictionary, so that nothing matches.
+func (s *Store) resolve(sub, pred, obj *rdf.Term) (ids [3]uint32, ok bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for i, t := range [3]*rdf.Term{sub, pred, obj} {
+		ids[i] = Wildcard
+		if t != nil {
+			if ids[i], ok = s.ids[*t]; !ok {
+				return ids, false
+			}
+		}
+	}
+	return ids, true
+}
+
+// rebuild replaces the permutation indexes with freshly sorted copies of
+// the current triple set.
+func (s *Store) rebuild() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.dirty {
 		return
 	}
-	sortIndex(s.spo, 0, 1, 2)
-	s.pos = append(s.pos[:0], s.spo...)
-	sortIndex(s.pos, 1, 2, 0)
-	s.osp = append(s.osp[:0], s.spo...)
-	sortIndex(s.osp, 2, 0, 1)
+	spo := make([]tripleID, 0, len(s.set))
+	for t := range s.set {
+		spo = append(spo, t)
+	}
+	slices.SortFunc(spo, compareKeys)
+	pos := make([]tripleID, len(spo))
+	osp := make([]tripleID, len(spo))
+	for i, t := range spo {
+		pos[i] = tripleID{t[1], t[2], t[0]}
+		osp[i] = tripleID{t[2], t[0], t[1]}
+	}
+	slices.SortFunc(pos, compareKeys)
+	slices.SortFunc(osp, compareKeys)
+	s.idx = [3][]tripleID{spo, pos, osp}
 	s.dirty = false
 }
 
-func sortIndex(idx []tripleID, a, b, c int) {
-	sort.Slice(idx, func(i, j int) bool {
-		if idx[i][a] != idx[j][a] {
-			return idx[i][a] < idx[j][a]
+// MatchIDs implements Graph.
+func (s *Store) MatchIDs(sub, pred, obj uint32, fn func(sub, pred, obj uint32) bool) {
+	perm, keys, _ := s.view(sub, pred, obj)
+	for _, k := range keys {
+		if !fn(FromKey(perm, k)) {
+			return
 		}
-		if idx[i][b] != idx[j][b] {
-			return idx[i][b] < idx[j][b]
-		}
-		return idx[i][c] < idx[j][c]
-	})
+	}
+}
+
+// CountIDs implements Graph.
+func (s *Store) CountIDs(sub, pred, obj uint32) int {
+	_, keys, _ := s.view(sub, pred, obj)
+	return len(keys)
 }
 
 // Match streams all triples matching the pattern to fn. A nil term is a
 // wildcard. Iteration stops early if fn returns false.
 func (s *Store) Match(sub, pred, obj *rdf.Term, fn func(rdf.Triple) bool) {
-	s.ensureIndexes()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-
-	var sid, pid, oid uint32
-	var sOK, pOK, oOK bool
-	resolve := func(t *rdf.Term) (uint32, bool, bool) {
-		if t == nil {
-			return 0, false, true
-		}
-		id, ok := s.ids[*t]
-		return id, true, ok
-	}
-	var present bool
-	if sid, sOK, present = resolve(sub); !present {
+	ids, ok := s.resolve(sub, pred, obj)
+	if !ok {
 		return
 	}
-	if pid, pOK, present = resolve(pred); !present {
-		return
-	}
-	if oid, oOK, present = resolve(obj); !present {
-		return
-	}
-
-	emit := func(id tripleID) bool {
-		return fn(rdf.Triple{S: s.terms[id[0]], P: s.terms[id[1]], O: s.terms[id[2]]})
-	}
-
-	// Select the index whose sort prefix covers the bound positions.
-	switch {
-	case sOK: // s bound: SPO index, prefix (s) or (s,p) or exact
-		s.scan(s.spo, 0, 1, 2, sid, sOK, pid, pOK, oid, oOK, emit)
-	case pOK: // p bound (s unbound): POS index, prefix (p) or (p,o)
-		s.scan(s.pos, 1, 2, 0, pid, pOK, oid, oOK, sid, sOK, emit)
-	case oOK: // only o bound: OSP
-		s.scan(s.osp, 2, 0, 1, oid, oOK, sid, sOK, pid, pOK, emit)
-	default: // full scan
-		for _, id := range s.spo {
-			if !emit(id) {
-				return
-			}
-		}
-	}
-}
-
-// scan walks index idx (sorted by positions a,b,c) over the range where the
-// bound prefix values match, filtering on any bound non-prefix positions.
-func (s *Store) scan(idx []tripleID, a, b, c int, va uint32, aOK bool, vb uint32, bOK bool, vc uint32, cOK bool, emit func(tripleID) bool) {
-	lo := sort.Search(len(idx), func(i int) bool { return idx[i][a] >= va })
-	for i := lo; i < len(idx) && idx[i][a] == va; i++ {
-		t := idx[i]
-		if bOK && t[b] != vb {
-			if t[b] > vb {
-				return // sorted: past the (a,b) range
-			}
-			continue
-		}
-		if cOK && t[c] != vc {
-			if bOK && t[c] > vc {
-				return // sorted by c within (a,b) prefix
-			}
-			continue
-		}
-		if !emit(t) {
+	perm, keys, terms := s.view(ids[0], ids[1], ids[2])
+	for _, k := range keys {
+		a, b, c := FromKey(perm, k)
+		if !fn(rdf.Triple{S: terms[a], P: terms[b], O: terms[c]}) {
 			return
 		}
 	}
-	_ = aOK
 }
 
 // Count returns the number of triples matching the pattern.
 func (s *Store) Count(sub, pred, obj *rdf.Term) int {
-	n := 0
-	s.Match(sub, pred, obj, func(rdf.Triple) bool { n++; return true })
-	return n
+	ids, ok := s.resolve(sub, pred, obj)
+	if !ok {
+		return 0
+	}
+	return s.CountIDs(ids[0], ids[1], ids[2])
 }
 
 // Contains reports whether at least one triple matches the pattern.
 func (s *Store) Contains(sub, pred, obj *rdf.Term) bool {
-	found := false
-	s.Match(sub, pred, obj, func(rdf.Triple) bool { found = true; return false })
-	return found
+	return s.Count(sub, pred, obj) > 0
 }
 
 // Remove deletes one triple. It reports whether the triple was present.
@@ -287,12 +360,6 @@ func (s *Store) Remove(t rdf.Triple) bool {
 		return false
 	}
 	delete(s.set, id)
-	for i, x := range s.spo {
-		if x == id {
-			s.spo = append(s.spo[:i], s.spo[i+1:]...)
-			break
-		}
-	}
 	s.predCount[pid]--
 	if s.predCount[pid] == 0 {
 		delete(s.predCount, pid)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"lusail/internal/rdf"
 )
@@ -137,6 +138,42 @@ func TestConcurrentReadWrite(t *testing.T) {
 	wg.Wait()
 	if got := s.Len(); got != 800 {
 		t.Errorf("Len() = %d, want 800", got)
+	}
+}
+
+// TestReentrantMatchWithWriter is the evaluator's access pattern under a
+// concurrent writer: a Match callback matches again while an Add is
+// waiting. Scanning under the read lock deadlocked here, because a waiting
+// writer blocks new readers, the nested one included.
+func TestReentrantMatchWithWriter(t *testing.T) {
+	s := NewFromTriples([]rdf.Triple{tr("a", "p", "b"), tr("b", "p", "c")})
+	added := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Match(nil, nil, nil, func(rdf.Triple) bool {
+			go func() {
+				s.Add(tr("c", "p", "d"))
+				close(added)
+			}()
+			// Give the writer time to queue on the lock if the scan
+			// still held it; with a snapshot scan the Add completes.
+			select {
+			case <-added:
+			case <-time.After(100 * time.Millisecond):
+			}
+			s.Contains(nil, nil, nil)
+			return false
+		})
+		<-added
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("nested Match with a waiting writer deadlocked")
+	}
+	if s.Len() != 3 {
+		t.Fatalf("Len() = %d after the concurrent Add, want 3", s.Len())
 	}
 }
 

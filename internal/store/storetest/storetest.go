@@ -30,6 +30,9 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("Empty", func(t *testing.T) { testEmpty(t, factory) })
 	t.Run("ConcurrentReaders", func(t *testing.T) { testConcurrentReaders(t, factory) })
 	t.Run("RandomizedVsReference", func(t *testing.T) { testRandomizedVsReference(t, factory) })
+	t.Run("IDsAgreeWithTerms", func(t *testing.T) { testIDsAgreeWithTerms(t, factory) })
+	t.Run("IDRoundTrip", func(t *testing.T) { testIDRoundTrip(t, factory) })
+	t.Run("SeekWithinBlocks", func(t *testing.T) { testSeekWithinBlocks(t, factory) })
 }
 
 func iri(s string) rdf.Term { return rdf.NewIRI("http://conformance.example/" + s) }
@@ -141,7 +144,7 @@ func testMatchAllPrefixes(t *testing.T, factory Factory) {
 
 func testDuplicateInserts(t *testing.T, factory Factory) {
 	data := append(fixture(), fixture()...) // every triple twice
-	data = append(data, tr("a", "p", "b")) // and one thrice
+	data = append(data, tr("a", "p", "b"))  // and one thrice
 	g := factory(t, data)
 	if got, want := g.Len(), len(fixture()); got != want {
 		t.Fatalf("Len() = %d after duplicate inserts, want %d", got, want)
@@ -297,6 +300,149 @@ func testRandomizedVsReference(t *testing.T, factory Factory) {
 		exp := reference(data, pat[0], pat[1], pat[2])
 		if !reflect.DeepEqual(got, exp) {
 			t.Fatalf("randomized Match(%v): got %d rows, want %d", pat, len(got), len(exp))
+		}
+	}
+}
+
+// unassigned is an id below 1<<31 that no test dictionary reaches.
+const unassigned = 1<<31 - 1
+
+// idPattern resolves a term pattern to ids the way an evaluator does: nil
+// is store.Wildcard, a term the dictionary lacks an unassigned id.
+func idPattern(g store.Graph, pat [3]*rdf.Term) [3]uint32 {
+	var ids [3]uint32
+	for i, t := range pat {
+		ids[i] = store.Wildcard
+		if t != nil {
+			ids[i] = unassigned
+			if id, ok := g.Lookup(*t); ok {
+				ids[i] = id
+			}
+		}
+	}
+	return ids
+}
+
+// matchIDs collects sorted, decoded results from g.MatchIDs.
+func matchIDs(t *testing.T, g store.Graph, ids [3]uint32) []rdf.Triple {
+	t.Helper()
+	var out []rdf.Triple
+	g.MatchIDs(ids[0], ids[1], ids[2], func(s, p, o uint32) bool {
+		var tr rdf.Triple
+		var ok [3]bool
+		tr.S, ok[0] = g.Term(s)
+		tr.P, ok[1] = g.Term(p)
+		tr.O, ok[2] = g.Term(o)
+		if ok != [3]bool{true, true, true} {
+			t.Fatalf("MatchIDs delivered undecodable ids (%d, %d, %d)", s, p, o)
+		}
+		out = append(out, tr)
+		return true
+	})
+	sortTriples(out)
+	return out
+}
+
+// checkIDs compares MatchIDs and CountIDs with the reference for every
+// bind mask of every probe.
+func checkIDs(t *testing.T, g store.Graph, data, probes []rdf.Triple) {
+	t.Helper()
+	for _, probe := range probes {
+		for _, pat := range patterns(probe) {
+			want := reference(data, pat[0], pat[1], pat[2])
+			ids := idPattern(g, pat)
+			if got := matchIDs(t, g, ids); !reflect.DeepEqual(got, want) {
+				t.Fatalf("MatchIDs(%v) = %v, want %v", pat, got, want)
+			}
+			if c := g.CountIDs(ids[0], ids[1], ids[2]); c != len(want) {
+				t.Fatalf("CountIDs(%v) = %d, want %d", pat, c, len(want))
+			}
+		}
+	}
+}
+
+func testIDsAgreeWithTerms(t *testing.T, factory Factory) {
+	data := fixture()
+	g := factory(t, data)
+	checkIDs(t, g, data, append(data,
+		tr("a", "p", "zzz-missing"),
+		tr("zzz-missing", "p", "b"),
+		tr("a", "zzz-missing", "b"),
+	))
+	n := 0
+	g.MatchIDs(store.Wildcard, store.Wildcard, store.Wildcard, func(uint32, uint32, uint32) bool {
+		n++
+		return n < 2
+	})
+	if n != 2 {
+		t.Fatalf("MatchIDs visited %d triples after early stop, want 2", n)
+	}
+}
+
+func testIDRoundTrip(t *testing.T, factory Factory) {
+	terms := []rdf.Term{
+		iri("x"),
+		rdf.NewIRI("http://ex/α/ünïcode"),
+		rdf.NewBlank("b0"),
+		rdf.NewLiteral("plain"),
+		rdf.NewLangLiteral("bonjour", "fr"),
+		rdf.NewLangLiteral("bonjour", "fr-CA"),
+		rdf.NewTypedLiteral("42", rdf.XSDInteger),
+		rdf.NewTypedLiteral("42", rdf.XSDDecimal),
+	}
+	p := iri("value")
+	var data []rdf.Triple
+	for i, term := range terms {
+		data = append(data, rdf.NewTriple(iri(fmt.Sprintf("s%02d", i)), p, term))
+	}
+	g := factory(t, data)
+	seen := map[uint32]rdf.Term{}
+	for _, term := range append(terms, p) {
+		id, ok := g.Lookup(term)
+		if !ok {
+			t.Fatalf("Lookup(%v) found nothing", term)
+		}
+		if other, dup := seen[id]; dup {
+			t.Fatalf("Lookup gave %v and %v the same id %d", other, term, id)
+		}
+		seen[id] = term
+		if id >= 1<<31 {
+			t.Fatalf("Lookup(%v) = %d, not below 1<<31", term, id)
+		}
+		if back, ok := g.Term(id); !ok || back != term {
+			t.Fatalf("Term(Lookup(%v)) = %v, %v", term, back, ok)
+		}
+	}
+	for _, absent := range []rdf.Term{iri("zzz-missing"), rdf.NewLangLiteral("bonjour", "de"), rdf.NewTypedLiteral("42", rdf.XSDDouble)} {
+		if id, ok := g.Lookup(absent); ok {
+			t.Fatalf("Lookup(%v) = %d for a term the graph lacks", absent, id)
+		}
+	}
+	for _, id := range []uint32{unassigned, store.Wildcard} {
+		if term, ok := g.Term(id); ok {
+			t.Fatalf("Term(%d) = %v for an id never assigned", id, term)
+		}
+	}
+}
+
+// testSeekWithinBlocks uses subjects with 1 to 12 triples each, so with
+// the conformance factory's 8-triple disk blocks ranges of every
+// permutation start in the middle of a block and run across block
+// boundaries.
+func testSeekWithinBlocks(t *testing.T, factory Factory) {
+	var data []rdf.Triple
+	for s := 0; s < 12; s++ {
+		for k := 0; k <= s; k++ {
+			data = append(data, tr(fmt.Sprintf("s%02d", s), fmt.Sprintf("p%d", k%3), fmt.Sprintf("o%02d", (s+k)%7)))
+		}
+	}
+	g := factory(t, data)
+	checkIDs(t, g, data, data)
+	for _, probe := range data {
+		for _, pat := range patterns(probe) {
+			if got, want := match(g, pat[0], pat[1], pat[2]), reference(data, pat[0], pat[1], pat[2]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Match(%v) = %v, want %v", pat, got, want)
+			}
 		}
 	}
 }
