@@ -11,8 +11,10 @@
 // endpoint serves a disk-backed store built by lusail-load: startup is
 // immediate and memory stays within the block-cache budget no matter how
 // large the store file is. Either way the endpoint answers SELECT and ASK
-// queries at / and /sparql via GET or POST and returns
-// application/sparql-results+json.
+// queries at / and /sparql via GET or POST. SELECT results come in the
+// format the Accept header asks for (TSV, which lusail requests, or
+// application/sparql-results+json by default; also CSV and XML), ASK
+// results always as JSON.
 package main
 
 import (

@@ -14,7 +14,8 @@
 //
 //	/sparql           SPARQL 1.1 protocol (GET ?query=, POST form, POST
 //	                  application/sparql-query); results stream as
-//	                  sparql-results+json (CSV/TSV/XML via Accept)
+//	                  sparql-results+json (CSV/TSV/XML via Accept;
+//	                  ASK always JSON)
 //	/healthz          liveness + federation shape
 //	/metrics          Prometheus text (plan/result cache, admission, ...)
 //	/admin/plancache  cached plans and the current epoch

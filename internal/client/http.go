@@ -2,10 +2,12 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"time"
 
@@ -16,6 +18,16 @@ import (
 // will consume when HTTPOptions does not set a limit: 256 MiB, the
 // historical materialization cap.
 const DefaultMaxResponseBytes = 256 << 20
+
+// acceptResults asks for TSV, the cheaper format to write and to decode,
+// and takes JSON from endpoints that do not offer it.
+const acceptResults = "text/tab-separated-values, application/sparql-results+json;q=0.9"
+
+// acceptBoolean is the Accept header of an ASK query. SPARQL TSV has no
+// boolean form, and an endpoint that honours a TSV-first header may answer
+// an ASK as a one-variable table (Jena writes "?_askResult\ntrue"), which
+// client.Boolean would reject.
+const acceptBoolean = "application/sparql-results+json"
 
 // HTTPOptions configures an HTTP endpoint client.
 type HTTPOptions struct {
@@ -93,10 +105,14 @@ func (e *HTTP) Query(ctx context.Context, query string) (*sparql.Results, error)
 }
 
 // QueryStream implements Streamer using a POST with form-encoded query,
-// the most widely supported SPARQL protocol binding. It returns once the
-// response head has been decoded; rows decode incrementally on Read. A
-// body larger than the configured MaxResponseBytes fails the stream with
-// an EndpointError wrapping ErrResponseTooLarge.
+// the most widely supported SPARQL protocol binding. It asks for TSV or
+// JSON results (JSON only for ASK) and decodes the one the response's
+// Content-Type names; any
+// other type, or TSV without length framing, is an EndpointError. It
+// returns once the response head has been decoded; rows decode
+// incrementally on Read. A body larger than the configured
+// MaxResponseBytes fails the stream with an EndpointError wrapping
+// ErrResponseTooLarge.
 func (e *HTTP) QueryStream(ctx context.Context, query string) (sparql.RowReader, error) {
 	form := url.Values{"query": {query}}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, e.url, strings.NewReader(form.Encode()))
@@ -104,7 +120,11 @@ func (e *HTTP) QueryStream(ctx context.Context, query string) (sparql.RowReader,
 		return nil, fmt.Errorf("endpoint %s: %w", e.name, err)
 	}
 	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	req.Header.Set("Accept", "application/sparql-results+json")
+	accept := acceptResults
+	if sparql.IsAsk(query) {
+		accept = acceptBoolean
+	}
+	req.Header.Set("Accept", accept)
 	resp, err := e.hc.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("endpoint %s: %w", e.name, err)
@@ -124,11 +144,35 @@ func (e *HTTP) QueryStream(ctx context.Context, query string) (sparql.RowReader,
 		endpoint:  e.name,
 		max:       e.maxBytes,
 	}
-	dec, err := sparql.NewJSONDecoder(body)
+	var dec sparql.RowReader
+	ct := resp.Header.Get("Content-Type")
+	switch f, ok := sparql.FormatOf(ct); {
+	case ok && f == sparql.FormatJSON:
+		dec, err = sparql.NewJSONDecoder(body)
+	case ok && f == sparql.FormatTSV && framed(resp):
+		dec, err = sparql.NewTSVDecoder(body)
+	case ok && f == sparql.FormatTSV:
+		resp.Body.Close()
+		return nil, &EndpointError{Endpoint: e.name,
+			Err: errors.New("TSV response delimited by connection close: a cut at a line boundary would read as complete")}
+	default:
+		resp.Body.Close()
+		return nil, &EndpointError{Endpoint: e.name, Err: fmt.Errorf("unsupported results content type %q", ct)}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("endpoint %s: %w", e.name, err)
 	}
 	return dec, nil
+}
+
+// framed reports whether the transport detects a response body that ends
+// early: a short Content-Length or chunked body, an HTTP/2 stream, or a
+// gzip stream the transport decompressed all fail with
+// io.ErrUnexpectedEOF instead of a clean end. TSV, which has no closing
+// token of its own, is accepted only in such a response.
+func framed(resp *http.Response) bool {
+	return resp.ContentLength >= 0 || slices.Contains(resp.TransferEncoding, "chunked") ||
+		resp.ProtoMajor >= 2 || resp.Uncompressed
 }
 
 // boundedBody is a response-body reader that fails — with a typed error —

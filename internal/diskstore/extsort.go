@@ -129,11 +129,11 @@ func (rr *runReader) next() error {
 // mergeHeap orders run readers by their current record.
 type mergeHeap []*runReader
 
-func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return bytes.Compare(h[i].cur, h[j].cur) < 0 }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)         { *h = append(*h, x.(*runReader)) }
-func (h *mergeHeap) Pop() any           { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h mergeHeap) Len() int           { return len(h) }
+func (h mergeHeap) Less(i, j int) bool { return bytes.Compare(h[i].cur, h[j].cur) < 0 }
+func (h mergeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(*runReader)) }
+func (h *mergeHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // merge streams every distinct record in sorted order, then releases all
 // run files. The sorter must not be reused afterwards.

@@ -1,8 +1,8 @@
 package diskstore
 
 import (
-	"bytes"
 	"bufio"
+	"bytes"
 	"container/heap"
 	"io"
 )

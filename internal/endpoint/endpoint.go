@@ -30,7 +30,8 @@ import (
 // Handler is an http.Handler implementing the SPARQL protocol for one
 // dataset: GET with ?query=, POST with form-encoded query, or POST with
 // Content-Type application/sparql-query. Results are returned in the
-// SPARQL 1.1 JSON results format.
+// SPARQL 1.1 results format the Accept header asks for (sparql.Negotiate):
+// JSON by default and for ASK, TSV, CSV or XML on request.
 type Handler struct {
 	name string
 	ev   *eval.Evaluator
@@ -107,30 +108,14 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.fail(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Content negotiation per the SPARQL 1.1 protocol: JSON (default),
-	// CSV, or TSV.
-	accept := r.Header.Get("Accept")
-	switch {
-	case strings.Contains(accept, "text/csv"):
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		if err := res.WriteCSV(w); err != nil {
-			h.logf("endpoint %s: write error: %v", h.name, err)
-		}
-	case strings.Contains(accept, "application/sparql-results+xml") || strings.Contains(accept, "application/xml"):
-		w.Header().Set("Content-Type", "application/sparql-results+xml; charset=utf-8")
-		if err := res.WriteXML(w); err != nil {
-			h.logf("endpoint %s: write error: %v", h.name, err)
-		}
-	case strings.Contains(accept, "text/tab-separated-values"):
-		w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
-		if err := res.WriteTSV(w); err != nil {
-			h.logf("endpoint %s: write error: %v", h.name, err)
-		}
-	default:
-		w.Header().Set("Content-Type", "application/sparql-results+json")
-		if err := res.WriteJSON(w); err != nil {
-			h.logf("endpoint %s: write error: %v", h.name, err)
-		}
+	f := sparql.Negotiate(r.Header.Get("Accept"), res.IsBoolean)
+	w.Header().Set("Content-Type", f.ContentType())
+	if err := res.Write(w, f); err != nil {
+		// Abort rather than return: a handler that returns ends a chunked
+		// body cleanly, and a TSV body cut at a line boundary would then
+		// read as a complete result.
+		h.logf("endpoint %s: write error: %v", h.name, err)
+		panic(http.ErrAbortHandler)
 	}
 }
 

@@ -234,3 +234,34 @@ func TestSummaryRoute(t *testing.T) {
 		}
 	}
 }
+
+// The engine's client gets TSV for SELECT and JSON for ASK; q-values are
+// honoured.
+func TestNegotiatedFormats(t *testing.T) {
+	ts := httptest.NewServer(NewHandler("ep1", testStore()))
+	defer ts.Close()
+	contentType := func(query, accept string) string {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"?query="+url.QueryEscape(query), nil)
+		req.Header.Set("Accept", accept)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.Header.Get("Content-Type")
+	}
+	const engine = "text/tab-separated-values, application/sparql-results+json;q=0.9"
+	sel, ask := `SELECT ?o WHERE { <http://ex/a> <http://ex/p> ?o }`, `ASK { ?s ?p ?o }`
+	for _, tc := range []struct{ query, accept, want string }{
+		{sel, engine, "text/tab-separated-values; charset=utf-8"},
+		{ask, engine, "application/sparql-results+json"},
+		{ask, "text/tab-separated-values", "application/sparql-results+json"},
+		{sel, "application/sparql-results+json, text/csv;q=0.1", "application/sparql-results+json"},
+		{sel, "*/*", "application/sparql-results+json"},
+	} {
+		if got := contentType(tc.query, tc.accept); got != tc.want {
+			t.Errorf("%s with Accept %q: Content-Type %q, want %q", tc.query, tc.accept, got, tc.want)
+		}
+	}
+}

@@ -119,28 +119,91 @@ func (t Term) Bool() (bool, bool) {
 	return b, err == nil
 }
 
-// String renders the term in N-Triples syntax.
+// String renders the term in N-Triples syntax; see AppendTerm.
 func (t Term) String() string {
+	var buf [128]byte
+	return string(AppendTerm(buf[:0], t))
+}
+
+// AppendTerm appends t to dst in N-Triples syntax and returns the extended
+// slice. Characters an IRI may not hold raw (controls, space, <>"{}|^`\)
+// are written as \u00XX escapes and a literal's quote, backslash, tab, line
+// feed and carriage return as \", \\, \t, \n and \r, so the output is one
+// line without tabs that ParseTerm and ParseTripleLine read back to t.
+// Blank node labels and language tags are written raw: N-Triples has no
+// escapes for them.
+func AppendTerm(dst []byte, t Term) []byte {
 	switch t.Kind {
 	case IRI:
-		return "<" + t.Value + ">"
+		return appendIRI(dst, t.Value)
 	case Blank:
-		return "_:" + t.Value
-	default:
-		var b strings.Builder
-		b.WriteByte('"')
-		b.WriteString(escapeLiteral(t.Value))
-		b.WriteByte('"')
-		if t.Lang != "" {
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
-		} else if t.Datatype != "" {
-			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
-			b.WriteByte('>')
-		}
-		return b.String()
+		return append(append(dst, "_:"...), t.Value...)
 	}
+	dst = append(dst, '"')
+	dst = appendEscapedLiteral(dst, t.Value)
+	dst = append(dst, '"')
+	if t.Lang != "" {
+		return append(append(dst, '@'), t.Lang...)
+	}
+	if t.Datatype != "" {
+		return appendIRI(append(dst, "^^"...), t.Datatype)
+	}
+	return dst
+}
+
+const hexDigits = "0123456789ABCDEF"
+
+// iriEscaped marks the bytes IRIREF does not admit raw.
+var iriEscaped = func() (set [256]bool) {
+	for c := 0; c <= ' '; c++ {
+		set[c] = true
+	}
+	for _, c := range []byte("<>\"{}|^`\\") {
+		set[c] = true
+	}
+	return set
+}()
+
+func appendIRI(dst []byte, iri string) []byte {
+	dst = append(dst, '<')
+	start := 0
+	for i := 0; i < len(iri); i++ {
+		if !iriEscaped[iri[i]] {
+			continue
+		}
+		dst = append(dst, iri[start:i]...)
+		dst = append(dst, '\\', 'u', '0', '0', hexDigits[iri[i]>>4], hexDigits[iri[i]&15])
+		start = i + 1
+	}
+	dst = append(dst, iri[start:]...)
+	return append(dst, '>')
+}
+
+// appendEscapedLiteral works on bytes, not runes, so a lexical form that is
+// not valid UTF-8 survives the round trip unchanged.
+func appendEscapedLiteral(dst []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		var esc byte
+		switch s[i] {
+		case '"':
+			esc = '"'
+		case '\\':
+			esc = '\\'
+		case '\n':
+			esc = 'n'
+		case '\r':
+			esc = 'r'
+		case '\t':
+			esc = 't'
+		default:
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, '\\', esc)
+		start = i + 1
+	}
+	return append(dst, s[start:]...)
 }
 
 // Compare orders terms: blanks < IRIs < literals, then by value, language,
@@ -180,30 +243,6 @@ func kindRank(k Kind) uint8 {
 	default:
 		return 2
 	}
-}
-
-func escapeLiteral(s string) string {
-	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
-	}
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
 }
 
 // Triple is an RDF statement (subject, predicate, object).

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -136,27 +137,47 @@ func TestTripleCompare(t *testing.T) {
 	}
 }
 
-// Property: String() of a term produced by constructors always parses back
-// to an equal term when embedded in a triple line.
+// Property: whatever String writes parses back to an equal term, alone
+// (ParseTerm) and inside a triple line — IRIs, literal values and datatypes
+// holding any characters, blank node labels and language tags holding any
+// but whitespace, which N-Triples cannot escape there.
 func TestTermRoundTripProperty(t *testing.T) {
-	f := func(s string, lang uint8) bool {
-		// Restrict to printable-ish content; the escaper handles the rest.
-		lit := NewLiteral(s)
-		line := NewIRI("http://s").String() + " " + NewIRI("http://p").String() + " " + lit.String() + " ."
-		tr, err := ParseTripleLine(line)
-		if err != nil {
-			// Literals containing control characters beyond our escape set
-			// are out of scope for the N-Triples subset.
-			for _, r := range s {
-				if r < 0x20 && r != '\n' && r != '\r' && r != '\t' {
-					return true
-				}
+	noSpace := func(s string) string {
+		return strings.Map(func(r rune) rune {
+			if r == ' ' || r == '\t' || r == '\r' || r == '\n' {
+				return -1
 			}
+			return r
+		}, s)
+	}
+	f := func(value, extra string, kind uint8) bool {
+		var term Term
+		switch kind % 5 {
+		case 0:
+			term = NewIRI("http://x/" + value)
+		case 1:
+			term = NewLiteral(value)
+		case 2:
+			term = NewLangLiteral(value, "en"+noSpace(extra))
+		case 3:
+			term = NewTypedLiteral(value, "http://dt/"+extra)
+		default:
+			term = NewBlank("b" + noSpace(extra))
+		}
+		got, err := ParseTerm(term.String())
+		if err != nil || got != term {
+			t.Logf("ParseTerm(%q) = %v, %v", term.String(), got, err)
 			return false
 		}
-		return tr.O == lit
+		tr, err := ParseTripleLine("<http://s> <http://p> " + term.String() + " .")
+		return err == nil && tr.O == term
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+	// Lexical forms that are not UTF-8 survive byte for byte.
+	lit := NewLiteral("a\xff\x00\"b")
+	if got, err := ParseTerm(lit.String()); err != nil || got != lit {
+		t.Errorf("ParseTerm(%q) = %v, %v", lit.String(), got, err)
 	}
 }

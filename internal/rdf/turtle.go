@@ -249,6 +249,12 @@ func (p *turtleParser) iriRef() (string, error) {
 	}
 	iri := p.in[p.pos : p.pos+end]
 	p.pos += end + 1
+	if strings.IndexByte(iri, '\\') >= 0 {
+		var err error
+		if iri, err = unescape(iri, true); err != nil {
+			return "", p.errf("IRI: %v", err)
+		}
+	}
 	if p.base != "" && !strings.Contains(iri, "://") && !strings.HasPrefix(iri, "urn:") {
 		iri = p.base + iri
 	}
@@ -296,40 +302,29 @@ func (p *turtleParser) literal() (Term, error) {
 		p.pos += end + 3
 	} else {
 		p.pos++
-		var b strings.Builder
+		start, escaped := p.pos, false
 		for {
 			if p.pos >= len(p.in) {
 				return Term{}, p.errf("unterminated literal")
 			}
 			c := p.in[p.pos]
 			if c == quote {
-				p.pos++
 				break
 			}
 			if c == '\\' {
-				if p.pos+1 >= len(p.in) {
-					return Term{}, p.errf("dangling escape")
-				}
-				p.pos++
-				switch p.in[p.pos] {
-				case 'n':
-					b.WriteByte('\n')
-				case 'r':
-					b.WriteByte('\r')
-				case 't':
-					b.WriteByte('\t')
-				case '"', '\'', '\\':
-					b.WriteByte(p.in[p.pos])
-				default:
-					return Term{}, p.errf("unsupported escape \\%c", p.in[p.pos])
-				}
-				p.pos++
-				continue
+				escaped = true
+				p.pos++ // the escaped byte cannot close the literal
 			}
-			b.WriteByte(c)
 			p.pos++
 		}
-		lex = b.String()
+		lex = p.in[start:p.pos]
+		p.pos++
+		if escaped {
+			var err error
+			if lex, err = unescape(lex, false); err != nil {
+				return Term{}, p.errf("literal: %v", err)
+			}
+		}
 	}
 	// Language tag or datatype.
 	if p.pos < len(p.in) && p.in[p.pos] == '@' {
@@ -362,31 +357,13 @@ func (p *turtleParser) literal() (Term, error) {
 }
 
 func (p *turtleParser) number() (Term, error) {
-	start := p.pos
-	if p.in[p.pos] == '+' || p.in[p.pos] == '-' {
-		p.pos++
-	}
-	digits := 0
-	for p.pos < len(p.in) && p.in[p.pos] >= '0' && p.in[p.pos] <= '9' {
-		p.pos++
-		digits++
-	}
-	isDouble := false
-	if p.pos+1 < len(p.in) && p.in[p.pos] == '.' && p.in[p.pos+1] >= '0' && p.in[p.pos+1] <= '9' {
-		isDouble = true
-		p.pos++
-		for p.pos < len(p.in) && p.in[p.pos] >= '0' && p.in[p.pos] <= '9' {
-			p.pos++
-		}
-	}
-	if digits == 0 && !isDouble {
+	n, datatype := scanNumber(p.in[p.pos:])
+	if n == 0 {
 		return Term{}, p.errf("malformed number")
 	}
-	lex := p.in[start:p.pos]
-	if isDouble {
-		return NewTypedLiteral(lex, XSDDecimal), nil
-	}
-	return NewTypedLiteral(lex, XSDInteger), nil
+	lex := p.in[p.pos : p.pos+n]
+	p.pos += n
+	return NewTypedLiteral(lex, datatype), nil
 }
 
 func (p *turtleParser) eat(c byte) bool {

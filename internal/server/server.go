@@ -300,19 +300,6 @@ func extractQuery(r *http.Request) (string, error) {
 	return "", fmt.Errorf("method %s not allowed", r.Method)
 }
 
-// wantsJSON reports whether content negotiation selects the (streamable)
-// JSON results format.
-func wantsJSON(accept string) bool {
-	switch {
-	case strings.Contains(accept, "text/csv"),
-		strings.Contains(accept, "application/sparql-results+xml"),
-		strings.Contains(accept, "application/xml"),
-		strings.Contains(accept, "text/tab-separated-values"):
-		return false
-	}
-	return true
-}
-
 // handleSPARQL is the SPARQL protocol endpoint.
 func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	s.queries.Inc()
@@ -333,6 +320,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	format := sparql.Negotiate(r.Header.Get("Accept"), parsed.Form == sparql.AskForm)
 
 	// Static analysis runs before admission: a query the engine would
 	// reject anyway (error-tier sema findings, e.g. a FILTER over a
@@ -388,7 +376,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	if s.results != nil {
 		if res, ok := s.results.Get(key, epoch); ok {
 			w.Header().Set("X-Lusail-Cache", "result-hit")
-			s.writeResults(w, r, res)
+			s.writeResults(w, format, res)
 			return
 		}
 	}
@@ -410,9 +398,8 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Lusail-Plan-Cache", "miss")
 	}
 
-	// ASK and non-JSON formats need the complete result; everything else
-	// streams.
-	if parsed.Form == sparql.AskForm || !wantsJSON(r.Header.Get("Accept")) {
+	// ASK, CSV and XML need the complete result; JSON and TSV stream.
+	if parsed.Form == sparql.AskForm || format != sparql.FormatJSON && format != sparql.FormatTSV {
 		res, prof, err := s.eng.ExecutePlan(ctx, plan)
 		if err != nil {
 			s.queryError(w, ctx, err)
@@ -427,20 +414,29 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		if s.results != nil {
 			s.results.Put(key, epoch, res, degraded)
 		}
-		s.writeResults(w, r, res)
+		s.writeResults(w, format, res)
 		return
 	}
 
-	s.streamJSON(ctx, w, plan, key, epoch)
+	s.streamRows(ctx, w, format, plan, key, epoch)
 }
 
-// streamJSON executes the plan through the engine's cursor and flushes
-// rows to the wire as the pipeline produces them — every plan shape
-// streams; only blocking modifiers (ORDER BY, aggregates) delay the first
-// row, and then only inside the engine, never by materializing here. Rows
-// are teed into the result cache on the side (keyed by the canonical-form
-// hash), up to its row bound.
-func (s *Server) streamJSON(ctx context.Context, w http.ResponseWriter, plan *core.Plan, key string, epoch core.Epoch) {
+// rowStream is what streamRows needs of sparql.JSONStream and
+// sparql.TSVStream.
+type rowStream interface {
+	WriteRow(row []rdf.Term) error
+	Flush() error
+	Close() error
+	Err() error
+}
+
+// streamRows executes the plan through the engine's cursor and flushes
+// rows to the wire in f (JSON or TSV) as the pipeline produces them —
+// every plan shape streams; only blocking modifiers (ORDER BY, aggregates)
+// delay the first row, and then only inside the engine, never by
+// materializing here. Rows are teed into the result cache on the side
+// (keyed by the canonical-form hash), up to its row bound.
+func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, f sparql.Format, plan *core.Plan, key string, epoch core.Epoch) {
 	rows, err := s.eng.ExecutePlanStream(ctx, plan)
 	if err != nil {
 		// Nothing on the wire yet: a clean error response is possible.
@@ -450,12 +446,24 @@ func (s *Server) streamJSON(ctx context.Context, w http.ResponseWriter, plan *co
 	defer rows.Close()
 
 	vars := rows.Vars()
-	w.Header().Set("Content-Type", "application/sparql-results+json")
-	stream, err := sparql.NewJSONStream(w, vars)
-	if err != nil {
+	w.Header().Set("Content-Type", f.ContentType())
+	var stream rowStream
+	if f == sparql.FormatTSV {
+		stream = sparql.NewTSVStream(w, vars)
+	} else if stream, err = sparql.NewJSONStream(w, vars); err != nil {
 		s.queryError(w, ctx, err)
 		return
 	}
+	// A JSON document that stops early lacks its closing "]}}", but TSV
+	// has no closing token: a TSV response that is neither a complete
+	// document nor an error response is aborted, so the client sees a cut
+	// instead of a clean end.
+	answered := false
+	defer func() {
+		if f == sparql.FormatTSV && !answered {
+			panic(http.ErrAbortHandler)
+		}
+	}()
 	flusher, _ := w.(http.Flusher)
 
 	// Tee rows into the result cache while streaming, up to its row bound;
@@ -466,7 +474,7 @@ func (s *Server) streamJSON(ctx context.Context, w http.ResponseWriter, plan *co
 	}
 	emitted := 0
 	for rows.Next() {
-		if stream.WriteRow(rows.Binding()) != nil {
+		if stream.WriteRow(rows.Row()) != nil || stream.Flush() != nil {
 			break // client gone; Close cancels the pipeline
 		}
 		if flusher != nil {
@@ -483,15 +491,22 @@ func (s *Server) streamJSON(ctx context.Context, w http.ResponseWriter, plan *co
 	s.rows.Add(int64(emitted))
 	if err := rows.Err(); err != nil {
 		if emitted == 0 && stream.Err() == nil {
+			if f == sparql.FormatTSV && ctx.Err() == nil {
+				// The TSV head is still buffered: nothing is on the wire,
+				// so a clean error response is possible.
+				answered = true
+				s.fail(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
 			// The head was written but no row: report instead of an empty
 			// result the client would mistake for a complete answer.
 			s.errs.Inc()
 			s.cfg.Logf("lusaild: stream failed before first row: %v", err)
 			return
 		}
-		// Mid-stream failure: the JSON document stays unterminated so the
-		// client sees a broken response rather than a silently truncated
-		// result set.
+		// Mid-stream failure: the JSON document stays unterminated and a
+		// TSV response is aborted, so the client sees a broken response
+		// rather than a silently truncated result set.
 		s.errs.Inc()
 		if ctx.Err() != nil || stream.Err() != nil {
 			s.disconnects.Inc()
@@ -511,6 +526,7 @@ func (s *Server) streamJSON(ctx context.Context, w http.ResponseWriter, plan *co
 		s.disconnects.Inc()
 		return
 	}
+	answered = true
 	if flusher != nil {
 		flusher.Flush()
 	}
@@ -547,27 +563,13 @@ func (s *Server) queryError(w http.ResponseWriter, ctx context.Context, err erro
 	s.fail(w, err.Error(), http.StatusInternalServerError)
 }
 
-// writeResults renders a complete result set with content negotiation,
-// mirroring package endpoint.
-func (s *Server) writeResults(w http.ResponseWriter, r *http.Request, res *sparql.Results) {
-	accept := r.Header.Get("Accept")
-	var err error
-	switch {
-	case strings.Contains(accept, "text/csv"):
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		err = res.WriteCSV(w)
-	case strings.Contains(accept, "application/sparql-results+xml") || strings.Contains(accept, "application/xml"):
-		w.Header().Set("Content-Type", "application/sparql-results+xml; charset=utf-8")
-		err = res.WriteXML(w)
-	case strings.Contains(accept, "text/tab-separated-values"):
-		w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
-		err = res.WriteTSV(w)
-	default:
-		w.Header().Set("Content-Type", "application/sparql-results+json")
-		err = res.WriteJSON(w)
-	}
-	if err != nil {
+// writeResults renders a complete result set in the negotiated format.
+func (s *Server) writeResults(w http.ResponseWriter, f sparql.Format, res *sparql.Results) {
+	w.Header().Set("Content-Type", f.ContentType())
+	if err := res.Write(w, f); err != nil {
+		// Abort so a body cut at a TSV line boundary never ends cleanly.
 		s.cfg.Logf("lusaild: writing results: %v", err)
+		panic(http.ErrAbortHandler)
 	}
 }
 

@@ -3,7 +3,9 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/url"
 	"sync"
@@ -12,12 +14,13 @@ import (
 
 	"lusail/internal/bench"
 	"lusail/internal/catalog"
+	"lusail/internal/client"
 	"lusail/internal/core"
 	"lusail/internal/lint/leakcheck"
 	"lusail/internal/resilience"
 	"lusail/internal/server"
-	"lusail/internal/sparql/sema"
 	"lusail/internal/sparql"
+	"lusail/internal/sparql/sema"
 )
 
 // The LUBM federation is immutable once built, so all tests that only read
@@ -342,6 +345,63 @@ func TestContentNegotiationAndResultCache(t *testing.T) {
 	resp, _ = get(t, u, nil)
 	if resp.Header.Get("X-Lusail-Cache") != "result-hit" {
 		t.Errorf("second request: X-Lusail-Cache=%q, want result-hit", resp.Header.Get("X-Lusail-Cache"))
+	}
+}
+
+// recordingTransport keeps the last response it carried.
+type recordingTransport struct{ last *http.Response }
+
+func (rt *recordingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	rt.last = resp
+	return resp, err
+}
+
+// TestStreamsEngineClientTSV queries lusaild through the engine's own
+// endpoint client, which asks for TSV first: the answer must stream (a
+// body flushed before the handler finished has no Content-Length, while a
+// materialized one this small would) and hold the rows the JSON stream
+// holds.
+func TestStreamsEngineClientTSV(t *testing.T) {
+	eng := sharedFed(t).NewLusail(core.DefaultOptions())
+	srv := startServer(t, eng, func(cfg *server.Config) {
+		cfg.DisableResultCache = true // a result-hit is written whole
+	})
+	const q = "SELECT ?p ?o WHERE { <http://www.University0.edu/Department0/Professor0> ?p ?o }"
+
+	rt := &recordingTransport{}
+	hc := &http.Client{Transport: rt, Timeout: 30 * time.Second}
+	got, err := client.NewHTTPWithClient("lusaild", srv.URL, hc).Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, _ := sparql.FormatOf(rt.last.Header.Get("Content-Type")); f != sparql.FormatTSV {
+		t.Errorf("Content-Type %q, want TSV", rt.last.Header.Get("Content-Type"))
+	}
+	if rt.last.ContentLength != -1 {
+		t.Errorf("Content-Length %d: the TSV answer was materialized, not streamed", rt.last.ContentLength)
+	}
+
+	resp, body := get(t, srv.URL+"?query="+url.QueryEscape(q), nil)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/sparql-results+json" {
+		t.Fatalf("no Accept header: Content-Type %q, want JSON", ct)
+	}
+	want, err := sparql.ParseResultsJSON(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() == 0 || got.Len() != want.Len() {
+		t.Fatalf("TSV stream has %d rows, JSON stream %d", got.Len(), want.Len())
+	}
+	rowSet := func(r *sparql.Results) map[string]int {
+		m := map[string]int{}
+		for _, row := range r.Rows {
+			m[fmt.Sprint(row)]++
+		}
+		return m
+	}
+	if g, w := rowSet(got), rowSet(want); !maps.Equal(g, w) {
+		t.Errorf("TSV rows %v\nJSON rows %v", g, w)
 	}
 }
 

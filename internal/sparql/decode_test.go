@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"strings"
@@ -171,4 +172,66 @@ func TestResultsReaderRoundTrip(t *testing.T) {
 	if got.Vars[0] != "a" || got.Vars[1] != "b" {
 		t.Fatalf("vars = %v", got.Vars)
 	}
+}
+
+// checkReencodes is the fuzz oracle shared by both decoders: a document the
+// decoder accepts must encode (in the same format) to one that decodes to
+// the same results.
+func checkReencodes(t *testing.T, doc []byte, decode func(io.ReadCloser) (RowReader, error), encode func(*Results, io.Writer) error) {
+	rd, err := decode(io.NopCloser(bytes.NewReader(doc)))
+	if err != nil {
+		return
+	}
+	first, err := ReadAllRows(rd)
+	if err != nil {
+		return
+	}
+	var buf bytes.Buffer
+	if err := encode(first, &buf); err != nil {
+		t.Fatalf("accepted document does not re-encode: %v\ninput: %q", err, doc)
+	}
+	rd, err = decode(io.NopCloser(bytes.NewReader(buf.Bytes())))
+	if err != nil {
+		t.Fatalf("re-encoded document rejected: %v\ninput: %q\nre-encoded: %q", err, doc, buf.Bytes())
+	}
+	second, err := ReadAllRows(rd)
+	if err != nil {
+		t.Fatalf("re-encoded document rejected: %v\ninput: %q\nre-encoded: %q", err, doc, buf.Bytes())
+	}
+	if !sameResults(first, second) {
+		t.Fatalf("re-encoding changed the results\ninput: %q\nre-encoded: %q\nfirst:  %v %v\nsecond: %v %v",
+			doc, buf.Bytes(), first.Vars, first.Rows, second.Vars, second.Rows)
+	}
+}
+
+func FuzzTSVDecoder(f *testing.F) {
+	for _, seed := range []string{
+		"?s\t?o\n<http://ex.org/a>\t\"x\\ty\"@en\n_:b0\t\n",
+		"$x\t$y\r\n5\ttrue\r\n-1.5e3\t\"caf\\u00E9\"^^<http://dt>\r\n",
+		"\n\n\n",
+		"?x\n<http://a/\\u0020b>\n\"\\U0001F600\"\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		checkReencodes(t, doc,
+			func(rc io.ReadCloser) (RowReader, error) { return NewTSVDecoder(rc) },
+			(*Results).WriteTSV)
+	})
+}
+
+func FuzzJSONDecoder(f *testing.F) {
+	for _, seed := range []string{
+		`{"head":{"vars":["s","o"]},"results":{"bindings":[{"s":{"type":"uri","value":"http://ex.org/a"},"o":{"type":"literal","value":"x","xml:lang":"en"}},{"s":{"type":"bnode","value":"b0"}}]}}`,
+		`{"head":{"vars":["x"]},"results":{"bindings":[{"x":{"type":"typed-literal","value":"5","datatype":"http://www.w3.org/2001/XMLSchema#integer"}}]}}`,
+		`{"head":{},"boolean":true}`,
+		`{"head":{"vars":["x"]},"results":{"distinct":false,"bindings":[]}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		checkReencodes(t, doc,
+			func(rc io.ReadCloser) (RowReader, error) { return NewJSONDecoder(rc) },
+			(*Results).WriteJSON)
+	})
 }

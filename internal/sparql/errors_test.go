@@ -45,59 +45,59 @@ func TestParseErrorPositions(t *testing.T) {
 		msgPart   string
 	}{
 		{
-			name:    "lexer unexpected character",
-			query:   "SELECT ?s WHERE { ?s ^ ?o }",
-			line:    1, col: 22, token: "^",
+			name:  "lexer unexpected character",
+			query: "SELECT ?s WHERE { ?s ^ ?o }",
+			line:  1, col: 22, token: "^",
 			msgPart: "unexpected character",
 		},
 		{
-			name:    "lexer unterminated string",
-			query:   "SELECT ?s WHERE {\n  ?s <http://p> \"oops\n}",
-			line:    2, col: 17, token: "\"oops",
+			name:  "lexer unterminated string",
+			query: "SELECT ?s WHERE {\n  ?s <http://p> \"oops\n}",
+			line:  2, col: 17, token: "\"oops",
 			msgPart: "unterminated string",
 		},
 		{
-			name:    "parser bad term",
-			query:   "SELECT ?s WHERE { ?s <http://p> } LIMIT 5",
-			line:    1, col: 33, token: "}",
+			name:  "parser bad term",
+			query: "SELECT ?s WHERE { ?s <http://p> } LIMIT 5",
+			line:  1, col: 33, token: "}",
 			msgPart: "expected term or variable",
 		},
 		{
-			name:    "undeclared prefix points at the pname",
-			query:   "SELECT ?s WHERE {\n  ?s ub:advisor ?o\n}",
-			line:    2, col: 6, token: "ub:advisor",
+			name:  "undeclared prefix points at the pname",
+			query: "SELECT ?s WHERE {\n  ?s ub:advisor ?o\n}",
+			line:  2, col: 6, token: "ub:advisor",
 			msgPart: `undeclared prefix "ub"`,
 		},
 		{
-			name:    "filter expression error",
-			query:   "SELECT ?s WHERE { ?s <http://p> ?o . FILTER(?o > ) }",
-			line:    1, col: 50, token: ")",
+			name:  "filter expression error",
+			query: "SELECT ?s WHERE { ?s <http://p> ?o . FILTER(?o > ) }",
+			line:  1, col: 50, token: ")",
 			msgPart: "unexpected token",
 		},
 		{
 			// The lexer uppercases bare words when tokenizing keywords, so the
 			// reported token text for non-keywords is the normalized spelling.
-			name:    "bad LIMIT",
-			query:   "SELECT ?s WHERE { ?s <http://p> ?o } LIMIT nope",
-			line:    1, col: 44, token: "NOPE",
+			name:  "bad LIMIT",
+			query: "SELECT ?s WHERE { ?s <http://p> ?o } LIMIT nope",
+			line:  1, col: 44, token: "NOPE",
 			msgPart: "invalid LIMIT",
 		},
 		{
-			name:    "unterminated group anchors at end of input",
-			query:   "SELECT ?s WHERE { ?s <http://p> ?o .",
-			line:    1, col: 37, token: "",
+			name:  "unterminated group anchors at end of input",
+			query: "SELECT ?s WHERE { ?s <http://p> ?o .",
+			line:  1, col: 37, token: "",
 			msgPart: "unexpected end of query",
 		},
 		{
-			name:    "trailing token",
-			query:   "ASK WHERE { ?s <http://p> ?o }\ngarbage",
-			line:    2, col: 1, token: "GARBAGE",
+			name:  "trailing token",
+			query: "ASK WHERE { ?s <http://p> ?o }\ngarbage",
+			line:  2, col: 1, token: "GARBAGE",
 			msgPart: "unexpected trailing token",
 		},
 		{
-			name:    "VALUES arity mismatch points at the row",
-			query:   "SELECT ?s WHERE { VALUES (?a ?b) { (<http://x>) } }",
-			line:    1, col: 36, token: "(",
+			name:  "VALUES arity mismatch points at the row",
+			query: "SELECT ?s WHERE { VALUES (?a ?b) { (<http://x>) } }",
+			line:  1, col: 36, token: "(",
 			msgPart: "VALUES row has 1 terms, want 2",
 		},
 	}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"lusail/internal/rdf"
 )
 
 type tokenKind int
@@ -80,7 +82,17 @@ func (l *lexer) next() (token, error) {
 		// '<' starts an IRI only if a whitespace-free run reaches '>';
 		// otherwise it is the less-than operator (e.g. FILTER(?x < 5)).
 		if end := strings.IndexByte(l.in[l.pos:], '>'); end >= 0 && !strings.ContainsAny(l.in[l.pos:l.pos+end], " \t\n\r") {
-			t := token{kind: tokIRI, text: l.in[l.pos+1 : l.pos+end], pos: start}
+			raw := l.in[l.pos : l.pos+end+1]
+			t := token{kind: tokIRI, text: raw[1:end], pos: start}
+			if strings.IndexByte(t.text, '\\') >= 0 {
+				// UCHAR escapes, which Term.String writes for the
+				// characters an IRI cannot hold raw.
+				iri, err := rdf.ParseTerm(raw)
+				if err != nil {
+					return token{}, l.lexErr(start, raw, err.Error())
+				}
+				t.text = iri.Value
+			}
 			l.pos += end + 1
 			return t, nil
 		}

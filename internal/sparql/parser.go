@@ -44,6 +44,33 @@ func MustParse(input string) *Query {
 	return q
 }
 
+// IsAsk reports whether query is an ASK query. It reads only the prologue
+// (PREFIX and BASE declarations, comments) and the first keyword, so a
+// client can choose the results format it asks for without parsing the
+// whole query.
+func IsAsk(query string) bool {
+	l := &lexer{in: query}
+	for {
+		t, err := l.next()
+		if err != nil || t.kind != tokKeyword {
+			return false
+		}
+		switch t.text {
+		case "ASK":
+			return true
+		case "PREFIX", "BASE":
+			// A declaration ends with its IRI; no prefix name holds '>'.
+			end := strings.IndexByte(l.in[l.pos:], '>')
+			if end < 0 {
+				return false
+			}
+			l.pos += end + 1
+		default:
+			return false
+		}
+	}
+}
+
 type parser struct {
 	toks     []token
 	pos      int

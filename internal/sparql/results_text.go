@@ -53,31 +53,107 @@ func csvValue(t rdf.Term) string {
 	return t.Value
 }
 
-// WriteTSV writes the results in the SPARQL 1.1 Query Results TSV format:
-// a header of ?-prefixed variables, then full N-Triples-style terms
-// separated by tabs.
+// tsvChunkBytes is how many bytes a TSVStream gathers before each Write.
+const tsvChunkBytes = 16 << 10
+
+// WriteTSV writes the results in the SPARQL 1.1 Query Results TSV format
+// through a TSVStream.
+//
+// The TSV format has no boolean form; an ASK result is written as the
+// non-standard "?boolean" header and value line for the CLI, while servers
+// answer ASK in JSON (Negotiate).
 func (r *Results) WriteTSV(w io.Writer) error {
 	if r.IsBoolean {
 		_, err := fmt.Fprintf(w, "?boolean\n%v\n", r.Boolean)
 		return err
 	}
-	header := make([]string, len(r.Vars))
-	for i, v := range r.Vars {
-		header[i] = "?" + v
-	}
-	if _, err := io.WriteString(w, strings.Join(header, "\t")+"\n"); err != nil {
-		return err
-	}
+	s := NewTSVStream(w, r.Vars)
 	for _, row := range r.Rows {
-		cells := make([]string, len(row))
-		for i, t := range row {
-			if !t.IsZero() {
-				cells[i] = t.String()
-			}
-		}
-		if _, err := io.WriteString(w, strings.Join(cells, "\t")+"\n"); err != nil {
+		if err := s.WriteRow(row); err != nil {
 			return err
 		}
 	}
+	return s.Close()
+}
+
+// TSVStream writes a SPARQL 1.1 TSV results document incrementally: a
+// header of ?-prefixed variables, then one line per solution of N-Triples
+// terms (rdf.AppendTerm) separated by tabs, an unbound variable being an
+// empty field. Lines are appended into one reused buffer handed to w in
+// chunks of about 16 KiB, or sooner on Flush.
+//
+// TSV has no closing token, so a reader cannot tell a document cut at a
+// line boundary from a complete one; a server that fails after writing
+// part of one must abort the response (see DESIGN.md §14).
+//
+// The stream is not safe for concurrent use. After any error the stream
+// is poisoned and further calls return the first error.
+type TSVStream struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// NewTSVStream buffers the header line for the given variables and
+// returns the stream; nothing reaches w before the first Flush, Close or
+// full chunk.
+func NewTSVStream(w io.Writer, vars []string) *TSVStream {
+	buf := make([]byte, 0, tsvChunkBytes+1024)
+	for i, v := range vars {
+		if i > 0 {
+			buf = append(buf, '\t')
+		}
+		buf = append(append(buf, '?'), v...)
+	}
+	return &TSVStream{w: w, buf: append(buf, '\n')}
+}
+
+// WriteRow appends one solution, its terms aligned to the stream's
+// variables. A blank node label or language tag that is empty or holds
+// whitespace has no N-Triples form and fails the write, since it would
+// shift the cells of its row.
+func (s *TSVStream) WriteRow(row []rdf.Term) error {
+	if s.err != nil {
+		return s.err
+	}
+	for i, t := range row {
+		if i > 0 {
+			s.buf = append(s.buf, '\t')
+		}
+		if t.IsZero() {
+			continue
+		}
+		if t.Kind == rdf.Blank && !rawToken(t.Value) || t.Lang != "" && !rawToken(t.Lang) {
+			s.err = fmt.Errorf("sparql: tsv: term %s has no N-Triples form", t)
+			return s.err
+		}
+		s.buf = rdf.AppendTerm(s.buf, t)
+	}
+	s.buf = append(s.buf, '\n')
+	if len(s.buf) >= tsvChunkBytes {
+		return s.Flush()
+	}
 	return nil
+}
+
+// Flush hands the buffered lines to w.
+func (s *TSVStream) Flush() error {
+	if s.err != nil || len(s.buf) == 0 {
+		return s.err
+	}
+	_, s.err = s.w.Write(s.buf)
+	s.buf = s.buf[:0]
+	return s.err
+}
+
+// Close flushes the last lines; the document ends with them.
+func (s *TSVStream) Close() error { return s.Flush() }
+
+// Err returns the first error, if any.
+func (s *TSVStream) Err() error { return s.err }
+
+// rawToken reports whether s can be written where N-Triples allows no
+// escapes (blank node labels, language tags): non-empty, no whitespace.
+func rawToken(s string) bool {
+	return s != "" && !strings.ContainsAny(s, " \t\r\n")
 }

@@ -1,6 +1,10 @@
 package sparql
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"testing"
 
 	"lusail/internal/rdf"
@@ -54,6 +58,72 @@ func BenchmarkResultsJSONRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := ParseResultsJSON(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// lubmResult is one LUBM-shaped subquery answer: 8192 rows of three IRIs
+// (student, advisor, course), the shape the bulk workloads ship from each
+// endpoint.
+func lubmResult() *Results {
+	res := NewResults([]string{"s", "p", "c"})
+	for i := 0; i < 8192; i++ {
+		dept := fmt.Sprintf("http://www.Department%d.University%d.edu/", i%15, i%4)
+		res.Rows = append(res.Rows, []rdf.Term{
+			rdf.NewIRI(fmt.Sprintf("%sGraduateStudent%d", dept, i)),
+			rdf.NewIRI(fmt.Sprintf("%sAssociateProfessor%d", dept, i%11)),
+			rdf.NewIRI(fmt.Sprintf("%sGraduateCourse%d", dept, i%60)),
+		})
+	}
+	return res
+}
+
+// benchmarkDecode pulls every row of doc through a fresh decoder per
+// iteration, as the engine's scans do.
+func benchmarkDecode(b *testing.B, write func(*Results, io.Writer) error, decode func(io.ReadCloser) (RowReader, error)) {
+	var doc bytes.Buffer
+	if err := write(lubmResult(), &doc); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(doc.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd, err := decode(io.NopCloser(bytes.NewReader(doc.Bytes())))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, err := rd.Read(); errors.Is(err, io.EOF) {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+		rd.Close()
+	}
+}
+
+func BenchmarkDecodeTSV(b *testing.B) {
+	benchmarkDecode(b, (*Results).WriteTSV, func(rc io.ReadCloser) (RowReader, error) { return NewTSVDecoder(rc) })
+}
+
+func BenchmarkDecodeJSON(b *testing.B) {
+	benchmarkDecode(b, (*Results).WriteJSON, func(rc io.ReadCloser) (RowReader, error) { return NewJSONDecoder(rc) })
+}
+
+func BenchmarkWriteTSV(b *testing.B) {
+	res := lubmResult()
+	var out bytes.Buffer
+	if err := res.WriteTSV(&out); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(out.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := res.WriteTSV(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -36,16 +36,16 @@ func NewJSONStream(w io.Writer, vars []string) (*JSONStream, error) {
 	return s, s.err
 }
 
-// WriteRow appends one solution. Unbound and unknown variables are omitted,
-// matching Results.MarshalJSON.
-func (s *JSONStream) WriteRow(binding map[string]rdf.Term) error {
+// WriteRow appends one solution, its terms aligned to the stream's
+// variables. Unbound variables are omitted, matching Results.MarshalJSON.
+func (s *JSONStream) WriteRow(row []rdf.Term) error {
 	if s.err != nil {
 		return s.err
 	}
-	m := make(map[string]jsonTerm, len(binding))
-	for _, v := range s.vars {
-		if t, ok := binding[v]; ok && !t.IsZero() {
-			m[v] = termToJSON(t)
+	m := make(map[string]jsonTerm, len(row))
+	for i, t := range row {
+		if i < len(s.vars) && !t.IsZero() {
+			m[s.vars[i]] = termToJSON(t)
 		}
 	}
 	data, err := json.Marshal(m)
@@ -60,6 +60,10 @@ func (s *JSONStream) WriteRow(binding map[string]rdf.Term) error {
 	s.rows++
 	return s.err
 }
+
+// Flush returns the first write error, if any: a JSONStream buffers
+// nothing, so every row has already reached w. It mirrors TSVStream.Flush.
+func (s *JSONStream) Flush() error { return s.err }
 
 // Rows returns the number of solutions written so far.
 func (s *JSONStream) Rows() int { return s.rows }

@@ -1,0 +1,178 @@
+package sparql
+
+import (
+	"bufio"
+	"errors"
+	"fmt"
+	"io"
+	"strings"
+
+	"lusail/internal/rdf"
+)
+
+// tsvReadBytes sizes the TSV decoder's read buffer. A larger one costs
+// more per response than the fewer reads save: most responses are small.
+const tsvReadBytes = 4 << 10
+
+// maxTSVLineBytes caps one TSV line — one solution — that does not fit the
+// read buffer and must be accumulated, the same per-line bound
+// rdf.ParseNTriples applies. The response as a whole is bounded by the
+// reader the decoder is handed (client.HTTPOptions.MaxResponseBytes).
+const maxTSVLineBytes = 16 << 20
+
+// TSVDecoder incrementally decodes a SPARQL 1.1 TSV results document: a
+// header line of ?- or $-prefixed variables, then one line per solution of
+// tab-separated terms. Each cell is parsed by rdf.ParseTerm (N-Triples
+// terms plus Turtle's shorthand numbers and booleans); an empty cell is an
+// unbound variable. Lines may end in LF or CRLF. With an empty header every
+// line is a solution binding no variables.
+//
+// TSV has no closing token, so the decoder tells a complete document from a
+// cut one only by where the bytes stop: a body that ends inside a line
+// fails with io.ErrUnexpectedEOF, while one cut exactly at a line boundary
+// reads as complete. Callers must therefore hand it a reader whose own
+// framing reports truncation (an HTTP body with a Content-Length or chunked
+// encoding does). A row whose field count differs from the header's is an
+// error.
+type TSVDecoder struct {
+	rc   io.ReadCloser
+	br   *bufio.Reader
+	long []byte // a line longer than br's buffer, accumulated
+
+	vars []string
+	row  []rdf.Term
+	rows int // solutions decoded, for error messages
+
+	done   bool
+	closed bool
+	err    error
+}
+
+// NewTSVDecoder reads the header line from rc and positions the decoder at
+// the first solution. The decoder owns rc and closes it on Close.
+func NewTSVDecoder(rc io.ReadCloser) (*TSVDecoder, error) {
+	d := &TSVDecoder{rc: rc, br: bufio.NewReaderSize(rc, tsvReadBytes)}
+	if err := d.readHeader(); err != nil {
+		rc.Close()
+		return nil, fmt.Errorf("sparql: tsv header: %w", err)
+	}
+	return d, nil
+}
+
+func (d *TSVDecoder) readHeader() error {
+	line, err := d.readLine()
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF // even an empty result has a header line
+	}
+	if err != nil {
+		return err
+	}
+	if line != "" {
+		for _, field := range strings.Split(line, "\t") {
+			if len(field) < 2 || (field[0] != '?' && field[0] != '$') || strings.ContainsAny(field, " \r\n") {
+				return fmt.Errorf("malformed variable %q", field)
+			}
+			d.vars = append(d.vars, field[1:])
+		}
+	}
+	d.row = make([]rdf.Term, len(d.vars))
+	return nil
+}
+
+// readLine returns the next line without its LF or CRLF, as one string the
+// row's terms are sliced from. It returns io.EOF only when the input ends
+// exactly at a line boundary, and io.ErrUnexpectedEOF when it ends inside
+// a line.
+func (d *TSVDecoder) readLine() (string, error) {
+	frag, err := d.br.ReadSlice('\n')
+	if err == nil {
+		return string(trimEOL(frag)), nil
+	}
+	d.long = append(d.long[:0], frag...)
+	for errors.Is(err, bufio.ErrBufferFull) {
+		frag, err = d.br.ReadSlice('\n')
+		if len(d.long)+len(frag) > maxTSVLineBytes {
+			return "", fmt.Errorf("line exceeds %d bytes", maxTSVLineBytes)
+		}
+		d.long = append(d.long, frag...)
+	}
+	switch {
+	case err == nil:
+		return string(trimEOL(d.long)), nil
+	case errors.Is(err, io.EOF) && len(d.long) > 0:
+		return "", io.ErrUnexpectedEOF
+	}
+	return "", err
+}
+
+func trimEOL(line []byte) []byte {
+	line = line[:len(line)-1]
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line
+}
+
+// Vars implements RowReader.
+func (d *TSVDecoder) Vars() []string { return d.vars }
+
+// Read implements RowReader.
+func (d *TSVDecoder) Read() ([]rdf.Term, error) {
+	if d.err != nil {
+		return nil, d.err
+	}
+	if d.done || d.closed {
+		return nil, io.EOF
+	}
+	line, err := d.readLine()
+	if errors.Is(err, io.EOF) {
+		d.done = true
+		return nil, io.EOF
+	}
+	if err == nil {
+		err = d.parseRow(line)
+	}
+	if err != nil {
+		d.err = fmt.Errorf("sparql: tsv solution %d: %w", d.rows+1, err)
+		return nil, d.err
+	}
+	d.rows++
+	return d.row, nil
+}
+
+// parseRow fills d.row from one solution line.
+func (d *TSVDecoder) parseRow(line string) error {
+	if len(d.vars) == 0 {
+		if line != "" {
+			return fmt.Errorf("%d fields, header has 0", strings.Count(line, "\t")+1)
+		}
+		return nil
+	}
+	rest := line
+	for i := range d.row {
+		cell, tail, more := strings.Cut(rest, "\t")
+		if more == (i == len(d.row)-1) {
+			return fmt.Errorf("%d fields, header has %d", strings.Count(line, "\t")+1, len(d.vars))
+		}
+		rest = tail
+		if cell == "" {
+			d.row[i] = rdf.Term{}
+			continue
+		}
+		t, err := rdf.ParseTerm(cell)
+		if err != nil {
+			return fmt.Errorf("?%s: %w", d.vars[i], err)
+		}
+		d.row[i] = t
+	}
+	return nil
+}
+
+// Close implements RowReader.
+func (d *TSVDecoder) Close() error {
+	if d.closed {
+		return nil
+	}
+	d.closed = true
+	return d.rc.Close()
+}
