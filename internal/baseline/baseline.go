@@ -23,19 +23,26 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"lusail/internal/erh"
 	"lusail/internal/federation"
+	"lusail/internal/op"
 	"lusail/internal/qplan"
 	"lusail/internal/sparql"
 )
 
 // Engine is one comparator system: the shared executor under one policy.
 type Engine struct {
-	fed  *federation.Federation
-	pool *erh.Pool
-	pol  policy
+	fed    *federation.Federation
+	pool   *erh.Pool
+	budget op.Budget
+	pol    policy
+}
+
+func newEngine(fed *federation.Federation, pool *erh.Pool, pol policy) *Engine {
+	return &Engine{fed: fed, pool: pool, budget: op.Budget{SpillBytes: op.DefaultSpillBytes, Pool: pool}, pol: pol}
 }
 
 // QueryString parses and executes a federated query.
@@ -48,16 +55,17 @@ func (e *Engine) QueryString(ctx context.Context, query string) (*sparql.Results
 	if err != nil {
 		return nil, err
 	}
-	var all *sparql.Results
+	var rels []op.RowStream
 	for _, br := range branches {
 		rel, err := e.evalBranch(ctx, q, br)
 		if err != nil {
 			return nil, err
 		}
-		all = qplan.UnionRelations(all, rel)
+		rels = append(rels, stream(rel))
 	}
-	if all != nil {
-		all.Rows = sparql.DistinctRows(all.Rows)
+	all, err := op.Collect(op.Dedup(op.Union(rels...)))
+	if err != nil {
+		return nil, err
 	}
 	return qplan.Finalize(q, all)
 }
@@ -193,7 +201,7 @@ func (e *Engine) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.Bran
 		return nil, err
 	}
 	if units == nil && len(br.Patterns) > 0 { // a branch of OPTIONALs only has no units either
-		return qplan.EmptyRelation(br.Vars()), nil
+		return sparql.NewResults(br.Vars()), nil
 	}
 
 	// Early termination applies when any N results are acceptable: FedX
@@ -205,7 +213,8 @@ func (e *Engine) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.Bran
 	}
 
 	// Left-deep pipeline: the first unit runs unbound, each later one is
-	// joined into the intermediate relation.
+	// joined into the intermediate relation, which stays materialized
+	// because the policies decide on its size.
 	var rel *sparql.Results
 	bound := map[string]bool{}
 	for len(units) > 0 {
@@ -226,21 +235,21 @@ func (e *Engine) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.Bran
 			}
 			var right *sparql.Results
 			if right, err = e.fetchFor(ctx, u, rel, false, stopAt); err == nil {
-				rel = qplan.HashJoin(rel, right)
+				rel, err = e.join(ctx, rel, right)
 			}
 		}
 		if err != nil {
 			return nil, err
 		}
 		if len(rel.Rows) == 0 {
-			return qplan.EmptyRelation(br.Vars()), nil
+			return sparql.NewResults(br.Vars()), nil
 		}
 		for _, v := range u.vars() {
 			bound[v] = true
 		}
 	}
 	if rel == nil {
-		rel = qplan.EmptyRelation(nil)
+		rel = sparql.NewResults(nil)
 	}
 
 	for _, ob := range br.Optionals {
@@ -248,21 +257,26 @@ func (e *Engine) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.Bran
 		if err != nil {
 			return nil, err
 		}
-		rel = qplan.LeftJoin(rel, orel)
+		// The block's filters are the left join's condition: they see the
+		// variables bound outside the block too.
+		rel, err = op.Collect(op.LeftJoin(ctx, stream(rel), stream(orel), ob.Filters, e.budget))
+		if err != nil {
+			return nil, err
+		}
 	}
-	return qplan.ApplyFilters(rel, br.Filters), nil
+	return op.Collect(op.Filter(stream(rel), br.Filters))
 }
 
-// evalOptional evaluates an OPTIONAL block for the caller to left-join:
-// its units are fetched against the current relation and joined with each
-// other.
+// evalOptional evaluates an OPTIONAL block's patterns for the caller to
+// left-join: its units are fetched against the current relation and joined
+// with each other.
 func (e *Engine) evalOptional(ctx context.Context, ob *qplan.OptionalBlock, rel *sparql.Results) (*sparql.Results, error) {
 	units, err := e.planUnits(ctx, ob.Patterns, ob.Filters)
 	if err != nil {
 		return nil, err
 	}
 	if units == nil {
-		return qplan.EmptyRelation(nil), nil // matches nowhere: extends no row
+		return sparql.NewResults(nil), nil // matches nowhere: extends no row
 	}
 	var orel *sparql.Results
 	for _, u := range units {
@@ -272,35 +286,30 @@ func (e *Engine) evalOptional(ctx context.Context, ob *qplan.OptionalBlock, rel 
 		}
 		if orel == nil {
 			orel = right
-		} else {
-			orel = qplan.HashJoin(orel, right)
+		} else if orel, err = e.join(ctx, orel, right); err != nil {
+			return nil, err
 		}
 	}
-	return qplan.ApplyFilters(orel, ob.Filters), nil
+	return orel, nil
 }
 
 // fetch evaluates the unit at all its sources concurrently and returns the
 // distinct union of the answers.
 func (e *Engine) fetch(ctx context.Context, u *unit, values *sparql.InlineData) (*sparql.Results, error) {
 	text := u.query(values)
-	partial := make([]*sparql.Results, len(u.sources))
+	partial := make([]op.RowStream, len(u.sources))
 	err := e.pool.ForEach(ctx, len(u.sources), func(i int) error {
 		res, err := e.fed.Get(u.sources[i]).Query(ctx, text)
 		if err != nil {
 			return fmt.Errorf("baseline: unit at %s: %w", u.sources[i], err)
 		}
-		partial[i] = res
+		partial[i] = stream(res)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rel := qplan.EmptyRelation(u.vars())
-	for _, p := range partial {
-		rel = qplan.UnionRelations(rel, p)
-	}
-	rel.Rows = sparql.DistinctRows(rel.Rows)
-	return rel, nil
+	return op.Collect(op.Dedup(op.Align(op.Union(partial...), u.vars())))
 }
 
 // fetchFor fetches the unit's side of a join with rel. When the policy
@@ -313,8 +322,12 @@ func (e *Engine) fetchFor(ctx context.Context, u *unit, rel *sparql.Results, opt
 	if len(shared) == 0 || !e.pol.bind(len(rel.Rows), optional) {
 		return e.fetch(ctx, u, nil)
 	}
-	rows := qplan.ProjectDistinct(rel, shared)
-	right := qplan.EmptyRelation(u.vars())
+	idx := make([]int, len(shared))
+	for i, v := range shared {
+		idx[i] = rel.VarIndex(v)
+	}
+	rows := op.DistinctTuples(rel.Rows, idx)
+	right := sparql.NewResults(u.vars())
 	joined := 0
 	for start := 0; start < len(rows); start += e.pol.block {
 		block := sparql.InlineData{Vars: shared, Rows: rows[start:min(start+e.pol.block, len(rows))]}
@@ -322,12 +335,33 @@ func (e *Engine) fetchFor(ctx context.Context, u *unit, rel *sparql.Results, opt
 		if err != nil {
 			return nil, err
 		}
-		right = qplan.UnionRelations(right, part)
+		right.Rows = append(right.Rows, part.Rows...)
 		if stopAt >= 0 {
-			if joined += len(qplan.HashJoin(rel, part).Rows); joined >= stopAt {
+			j, err := e.join(ctx, rel, part)
+			if err != nil {
+				return nil, err
+			}
+			if joined += len(j.Rows); joined >= stopAt {
 				break
 			}
 		}
 	}
 	return right, nil
 }
+
+// join inner-joins two relations through op.HashJoin. The smaller one is
+// the build side — or, for a cross product, the probe side — so rows come
+// out smaller-relation-major as the left-deep plan has always produced
+// them, and FedX's LIMIT stop sees them in the same order.
+func (e *Engine) join(ctx context.Context, a, b *sparql.Results) (*sparql.Results, error) {
+	if len(a.Rows) > len(b.Rows) {
+		a, b = b, a
+	}
+	probe, build := b, a
+	if !slices.ContainsFunc(a.Vars, func(v string) bool { return b.VarIndex(v) >= 0 }) {
+		probe, build = a, b
+	}
+	return op.Collect(op.HashJoin(ctx, stream(probe), stream(build), e.budget))
+}
+
+func stream(r *sparql.Results) op.RowStream { return op.NewSlice(r.Vars, r.Rows) }

@@ -125,6 +125,15 @@ func TestSystems(t *testing.T) {
 		{name: "optional and filter", datasets: sameSchema(2, 4), rows: 6,
 			query: prefixes + `SELECT ?p ?a WHERE {
 				?p ub:PhDDegreeFrom ?u . OPTIONAL { ?u ub:address ?a } FILTER(ISIRI(?p)) }`},
+		// The OPTIONAL's filter reads ?l, bound outside the block: it is
+		// the left join's condition, so (a, 1, 3) keeps its extension.
+		{name: "optional filter on outer variable", rows: 2,
+			datasets: [][]rdf.Triple{
+				{{S: u("a"), P: u("lo"), O: rdf.NewInteger(1)}, {S: u("b"), P: u("lo"), O: rdf.NewInteger(5)}},
+				{{S: u("a"), P: u("hi"), O: rdf.NewInteger(3)}, {S: u("a"), P: u("hi"), O: rdf.NewInteger(0)},
+					{S: u("b"), P: u("hi"), O: rdf.NewInteger(3)}},
+			},
+			query: prefixes + `SELECT ?x ?l ?h WHERE { ?x ub:lo ?l OPTIONAL { ?x ub:hi ?h FILTER(?h > ?l) } }`},
 		{name: "union", datasets: sameSchema(2, 4), rows: -1,
 			query: prefixes + `SELECT ?x WHERE { { ?x ub:teacherOf ?c } UNION { ?x ub:takesCourse ?c } }`},
 		{name: "pattern without sources", datasets: sameSchema(2, 4), rows: 0,

@@ -46,7 +46,7 @@ const (
 // exclusive groups, variable-counting order, bound joins throughout.
 func NewFedX(fed *federation.Federation) *Engine {
 	pool := erh.New(0)
-	return &Engine{fed: fed, pool: pool, pol: fedxPolicy(federation.NewSourceSelector(fed, pool).RelevantSources)}
+	return newEngine(fed, pool, fedxPolicy(federation.NewSourceSelector(fed, pool).RelevantSources))
 }
 
 // NewHiBISCuS returns HiBISCuS: the FedX executor with source selection
@@ -57,7 +57,7 @@ func NewHiBISCuS(fed *federation.Federation, cat *catalog.Store) *Engine {
 	idx := authorityIndex{fed: fed, cat: cat}
 	pol := fedxPolicy(idx.sources)
 	pol.prune = idx.prune
-	return &Engine{fed: fed, pool: erh.New(0), pol: pol}
+	return newEngine(fed, erh.New(0), pol)
 }
 
 // NewSPLENDID returns SPLENDID: sources and join order from the catalog's
@@ -68,12 +68,12 @@ func NewHiBISCuS(fed *federation.Federation, cat *catalog.Store) *Engine {
 func NewSPLENDID(fed *federation.Federation, cat *catalog.Store) *Engine {
 	pool := erh.New(0)
 	idx := voidIndex{fed: fed, cat: cat, pool: pool}
-	return &Engine{fed: fed, pool: pool, pol: policy{
+	return newEngine(fed, pool, policy{
 		sources: idx.sources,
 		cost:    idx.cost,
 		bind:    func(rows int, optional bool) bool { return !optional && rows <= splendidBindMax },
 		block:   splendidBlock,
-	}}
+	})
 }
 
 func fedxPolicy(sources func(context.Context, sparql.TriplePattern) ([]string, error)) policy {

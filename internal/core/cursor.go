@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lusail/internal/obs"
+	"lusail/internal/op"
 	"lusail/internal/rdf"
 	"lusail/internal/resilience"
 	"lusail/internal/sparql"
@@ -30,7 +31,7 @@ import (
 // leaks goroutines until the surrounding context ends. A cursor is not
 // safe for concurrent use.
 type Rows struct {
-	src   RowStream
+	src   op.RowStream
 	vars  []string
 	query *sparql.Query
 	prof  *Profile
@@ -71,7 +72,7 @@ func (e *Engine) newRows(ctx context.Context, p *Plan, prof *Profile, start time
 	}
 	execStart := time.Now()
 	exCtx, exSpan := obs.StartSpan(ctx, "execution")
-	var branches []RowStream
+	var branches []op.RowStream
 	for _, pb := range p.branches {
 		bs, err := e.branchStream(exCtx, pb, prof)
 		if err != nil {
@@ -85,33 +86,17 @@ func (e *Engine) newRows(ctx context.Context, p *Plan, prof *Profile, start time
 		branches = append(branches, bs)
 	}
 
-	// Union header: every branch variable, in first-seen order, matching
-	// qplan.UnionRelations.
-	var unionVars []string
-	seen := map[string]bool{}
-	for _, bs := range branches {
-		for _, v := range bs.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				unionVars = append(unionVars, v)
-			}
-		}
-	}
-	aligned := make([]RowStream, len(branches))
-	for i, bs := range branches {
-		aligned[i] = newAlignStream(bs, unionVars)
-	}
-	src := newConcatStream(unionVars, aligned)
+	src := op.Union(branches...)
 
 	if len(q.GroupBy) > 0 || q.HasAggregates() || len(q.OrderBy) > 0 {
-		src = newDrainStream(q, src)
+		src = op.Drain(q, src)
 	} else {
-		src = newAlignStream(src, q.ProjectedVars())
+		src = op.Align(src, q.ProjectedVars())
 		if q.Distinct {
-			src = newDedupStream(src)
+			src = op.Dedup(src)
 		}
-		src = newOffsetStream(src, q.Offset)
-		src = newLimitStream(src, q.Limit)
+		src = op.Offset(src, q.Offset)
+		src = op.Limit(src, q.Limit)
 	}
 	return &Rows{
 		src:       src,
@@ -280,19 +265,7 @@ func (e *Engine) runPlan(ctx context.Context, p *Plan, prof *Profile, start time
 	if err != nil {
 		return nil, err
 	}
-	res := sparql.NewResults(append([]string(nil), rows.Vars()...))
-	//lint:lusail-vet budgetbound -- ExecutePlan is the materializing API by contract; upstream growth is bounded by per-response caps and join spill budgets
-	for rows.Next() {
-		res.Rows = append(res.Rows, copyRow(rows.Row()))
-	}
-	err = rows.Err()
-	if cerr := rows.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return op.Collect(rows)
 }
 
 // runAsk answers an ASK plan through the pipeline with early exit: the
@@ -304,7 +277,7 @@ func (e *Engine) runAsk(ctx context.Context, p *Plan, prof *Profile, start time.
 	found := false
 	var err error
 	for _, pb := range p.branches {
-		var bs RowStream
+		var bs op.RowStream
 		bs, err = e.branchStream(exCtx, pb, prof)
 		if err != nil {
 			break

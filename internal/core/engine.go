@@ -11,6 +11,7 @@ import (
 	"lusail/internal/eval"
 	"lusail/internal/federation"
 	"lusail/internal/obs"
+	"lusail/internal/op"
 	"lusail/internal/rdf"
 	"lusail/internal/resilience"
 	"lusail/internal/sparql"
@@ -166,7 +167,7 @@ func DefaultOptions() Options {
 	return Options{
 		Threshold:       ThresholdMuSigma,
 		ValuesBlockSize: 500,
-		JoinSpillBytes:  64 << 20,
+		JoinSpillBytes:  op.DefaultSpillBytes,
 		CacheSources:    true,
 		CacheChecks:     true,
 	}
@@ -263,6 +264,7 @@ type Engine struct {
 	cat    *catalog.Store
 	res    *resilience.Manager
 	opts   Options
+	join   op.Budget // every hash join's spill budget and probe pool
 
 	catCardHits      *obs.Counter
 	catCardFallbacks *obs.Counter
@@ -282,7 +284,7 @@ func New(fed *federation.Federation, opts Options) (*Engine, error) {
 		opts.ValuesBlockSize = 500
 	}
 	if opts.JoinSpillBytes <= 0 {
-		opts.JoinSpillBytes = 64 << 20
+		opts.JoinSpillBytes = op.DefaultSpillBytes
 	}
 	pool := erh.New(opts.PoolSize)
 	reg := obs.Default()
@@ -301,6 +303,7 @@ func New(fed *federation.Federation, opts Options) (*Engine, error) {
 		cat:              opts.Catalog,
 		res:              res,
 		opts:             opts,
+		join:             op.Budget{SpillBytes: opts.JoinSpillBytes, Pool: pool},
 		catCardHits:      reg.Counter(obs.MetricCatalogCardHits, "cardinalities answered by the catalog instead of COUNT probes"),
 		catCardFallbacks: reg.Counter(obs.MetricCatalogCardFallbacks, "COUNT probes issued because the catalog could not answer"),
 		degraded:         reg.Counter(obs.MetricDegradedFailures, "endpoint failures absorbed by partial-results mode"),

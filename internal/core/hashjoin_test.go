@@ -9,13 +9,69 @@ import (
 	"testing"
 
 	"lusail/internal/federation"
-	"lusail/internal/qplan"
+	"lusail/internal/op"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 )
 
 func testEngine() *Engine {
 	return MustNew(federation.MustNew(), DefaultOptions())
+}
+
+// naiveHashJoin is the materializing reference join: build on the smaller
+// relation, probe with the larger; with no shared variables, a cross
+// product.
+func naiveHashJoin(a, b *sparql.Results) *sparql.Results {
+	if len(a.Rows) > len(b.Rows) {
+		a, b = b, a
+	}
+	var shared []string
+	outVars := append([]string(nil), a.Vars...)
+	var bExtraIdx []int
+	for i, v := range b.Vars {
+		if a.VarIndex(v) >= 0 {
+			shared = append(shared, v)
+		} else {
+			outVars = append(outVars, v)
+			bExtraIdx = append(bExtraIdx, i)
+		}
+	}
+	out := sparql.NewResults(outVars)
+	combine := func(ra, rb []rdf.Term) {
+		nr := append([]rdf.Term(nil), ra...)
+		for _, i := range bExtraIdx {
+			nr = append(nr, rb[i])
+		}
+		out.Rows = append(out.Rows, nr)
+	}
+	if len(shared) == 0 {
+		for _, ra := range a.Rows {
+			for _, rb := range b.Rows {
+				combine(ra, rb)
+			}
+		}
+		return out
+	}
+	aIdx := make([]int, len(shared))
+	bIdx := make([]int, len(shared))
+	for i, v := range shared {
+		aIdx[i] = a.VarIndex(v)
+		bIdx[i] = b.VarIndex(v)
+	}
+	table := map[string][][]rdf.Term{}
+	for _, ra := range a.Rows {
+		if k, ok := op.JoinKey(ra, aIdx); ok {
+			table[k] = append(table[k], ra)
+		}
+	}
+	for _, rb := range b.Rows {
+		if k, ok := op.JoinKey(rb, bIdx); ok {
+			for _, ra := range table[k] {
+				combine(ra, rb)
+			}
+		}
+	}
+	return out
 }
 
 func mkRel(vars []string, rows ...[]string) *sparql.Results {
@@ -52,13 +108,8 @@ func TestJoinOrderIndependenceProperty(t *testing.T) {
 	e := testEngine()
 	ctx := context.Background()
 	join := func(probe, build *sparql.Results) *sparql.Results {
-		s := e.newHashJoinStream(ctx, newSliceStream(probe.Vars, probe.Rows), newSliceStream(build.Vars, build.Rows))
-		defer s.Close()
-		out := sparql.NewResults(s.Vars())
-		for s.Next() {
-			out.Rows = append(out.Rows, copyRow(s.Row()))
-		}
-		if err := s.Err(); err != nil {
+		out, err := op.Collect(op.HashJoin(ctx, op.NewSlice(probe.Vars, probe.Rows), op.NewSlice(build.Vars, build.Rows), e.join))
+		if err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -84,7 +135,7 @@ func TestJoinOrderIndependenceProperty(t *testing.T) {
 		for _, r := range rels[1:] {
 			forward = join(forward, r)
 			swapped = join(r, swapped)
-			naive = qplan.HashJoin(naive, r)
+			naive = naiveHashJoin(naive, r)
 		}
 		backward := rels[n-1]
 		for i := n - 2; i >= 0; i-- {

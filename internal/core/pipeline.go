@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"lusail/internal/client"
+	"lusail/internal/op"
 	"lusail/internal/rdf"
 )
 
@@ -27,14 +28,14 @@ import (
 // delayed subquery often bridges two scans that share no variable with
 // each other, and bound-joining it first keeps their cross product from
 // ever materializing (LUBM Q4's shape). VALUES
-// blocks join as in-memory build sides, OPTIONAL blocks as blockwise left
-// joins (selective first), and the tail applies branch filters, aligns to
-// the branch's variables, and deduplicates — the streaming equivalent of
-// the DistinctRows the materialized path applied to the complete branch
-// relation.
-func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, prof *Profile) (RowStream, error) {
+// blocks join as in-memory build sides, OPTIONAL blocks as left joins
+// (selective first) — a bound join in optional mode when the block shares
+// a variable with the stream, else a left hash join over an unbound scan
+// — and the tail applies branch filters, aligns to the branch's
+// variables, and deduplicates.
+func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, prof *Profile) (op.RowStream, error) {
 	if pb.empty {
-		return newSliceStream(pb.br.Vars(), nil), nil
+		return op.NewSlice(pb.br.Vars(), nil), nil
 	}
 	br := pb.br
 	sqs := cloneSubqueries(pb.sqs)
@@ -77,7 +78,7 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, prof *Prof
 	}
 
 	// The largest non-delayed subquery drives the pipeline.
-	var acc RowStream
+	var acc op.RowStream
 	if len(nonDelayed) > 0 {
 		drive := 0
 		for i, sq := range nonDelayed {
@@ -103,7 +104,7 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, prof *Prof
 	} else {
 		// A branch without mandatory subqueries (VALUES/OPTIONAL only)
 		// starts from the single empty solution.
-		acc = newSliceStream(nil, [][]rdf.Term{{}})
+		acc = op.NewSlice(nil, [][]rdf.Term{{}})
 	}
 
 	accHas := func(sq *Subquery) bool {
@@ -157,7 +158,7 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, prof *Prof
 			// the gap first.
 			sq, nonDelayed = take(nonDelayed, ni)
 			build := e.newScanStream(ctx, sq, client.PhaseSubquery, prof)
-			acc = e.newHashJoinStream(ctx, acc, build)
+			acc = op.HashJoin(ctx, acc, build, e.join)
 		case di >= 0 && dConn:
 			sq, delayed = take(delayed, di)
 			acc = e.newBoundJoinStream(ctx, acc, sq)
@@ -166,13 +167,13 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, prof *Prof
 			// degrade to an unbound scan under a cross hash join.
 			sq, delayed = take(delayed, di)
 			build := e.newScanStream(ctx, sq, client.PhaseSubquery, prof)
-			acc = e.newHashJoinStream(ctx, acc, build)
+			acc = op.HashJoin(ctx, acc, build, e.join)
 		}
 	}
 
 	// VALUES blocks from the query text join as in-memory build sides.
 	for _, vd := range br.Values {
-		acc = e.newHashJoinStream(ctx, acc, newSliceStream(vd.Vars, vd.Rows))
+		acc = op.HashJoin(ctx, acc, op.NewSlice(vd.Vars, vd.Rows), e.join)
 	}
 
 	// OPTIONAL blocks left-join the stream, selective first.
@@ -180,13 +181,18 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, prof *Prof
 		return optionals[i].sq.EstCard < optionals[j].sq.EstCard
 	})
 	for _, ob := range optionals {
-		acc = e.newLeftJoinStream(ctx, acc, ob)
+		if accHas(ob.sq) {
+			acc = e.newOptionalStream(ctx, acc, ob)
+		} else {
+			scan := e.newScanStream(ctx, ob.sq, client.PhaseOptional, nil)
+			acc = op.LeftJoin(ctx, acc, scan, ob.residual, e.join)
+		}
 	}
 
 	// Branch filters (including those already pushed — reapplying is
 	// harmless and catches cross-subquery predicates), alignment to the
 	// branch header, and set semantics.
-	acc = newFilterStream(acc, br.Filters)
-	acc = newAlignStream(acc, br.Vars())
-	return newDedupStream(acc), nil
+	acc = op.Filter(acc, br.Filters)
+	acc = op.Align(acc, br.Vars())
+	return op.Dedup(acc), nil
 }

@@ -10,23 +10,6 @@ import (
 	"lusail/internal/sparql"
 )
 
-// queryEndpoint issues one non-idempotent request (subquery, bound join,
-// optional) through the resilience layer, wrapping failures as typed
-// *client.EndpointError so callers — and Degrade mode — can tell which
-// endpoint and phase failed.
-func (e *Engine) queryEndpoint(ctx context.Context, phase client.Phase, name, query string) (*sparql.Results, error) {
-	ep := e.fed.Get(name)
-	if ep == nil {
-		return nil, &client.EndpointError{Endpoint: name, Phase: phase,
-			Err: fmt.Errorf("unknown endpoint")}
-	}
-	res, err := e.res.Do(ctx, ep, query)
-	if err != nil {
-		return nil, &client.EndpointError{Endpoint: name, Phase: phase, Err: err}
-	}
-	return res, nil
-}
-
 // streamEndpoint issues one streaming request through the resilience
 // layer. Errors surfaced later by the returned reader are raw transport
 // errors; consumers wrap them as *client.EndpointError at the read site

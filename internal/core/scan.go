@@ -9,6 +9,7 @@ import (
 
 	"lusail/internal/client"
 	"lusail/internal/obs"
+	"lusail/internal/op"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 )
@@ -152,7 +153,7 @@ func (s *scanStream) drive() {
 // are genuine solutions, the endpoint's remaining contribution is lost.
 func (s *scanStream) push(rd sparql.RowReader, name string) error {
 	defer rd.Close()
-	idx := varIndexes(s.vars, rd.Vars())
+	idx := op.VarIndexes(s.vars, rd.Vars())
 	for {
 		row, err := rd.Read()
 		if errors.Is(err, io.EOF) {

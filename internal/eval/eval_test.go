@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sort"
@@ -346,13 +347,18 @@ func TestEmptyResult(t *testing.T) {
 	}
 }
 
+func jsonBytes(t *testing.T, res *sparql.Results) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := res.WriteJSON(&b); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	return b.Bytes()
+}
+
 func TestResultsJSONRoundTrip(t *testing.T) {
 	res := mustRows(t, testStore(), `SELECT ?s ?n WHERE { ?s <http://ex/name> ?n }`)
-	data, err := res.MarshalJSON()
-	if err != nil {
-		t.Fatalf("MarshalJSON: %v", err)
-	}
-	back, err := sparql.ParseResultsJSON(data)
+	back, err := sparql.ParseResultsJSON(jsonBytes(t, res))
 	if err != nil {
 		t.Fatalf("ParseResultsJSON: %v", err)
 	}
@@ -365,8 +371,7 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 
 func TestAskJSONRoundTrip(t *testing.T) {
 	res := sparql.BoolResults(true)
-	data, _ := res.MarshalJSON()
-	back, err := sparql.ParseResultsJSON(data)
+	back, err := sparql.ParseResultsJSON(jsonBytes(t, res))
 	if err != nil {
 		t.Fatalf("ParseResultsJSON: %v", err)
 	}
@@ -379,8 +384,7 @@ func TestUnboundVarJSON(t *testing.T) {
 	res := mustRows(t, testStore(), `SELECT ?s ?n WHERE {
 		?s a <http://ex/Student> . OPTIONAL { ?s <http://ex/name> ?n }
 	}`)
-	data, _ := res.MarshalJSON()
-	back, err := sparql.ParseResultsJSON(data)
+	back, err := sparql.ParseResultsJSON(jsonBytes(t, res))
 	if err != nil {
 		t.Fatalf("ParseResultsJSON: %v", err)
 	}

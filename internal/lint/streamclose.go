@@ -9,7 +9,7 @@ import (
 var analyzerStreamclose = &Analyzer{
 	Name: "streamclose",
 	Doc: `enforce that every row stream reaches Close on all paths. A pull
-stream obtained from a call — a core.RowStream operator, a *core.Rows
+stream obtained from a call — an op.RowStream operator, a *core.Rows
 cursor, a sparql.RowReader — owns goroutines, HTTP response bodies, pool
 admissions, and spill files until Close releases them; a path that
 returns without closing leaks all of that until the surrounding context

@@ -1,7 +1,7 @@
 // Package streamclose is a lusail-vet testdata package: every marked line
 // must produce exactly one streamclose diagnostic. The stream types are
 // local — detection is by method shape, not import path — so the package
-// mirrors how core.RowStream, *core.Rows, and sparql.RowReader present to
+// mirrors how op.RowStream, *core.Rows, and sparql.RowReader present to
 // the analyzer without depending on them.
 package streamclose
 

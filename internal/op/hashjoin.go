@@ -1,0 +1,597 @@
+package op
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"strings"
+
+	"lusail/internal/diskstore"
+	"lusail/internal/erh"
+	"lusail/internal/obs"
+	"lusail/internal/rdf"
+	"lusail/internal/sparql"
+)
+
+// DefaultSpillBytes is the build-side budget of a hash join unless the
+// engine is configured otherwise (core.Options.JoinSpillBytes).
+const DefaultSpillBytes = 64 << 20
+
+// Probe parallelism (the paper's parallel in-memory hash join, Section
+// 4.2): once the build table holds at least parallelProbeMin rows, probe
+// rows are pulled in batches and probed across the pool in chunks.
+const (
+	parallelProbeMin  = 4096
+	probeBatchRows    = 512
+	probeChunkMinRows = 64
+)
+
+// Budget is what a hash join may spend: SpillBytes bounds the estimated
+// footprint of the in-memory build side, and Pool runs the parallel probe.
+type Budget struct {
+	SpillBytes int64
+	Pool       *erh.Pool
+}
+
+// HashJoin inner-joins two streams on their shared variables with an
+// incremental build/probe hash join: the build side is consumed into a
+// hash table on first Next, then probe rows stream through one at a time
+// (or in parallel batches against a large table), each emitting its
+// matches immediately — in probe order, and per probe row in build order.
+// The output carries the probe's variables followed by the build side's
+// other variables. Rows with an unbound join variable match nothing.
+//
+// Memory is bounded by the build side, never the output: a build side
+// whose table exceeds b.SpillBytes spills both sides to disk through the
+// diskstore sorter and the join finishes as a sort-merge over the spilled
+// runs (grace-join style: first-row latency is traded for bounded memory).
+// The spill path rides the sorter's record deduplication, so duplicate
+// (key,row) records collapse: every caller applies set semantics
+// downstream.
+//
+// With no shared variables the operator degenerates to a cross product and
+// keeps the build side in memory — a cross product cannot be keyed for a
+// merge join, so it cannot spill. The build side is still held to the
+// budget: a remote endpoint must not be able to grow it without bound, so
+// exceeding the budget fails the join instead.
+func HashJoin(ctx context.Context, probe, build RowStream, b Budget) RowStream {
+	return newHashJoin(ctx, probe, build, b, false, nil)
+}
+
+// LeftJoin is HashJoin in left mode — SPARQL OPTIONAL with the probe side
+// preserved: each probe row is extended by the build rows it joins with
+// whose combined row satisfies cond, and a probe row with no such
+// extension (including one whose join variables are unbound) is emitted
+// once, zero-extended. cond is the OPTIONAL block's FILTER, so it sees the
+// variables of both sides. A left join whose probe side is empty never
+// consumes its build side. Its trace span is named "optional".
+func LeftJoin(ctx context.Context, probe, build RowStream, cond []sparql.Expr, b Budget) RowStream {
+	return newHashJoin(ctx, probe, build, b, true, cond)
+}
+
+type hashJoin struct {
+	probe  RowStream
+	build  RowStream
+	budget Budget
+	left   bool
+	exprs  []sparql.Expr // left-join condition
+	cond   *Cond         // exprs for the goroutine driving Next
+
+	vars        []string
+	shared      []string
+	probeKeyIdx []int
+	buildKeyIdx []int
+	buildExtra  []int // build columns appended after the probe row
+
+	started bool
+	pending bool // the current probe row has not been joined yet
+	done    bool
+	table   map[string][][]rdf.Term
+	cross   [][]rdf.Term
+	sj      *spillJoin
+
+	buildRows  int64
+	buildBytes int64
+	spilled    bool
+
+	outBuf [][]rdf.Term
+	obi    int
+	row    []rdf.Term
+	err    error
+	closed bool
+
+	ctx    context.Context
+	parent *obs.Span
+	span   *obs.Span
+	rows   int64
+}
+
+func newHashJoin(ctx context.Context, probe, build RowStream, b Budget, left bool, cond []sparql.Expr) *hashJoin {
+	pv, bv := probe.Vars(), build.Vars()
+	s := &hashJoin{probe: probe, build: build, budget: b, left: left, exprs: cond, ctx: ctx, parent: obs.FromContext(ctx)}
+	s.vars = append([]string(nil), pv...)
+	pPos := make(map[string]int, len(pv))
+	for i, v := range pv {
+		pPos[v] = i
+	}
+	for i, v := range bv {
+		if j, ok := pPos[v]; ok {
+			s.shared = append(s.shared, v)
+			s.probeKeyIdx = append(s.probeKeyIdx, j)
+			s.buildKeyIdx = append(s.buildKeyIdx, i)
+		} else {
+			s.vars = append(s.vars, v)
+			s.buildExtra = append(s.buildExtra, i)
+		}
+	}
+	s.cond = NewCond(s.vars, cond)
+	return s
+}
+
+func (s *hashJoin) Vars() []string  { return s.vars }
+func (s *hashJoin) Row() []rdf.Term { return s.row }
+func (s *hashJoin) Err() error      { return s.err }
+
+func (s *hashJoin) Next() bool {
+	if s.closed || s.done || s.err != nil {
+		return false
+	}
+	if !s.started {
+		s.started = true
+		if s.left {
+			if !s.probe.Next() {
+				s.done = true
+				s.err = s.probe.Err()
+				return false
+			}
+			s.pending = true
+		}
+		if err := s.start(); err != nil {
+			s.err = err
+			return false
+		}
+	}
+	for {
+		if s.obi < len(s.outBuf) {
+			s.row = s.outBuf[s.obi]
+			s.obi++
+			s.rows++
+			return true
+		}
+		s.outBuf, s.obi = s.outBuf[:0], 0
+		if s.spilled {
+			batch, ok, err := s.sj.next(s)
+			if err != nil {
+				s.err = err
+				return false
+			}
+			if !ok {
+				s.done = true
+				return false
+			}
+			s.outBuf = batch
+			continue
+		}
+		if !s.fillFromProbe() {
+			s.done = true
+			s.err = s.probe.Err()
+			return false
+		}
+	}
+}
+
+// nextProbe advances the probe side. A left join pulls the first probe
+// row before it consumes the build side, so that an empty probe side
+// never starts the build; that row is still current and is replayed here.
+func (s *hashJoin) nextProbe() bool {
+	if s.pending {
+		s.pending = false
+		return true
+	}
+	return s.probe.Next()
+}
+
+// start consumes the build side, switching to the spill path if the table
+// outgrows the byte budget.
+func (s *hashJoin) start() error {
+	name := "hash-join"
+	if s.left {
+		name = "optional"
+	}
+	s.span = s.parent.StartChild(name)
+	s.span.SetAttr("on", joinLabel(s.shared))
+	budget := s.budget.SpillBytes
+	if len(s.shared) == 0 {
+		for s.build.Next() {
+			row := CopyRow(s.build.Row())
+			s.cross = append(s.cross, row)
+			s.buildRows++
+			s.buildBytes += spillRowBytes(row)
+			if s.buildBytes > budget {
+				_ = s.closeBuild()
+				return fmt.Errorf("op: cross-join build side exceeds the %d-byte join budget after %d rows: a cross product cannot spill; restrict the disjoint components or raise the budget (JoinSpillBytes)", budget, s.buildRows)
+			}
+		}
+		return s.closeBuild()
+	}
+	s.table = make(map[string][][]rdf.Term)
+	for s.build.Next() {
+		row := CopyRow(s.build.Row())
+		key, ok := JoinKey(row, s.buildKeyIdx)
+		if !ok {
+			continue // unbound join key: can never match
+		}
+		s.table[key] = append(s.table[key], row)
+		s.buildRows++
+		s.buildBytes += spillRowBytes(row)
+		if s.buildBytes > budget {
+			return s.spillToDisk()
+		}
+	}
+	return s.closeBuild()
+}
+
+func (s *hashJoin) closeBuild() error {
+	if err := s.build.Err(); err != nil {
+		return err
+	}
+	return s.build.Close()
+}
+
+// fillFromProbe pulls probe rows and emits their output into outBuf,
+// returning false when the probe side is exhausted. Against a large table
+// it pulls a batch and probes it across the pool in parallel.
+func (s *hashJoin) fillFromProbe() bool {
+	if s.buildRows == 0 && !s.left {
+		return false // empty build side: an inner join is empty, skip the probe
+	}
+	if s.buildRows >= parallelProbeMin {
+		return s.fillParallel()
+	}
+	for s.nextProbe() {
+		prow := s.probe.Row()
+		s.outBuf = s.emit(s.outBuf, prow, s.matches(prow), s.cond)
+		if len(s.outBuf) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *hashJoin) matches(prow []rdf.Term) [][]rdf.Term {
+	if len(s.shared) == 0 {
+		return s.cross
+	}
+	key, ok := JoinKey(prow, s.probeKeyIdx)
+	if !ok {
+		return nil
+	}
+	return s.table[key]
+}
+
+// emit appends one probe row's output to out: its combinations with the
+// matching build rows that satisfy cond, or — in left mode, when there
+// are none — the probe row itself, zero-extended.
+func (s *hashJoin) emit(out [][]rdf.Term, prow []rdf.Term, matches [][]rdf.Term, cond *Cond) [][]rdf.Term {
+	n := len(out)
+	for _, brow := range matches {
+		if row := s.combine(prow, brow); cond.Holds(row) {
+			out = append(out, row)
+		}
+	}
+	if s.left && len(out) == n {
+		out = append(out, s.combine(prow, nil))
+	}
+	return out
+}
+
+func (s *hashJoin) fillParallel() bool {
+	var batch [][]rdf.Term
+	for len(batch) < probeBatchRows && s.nextProbe() {
+		batch = append(batch, CopyRow(s.probe.Row()))
+	}
+	if len(batch) == 0 {
+		return false
+	}
+	workers := s.budget.Pool.Limit()
+	chunk := max((len(batch)+workers-1)/workers, probeChunkMinRows)
+	var chunks [][][]rdf.Term
+	for start := 0; start < len(batch); start += chunk {
+		chunks = append(chunks, batch[start:min(start+chunk, len(batch))])
+	}
+	results := make([][][]rdf.Term, len(chunks))
+	s.budget.Pool.ForEach(s.ctx, len(chunks), func(i int) error {
+		cond := NewCond(s.vars, s.exprs)
+		for _, prow := range chunks[i] {
+			results[i] = s.emit(results[i], prow, s.matches(prow), cond)
+		}
+		return nil
+	})
+	for _, out := range results {
+		s.outBuf = append(s.outBuf, out...)
+	}
+	// A batch may produce zero rows; report progress anyway — the caller
+	// loops until outBuf fills or the probe side ends.
+	return true
+}
+
+// combine widens a probe row with a build row's extra columns; a nil
+// build row leaves them unbound.
+func (s *hashJoin) combine(prow, brow []rdf.Term) []rdf.Term {
+	out := make([]rdf.Term, len(s.vars))
+	copy(out, prow)
+	if brow != nil {
+		for k, bi := range s.buildExtra {
+			out[len(prow)+k] = brow[bi]
+		}
+	}
+	return out
+}
+
+func (s *hashJoin) Close() error {
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	err1 := s.build.Close()
+	err2 := s.probe.Close()
+	if s.sj != nil {
+		s.sj.close()
+	}
+	s.table = nil
+	s.cross = nil
+	s.span.SetAttr("build_rows", int(s.buildRows))
+	s.span.SetAttr("spilled", s.spilled)
+	s.span.SetAttr("rows", int(s.rows))
+	s.span.End()
+	if err1 != nil {
+		return err1
+	}
+	return err2
+}
+
+func joinLabel(shared []string) string {
+	if len(shared) == 0 {
+		return "(cross)"
+	}
+	return "?" + strings.Join(shared, ",?")
+}
+
+// --- spill path -----------------------------------------------------------
+
+// spillToDisk dumps the in-memory table plus the rest of both inputs into
+// two external sorters keyed by join key, then sets up the merge join. In
+// left mode, probe rows with an unbound join variable are kept under the
+// empty key, which no build row has.
+func (s *hashJoin) spillToDisk() error {
+	s.spilled = true
+	budget := s.budget.SpillBytes
+	buildSorter := diskstore.NewSorter("", "lusail-join-build", budget/2)
+	probeSorter := diskstore.NewSorter("", "lusail-join-probe", budget/2)
+	fail := func(err error) error {
+		buildSorter.Close()
+		probeSorter.Close()
+		return err
+	}
+	var rec []byte
+	for key, rows := range s.table {
+		for _, row := range rows {
+			rec = encodeSpillRec(rec[:0], key, row)
+			if err := buildSorter.Add(rec); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	s.table = nil
+	for s.build.Next() {
+		row := s.build.Row()
+		key, ok := JoinKey(row, s.buildKeyIdx)
+		if !ok {
+			continue
+		}
+		s.buildRows++
+		rec = encodeSpillRec(rec[:0], key, row)
+		if err := buildSorter.Add(rec); err != nil {
+			return fail(err)
+		}
+	}
+	if err := s.closeBuild(); err != nil {
+		return fail(err)
+	}
+	for s.nextProbe() {
+		row := s.probe.Row()
+		key, ok := JoinKey(row, s.probeKeyIdx)
+		if !ok && !s.left {
+			continue
+		}
+		rec = encodeSpillRec(rec[:0], key, row)
+		if err := probeSorter.Add(rec); err != nil {
+			return fail(err)
+		}
+	}
+	if err := s.probe.Err(); err != nil {
+		return fail(err)
+	}
+	bIt, err := buildSorter.Iter()
+	if err != nil {
+		return fail(err)
+	}
+	pIt, err := probeSorter.Iter()
+	if err != nil {
+		bIt.Close()
+		probeSorter.Close()
+		return err
+	}
+	s.sj = &spillJoin{build: &spillCursor{it: bIt}, probe: &spillCursor{it: pIt}}
+	s.sj.build.advance()
+	s.sj.probe.advance()
+	return nil
+}
+
+// spillCursor holds a stable copy of the sorter iterator's current record.
+type spillCursor struct {
+	it  *diskstore.SortIter
+	cur []byte // nil at EOF
+	err error
+}
+
+func (c *spillCursor) advance() {
+	rec, err := c.it.Next()
+	if err != nil {
+		c.cur = nil
+		if !errors.Is(err, io.EOF) { // a real failure, not end-of-runs
+			c.err = err
+		}
+		return
+	}
+	c.cur = append(c.cur[:0], rec...)
+}
+
+func (c *spillCursor) key() []byte { return spillRecKey(c.cur) }
+
+// spillJoin merge-joins the two sorted spills: records sharing a join key
+// are contiguous after sorting, so only the build group of the current
+// probe key is materialized while probe rows stream through.
+type spillJoin struct {
+	build, probe *spillCursor
+	group        [][]rdf.Term // decoded build rows of groupKey
+	groupKey     []byte
+	keyed        bool // groupKey is set
+}
+
+// next returns the output of the next probe row that has any, or false at
+// the end of the join.
+func (sj *spillJoin) next(hj *hashJoin) ([][]rdf.Term, bool, error) {
+	for {
+		if err := errors.Join(sj.build.err, sj.probe.err); err != nil {
+			return nil, false, err
+		}
+		if sj.probe.cur == nil {
+			return nil, false, nil
+		}
+		if pKey := sj.probe.key(); !sj.keyed || !bytes.Equal(pKey, sj.groupKey) {
+			if err := sj.seek(pKey); err != nil {
+				return nil, false, err
+			}
+		}
+		if sj.group == nil && !hj.left {
+			sj.probe.advance()
+			continue
+		}
+		prow, err := decodeSpillRow(sj.probe.cur)
+		if err != nil {
+			return nil, false, err
+		}
+		sj.probe.advance()
+		if out := hj.emit(nil, prow, sj.group, hj.cond); len(out) > 0 {
+			return out, true, nil
+		}
+	}
+}
+
+// seek advances the build cursor to key and loads its group (nil when the
+// build side has no row with that key).
+func (sj *spillJoin) seek(key []byte) error {
+	sj.group, sj.groupKey, sj.keyed = nil, append(sj.groupKey[:0], key...), true
+	for sj.build.cur != nil && bytes.Compare(sj.build.key(), sj.groupKey) < 0 {
+		sj.build.advance()
+	}
+	for sj.build.cur != nil && bytes.Equal(sj.build.key(), sj.groupKey) {
+		brow, err := decodeSpillRow(sj.build.cur)
+		if err != nil {
+			return err
+		}
+		sj.group = append(sj.group, brow)
+		sj.build.advance()
+	}
+	return nil
+}
+
+func (sj *spillJoin) close() {
+	sj.build.it.Close()
+	sj.probe.it.Close()
+	sj.group = nil
+}
+
+// --- spill record encoding ------------------------------------------------
+//
+// Layout: uvarint(len key) | key | uvarint(nTerms) | per term:
+// kind byte, uvarint-framed value, lang, datatype. Records sharing a key
+// share a byte prefix, so bytes.Compare sorting groups equal keys
+// contiguously — exactly what the merge join needs.
+
+func encodeSpillRec(buf []byte, key string, row []rdf.Term) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(key)))
+	buf = append(buf, key...)
+	buf = binary.AppendUvarint(buf, uint64(len(row)))
+	for _, t := range row {
+		buf = append(buf, byte(t.Kind))
+		buf = binary.AppendUvarint(buf, uint64(len(t.Value)))
+		buf = append(buf, t.Value...)
+		buf = binary.AppendUvarint(buf, uint64(len(t.Lang)))
+		buf = append(buf, t.Lang...)
+		buf = binary.AppendUvarint(buf, uint64(len(t.Datatype)))
+		buf = append(buf, t.Datatype...)
+	}
+	return buf
+}
+
+// spillRecKey returns the length-framed key of an encoded record. Framed
+// keys compare with bytes.Compare in the order the sorter gave the records
+// (shorter keys first), which the merge relies on; the bare key bytes do
+// not.
+func spillRecKey(rec []byte) []byte {
+	n, w := binary.Uvarint(rec)
+	return rec[:w+int(n)]
+}
+
+var errCorruptSpill = errors.New("op: corrupt spill record")
+
+// decodeSpillRow decodes the row part of an encoded record. The returned
+// terms own their storage.
+func decodeSpillRow(rec []byte) ([]rdf.Term, error) {
+	p := rec
+	field := func() ([]byte, bool) {
+		l, w := binary.Uvarint(p)
+		if w <= 0 || l > uint64(len(p)-w) {
+			return nil, false
+		}
+		f := p[w : w+int(l)]
+		p = p[w+int(l):]
+		return f, true
+	}
+	_, ok := field() // the key
+	nt, w := binary.Uvarint(p)
+	if !ok || w <= 0 {
+		return nil, errCorruptSpill
+	}
+	p = p[w:]
+	row := make([]rdf.Term, nt)
+	for i := range row {
+		if len(p) < 1 {
+			return nil, errCorruptSpill
+		}
+		kind := rdf.Kind(p[0])
+		p = p[1:]
+		v, ok1 := field()
+		lang, ok2 := field()
+		dt, ok3 := field()
+		if !ok1 || !ok2 || !ok3 {
+			return nil, errCorruptSpill
+		}
+		row[i] = rdf.Term{Kind: kind, Value: string(v), Lang: string(lang), Datatype: string(dt)}
+	}
+	return row, nil
+}
+
+// spillRowBytes estimates a row's resident footprint in the hash table.
+func spillRowBytes(row []rdf.Term) int64 {
+	n := int64(24 + 16*len(row))
+	for _, t := range row {
+		n += int64(len(t.Value) + len(t.Lang) + len(t.Datatype) + 48)
+	}
+	return n
+}

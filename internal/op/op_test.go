@@ -1,0 +1,329 @@
+package op
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"lusail/internal/erh"
+	"lusail/internal/eval"
+	"lusail/internal/rdf"
+	"lusail/internal/sparql"
+)
+
+// rel is a materialized test relation.
+type rel struct {
+	vars []string
+	rows [][]rdf.Term
+}
+
+func (r rel) stream() RowStream { return NewSlice(r.vars, r.rows) }
+
+func (r rel) col(v string) int { return slices.Index(r.vars, v) }
+
+// randomVars draws a random subset of ?a..?d, possibly empty, so joins
+// degenerate to cross products.
+func randomVars(rng *rand.Rand) []string {
+	var vars []string
+	for _, v := range rng.Perm(4)[:rng.Intn(4)] {
+		vars = append(vars, string(rune('a'+v)))
+	}
+	return vars
+}
+
+// randomRel draws n rows over vars with values from a small domain, a
+// fifth of the cells unbound, and duplicate rows.
+func randomRel(rng *rand.Rand, vars []string, n, domain int) rel {
+	r := rel{vars: vars}
+	for range n {
+		row := make([]rdf.Term, len(vars))
+		for i := range row {
+			if rng.Intn(5) > 0 {
+				row[i] = rdf.NewIRI(fmt.Sprintf("http://ex/x%d", rng.Intn(domain)))
+			}
+		}
+		r.rows = append(r.rows, row)
+	}
+	return r
+}
+
+// bigTrial marks the trials whose build side outgrows parallelProbeMin;
+// they join on ?a over a wide domain, so the output stays small.
+func bigTrial(trial int) bool { return trial%50 == 0 }
+
+// filterExprs parses FILTER expressions over ?a..?d.
+func filterExprs(t *testing.T, texts ...string) []sparql.Expr {
+	t.Helper()
+	var out []sparql.Expr
+	for _, text := range texts {
+		q := sparql.MustParse(`SELECT * WHERE { ?a <http://ex/p> ?b FILTER(` + text + `) }`)
+		for _, el := range q.Where.Elements {
+			if f, ok := el.(sparql.Filter); ok {
+				out = append(out, f.Expr)
+			}
+		}
+	}
+	return out
+}
+
+// randomCond picks up to two conditions, some reading variables of both
+// join sides and some reading variables a side may not have.
+func randomCond(t *testing.T, rng *rand.Rand) []sparql.Expr {
+	texts := []string{
+		`?a != <http://ex/x1>`,
+		`!BOUND(?c) || ?c != ?a`,
+		`?b = ?d`,
+		`BOUND(?d)`,
+	}
+	rng.Shuffle(len(texts), func(i, j int) { texts[i], texts[j] = texts[j], texts[i] })
+	return filterExprs(t, texts[:rng.Intn(3)]...)
+}
+
+// holds is the reference condition: every expression true on the row's
+// bound variables.
+func holds(vars []string, row []rdf.Term, cond []sparql.Expr) bool {
+	b := map[string]rdf.Term{}
+	for i, v := range vars {
+		if !row[i].IsZero() {
+			b[v] = row[i]
+		}
+	}
+	for _, x := range cond {
+		if !eval.FilterBinding(x, b) {
+			return false
+		}
+	}
+	return true
+}
+
+// naiveJoin is the nested-loop reference for both join modes: a probe and
+// a build row join when every shared variable is bound on both sides to
+// the same term, the combined row carries the probe's variables then the
+// build side's others, and it is kept when cond holds on it. In left mode
+// a probe row that keeps no combined row is kept itself, zero-extended.
+func naiveJoin(probe, build rel, left bool, cond []sparql.Expr) rel {
+	out := rel{vars: slices.Clone(probe.vars)}
+	for _, v := range build.vars {
+		if probe.col(v) < 0 {
+			out.vars = append(out.vars, v)
+		}
+	}
+	for _, p := range probe.rows {
+		kept := false
+	builds:
+		for _, b := range build.rows {
+			for j, v := range build.vars {
+				if i := probe.col(v); i >= 0 && (p[i].IsZero() || b[j].IsZero() || p[i] != b[j]) {
+					continue builds
+				}
+			}
+			row := make([]rdf.Term, len(out.vars))
+			copy(row, p)
+			for j, v := range build.vars {
+				if probe.col(v) < 0 {
+					row[out.col(v)] = b[j]
+				}
+			}
+			if holds(out.vars, row, cond) {
+				out.rows = append(out.rows, row)
+				kept = true
+			}
+		}
+		if left && !kept {
+			row := make([]rdf.Term, len(out.vars))
+			copy(row, p)
+			out.rows = append(out.rows, row)
+		}
+	}
+	return out
+}
+
+// keys renders rows as sorted strings; with distinct set, duplicates go.
+func keys(r rel, distinct bool) []string {
+	var out []string
+	for _, row := range r.rows {
+		var b strings.Builder
+		for _, t := range row {
+			b.WriteString(t.String() + "|")
+		}
+		out = append(out, b.String())
+	}
+	sort.Strings(out)
+	if distinct {
+		out = slices.Compact(out)
+	}
+	return out
+}
+
+func collect(t *testing.T, s RowStream) (rel, error) {
+	t.Helper()
+	res, err := Collect(s)
+	if err != nil {
+		return rel{}, err
+	}
+	return rel{vars: res.Vars, rows: res.Rows}, nil
+}
+
+// checkJoin runs one join at a roomy budget and again at a 1-byte budget,
+// which forces every keyed join onto the spill path and fails every cross
+// product with a non-empty build side. In memory the output must equal the
+// reference as a multiset; spilled, as a set (the sorter collapses
+// duplicate records).
+func checkJoin(t *testing.T, trial int, probe, build rel, left bool, cond []sparql.Expr, want rel) {
+	t.Helper()
+	pool := erh.New(2)
+	for _, spill := range []bool{false, true} {
+		b := Budget{SpillBytes: DefaultSpillBytes, Pool: pool}
+		if spill {
+			b.SpillBytes = 1
+		}
+		var s RowStream
+		if left {
+			s = LeftJoin(context.Background(), probe.stream(), build.stream(), cond, b)
+		} else {
+			s = HashJoin(context.Background(), probe.stream(), build.stream(), b)
+		}
+		got, err := collect(t, s)
+		cross := len(want.vars) == len(probe.vars)+len(build.vars)
+		if spill && cross && len(build.rows) > 0 && (len(probe.rows) > 0 || !left) {
+			if err == nil {
+				t.Fatalf("trial %d: a cross product over budget must fail", trial)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("trial %d spill=%v: %v", trial, spill, err)
+		}
+		if !reflect.DeepEqual(got.vars, want.vars) {
+			t.Fatalf("trial %d spill=%v: vars %v, want %v", trial, spill, got.vars, want.vars)
+		}
+		if g, w := keys(got, spill), keys(want, spill); !reflect.DeepEqual(g, w) {
+			t.Fatalf("trial %d spill=%v left=%v\nprobe %v %v\nbuild %v %v\ngot  %v\nwant %v",
+				trial, spill, left, probe.vars, probe.rows, build.vars, build.rows, g, w)
+		}
+	}
+}
+
+// TestHashJoinProperty checks the inner join, and the union, filter and
+// VALUES-tuple operators the comparators assemble around it, against
+// nested-loop references on random relations: shared and unbound join
+// variables, cross products, duplicates, in memory and spilled, and
+// build tables large enough for the parallel probe.
+func TestHashJoinProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := range 300 {
+		probe := randomRel(rng, randomVars(rng), rng.Intn(9), 3)
+		// The build side is the union of two relations with their own
+		// headers, aligned by variable name.
+		part1 := randomRel(rng, randomVars(rng), rng.Intn(9), 3)
+		part2 := randomRel(rng, randomVars(rng), rng.Intn(5), 3)
+		if bigTrial(trial) {
+			probe = randomRel(rng, []string{"a", "b"}, 300, 9000)
+			part1 = randomRel(rng, []string{"c", "a"}, 5000, 9000)
+			part2 = randomRel(rng, []string{"a", "c"}, 4000, 9000)
+		}
+		vars := slices.Clone(part1.vars)
+		for _, v := range part2.vars {
+			if !slices.Contains(vars, v) {
+				vars = append(vars, v)
+			}
+		}
+		build := rel{vars: vars}
+		for _, part := range []rel{part1, part2} {
+			for _, row := range part.rows {
+				widened := make([]rdf.Term, len(vars))
+				for j, v := range part.vars {
+					widened[slices.Index(vars, v)] = row[j]
+				}
+				build.rows = append(build.rows, widened)
+			}
+		}
+		union, err := collect(t, Union(part1.stream(), part2.stream()))
+		if err != nil || !reflect.DeepEqual(union.vars, build.vars) || !reflect.DeepEqual(keys(union, false), keys(build, false)) {
+			t.Fatalf("trial %d: union %v, want %v (%v)", trial, union, build, err)
+		}
+
+		checkJoin(t, trial, probe, build, false, nil, naiveJoin(probe, build, false, nil))
+
+		cond := randomCond(t, rng)
+		filtered, err := collect(t, Filter(build.stream(), cond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rel{vars: build.vars}
+		for _, row := range build.rows {
+			if holds(build.vars, row, cond) {
+				want.rows = append(want.rows, row)
+			}
+		}
+		if !reflect.DeepEqual(keys(filtered, false), keys(want, false)) {
+			t.Fatalf("trial %d: filter kept %d rows, want %d", trial, len(filtered.rows), len(want.rows))
+		}
+
+		var idx []int
+		for i := range build.vars {
+			if rng.Intn(2) == 0 {
+				idx = append(idx, i)
+			}
+		}
+		var tuples [][]rdf.Term
+		seen := map[string]bool{}
+	rows:
+		for _, row := range build.rows {
+			tuple := make([]rdf.Term, len(idx))
+			for k, i := range idx {
+				if row[i].IsZero() {
+					continue rows
+				}
+				tuple[k] = row[i]
+			}
+			if key := fmt.Sprint(tuple); !seen[key] {
+				seen[key] = true
+				tuples = append(tuples, tuple)
+			}
+		}
+		if got := DistinctTuples(build.rows, idx); !reflect.DeepEqual(got, tuples) {
+			t.Fatalf("trial %d: distinct tuples %v, want %v", trial, got, tuples)
+		}
+	}
+}
+
+// TestLeftJoinProperty checks the left join with a condition over both
+// sides against the nested-loop reference on random relations, in memory
+// and spilled.
+func TestLeftJoinProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := range 300 {
+		probe := randomRel(rng, randomVars(rng), rng.Intn(9), 3)
+		build := randomRel(rng, randomVars(rng), rng.Intn(13), 3)
+		if bigTrial(trial) {
+			probe = randomRel(rng, []string{"a", "b"}, 300, 9000)
+			build = randomRel(rng, []string{"d", "a"}, 9000, 9000)
+		}
+		cond := randomCond(t, rng)
+		checkJoin(t, trial, probe, build, true, cond, naiveJoin(probe, build, true, cond))
+	}
+}
+
+// watched records whether anything pulled from its stream.
+type watched struct {
+	RowStream
+	pulled bool
+}
+
+func (w *watched) Next() bool { w.pulled = true; return w.RowStream.Next() }
+
+// An OPTIONAL over an empty stream must not issue its block's requests.
+func TestLeftJoinEmptyProbeSkipsBuild(t *testing.T) {
+	build := &watched{RowStream: NewSlice([]string{"b"}, [][]rdf.Term{{rdf.NewIRI("http://ex/x")}})}
+	s := LeftJoin(context.Background(), NewSlice([]string{"a"}, nil), build, nil, Budget{SpillBytes: DefaultSpillBytes, Pool: erh.New(1)})
+	got, err := Collect(s)
+	if err != nil || len(got.Rows) != 0 || build.pulled {
+		t.Fatalf("rows %v, err %v, build pulled %v", got, err, build.pulled)
+	}
+}

@@ -1,8 +1,8 @@
-// Package qplan holds the query-planning machinery shared by every
-// federated engine in this repository (Lusail and the FedX/HiBISCuS/
+// Package qplan holds the query-planning front and back ends shared by
+// every federated engine in this repository (Lusail and the FedX/HiBISCuS/
 // SPLENDID baselines): normalization of parsed queries into conjunctive
-// branches, relation algebra over materialized result sets, and final
-// solution-modifier application.
+// branches, and Finalize, which turns the engine's final relation into the
+// query's answer. The operators in between live in package op.
 package qplan
 
 import (
@@ -157,7 +157,7 @@ func copyBranch(br *Branch) *Branch {
 // query's solution modifiers to it.
 func Finalize(q *sparql.Query, rel *sparql.Results) (*sparql.Results, error) {
 	if rel == nil {
-		rel = EmptyRelation(nil)
+		rel = sparql.NewResults(nil)
 	}
 	if q.Form == sparql.AskForm {
 		return sparql.BoolResults(len(rel.Rows) > 0), nil

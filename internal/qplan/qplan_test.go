@@ -2,7 +2,6 @@ package qplan
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"lusail/internal/rdf"
@@ -100,118 +99,6 @@ func TestNormalizeRejectsEmptyAndUnsupported(t *testing.T) {
 	}
 }
 
-func TestUnionRelationsAligns(t *testing.T) {
-	a := rel([]string{"x", "y"}, row("1", "2"))
-	b := rel([]string{"y", "z"}, row("3", "4"))
-	u := UnionRelations(a, b)
-	if !reflect.DeepEqual(u.Vars, []string{"x", "y", "z"}) {
-		t.Fatalf("vars = %v", u.Vars)
-	}
-	if len(u.Rows) != 2 {
-		t.Fatalf("rows = %d", len(u.Rows))
-	}
-	if u.Rows[0][2].IsZero() == false || u.Rows[1][0].IsZero() == false {
-		t.Error("missing columns should be unbound")
-	}
-	if u.Rows[1][1] != iri("3") || u.Rows[1][2] != iri("4") {
-		t.Errorf("row alignment wrong: %v", u.Rows[1])
-	}
-}
-
-func TestUnionRelationsNil(t *testing.T) {
-	a := rel([]string{"x"}, row("1"))
-	if UnionRelations(nil, a) != a || UnionRelations(a, nil) != a {
-		t.Error("nil union should return the other side")
-	}
-}
-
-func TestHashJoinShared(t *testing.T) {
-	a := rel([]string{"x", "y"}, row("a1", "k1"), row("a2", "k2"), row("a3", "k9"))
-	b := rel([]string{"y", "z"}, row("k1", "b1"), row("k2", "b2"), row("k2", "b3"))
-	j := HashJoin(a, b)
-	if len(j.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(j.Rows))
-	}
-	if !reflect.DeepEqual(j.Vars, []string{"x", "y", "z"}) {
-		t.Errorf("vars = %v", j.Vars)
-	}
-}
-
-func TestHashJoinCrossProduct(t *testing.T) {
-	a := rel([]string{"x"}, row("1"), row("2"))
-	b := rel([]string{"y"}, row("3"), row("4"), row("5"))
-	j := HashJoin(a, b)
-	if len(j.Rows) != 6 {
-		t.Errorf("cross product rows = %d, want 6", len(j.Rows))
-	}
-}
-
-func TestHashJoinUnboundKeyRowsDropped(t *testing.T) {
-	a := rel([]string{"x", "y"}, row("a1", "k1"), row("a2", "")) // a2's y unbound
-	b := rel([]string{"y", "z"}, row("k1", "b1"))
-	j := HashJoin(a, b)
-	if len(j.Rows) != 1 {
-		t.Errorf("rows = %d, want 1 (unbound key does not inner-join)", len(j.Rows))
-	}
-}
-
-func TestLeftJoinKeepsUnmatched(t *testing.T) {
-	a := rel([]string{"x", "y"}, row("a1", "k1"), row("a2", "k9"))
-	b := rel([]string{"y", "z"}, row("k1", "b1"))
-	j := LeftJoin(a, b)
-	if len(j.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(j.Rows))
-	}
-	matched, unmatched := 0, 0
-	zIdx := j.VarIndex("z")
-	for _, r := range j.Rows {
-		if r[zIdx].IsZero() {
-			unmatched++
-		} else {
-			matched++
-		}
-	}
-	if matched != 1 || unmatched != 1 {
-		t.Errorf("matched=%d unmatched=%d", matched, unmatched)
-	}
-}
-
-func TestProjectDistinct(t *testing.T) {
-	r := rel([]string{"x", "y", "z"},
-		row("a", "k", "1"), row("a", "k", "2"), row("b", "k", "3"), row("c", "", "4"))
-	got := ProjectDistinct(r, []string{"x", "y"})
-	if len(got) != 2 { // (a,k), (b,k); (c,unbound) skipped
-		t.Errorf("projected rows = %d: %v", len(got), got)
-	}
-}
-
-func TestApplyFilters(t *testing.T) {
-	r := rel([]string{"x"}, []rdf.Term{rdf.NewInteger(1)}, []rdf.Term{rdf.NewInteger(5)})
-	q := sparql.MustParse(`SELECT * WHERE { ?s <http://p> ?x . FILTER(?x > 3) }`)
-	var f sparql.Expr
-	for _, el := range q.Where.Elements {
-		if ff, ok := el.(sparql.Filter); ok {
-			f = ff.Expr
-		}
-	}
-	out := ApplyFilters(r, []sparql.Expr{f})
-	if len(out.Rows) != 1 {
-		t.Errorf("filtered rows = %d", len(out.Rows))
-	}
-	// A filter referencing an absent variable errors → removes all rows.
-	q2 := sparql.MustParse(`SELECT * WHERE { ?s <http://p> ?x . FILTER(?missing > 3) }`)
-	var f2 sparql.Expr
-	for _, el := range q2.Where.Elements {
-		if ff, ok := el.(sparql.Filter); ok {
-			f2 = ff.Expr
-		}
-	}
-	out = ApplyFilters(r, []sparql.Expr{f2})
-	if len(out.Rows) != 0 {
-		t.Errorf("error filter kept %d rows", len(out.Rows))
-	}
-}
-
 func TestFinalizeProjectionOrderLimit(t *testing.T) {
 	q := sparql.MustParse(`SELECT ?y ?x WHERE { ?x <http://p> ?y } ORDER BY DESC(?x) LIMIT 2 OFFSET 1`)
 	r := rel([]string{"x", "y"}, row("a", "1"), row("b", "2"), row("c", "3"), row("d", "4"))
@@ -273,15 +160,5 @@ func TestFinalizeDistinct(t *testing.T) {
 	}
 	if len(out.Rows) != 1 {
 		t.Errorf("distinct rows = %d", len(out.Rows))
-	}
-}
-
-func TestSharedVarsOrder(t *testing.T) {
-	a := rel([]string{"x", "y", "z"})
-	b := rel([]string{"z", "y", "w"})
-	got := SharedVars(a, b)
-	sort.Strings(got)
-	if !reflect.DeepEqual(got, []string{"y", "z"}) {
-		t.Errorf("shared = %v", got)
 	}
 }

@@ -174,6 +174,44 @@ func TestResultsReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// WriteJSON runs through JSONStream; its bytes are pinned to what the
+// encoding/json marshalling of a whole Results produced before: key order,
+// HTML-safe escapes, U+2028, omitted unbound cells, empty head.
+func TestWriteJSONBytes(t *testing.T) {
+	res := NewResults([]string{"s", "o", "n"})
+	res.Rows = [][]rdf.Term{
+		{rdf.NewIRI("http://ex.org/a?x=1&y=<2>"), rdf.NewLangLiteral("café \"quoted\"\n\ttab", "fr"), rdf.NewInteger(42)},
+		{rdf.NewBlank("b0"), {}, rdf.NewTypedLiteral("2017-05-14", "http://www.w3.org/2001/XMLSchema#date")},
+		{{}, rdf.NewLiteral("plain \\ back\u2028slash"), {}},
+	}
+	for _, tc := range []struct {
+		res  *Results
+		want string
+	}{
+		{res, `{"head":{"vars":["s","o","n"]},"results":{"bindings":[` +
+			`{"n":{"type":"literal","value":"42","datatype":"http://www.w3.org/2001/XMLSchema#integer"},` +
+			`"o":{"type":"literal","value":"café \"quoted\"\n\ttab","xml:lang":"fr"},` +
+			`"s":{"type":"uri","value":"http://ex.org/a?x=1\u0026y=\u003c2\u003e"}},` +
+			`{"n":{"type":"literal","value":"2017-05-14","datatype":"http://www.w3.org/2001/XMLSchema#date"},` +
+			`"s":{"type":"bnode","value":"b0"}},` +
+			`{"o":{"type":"literal","value":"plain \\ back\u2028slash"}}]}}`},
+		{BoolResults(true), `{"head":{},"boolean":true}`},
+		{NewResults(nil), `{"head":{},"results":{"bindings":[]}}`},
+	} {
+		var b bytes.Buffer
+		if err := tc.res.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != tc.want {
+			t.Errorf("WriteJSON =\n%s\nwant\n%s", b.String(), tc.want)
+		}
+		back, err := ParseResultsJSON(b.Bytes())
+		if err != nil || back.IsBoolean != tc.res.IsBoolean || len(back.Rows) != len(tc.res.Rows) {
+			t.Errorf("ParseResultsJSON = %+v, %v", back, err)
+		}
+	}
+}
+
 // checkReencodes is the fuzz oracle shared by both decoders: a document the
 // decoder accepts must encode (in the same format) to one that decodes to
 // the same results.

@@ -1,7 +1,8 @@
 package sparql
 
 import (
-	"encoding/json"
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -88,19 +89,10 @@ func (r *Results) Sort() {
 	})
 }
 
-// jsonResults mirrors the SPARQL 1.1 Query Results JSON Format.
-type jsonResults struct {
-	Head    jsonHead      `json:"head"`
-	Results *jsonBindings `json:"results,omitempty"`
-	Boolean *bool         `json:"boolean,omitempty"`
-}
-
+// jsonHead and jsonTerm mirror the SPARQL 1.1 Query Results JSON Format's
+// head and RDF term objects; JSONStream writes and JSONDecoder reads them.
 type jsonHead struct {
 	Vars []string `json:"vars,omitempty"`
-}
-
-type jsonBindings struct {
-	Bindings []map[string]jsonTerm `json:"bindings"`
 }
 
 type jsonTerm struct {
@@ -108,62 +100,6 @@ type jsonTerm struct {
 	Value    string `json:"value"`
 	Lang     string `json:"xml:lang,omitempty"`
 	Datatype string `json:"datatype,omitempty"`
-}
-
-// MarshalJSON encodes the results in the SPARQL 1.1 JSON results format.
-func (r *Results) MarshalJSON() ([]byte, error) {
-	out := jsonResults{Head: jsonHead{Vars: r.Vars}}
-	if r.IsBoolean {
-		b := r.Boolean
-		out.Boolean = &b
-		return json.Marshal(out)
-	}
-	bindings := make([]map[string]jsonTerm, len(r.Rows))
-	for i, row := range r.Rows {
-		m := make(map[string]jsonTerm, len(r.Vars))
-		for j, v := range r.Vars {
-			t := row[j]
-			if t.IsZero() {
-				continue
-			}
-			m[v] = termToJSON(t)
-		}
-		bindings[i] = m
-	}
-	out.Results = &jsonBindings{Bindings: bindings}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON decodes the SPARQL 1.1 JSON results format.
-func (r *Results) UnmarshalJSON(data []byte) error {
-	var in jsonResults
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("sparql results: %w", err)
-	}
-	if in.Boolean != nil {
-		*r = Results{IsBoolean: true, Boolean: *in.Boolean}
-		return nil
-	}
-	r.Vars = in.Head.Vars
-	r.IsBoolean = false
-	r.Rows = nil
-	if in.Results == nil {
-		return nil
-	}
-	for _, m := range in.Results.Bindings {
-		row := make([]rdf.Term, len(r.Vars))
-		for j, v := range r.Vars {
-			if jt, ok := m[v]; ok {
-				t, err := termFromJSON(jt)
-				if err != nil {
-					return err
-				}
-				row[j] = t
-			}
-		}
-		r.Rows = append(r.Rows, row)
-	}
-	return nil
 }
 
 func termToJSON(t rdf.Term) jsonTerm {
@@ -189,21 +125,33 @@ func termFromJSON(j jsonTerm) (rdf.Term, error) {
 	return rdf.Term{}, fmt.Errorf("sparql results: unknown term type %q", j.Type)
 }
 
-// WriteJSON writes the results to w in the SPARQL JSON format.
+// WriteJSON writes the results to w in the SPARQL JSON format, through
+// JSONStream (an ASK result as its boolean form).
 func (r *Results) WriteJSON(w io.Writer) error {
-	data, err := r.MarshalJSON()
+	if r.IsBoolean {
+		return writeJSONBoolean(w, r.Vars, r.Boolean)
+	}
+	bw := bufio.NewWriter(w)
+	s, err := NewJSONStream(bw, r.Vars)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(data)
-	return err
+	for _, row := range r.Rows {
+		if err := s.WriteRow(row); err != nil {
+			return err
+		}
+	}
+	if err := s.Close(); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // ParseResultsJSON reads a SPARQL JSON results document.
 func ParseResultsJSON(data []byte) (*Results, error) {
-	var r Results
-	if err := r.UnmarshalJSON(data); err != nil {
+	d, err := NewJSONDecoder(io.NopCloser(bytes.NewReader(data)))
+	if err != nil {
 		return nil, err
 	}
-	return &r, nil
+	return ReadAllRows(d)
 }

@@ -52,12 +52,13 @@ func BenchmarkResultsJSONRoundTrip(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var buf bytes.Buffer
 	for i := 0; i < b.N; i++ {
-		data, err := res.MarshalJSON()
-		if err != nil {
+		buf.Reset()
+		if err := res.WriteJSON(&buf); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ParseResultsJSON(data); err != nil {
+		if _, err := ParseResultsJSON(buf.Bytes()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package sparql
 import (
 	"encoding/json"
 	"io"
+	"strconv"
 
 	"lusail/internal/rdf"
 )
@@ -26,18 +27,36 @@ type JSONStream struct {
 // returns the stream. Close terminates the document.
 func NewJSONStream(w io.Writer, vars []string) (*JSONStream, error) {
 	s := &JSONStream{w: w, vars: vars}
-	head, err := json.Marshal(jsonHead{Vars: vars})
-	if err != nil {
+	if err := s.writeHead(vars); err != nil {
 		return nil, err
 	}
-	s.write(`{"head":`)
-	s.writeBytes(head)
 	s.write(`,"results":{"bindings":[`)
 	return s, s.err
 }
 
+// writeJSONBoolean writes the boolean (ASK) form of a results document.
+func writeJSONBoolean(w io.Writer, vars []string, v bool) error {
+	s := &JSONStream{w: w}
+	if err := s.writeHead(vars); err != nil {
+		return err
+	}
+	s.write(`,"boolean":` + strconv.FormatBool(v) + `}`)
+	return s.err
+}
+
+// writeHead opens the document with its head member.
+func (s *JSONStream) writeHead(vars []string) error {
+	head, err := json.Marshal(jsonHead{Vars: vars})
+	if err != nil {
+		return err
+	}
+	s.write(`{"head":`)
+	s.writeBytes(head)
+	return s.err
+}
+
 // WriteRow appends one solution, its terms aligned to the stream's
-// variables. Unbound variables are omitted, matching Results.MarshalJSON.
+// variables. Unbound variables are omitted.
 func (s *JSONStream) WriteRow(row []rdf.Term) error {
 	if s.err != nil {
 		return s.err
