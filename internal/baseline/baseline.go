@@ -42,7 +42,7 @@ type Engine struct {
 }
 
 func newEngine(fed *federation.Federation, pool *erh.Pool, pol policy) *Engine {
-	return &Engine{fed: fed, pool: pool, budget: op.Budget{SpillBytes: op.DefaultSpillBytes, Pool: pool}, pol: pol}
+	return &Engine{fed: fed, pool: pool, budget: op.Budget{SpillBytes: op.DefaultSpillBytes}, pol: pol}
 }
 
 // QueryString parses and executes a federated query.

@@ -523,7 +523,8 @@ func BlockSizeAblation(ctx context.Context, opts ExpOptions) (*Table, error) {
 
 // PoolSizeAblation is an extension experiment: it sweeps the ERH worker
 // pool size to show how endpoint-request parallelism drives response time
-// (the paper sizes the pool to the number of physical cores).
+// (the paper sizes the pool to the number of physical cores; the default
+// here is erh.DefaultLimit).
 func PoolSizeAblation(ctx context.Context, opts ExpOptions) (*Table, error) {
 	fed, err := NewFed(GenerateLRB(LRBConfig{Scale: opts.Scale, Seed: 11}), GeoDistributed())
 	if err != nil {

@@ -15,8 +15,10 @@ package client
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"lusail/internal/eval"
+	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 	"lusail/internal/store"
 )
@@ -72,11 +74,53 @@ func ScalarCount(res *sparql.Results) (n float64, ok bool) {
 	if res == nil || res.IsBoolean || len(res.Rows) != 1 || len(res.Rows[0]) != 1 {
 		return 0, false
 	}
-	f, numeric := res.Rows[0][0].Numeric()
-	if !numeric || f < 0 {
-		return 0, false
+	return CountValue(res.Rows[0][0])
+}
+
+// CountValue reads one COUNT cell: ok=false for a cell that is missing,
+// non-numeric or negative.
+func CountValue(t rdf.Term) (n float64, ok bool) {
+	f, numeric := t.Numeric()
+	return f, numeric && f >= 0
+}
+
+// ExistsVar prefixes the cells of a batched source-selection probe,
+// SELECT ?lusail_a0 … WHERE { BIND(EXISTS { tp0 } AS ?lusail_a0) … },
+// which Instrumented counts as an ASK (its first variable is ExistsVar+"0").
+const ExistsVar = "lusail_a"
+
+// Batch sends n single-solution probes as one SELECT through send: probe k
+// is the group element elem(k, v), which binds its answer to ?v, v being
+// prefix followed by k. It returns the answers in probe order, a zero term
+// for a variable the response lacks. A response that is not exactly one
+// solution is an error.
+func Batch(n int, prefix string, elem func(k int, v string) sparql.Element, send func(query string) (*sparql.Results, error)) ([]rdf.Term, error) {
+	q := sparql.NewSelect()
+	for k := 0; k < n; k++ {
+		v := prefix + strconv.Itoa(k)
+		q.Projection = append(q.Projection, sparql.Projection{Var: v})
+		q.Where.Elements = append(q.Where.Elements, elem(k, v))
 	}
-	return f, true
+	res, err := send(q.String())
+	if err != nil {
+		return nil, err
+	}
+	if res.IsBoolean || len(res.Rows) != 1 {
+		return nil, fmt.Errorf("client: batched probe answered with other than one solution")
+	}
+	cells := make([]rdf.Term, n)
+	for k, p := range q.Projection {
+		if i := res.VarIndex(p.Var); i >= 0 {
+			cells[k] = res.Rows[0][i]
+		}
+	}
+	return cells, nil
+}
+
+// isSourceProbe reports whether a response answers source selection: an
+// ASK, or a batch of them.
+func isSourceProbe(boolean bool, vars []string) bool {
+	return boolean || len(vars) > 0 && vars[0] == ExistsVar+"0"
 }
 
 // InProcess is an endpoint evaluated in the same process. It models an

@@ -5,10 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
@@ -170,5 +174,47 @@ func TestHTTPThirdPartyTSV(t *testing.T) {
 	if len(res.Rows) != 2 || res.Rows[0][0] != want[0][0] || res.Rows[0][1] != want[0][1] ||
 		res.Rows[1][0] != want[1][0] || !res.Rows[1][1].IsZero() {
 		t.Fatalf("rows = %v, want %v", res.Rows, want)
+	}
+}
+
+// The default client keeps a full ERH pool's connections idle between
+// requests: 16 concurrent queries, three rounds, 16 connections in all.
+// The default transport keeps two per host, so each later round would
+// dial 14 more.
+func TestHTTPReusesPoolConnections(t *testing.T) {
+	const concurrent, rounds = 16, 3
+	var opened atomic.Int64
+	var round sync.WaitGroup
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		round.Done()
+		round.Wait() // every request of the round is in flight at once
+		w.Header().Set("Content-Type", tsvType)
+		io.WriteString(w, "?x\n<http://ex.org/a>\n")
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	ep := NewHTTP("ep", srv.URL)
+	for r := 0; r < rounds; r++ {
+		round.Add(concurrent)
+		var wg sync.WaitGroup
+		for i := 0; i < concurrent; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := ep.Query(context.Background(), "SELECT ?x WHERE { ?x ?p ?o }"); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		time.Sleep(50 * time.Millisecond) // the transport parks finished connections asynchronously
+	}
+	if n := opened.Load(); n > concurrent {
+		t.Errorf("%d rounds of %d concurrent queries opened %d connections, want at most %d", rounds, concurrent, n, concurrent)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"lusail/internal/erh"
 	"lusail/internal/sparql"
 )
 
@@ -32,7 +33,9 @@ const acceptBoolean = "application/sparql-results+json"
 // HTTPOptions configures an HTTP endpoint client.
 type HTTPOptions struct {
 	// Client supplies the http.Client (timeouts, transports, test
-	// doubles); nil uses a client with a 5-minute timeout.
+	// doubles); nil uses a client with a 5-minute timeout whose transport
+	// keeps erh.DefaultLimit idle connections per host, so a full ERH pool
+	// of requests reuses its connections.
 	Client *http.Client
 	// MaxResponseBytes caps the size of a single response body. A response
 	// that exceeds it fails with a typed EndpointError wrapping
@@ -78,7 +81,9 @@ func NewHTTPWithOptions(name, rawURL string, opts HTTPOptions) (*HTTP, error) {
 	}
 	hc := opts.Client
 	if hc == nil {
-		hc = &http.Client{Timeout: 5 * time.Minute}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = erh.DefaultLimit
+		hc = &http.Client{Timeout: 5 * time.Minute, Transport: tr}
 	}
 	maxBytes := opts.MaxResponseBytes
 	if maxBytes == 0 {

@@ -18,7 +18,7 @@ import (
 // reports into its obs.Registry instead.
 type Metrics struct {
 	Requests atomic.Int64 // number of queries sent (ASK + SELECT)
-	Asks     atomic.Int64 // subset of Requests that were ASK queries
+	Asks     atomic.Int64 // subset of Requests that were ASK queries or batches of them
 	Rows     atomic.Int64 // total solution rows received
 	Bytes    atomic.Int64 // estimated payload bytes received
 	Errors   atomic.Int64 // failed requests
@@ -92,7 +92,7 @@ func NewInstrumentedWith(ep Endpoint, m *Metrics, reg *obs.Registry) *Instrument
 		metrics:  m,
 		requests: reg.Counter(obs.MetricRequests, "queries sent per endpoint (ASK + SELECT)", label),
 		errors:   reg.Counter(obs.MetricErrors, "failed requests per endpoint", label),
-		asks:     reg.Counter(obs.MetricAsks, "ASK queries per endpoint", label),
+		asks:     reg.Counter(obs.MetricAsks, "ASK queries (or batches of them) per endpoint", label),
 		latency:  reg.Histogram(obs.MetricRequestSeconds, "request latency per endpoint", obs.LatencyBuckets, label),
 		rows:     reg.Histogram(obs.MetricResultRows, "solution rows per response", obs.RowBuckets, label),
 		bytes:    reg.Histogram(obs.MetricResultBytes, "estimated payload bytes per response", obs.ByteBuckets, label),
@@ -126,13 +126,13 @@ func (e *Instrumented) Query(ctx context.Context, query string) (*sparql.Results
 	}
 	size := ResultSize(res)
 	if e.metrics != nil {
-		if res.IsBoolean {
+		if isSourceProbe(res.IsBoolean, res.Vars) {
 			e.metrics.Asks.Add(1)
 		}
 		e.metrics.Rows.Add(int64(len(res.Rows)))
 		e.metrics.Bytes.Add(int64(size))
 	}
-	if res.IsBoolean {
+	if isSourceProbe(res.IsBoolean, res.Vars) {
 		e.asks.Inc()
 	}
 	e.rows.Observe(float64(len(res.Rows)))

@@ -110,7 +110,7 @@ func (r *instrumentedReader) settle() {
 	r.done = true
 	e := r.ep
 	e.latency.Observe(time.Since(r.start).Seconds())
-	if _, isBool := r.Boolean(); isBool {
+	if _, isBool := r.Boolean(); isSourceProbe(isBool, r.Vars()) {
 		if e.metrics != nil {
 			e.metrics.Asks.Add(1)
 		}

@@ -288,26 +288,9 @@ func (e *Engine) componentsAsSubqueries(br *qplan.Branch, sources [][]string, g 
 // globally only when it spans subqueries; see execute.)
 func (e *Engine) attachFilters(br *qplan.Branch, sqs []*Subquery) {
 	for _, sq := range sqs {
-		vars := map[string]bool{}
-		for _, v := range sq.Vars() {
-			vars[v] = true
-		}
-		for _, f := range br.Filters {
-			if _, isExists := f.(sparql.ExprExists); isExists {
-				continue
-			}
-			fv := sparql.ExprVars(f)
-			if len(fv) == 0 {
-				continue
-			}
-			ok := true
-			for _, v := range fv {
-				if !vars[v] {
-					ok = false
-					break
-				}
-			}
-			if ok {
+		covered, _ := coveredFilters(sq.Vars(), br.Filters)
+		for _, f := range covered {
+			if len(sparql.ExprVars(f)) > 0 {
 				sq.Filters = append(sq.Filters, f)
 			}
 		}

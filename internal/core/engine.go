@@ -102,8 +102,9 @@ type Options struct {
 
 	// --- SAPE (selectivity-aware parallel execution) ---
 
-	// PoolSize bounds concurrent endpoint requests; <=0 uses NumCPU
-	// (the ERH sizing rule from the paper).
+	// PoolSize bounds concurrent endpoint requests per ERH call; <=0 uses
+	// erh.DefaultLimit, max(NumCPU, 16), since the requests wait on the
+	// network (the paper sizes the pool by physical cores).
 	PoolSize int
 	// Threshold is the SAPE delay rule (default μ+σ).
 	Threshold ThresholdMode
@@ -264,7 +265,7 @@ type Engine struct {
 	cat    *catalog.Store
 	res    *resilience.Manager
 	opts   Options
-	join   op.Budget // every hash join's spill budget and probe pool
+	join   op.Budget // every hash join's spill budget
 
 	catCardHits      *obs.Counter
 	catCardFallbacks *obs.Counter
@@ -303,7 +304,7 @@ func New(fed *federation.Federation, opts Options) (*Engine, error) {
 		cat:              opts.Catalog,
 		res:              res,
 		opts:             opts,
-		join:             op.Budget{SpillBytes: opts.JoinSpillBytes, Pool: pool},
+		join:             op.Budget{SpillBytes: opts.JoinSpillBytes},
 		catCardHits:      reg.Counter(obs.MetricCatalogCardHits, "cardinalities answered by the catalog instead of COUNT probes"),
 		catCardFallbacks: reg.Counter(obs.MetricCatalogCardFallbacks, "COUNT probes issued because the catalog could not answer"),
 		degraded:         reg.Counter(obs.MetricDegradedFailures, "endpoint failures absorbed by partial-results mode"),

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"lusail/internal/client"
@@ -39,10 +40,7 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, prof *Prof
 	}
 	br := pb.br
 	sqs := cloneSubqueries(pb.sqs)
-	optionals, err := e.planOptionals(ctx, br)
-	if err != nil {
-		return nil, err
-	}
+	optionals := slices.Clone(pb.optionals)
 
 	// Delay decisions over the mandatory subqueries (Figure 7).
 	if !e.opts.DisableSAPE && len(sqs) > 1 {

@@ -62,8 +62,9 @@ type Plan struct {
 
 // plannedBranch is the planned form of one conjunctive branch.
 type plannedBranch struct {
-	br  *qplan.Branch
-	sqs []*Subquery
+	br        *qplan.Branch
+	sqs       []*Subquery
+	optionals []*optionalPlan
 	// empty marks a branch where a mandatory pattern has no relevant
 	// source: the branch is provably empty and execution is skipped.
 	empty bool
@@ -154,8 +155,12 @@ func (e *Engine) plan(ctx context.Context, q *sparql.Query, prof *Profile) (*Pla
 		return nil, err
 	}
 	p := &Plan{query: q, epoch: e.Epoch(), semaWarnings: semaWarns, rewriteNotes: notes}
-	for _, br := range branches {
-		pb, err := e.planBranch(ctx, br, prof)
+	sources, err := e.selectSources(ctx, branches, prof)
+	if err != nil {
+		return nil, err
+	}
+	for i, br := range branches {
+		pb, err := e.planBranch(ctx, br, sources[i], prof)
 		if err != nil {
 			return nil, err
 		}
@@ -167,35 +172,48 @@ func (e *Engine) plan(ctx context.Context, q *sparql.Query, prof *Profile) (*Pla
 	return p, nil
 }
 
-// planBranch runs phases 1 (source selection) and 2 (LADE analysis) for one
-// conjunctive branch.
-func (e *Engine) planBranch(ctx context.Context, br *qplan.Branch, prof *Profile) (*plannedBranch, error) {
+// selectSources runs phase 1, source selection, for every pattern of every
+// branch and OPTIONAL block in one SelectSources call, so each endpoint gets
+// at most one probe request per query. A branch's sources list its
+// mandatory patterns, then its OPTIONAL blocks' patterns in order.
+func (e *Engine) selectSources(ctx context.Context, branches []*qplan.Branch, prof *Profile) ([][][]string, error) {
+	t0 := time.Now()
+	ctx, sp := obs.StartSpan(ctx, "source-selection")
+	defer sp.End()
+	if !e.opts.CacheSources {
+		e.sel.ClearCache()
+	}
+	var tps []sparql.TriplePattern
+	ends := make([]int, len(branches))
+	for i, br := range branches {
+		tps = append(tps, br.Patterns...)
+		for _, ob := range br.Optionals {
+			tps = append(tps, ob.Patterns...)
+		}
+		ends[i] = len(tps)
+	}
+	all, err := e.sel.SelectSources(ctx, tps)
+	if err != nil {
+		return nil, fmt.Errorf("lusail: source selection: %w", err)
+	}
+	prof.SourceSelection += time.Since(t0)
+	out := make([][][]string, len(branches))
+	start := 0
+	for i, end := range ends {
+		out[i], start = all[start:end], end
+	}
+	return out, nil
+}
+
+// planBranch runs phase 2 (LADE analysis) for one conjunctive branch over
+// its selected sources.
+func (e *Engine) planBranch(ctx context.Context, br *qplan.Branch, selected [][]string, prof *Profile) (*plannedBranch, error) {
 	bctx, bsp := obs.StartSpan(ctx, "branch")
 	defer bsp.End()
 	bsp.SetAttr("patterns", len(br.Patterns))
 	ctx = bctx
 
-	// Phase 1: source selection (per triple pattern, cached ASK probes).
-	t0 := time.Now()
-	ssCtx, ssSpan := obs.StartSpan(ctx, "source-selection")
-	if !e.opts.CacheSources {
-		e.sel.ClearCache()
-	}
-	sources := make([][]string, len(br.Patterns))
-	err := e.pool.ForEach(ssCtx, len(br.Patterns), func(i int) error {
-		s, err := e.sel.RelevantSources(ssCtx, br.Patterns[i])
-		if err != nil {
-			return err
-		}
-		sources[i] = s
-		return nil
-	})
-	ssSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("lusail: source selection: %w", err)
-	}
-	prof.SourceSelection += time.Since(t0)
-
+	sources := selected[:len(br.Patterns)]
 	for _, s := range sources {
 		if len(s) == 0 {
 			// A mandatory pattern with no relevant source: the branch is
@@ -234,7 +252,7 @@ func (e *Engine) planBranch(ctx context.Context, br *qplan.Branch, prof *Profile
 	anSpan.End()
 	prof.Analysis += time.Since(t1)
 
-	return &plannedBranch{br: br, sqs: subqueries}, nil
+	return &plannedBranch{br: br, sqs: subqueries, optionals: e.planOptionals(br, selected[len(br.Patterns):])}, nil
 }
 
 // cloneSubqueries copies the per-execution subquery state so that one plan

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 
 	"lusail/internal/client"
 	"lusail/internal/federation"
@@ -103,59 +102,26 @@ func hasVarPredicate(sq *Subquery) bool {
 	return false
 }
 
-// planOptionals resolves sources for each OPTIONAL block and wraps it as an
-// optional subquery. An optional block with no relevant endpoint simply
+// planOptionals wraps each OPTIONAL block as an optional subquery over the
+// endpoints relevant to all its patterns; sources lists the blocks'
+// patterns in order. An optional block with no relevant endpoint simply
 // never extends any row.
-func (e *Engine) planOptionals(ctx context.Context, br *qplan.Branch) ([]*optionalPlan, error) {
+func (e *Engine) planOptionals(br *qplan.Branch, sources [][]string) []*optionalPlan {
 	var out []*optionalPlan
 	for _, ob := range br.Optionals {
-		sources := e.fed.Names()
-		var mu sync.Mutex
-		perPattern := make([][]string, len(ob.Patterns))
-		err := e.pool.ForEach(ctx, len(ob.Patterns), func(i int) error {
-			s, err := e.sel.RelevantSources(ctx, ob.Patterns[i])
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			perPattern[i] = s
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		names := e.fed.Names()
+		for _, s := range sources[:len(ob.Patterns)] {
+			names = federation.IntersectSources(names, s)
 		}
-		for _, s := range perPattern {
-			sources = federation.IntersectSources(sources, s)
-		}
-		sq := &Subquery{Patterns: ob.Patterns, Sources: sources, Optional: true}
+		sources = sources[len(ob.Patterns):]
+		sq := &Subquery{Patterns: ob.Patterns, Sources: names, Optional: true}
 		// Push optional-scoped filters that the block fully binds.
-		vars := map[string]bool{}
-		for _, v := range sq.Vars() {
-			vars[v] = true
-		}
 		var residual []sparql.Expr
-		for _, f := range ob.Filters {
-			pushable := true
-			for _, v := range sparql.ExprVars(f) {
-				if !vars[v] {
-					pushable = false
-					break
-				}
-			}
-			if _, isExists := f.(sparql.ExprExists); isExists {
-				pushable = false
-			}
-			if pushable {
-				sq.Filters = append(sq.Filters, f)
-			} else {
-				residual = append(residual, f)
-			}
-		}
-		sq.EstCard = float64(len(sources)) // coarse: more endpoints, later
+		sq.Filters, residual = coveredFilters(sq.Vars(), ob.Filters)
+		sq.EstCard = float64(len(names)) // coarse: more endpoints, later
 		out = append(out, &optionalPlan{sq: sq, residual: residual})
 	}
-	return out, nil
+	return out
 }
 
 type optionalPlan struct {

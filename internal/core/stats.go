@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 
 	"lusail/internal/client"
@@ -44,7 +45,7 @@ func (e *Engine) collectStats(ctx context.Context, br *qplan.Branch, sources [][
 	for i, srcs := range sources {
 		st.card[i] = make(map[string]float64, len(srcs))
 		tp := br.Patterns[i]
-		filters := pushableFilters(tp, br.Filters)
+		filters, _ := coveredFilters(tp.Vars(), br.Filters)
 		for _, s := range srcs {
 			if e.cat != nil && len(filters) == 0 {
 				if n, ok := e.cat.Cardinality(tp, s); ok {
@@ -69,45 +70,86 @@ func (e *Engine) collectStats(ctx context.Context, br *qplan.Branch, sources [][
 		e.catCardFallbacks.Add(int64(len(tasks)))
 	}
 
-	names := make([]string, len(tasks))
-	for k, t := range tasks {
-		names[k] = t.source
+	// One request per endpoint: a lone probe is a plain COUNT, several are
+	// one SELECT over single-row COUNT sub-selects, which the endpoint
+	// answers from its index like the plain ones. A batch that fails falls
+	// back to one COUNT per pattern.
+	var eps []string
+	byEP := map[string][]task{}
+	for _, t := range tasks {
+		if _, seen := byEP[t.source]; !seen {
+			eps = append(eps, t.source)
+		}
+		byEP[t.source] = append(byEP[t.source], t)
 	}
 	var mu sync.Mutex
-	err := e.pool.ForEachGated(ctx, names, e.gate(),
-		e.onRejectDegrade(ctx, client.PhaseCount, names), func(k int) error {
-			t := tasks[k]
-			sp := obs.FromContext(ctx).StartChild("count-probe")
-			defer sp.End()
-			sp.SetAttr("endpoint", t.source)
-			tp := br.Patterns[t.pattern]
-			q := countQuery(tp, pushableFilters(tp, br.Filters))
-			res, err := e.probeEndpoint(ctx, client.PhaseCount, t.source, q)
-			if err != nil {
-				if e.degrade(ctx, client.PhaseCount, t.source, err) {
-					// The cardinality stays unknown; the endpoint is still
-					// queried during execution.
-					sp.SetAttr("degraded", true)
-					return nil
-				}
-				return err
-			}
-			n, ok := client.ScalarCount(res)
-			if !ok {
-				// Malformed COUNT (wrong shape, non-numeric, negative): the
-				// cardinality stays unknown rather than becoming zero.
-				sp.SetAttr("malformed", true)
-				mu.Lock()
-				st.malformed++
-				mu.Unlock()
+	record := func(t task, n float64, ok bool, sp *obs.Span) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !ok {
+			// Malformed COUNT (wrong shape, non-numeric, negative): the
+			// cardinality stays unknown rather than becoming zero.
+			sp.SetAttr("malformed", true)
+			st.malformed++
+			return
+		}
+		sp.SetAttr("count", int(n))
+		st.card[t.pattern][t.source] = n
+	}
+	probe := func(t task) error {
+		sp := obs.FromContext(ctx).StartChild("count-probe")
+		defer sp.End()
+		sp.SetAttr("endpoint", t.source)
+		q := countQuery(br.Patterns[t.pattern], br.Filters, "lusail_c").String()
+		res, err := e.probeEndpoint(ctx, client.PhaseCount, t.source, q)
+		if err != nil {
+			if e.degrade(ctx, client.PhaseCount, t.source, err) {
+				// The cardinality stays unknown; the endpoint is still
+				// queried during execution.
+				sp.SetAttr("degraded", true)
 				return nil
 			}
-			sp.SetAttr("count", int(n))
-			mu.Lock()
-			st.card[t.pattern][t.source] = n
-			mu.Unlock()
-			return nil
+			return err
+		}
+		n, ok := client.ScalarCount(res)
+		record(t, n, ok, sp)
+		return nil
+	}
+	batch := func(ts []task) bool {
+		sp := obs.FromContext(ctx).StartChild("count-probe")
+		defer sp.End()
+		sp.SetAttr("endpoint", ts[0].source)
+		sp.SetAttr("patterns", len(ts))
+		cells, err := client.Batch(len(ts), "lusail_c", func(k int, v string) sparql.Element {
+			return sparql.SubSelect{Query: countQuery(br.Patterns[ts[k].pattern], br.Filters, v)}
+		}, func(q string) (*sparql.Results, error) {
+			return e.probeEndpoint(ctx, client.PhaseCount, ts[0].source, q)
 		})
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+			return false
+		}
+		for k, t := range ts {
+			n, ok := client.CountValue(cells[k])
+			record(t, n, ok, nil)
+		}
+		return true
+	}
+	var onReject func(k int, err error)
+	if warn := e.onRejectDegrade(ctx, client.PhaseCount, eps); warn != nil {
+		onReject = func(k int, err error) {
+			for range byEP[eps[k]] {
+				warn(k, err)
+			}
+		}
+	}
+	err := e.pool.ForEachGated(ctx, eps, e.gate(), onReject, func(k int) error {
+		ts := byEP[eps[k]]
+		if len(ts) > 1 && batch(ts) {
+			return nil
+		}
+		return e.pool.ForEach(ctx, len(ts), func(i int) error { return probe(ts[i]) })
+	})
 	st.probes = len(tasks)
 	if err != nil {
 		return nil, err
@@ -128,46 +170,37 @@ func (st *queryStats) known(patternIdx []int, sources []string) bool {
 	return true
 }
 
-// countQuery builds `SELECT (COUNT(*) AS ?c) WHERE { tp . filters }`.
-func countQuery(tp sparql.TriplePattern, filters []sparql.Expr) string {
+// countQuery builds `SELECT (COUNT(*) AS ?v) WHERE { tp . filters }` over
+// the branch filters tp binds every variable of, for better estimates.
+func countQuery(tp sparql.TriplePattern, branchFilters []sparql.Expr, v string) *sparql.Query {
 	q := &sparql.Query{
 		Form:  sparql.SelectForm,
 		Limit: -1,
 		Projection: []sparql.Projection{
-			{Var: "lusail_c", Agg: &sparql.Aggregate{Func: "COUNT"}},
+			{Var: v, Agg: &sparql.Aggregate{Func: "COUNT"}},
 		},
 		Where: &sparql.GroupPattern{Elements: []sparql.Element{tp}},
 	}
+	filters, _ := coveredFilters(tp.Vars(), branchFilters)
 	for _, f := range filters {
 		q.Where.Elements = append(q.Where.Elements, sparql.Filter{Expr: f})
 	}
-	return q.String()
+	return q
 }
 
-// pushableFilters returns the branch filters whose variables are all bound
-// by the single pattern (safe to push into its COUNT probe and subquery).
-func pushableFilters(tp sparql.TriplePattern, filters []sparql.Expr) []sparql.Expr {
-	tpVars := map[string]bool{}
-	for _, v := range tp.Vars() {
-		tpVars[v] = true
-	}
-	var out []sparql.Expr
+// coveredFilters splits filters into those whose variables vars all bind,
+// which a request over them can apply, and the rest. An EXISTS filter is
+// never covered.
+func coveredFilters(vars []string, filters []sparql.Expr) (covered, rest []sparql.Expr) {
 	for _, f := range filters {
-		if _, isExists := f.(sparql.ExprExists); isExists {
-			continue
-		}
-		ok := true
-		for _, v := range sparql.ExprVars(f) {
-			if !tpVars[v] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, f)
+		_, isExists := f.(sparql.ExprExists)
+		if !isExists && !slices.ContainsFunc(sparql.ExprVars(f), func(v string) bool { return !slices.Contains(vars, v) }) {
+			covered = append(covered, f)
+		} else {
+			rest = append(rest, f)
 		}
 	}
-	return out
+	return covered, rest
 }
 
 // varCardinality estimates C(sq, v): for each endpoint, the minimum count

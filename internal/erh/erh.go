@@ -1,8 +1,10 @@
 // Package erh implements the Elastic Request Handler: a bounded worker pool
 // that multiplexes endpoint requests (ASK source-selection probes, LADE
 // check queries, COUNT cardinality probes, and SAPE subqueries) across a
-// fixed number of workers, as in Figure 3 of the paper. The pool size
-// defaults to the number of available CPU cores.
+// fixed number of workers, as in Figure 3 of the paper. The paper sizes
+// the pool by physical cores; here it defaults to DefaultLimit in-flight
+// requests per call, because the work is waiting on the network, not
+// computing.
 package erh
 
 import (
@@ -25,15 +27,18 @@ type Pool struct {
 	wait     *obs.Histogram // time from submission to slot acquisition
 }
 
-// New returns a pool running at most limit tasks concurrently. If limit
-// is <= 0 the pool sizes itself to the number of CPU cores, matching the
-// paper's "number of available threads is determined by the number of
-// physical cores". Pools report queue depth, in-flight tasks, and task
-// wait time into the default obs registry (all pools share the series, so
-// the gauges read as process-wide totals).
+// DefaultLimit is the concurrency of a pool built with New(0): the CPU
+// cores, but at least 16. Sized by cores, as in the paper, two cores would
+// keep two requests in flight for tasks that only wait out round trips.
+var DefaultLimit = max(runtime.NumCPU(), 16)
+
+// New returns a pool running at most limit tasks concurrently per ForEach
+// call; limit <= 0 means DefaultLimit. Pools report queue depth, in-flight
+// tasks, and task wait time into the default obs registry (all pools share
+// the series, so the gauges read as process-wide totals).
 func New(limit int) *Pool {
 	if limit <= 0 {
-		limit = runtime.NumCPU()
+		limit = DefaultLimit
 	}
 	reg := obs.Default()
 	return &Pool{

@@ -92,8 +92,12 @@ func (e *Evaluator) subSelectSet(q *sparql.Query, v string) (map[rdf.Term]bool, 
 	return set, nil
 }
 
-// subSelect evaluates a nested SELECT, memoized per store version.
+// subSelect evaluates a nested SELECT, memoized per store version, except
+// an index-answered COUNT: cheaper than the memo, which it would churn.
 func (e *Evaluator) subSelect(q *sparql.Query) (*sparql.Results, error) {
+	if res, ok := e.countProbe(q); ok {
+		return res, nil
+	}
 	v := e.st.Version()
 	e.memoMu.Lock()
 	if ent, ok := e.memo[q]; ok && ent.version == v {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -130,6 +131,60 @@ func TestTermsAbsentFromDictionary(t *testing.T) {
 		}`)
 		if got := sortedValues(res, "s"); !reflect.DeepEqual(got, []string{"http://ex/kim"}) {
 			t.Errorf("%s: VALUES join = %v", name, got)
+		}
+	}
+}
+
+// TestBatchedProbes: the engine's one-request-per-endpoint probe forms
+// answer each pattern exactly as its single probe does, on both backends —
+// a SELECT of BIND(EXISTS { tp } AS ?aN) cells as the pattern's ASK, and a
+// SELECT joining single-row COUNT sub-selects as its COUNT(*), absent terms
+// and repeated variables included. Index-answered counts bypass the
+// sub-select memo, which a batch would otherwise churn.
+func TestBatchedProbes(t *testing.T) {
+	st := testStore()
+	st.Add(rdf.Triple{S: iri("kim"), P: iri("knows"), O: iri("kim")})
+	pats := []string{
+		`?s <http://ex/advisor> ?o`,
+		`?s <http://ex/nope> ?o`,
+		`<http://ex/nobody> ?p ?o`,
+		`?s ?p "absent literal"`,
+		`?x <http://ex/knows> ?x`,
+		`?x <http://ex/advisor> ?x`,
+		`?s <http://ex/teacherOf> <http://ex/db>`,
+	}
+	exists, counts := sparql.NewSelect(), sparql.NewSelect()
+	for i, pat := range pats {
+		tp := sparql.MustParse(`ASK { ` + pat + ` }`).Where.Elements[0]
+		a, c := fmt.Sprintf("a%d", i), fmt.Sprintf("c%d", i)
+		exists.Projection = append(exists.Projection, sparql.Projection{Var: a})
+		exists.Where.Elements = append(exists.Where.Elements, sparql.Bind{Var: a,
+			Expr: sparql.ExprExists{Group: &sparql.GroupPattern{Elements: []sparql.Element{tp}}}})
+		counts.Projection = append(counts.Projection, sparql.Projection{Var: c})
+		counts.Where.Elements = append(counts.Where.Elements, sparql.SubSelect{
+			Query: sparql.MustParse(`SELECT (COUNT(*) AS ?` + c + `) WHERE { ` + pat + ` }`)})
+	}
+	for name, g := range backends(t, st) {
+		ex := query(t, g, exists.String())
+		ev := New(g)
+		cn, err := ev.Query(counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(ev.memo); n != 2 {
+			// Only the two ?x p ?x sub-selects, which join, are memoized.
+			t.Errorf("%s: %d sub-selects memoized, want 2", name, n)
+		}
+		if len(ex.Rows) != 1 || len(cn.Rows) != 1 {
+			t.Fatalf("%s: batches returned %d and %d solutions, want 1 each", name, len(ex.Rows), len(cn.Rows))
+		}
+		for i, pat := range pats {
+			if want := rdf.NewBoolean(query(t, g, `ASK { `+pat+` }`).Boolean); ex.Rows[0][i] != want {
+				t.Errorf("%s: EXISTS cell of %s = %v, ASK says %v", name, pat, ex.Rows[0][i], want)
+			}
+			if want := query(t, g, `SELECT (COUNT(*) AS ?c) WHERE { `+pat+` }`).Rows[0][0]; cn.Rows[0][i] != want {
+				t.Errorf("%s: COUNT cell of %s = %v, COUNT says %v", name, pat, cn.Rows[0][i], want)
+			}
 		}
 	}
 }

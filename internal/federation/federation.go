@@ -124,9 +124,9 @@ type CatalogTier interface {
 // SourceSelector performs per-triple-pattern source selection with a
 // two-tier strategy: a probe-free catalog tier (when configured with
 // SetCatalog) answers from precomputed data summaries, and SPARQL ASK
-// probes settle whatever the catalog cannot decide. Results are cached by
-// the normalized pattern (like Lusail and FedX, which both cache ASK
-// results).
+// probes settle whatever the catalog cannot decide, one request per
+// endpoint per SelectSources call. Results are cached by the normalized
+// pattern (like Lusail and FedX, which both cache ASK results).
 type SourceSelector struct {
 	fed  *Federation
 	pool *erh.Pool
@@ -205,161 +205,229 @@ func (s *SourceSelector) CacheLen() int {
 }
 
 // RelevantSources returns the names of the endpoints that may have at least
-// one triple matching the pattern, in federation order.
-//
-// With a catalog tier installed, summaries answer first: endpoints the
-// catalog proves irrelevant are pruned without traffic, endpoints it proves
-// (possibly over-approximately) relevant are included, and only undecided
-// endpoints are ASK-probed. Without a catalog — or for undecided endpoints
-// — a failed ASK probe degrades gracefully: the endpoint is conservatively
-// treated as relevant and a warning counter is incremented; the query is
-// aborted only when every issued probe fails.
+// one triple matching the pattern, in federation order: SelectSources for
+// one pattern, which probes each undecided endpoint with an ASK.
 func (s *SourceSelector) RelevantSources(ctx context.Context, tp sparql.TriplePattern) ([]string, error) {
-	key := NormalizePattern(tp)
-	sp := obs.FromContext(ctx).StartChild("select-sources")
-	defer sp.End()
-	sp.SetAttr("pattern", key)
+	out, err := s.SelectSources(ctx, []sparql.TriplePattern{tp})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
 
+// selection is the source selection of one distinct normalized pattern.
+type selection struct {
+	tp       sparql.TriplePattern
+	sp       *obs.Span
+	names    []string
+	relevant []bool  // per endpoint
+	probed   []int   // endpoints left undecided by the cache and catalog
+	errs     []error // per endpoint, the failed probe
+}
+
+// SelectSources returns, for each pattern, the names of the endpoints that
+// may have at least one triple matching it, in federation order; patterns
+// equal up to variable names are selected once. The cache, then the catalog
+// tier decide first. Each endpoint left undecided for some patterns gets
+// one request: an ASK for one pattern, else a SELECT of BIND(EXISTS { tp }
+// AS ?lusail_aN) cells, where a cell that is not a boolean counts as
+// relevant. A batch that fails is re-asked one ASK per pattern, and a
+// failed ASK keeps its endpoint as relevant with a warning; the call fails
+// only when every probe of some pattern failed or the context ended.
+func (s *SourceSelector) SelectSources(ctx context.Context, tps []sparql.TriplePattern) ([][]string, error) {
 	s.mu.Lock()
-	if cached, ok := s.cache[key]; ok {
-		s.mu.Unlock()
-		s.cacheHits.Inc()
-		sp.SetAttr("cache", "hit")
-		sp.SetAttr("sources", strings.Join(cached, ","))
-		return cached, nil
-	}
-	catalog := s.catalog
-	catalogOnly := s.catalogOnly
-	res := s.res
+	catalog, catalogOnly, res := s.catalog, s.catalogOnly, s.res
 	s.mu.Unlock()
-	s.cacheMisses.Inc()
-	sp.SetAttr("cache", "miss")
-
 	eps := s.fed.Endpoints()
-	relevant := make([]bool, len(eps))
-	probe := make([]bool, len(eps)) // endpoints the catalog could not decide
-	nProbe := 0
-	if catalog != nil {
-		for i, ep := range eps {
-			switch catalog.Decide(tp, ep.Name()) {
-			case TierRelevant:
-				relevant[i] = true
-			case TierUnknown:
-				probe[i] = true
-				nProbe++
-			}
+	parent := obs.FromContext(ctx)
+
+	keys := make([]string, len(tps))
+	byKey := map[string]*selection{}
+	perEP := make([][]*selection, len(eps)) // the undecided patterns of each endpoint
+	for i, tp := range tps {
+		key := NormalizePattern(tp)
+		keys[i] = key
+		if _, dup := byKey[key]; dup {
+			s.cacheHits.Inc()
+			continue
 		}
-		switch {
-		case nProbe == 0:
-			s.catalogHits.Inc()
-			sp.SetAttr("tier", "catalog")
-		case nProbe == len(eps):
-			s.catalogFallbacks.Inc()
-			sp.SetAttr("tier", "ask")
-		default:
-			s.catalogPartial.Inc()
-			sp.SetAttr("tier", "catalog+ask")
+		sel := &selection{tp: tp, sp: parent.StartChild("select-sources")}
+		byKey[key] = sel
+		sel.sp.SetAttr("pattern", key)
+		s.mu.Lock()
+		cached, hit := s.cache[key]
+		s.mu.Unlock()
+		if hit {
+			s.cacheHits.Inc()
+			sel.sp.SetAttr("cache", "hit")
+			sel.names = cached
+			continue
 		}
-	} else {
-		for i := range eps {
-			probe[i] = true
+		s.cacheMisses.Inc()
+		sel.sp.SetAttr("cache", "miss")
+		sel.relevant = make([]bool, len(eps))
+		sel.errs = make([]error, len(eps))
+		s.decide(catalog, catalogOnly, sel)
+		for _, j := range sel.probed {
+			perEP[j] = append(perEP[j], sel)
 		}
-		nProbe = len(eps)
-		sp.SetAttr("tier", "ask")
 	}
 
-	if nProbe > 0 && catalogOnly {
+	var work []int // endpoints with undecided patterns
+	var names []string
+	for j, list := range perEP {
+		if len(list) > 0 {
+			work = append(work, j)
+			names = append(names, eps[j].Name())
+		}
+	}
+	onReject := func(k int, err error) {
+		for _, sel := range perEP[work[k]] {
+			s.fail(ctx, sel, work[k], err)
+		}
+	}
+	err := s.pool.ForEachGated(ctx, names, res.Gate(), onReject, func(k int) error {
+		j := work[k]
+		list := perEP[j]
+		if len(list) > 1 && s.askBatch(ctx, res, parent, j, list) {
+			return nil
+		}
+		// The context ending skips unstarted ASKs; their endpoints have no
+		// answer, so the error aborts the selection.
+		return s.pool.ForEach(ctx, len(list), func(k int) error {
+			s.ask(ctx, res, list[k], j)
+			return nil
+		})
+	})
+
+	for key, sel := range byKey {
+		if sel.relevant != nil && err == nil {
+			allFailed := len(sel.probed) > 0
+			for _, j := range sel.probed {
+				allFailed = allFailed && sel.errs[j] != nil
+			}
+			if allFailed {
+				// Every probe failed: there is no information to degrade onto.
+				err = errors.Join(sel.errs...)
+			}
+			for j, ok := range sel.relevant {
+				if ok {
+					sel.names = append(sel.names, eps[j].Name())
+				}
+			}
+			s.mu.Lock()
+			s.cache[key] = sel.names
+			s.mu.Unlock()
+		}
+		sel.sp.SetAttr("sources", strings.Join(sel.names, ","))
+		sel.sp.End()
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]string, len(tps))
+	for i, key := range keys {
+		out[i] = byKey[key].names
+	}
+	return out, nil
+}
+
+// decide consults the catalog tier for a cache miss: it marks the
+// endpoints the catalog proves relevant and lists those left to probe.
+func (s *SourceSelector) decide(catalog CatalogTier, catalogOnly bool, sel *selection) {
+	eps := s.fed.Endpoints()
+	for j, ep := range eps {
+		d := TierUnknown
+		if catalog != nil {
+			d = catalog.Decide(sel.tp, ep.Name())
+		}
+		switch d {
+		case TierRelevant:
+			sel.relevant[j] = true
+		case TierUnknown:
+			sel.probed = append(sel.probed, j)
+		}
+	}
+	tier := "ask"
+	switch {
+	case catalog == nil:
+	case len(sel.probed) == 0:
+		s.catalogHits.Inc()
+		tier = "catalog"
+	case len(sel.probed) == len(eps):
+		s.catalogFallbacks.Inc()
+	default:
+		s.catalogPartial.Inc()
+		tier = "catalog+ask"
+	}
+	if len(sel.probed) > 0 && catalogOnly {
 		// Probe-free planning: undecided endpoints are conservatively kept
 		// as candidate sources. Over-approximate but sound — an irrelevant
 		// endpoint contributes empty subquery results, never wrong ones.
-		for i, p := range probe {
-			if p {
-				relevant[i] = true
-			}
+		for _, j := range sel.probed {
+			sel.relevant[j] = true
 		}
-		nProbe = 0
-		sp.SetAttr("tier", "catalog-only")
+		sel.probed = nil
+		tier = "catalog-only"
 	}
+	sel.sp.SetAttr("tier", tier)
+}
 
-	if nProbe > 0 {
-		ask := askQuery(tp)
-		var toProbe []int
-		var probeNames []string
-		for i, p := range probe {
-			if p {
-				toProbe = append(toProbe, i)
-				probeNames = append(probeNames, eps[i].Name())
-			}
-		}
-		probeErrs := make([]error, len(toProbe))
-		degradeToRelevant := func(k int, err error) {
-			i := toProbe[k]
-			probeErrs[k] = &client.EndpointError{
-				Endpoint: eps[i].Name(), Phase: client.PhaseSourceSelection, Err: err}
-			s.probeFailures.Inc()
-			relevant[i] = true
-			resilience.Warn(ctx, resilience.Warning{
-				Endpoint: eps[i].Name(),
-				Phase:    client.PhaseSourceSelection,
-				Message:  "probe failed; endpoint conservatively treated as relevant: " + err.Error(),
-			})
-		}
-		ferr := s.pool.ForEachGated(ctx, probeNames, res.Gate(), degradeToRelevant, func(k int) error {
-			i := toProbe[k]
-			asp := sp.StartChild("ask")
-			defer asp.End()
-			asp.SetAttr("endpoint", eps[i].Name())
-			r, err := res.DoHedged(ctx, eps[i], ask)
-			var ok bool
-			if err == nil {
-				ok, err = client.Boolean(r, eps[i].Name())
-			}
-			if err != nil {
-				// Degrade: a single unreachable endpoint must not abort the
-				// whole query. Conservatively keep it as a candidate source
-				// (its subqueries may still fail later, but transient probe
-				// errors no longer kill cheap queries).
-				degradeToRelevant(k, err)
-				asp.SetAttr("error", err.Error())
-				asp.SetAttr("relevant", true)
-				return nil
-			}
-			asp.SetAttr("relevant", ok)
-			relevant[i] = ok
-			return nil
-		})
-		if ferr != nil {
-			// The worker callback never returns an error, so ferr can only
-			// carry context cancellation for probes that were skipped before
-			// they ran. Those endpoints have no answer at all — treating them
-			// as irrelevant would silently drop sources — so abort with the
-			// cancellation instead.
-			return nil, ferr
-		}
-		var errs []error
-		for _, e := range probeErrs {
-			if e != nil {
-				errs = append(errs, e)
-			}
-		}
-		if len(errs) == len(toProbe) {
-			// Every probe failed (endpoints down, or the context cancelled):
-			// there is no information to degrade onto.
-			return nil, errors.Join(errs...)
-		}
+// askBatch probes endpoint j for several patterns in one request and
+// reports whether it answered.
+func (s *SourceSelector) askBatch(ctx context.Context, res *resilience.Manager, parent *obs.Span, j int, list []*selection) bool {
+	ep := s.fed.Endpoints()[j]
+	sp := parent.StartChild("ask")
+	defer sp.End()
+	sp.SetAttr("endpoint", ep.Name())
+	sp.SetAttr("patterns", len(list))
+	cells, err := client.Batch(len(list), client.ExistsVar, func(k int, v string) sparql.Element {
+		return sparql.Bind{Var: v, Expr: sparql.ExprExists{Group: &sparql.GroupPattern{Elements: []sparql.Element{list[k].tp}}}}
+	}, func(q string) (*sparql.Results, error) { return res.DoHedged(ctx, ep, q) })
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+		return false
 	}
+	for k, sel := range list {
+		ok, isBool := cells[k].Bool()
+		sel.relevant[j] = ok || !isBool
+	}
+	return true
+}
 
-	var names []string
-	for i, ok := range relevant {
-		if ok {
-			names = append(names, eps[i].Name())
-		}
+// ask probes endpoint j for one pattern with an ASK.
+func (s *SourceSelector) ask(ctx context.Context, res *resilience.Manager, sel *selection, j int) {
+	ep := s.fed.Endpoints()[j]
+	sp := sel.sp.StartChild("ask")
+	defer sp.End()
+	sp.SetAttr("endpoint", ep.Name())
+	r, err := res.DoHedged(ctx, ep, askQuery(sel.tp))
+	var ok bool
+	if err == nil {
+		ok, err = client.Boolean(r, ep.Name())
 	}
-	sp.SetAttr("sources", strings.Join(names, ","))
-	s.mu.Lock()
-	s.cache[key] = names
-	s.mu.Unlock()
-	return names, nil
+	if err != nil {
+		// One unreachable endpoint must not abort the whole query.
+		s.fail(ctx, sel, j, err)
+		sp.SetAttr("error", err.Error())
+		ok = true
+	}
+	sp.SetAttr("relevant", ok)
+	sel.relevant[j] = ok
+}
+
+// fail records that endpoint j could not be probed for the pattern: it is
+// conservatively treated as relevant, with a warning.
+func (s *SourceSelector) fail(ctx context.Context, sel *selection, j int, err error) {
+	name := s.fed.Endpoints()[j].Name()
+	sel.errs[j] = &client.EndpointError{Endpoint: name, Phase: client.PhaseSourceSelection, Err: err}
+	s.probeFailures.Inc()
+	sel.relevant[j] = true
+	resilience.Warn(ctx, resilience.Warning{
+		Endpoint: name,
+		Phase:    client.PhaseSourceSelection,
+		Message:  "probe failed; endpoint conservatively treated as relevant: " + err.Error(),
+	})
 }
 
 // askQuery builds the ASK probe for one triple pattern.

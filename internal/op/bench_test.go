@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"lusail/internal/erh"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 )
@@ -33,7 +32,7 @@ func joinInputs() (probe, build rel) {
 
 func benchmarkJoin(b *testing.B, spillBytes int64, join func(probe, build RowStream, bud Budget) RowStream) {
 	probe, build := joinInputs()
-	bud := Budget{SpillBytes: spillBytes, Pool: erh.New(0)}
+	bud := Budget{SpillBytes: spillBytes}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {

@@ -7,10 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
+	"sync"
 
 	"lusail/internal/diskstore"
-	"lusail/internal/erh"
 	"lusail/internal/obs"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
@@ -22,7 +23,7 @@ const DefaultSpillBytes = 64 << 20
 
 // Probe parallelism (the paper's parallel in-memory hash join, Section
 // 4.2): once the build table holds at least parallelProbeMin rows, probe
-// rows are pulled in batches and probed across the pool in chunks.
+// rows are pulled in batches and probed in chunks, one goroutine per CPU.
 const (
 	parallelProbeMin  = 4096
 	probeBatchRows    = 512
@@ -30,10 +31,9 @@ const (
 )
 
 // Budget is what a hash join may spend: SpillBytes bounds the estimated
-// footprint of the in-memory build side, and Pool runs the parallel probe.
+// footprint of the in-memory build side.
 type Budget struct {
 	SpillBytes int64
-	Pool       *erh.Pool
 }
 
 // HashJoin inner-joins two streams on their shared variables with an
@@ -243,7 +243,7 @@ func (s *hashJoin) closeBuild() error {
 
 // fillFromProbe pulls probe rows and emits their output into outBuf,
 // returning false when the probe side is exhausted. Against a large table
-// it pulls a batch and probes it across the pool in parallel.
+// it pulls a batch and probes it across the CPUs in parallel.
 func (s *hashJoin) fillFromProbe() bool {
 	if s.buildRows == 0 && !s.left {
 		return false // empty build side: an inner join is empty, skip the probe
@@ -296,20 +296,25 @@ func (s *hashJoin) fillParallel() bool {
 	if len(batch) == 0 {
 		return false
 	}
-	workers := s.budget.Pool.Limit()
+	workers := runtime.GOMAXPROCS(0)
 	chunk := max((len(batch)+workers-1)/workers, probeChunkMinRows)
 	var chunks [][][]rdf.Term
 	for start := 0; start < len(batch); start += chunk {
 		chunks = append(chunks, batch[start:min(start+chunk, len(batch))])
 	}
 	results := make([][][]rdf.Term, len(chunks))
-	s.budget.Pool.ForEach(s.ctx, len(chunks), func(i int) error {
-		cond := NewCond(s.vars, s.exprs)
-		for _, prow := range chunks[i] {
-			results[i] = s.emit(results[i], prow, s.matches(prow), cond)
-		}
-		return nil
-	})
+	var wg sync.WaitGroup
+	for i := range chunks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cond := NewCond(s.vars, s.exprs)
+			for _, prow := range chunks[i] {
+				results[i] = s.emit(results[i], prow, s.matches(prow), cond)
+			}
+		}()
+	}
+	wg.Wait()
 	for _, out := range results {
 		s.outBuf = append(s.outBuf, out...)
 	}

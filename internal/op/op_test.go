@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"lusail/internal/erh"
 	"lusail/internal/eval"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
@@ -176,9 +175,8 @@ func collect(t *testing.T, s RowStream) (rel, error) {
 // duplicate records).
 func checkJoin(t *testing.T, trial int, probe, build rel, left bool, cond []sparql.Expr, want rel) {
 	t.Helper()
-	pool := erh.New(2)
 	for _, spill := range []bool{false, true} {
-		b := Budget{SpillBytes: DefaultSpillBytes, Pool: pool}
+		b := Budget{SpillBytes: DefaultSpillBytes}
 		if spill {
 			b.SpillBytes = 1
 		}
@@ -321,7 +319,7 @@ func (w *watched) Next() bool { w.pulled = true; return w.RowStream.Next() }
 // An OPTIONAL over an empty stream must not issue its block's requests.
 func TestLeftJoinEmptyProbeSkipsBuild(t *testing.T) {
 	build := &watched{RowStream: NewSlice([]string{"b"}, [][]rdf.Term{{rdf.NewIRI("http://ex/x")}})}
-	s := LeftJoin(context.Background(), NewSlice([]string{"a"}, nil), build, nil, Budget{SpillBytes: DefaultSpillBytes, Pool: erh.New(1)})
+	s := LeftJoin(context.Background(), NewSlice([]string{"a"}, nil), build, nil, Budget{SpillBytes: DefaultSpillBytes})
 	got, err := Collect(s)
 	if err != nil || len(got.Rows) != 0 || build.pulled {
 		t.Fatalf("rows %v, err %v, build pulled %v", got, err, build.pulled)

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"lusail/internal/erh"
 	"lusail/internal/op"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
@@ -34,7 +33,7 @@ func relation(vars []string, rows ...[]rdf.Term) op.RowStream {
 }
 
 func budget() op.Budget {
-	return op.Budget{SpillBytes: op.DefaultSpillBytes, Pool: erh.New(1)}
+	return op.Budget{SpillBytes: op.DefaultSpillBytes}
 }
 
 func mustCollect(t *testing.T, s op.RowStream) *sparql.Results {

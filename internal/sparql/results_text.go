@@ -79,8 +79,9 @@ func (r *Results) WriteTSV(w io.Writer) error {
 // TSVStream writes a SPARQL 1.1 TSV results document incrementally: a
 // header of ?-prefixed variables, then one line per solution of N-Triples
 // terms (rdf.AppendTerm) separated by tabs, an unbound variable being an
-// empty field. Lines are appended into one reused buffer handed to w in
-// chunks of about 16 KiB, or sooner on Flush.
+// empty field; integers and booleans Turtle's shorthand spells exactly
+// are written bare (12, true). Lines are appended into one reused buffer
+// handed to w in chunks of about 16 KiB, or sooner on Flush.
 //
 // TSV has no closing token, so a reader cannot tell a document cut at a
 // line boundary from a complete one; a server that fails after writing
@@ -127,6 +128,10 @@ func (s *TSVStream) WriteRow(row []rdf.Term) error {
 			s.err = fmt.Errorf("sparql: tsv: term %s has no N-Triples form", t)
 			return s.err
 		}
+		if bare(t) {
+			s.buf = append(s.buf, t.Value...)
+			continue
+		}
 		s.buf = rdf.AppendTerm(s.buf, t)
 	}
 	s.buf = append(s.buf, '\n')
@@ -151,6 +156,17 @@ func (s *TSVStream) Close() error { return s.Flush() }
 
 // Err returns the first error, if any.
 func (s *TSVStream) Err() error { return s.err }
+
+// bare reports whether t is an xsd:integer or xsd:boolean literal that
+// Turtle's shorthand writes as its lexical form alone: COUNT and EXISTS
+// cells, "12" instead of "12"^^<http://www.w3.org/2001/XMLSchema#integer>.
+func bare(t rdf.Term) bool {
+	if t.Datatype != rdf.XSDInteger && t.Datatype != rdf.XSDBoolean {
+		return false
+	}
+	u, err := rdf.ParseTerm(t.Value)
+	return err == nil && u == t
+}
 
 // rawToken reports whether s can be written where N-Triples allows no
 // escapes (blank node labels, language tags): non-empty, no whitespace.

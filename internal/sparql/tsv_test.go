@@ -135,6 +135,35 @@ func TestTSVStreamFlush(t *testing.T) {
 	}
 }
 
+// An integer or boolean that Turtle's shorthand spells exactly is written
+// bare; one it would read back as another term keeps its datatype.
+func TestTSVShorthand(t *testing.T) {
+	res := NewResults([]string{"a", "b", "c", "d", "e", "f", "g", "h"})
+	res.Rows = [][]rdf.Term{{
+		rdf.NewIRI("http://a"),
+		rdf.NewInteger(12),
+		rdf.NewBoolean(true),
+		rdf.NewTypedLiteral("+007", rdf.XSDInteger),
+		rdf.NewTypedLiteral("1.0", rdf.XSDInteger),
+		rdf.NewTypedLiteral("1", rdf.XSDBoolean),
+		rdf.NewLiteral("12"),
+		{},
+	}}
+	var buf strings.Builder
+	if err := res.WriteTSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "?a\t?b\t?c\t?d\t?e\t?f\t?g\t?h\n" +
+		"<http://a>\t12\ttrue\t+007\t\"1.0\"^^<http://www.w3.org/2001/XMLSchema#integer>\t" +
+		"\"1\"^^<http://www.w3.org/2001/XMLSchema#boolean>\t\"12\"\t\n"
+	if buf.String() != want {
+		t.Fatalf("wrote %q\nwant  %q", buf.String(), want)
+	}
+	if got := readAllTSV(t, buf.String()); !sameResults(got, res) {
+		t.Fatalf("round trip: %v, want %v", got.Rows, res.Rows)
+	}
+}
+
 func TestWriteTSVRejectsUnwritableTerms(t *testing.T) {
 	for _, term := range []rdf.Term{rdf.NewBlank("a b"), rdf.NewBlank(""), rdf.NewLangLiteral("x", "en\nfr")} {
 		res := NewResults([]string{"x"})
