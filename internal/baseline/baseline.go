@@ -8,7 +8,8 @@
 // runs them one at a time in the policy's order, and joins each unit into
 // the intermediate relation either by shipping the relation's bindings in
 // VALUES blocks (a bound join) or by fetching the unit whole and hash
-// joining. What a policy decides is in policy.go.
+// joining. What a policy decides is in policy.go. Relations are rows of
+// ids in one term dictionary per query.
 //
 // The crucial contrast with Lusail: FedX groups triple patterns only when a
 // single endpoint can answer them (an exclusive group). When several
@@ -30,6 +31,7 @@ import (
 	"lusail/internal/federation"
 	"lusail/internal/op"
 	"lusail/internal/qplan"
+	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 )
 
@@ -55,19 +57,47 @@ func (e *Engine) QueryString(ctx context.Context, query string) (*sparql.Results
 	if err != nil {
 		return nil, err
 	}
+	x := &execution{Engine: e, dict: rdf.NewDict()}
 	var rels []op.RowStream
 	for _, br := range branches {
-		rel, err := e.evalBranch(ctx, q, br)
+		rel, err := x.evalBranch(ctx, q, br)
 		if err != nil {
 			return nil, err
 		}
-		rels = append(rels, stream(rel))
+		rels = append(rels, rel.stream())
 	}
-	all, err := op.Collect(op.Dedup(op.Union(rels...)))
+	all, err := op.Collect(op.Dedup(op.Union(rels...)), x.dict)
 	if err != nil {
 		return nil, err
 	}
 	return qplan.Finalize(q, all)
+}
+
+// execution is one query's run of the executor: its relations are rows of
+// ids in dict.
+type execution struct {
+	*Engine
+	dict *rdf.Dict
+}
+
+// relation is an intermediate relation of id rows.
+type relation struct {
+	vars []string
+	rows [][]uint32
+}
+
+func (r *relation) stream() op.RowStream { return op.NewSlice(r.vars, r.rows) }
+
+func (r *relation) has(v string) bool { return slices.Contains(r.vars, v) }
+
+// collect drains a stream into a relation.
+func collect(src op.RowStream) (*relation, error) {
+	vars := src.Vars()
+	rows, err := op.CollectIDs(src)
+	if err != nil {
+		return nil, err
+	}
+	return &relation{vars: vars, rows: rows}, nil
 }
 
 // unit is one execution step: an exclusive group or a single pattern, with
@@ -113,10 +143,10 @@ func (u *unit) query(values *sparql.InlineData) string {
 }
 
 // sharedWith returns the unit's variables the relation also carries.
-func (u *unit) sharedWith(rel *sparql.Results) []string {
+func (u *unit) sharedWith(rel *relation) []string {
 	var out []string
 	for _, v := range u.vars() {
-		if rel.VarIndex(v) >= 0 {
+		if rel.has(v) {
 			out = append(out, v)
 		}
 	}
@@ -195,13 +225,13 @@ func buildUnits(patterns []sparql.TriplePattern, sources [][]string, filters []s
 	return units
 }
 
-func (e *Engine) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.Branch) (*sparql.Results, error) {
+func (e *execution) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.Branch) (*relation, error) {
 	units, err := e.planUnits(ctx, br.Patterns, br.Filters)
 	if err != nil {
 		return nil, err
 	}
 	if units == nil && len(br.Patterns) > 0 { // a branch of OPTIONALs only has no units either
-		return sparql.NewResults(br.Vars()), nil
+		return &relation{vars: br.Vars()}, nil
 	}
 
 	// Early termination applies when any N results are acceptable: FedX
@@ -215,7 +245,7 @@ func (e *Engine) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.Bran
 	// Left-deep pipeline: the first unit runs unbound, each later one is
 	// joined into the intermediate relation, which stays materialized
 	// because the policies decide on its size.
-	var rel *sparql.Results
+	var rel *relation
 	bound := map[string]bool{}
 	for len(units) > 0 {
 		next, best := 0, math.Inf(1)
@@ -233,7 +263,7 @@ func (e *Engine) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.Bran
 			if len(units) == 0 {
 				stopAt = limit
 			}
-			var right *sparql.Results
+			var right *relation
 			if right, err = e.fetchFor(ctx, u, rel, false, stopAt); err == nil {
 				rel, err = e.join(ctx, rel, right)
 			}
@@ -241,15 +271,15 @@ func (e *Engine) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.Bran
 		if err != nil {
 			return nil, err
 		}
-		if len(rel.Rows) == 0 {
-			return sparql.NewResults(br.Vars()), nil
+		if len(rel.rows) == 0 {
+			return &relation{vars: br.Vars()}, nil
 		}
 		for _, v := range u.vars() {
 			bound[v] = true
 		}
 	}
 	if rel == nil {
-		rel = sparql.NewResults(nil)
+		rel = &relation{}
 	}
 
 	for _, ob := range br.Optionals {
@@ -259,26 +289,26 @@ func (e *Engine) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.Bran
 		}
 		// The block's filters are the left join's condition: they see the
 		// variables bound outside the block too.
-		rel, err = op.Collect(op.LeftJoin(ctx, stream(rel), stream(orel), ob.Filters, e.budget))
+		rel, err = collect(op.LeftJoin(ctx, rel.stream(), orel.stream(), e.dict, ob.Filters, e.budget))
 		if err != nil {
 			return nil, err
 		}
 	}
-	return op.Collect(op.Filter(stream(rel), br.Filters))
+	return collect(op.Filter(rel.stream(), e.dict, br.Filters))
 }
 
 // evalOptional evaluates an OPTIONAL block's patterns for the caller to
 // left-join: its units are fetched against the current relation and joined
 // with each other.
-func (e *Engine) evalOptional(ctx context.Context, ob *qplan.OptionalBlock, rel *sparql.Results) (*sparql.Results, error) {
+func (e *execution) evalOptional(ctx context.Context, ob *qplan.OptionalBlock, rel *relation) (*relation, error) {
 	units, err := e.planUnits(ctx, ob.Patterns, ob.Filters)
 	if err != nil {
 		return nil, err
 	}
 	if units == nil {
-		return sparql.NewResults(nil), nil // matches nowhere: extends no row
+		return &relation{}, nil // matches nowhere: extends no row
 	}
-	var orel *sparql.Results
+	var orel *relation
 	for _, u := range units {
 		right, err := e.fetchFor(ctx, u, rel, true, -1)
 		if err != nil {
@@ -295,7 +325,7 @@ func (e *Engine) evalOptional(ctx context.Context, ob *qplan.OptionalBlock, rel 
 
 // fetch evaluates the unit at all its sources concurrently and returns the
 // distinct union of the answers.
-func (e *Engine) fetch(ctx context.Context, u *unit, values *sparql.InlineData) (*sparql.Results, error) {
+func (e *execution) fetch(ctx context.Context, u *unit, values *sparql.InlineData) (*relation, error) {
 	text := u.query(values)
 	partial := make([]op.RowStream, len(u.sources))
 	err := e.pool.ForEach(ctx, len(u.sources), func(i int) error {
@@ -303,13 +333,13 @@ func (e *Engine) fetch(ctx context.Context, u *unit, values *sparql.InlineData) 
 		if err != nil {
 			return fmt.Errorf("baseline: unit at %s: %w", u.sources[i], err)
 		}
-		partial[i] = stream(res)
+		partial[i] = op.NewSlice(res.Vars, op.InternRows(e.dict, res.Rows))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return op.Collect(op.Dedup(op.Align(op.Union(partial...), u.vars())))
+	return collect(op.Dedup(op.Align(op.Union(partial...), u.vars())))
 }
 
 // fetchFor fetches the unit's side of a join with rel. When the policy
@@ -317,17 +347,17 @@ func (e *Engine) fetch(ctx context.Context, u *unit, values *sparql.InlineData) 
 // shipped in VALUES blocks; otherwise, and when nothing is shared, the
 // unit is fetched whole. With stopAt >= 0, a bound join stops as soon as
 // that many joined rows exist (LIMIT pushdown).
-func (e *Engine) fetchFor(ctx context.Context, u *unit, rel *sparql.Results, optional bool, stopAt int) (*sparql.Results, error) {
+func (e *execution) fetchFor(ctx context.Context, u *unit, rel *relation, optional bool, stopAt int) (*relation, error) {
 	shared := u.sharedWith(rel)
-	if len(shared) == 0 || !e.pol.bind(len(rel.Rows), optional) {
+	if len(shared) == 0 || !e.pol.bind(len(rel.rows), optional) {
 		return e.fetch(ctx, u, nil)
 	}
 	idx := make([]int, len(shared))
 	for i, v := range shared {
-		idx[i] = rel.VarIndex(v)
+		idx[i] = slices.Index(rel.vars, v)
 	}
-	rows := op.DistinctTuples(rel.Rows, idx)
-	right := sparql.NewResults(u.vars())
+	rows := op.TermRows(e.dict, op.DistinctTuples(rel.rows, idx))
+	right := &relation{vars: u.vars()}
 	joined := 0
 	for start := 0; start < len(rows); start += e.pol.block {
 		block := sparql.InlineData{Vars: shared, Rows: rows[start:min(start+e.pol.block, len(rows))]}
@@ -335,13 +365,13 @@ func (e *Engine) fetchFor(ctx context.Context, u *unit, rel *sparql.Results, opt
 		if err != nil {
 			return nil, err
 		}
-		right.Rows = append(right.Rows, part.Rows...)
+		right.rows = append(right.rows, part.rows...)
 		if stopAt >= 0 {
 			j, err := e.join(ctx, rel, part)
 			if err != nil {
 				return nil, err
 			}
-			if joined += len(j.Rows); joined >= stopAt {
+			if joined += len(j.rows); joined >= stopAt {
 				break
 			}
 		}
@@ -353,15 +383,13 @@ func (e *Engine) fetchFor(ctx context.Context, u *unit, rel *sparql.Results, opt
 // the build side — or, for a cross product, the probe side — so rows come
 // out smaller-relation-major as the left-deep plan has always produced
 // them, and FedX's LIMIT stop sees them in the same order.
-func (e *Engine) join(ctx context.Context, a, b *sparql.Results) (*sparql.Results, error) {
-	if len(a.Rows) > len(b.Rows) {
+func (e *execution) join(ctx context.Context, a, b *relation) (*relation, error) {
+	if len(a.rows) > len(b.rows) {
 		a, b = b, a
 	}
 	probe, build := b, a
-	if !slices.ContainsFunc(a.Vars, func(v string) bool { return b.VarIndex(v) >= 0 }) {
+	if !slices.ContainsFunc(a.vars, b.has) {
 		probe, build = a, b
 	}
-	return op.Collect(op.HashJoin(ctx, stream(probe), stream(build), e.budget))
+	return collect(op.HashJoin(ctx, probe.stream(), build.stream(), e.budget))
 }
-
-func stream(r *sparql.Results) op.RowStream { return op.NewSlice(r.Vars, r.Rows) }

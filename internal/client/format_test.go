@@ -68,6 +68,32 @@ func TestHTTPAsksForTSV(t *testing.T) {
 	}
 }
 
+// The query travels as the request body of a direct POST (SPARQL 1.1
+// Protocol §2.1.3), byte for byte: no form encoding of &, %, + or
+// non-ASCII IRIs.
+func TestHTTPSendsQueryByDirectPOST(t *testing.T) {
+	const query = `SELECT ?x WHERE { ?x <http://ex.org/a&b%20c+d> "1+1=2 & 50%" . ?x <http://ex.org/café> ?y }`
+	type request struct {
+		method, contentType string
+		body                []byte
+	}
+	got := make(chan request, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		got <- request{r.Method, r.Header.Get("Content-Type"), body}
+		w.Header().Set("Content-Type", tsvType)
+		io.WriteString(w, "?x\n")
+	}))
+	defer srv.Close()
+	if _, err := NewHTTP("ep", srv.URL).Query(context.Background(), query); err != nil {
+		t.Fatal(err)
+	}
+	r := <-got
+	if r.method != http.MethodPost || r.contentType != "application/sparql-query" || string(r.body) != query {
+		t.Fatalf("%s with Content-Type %q and body %q, want POST application/sparql-query %q", r.method, r.contentType, r.body, query)
+	}
+}
+
 // An endpoint that honours Accept for ASK too answers a TSV-first header
 // with a one-variable table, as Jena does; the client asks for JSON on ASK
 // so Ask still reads a boolean.

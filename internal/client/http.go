@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"slices"
 	"strings"
 	"time"
@@ -109,8 +108,9 @@ func (e *HTTP) Query(ctx context.Context, query string) (*sparql.Results, error)
 	return sparql.ReadAllRows(rd)
 }
 
-// QueryStream implements Streamer using a POST with form-encoded query,
-// the most widely supported SPARQL protocol binding. It asks for TSV or
+// QueryStream implements Streamer with the SPARQL 1.1 Protocol's "query
+// via POST directly" (§2.1.3): the query text is the request body, sent
+// as application/sparql-query, so it is never URL-encoded. It asks for TSV or
 // JSON results (JSON only for ASK) and decodes the one the response's
 // Content-Type names; any
 // other type, or TSV without length framing, is an EndpointError. It
@@ -119,12 +119,11 @@ func (e *HTTP) Query(ctx context.Context, query string) (*sparql.Results, error)
 // MaxResponseBytes fails the stream with an EndpointError wrapping
 // ErrResponseTooLarge.
 func (e *HTTP) QueryStream(ctx context.Context, query string) (sparql.RowReader, error) {
-	form := url.Values{"query": {query}}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, e.url, strings.NewReader(form.Encode()))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, e.url, strings.NewReader(query))
 	if err != nil {
 		return nil, fmt.Errorf("endpoint %s: %w", e.name, err)
 	}
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	req.Header.Set("Content-Type", "application/sparql-query")
 	accept := acceptResults
 	if sparql.IsAsk(query) {
 		accept = acceptBoolean

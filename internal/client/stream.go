@@ -65,12 +65,14 @@ func (e *Instrumented) QueryStream(ctx context.Context, query string) (sparql.Ro
 		e.errors.Inc()
 		return nil, err
 	}
-	return &instrumentedReader{inner: rd, ep: e, start: start}, nil
+	return &instrumentedReader{inner: rd, ids: sparql.IDsOf(rd), ep: e, start: start}, nil
 }
 
 // instrumentedReader tees row/byte counts off a streamed response.
 type instrumentedReader struct {
 	inner sparql.RowReader
+	ids   sparql.IDReader
+	terms []rdf.Term // ReadIDs' row, decoded for its size
 	ep    *Instrumented
 	start time.Time
 	rows  int64
@@ -89,17 +91,30 @@ func (r *instrumentedReader) Boolean() (bool, bool) {
 
 func (r *instrumentedReader) Read() ([]rdf.Term, error) {
 	row, err := r.inner.Read()
-	if err == nil {
+	return row, r.count(RowSize(row), err)
+}
+
+// ReadIDs implements sparql.IDReader, counting like Read.
+func (r *instrumentedReader) ReadIDs(dict *rdf.Dict) ([]uint32, error) {
+	ids, err := r.ids.ReadIDs(dict)
+	r.terms = dict.Terms(ids, r.terms)
+	return ids, r.count(RowSize(r.terms), err)
+}
+
+// count accounts one read: a row of size bytes, the end of the stream, or
+// its failure.
+func (r *instrumentedReader) count(size int, err error) error {
+	switch {
+	case err == nil:
 		r.rows++
-		r.bytes += int64(RowSize(row))
-		return row, nil
-	}
-	if !errors.Is(err, io.EOF) {
+		r.bytes += int64(size)
+	case errors.Is(err, io.EOF):
+		r.settle()
+		return io.EOF
+	default:
 		r.fail()
-		return nil, err
 	}
-	r.settle()
-	return nil, io.EOF
+	return err
 }
 
 // settle records the completed stream's totals exactly once.
@@ -163,13 +178,15 @@ func (e *Latency) QueryStream(ctx context.Context, query string) (sparql.RowRead
 	if e.BytesPerSecond <= 0 {
 		return rd, nil
 	}
-	return &latencyReader{inner: rd, ctx: ctx, bps: e.BytesPerSecond}, nil
+	return &latencyReader{inner: rd, ids: sparql.IDsOf(rd), ctx: ctx, bps: e.BytesPerSecond}, nil
 }
 
 // latencyReader delays each row by its transfer time at the simulated
 // bandwidth.
 type latencyReader struct {
 	inner sparql.RowReader
+	ids   sparql.IDReader
+	terms []rdf.Term // ReadIDs' row, decoded for its size
 	ctx   context.Context
 	bps   int64
 }
@@ -193,6 +210,20 @@ func (r *latencyReader) Read() ([]rdf.Term, error) {
 		return nil, err
 	}
 	return row, nil
+}
+
+// ReadIDs implements sparql.IDReader, delaying like Read.
+func (r *latencyReader) ReadIDs(dict *rdf.Dict) ([]uint32, error) {
+	ids, err := r.ids.ReadIDs(dict)
+	if err != nil {
+		return nil, err
+	}
+	r.terms = dict.Terms(ids, r.terms)
+	transfer := time.Duration(float64(RowSize(r.terms)) / float64(r.bps) * float64(time.Second))
+	if err := sleepCtx(r.ctx, transfer); err != nil {
+		return nil, err
+	}
+	return ids, nil
 }
 
 func (r *latencyReader) Close() error { return r.inner.Close() }

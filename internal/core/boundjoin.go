@@ -26,7 +26,8 @@ import (
 // The builder guarantees at least one shared variable (a subquery with no
 // overlap is planned as an unbound scan under a hash join instead).
 // Upstream rows whose shared variables are unbound match nothing, as in
-// op.JoinKey.
+// op.AppendKey. The block's bindings are decoded to terms once, to render
+// the VALUES block; the responses are interned into the same dictionary.
 //
 // In optional mode the stream is an OPTIONAL block's left join: a block
 // row without a surviving extension — a combined row on which the block's
@@ -38,9 +39,10 @@ import (
 // to an in-memory buffer under a mutex and never block on a consumer, so
 // holding the slot cannot deadlock the pool.
 type boundJoinStream struct {
-	e   *Engine
-	src op.RowStream
-	sq  *Subquery
+	e    *Engine
+	src  op.RowStream
+	sq   *Subquery
+	dict *rdf.Dict
 
 	optional bool
 	cond     []sparql.Expr
@@ -52,9 +54,9 @@ type boundJoinStream struct {
 	sqKeyIdx  []int // shared positions in sq vars
 	extraIdx  []int // sq positions appended after the src row
 
-	outBuf [][]rdf.Term
+	outBuf [][]uint32
 	obi    int
-	row    []rdf.Term
+	row    []uint32
 	err    error
 	closed bool
 	srcEOF bool
@@ -68,8 +70,8 @@ type boundJoinStream struct {
 	sources []string // refined sources, resolved once on the first block (optional mode: sq.Sources)
 }
 
-func (e *Engine) newBoundJoinStream(ctx context.Context, src op.RowStream, sq *Subquery) *boundJoinStream {
-	s := &boundJoinStream{e: e, src: src, sq: sq, phase: client.PhaseBoundJoin, ctx: ctx, parent: obs.FromContext(ctx)}
+func (e *Engine) newBoundJoinStream(ctx context.Context, src op.RowStream, sq *Subquery, dict *rdf.Dict) *boundJoinStream {
+	s := &boundJoinStream{e: e, src: src, sq: sq, dict: dict, phase: client.PhaseBoundJoin, ctx: ctx, parent: obs.FromContext(ctx)}
 	s.vars = append([]string(nil), src.Vars()...)
 	srcPos := make(map[string]int, len(s.vars))
 	for i, v := range s.vars {
@@ -90,16 +92,16 @@ func (e *Engine) newBoundJoinStream(ctx context.Context, src op.RowStream, sq *S
 
 // newOptionalStream left-joins an OPTIONAL block that shares variables
 // with src: a bound join in optional mode.
-func (e *Engine) newOptionalStream(ctx context.Context, src op.RowStream, ob *optionalPlan) *boundJoinStream {
-	s := e.newBoundJoinStream(ctx, src, ob.sq)
+func (e *Engine) newOptionalStream(ctx context.Context, src op.RowStream, ob *optionalPlan, dict *rdf.Dict) *boundJoinStream {
+	s := e.newBoundJoinStream(ctx, src, ob.sq, dict)
 	s.optional, s.cond, s.phase = true, ob.residual, client.PhaseOptional
 	s.sources = ob.sq.Sources
 	return s
 }
 
-func (s *boundJoinStream) Vars() []string  { return s.vars }
-func (s *boundJoinStream) Row() []rdf.Term { return s.row }
-func (s *boundJoinStream) Err() error      { return s.err }
+func (s *boundJoinStream) Vars() []string { return s.vars }
+func (s *boundJoinStream) Row() []uint32  { return s.row }
+func (s *boundJoinStream) Err() error     { return s.err }
 
 func (s *boundJoinStream) Next() bool {
 	if s.closed || s.err != nil {
@@ -131,8 +133,8 @@ func (s *boundJoinStream) Next() bool {
 	}
 }
 
-func (s *boundJoinStream) pullBlock() [][]rdf.Term {
-	var block [][]rdf.Term
+func (s *boundJoinStream) pullBlock() [][]uint32 {
+	var block [][]uint32
 	for len(block) < s.e.opts.ValuesBlockSize && s.src.Next() {
 		block = append(block, op.CopyRow(s.src.Row()))
 	}
@@ -142,7 +144,7 @@ func (s *boundJoinStream) pullBlock() [][]rdf.Term {
 // evalBlock ships one block's bindings to every source and joins the
 // responses into outBuf; in optional mode the block rows left without an
 // extension follow, zero-extended.
-func (s *boundJoinStream) evalBlock(block [][]rdf.Term) error {
+func (s *boundJoinStream) evalBlock(block [][]uint32) error {
 	if s.span == nil {
 		if s.optional {
 			s.span = s.parent.StartChild("optional")
@@ -157,9 +159,11 @@ func (s *boundJoinStream) evalBlock(block [][]rdf.Term) error {
 	// Index the block by join key; rows with unbound shared vars match
 	// nothing.
 	table := make(map[string][]int, len(block))
+	var key []byte
 	for i, row := range block {
-		if key, ok := op.JoinKey(row, s.srcKeyIdx); ok {
-			table[key] = append(table[key], i)
+		var ok bool
+		if key, ok = op.AppendKey(key[:0], row, s.srcKeyIdx); ok {
+			table[string(key)] = append(table[string(key)], i)
 		}
 	}
 	extended := make([]bool, len(block))
@@ -171,7 +175,7 @@ func (s *boundJoinStream) evalBlock(block [][]rdf.Term) error {
 	if s.optional {
 		for i, row := range block {
 			if !extended[i] {
-				out := make([]rdf.Term, len(s.vars))
+				out := make([]uint32, len(s.vars))
 				copy(out, row)
 				s.outBuf = append(s.outBuf, out)
 			}
@@ -183,8 +187,8 @@ func (s *boundJoinStream) evalBlock(block [][]rdf.Term) error {
 // fetchBlock sends the block's distinct bindings to the sources and
 // appends every combined row that satisfies cond to outBuf, marking the
 // block rows it extends.
-func (s *boundJoinStream) fetchBlock(block [][]rdf.Term, table map[string][]int, extended []bool) error {
-	tuples := op.DistinctTuples(block, s.srcKeyIdx)
+func (s *boundJoinStream) fetchBlock(block [][]uint32, table map[string][]int, extended []bool) error {
+	tuples := op.TermRows(s.dict, op.DistinctTuples(block, s.srcKeyIdx))
 	s.tuples += len(tuples)
 	if s.sources == nil && !s.optional {
 		sources, err := s.e.refineSources(s.ctx, s.sq, s.shared, tuples)
@@ -217,10 +221,13 @@ func (s *boundJoinStream) fetchBlock(block [][]rdf.Term, table map[string][]int,
 			}
 			defer rd.Close()
 			idx := op.VarIndexes(sqVars, rd.Vars())
-			cond := op.NewCond(s.vars, s.cond)
+			ids := sparql.IDsOf(rd)
+			cond := op.NewCond(s.dict, s.vars, s.cond)
+			aligned := make([]uint32, len(sqVars))
+			var key []byte
 			n := 0
 			for {
-				resp, err := rd.Read()
+				resp, err := ids.ReadIDs(s.dict)
 				if errors.Is(err, io.EOF) {
 					break
 				}
@@ -234,18 +241,18 @@ func (s *boundJoinStream) fetchBlock(block [][]rdf.Term, table map[string][]int,
 					}
 					return err
 				}
-				aligned := make([]rdf.Term, len(sqVars))
-				for j, t := range resp {
+				clear(aligned)
+				for j, id := range resp {
 					if k := idx[j]; k >= 0 {
-						aligned[k] = t
+						aligned[k] = id
 					}
 				}
-				key, ok := op.JoinKey(aligned, s.sqKeyIdx)
-				if !ok {
+				var ok bool
+				if key, ok = op.AppendKey(key[:0], aligned, s.sqKeyIdx); !ok {
 					continue
 				}
-				for _, bi := range table[key] {
-					out := make([]rdf.Term, len(s.vars))
+				for _, bi := range table[string(key)] {
+					out := make([]uint32, len(s.vars))
 					copy(out, block[bi])
 					for k, pos := range s.extraIdx {
 						out[len(block[bi])+k] = aligned[pos]

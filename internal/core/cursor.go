@@ -29,9 +29,12 @@ import (
 // on every path — it cancels in-flight endpoint work, releases spill
 // files, and finalizes the profile; abandoning a cursor without Close
 // leaks goroutines until the surrounding context ends. A cursor is not
-// safe for concurrent use.
+// safe for concurrent use. Its pipeline's rows are ids in one term
+// dictionary, which holds every distinct term of the execution until Close.
 type Rows struct {
 	src   op.RowStream
+	dict  *rdf.Dict
+	row   []rdf.Term
 	vars  []string
 	query *sparql.Query
 	prof  *Profile
@@ -72,9 +75,10 @@ func (e *Engine) newRows(ctx context.Context, p *Plan, prof *Profile, start time
 	}
 	execStart := time.Now()
 	exCtx, exSpan := obs.StartSpan(ctx, "execution")
+	dict := rdf.NewDict()
 	var branches []op.RowStream
 	for _, pb := range p.branches {
-		bs, err := e.branchStream(exCtx, pb, prof)
+		bs, err := e.branchStream(exCtx, pb, dict, prof)
 		if err != nil {
 			for _, b := range branches {
 				b.Close()
@@ -89,7 +93,7 @@ func (e *Engine) newRows(ctx context.Context, p *Plan, prof *Profile, start time
 	src := op.Union(branches...)
 
 	if len(q.GroupBy) > 0 || q.HasAggregates() || len(q.OrderBy) > 0 {
-		src = op.Drain(q, src)
+		src = op.Drain(q, dict, src)
 	} else {
 		src = op.Align(src, q.ProjectedVars())
 		if q.Distinct {
@@ -100,6 +104,7 @@ func (e *Engine) newRows(ctx context.Context, p *Plan, prof *Profile, start time
 	}
 	return &Rows{
 		src:       src,
+		dict:      dict,
 		vars:      append([]string(nil), src.Vars()...),
 		query:     q,
 		prof:      prof,
@@ -145,11 +150,14 @@ func (r *Rows) Next() bool {
 // Row returns the current row, aligned to Vars (unbound variables are
 // zero Terms). It is only valid until the next Next or Close; copy it to
 // retain it.
-func (r *Rows) Row() []rdf.Term { return r.src.Row() }
+func (r *Rows) Row() []rdf.Term {
+	r.row = r.dict.Terms(r.src.Row(), r.row)
+	return r.row
+}
 
 // Scan copies the current row into dest, one pointer per variable.
 func (r *Rows) Scan(dest ...*rdf.Term) error {
-	row := r.src.Row()
+	row := r.Row()
 	if len(dest) != len(row) {
 		return fmt.Errorf("lusail: Scan expects %d destinations, got %d", len(row), len(dest))
 	}
@@ -162,7 +170,7 @@ func (r *Rows) Scan(dest ...*rdf.Term) error {
 // Binding returns the current row as a variable→term map, omitting
 // unbound variables. The map is freshly allocated and safe to retain.
 func (r *Rows) Binding() map[string]rdf.Term {
-	row := r.src.Row()
+	row := r.Row()
 	out := make(map[string]rdf.Term, len(r.vars))
 	for i, v := range r.vars {
 		if !row[i].IsZero() {
@@ -187,7 +195,9 @@ func (r *Rows) Close() error {
 	r.closed = true
 	err := r.src.Close()
 	r.prof.Execution += time.Since(r.execStart)
+	r.prof.Terms = r.dict.Len()
 	r.exSpan.SetAttr("rows", int(r.n))
+	r.exSpan.SetAttr("terms", r.prof.Terms)
 	r.exSpan.End()
 	finishProfile(r.ctx, r.prof, r.start)
 	if r.prof.Trace != nil {
@@ -265,8 +275,14 @@ func (e *Engine) runPlan(ctx context.Context, p *Plan, prof *Profile, start time
 	if err != nil {
 		return nil, err
 	}
-	return op.Collect(rows)
+	return op.Collect(idRows{rows}, rows.dict)
 }
+
+// idRows is a cursor seen as the id stream it wraps, for op.Collect: Next,
+// Err and Close stay the cursor's own.
+type idRows struct{ *Rows }
+
+func (r idRows) Row() []uint32 { return r.src.Row() }
 
 // runAsk answers an ASK plan through the pipeline with early exit: the
 // first row of any branch proves true, and closing the pipeline cancels
@@ -274,11 +290,12 @@ func (e *Engine) runPlan(ctx context.Context, p *Plan, prof *Profile, start time
 func (e *Engine) runAsk(ctx context.Context, p *Plan, prof *Profile, start time.Time) (*sparql.Results, error) {
 	execStart := time.Now()
 	exCtx, exSpan := obs.StartSpan(ctx, "execution")
+	dict := rdf.NewDict()
 	found := false
 	var err error
 	for _, pb := range p.branches {
 		var bs op.RowStream
-		bs, err = e.branchStream(exCtx, pb, prof)
+		bs, err = e.branchStream(exCtx, pb, dict, prof)
 		if err != nil {
 			break
 		}
@@ -298,6 +315,8 @@ func (e *Engine) runAsk(ctx context.Context, p *Plan, prof *Profile, start time.
 		}
 	}
 	prof.Execution += time.Since(execStart)
+	prof.Terms = dict.Len()
+	exSpan.SetAttr("terms", prof.Terms)
 	exSpan.End()
 	finishProfile(ctx, prof, start)
 	if prof.Trace != nil {

@@ -214,6 +214,8 @@ type Profile struct {
 	CatalogHits   int      // cardinalities answered by the catalog (probes avoided)
 	Decomposition []string // human-readable subquery forms
 
+	Terms int // distinct terms in the execution's dictionary, held until Close
+
 	// SubqueryStats pairs the cost model's estimates with the measured
 	// cardinalities of subqueries evaluated unbound, for the q-error
 	// analysis of Section 4.1.

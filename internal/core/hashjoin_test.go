@@ -58,14 +58,24 @@ func naiveHashJoin(a, b *sparql.Results) *sparql.Results {
 		aIdx[i] = a.VarIndex(v)
 		bIdx[i] = b.VarIndex(v)
 	}
+	key := func(row []rdf.Term, idx []int) (string, bool) {
+		k := ""
+		for _, i := range idx {
+			if row[i].IsZero() {
+				return "", false
+			}
+			k += row[i].String() + "\t"
+		}
+		return k, true
+	}
 	table := map[string][][]rdf.Term{}
 	for _, ra := range a.Rows {
-		if k, ok := op.JoinKey(ra, aIdx); ok {
+		if k, ok := key(ra, aIdx); ok {
 			table[k] = append(table[k], ra)
 		}
 	}
 	for _, rb := range b.Rows {
-		if k, ok := op.JoinKey(rb, bIdx); ok {
+		if k, ok := key(rb, bIdx); ok {
 			for _, ra := range table[k] {
 				combine(ra, rb)
 			}
@@ -107,8 +117,11 @@ func sortedKeys(r *sparql.Results) []string {
 func TestJoinOrderIndependenceProperty(t *testing.T) {
 	e := testEngine()
 	ctx := context.Background()
+	dict := rdf.NewDict()
 	join := func(probe, build *sparql.Results) *sparql.Results {
-		out, err := op.Collect(op.HashJoin(ctx, op.NewSlice(probe.Vars, probe.Rows), op.NewSlice(build.Vars, build.Rows), e.join))
+		out, err := op.Collect(op.HashJoin(ctx,
+			op.NewSlice(probe.Vars, op.InternRows(dict, probe.Rows)),
+			op.NewSlice(build.Vars, op.InternRows(dict, build.Rows)), e.join), dict)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,8 +33,8 @@ import (
 // (selective first) — a bound join in optional mode when the block shares
 // a variable with the stream, else a left hash join over an unbound scan
 // — and the tail applies branch filters, aligns to the branch's
-// variables, and deduplicates.
-func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, prof *Profile) (op.RowStream, error) {
+// variables, and deduplicates. Every operator's rows are ids in dict.
+func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.Dict, prof *Profile) (op.RowStream, error) {
 	if pb.empty {
 		return op.NewSlice(pb.br.Vars(), nil), nil
 	}
@@ -86,7 +86,7 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, prof *Prof
 		}
 		driveSq := nonDelayed[drive]
 		nonDelayed = append(nonDelayed[:drive], nonDelayed[drive+1:]...)
-		acc = e.newScanStream(ctx, driveSq, client.PhaseSubquery, prof)
+		acc = e.newScanStream(ctx, driveSq, client.PhaseSubquery, dict, prof)
 	} else if len(delayed) > 0 {
 		// Everything got delayed and SAPE is off or ensureNonDelayed was
 		// bypassed; seed with the most selective as an unbound scan.
@@ -98,11 +98,11 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, prof *Prof
 		}
 		seed := delayed[best]
 		delayed = append(delayed[:best], delayed[best+1:]...)
-		acc = e.newScanStream(ctx, seed, client.PhaseSubquery, prof)
+		acc = e.newScanStream(ctx, seed, client.PhaseSubquery, dict, prof)
 	} else {
 		// A branch without mandatory subqueries (VALUES/OPTIONAL only)
 		// starts from the single empty solution.
-		acc = op.NewSlice(nil, [][]rdf.Term{{}})
+		acc = op.NewSlice(nil, [][]uint32{{}})
 	}
 
 	accHas := func(sq *Subquery) bool {
@@ -155,23 +155,23 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, prof *Prof
 			// cross-joins only when no delayed subquery could bridge
 			// the gap first.
 			sq, nonDelayed = take(nonDelayed, ni)
-			build := e.newScanStream(ctx, sq, client.PhaseSubquery, prof)
+			build := e.newScanStream(ctx, sq, client.PhaseSubquery, dict, prof)
 			acc = op.HashJoin(ctx, acc, build, e.join)
 		case di >= 0 && dConn:
 			sq, delayed = take(delayed, di)
-			acc = e.newBoundJoinStream(ctx, acc, sq)
+			acc = e.newBoundJoinStream(ctx, acc, sq, dict)
 		default:
 			// Only delayed subqueries remain and none connects:
 			// degrade to an unbound scan under a cross hash join.
 			sq, delayed = take(delayed, di)
-			build := e.newScanStream(ctx, sq, client.PhaseSubquery, prof)
+			build := e.newScanStream(ctx, sq, client.PhaseSubquery, dict, prof)
 			acc = op.HashJoin(ctx, acc, build, e.join)
 		}
 	}
 
 	// VALUES blocks from the query text join as in-memory build sides.
 	for _, vd := range br.Values {
-		acc = op.HashJoin(ctx, acc, op.NewSlice(vd.Vars, vd.Rows), e.join)
+		acc = op.HashJoin(ctx, acc, op.NewSlice(vd.Vars, op.InternRows(dict, vd.Rows)), e.join)
 	}
 
 	// OPTIONAL blocks left-join the stream, selective first.
@@ -180,17 +180,17 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, prof *Prof
 	})
 	for _, ob := range optionals {
 		if accHas(ob.sq) {
-			acc = e.newOptionalStream(ctx, acc, ob)
+			acc = e.newOptionalStream(ctx, acc, ob, dict)
 		} else {
-			scan := e.newScanStream(ctx, ob.sq, client.PhaseOptional, nil)
-			acc = op.LeftJoin(ctx, acc, scan, ob.residual, e.join)
+			scan := e.newScanStream(ctx, ob.sq, client.PhaseOptional, dict, nil)
+			acc = op.LeftJoin(ctx, acc, scan, dict, ob.residual, e.join)
 		}
 	}
 
 	// Branch filters (including those already pushed — reapplying is
 	// harmless and catches cross-subquery predicates), alignment to the
 	// branch header, and set semantics.
-	acc = op.Filter(acc, br.Filters)
+	acc = op.Filter(acc, dict, br.Filters)
 	acc = op.Align(acc, br.Vars())
 	return op.Dedup(acc), nil
 }

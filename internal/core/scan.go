@@ -38,6 +38,7 @@ type scanStream struct {
 	sq    *Subquery
 	phase client.Phase
 	vars  []string
+	dict  *rdf.Dict // the query's term dictionary, fed by the pushers
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -46,35 +47,36 @@ type scanStream struct {
 
 	started bool
 	drained bool
-	out     chan []rdf.Term
+	out     chan []uint32
 	errc    chan error
 	span    *obs.Span
 
-	row    []rdf.Term
+	row    []uint32
 	rows   int64
 	err    error
 	closed bool
 }
 
-func (e *Engine) newScanStream(ctx context.Context, sq *Subquery, phase client.Phase, prof *Profile) *scanStream {
+func (e *Engine) newScanStream(ctx context.Context, sq *Subquery, phase client.Phase, dict *rdf.Dict, prof *Profile) *scanStream {
 	sctx, cancel := context.WithCancel(ctx)
 	return &scanStream{
 		e:      e,
 		sq:     sq,
 		phase:  phase,
 		vars:   sq.Vars(),
+		dict:   dict,
 		ctx:    sctx,
 		cancel: cancel,
 		parent: obs.FromContext(ctx),
 		prof:   prof,
-		out:    make(chan []rdf.Term, scanBuf),
+		out:    make(chan []uint32, scanBuf),
 		errc:   make(chan error, 1),
 	}
 }
 
-func (s *scanStream) Vars() []string  { return s.vars }
-func (s *scanStream) Row() []rdf.Term { return s.row }
-func (s *scanStream) Err() error      { return s.err }
+func (s *scanStream) Vars() []string { return s.vars }
+func (s *scanStream) Row() []uint32  { return s.row }
+func (s *scanStream) Err() error     { return s.err }
 
 func (s *scanStream) Next() bool {
 	if s.closed || s.err != nil || s.drained {
@@ -154,8 +156,9 @@ func (s *scanStream) drive() {
 func (s *scanStream) push(rd sparql.RowReader, name string) error {
 	defer rd.Close()
 	idx := op.VarIndexes(s.vars, rd.Vars())
+	ids := sparql.IDsOf(rd)
 	for {
-		row, err := rd.Read()
+		row, err := ids.ReadIDs(s.dict)
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
@@ -168,10 +171,10 @@ func (s *scanStream) push(rd sparql.RowReader, name string) error {
 			}
 			return err
 		}
-		aligned := make([]rdf.Term, len(s.vars))
-		for j, t := range row {
+		aligned := make([]uint32, len(s.vars))
+		for j, id := range row {
 			if k := idx[j]; k >= 0 {
-				aligned[k] = t
+				aligned[k] = id
 			}
 		}
 		select {

@@ -2,6 +2,7 @@ package op
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -30,24 +31,32 @@ func joinInputs() (probe, build rel) {
 	return probe, build
 }
 
-func benchmarkJoin(b *testing.B, spillBytes int64, join func(probe, build RowStream, bud Budget) RowStream) {
+// benchmarkJoin times the join over id rows interned once, draining it
+// without decoding a term.
+func benchmarkJoin(b *testing.B, spillBytes int64, join func(probe, build RowStream, dict *rdf.Dict, bud Budget) RowStream) {
 	probe, build := joinInputs()
+	dict := rdf.NewDict()
+	probeIDs, buildIDs := InternRows(dict, probe.rows), InternRows(dict, build.rows)
 	bud := Budget{SpillBytes: spillBytes}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		res, err := Collect(join(probe.stream(), build.stream(), bud))
-		if err != nil {
+		s := join(NewSlice(probe.vars, probeIDs), NewSlice(build.vars, buildIDs), dict, bud)
+		n := 0
+		for s.Next() {
+			n++
+		}
+		if err := errors.Join(s.Err(), s.Close()); err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Rows) != len(probe.rows) {
-			b.Fatalf("%d rows, want %d", len(res.Rows), len(probe.rows))
+		if n != len(probe.rows) {
+			b.Fatalf("%d rows, want %d", n, len(probe.rows))
 		}
 	}
 }
 
 func BenchmarkHashJoin(b *testing.B) {
-	benchmarkJoin(b, DefaultSpillBytes, func(probe, build RowStream, bud Budget) RowStream {
+	benchmarkJoin(b, DefaultSpillBytes, func(probe, build RowStream, _ *rdf.Dict, bud Budget) RowStream {
 		return HashJoin(context.Background(), probe, build, bud)
 	})
 }
@@ -63,8 +72,8 @@ func BenchmarkHashJoinLeft(b *testing.B) {
 			cond = append(cond, f.Expr)
 		}
 	}
-	benchmarkJoin(b, DefaultSpillBytes, func(probe, build RowStream, bud Budget) RowStream {
-		return LeftJoin(context.Background(), probe, build, cond, bud)
+	benchmarkJoin(b, DefaultSpillBytes, func(probe, build RowStream, dict *rdf.Dict, bud Budget) RowStream {
+		return LeftJoin(context.Background(), probe, build, dict, cond, bud)
 	})
 }
 
@@ -72,7 +81,7 @@ func BenchmarkHashJoinLeft(b *testing.B) {
 // build side spills after a few hundred rows and the join finishes as a
 // sort-merge over the sorter's runs.
 func BenchmarkHashJoinSpill(b *testing.B) {
-	benchmarkJoin(b, 64<<10, func(probe, build RowStream, bud Budget) RowStream {
+	benchmarkJoin(b, 64<<10, func(probe, build RowStream, _ *rdf.Dict, bud Budget) RowStream {
 		return HashJoin(context.Background(), probe, build, bud)
 	})
 }

@@ -58,7 +58,7 @@ type Budget struct {
 // budget: a remote endpoint must not be able to grow it without bound, so
 // exceeding the budget fails the join instead.
 func HashJoin(ctx context.Context, probe, build RowStream, b Budget) RowStream {
-	return newHashJoin(ctx, probe, build, b, false, nil)
+	return newHashJoin(ctx, probe, build, b, false, nil, nil)
 }
 
 // LeftJoin is HashJoin in left mode — SPARQL OPTIONAL with the probe side
@@ -68,8 +68,9 @@ func HashJoin(ctx context.Context, probe, build RowStream, b Budget) RowStream {
 // once, zero-extended. cond is the OPTIONAL block's FILTER, so it sees the
 // variables of both sides. A left join whose probe side is empty never
 // consumes its build side. Its trace span is named "optional".
-func LeftJoin(ctx context.Context, probe, build RowStream, cond []sparql.Expr, b Budget) RowStream {
-	return newHashJoin(ctx, probe, build, b, true, cond)
+// The condition reads terms through dict.
+func LeftJoin(ctx context.Context, probe, build RowStream, dict *rdf.Dict, cond []sparql.Expr, b Budget) RowStream {
+	return newHashJoin(ctx, probe, build, b, true, dict, cond)
 }
 
 type hashJoin struct {
@@ -77,6 +78,7 @@ type hashJoin struct {
 	build  RowStream
 	budget Budget
 	left   bool
+	dict   *rdf.Dict
 	exprs  []sparql.Expr // left-join condition
 	cond   *Cond         // exprs for the goroutine driving Next
 
@@ -89,17 +91,19 @@ type hashJoin struct {
 	started bool
 	pending bool // the current probe row has not been joined yet
 	done    bool
-	table   map[string][][]rdf.Term
-	cross   [][]rdf.Term
+	index   map[string]int32 // join key → groups index
+	groups  [][][]uint32     // build rows per key, in build order
+	cross   [][]uint32
+	key     []byte // scratch join key of the goroutine driving Next
 	sj      *spillJoin
 
 	buildRows  int64
 	buildBytes int64
 	spilled    bool
 
-	outBuf [][]rdf.Term
+	outBuf [][]uint32
 	obi    int
-	row    []rdf.Term
+	row    []uint32
 	err    error
 	closed bool
 
@@ -109,9 +113,9 @@ type hashJoin struct {
 	rows   int64
 }
 
-func newHashJoin(ctx context.Context, probe, build RowStream, b Budget, left bool, cond []sparql.Expr) *hashJoin {
+func newHashJoin(ctx context.Context, probe, build RowStream, b Budget, left bool, dict *rdf.Dict, cond []sparql.Expr) *hashJoin {
 	pv, bv := probe.Vars(), build.Vars()
-	s := &hashJoin{probe: probe, build: build, budget: b, left: left, exprs: cond, ctx: ctx, parent: obs.FromContext(ctx)}
+	s := &hashJoin{probe: probe, build: build, budget: b, left: left, dict: dict, exprs: cond, ctx: ctx, parent: obs.FromContext(ctx)}
 	s.vars = append([]string(nil), pv...)
 	pPos := make(map[string]int, len(pv))
 	for i, v := range pv {
@@ -127,13 +131,13 @@ func newHashJoin(ctx context.Context, probe, build RowStream, b Budget, left boo
 			s.buildExtra = append(s.buildExtra, i)
 		}
 	}
-	s.cond = NewCond(s.vars, cond)
+	s.cond = NewCond(dict, s.vars, cond)
 	return s
 }
 
-func (s *hashJoin) Vars() []string  { return s.vars }
-func (s *hashJoin) Row() []rdf.Term { return s.row }
-func (s *hashJoin) Err() error      { return s.err }
+func (s *hashJoin) Vars() []string { return s.vars }
+func (s *hashJoin) Row() []uint32  { return s.row }
+func (s *hashJoin) Err() error     { return s.err }
 
 func (s *hashJoin) Next() bool {
 	if s.closed || s.done || s.err != nil {
@@ -217,14 +221,20 @@ func (s *hashJoin) start() error {
 		}
 		return s.closeBuild()
 	}
-	s.table = make(map[string][][]rdf.Term)
+	s.index = make(map[string]int32)
 	for s.build.Next() {
-		row := CopyRow(s.build.Row())
-		key, ok := JoinKey(row, s.buildKeyIdx)
-		if !ok {
+		var ok bool
+		if s.key, ok = AppendKey(s.key[:0], s.build.Row(), s.buildKeyIdx); !ok {
 			continue // unbound join key: can never match
 		}
-		s.table[key] = append(s.table[key], row)
+		row := CopyRow(s.build.Row())
+		g, seen := s.index[string(s.key)]
+		if !seen {
+			g = int32(len(s.groups))
+			s.index[string(s.key)] = g
+			s.groups = append(s.groups, nil)
+		}
+		s.groups[g] = append(s.groups[g], row)
 		s.buildRows++
 		s.buildBytes += spillRowBytes(row)
 		if s.buildBytes > budget {
@@ -253,7 +263,9 @@ func (s *hashJoin) fillFromProbe() bool {
 	}
 	for s.nextProbe() {
 		prow := s.probe.Row()
-		s.outBuf = s.emit(s.outBuf, prow, s.matches(prow), s.cond)
+		var matches [][]uint32
+		matches, s.key = s.matches(prow, s.key)
+		s.outBuf = s.emit(s.outBuf, prow, matches, s.cond)
 		if len(s.outBuf) > 0 {
 			return true
 		}
@@ -261,21 +273,25 @@ func (s *hashJoin) fillFromProbe() bool {
 	return false
 }
 
-func (s *hashJoin) matches(prow []rdf.Term) [][]rdf.Term {
+// matches returns the build rows prow joins with, using key as scratch.
+func (s *hashJoin) matches(prow []uint32, key []byte) ([][]uint32, []byte) {
 	if len(s.shared) == 0 {
-		return s.cross
+		return s.cross, key
 	}
-	key, ok := JoinKey(prow, s.probeKeyIdx)
+	key, ok := AppendKey(key[:0], prow, s.probeKeyIdx)
 	if !ok {
-		return nil
+		return nil, key
 	}
-	return s.table[key]
+	if g, ok := s.index[string(key)]; ok {
+		return s.groups[g], key
+	}
+	return nil, key
 }
 
 // emit appends one probe row's output to out: its combinations with the
 // matching build rows that satisfy cond, or — in left mode, when there
 // are none — the probe row itself, zero-extended.
-func (s *hashJoin) emit(out [][]rdf.Term, prow []rdf.Term, matches [][]rdf.Term, cond *Cond) [][]rdf.Term {
+func (s *hashJoin) emit(out [][]uint32, prow []uint32, matches [][]uint32, cond *Cond) [][]uint32 {
 	n := len(out)
 	for _, brow := range matches {
 		if row := s.combine(prow, brow); cond.Holds(row) {
@@ -289,7 +305,7 @@ func (s *hashJoin) emit(out [][]rdf.Term, prow []rdf.Term, matches [][]rdf.Term,
 }
 
 func (s *hashJoin) fillParallel() bool {
-	var batch [][]rdf.Term
+	var batch [][]uint32
 	for len(batch) < probeBatchRows && s.nextProbe() {
 		batch = append(batch, CopyRow(s.probe.Row()))
 	}
@@ -298,19 +314,22 @@ func (s *hashJoin) fillParallel() bool {
 	}
 	workers := runtime.GOMAXPROCS(0)
 	chunk := max((len(batch)+workers-1)/workers, probeChunkMinRows)
-	var chunks [][][]rdf.Term
+	var chunks [][][]uint32
 	for start := 0; start < len(batch); start += chunk {
 		chunks = append(chunks, batch[start:min(start+chunk, len(batch))])
 	}
-	results := make([][][]rdf.Term, len(chunks))
+	results := make([][][]uint32, len(chunks))
 	var wg sync.WaitGroup
 	for i := range chunks {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cond := NewCond(s.vars, s.exprs)
+			cond := NewCond(s.dict, s.vars, s.exprs)
+			var key []byte
 			for _, prow := range chunks[i] {
-				results[i] = s.emit(results[i], prow, s.matches(prow), cond)
+				var matches [][]uint32
+				matches, key = s.matches(prow, key)
+				results[i] = s.emit(results[i], prow, matches, cond)
 			}
 		}()
 	}
@@ -325,8 +344,8 @@ func (s *hashJoin) fillParallel() bool {
 
 // combine widens a probe row with a build row's extra columns; a nil
 // build row leaves them unbound.
-func (s *hashJoin) combine(prow, brow []rdf.Term) []rdf.Term {
-	out := make([]rdf.Term, len(s.vars))
+func (s *hashJoin) combine(prow, brow []uint32) []uint32 {
+	out := make([]uint32, len(s.vars))
 	copy(out, prow)
 	if brow != nil {
 		for k, bi := range s.buildExtra {
@@ -346,7 +365,7 @@ func (s *hashJoin) Close() error {
 	if s.sj != nil {
 		s.sj.close()
 	}
-	s.table = nil
+	s.index, s.groups = nil, nil
 	s.cross = nil
 	s.span.SetAttr("build_rows", int(s.buildRows))
 	s.span.SetAttr("spilled", s.spilled)
@@ -382,23 +401,24 @@ func (s *hashJoin) spillToDisk() error {
 		return err
 	}
 	var rec []byte
-	for key, rows := range s.table {
+	for _, rows := range s.groups {
 		for _, row := range rows {
-			rec = encodeSpillRec(rec[:0], key, row)
+			s.key, _ = AppendKey(s.key[:0], row, s.buildKeyIdx)
+			rec = encodeSpillRec(rec[:0], s.key, row)
 			if err := buildSorter.Add(rec); err != nil {
 				return fail(err)
 			}
 		}
 	}
-	s.table = nil
+	s.index, s.groups = nil, nil
 	for s.build.Next() {
 		row := s.build.Row()
-		key, ok := JoinKey(row, s.buildKeyIdx)
-		if !ok {
+		var ok bool
+		if s.key, ok = AppendKey(s.key[:0], row, s.buildKeyIdx); !ok {
 			continue
 		}
 		s.buildRows++
-		rec = encodeSpillRec(rec[:0], key, row)
+		rec = encodeSpillRec(rec[:0], s.key, row)
 		if err := buildSorter.Add(rec); err != nil {
 			return fail(err)
 		}
@@ -408,11 +428,14 @@ func (s *hashJoin) spillToDisk() error {
 	}
 	for s.nextProbe() {
 		row := s.probe.Row()
-		key, ok := JoinKey(row, s.probeKeyIdx)
-		if !ok && !s.left {
-			continue
+		var ok bool
+		if s.key, ok = AppendKey(s.key[:0], row, s.probeKeyIdx); !ok {
+			if !s.left {
+				continue
+			}
+			s.key = s.key[:0]
 		}
-		rec = encodeSpillRec(rec[:0], key, row)
+		rec = encodeSpillRec(rec[:0], s.key, row)
 		if err := probeSorter.Add(rec); err != nil {
 			return fail(err)
 		}
@@ -462,14 +485,14 @@ func (c *spillCursor) key() []byte { return spillRecKey(c.cur) }
 // probe key is materialized while probe rows stream through.
 type spillJoin struct {
 	build, probe *spillCursor
-	group        [][]rdf.Term // decoded build rows of groupKey
+	group        [][]uint32 // decoded build rows of groupKey
 	groupKey     []byte
 	keyed        bool // groupKey is set
 }
 
 // next returns the output of the next probe row that has any, or false at
 // the end of the join.
-func (sj *spillJoin) next(hj *hashJoin) ([][]rdf.Term, bool, error) {
+func (sj *spillJoin) next(hj *hashJoin) ([][]uint32, bool, error) {
 	for {
 		if err := errors.Join(sj.build.err, sj.probe.err); err != nil {
 			return nil, false, err
@@ -523,23 +546,16 @@ func (sj *spillJoin) close() {
 
 // --- spill record encoding ------------------------------------------------
 //
-// Layout: uvarint(len key) | key | uvarint(nTerms) | per term:
-// kind byte, uvarint-framed value, lang, datatype. Records sharing a key
+// Layout: uvarint(len key) | key | the row's ids, 4 bytes each. Spilled
+// rows carry ids: the dictionary stays in memory. Records sharing a key
 // share a byte prefix, so bytes.Compare sorting groups equal keys
 // contiguously — exactly what the merge join needs.
 
-func encodeSpillRec(buf []byte, key string, row []rdf.Term) []byte {
+func encodeSpillRec(buf, key []byte, row []uint32) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(key)))
 	buf = append(buf, key...)
-	buf = binary.AppendUvarint(buf, uint64(len(row)))
-	for _, t := range row {
-		buf = append(buf, byte(t.Kind))
-		buf = binary.AppendUvarint(buf, uint64(len(t.Value)))
-		buf = append(buf, t.Value...)
-		buf = binary.AppendUvarint(buf, uint64(len(t.Lang)))
-		buf = append(buf, t.Lang...)
-		buf = binary.AppendUvarint(buf, uint64(len(t.Datatype)))
-		buf = append(buf, t.Datatype...)
+	for _, id := range row {
+		buf = binary.LittleEndian.AppendUint32(buf, id)
 	}
 	return buf
 }
@@ -555,48 +571,22 @@ func spillRecKey(rec []byte) []byte {
 
 var errCorruptSpill = errors.New("op: corrupt spill record")
 
-// decodeSpillRow decodes the row part of an encoded record. The returned
-// terms own their storage.
-func decodeSpillRow(rec []byte) ([]rdf.Term, error) {
-	p := rec
-	field := func() ([]byte, bool) {
-		l, w := binary.Uvarint(p)
-		if w <= 0 || l > uint64(len(p)-w) {
-			return nil, false
-		}
-		f := p[w : w+int(l)]
-		p = p[w+int(l):]
-		return f, true
-	}
-	_, ok := field() // the key
-	nt, w := binary.Uvarint(p)
-	if !ok || w <= 0 {
+// decodeSpillRow decodes the row part of an encoded record.
+func decodeSpillRow(rec []byte) ([]uint32, error) {
+	l, w := binary.Uvarint(rec)
+	if w <= 0 || l > uint64(len(rec)-w) || (len(rec)-w-int(l))%4 != 0 {
 		return nil, errCorruptSpill
 	}
-	p = p[w:]
-	row := make([]rdf.Term, nt)
+	p := rec[w+int(l):]
+	row := make([]uint32, len(p)/4)
 	for i := range row {
-		if len(p) < 1 {
-			return nil, errCorruptSpill
-		}
-		kind := rdf.Kind(p[0])
-		p = p[1:]
-		v, ok1 := field()
-		lang, ok2 := field()
-		dt, ok3 := field()
-		if !ok1 || !ok2 || !ok3 {
-			return nil, errCorruptSpill
-		}
-		row[i] = rdf.Term{Kind: kind, Value: string(v), Lang: string(lang), Datatype: string(dt)}
+		row[i] = binary.LittleEndian.Uint32(p[4*i:])
 	}
 	return row, nil
 }
 
-// spillRowBytes estimates a row's resident footprint in the hash table.
-func spillRowBytes(row []rdf.Term) int64 {
-	n := int64(24 + 16*len(row))
-	for _, t := range row {
-		n += int64(len(t.Value) + len(t.Lang) + len(t.Datatype) + 48)
-	}
-	return n
+// spillRowBytes estimates a row's resident footprint in the hash table;
+// its terms live in the query's dictionary, which the budget does not cover.
+func spillRowBytes(row []uint32) int64 {
+	return int64(32 + 4*len(row))
 }

@@ -1,9 +1,10 @@
 // Package op is the one relational kernel of the federated tier: pull-based
-// operators over solution rows of rdf.Terms that both the Lusail engine
-// (internal/core) and the comparator executor (internal/baseline) assemble.
-// Everything here is independent of endpoints: core adds its two remote
-// operators (scans and bound joins) on top, and the endpoint evaluator
-// (internal/eval) keeps its own operators over dictionary-id rows.
+// operators over solution rows of term ids — ids into the query
+// execution's rdf.Dict — that both the Lusail engine (internal/core) and
+// the comparator executor (internal/baseline) assemble. Everything here is
+// independent of endpoints: core adds its two remote operators (scans and
+// bound joins) on top, and the endpoint evaluator (internal/eval) keeps
+// its own operators over its store's ids.
 package op
 
 import (
@@ -24,8 +25,8 @@ import (
 //
 //   - Next advances to the next row, returning false at end-of-stream or
 //     on error; after false, Err distinguishes the two.
-//   - Row returns the current row, aligned to Vars (unbound variables are
-//     zero Terms); it is only valid until the next Next or Close.
+//   - Row returns the current row of ids, aligned to Vars (unbound
+//     variables are 0); it is only valid until the next Next or Close.
 //   - Close releases the operator and everything beneath it — endpoint
 //     requests, goroutines, spill files — on every path, including
 //     mid-stream abandonment. It is idempotent. A deliberately closed
@@ -37,14 +38,33 @@ import (
 type RowStream interface {
 	Vars() []string
 	Next() bool
-	Row() []rdf.Term
+	Row() []uint32
 	Err() error
 	Close() error
 }
 
 // CopyRow returns a retained copy of a borrowed row.
-func CopyRow(row []rdf.Term) []rdf.Term {
-	return append([]rdf.Term(nil), row...)
+func CopyRow(row []uint32) []uint32 {
+	return append([]uint32(nil), row...)
+}
+
+// InternRows returns rows of terms as rows of ids in dict.
+func InternRows(dict *rdf.Dict, rows [][]rdf.Term) [][]uint32 {
+	out := make([][]uint32, len(rows))
+	for i, row := range rows {
+		out[i] = make([]uint32, len(row))
+		dict.InternRow(row, out[i])
+	}
+	return out
+}
+
+// TermRows returns rows of ids in dict as rows of terms.
+func TermRows(dict *rdf.Dict, rows [][]uint32) [][]rdf.Term {
+	out := make([][]rdf.Term, len(rows))
+	for i, row := range rows {
+		out[i] = dict.Terms(row, make([]rdf.Term, len(row)))
+	}
+	return out
 }
 
 // VarIndexes maps each source column to its position in target (-1 when
@@ -65,40 +85,34 @@ func VarIndexes(target, src []string) []int {
 	return idx
 }
 
-// JoinKey builds the hash key of a row over the given column indexes; the
-// second return is false when any key column is unbound (such rows do not
-// participate in a join on that key).
-func JoinKey(row []rdf.Term, idx []int) (string, bool) {
-	var b []byte
+// AppendKey appends the join key of a row over the column indexes idx to
+// buf — the bytes of the columns' ids — for a lookup as m[string(key)],
+// which does not allocate. The second return is false when a key column
+// is unbound (such rows do not participate in a join on that key).
+func AppendKey(buf []byte, row []uint32, idx []int) ([]byte, bool) {
 	for _, i := range idx {
-		t := row[i]
-		if t.IsZero() {
-			return "", false
+		if row[i] == 0 {
+			return buf, false
 		}
-		b = append(b, byte(t.Kind))
-		b = append(b, t.Value...)
-		b = append(b, 1)
-		b = append(b, t.Lang...)
-		b = append(b, 2)
-		b = append(b, t.Datatype...)
-		b = append(b, 0)
+		buf = binary.LittleEndian.AppendUint32(buf, row[i])
 	}
-	return string(b), true
+	return buf, true
 }
 
 // DistinctTuples projects rows onto the columns idx and returns the
 // distinct projections in first-seen order, skipping rows with an unbound
 // key column — the bindings a bound join ships in a VALUES block.
-func DistinctTuples(rows [][]rdf.Term, idx []int) [][]rdf.Term {
+func DistinctTuples(rows [][]uint32, idx []int) [][]uint32 {
 	seen := map[string]bool{}
-	var out [][]rdf.Term
+	var out [][]uint32
+	var key []byte
 	for _, row := range rows {
-		key, ok := JoinKey(row, idx)
-		if !ok || seen[key] {
+		var ok bool
+		if key, ok = AppendKey(key[:0], row, idx); !ok || seen[string(key)] {
 			continue
 		}
-		seen[key] = true
-		t := make([]rdf.Term, len(idx))
+		seen[string(key)] = true
+		t := make([]uint32, len(idx))
 		for i, j := range idx {
 			t[i] = row[j]
 		}
@@ -108,33 +122,35 @@ func DistinctTuples(rows [][]rdf.Term, idx []int) [][]rdf.Term {
 }
 
 // Cond is a conjunction of FILTER expressions evaluated on rows over a
-// fixed variable list. It reuses one binding map, so every goroutine that
-// evaluates rows needs its own Cond. A nil Cond holds for every row.
+// fixed variable list, decoding the row's ids through dict. It reuses one
+// binding map, so every goroutine that evaluates rows needs its own Cond.
+// A nil Cond holds for every row.
 type Cond struct {
+	dict    *rdf.Dict
 	vars    []string
 	exprs   []sparql.Expr
 	binding map[string]rdf.Term
 }
 
 // NewCond returns the condition, or nil when there are no expressions.
-func NewCond(vars []string, exprs []sparql.Expr) *Cond {
+func NewCond(dict *rdf.Dict, vars []string, exprs []sparql.Expr) *Cond {
 	if len(exprs) == 0 {
 		return nil
 	}
-	return &Cond{vars: vars, exprs: exprs, binding: make(map[string]rdf.Term, len(vars))}
+	return &Cond{dict: dict, vars: vars, exprs: exprs, binding: make(map[string]rdf.Term, len(vars))}
 }
 
 // Holds reports whether every expression is true on the row. Variables
 // unbound in the row, or absent from the variable list, are unbound for
 // the expressions (an erroring expression is false, as in a FILTER).
-func (c *Cond) Holds(row []rdf.Term) bool {
+func (c *Cond) Holds(row []uint32) bool {
 	if c == nil {
 		return true
 	}
 	clear(c.binding)
 	for i, v := range c.vars {
-		if !row[i].IsZero() {
-			c.binding[v] = row[i]
+		if row[i] != 0 {
+			c.binding[v] = c.dict.Term(row[i])
 		}
 	}
 	for _, x := range c.exprs {
@@ -149,20 +165,20 @@ func (c *Cond) Holds(row []rdf.Term) bool {
 // branches, materialized relations).
 type sliceStream struct {
 	vars []string
-	rows [][]rdf.Term
+	rows [][]uint32
 	i    int
-	row  []rdf.Term
+	row  []uint32
 }
 
 // NewSlice returns a stream over rows, which must be aligned to vars.
-func NewSlice(vars []string, rows [][]rdf.Term) RowStream {
+func NewSlice(vars []string, rows [][]uint32) RowStream {
 	return &sliceStream{vars: vars, rows: rows}
 }
 
-func (s *sliceStream) Vars() []string  { return s.vars }
-func (s *sliceStream) Row() []rdf.Term { return s.row }
-func (s *sliceStream) Err() error      { return nil }
-func (s *sliceStream) Close() error    { s.i = len(s.rows); return nil }
+func (s *sliceStream) Vars() []string { return s.vars }
+func (s *sliceStream) Row() []uint32  { return s.row }
+func (s *sliceStream) Err() error     { return nil }
+func (s *sliceStream) Close() error   { s.i = len(s.rows); return nil }
 
 func (s *sliceStream) Next() bool {
 	if s.i >= len(s.rows) {
@@ -179,7 +195,7 @@ type alignStream struct {
 	src  RowStream
 	vars []string
 	idx  []int // source column j feeds target idx[j] (-1: dropped)
-	row  []rdf.Term
+	row  []uint32
 }
 
 // Align remaps src's rows to vars. Variables absent from the source stay
@@ -192,14 +208,14 @@ func Align(src RowStream, vars []string) RowStream {
 		src:  src,
 		vars: vars,
 		idx:  VarIndexes(vars, src.Vars()),
-		row:  make([]rdf.Term, len(vars)),
+		row:  make([]uint32, len(vars)),
 	}
 }
 
-func (s *alignStream) Vars() []string  { return s.vars }
-func (s *alignStream) Row() []rdf.Term { return s.row }
-func (s *alignStream) Err() error      { return s.src.Err() }
-func (s *alignStream) Close() error    { return s.src.Close() }
+func (s *alignStream) Vars() []string { return s.vars }
+func (s *alignStream) Row() []uint32  { return s.row }
+func (s *alignStream) Err() error     { return s.src.Err() }
+func (s *alignStream) Close() error   { return s.src.Close() }
 
 func (s *alignStream) Next() bool {
 	if !s.src.Next() {
@@ -220,18 +236,19 @@ type filterStream struct {
 	cond *Cond
 }
 
-// Filter keeps the rows of src on which every filter expression is true.
-func Filter(src RowStream, filters []sparql.Expr) RowStream {
+// Filter keeps the rows of src, whose ids are in dict, on which every
+// filter expression is true.
+func Filter(src RowStream, dict *rdf.Dict, filters []sparql.Expr) RowStream {
 	if len(filters) == 0 {
 		return src
 	}
-	return &filterStream{src: src, cond: NewCond(src.Vars(), filters)}
+	return &filterStream{src: src, cond: NewCond(dict, src.Vars(), filters)}
 }
 
-func (s *filterStream) Vars() []string  { return s.src.Vars() }
-func (s *filterStream) Row() []rdf.Term { return s.src.Row() }
-func (s *filterStream) Err() error      { return s.src.Err() }
-func (s *filterStream) Close() error    { return s.src.Close() }
+func (s *filterStream) Vars() []string { return s.src.Vars() }
+func (s *filterStream) Row() []uint32  { return s.src.Row() }
+func (s *filterStream) Err() error     { return s.src.Err() }
+func (s *filterStream) Close() error   { return s.src.Close() }
 
 func (s *filterStream) Next() bool {
 	for s.src.Next() {
@@ -243,7 +260,7 @@ func (s *filterStream) Next() bool {
 }
 
 // dedupStream drops rows already seen, using a 128-bit fingerprint (two
-// independent maphash seeds over a byte encoding of the row) instead of
+// independent maphash seeds over the bytes of the row's ids) instead of
 // retaining the full row: ~16 bytes per distinct row rather than the row
 // itself, the compromise that keeps set semantics inside a bounded-memory
 // pipeline. A 128-bit collision — which would silently drop one valid row
@@ -265,10 +282,10 @@ func Dedup(src RowStream) RowStream {
 	}
 }
 
-func (s *dedupStream) Vars() []string  { return s.src.Vars() }
-func (s *dedupStream) Row() []rdf.Term { return s.src.Row() }
-func (s *dedupStream) Err() error      { return s.src.Err() }
-func (s *dedupStream) Close() error    { s.seen = nil; return s.src.Close() }
+func (s *dedupStream) Vars() []string { return s.src.Vars() }
+func (s *dedupStream) Row() []uint32  { return s.src.Row() }
+func (s *dedupStream) Err() error     { return s.src.Err() }
+func (s *dedupStream) Close() error   { s.seen = nil; return s.src.Close() }
 
 func (s *dedupStream) Next() bool {
 	for s.src.Next() {
@@ -282,16 +299,10 @@ func (s *dedupStream) Next() bool {
 	return false
 }
 
-func (s *dedupStream) fingerprint(row []rdf.Term) [16]byte {
+func (s *dedupStream) fingerprint(row []uint32) [16]byte {
 	b := s.buf[:0]
-	for _, t := range row {
-		b = append(b, byte(t.Kind))
-		b = append(b, t.Value...)
-		b = append(b, 0x01)
-		b = append(b, t.Lang...)
-		b = append(b, 0x02)
-		b = append(b, t.Datatype...)
-		b = append(b, 0x00)
+	for _, id := range row {
+		b = binary.LittleEndian.AppendUint32(b, id)
 	}
 	s.buf = b
 	var fp [16]byte
@@ -314,10 +325,10 @@ func Offset(src RowStream, n int) RowStream {
 	return &offsetStream{src: src, skip: n}
 }
 
-func (s *offsetStream) Vars() []string  { return s.src.Vars() }
-func (s *offsetStream) Row() []rdf.Term { return s.src.Row() }
-func (s *offsetStream) Err() error      { return s.src.Err() }
-func (s *offsetStream) Close() error    { return s.src.Close() }
+func (s *offsetStream) Vars() []string { return s.src.Vars() }
+func (s *offsetStream) Row() []uint32  { return s.src.Row() }
+func (s *offsetStream) Err() error     { return s.src.Err() }
+func (s *offsetStream) Close() error   { return s.src.Close() }
 
 func (s *offsetStream) Next() bool {
 	for ; s.skip > 0; s.skip-- {
@@ -343,10 +354,10 @@ func Limit(src RowStream, n int) RowStream {
 	return &limitStream{src: src, left: n}
 }
 
-func (s *limitStream) Vars() []string  { return s.src.Vars() }
-func (s *limitStream) Row() []rdf.Term { return s.src.Row() }
-func (s *limitStream) Err() error      { return s.src.Err() }
-func (s *limitStream) Close() error    { return s.src.Close() }
+func (s *limitStream) Vars() []string { return s.src.Vars() }
+func (s *limitStream) Row() []uint32  { return s.src.Row() }
+func (s *limitStream) Err() error     { return s.src.Err() }
+func (s *limitStream) Close() error   { return s.src.Close() }
 
 func (s *limitStream) Next() bool {
 	if s.left <= 0 || !s.src.Next() {
@@ -386,9 +397,9 @@ func Union(srcs ...RowStream) RowStream {
 	return &concatStream{vars: vars, srcs: aligned}
 }
 
-func (s *concatStream) Vars() []string  { return s.vars }
-func (s *concatStream) Err() error      { return s.err }
-func (s *concatStream) Row() []rdf.Term { return s.srcs[s.i].Row() }
+func (s *concatStream) Vars() []string { return s.vars }
+func (s *concatStream) Err() error     { return s.err }
+func (s *concatStream) Row() []uint32  { return s.srcs[s.i].Row() }
 
 func (s *concatStream) Next() bool {
 	for s.i < len(s.srcs) {
@@ -415,40 +426,52 @@ func (s *concatStream) Close() error {
 	return errors.Join(errs...)
 }
 
-// Collect drains src into a materialized relation and closes it,
-// returning the first error of the iteration or the Close.
-func Collect(src RowStream) (*sparql.Results, error) {
+// Collect drains src into a materialized relation of the terms its ids
+// name in dict and closes it, returning the first error of the iteration
+// or the Close.
+func Collect(src RowStream, dict *rdf.Dict) (*sparql.Results, error) {
 	res := sparql.NewResults(append([]string(nil), src.Vars()...))
+	rows, err := CollectIDs(src)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = TermRows(dict, rows)
+	return res, nil
+}
+
+// CollectIDs drains src into retained rows of ids and closes it, returning
+// the first error of the iteration or the Close.
+func CollectIDs(src RowStream) ([][]uint32, error) {
+	var rows [][]uint32
 	//lint:lusail-vet budgetbound -- materializing is the caller's contract (modifier tail, ExecutePlan, the comparators' intermediate relations); upstream growth is bounded by per-response caps and join spill budgets
 	for src.Next() {
-		res.Rows = append(res.Rows, CopyRow(src.Row()))
+		rows = append(rows, CopyRow(src.Row()))
 	}
 	err := src.Err()
 	if cerr := src.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return rows, err
 }
 
 // drainStream is the blocking modifier tail.
 type drainStream struct {
 	q       *sparql.Query
+	dict    *rdf.Dict
 	src     RowStream
 	started bool
 	res     *sparql.Results
 	i       int
-	row     []rdf.Term
+	row     []uint32
 	err     error
 }
 
 // Drain materializes src on the first Next and applies the SELECT query's
 // solution modifiers with sparql.ApplyModifiers — the tail for modifiers
-// that need the complete result (ORDER BY, GROUP BY, aggregates).
-func Drain(q *sparql.Query, src RowStream) RowStream {
-	return &drainStream{q: q, src: src}
+// that need the complete result (ORDER BY, GROUP BY, aggregates). Its
+// output rows are interned back into dict, aggregates' new terms included.
+func Drain(q *sparql.Query, dict *rdf.Dict, src RowStream) RowStream {
+	return &drainStream{q: q, dict: dict, src: src}
 }
 
 func (s *drainStream) Vars() []string {
@@ -458,9 +481,9 @@ func (s *drainStream) Vars() []string {
 	return s.q.ProjectedVars()
 }
 
-func (s *drainStream) Row() []rdf.Term { return s.row }
-func (s *drainStream) Err() error      { return s.err }
-func (s *drainStream) Close() error    { return s.src.Close() }
+func (s *drainStream) Row() []uint32 { return s.row }
+func (s *drainStream) Err() error    { return s.err }
+func (s *drainStream) Close() error  { return s.src.Close() }
 
 func (s *drainStream) Next() bool {
 	if s.err != nil {
@@ -468,7 +491,7 @@ func (s *drainStream) Next() bool {
 	}
 	if !s.started {
 		s.started = true
-		rel, err := Collect(s.src)
+		rel, err := Collect(s.src, s.dict)
 		if err == nil {
 			s.res, err = sparql.ApplyModifiers(s.q, rel)
 		}
@@ -480,7 +503,9 @@ func (s *drainStream) Next() bool {
 	if s.i >= len(s.res.Rows) {
 		return false
 	}
-	s.row = s.res.Rows[s.i]
+	row := s.res.Rows[s.i]
+	s.row = slices.Grow(s.row[:0], len(row))[:len(row)]
+	s.dict.InternRow(row, s.row)
 	s.i++
 	return true
 }

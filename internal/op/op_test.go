@@ -15,13 +15,14 @@ import (
 	"lusail/internal/sparql"
 )
 
-// rel is a materialized test relation.
+// rel is a materialized test relation of terms; streams carry its rows as
+// ids in a dictionary.
 type rel struct {
 	vars []string
 	rows [][]rdf.Term
 }
 
-func (r rel) stream() RowStream { return NewSlice(r.vars, r.rows) }
+func (r rel) stream(dict *rdf.Dict) RowStream { return NewSlice(r.vars, InternRows(dict, r.rows)) }
 
 func (r rel) col(v string) int { return slices.Index(r.vars, v) }
 
@@ -159,9 +160,9 @@ func keys(r rel, distinct bool) []string {
 	return out
 }
 
-func collect(t *testing.T, s RowStream) (rel, error) {
+func collect(t *testing.T, s RowStream, dict *rdf.Dict) (rel, error) {
 	t.Helper()
-	res, err := Collect(s)
+	res, err := Collect(s, dict)
 	if err != nil {
 		return rel{}, err
 	}
@@ -180,13 +181,14 @@ func checkJoin(t *testing.T, trial int, probe, build rel, left bool, cond []spar
 		if spill {
 			b.SpillBytes = 1
 		}
+		dict := rdf.NewDict()
 		var s RowStream
 		if left {
-			s = LeftJoin(context.Background(), probe.stream(), build.stream(), cond, b)
+			s = LeftJoin(context.Background(), probe.stream(dict), build.stream(dict), dict, cond, b)
 		} else {
-			s = HashJoin(context.Background(), probe.stream(), build.stream(), b)
+			s = HashJoin(context.Background(), probe.stream(dict), build.stream(dict), b)
 		}
-		got, err := collect(t, s)
+		got, err := collect(t, s, dict)
 		cross := len(want.vars) == len(probe.vars)+len(build.vars)
 		if spill && cross && len(build.rows) > 0 && (len(probe.rows) > 0 || !left) {
 			if err == nil {
@@ -241,7 +243,8 @@ func TestHashJoinProperty(t *testing.T) {
 				build.rows = append(build.rows, widened)
 			}
 		}
-		union, err := collect(t, Union(part1.stream(), part2.stream()))
+		dict := rdf.NewDict()
+		union, err := collect(t, Union(part1.stream(dict), part2.stream(dict)), dict)
 		if err != nil || !reflect.DeepEqual(union.vars, build.vars) || !reflect.DeepEqual(keys(union, false), keys(build, false)) {
 			t.Fatalf("trial %d: union %v, want %v (%v)", trial, union, build, err)
 		}
@@ -249,7 +252,7 @@ func TestHashJoinProperty(t *testing.T) {
 		checkJoin(t, trial, probe, build, false, nil, naiveJoin(probe, build, false, nil))
 
 		cond := randomCond(t, rng)
-		filtered, err := collect(t, Filter(build.stream(), cond))
+		filtered, err := collect(t, Filter(build.stream(dict), dict, cond), dict)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +288,11 @@ func TestHashJoinProperty(t *testing.T) {
 				tuples = append(tuples, tuple)
 			}
 		}
-		if got := DistinctTuples(build.rows, idx); !reflect.DeepEqual(got, tuples) {
+		got := TermRows(dict, DistinctTuples(InternRows(dict, build.rows), idx))
+		if len(got) == 0 {
+			got = nil
+		}
+		if !reflect.DeepEqual(got, tuples) {
 			t.Fatalf("trial %d: distinct tuples %v, want %v", trial, got, tuples)
 		}
 	}
@@ -318,9 +325,10 @@ func (w *watched) Next() bool { w.pulled = true; return w.RowStream.Next() }
 
 // An OPTIONAL over an empty stream must not issue its block's requests.
 func TestLeftJoinEmptyProbeSkipsBuild(t *testing.T) {
-	build := &watched{RowStream: NewSlice([]string{"b"}, [][]rdf.Term{{rdf.NewIRI("http://ex/x")}})}
-	s := LeftJoin(context.Background(), NewSlice([]string{"a"}, nil), build, nil, Budget{SpillBytes: DefaultSpillBytes})
-	got, err := Collect(s)
+	dict := rdf.NewDict()
+	build := &watched{RowStream: NewSlice([]string{"b"}, InternRows(dict, [][]rdf.Term{{rdf.NewIRI("http://ex/x")}}))}
+	s := LeftJoin(context.Background(), NewSlice([]string{"a"}, nil), build, dict, nil, Budget{SpillBytes: DefaultSpillBytes})
+	got, err := Collect(s, dict)
 	if err != nil || len(got.Rows) != 0 || build.pulled {
 		t.Fatalf("rows %v, err %v, build pulled %v", got, err, build.pulled)
 	}

@@ -17,6 +17,9 @@ import (
 
 func term(s string) rdf.Term { return rdf.NewIRI("http://ex/" + s) }
 
+// dict holds the terms of every test relation; rows travel as its ids.
+var dict = rdf.NewDict()
+
 // tuple builds a row of IRIs; an empty string is an unbound cell.
 func tuple(vals ...string) []rdf.Term {
 	out := make([]rdf.Term, len(vals))
@@ -29,7 +32,7 @@ func tuple(vals ...string) []rdf.Term {
 }
 
 func relation(vars []string, rows ...[]rdf.Term) op.RowStream {
-	return op.NewSlice(vars, rows)
+	return op.NewSlice(vars, op.InternRows(dict, rows))
 }
 
 func budget() op.Budget {
@@ -38,7 +41,7 @@ func budget() op.Budget {
 
 func mustCollect(t *testing.T, s op.RowStream) *sparql.Results {
 	t.Helper()
-	res, err := op.Collect(s)
+	res, err := op.Collect(s, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func TestHashJoinUnboundKeyRowsDropped(t *testing.T) {
 func TestProjectDistinct(t *testing.T) {
 	vars := []string{"x", "y", "z"}
 	rows := [][]rdf.Term{tuple("a", "k", "1"), tuple("a", "k", "2"), tuple("b", "k", "3"), tuple("c", "", "4")}
-	got := op.DistinctTuples(rows, []int{0, 1})
+	got := op.TermRows(dict, op.DistinctTuples(op.InternRows(dict, rows), []int{0, 1}))
 	want := [][]rdf.Term{tuple("a", "k"), tuple("b", "k")} // (c,unbound) skipped
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("projected %v onto x,y: %v, want %v", vars, got, want)
@@ -119,12 +122,12 @@ func TestApplyFilters(t *testing.T) {
 	rows := func() op.RowStream {
 		return relation([]string{"x"}, []rdf.Term{rdf.NewInteger(1)}, []rdf.Term{rdf.NewInteger(5)})
 	}
-	out := mustCollect(t, op.Filter(rows(), []sparql.Expr{filterExpr(t, `?x > 3`)}))
+	out := mustCollect(t, op.Filter(rows(), dict, []sparql.Expr{filterExpr(t, `?x > 3`)}))
 	if len(out.Rows) != 1 {
 		t.Errorf("filtered rows = %d", len(out.Rows))
 	}
 	// A filter referencing an absent variable errors → removes all rows.
-	out = mustCollect(t, op.Filter(rows(), []sparql.Expr{filterExpr(t, `?missing > 3`)}))
+	out = mustCollect(t, op.Filter(rows(), dict, []sparql.Expr{filterExpr(t, `?missing > 3`)}))
 	if len(out.Rows) != 0 {
 		t.Errorf("error filter kept %d rows", len(out.Rows))
 	}

@@ -36,13 +36,14 @@ func (m *Manager) DoStream(ctx context.Context, ep client.Endpoint, query string
 		}
 		return nil, err
 	}
-	return &recordedReader{inner: rd, m: m, name: ep.Name(), start: start}, nil
+	return &recordedReader{inner: rd, ids: sparql.IDsOf(rd), m: m, name: ep.Name(), start: start}, nil
 }
 
 // recordedReader feeds the stream's terminal outcome into the breaker and
 // latency estimator exactly once.
 type recordedReader struct {
 	inner sparql.RowReader
+	ids   sparql.IDReader
 	m     *Manager
 	name  string
 	start time.Time
@@ -60,15 +61,25 @@ func (r *recordedReader) Boolean() (bool, bool) {
 
 func (r *recordedReader) Read() ([]rdf.Term, error) {
 	row, err := r.inner.Read()
+	r.settle(err)
+	return row, err
+}
+
+// ReadIDs implements sparql.IDReader, recording like Read.
+func (r *recordedReader) ReadIDs(dict *rdf.Dict) ([]uint32, error) {
+	ids, err := r.ids.ReadIDs(dict)
+	r.settle(err)
+	return ids, err
+}
+
+// settle records a terminal read: a clean EOF or the first error.
+func (r *recordedReader) settle(err error) {
 	switch {
 	case err == nil:
-		return row, nil
 	case errors.Is(err, io.EOF):
 		r.record(nil)
-		return nil, io.EOF
 	default:
 		r.record(err)
-		return nil, err
 	}
 }
 

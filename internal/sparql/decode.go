@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"lusail/internal/rdf"
 )
@@ -22,6 +23,35 @@ type RowReader interface {
 	Vars() []string
 	Read() ([]rdf.Term, error)
 	Close() error
+}
+
+// IDReader is the optional id read path of a RowReader: ReadIDs is Read
+// with the row's terms interned into dict (0 for unbound).
+type IDReader interface {
+	ReadIDs(dict *rdf.Dict) ([]uint32, error)
+}
+
+// IDsOf returns r's own id read path, or one that interns r.Read's rows.
+func IDsOf(r RowReader) IDReader {
+	if ir, ok := r.(IDReader); ok {
+		return ir
+	}
+	return &internReader{r: r}
+}
+
+type internReader struct {
+	r   RowReader
+	ids []uint32
+}
+
+func (x *internReader) ReadIDs(dict *rdf.Dict) ([]uint32, error) {
+	row, err := x.r.Read()
+	if err != nil {
+		return nil, err
+	}
+	x.ids = slices.Grow(x.ids[:0], len(row))[:len(row)]
+	dict.InternRow(row, x.ids)
+	return x.ids, nil
 }
 
 // BooleanReader is implemented by RowReaders that carry an ASK result.

@@ -3,7 +3,9 @@ package sparql
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -255,7 +257,44 @@ func FuzzTSVDecoder(f *testing.F) {
 		checkReencodes(t, doc,
 			func(rc io.ReadCloser) (RowReader, error) { return NewTSVDecoder(rc) },
 			(*Results).WriteTSV)
+		checkIDPath(t, doc)
 	})
+}
+
+// checkIDPath decodes a TSV document twice, through Read and through
+// ReadIDs into a fresh dictionary (twice over, so the second pass hits
+// every cell), and requires the ids to decode back to exactly Read's rows
+// and the same error.
+func checkIDPath(t *testing.T, doc []byte) {
+	open := func() *TSVDecoder {
+		d, err := NewTSVDecoder(io.NopCloser(bytes.NewReader(doc)))
+		if err != nil {
+			return nil
+		}
+		return d
+	}
+	terms := open()
+	if terms == nil {
+		return
+	}
+	dict := rdf.NewDict()
+	for pass := range 2 {
+		ids := open()
+		for row := 0; ; row++ {
+			want, werr := terms.Read()
+			got, gerr := ids.ReadIDs(dict)
+			if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+				t.Fatalf("pass %d row %d: Read error %v, ReadIDs error %v\ninput: %q", pass, row, werr, gerr, doc)
+			}
+			if werr != nil {
+				break
+			}
+			if decoded := dict.Terms(got, nil); !reflect.DeepEqual(decoded, want) && len(want)+len(decoded) > 0 {
+				t.Fatalf("pass %d row %d: ids decode to %v, Read gives %v\ninput: %q", pass, row, decoded, want, doc)
+			}
+		}
+		terms = open()
+	}
 }
 
 func FuzzJSONDecoder(f *testing.F) {

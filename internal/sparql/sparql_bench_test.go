@@ -129,3 +129,30 @@ func BenchmarkWriteTSV(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodeTSVIDs is BenchmarkDecodeTSV through the id read path
+// into a fresh dictionary per document, as one query execution interns
+// an endpoint's answer.
+func BenchmarkDecodeTSVIDs(b *testing.B) {
+	var doc bytes.Buffer
+	if err := lubmResult().WriteTSV(&doc); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(doc.Len()))
+	b.ReportAllocs()
+	for range b.N {
+		rd, err := NewTSVDecoder(io.NopCloser(bytes.NewReader(doc.Bytes())))
+		if err != nil {
+			b.Fatal(err)
+		}
+		dict := rdf.NewDict()
+		for {
+			if _, err := rd.ReadIDs(dict); errors.Is(err, io.EOF) {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+		rd.Close()
+	}
+}

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -39,9 +40,11 @@ type TSVDecoder struct {
 	br   *bufio.Reader
 	long []byte // a line longer than br's buffer, accumulated
 
-	vars []string
-	row  []rdf.Term
-	rows int // solutions decoded, for error messages
+	vars  []string
+	row   []rdf.Term
+	ids   []uint32 // ReadIDs' row
+	cells [][]byte // the current line's cells
+	rows  int      // solutions decoded, for error messages
 
 	done   bool
 	closed bool
@@ -60,14 +63,14 @@ func NewTSVDecoder(rc io.ReadCloser) (*TSVDecoder, error) {
 }
 
 func (d *TSVDecoder) readHeader() error {
-	line, err := d.readLine()
+	b, err := d.readLine()
 	if errors.Is(err, io.EOF) {
 		return io.ErrUnexpectedEOF // even an empty result has a header line
 	}
 	if err != nil {
 		return err
 	}
-	if line != "" {
+	if line := string(b); line != "" {
 		for _, field := range strings.Split(line, "\t") {
 			if len(field) < 2 || (field[0] != '?' && field[0] != '$') || strings.ContainsAny(field, " \r\n") {
 				return fmt.Errorf("malformed variable %q", field)
@@ -76,33 +79,35 @@ func (d *TSVDecoder) readHeader() error {
 		}
 	}
 	d.row = make([]rdf.Term, len(d.vars))
+	d.ids = make([]uint32, len(d.vars))
+	d.cells = make([][]byte, len(d.vars))
 	return nil
 }
 
-// readLine returns the next line without its LF or CRLF, as one string the
-// row's terms are sliced from. It returns io.EOF only when the input ends
-// exactly at a line boundary, and io.ErrUnexpectedEOF when it ends inside
-// a line.
-func (d *TSVDecoder) readLine() (string, error) {
+// readLine returns the next line without its LF or CRLF. The bytes are
+// only valid until the next read. It returns io.EOF only when the input
+// ends exactly at a line boundary, and io.ErrUnexpectedEOF when it ends
+// inside a line.
+func (d *TSVDecoder) readLine() ([]byte, error) {
 	frag, err := d.br.ReadSlice('\n')
 	if err == nil {
-		return string(trimEOL(frag)), nil
+		return trimEOL(frag), nil
 	}
 	d.long = append(d.long[:0], frag...)
 	for errors.Is(err, bufio.ErrBufferFull) {
 		frag, err = d.br.ReadSlice('\n')
 		if len(d.long)+len(frag) > maxTSVLineBytes {
-			return "", fmt.Errorf("line exceeds %d bytes", maxTSVLineBytes)
+			return nil, fmt.Errorf("line exceeds %d bytes", maxTSVLineBytes)
 		}
 		d.long = append(d.long, frag...)
 	}
 	switch {
 	case err == nil:
-		return string(trimEOL(d.long)), nil
+		return trimEOL(d.long), nil
 	case errors.Is(err, io.EOF) && len(d.long) > 0:
-		return "", io.ErrUnexpectedEOF
+		return nil, io.ErrUnexpectedEOF
 	}
-	return "", err
+	return nil, err
 }
 
 func trimEOL(line []byte) []byte {
@@ -116,54 +121,87 @@ func trimEOL(line []byte) []byte {
 // Vars implements RowReader.
 func (d *TSVDecoder) Vars() []string { return d.vars }
 
-// Read implements RowReader.
+// Read implements RowReader. The line is converted to one string the
+// row's terms are sliced from.
 func (d *TSVDecoder) Read() ([]rdf.Term, error) {
+	err := d.next(func(line []byte) error {
+		s, off := string(line), 0
+		for i, c := range d.cells {
+			cell := s[off : off+len(c)]
+			if off += len(c) + 1; cell == "" {
+				d.row[i] = rdf.Term{}
+				continue
+			}
+			t, err := rdf.ParseTerm(cell)
+			if err != nil {
+				return fmt.Errorf("?%s: %w", d.vars[i], err)
+			}
+			d.row[i] = t
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return d.row, nil
+}
+
+// ReadIDs implements IDReader: the cells are interned into dict straight
+// from the read buffer, so a row of terms dict holds allocates nothing.
+func (d *TSVDecoder) ReadIDs(dict *rdf.Dict) ([]uint32, error) {
+	err := d.next(func([]byte) error {
+		if i, err := dict.InternText(d.cells, d.ids); err != nil {
+			return fmt.Errorf("?%s: %w", d.vars[i], err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return d.ids, nil
+}
+
+// next reads one solution line, slices it into d.cells, one per header
+// variable, and hands it to decode, keeping the end-of-stream and
+// sticky-error state.
+func (d *TSVDecoder) next(decode func(line []byte) error) error {
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if d.done || d.closed {
-		return nil, io.EOF
+		return io.EOF
 	}
 	line, err := d.readLine()
 	if errors.Is(err, io.EOF) {
 		d.done = true
-		return nil, io.EOF
+		return io.EOF
 	}
 	if err == nil {
-		err = d.parseRow(line)
+		err = d.split(line)
+	}
+	if err == nil {
+		err = decode(line)
 	}
 	if err != nil {
 		d.err = fmt.Errorf("sparql: tsv solution %d: %w", d.rows+1, err)
-		return nil, d.err
+		return d.err
 	}
 	d.rows++
-	return d.row, nil
+	return nil
 }
 
-// parseRow fills d.row from one solution line.
-func (d *TSVDecoder) parseRow(line string) error {
-	if len(d.vars) == 0 {
-		if line != "" {
-			return fmt.Errorf("%d fields, header has 0", strings.Count(line, "\t")+1)
-		}
-		return nil
-	}
+// split slices one solution line into d.cells, one per header variable.
+func (d *TSVDecoder) split(line []byte) error {
 	rest := line
-	for i := range d.row {
-		cell, tail, more := strings.Cut(rest, "\t")
-		if more == (i == len(d.row)-1) {
-			return fmt.Errorf("%d fields, header has %d", strings.Count(line, "\t")+1, len(d.vars))
+	for i := range d.cells {
+		cell, tail, more := bytes.Cut(rest, []byte{'\t'})
+		if more == (i == len(d.cells)-1) {
+			return fmt.Errorf("%d fields, header has %d", bytes.Count(line, []byte{'\t'})+1, len(d.vars))
 		}
-		rest = tail
-		if cell == "" {
-			d.row[i] = rdf.Term{}
-			continue
-		}
-		t, err := rdf.ParseTerm(cell)
-		if err != nil {
-			return fmt.Errorf("?%s: %w", d.vars[i], err)
-		}
-		d.row[i] = t
+		d.cells[i], rest = cell, tail
+	}
+	if len(d.cells) == 0 && len(line) != 0 {
+		return fmt.Errorf("%d fields, header has 0", bytes.Count(line, []byte{'\t'})+1)
 	}
 	return nil
 }
