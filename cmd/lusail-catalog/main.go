@@ -1,8 +1,7 @@
 // Command lusail-catalog builds, inspects, and refreshes the persistent
 // endpoint catalog consumed by lusail's -catalog flag: one data summary
 // per endpoint (predicates, classes, VoID-style counts, URI-authority
-// sketches, probed capabilities) that replaces per-query ASK and COUNT
-// probes.
+// sketches, probed capabilities) that replaces per-query COUNT probes.
 //
 // Usage:
 //

@@ -17,16 +17,16 @@
 // go to stderr; the result set is printed once, from the final run.
 //
 // Add -explain to print the full query plan and execution profile: the
-// decomposition, the span tree of everything the engine did (ASK probes,
-// check queries, COUNT probes, subqueries, bound-join batches, joins), and
-// a per-endpoint table of requests, rows, and bytes. -trace-out writes the
-// same span tree in Chrome trace_event format for chrome://tracing or
-// Perfetto. -admin serves /metrics (Prometheus text) and /debug/federation
-// (JSON) while the query runs.
+// decomposition, the span tree of everything the engine did (source
+// selection, check queries, COUNT probes, subqueries, bound-join batches,
+// joins), and a per-endpoint table of requests, rows, and bytes.
+// -trace-out writes the same span tree in Chrome trace_event format for
+// chrome://tracing or Perfetto. -admin serves /metrics (Prometheus text)
+// and /debug/federation (JSON) while the query runs.
 //
 // Add -catalog catalog.json (built beforehand with lusail-catalog) to
 // answer source selection and cardinality estimation from precomputed
-// summaries instead of per-query ASK/COUNT probes; -catalog-ttl bounds how
+// summaries instead of per-query COUNT probes; -catalog-ttl bounds how
 // old a summary may be before the engine falls back to probing.
 //
 // Add -on-failure=degrade to answer from the remaining endpoints when one

@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"lusail/internal/eval"
 	"lusail/internal/federation"
 	"lusail/internal/rdf"
+	"lusail/internal/resilience"
 	"lusail/internal/sparql"
 	"lusail/internal/store"
 )
@@ -216,5 +218,79 @@ func TestSystems(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// askFlaky fails its first request and answers the rest.
+type askFlaky struct {
+	client.Endpoint
+	requests int
+}
+
+func (e *askFlaky) Query(ctx context.Context, q string) (*sparql.Results, error) {
+	if e.requests++; e.requests == 1 {
+		return nil, fmt.Errorf("endpoint %s: connection reset", e.Name())
+	}
+	return e.Endpoint.Query(ctx, q)
+}
+
+// FedX's ASK selection: one ASK per pattern and endpoint, cached by
+// normalized pattern. A failed ASK keeps its endpoint as a source with a
+// warning and is asked again next time; every ASK failing, or the context
+// ending, aborts.
+func TestASKSelection(t *testing.T) {
+	var m client.Metrics
+	ep := func(name string, triples ...rdf.Triple) client.Endpoint {
+		return client.NewInstrumented(client.NewInProcess(name, store.NewFromTriples(triples)), &m)
+	}
+	p, q := u("p"), u("q")
+	fl := &askFlaky{Endpoint: ep("flaky", rdf.Triple{S: u("x"), P: u("r"), O: u("y")})}
+	fed := federation.MustNew(
+		ep("ep1", rdf.Triple{S: u("a"), P: p, O: u("b")}),
+		ep("ep2", rdf.Triple{S: u("c"), P: p, O: u("d")}, rdf.Triple{S: u("c"), P: q, O: u("e")}),
+		fl)
+	sel := &askSelection{fed: fed, pool: erh.New(4)}
+	pattern := func(pred, s, o string) sparql.TriplePattern {
+		return sparql.TriplePattern{S: sparql.Var(s), P: sparql.IRI(ub + pred), O: sparql.Var(o)}
+	}
+	sources := func(ctx context.Context, tp sparql.TriplePattern) ([]string, []resilience.Warning) {
+		t.Helper()
+		ctx = resilience.WithWarnings(ctx)
+		got, err := sel.sources(ctx, tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, resilience.TakeWarnings(ctx)
+	}
+
+	got, ws := sources(context.Background(), pattern("q", "s", "o"))
+	if !reflect.DeepEqual(got, []string{"ep2", "flaky"}) || len(ws) != 1 || ws[0].Endpoint != "flaky" {
+		t.Errorf("with flaky down: sources %v, warnings %+v; want [ep2 flaky] and one warning", got, ws)
+	}
+	before := m.Snapshot()
+	got, ws = sources(context.Background(), pattern("q", "x", "y"))
+	if d := m.Snapshot().Sub(before); !reflect.DeepEqual(got, []string{"ep2"}) || len(ws) != 0 || d.Asks != 1 {
+		t.Errorf("next lookup: sources %v, warnings %+v, %d ASKs; want [ep2], none, and one ASK to flaky", got, ws, d.Asks)
+	}
+	before = m.Snapshot()
+	if got, _ := sources(context.Background(), pattern("q", "s", "o")); !reflect.DeepEqual(got, []string{"ep2"}) || m.Snapshot().Sub(before).Requests != 0 {
+		t.Errorf("cached lookup: sources %v after %d requests; want [ep2] and none", got, m.Snapshot().Sub(before).Requests)
+	}
+	if got, _ := sources(context.Background(), pattern("p", "s", "o")); !reflect.DeepEqual(got, []string{"ep1", "ep2"}) {
+		t.Errorf("sources for p = %v", got)
+	}
+	if got, _ := sources(context.Background(), pattern("zzz", "s", "o")); len(got) != 0 {
+		t.Errorf("sources for zzz = %v", got)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sel.sources(ctx, pattern("other", "s", "o")); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled selection: err = %v, want context.Canceled", err)
+	}
+	dead := federation.MustNew(&askFlaky{Endpoint: ep("a")}, &askFlaky{Endpoint: ep("b")})
+	var ee *client.EndpointError
+	if _, err := (&askSelection{fed: dead, pool: erh.New(4)}).sources(context.Background(), pattern("p", "s", "o")); !errors.As(err, &ee) {
+		t.Errorf("every ASK failing: err = %v, want an EndpointError", err)
 	}
 }

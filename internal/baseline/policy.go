@@ -2,14 +2,17 @@ package baseline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"lusail/internal/catalog"
 	"lusail/internal/client"
 	"lusail/internal/erh"
 	"lusail/internal/federation"
 	"lusail/internal/rdf"
+	"lusail/internal/resilience"
 	"lusail/internal/sparql"
 )
 
@@ -46,7 +49,7 @@ const (
 // exclusive groups, variable-counting order, bound joins throughout.
 func NewFedX(fed *federation.Federation) *Engine {
 	pool := erh.New(0)
-	return newEngine(fed, pool, fedxPolicy(federation.NewSourceSelector(fed, pool).RelevantSources))
+	return newEngine(fed, pool, fedxPolicy((&askSelection{fed: fed, pool: pool}).sources))
 }
 
 // NewHiBISCuS returns HiBISCuS: the FedX executor with source selection
@@ -85,6 +88,66 @@ func fedxPolicy(sources func(context.Context, sparql.TriplePattern) ([]string, e
 		block:     fedxBlock,
 		limitStop: true,
 	}
+}
+
+// askSelection is FedX's source selection: one ASK per pattern and
+// endpoint, the answers cached by normalized pattern. A failed ASK follows
+// Lusail's policy (resilience.ProbeFailed and SelectionFailed): its
+// endpoint is a source for this query, with a warning, and is asked again
+// next time; selection fails when the context ended or every ASK of an
+// uncached pattern failed.
+type askSelection struct {
+	fed   *federation.Federation
+	pool  *erh.Pool
+	cache sync.Map // normalized pattern "@" endpoint -> relevant
+}
+
+// sources returns the endpoints that may hold matches of the pattern, in
+// federation order, asking those the cache does not know.
+func (x *askSelection) sources(ctx context.Context, tp sparql.TriplePattern) ([]string, error) {
+	key := sparql.PatternKey(nil, tp) + "@"
+	var unknown []string
+	for _, name := range x.fed.Names() {
+		if _, ok := x.cache.Load(key + name); !ok {
+			unknown = append(unknown, name)
+		}
+	}
+	answers, errs, err := askAll(ctx, x.pool, x.fed, unknown, tp)
+	if err != nil {
+		return nil, err
+	}
+	for i, name := range unknown {
+		if errs[i] == nil {
+			x.cache.Store(key+name, answers[i])
+		} else {
+			errs[i] = resilience.ProbeFailed(ctx, name, errs[i])
+		}
+	}
+	if err := resilience.SelectionFailed(errs, len(unknown) < x.fed.Size()); err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, name := range x.fed.Names() {
+		if relevant, ok := x.cache.Load(key + name); !ok || relevant.(bool) { // !ok: its ASK failed
+			out = append(out, name)
+		}
+	}
+	return out, nil
+}
+
+// askAll sends the pattern's ASK to the named endpoints at once and
+// returns each one's answer or error; err reports a context that ended
+// before every ASK was sent.
+func askAll(ctx context.Context, pool *erh.Pool, fed *federation.Federation, names []string, tp sparql.TriplePattern) (answers []bool, errs []error, err error) {
+	q := sparql.NewAsk()
+	q.Where.Elements = append(q.Where.Elements, tp)
+	text := q.String()
+	answers, errs = make([]bool, len(names)), make([]error, len(names))
+	err = pool.ForEach(ctx, len(names), func(i int) error {
+		answers[i], errs[i] = client.Ask(ctx, fed.Get(names[i]), text)
+		return nil
+	})
+	return answers, errs, err
 }
 
 // variableCount is FedX's variable-counting heuristic: prefer the unit with
@@ -257,16 +320,8 @@ func (x voidIndex) sources(ctx context.Context, tp sparql.TriplePattern) ([]stri
 	if tp.S.IsVar() && (tp.O.IsVar() || !tp.P.IsVar()) {
 		return candidates, nil
 	}
-	ask := sparql.NewAsk()
-	ask.Where.Elements = append(ask.Where.Elements, tp)
-	text := ask.String()
-	confirmed := make([]bool, len(candidates))
-	err := x.pool.ForEach(ctx, len(candidates), func(i int) error {
-		ok, err := client.Ask(ctx, x.fed.Get(candidates[i]), text)
-		confirmed[i] = ok
-		return err
-	})
-	if err != nil {
+	confirmed, errs, err := askAll(ctx, x.pool, x.fed, candidates, tp)
+	if err := errors.Join(append(errs, err)...); err != nil {
 		return nil, fmt.Errorf("baseline: ASK confirmation: %w", err)
 	}
 	var out []string

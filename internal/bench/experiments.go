@@ -236,12 +236,8 @@ func Fig12bcScaling(ctx context.Context, endpointCounts []int, opts ExpOptions) 
 			if err != nil {
 				return nil, err
 			}
-			// Cold run: fresh engine, caches disabled.
-			cold := core.DefaultOptions()
-			cold.CacheSources = false
-			cold.CacheChecks = false
-			engCold := fed.NewLusail(cold)
-			_, profCold, err := engCold.QueryString(ctx, q.Text)
+			// Cold run: a fresh engine starts with empty caches.
+			_, profCold, err := fed.NewLusail(core.DefaultOptions()).QueryString(ctx, q.Text)
 			if err != nil {
 				return nil, err
 			}

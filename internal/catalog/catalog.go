@@ -3,11 +3,11 @@
 // the background, and consulted by the engine as the probe-free first tier
 // of a two-tier strategy.
 //
-// Lusail's baseline protocol pays a per-query round-trip tax: every triple
-// pattern triggers ASK probes at all endpoints (source selection) and
-// SELECT COUNT probes at all relevant endpoints (SAPE statistics,
-// Section 4.1 of the paper). For small federated queries those probes
-// dominate latency. The catalog amortizes them into an offline pass, in
+// Lusail's baseline protocol pays a per-query round-trip tax: the first
+// planning round asks every endpoint for the COUNT of every triple pattern,
+// which answers both source selection and SAPE's statistics (Section 4.1
+// of the paper). For small federated queries those probes dominate
+// latency. The catalog amortizes them into an offline pass, in
 // the spirit of SPLENDID's VoID statistics and HiBISCuS's authority
 // sketches: each summary records the endpoint's distinct predicates,
 // classes, VoID-style counts (triples, per-predicate triple/subject/object
@@ -16,12 +16,13 @@
 //
 // At query time:
 //
-//   - federation.SourceSelector asks the catalog to Decide each endpoint
+//   - core's first planning round asks the catalog to Decide each endpoint
 //     per pattern. Proven-irrelevant endpoints are pruned without traffic;
 //     proven-relevant ones are included; only undecided endpoints (missing,
-//     stale, or partial summaries) fall back to ASK probes.
-//   - core's statistics collector asks Cardinality for constant-predicate
-//     patterns and only issues COUNT probes when the catalog cannot answer.
+//     stale, or partial summaries) get a COUNT cell.
+//   - The same round asks Cardinality for constant-predicate patterns and
+//     only sends COUNT cells for relevant endpoints the catalog cannot
+//     count.
 //
 // Decisions are conservative in exactly one direction: Irrelevant is only
 // returned when the summary *proves* no triple can match (unknown
@@ -38,7 +39,6 @@ import (
 	"strings"
 	"time"
 
-	"lusail/internal/federation"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 )
@@ -132,21 +132,39 @@ func hasAuthority(sorted []string, auth string) bool {
 	return i < len(sorted) && sorted[i] == auth
 }
 
+// TierDecision classifies one endpoint for one triple pattern, as the
+// probe-free catalog tier of source selection answers it.
+type TierDecision int
+
+const (
+	// TierUnknown means the catalog cannot decide (missing, stale, or
+	// partial summary); the endpoint must be probed.
+	TierUnknown TierDecision = iota
+	// TierRelevant means the endpoint may hold matches of the pattern and
+	// must be included. The catalog may over-approximate here (e.g. an
+	// authority sketch cannot distinguish two entities of one authority);
+	// including a non-matching endpoint costs work but never correctness.
+	TierRelevant
+	// TierIrrelevant means the endpoint provably holds no match of the
+	// pattern (e.g. the predicate does not occur there) and is pruned
+	// without a probe.
+	TierIrrelevant
+)
+
 // Decide classifies the endpoint for the pattern from the summary alone.
 //
-// The contract mirrors federation.TierDecision: TierIrrelevant is a proof
-// (no triple at this endpoint can match the pattern), TierRelevant may
-// over-approximate, and TierUnknown asks the caller to fall back to an ASK
-// probe. A truncated (partial) summary can still prove relevance — what it
-// saw, the endpoint has — but never irrelevance.
-func (s *Summary) Decide(tp sparql.TriplePattern) federation.TierDecision {
+// TierIrrelevant is a proof (no triple at this endpoint can match the
+// pattern), TierRelevant may over-approximate, and TierUnknown asks the
+// caller to fall back to a probe. A truncated (partial) summary can still
+// prove relevance — what it saw, the endpoint has — but never irrelevance.
+func (s *Summary) Decide(tp sparql.TriplePattern) TierDecision {
 	if s == nil {
-		return federation.TierUnknown
+		return TierUnknown
 	}
-	irrelevant := federation.TierIrrelevant
+	irrelevant := TierIrrelevant
 	if s.Capabilities.Truncated {
 		// The scan missed triples; absence from the summary proves nothing.
-		irrelevant = federation.TierUnknown
+		irrelevant = TierUnknown
 	}
 	if s.Triples == 0 {
 		return irrelevant
@@ -166,14 +184,14 @@ func (s *Summary) Decide(tp sparql.TriplePattern) federation.TierDecision {
 		if !ok || ps.Triples == 0 {
 			return irrelevant
 		}
-		if d := s.decideSubject(tp, ps); d != federation.TierRelevant {
+		if d := s.decideSubject(tp, ps); d != TierRelevant {
 			return d
 		}
 		return s.decideObject(tp, ps, irrelevant)
 	}
 
 	// Variable predicate: decide from the union of all predicate sketches.
-	if d := s.decideSubject(tp, nil); d != federation.TierRelevant {
+	if d := s.decideSubject(tp, nil); d != TierRelevant {
 		return d
 	}
 	return s.decideObject(tp, nil, irrelevant)
@@ -181,13 +199,13 @@ func (s *Summary) Decide(tp sparql.TriplePattern) federation.TierDecision {
 
 // decideSubject applies the subject position of tp against ps (or, when ps
 // is nil, against every predicate's sketch).
-func (s *Summary) decideSubject(tp sparql.TriplePattern, ps *PredicateStat) federation.TierDecision {
+func (s *Summary) decideSubject(tp sparql.TriplePattern, ps *PredicateStat) TierDecision {
 	if tp.S.IsVar() {
-		return federation.TierRelevant
+		return TierRelevant
 	}
 	if !tp.S.Term.IsIRI() {
 		// Constant blank nodes have no cross-document identity to sketch.
-		return federation.TierUnknown
+		return TierUnknown
 	}
 	auth := Authority(tp.S.Term.Value)
 	found := false
@@ -202,32 +220,32 @@ func (s *Summary) decideSubject(tp sparql.TriplePattern, ps *PredicateStat) fede
 		}
 	}
 	if found {
-		return federation.TierRelevant
+		return TierRelevant
 	}
 	if s.Capabilities.Truncated {
-		return federation.TierUnknown
+		return TierUnknown
 	}
-	return federation.TierIrrelevant
+	return TierIrrelevant
 }
 
 // decideObject applies the object position of tp. irrelevant carries the
 // truncation-adjusted "not found" verdict.
-func (s *Summary) decideObject(tp sparql.TriplePattern, ps *PredicateStat, irrelevant federation.TierDecision) federation.TierDecision {
+func (s *Summary) decideObject(tp sparql.TriplePattern, ps *PredicateStat, irrelevant TierDecision) TierDecision {
 	if tp.O.IsVar() {
-		return federation.TierRelevant
+		return TierRelevant
 	}
 	o := tp.O.Term
 	if o.IsIRI() {
 		auth := Authority(o.Value)
 		if ps != nil {
 			if hasAuthority(ps.ObjAuthorities, auth) {
-				return federation.TierRelevant
+				return TierRelevant
 			}
 			return irrelevant
 		}
 		for _, p := range s.Predicates {
 			if hasAuthority(p.ObjAuthorities, auth) {
-				return federation.TierRelevant
+				return TierRelevant
 			}
 		}
 		return irrelevant
@@ -236,13 +254,13 @@ func (s *Summary) decideObject(tp sparql.TriplePattern, ps *PredicateStat, irrel
 	// predicate has literal objects at all.
 	if ps != nil {
 		if ps.LiteralObjects > 0 {
-			return federation.TierRelevant
+			return TierRelevant
 		}
 		return irrelevant
 	}
 	for _, p := range s.Predicates {
 		if p.LiteralObjects > 0 {
-			return federation.TierRelevant
+			return TierRelevant
 		}
 	}
 	return irrelevant

@@ -97,20 +97,20 @@ func TestSummaryDecide(t *testing.T) {
 	tests := []struct {
 		name string
 		tp   sparql.TriplePattern
-		want federation.TierDecision
+		want TierDecision
 	}{
-		{"known predicate", sparql.TriplePattern{S: v("s"), P: c("http://drugbank.org/name"), O: v("o")}, federation.TierRelevant},
-		{"unknown predicate", sparql.TriplePattern{S: v("s"), P: c("http://kegg.org/pathway"), O: v("o")}, federation.TierIrrelevant},
-		{"known class", sparql.TriplePattern{S: v("s"), P: c(rdf.RDFType), O: c("http://drugbank.org/Drug")}, federation.TierRelevant},
-		{"unknown class", sparql.TriplePattern{S: v("s"), P: c(rdf.RDFType), O: c("http://kegg.org/Pathway")}, federation.TierIrrelevant},
-		{"subject authority match", sparql.TriplePattern{S: c("http://drugbank.org/d2"), P: c("http://drugbank.org/name"), O: v("o")}, federation.TierRelevant},
-		{"subject authority miss", sparql.TriplePattern{S: c("http://elsewhere.org/x"), P: c("http://drugbank.org/name"), O: v("o")}, federation.TierIrrelevant},
-		{"object authority match", sparql.TriplePattern{S: v("s"), P: c("http://drugbank.org/target"), O: c("http://kegg.org/k10")}, federation.TierRelevant},
-		{"object authority miss", sparql.TriplePattern{S: v("s"), P: c("http://drugbank.org/target"), O: c("http://elsewhere.org/x")}, federation.TierIrrelevant},
-		{"literal object on literal predicate", sparql.TriplePattern{S: v("s"), P: c("http://drugbank.org/name"), O: sparql.Const(rdf.NewLiteral("aspirin"))}, federation.TierRelevant},
-		{"literal object on IRI-only predicate", sparql.TriplePattern{S: v("s"), P: c("http://drugbank.org/target"), O: sparql.Const(rdf.NewLiteral("x"))}, federation.TierIrrelevant},
-		{"variable predicate", sparql.TriplePattern{S: v("s"), P: v("p"), O: v("o")}, federation.TierRelevant},
-		{"variable predicate, foreign subject", sparql.TriplePattern{S: c("http://elsewhere.org/x"), P: v("p"), O: v("o")}, federation.TierIrrelevant},
+		{"known predicate", sparql.TriplePattern{S: v("s"), P: c("http://drugbank.org/name"), O: v("o")}, TierRelevant},
+		{"unknown predicate", sparql.TriplePattern{S: v("s"), P: c("http://kegg.org/pathway"), O: v("o")}, TierIrrelevant},
+		{"known class", sparql.TriplePattern{S: v("s"), P: c(rdf.RDFType), O: c("http://drugbank.org/Drug")}, TierRelevant},
+		{"unknown class", sparql.TriplePattern{S: v("s"), P: c(rdf.RDFType), O: c("http://kegg.org/Pathway")}, TierIrrelevant},
+		{"subject authority match", sparql.TriplePattern{S: c("http://drugbank.org/d2"), P: c("http://drugbank.org/name"), O: v("o")}, TierRelevant},
+		{"subject authority miss", sparql.TriplePattern{S: c("http://elsewhere.org/x"), P: c("http://drugbank.org/name"), O: v("o")}, TierIrrelevant},
+		{"object authority match", sparql.TriplePattern{S: v("s"), P: c("http://drugbank.org/target"), O: c("http://kegg.org/k10")}, TierRelevant},
+		{"object authority miss", sparql.TriplePattern{S: v("s"), P: c("http://drugbank.org/target"), O: c("http://elsewhere.org/x")}, TierIrrelevant},
+		{"literal object on literal predicate", sparql.TriplePattern{S: v("s"), P: c("http://drugbank.org/name"), O: sparql.Const(rdf.NewLiteral("aspirin"))}, TierRelevant},
+		{"literal object on IRI-only predicate", sparql.TriplePattern{S: v("s"), P: c("http://drugbank.org/target"), O: sparql.Const(rdf.NewLiteral("x"))}, TierIrrelevant},
+		{"variable predicate", sparql.TriplePattern{S: v("s"), P: v("p"), O: v("o")}, TierRelevant},
+		{"variable predicate, foreign subject", sparql.TriplePattern{S: c("http://elsewhere.org/x"), P: v("p"), O: v("o")}, TierIrrelevant},
 	}
 	for _, tc := range tests {
 		if got := db.Decide(tc.tp); got != tc.want {
@@ -129,12 +129,12 @@ func TestTruncatedSummaryNeverPrunes(t *testing.T) {
 	v, c := sparql.Var, sparql.IRI
 	// What the partial scan saw is still a proof of relevance...
 	tp := sparql.TriplePattern{S: v("s"), P: c("http://drugbank.org/name"), O: v("o")}
-	if got := db.Decide(tp); got != federation.TierRelevant {
+	if got := db.Decide(tp); got != TierRelevant {
 		t.Errorf("seen predicate on truncated summary: %v, want relevant", got)
 	}
 	// ...but absence proves nothing.
 	tp = sparql.TriplePattern{S: v("s"), P: c("http://kegg.org/pathway"), O: v("o")}
-	if got := db.Decide(tp); got != federation.TierUnknown {
+	if got := db.Decide(tp); got != TierUnknown {
 		t.Errorf("unseen predicate on truncated summary: %v, want unknown", got)
 	}
 	// And cardinalities are no longer trustworthy.
@@ -200,10 +200,10 @@ func TestBuildAndStoreRoundtrip(t *testing.T) {
 
 	// The reloaded store answers tier decisions identically.
 	tp := sparql.TriplePattern{S: sparql.Var("s"), P: sparql.IRI("http://kegg.org/pathway"), O: sparql.Var("o")}
-	if d := re.Decide(tp, "drugbank"); d != federation.TierIrrelevant {
+	if d := re.Decide(tp, "drugbank"); d != TierIrrelevant {
 		t.Errorf("reloaded Decide(drugbank) = %v, want irrelevant", d)
 	}
-	if d := re.Decide(tp, "kegg"); d != federation.TierRelevant {
+	if d := re.Decide(tp, "kegg"); d != TierRelevant {
 		t.Errorf("reloaded Decide(kegg) = %v, want relevant", d)
 	}
 }
@@ -248,7 +248,7 @@ func TestStoreTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := sparql.TriplePattern{S: sparql.Var("s"), P: sparql.IRI("http://kegg.org/pathway"), O: sparql.Var("o")}
-	if d := st.Decide(tp, "drugbank"); d != federation.TierIrrelevant {
+	if d := st.Decide(tp, "drugbank"); d != TierIrrelevant {
 		t.Fatalf("fresh Decide = %v, want irrelevant", d)
 	}
 	if _, ok := st.Cardinality(tp, "kegg"); !ok {
@@ -261,7 +261,7 @@ func TestStoreTTL(t *testing.T) {
 	// Two hours later everything is stale: decisions fall back to unknown,
 	// cardinalities to probes, and Refresh rebuilds both summaries.
 	st.setClock(func() time.Time { return time.Now().Add(2 * time.Hour) })
-	if d := st.Decide(tp, "drugbank"); d != federation.TierUnknown {
+	if d := st.Decide(tp, "drugbank"); d != TierUnknown {
 		t.Errorf("stale Decide = %v, want unknown", d)
 	}
 	if _, ok := st.Cardinality(tp, "kegg"); ok {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lusail/internal/federation"
 	"lusail/internal/obs"
 	"lusail/internal/sparql"
 )
@@ -179,13 +178,13 @@ func (s *Store) Drop(endpoint string) {
 	s.epoch.Add(1)
 }
 
-// Decide implements federation.CatalogTier: a fresh summary answers from
-// its sketches; a missing or stale one yields TierUnknown so the selector
-// falls back to an ASK probe.
-func (s *Store) Decide(tp sparql.TriplePattern, endpoint string) federation.TierDecision {
+// Decide classifies the endpoint for the pattern: a fresh summary answers
+// from its sketches; a missing or stale one yields TierUnknown so source
+// selection falls back to a probe.
+func (s *Store) Decide(tp sparql.TriplePattern, endpoint string) TierDecision {
 	sum, ok := s.Fresh(endpoint)
 	if !ok {
-		return federation.TierUnknown
+		return TierUnknown
 	}
 	return sum.Decide(tp)
 }

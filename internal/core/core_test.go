@@ -275,7 +275,7 @@ func TestDecompositionInvariants(t *testing.T) {
 	// Invariant 3: all patterns in a subquery share the subquery's sources.
 	for _, sq := range sqs {
 		for _, pi := range sq.patternIdx {
-			if !federation.SameSources(sq.Sources, sources[pi]) {
+			if !sameSources(sq.Sources, sources[pi]) {
 				t.Errorf("subquery %s has pattern with different sources", sq)
 			}
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"lusail/internal/federation"
 	"lusail/internal/qplan"
 	"lusail/internal/sparql"
 )
@@ -133,7 +132,7 @@ func (e *Engine) decomposeFrom(root string, g *queryGraph, patterns []sparql.Tri
 	}
 
 	canBeAdded := func(sq *Subquery, i int) bool {
-		if !federation.SameSources(sq.Sources, sources[i]) {
+		if !sameSources(sq.Sources, sources[i]) {
 			return false
 		}
 		for _, p := range sq.Patterns {
@@ -204,7 +203,7 @@ func mergeSubqueries(sqs []*Subquery, gjv *GJVResult) []*Subquery {
 	outer:
 		for i := 0; i < len(sqs); i++ {
 			for j := i + 1; j < len(sqs); j++ {
-				if !federation.SameSources(sqs[i].Sources, sqs[j].Sources) {
+				if !sameSources(sqs[i].Sources, sqs[j].Sources) {
 					continue
 				}
 				if len(sqs[i].SharedVars(sqs[j])) == 0 {
@@ -276,7 +275,7 @@ func (e *Engine) componentsAsSubqueries(br *qplan.Branch, sources [][]string, g 
 		sqs[c].patternIdx = append(sqs[c].patternIdx, i)
 		// All patterns in a GJV-free component share one source set; keep
 		// the intersection defensively.
-		sqs[c].Sources = federation.IntersectSources(sqs[c].Sources, sources[i])
+		sqs[c].Sources = intersectSources(sqs[c].Sources, sources[i])
 	}
 	e.attachFilters(br, sqs)
 	e.estimate(sqs, patterns, stats)

@@ -81,23 +81,15 @@ func (m FailureMode) String() string {
 type Options struct {
 	// --- Decomposition (source selection + LADE analysis) ---
 
-	// CacheSources enables the source cache, which holds each pattern's
-	// relevance and its COUNT at every endpoint (default on via
-	// DefaultOptions; turning it off re-probes per query, as in the paper's
-	// cache on/off profiling). ClearCaches clears both with the check cache.
-	CacheSources bool
-	// CacheChecks enables the LADE check-query cache.
-	CacheChecks bool
-	// Catalog installs the probe-free tier: fresh endpoint summaries answer
-	// source selection without ASK probes and constant-predicate
-	// cardinalities without COUNT probes, falling back to live probes for
-	// whatever the catalog cannot decide. nil (the default) keeps the pure
-	// probe-based protocol of the paper.
+	// Catalog installs the probe-free tier: fresh endpoint summaries decide
+	// source selection and answer constant-predicate cardinalities without
+	// COUNT cells, which go only where the catalog cannot decide or count.
+	// nil (the default) keeps the pure probe-based protocol of the paper.
 	Catalog *catalog.Store
 	// CatalogOnly forbids live probes during planning: endpoints the
 	// catalog cannot decide are conservatively treated as relevant, and
-	// cardinalities it cannot answer stay unknown, instead of issuing
-	// ASK/COUNT probes. Requires Catalog; useful when planning must not
+	// cardinalities it cannot answer stay unknown, instead of being asked
+	// with COUNT cells. Requires Catalog; useful when planning must not
 	// touch the network.
 	CatalogOnly bool
 
@@ -156,9 +148,9 @@ type Options struct {
 
 	// --- Observability ---
 
-	// Trace records a hierarchical span tree per query (source-selection
-	// ASKs, check queries, COUNT probes, subqueries, bound-join batches,
-	// joins) in Profile.Trace, for EXPLAIN output and trace export. Off by
+	// Trace records a hierarchical span tree per query (source selection,
+	// COUNT probes, check queries, subqueries, bound-join batches, joins)
+	// in Profile.Trace, for EXPLAIN output and trace export. Off by
 	// default: tracing costs one small allocation per remote request.
 	Trace bool
 }
@@ -170,8 +162,6 @@ func DefaultOptions() Options {
 		Threshold:       ThresholdMuSigma,
 		ValuesBlockSize: 500,
 		JoinSpillBytes:  op.DefaultSpillBytes,
-		CacheSources:    true,
-		CacheChecks:     true,
 	}
 }
 
@@ -261,19 +251,23 @@ type SubqueryStat struct {
 
 // Engine is the Lusail federated query processor over a fixed federation.
 type Engine struct {
-	fed    *federation.Federation
-	pool   *erh.Pool
-	sel    *federation.SourceSelector
-	checks *checkCache
-	cat    *catalog.Store
-	res    *resilience.Manager
-	opts   Options
-	join   op.Budget // every hash join's spill budget
+	fed   *federation.Federation
+	pool  *erh.Pool
+	facts *facts // what planning learned about the endpoints' data
+	cat   *catalog.Store
+	res   *resilience.Manager
+	opts  Options
+	join  op.Budget // every hash join's spill budget
 
 	degraded     *obs.Counter
 	semaErrors   *obs.Counter
 	semaWarnings *obs.Counter
 	semaRewrites *obs.Counter
+
+	// Source selection by the catalog: every endpoint, some, none.
+	catalogHits, catalogPartial, catalogFallbacks *obs.Counter
+	// Counts the catalog answered, and COUNT cells sent with a catalog.
+	catCardHits, catCardFallbacks *obs.Counter
 }
 
 // New returns an engine over the federation, or an error when opts fails
@@ -288,28 +282,24 @@ func New(fed *federation.Federation, opts Options) (*Engine, error) {
 	if opts.JoinSpillBytes <= 0 {
 		opts.JoinSpillBytes = op.DefaultSpillBytes
 	}
-	pool := erh.New(opts.PoolSize)
 	reg := obs.Default()
-	res := resilience.NewManager(opts.Resilience, reg)
-	sel := federation.NewSourceSelector(fed, pool)
-	if opts.Catalog != nil {
-		sel.SetCatalog(opts.Catalog)
-	}
-	sel.SetResilience(res)
-	sel.SetCatalogOnly(opts.CatalogOnly)
 	return &Engine{
-		fed:          fed,
-		pool:         pool,
-		sel:          sel,
-		checks:       newCheckCache(),
-		cat:          opts.Catalog,
-		res:          res,
-		opts:         opts,
-		join:         op.Budget{SpillBytes: opts.JoinSpillBytes},
-		degraded:     reg.Counter(obs.MetricDegradedFailures, "endpoint failures absorbed by partial-results mode"),
-		semaErrors:   reg.Counter(obs.MetricSemaErrors, "queries rejected by static analysis before planning"),
-		semaWarnings: reg.Counter(obs.MetricSemaWarnings, "warning-tier static-analysis findings"),
-		semaRewrites: reg.Counter(obs.MetricSemaRewrites, "sema rewrites applied before planning"),
+		fed:              fed,
+		pool:             erh.New(opts.PoolSize),
+		facts:            newFacts(),
+		cat:              opts.Catalog,
+		res:              resilience.NewManager(opts.Resilience, reg),
+		opts:             opts,
+		join:             op.Budget{SpillBytes: opts.JoinSpillBytes},
+		degraded:         reg.Counter(obs.MetricDegradedFailures, "endpoint failures absorbed by partial-results mode"),
+		semaErrors:       reg.Counter(obs.MetricSemaErrors, "queries rejected by static analysis before planning"),
+		semaWarnings:     reg.Counter(obs.MetricSemaWarnings, "warning-tier static-analysis findings"),
+		semaRewrites:     reg.Counter(obs.MetricSemaRewrites, "sema rewrites applied before planning"),
+		catalogHits:      reg.Counter(obs.MetricCatalogSourceHits, "patterns source-selected entirely from the catalog"),
+		catalogPartial:   reg.Counter(obs.MetricCatalogSourcePartial, "patterns where the catalog decided some endpoints and probes the rest"),
+		catalogFallbacks: reg.Counter(obs.MetricCatalogSourceFallbacks, "patterns where the catalog decided nothing and all endpoints were probed"),
+		catCardHits:      reg.Counter(obs.MetricCatalogCardHits, "cardinalities answered by the catalog instead of COUNT probes"),
+		catCardFallbacks: reg.Counter(obs.MetricCatalogCardFallbacks, "COUNT probes issued because the catalog could not answer"),
 	}, nil
 }
 
@@ -336,13 +326,10 @@ func (e *Engine) Resilience() *resilience.Manager { return e.res }
 // Federation returns the engine's federation.
 func (e *Engine) Federation() *federation.Federation { return e.fed }
 
-// ClearCaches drops the source cache (relevance and counts) and the
-// check-query cache, as if the engine had just started (used by the cache
+// ClearCaches drops every cached planning fact — relevance, counts and
+// check verdicts — as if the engine had just started (used by the cache
 // on/off experiments).
-func (e *Engine) ClearCaches() {
-	e.sel.ClearCache()
-	e.checks.clear()
-}
+func (e *Engine) ClearCaches() { e.facts.clear() }
 
 // QueryString parses and executes a federated query.
 func (e *Engine) QueryString(ctx context.Context, query string) (*sparql.Results, *Profile, error) {

@@ -2,14 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
-	"lusail/internal/client"
-	"lusail/internal/federation"
-	"lusail/internal/obs"
 	"lusail/internal/qplan"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
@@ -41,57 +36,6 @@ func (r *GJVResult) GlobalVars() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// checkCache caches the boolean outcome of locality check queries, keyed by
-// the normalized pattern pair. The paper caches the checks that determine
-// patterns which *cannot* be executed locally; caching both outcomes is
-// strictly more effective and remains sound for a static federation.
-type checkCache struct {
-	mu sync.Mutex
-	m  map[string]bool // key -> "pair failed the locality check" (v is global)
-
-	hits   *obs.Counter
-	misses *obs.Counter
-}
-
-func newCheckCache() *checkCache {
-	reg := obs.Default()
-	return &checkCache{
-		m:      map[string]bool{},
-		hits:   reg.Counter(obs.MetricCheckCacheHits, "LADE check-query cache hits"),
-		misses: reg.Counter(obs.MetricCheckCacheMisses, "LADE check-query cache misses"),
-	}
-}
-
-func (c *checkCache) get(key string) (bool, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[key]
-	if ok {
-		c.hits.Inc()
-	} else {
-		c.misses.Inc()
-	}
-	return v, ok
-}
-
-func (c *checkCache) put(key string, v bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = v
-}
-
-func (c *checkCache) clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = map[string]bool{}
-}
-
-func (c *checkCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }
 
 // varRole describes how a variable occurs across the patterns that mention it.
@@ -182,7 +126,7 @@ func (e *Engine) detectGJVs(ctx context.Context, br *qplan.Branch, sources [][]s
 		// any check queries.
 		pairs := pairIndexes(vr.allIdx)
 		for _, pr := range pairs {
-			if !federation.SameSources(sources[pr[0]], sources[pr[1]]) {
+			if !sameSources(sources[pr[0]], sources[pr[1]]) {
 				res.Global[vr.name] = true
 				res.CausePairs[vr.name] = append(res.CausePairs[vr.name], pr)
 				global = true
@@ -242,17 +186,12 @@ func (e *Engine) detectGJVs(ctx context.Context, br *qplan.Branch, sources [][]s
 		}
 	}
 
-	// Lines 17-23: every check the cache cannot answer and every filtered
-	// COUNT, in one request per endpoint.
-	r := &round{failed: map[string]bool{}, lost: map[string]bool{}, stats: stats}
-	var names []string
-	byEP := map[string][]question{}
+	// Lines 17-23: every check the fact cache cannot answer and every
+	// filtered COUNT, in one request per endpoint.
+	r := &round{byEP: map[string][]question{}, failed: map[string]bool{}, lost: map[string]bool{}, stats: stats}
 	queue := func(srcs []string, q question) {
 		for _, name := range srcs {
-			if byEP[name] == nil {
-				names = append(names, name)
-			}
-			byEP[name] = append(byEP[name], q)
+			r.byEP[name] = append(r.byEP[name], q)
 		}
 	}
 	var sent []*checkQuery
@@ -262,12 +201,10 @@ func (e *Engine) detectGJVs(ctx context.Context, br *qplan.Branch, sources [][]s
 			if _, seen := r.failed[cq.key]; seen {
 				continue
 			}
-			if e.opts.CacheChecks {
-				if failed, ok := e.checks.get(cq.key); ok {
-					res.CacheHits++
-					r.failed[cq.key] = failed
-					continue
-				}
+			if failed, ok := e.facts.check(cq.key); ok {
+				res.CacheHits++
+				r.failed[cq.key] = failed
+				continue
 			}
 			r.failed[cq.key] = false
 			sent = append(sent, cq)
@@ -292,7 +229,7 @@ func (e *Engine) detectGJVs(ctx context.Context, br *qplan.Branch, sources [][]s
 		queue(sources[i], question{pattern: i, count: count})
 		stats.probes += len(sources[i])
 	}
-	if err := e.secondRound(ctx, names, byEP, r); err != nil {
+	if err := e.ask(ctx, r); err != nil {
 		return nil, err
 	}
 
@@ -301,8 +238,8 @@ func (e *Engine) detectGJVs(ctx context.Context, br *qplan.Branch, sources [][]s
 			// Some endpoint never answered: a local verdict would be
 			// unsound, and a degraded one must not outlive the failure.
 			r.failed[cq.key] = true
-		} else if e.opts.CacheChecks {
-			e.checks.put(cq.key, r.failed[cq.key])
+		} else {
+			e.facts.putCheck(cq.key, r.failed[cq.key])
 		}
 	}
 	for _, pc := range pending {
@@ -332,11 +269,20 @@ type checkQuery struct {
 // authoritative endpoint). When v is the object, the referenced entity may
 // live elsewhere and the type constraint would hide the very witness the
 // check looks for — so we omit it there.
+//
+// The cache key normalizes both patterns with a *shared* variable mapping
+// in which v gets a reserved name, so it captures v's positions in both
+// patterns and any other cross-pattern sharing — normalizing each pattern
+// on its own would collide, e.g., a subject-only check with a
+// subject/object check over the same predicates — then adds the type
+// narrowing and the sources.
 func makeCheck(v string, tpOuter, tpInner sparql.TriplePattern, typeOf map[string]sparql.TriplePattern, sources []string) checkQuery {
 	q := sparql.NewSelect(v)
 	q.Limit = 1
+	key := sparql.PatternKey(map[string]string{v: "?JV"}, tpOuter, tpInner)
 	if tt, ok := typeOf[v]; ok && tpOuter.S.Var == v {
 		q.Where.Elements = append(q.Where.Elements, tt)
+		key += "|type=" + tt.O.String()
 	}
 	q.Where.Elements = append(q.Where.Elements, tpOuter)
 
@@ -348,41 +294,11 @@ func makeCheck(v string, tpOuter, tpInner sparql.TriplePattern, typeOf map[strin
 		}},
 	})
 	return checkQuery{
-		key:     checkKey(v, tpOuter, tpInner, typeOf, sources),
+		key:     key + "|" + sourcesKey(sources),
 		text:    q.String(),
 		where:   q.Where,
 		sources: sources,
 	}
-}
-
-// checkKey canonicalizes the check (outer, inner, join variable, type
-// narrowing, sources) for the cache. Both patterns are normalized with a
-// *shared* variable mapping in which the join variable gets a reserved
-// name, so the key captures the variable's positions in both patterns and
-// any other cross-pattern sharing — normalizing each pattern independently
-// would collide, e.g., a subject-only check with a subject/object check
-// over the same predicates.
-func checkKey(v string, tpOuter, tpInner sparql.TriplePattern, typeOf map[string]sparql.TriplePattern, sources []string) string {
-	names := map[string]string{v: "?JV"}
-	canon := func(pt sparql.PatternTerm) string {
-		if !pt.IsVar() {
-			return pt.Term.String()
-		}
-		if n, ok := names[pt.Var]; ok {
-			return n
-		}
-		n := fmt.Sprintf("?v%d", len(names))
-		names[pt.Var] = n
-		return n
-	}
-	pat := func(tp sparql.TriplePattern) string {
-		return canon(tp.S) + " " + canon(tp.P) + " " + canon(tp.O)
-	}
-	key := pat(tpOuter) + "|" + pat(tpInner)
-	if tt, ok := typeOf[v]; ok && tpOuter.S.Var == v {
-		key += "|type=" + tt.O.String()
-	}
-	return key + "|" + federation.SourcesKey(sources)
 }
 
 // renameExcept renames all variables of tp except keep, so the inner check
@@ -395,150 +311,6 @@ func renameExcept(tp sparql.TriplePattern, keep string) sparql.TriplePattern {
 		return pt
 	}
 	return sparql.TriplePattern{S: ren(tp.S, "s"), P: ren(tp.P, "p"), O: ren(tp.O, "o")}
-}
-
-// question is one cell of a second-round request: a check query, or the
-// COUNT of pattern under the branch filters it covers.
-type question struct {
-	check   *checkQuery
-	pattern int
-	count   []sparql.Element // the COUNT's WHERE clause
-}
-
-func (q question) phase() client.Phase {
-	if q.check != nil {
-		return client.PhaseCheck
-	}
-	return client.PhaseCount
-}
-
-// cell is the question as a batch cell that binds its answer to ?v.
-func (q question) cell(v string) sparql.Element {
-	if q.check != nil {
-		return sparql.Bind{Var: v, Expr: sparql.ExprExists{Group: q.check.where}}
-	}
-	return sparql.SubSelect{Query: sparql.NewCount(v, q.count...)}
-}
-
-// query is the question as a request of its own.
-func (q question) query() string {
-	if q.check != nil {
-		return q.check.text
-	}
-	return sparql.NewCount(roundVar+"0", q.count...).String()
-}
-
-// answer reads the response to query() as the batch cell would have been.
-func (q question) answer(res *sparql.Results) rdf.Term {
-	if q.check != nil {
-		return rdf.NewBoolean(len(res.Rows) > 0)
-	}
-	if _, ok := client.ScalarCount(res); ok {
-		return res.Rows[0][0]
-	}
-	return rdf.Term{}
-}
-
-// round collects the answers of a second planning round.
-type round struct {
-	mu     sync.Mutex
-	failed map[string]bool // check key -> some endpoint holds a witness
-	lost   map[string]bool // check key -> some endpoint gave no answer
-	stats  *queryStats
-}
-
-// record files endpoint name's answer to q; a zero term is no answer, which
-// leaves a count unknown.
-func (r *round) record(q question, name string, t rdf.Term) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if q.check == nil {
-		if n, ok := client.CountValue(t); ok {
-			r.stats.card[q.pattern][name] = n
-		}
-		return
-	}
-	witness, ok := t.Bool()
-	r.failed[q.check.key] = r.failed[q.check.key] || witness
-	r.lost[q.check.key] = r.lost[q.check.key] || !ok
-}
-
-// roundVar prefixes the cells of a second-round request.
-const roundVar = "lusail_k"
-
-// secondRound asks each endpoint all of its questions in one request,
-// SELECT ?lusail_k0 … WHERE { BIND(EXISTS { check } AS ?lusail_k0) … {
-// SELECT (COUNT(*) AS ?lusail_kN) WHERE { tp FILTER(…) } } … }, or its one
-// question as a plain check or COUNT query. An endpoint that fails the
-// batch is asked again one question per request.
-//
-// In Degrade mode an unanswerable question is recorded as unanswered: its
-// count stays unknown, and its check falls back to the conservative outcome
-// — the variable is treated as global, which is always sound (Lemma 2: a
-// global join never loses answers, it only costs more work).
-func (e *Engine) secondRound(ctx context.Context, names []string, byEP map[string][]question, r *round) error {
-	var onReject func(k int, err error)
-	if e.opts.OnEndpointFailure == Degrade {
-		onReject = func(k int, err error) {
-			for _, q := range byEP[names[k]] {
-				e.degrade(ctx, q.phase(), names[k], err)
-				r.record(q, names[k], rdf.Term{})
-			}
-		}
-	}
-	return e.pool.ForEachGated(ctx, names, e.gate(), onReject, func(k int) error {
-		name, list := names[k], byEP[names[k]]
-		if len(list) > 1 && e.askBatch(ctx, name, list, r) {
-			return nil
-		}
-		return e.pool.ForEach(ctx, len(list), func(i int) error {
-			return e.ask(ctx, name, list[i], r)
-		})
-	})
-}
-
-// askBatch asks endpoint name several questions in one request and reports
-// whether it answered.
-func (e *Engine) askBatch(ctx context.Context, name string, list []question, r *round) bool {
-	sp := obs.FromContext(ctx).StartChild("check-query")
-	defer sp.End()
-	sp.SetAttr("endpoint", name)
-	sp.SetAttr("cells", len(list))
-	cells, err := client.Batch(len(list), roundVar, func(k int, v string) sparql.Element {
-		return list[k].cell(v)
-	}, func(q string) (*sparql.Results, error) {
-		return e.probeEndpoint(ctx, client.PhaseCheck, name, q)
-	})
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		return false
-	}
-	for k, q := range list {
-		r.record(q, name, cells[k])
-	}
-	return true
-}
-
-// ask asks endpoint name one question in a request of its own.
-func (e *Engine) ask(ctx context.Context, name string, q question, r *round) error {
-	kind := "check-query"
-	if q.check == nil {
-		kind = "count-probe"
-	}
-	sp := obs.FromContext(ctx).StartChild(kind)
-	defer sp.End()
-	sp.SetAttr("endpoint", name)
-	res, err := e.probeEndpoint(ctx, q.phase(), name, q.query())
-	if err != nil {
-		if !e.degrade(ctx, q.phase(), name, err) {
-			return err
-		}
-		sp.SetAttr("degraded", true)
-		r.record(q, name, rdf.Term{})
-		return nil
-	}
-	r.record(q, name, q.answer(res))
-	return nil
 }
 
 // typeConstraints maps each variable to an rdf:type pattern constraining it,

@@ -105,21 +105,32 @@ func TestRenameExceptAvoidsCapture(t *testing.T) {
 	}
 }
 
+// Check verdicts and pattern facts share one cache and one clear; a
+// pattern fact from a failed probe stays unknown.
 func TestCheckCache(t *testing.T) {
-	c := newCheckCache()
-	if _, ok := c.get("k"); ok {
+	c := newFacts()
+	if _, ok := c.check("k"); ok {
 		t.Error("empty cache hit")
 	}
-	c.put("k", true)
-	v, ok := c.get("k")
+	c.putCheck("k", true)
+	v, ok := c.check("k")
 	if !ok || !v {
 		t.Error("cache miss after put")
 	}
-	if c.len() != 1 {
-		t.Errorf("len = %d", c.len())
+	if fs, hit := c.pattern("p", 2); hit || len(fs) != 2 {
+		t.Errorf("empty pattern cache: hit %v, %d facts; want a miss with 2 unknown facts", hit, len(fs))
+	}
+	// The second endpoint's probe failed: relevant for that query, unknown.
+	c.putPattern("p", []fact{{known: true, relevant: true}, {relevant: true}})
+	if fs, hit := c.pattern("p", 2); hit || !fs[0].known || fs[1].known {
+		t.Errorf("after a failed probe: hit %v, facts %+v; want a miss with only the answered endpoint known", hit, fs)
+	}
+	c.putPattern("p", []fact{{known: true, relevant: true}, {known: true}})
+	if _, hit := c.pattern("p", 2); !hit {
+		t.Error("pattern miss after every endpoint answered")
 	}
 	c.clear()
-	if c.len() != 0 {
+	if len(c.checks) != 0 || len(c.patterns) != 0 {
 		t.Error("clear failed")
 	}
 }

@@ -181,16 +181,13 @@ type branchFacts struct {
 }
 
 // selectSources is the first planning round: source selection and SAPE's
-// statistics for every pattern of every branch and OPTIONAL block in one
-// SelectSources call, which sends each endpoint at most one request of
-// COUNT cells. Only mandatory patterns need their counts.
+// statistics for every pattern of every branch and OPTIONAL block at once,
+// each endpoint asked at most one request of COUNT cells. Only mandatory
+// patterns need their counts.
 func (e *Engine) selectSources(ctx context.Context, branches []*qplan.Branch, prof *Profile) ([]branchFacts, error) {
 	t0 := time.Now()
 	ctx, sp := obs.StartSpan(ctx, "source-selection")
 	defer sp.End()
-	if !e.opts.CacheSources {
-		e.sel.ClearCache()
-	}
 	var tps []sparql.TriplePattern
 	for _, br := range branches {
 		tps = append(tps, br.Patterns...)
@@ -201,30 +198,32 @@ func (e *Engine) selectSources(ctx context.Context, branches []*qplan.Branch, pr
 			tps = append(tps, ob.Patterns...)
 		}
 	}
-	sels, tally, err := e.sel.SelectSources(ctx, tps, mandatory)
+	sels, err := e.firstRound(ctx, tps, mandatory, prof)
 	if err != nil {
 		return nil, fmt.Errorf("lusail: source selection: %w", err)
 	}
 	prof.SourceSelection += time.Since(t0)
-	prof.CountProbes += tally.Counts
-	prof.CatalogHits += tally.CatalogCounts
+	cataloged := 0
 	out := make([]branchFacts, len(branches))
 	m, o := 0, mandatory
 	for i, br := range branches {
 		f := branchFacts{stats: &queryStats{}}
 		for _, s := range sels[m : m+len(br.Patterns)] {
-			f.sources = append(f.sources, s.Sources)
-			f.stats.card = append(f.stats.card, s.Card)
+			f.sources = append(f.sources, s.sources)
+			f.stats.card = append(f.stats.card, s.card)
+			cataloged += s.cataloged
 		}
 		m += len(br.Patterns)
 		for _, ob := range br.Optionals {
 			for _, s := range sels[o : o+len(ob.Patterns)] {
-				f.sources = append(f.sources, s.Sources)
+				f.sources = append(f.sources, s.sources)
 			}
 			o += len(ob.Patterns)
 		}
 		out[i] = f
 	}
+	e.catCardHits.Add(int64(cataloged))
+	prof.CatalogHits += cataloged
 	return out, nil
 }
 

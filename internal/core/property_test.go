@@ -129,8 +129,10 @@ func TestFederatedMatchesCentralizedProperty(t *testing.T) {
 	}
 }
 
-// The same property under every threshold mode and with SAPE disabled:
-// planning choices must never change answers.
+// The same property under every threshold mode and with SAPE disabled,
+// each planned from warm facts — one engine across all the queries — and
+// from cold ones — a fresh engine per query: planning choices must never
+// change answers, and warm and cold runs return the same multiset.
 func TestPlanningChoicesNeverChangeAnswersProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	eps, oracle := randomFederation(rng, 3, 20)
@@ -141,24 +143,37 @@ func TestPlanningChoicesNeverChangeAnswersProperty(t *testing.T) {
 	}
 	configs := []Options{
 		DefaultOptions(),
-		{Threshold: ThresholdMu, ValuesBlockSize: 2, CacheSources: true, CacheChecks: true},
-		{Threshold: ThresholdMu2Sigma, ValuesBlockSize: 7, CacheSources: false, CacheChecks: false},
-		{Threshold: ThresholdOutliers, ValuesBlockSize: 100, CacheSources: true, CacheChecks: false},
-		{DisableSAPE: true, ValuesBlockSize: 3, CacheSources: true, CacheChecks: true},
+		{Threshold: ThresholdMu, ValuesBlockSize: 2},
+		{Threshold: ThresholdMu2Sigma, ValuesBlockSize: 7},
+		{Threshold: ThresholdOutliers, ValuesBlockSize: 100},
+		{DisableSAPE: true, ValuesBlockSize: 3},
 	}
-	for _, q := range queries {
-		want := oracleResults(t, oracle, q)
-		for ci, opts := range configs {
-			e := MustNew(fed, opts)
-			got, _, err := e.QueryString(context.Background(), q)
-			if err != nil {
-				t.Fatalf("config %d query %s: %v", ci, q, err)
+	run := func(e *Engine, q string) ([][]rdf.Term, *Profile) {
+		t.Helper()
+		got, prof, err := e.QueryString(context.Background(), q)
+		if err != nil {
+			t.Fatalf("query %s: %v", q, err)
+		}
+		got.Sort()
+		return got.Rows, prof
+	}
+	for ci, opts := range configs {
+		warm := MustNew(fed, opts)
+		warmCells, coldCells := 0, 0
+		for _, q := range queries {
+			w, wp := run(warm, q)
+			c, cp := run(MustNew(fed, opts), q)
+			warmCells += wp.CountProbes
+			coldCells += cp.CountProbes
+			if !reflect.DeepEqual(w, c) {
+				t.Errorf("config %d query %s: warm facts give %d rows, cold %d", ci, q, len(w), len(c))
 			}
-			got.Rows = sparql.DistinctRows(got.Rows)
-			got.Sort()
-			if !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Errorf("config %d query %s: %d rows, want %d", ci, q, len(got.Rows), len(want.Rows))
+			if want := oracleResults(t, oracle, q); !reflect.DeepEqual(sparql.DistinctRows(w), want.Rows) {
+				t.Errorf("config %d query %s: %d distinct rows, want %d", ci, q, len(sparql.DistinctRows(w)), len(want.Rows))
 			}
+		}
+		if warmCells >= coldCells {
+			t.Errorf("config %d: warm engine asked %d COUNT cells, cold ones %d; warm facts never answered", ci, warmCells, coldCells)
 		}
 	}
 }

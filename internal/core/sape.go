@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"lusail/internal/client"
-	"lusail/internal/federation"
 	"lusail/internal/qplan"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
@@ -111,7 +110,7 @@ func (e *Engine) planOptionals(br *qplan.Branch, sources [][]string) []*optional
 	for _, ob := range br.Optionals {
 		names := e.fed.Names()
 		for _, s := range sources[:len(ob.Patterns)] {
-			names = federation.IntersectSources(names, s)
+			names = intersectSources(names, s)
 		}
 		sources = sources[len(ob.Patterns):]
 		sq := &Subquery{Patterns: ob.Patterns, Sources: names, Optional: true}

@@ -1,24 +1,13 @@
-// Package federation models a set of independent SPARQL endpoints and
-// implements the machinery shared by all federated engines in this
-// repository: the endpoint registry and probe-based source selection with
-// caching.
+// Package federation models a set of independent SPARQL endpoints: the
+// ordered, immutable endpoint registry every federated engine in this
+// repository runs over.
 package federation
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"slices"
-	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 
 	"lusail/internal/client"
-	"lusail/internal/erh"
-	"lusail/internal/obs"
-	"lusail/internal/resilience"
-	"lusail/internal/sparql"
 )
 
 // Federation is an ordered registry of endpoints.
@@ -81,508 +70,3 @@ func (f *Federation) Get(name string) client.Endpoint { return f.byName[name] }
 
 // Size returns the number of endpoints.
 func (f *Federation) Size() int { return len(f.eps) }
-
-// TierDecision classifies one endpoint for one triple pattern, as answered
-// by the probe-free catalog tier of source selection.
-type TierDecision int
-
-const (
-	// TierUnknown means the catalog cannot decide (missing, stale, or
-	// partial summary); the endpoint must be ASK-probed.
-	TierUnknown TierDecision = iota
-	// TierRelevant means the endpoint may hold matches of the pattern and
-	// must be included. The catalog may over-approximate here (e.g. an
-	// authority sketch cannot distinguish two entities of one authority);
-	// including a non-matching endpoint costs work but never correctness.
-	TierRelevant
-	// TierIrrelevant means the endpoint provably holds no match of the
-	// pattern (e.g. the predicate does not occur there) and is pruned
-	// without a probe.
-	TierIrrelevant
-)
-
-// String returns the span-attribute label of the decision.
-func (d TierDecision) String() string {
-	switch d {
-	case TierRelevant:
-		return "relevant"
-	case TierIrrelevant:
-		return "irrelevant"
-	}
-	return "unknown"
-}
-
-// CatalogTier answers source-selection questions from precomputed data
-// summaries so that probes are only issued for endpoints the summaries
-// cannot decide. Implemented by *catalog.Store.
-type CatalogTier interface {
-	// Decide classifies the endpoint for the pattern. It must be safe for
-	// concurrent use and must return TierUnknown rather than guess when its
-	// information is stale or incomplete.
-	Decide(tp sparql.TriplePattern, endpoint string) TierDecision
-	// Cardinality estimates the pattern's solution count at the endpoint,
-	// or reports ok=false when the summaries cannot.
-	Cardinality(tp sparql.TriplePattern, endpoint string) (n float64, ok bool)
-}
-
-// Selection is what SelectSources learned about one pattern.
-type Selection struct {
-	Sources []string           // endpoints that may hold matches, in federation order
-	Card    map[string]float64 // solution counts by source, where known
-}
-
-// Tally counts the cardinality work of one SelectSources call.
-type Tally struct {
-	Counts        int // COUNT cells sent, one per distinct pattern and endpoint
-	CatalogCounts int // counts the catalog answered instead
-}
-
-// SourceSelector performs per-triple-pattern source selection with a
-// two-tier strategy: a probe-free catalog tier (when configured with
-// SetCatalog) answers from precomputed data summaries, and probes settle
-// whatever the catalog cannot decide. Answers are cached by the normalized
-// pattern (like Lusail and FedX, which both cache ASK results): per
-// endpoint, whether it is relevant and, once counted, the pattern's
-// solution count there.
-type SourceSelector struct {
-	fed  *Federation
-	pool *erh.Pool
-
-	mu          sync.Mutex
-	cache       map[string][]fact // normalized pattern -> per endpoint, federation order
-	catalog     CatalogTier
-	catalogOnly bool
-	res         *resilience.Manager
-
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-
-	catalogHits      *obs.Counter
-	catalogPartial   *obs.Counter
-	catalogFallbacks *obs.Counter
-	probeFailures    *obs.Counter
-	catCardHits      *obs.Counter
-	catCardFallbacks *obs.Counter
-}
-
-// fact is what source selection knows about one pattern at one endpoint.
-type fact struct {
-	relevant bool
-	counted  bool    // card holds a probed count
-	card     float64 // the pattern's solutions at the endpoint
-}
-
-// NewSourceSelector returns a selector over the federation using the pool
-// for concurrent probes. Cache hits and misses are reported into the
-// default obs registry.
-func NewSourceSelector(fed *Federation, pool *erh.Pool) *SourceSelector {
-	reg := obs.Default()
-	return &SourceSelector{
-		fed:              fed,
-		pool:             pool,
-		cache:            map[string][]fact{},
-		cacheHits:        reg.Counter(obs.MetricSourceCacheHits, "source-selection cache hits"),
-		cacheMisses:      reg.Counter(obs.MetricSourceCacheMisses, "source-selection cache misses"),
-		catalogHits:      reg.Counter(obs.MetricCatalogSourceHits, "patterns source-selected entirely from the catalog"),
-		catalogPartial:   reg.Counter(obs.MetricCatalogSourcePartial, "patterns where the catalog decided some endpoints and probes the rest"),
-		catalogFallbacks: reg.Counter(obs.MetricCatalogSourceFallbacks, "patterns where the catalog decided nothing and all endpoints were probed"),
-		probeFailures:    reg.Counter(obs.MetricSourceProbeFailures, "source-selection probes that failed and were conservatively treated as relevant"),
-		catCardHits:      reg.Counter(obs.MetricCatalogCardHits, "cardinalities answered by the catalog instead of COUNT probes"),
-		catCardFallbacks: reg.Counter(obs.MetricCatalogCardFallbacks, "COUNT probes issued because the catalog could not answer"),
-	}
-}
-
-// SetCatalog installs (or, with nil, removes) the probe-free catalog tier
-// consulted before probes.
-func (s *SourceSelector) SetCatalog(c CatalogTier) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.catalog = c
-}
-
-// SetCatalogOnly forbids probes: endpoints the catalog cannot decide are
-// conservatively treated as relevant instead of being probed, and counts
-// it cannot answer stay unknown. Sound (over-approximate) but never issues
-// planning traffic.
-func (s *SourceSelector) SetCatalogOnly(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.catalogOnly = on
-}
-
-// SetResilience installs (or, with nil, removes) the resilience manager
-// through which probes are issued: probes gain circuit-breaker gating and
-// tail hedging. A nil manager is the disabled state.
-func (s *SourceSelector) SetResilience(m *resilience.Manager) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.res = m
-}
-
-// ClearCache drops all cached relevance and counts.
-func (s *SourceSelector) ClearCache() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cache = map[string][]fact{}
-}
-
-// CacheLen returns the number of cached patterns (for tests and profiling).
-func (s *SourceSelector) CacheLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cache)
-}
-
-// RelevantSources returns the names of the endpoints that may have at least
-// one triple matching the pattern, in federation order: SelectSources for
-// one pattern and no counts, which asks with a plain ASK.
-func (s *SourceSelector) RelevantSources(ctx context.Context, tp sparql.TriplePattern) ([]string, error) {
-	out, _, err := s.SelectSources(ctx, []sparql.TriplePattern{tp}, 0)
-	if err != nil {
-		return nil, err
-	}
-	return out[0].Sources, nil
-}
-
-// selection is the source selection of one distinct normalized pattern.
-type selection struct {
-	key       string
-	tp        sparql.TriplePattern
-	sp        *obs.Span
-	counted   bool            // its first occurrence, hence every one, wants counts
-	facts     []fact          // per endpoint
-	cataloged map[int]float64 // the catalog's counts, by endpoint
-	probed    []int           // endpoints left undecided by the cache and catalog
-	errs      []error         // per endpoint, the failed probe
-	names     []string
-}
-
-// answer records endpoint j's count of the pattern; ok=false is a cell
-// that is not a valid count, which is no evidence of absence.
-func (sel *selection) answer(j int, n float64, ok bool) {
-	f := &sel.facts[j]
-	f.relevant = f.relevant || !ok || n > 0
-	f.card, f.counted = n, ok
-}
-
-// SelectSources returns, for each pattern, the endpoints that may have at
-// least one triple matching it, in federation order, and for the first
-// counted patterns its solution counts there; patterns equal up to
-// variable names are selected once. The cache, then the catalog tier
-// decide first. Each endpoint gets at most one request, of COUNT cells:
-// SELECT ?lusail_a0 … WHERE { { SELECT (COUNT(*) AS ?lusail_a0) WHERE {
-// tp0 } } … }, a plain COUNT for a single cell. A cell goes wherever a
-// pattern's relevance is undecided, and wherever a counted pattern is
-// relevant but its count is neither cached nor in the catalog. A count
-// above zero, or a cell that is not a valid count, makes the endpoint
-// relevant. A batch that fails is re-sent as one plain COUNT per pattern,
-// and a failed COUNT keeps its endpoint relevant, count unknown, with a
-// warning; the call fails only when every probe of some pattern failed or
-// the context ended. With counted == 0 no counts are wanted, and each
-// undecided endpoint gets one plain ASK per pattern instead.
-func (s *SourceSelector) SelectSources(ctx context.Context, tps []sparql.TriplePattern, counted int) ([]Selection, Tally, error) {
-	s.mu.Lock()
-	catalog, catalogOnly, res := s.catalog, s.catalogOnly, s.res
-	s.mu.Unlock()
-	eps := s.fed.Endpoints()
-	parent := obs.FromContext(ctx)
-	count := counted > 0
-
-	var t Tally
-	keys := make([]string, len(tps))
-	byKey := map[string]*selection{}
-	var order []*selection
-	for i, tp := range tps {
-		key := NormalizePattern(tp)
-		keys[i] = key
-		if byKey[key] != nil {
-			// A repeat within the call is neither a cache hit nor a miss.
-			continue
-		}
-		sel := &selection{key: key, tp: tp, sp: parent.StartChild("select-sources"),
-			counted: i < counted, cataloged: map[int]float64{}, errs: make([]error, len(eps))}
-		byKey[key] = sel
-		order = append(order, sel)
-		sel.sp.SetAttr("pattern", key)
-		s.mu.Lock()
-		cached, hit := s.cache[key]
-		s.mu.Unlock()
-		if hit {
-			s.cacheHits.Inc()
-			sel.sp.SetAttr("cache", "hit")
-			sel.facts = slices.Clone(cached)
-			continue
-		}
-		s.cacheMisses.Inc()
-		sel.sp.SetAttr("cache", "miss")
-		sel.facts = make([]fact, len(eps))
-		s.decide(catalog, catalogOnly, sel)
-	}
-
-	perEP := make([][]*selection, len(eps)) // the patterns each endpoint is asked about
-	for _, sel := range order {
-		for j, f := range sel.facts {
-			if sel.counted && f.relevant && catalog != nil {
-				if n, ok := catalog.Cardinality(sel.tp, eps[j].Name()); ok {
-					sel.cataloged[j] = n
-					continue
-				}
-			}
-			if slices.Contains(sel.probed, j) || sel.counted && f.relevant && !f.counted && !catalogOnly {
-				perEP[j] = append(perEP[j], sel)
-				if count {
-					t.Counts++
-				}
-			}
-		}
-	}
-	if catalog != nil && t.Counts > 0 {
-		s.catCardFallbacks.Add(int64(t.Counts))
-	}
-
-	var work []int // endpoints with questions
-	var names []string
-	for j, list := range perEP {
-		if len(list) > 0 {
-			work = append(work, j)
-			names = append(names, eps[j].Name())
-		}
-	}
-	onReject := func(k int, err error) {
-		for _, sel := range perEP[work[k]] {
-			s.fail(ctx, sel, work[k], err)
-		}
-	}
-	err := s.pool.ForEachGated(ctx, names, res.Gate(), onReject, func(k int) error {
-		j := work[k]
-		list := perEP[j]
-		if count && len(list) > 1 && s.countBatch(ctx, res, parent, j, list) {
-			return nil
-		}
-		// The context ending skips unstarted probes; their endpoints have
-		// no answer, so the error aborts the selection.
-		return s.pool.ForEach(ctx, len(list), func(i int) error {
-			s.probe(ctx, res, j, list[i], count)
-			return nil
-		})
-	})
-
-	for _, sel := range order {
-		if err == nil && len(sel.probed) > 0 {
-			allFailed := true
-			for _, j := range sel.probed {
-				allFailed = allFailed && sel.errs[j] != nil
-			}
-			if allFailed {
-				// Every probe failed: there is no information to degrade onto.
-				err = errors.Join(sel.errs...)
-			}
-		}
-		for j, f := range sel.facts {
-			if f.relevant {
-				sel.names = append(sel.names, eps[j].Name())
-			}
-		}
-		if err == nil {
-			s.mu.Lock()
-			s.cache[sel.key] = sel.facts
-			s.mu.Unlock()
-		}
-		sel.sp.SetAttr("sources", strings.Join(sel.names, ","))
-		sel.sp.End()
-	}
-	if err != nil {
-		return nil, t, err
-	}
-	out := make([]Selection, len(tps))
-	for i, key := range keys {
-		sel := byKey[key]
-		out[i].Sources = sel.names
-		if i >= counted {
-			continue
-		}
-		out[i].Card = map[string]float64{}
-		for j, f := range sel.facts {
-			if n, ok := sel.cataloged[j]; ok {
-				out[i].Card[eps[j].Name()] = n
-				t.CatalogCounts++
-			} else if f.relevant && f.counted {
-				out[i].Card[eps[j].Name()] = f.card
-			}
-		}
-	}
-	if t.CatalogCounts > 0 {
-		s.catCardHits.Add(int64(t.CatalogCounts))
-	}
-	return out, t, nil
-}
-
-// decide consults the catalog tier for a cache miss: it marks the
-// endpoints the catalog proves relevant and lists those left to probe.
-func (s *SourceSelector) decide(catalog CatalogTier, catalogOnly bool, sel *selection) {
-	eps := s.fed.Endpoints()
-	for j, ep := range eps {
-		d := TierUnknown
-		if catalog != nil {
-			d = catalog.Decide(sel.tp, ep.Name())
-		}
-		switch d {
-		case TierRelevant:
-			sel.facts[j].relevant = true
-		case TierUnknown:
-			sel.probed = append(sel.probed, j)
-		}
-	}
-	tier := "ask"
-	switch {
-	case catalog == nil:
-	case len(sel.probed) == 0:
-		s.catalogHits.Inc()
-		tier = "catalog"
-	case len(sel.probed) == len(eps):
-		s.catalogFallbacks.Inc()
-	default:
-		s.catalogPartial.Inc()
-		tier = "catalog+ask"
-	}
-	if len(sel.probed) > 0 && catalogOnly {
-		// Probe-free planning: undecided endpoints are conservatively kept
-		// as candidate sources. Over-approximate but sound — an irrelevant
-		// endpoint contributes empty subquery results, never wrong ones.
-		for _, j := range sel.probed {
-			sel.facts[j].relevant = true
-		}
-		sel.probed = nil
-		tier = "catalog-only"
-	}
-	sel.sp.SetAttr("tier", tier)
-}
-
-// countBatch asks endpoint j for the counts of several patterns in one
-// request and reports whether it answered.
-func (s *SourceSelector) countBatch(ctx context.Context, res *resilience.Manager, parent *obs.Span, j int, list []*selection) bool {
-	ep := s.fed.Endpoints()[j]
-	sp := parent.StartChild("count-probe")
-	defer sp.End()
-	sp.SetAttr("endpoint", ep.Name())
-	sp.SetAttr("patterns", len(list))
-	cells, err := client.Batch(len(list), client.SourceVar, func(k int, v string) sparql.Element {
-		return sparql.SubSelect{Query: sparql.NewCount(v, list[k].tp)}
-	}, func(q string) (*sparql.Results, error) { return res.DoHedged(ctx, ep, q) })
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		return false
-	}
-	for k, sel := range list {
-		n, ok := client.CountValue(cells[k])
-		sel.answer(j, n, ok)
-	}
-	return true
-}
-
-// probe asks endpoint j about one pattern in a request of its own: a plain
-// COUNT, or an ASK when no count is wanted.
-func (s *SourceSelector) probe(ctx context.Context, res *resilience.Manager, j int, sel *selection, count bool) {
-	ep := s.fed.Endpoints()[j]
-	q, kind := askQuery(sel.tp), "ask"
-	if count {
-		q, kind = sparql.NewCount(client.SourceVar+"0", sel.tp).String(), "count-probe"
-	}
-	sp := sel.sp.StartChild(kind)
-	defer sp.End()
-	sp.SetAttr("endpoint", ep.Name())
-	r, err := res.DoHedged(ctx, ep, q)
-	if err == nil && count {
-		n, ok := client.ScalarCount(r)
-		sel.answer(j, n, ok)
-	} else if err == nil {
-		sel.facts[j].relevant, err = client.Boolean(r, ep.Name())
-	}
-	if err != nil {
-		// One unreachable endpoint must not abort the whole query.
-		s.fail(ctx, sel, j, err)
-		sp.SetAttr("error", err.Error())
-	}
-	sp.SetAttr("relevant", sel.facts[j].relevant)
-}
-
-// fail records that endpoint j could not be probed for the pattern: it is
-// conservatively treated as relevant, its count unknown, with a warning.
-func (s *SourceSelector) fail(ctx context.Context, sel *selection, j int, err error) {
-	name := s.fed.Endpoints()[j].Name()
-	sel.errs[j] = &client.EndpointError{Endpoint: name, Phase: client.PhaseSourceSelection, Err: err}
-	s.probeFailures.Inc()
-	sel.facts[j].relevant = true
-	resilience.Warn(ctx, resilience.Warning{
-		Endpoint: name,
-		Phase:    client.PhaseSourceSelection,
-		Message:  "probe failed; endpoint conservatively treated as relevant: " + err.Error(),
-	})
-}
-
-// askQuery builds the ASK probe for one triple pattern.
-func askQuery(tp sparql.TriplePattern) string {
-	q := sparql.NewAsk()
-	q.Where.Elements = append(q.Where.Elements, tp)
-	return q.String()
-}
-
-// NormalizePattern renders a pattern with canonicalized variable names so
-// that structurally identical patterns share one cache entry, while
-// patterns that repeat a variable keep their self-join structure.
-func NormalizePattern(tp sparql.TriplePattern) string {
-	names := map[string]string{}
-	canon := func(pt sparql.PatternTerm) string {
-		if !pt.IsVar() {
-			return pt.Term.String()
-		}
-		if n, ok := names[pt.Var]; ok {
-			return n
-		}
-		n := fmt.Sprintf("?v%d", len(names))
-		names[pt.Var] = n
-		return n
-	}
-	return canon(tp.S) + " " + canon(tp.P) + " " + canon(tp.O)
-}
-
-// SameSources reports whether two sorted-or-unsorted source lists contain
-// the same endpoint names.
-func SameSources(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]string(nil), a...)
-	bs := append([]string(nil), b...)
-	sort.Strings(as)
-	sort.Strings(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// IntersectSources returns the names present in both lists, preserving the
-// order of a.
-func IntersectSources(a, b []string) []string {
-	set := make(map[string]bool, len(b))
-	for _, n := range b {
-		set[n] = true
-	}
-	var out []string
-	for _, n := range a {
-		if set[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// SourcesKey returns a canonical string for a set of sources.
-func SourcesKey(names []string) string {
-	s := append([]string(nil), names...)
-	sort.Strings(s)
-	return strings.Join(s, ",")
-}

@@ -1,4 +1,4 @@
-package federation
+package federation_test
 
 import (
 	"context"
@@ -9,51 +9,47 @@ import (
 	"testing"
 
 	"lusail/internal/client"
-	"lusail/internal/erh"
+	"lusail/internal/core"
+	"lusail/internal/federation"
 	"lusail/internal/obs"
+	"lusail/internal/resilience"
 	"lusail/internal/sparql"
 )
 
-func pattern(pred, s, o string) sparql.TriplePattern {
-	return sparql.TriplePattern{S: sparql.Var(s), P: sparql.IRI("http://ex/" + pred), O: sparql.Var(o)}
-}
-
-// One request per endpoint answers relevance and counts of every pattern;
-// the cache then answers both without a request.
+// One request per endpoint answers relevance and counts of every pattern
+// of every branch; the cache then answers both without a request.
 func TestSelectSourcesOneRequestPerEndpoint(t *testing.T) {
 	var m client.Metrics
-	sel := NewSourceSelector(instrumented(twoEndpointFed(), &m), erh.New(4))
-	tps := []sparql.TriplePattern{pattern("p", "s", "o"), pattern("q", "s", "o"), pattern("zzz", "s", "o"), pattern("q", "a", "b")}
-	want := []Selection{
-		{Sources: []string{"ep1", "ep2"}, Card: map[string]float64{"ep1": 1, "ep2": 1}},
-		{Sources: []string{"ep2"}, Card: map[string]float64{"ep2": 1}},
-		{Sources: nil, Card: map[string]float64{}},
-		{Sources: []string{"ep2"}}, // past counted: no counts wanted
-	}
+	e := core.MustNew(instrumented(twoEndpointFed(), &m), core.DefaultOptions())
+	q := sparql.MustParse(`SELECT * WHERE {
+		{ ?s <http://ex/p> ?o } UNION { ?s <http://ex/q> ?o } UNION { ?s <http://ex/zzz> ?o } UNION { ?a <http://ex/q> ?b } }`)
 	for run := 0; run < 2; run++ {
 		before := m.Snapshot()
-		got, tally, err := sel.SelectSources(context.Background(), tps, 3)
+		_, prof, err := e.Query(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("run %d: selections = %+v, want %+v", run, got, want)
-		}
+		// Three distinct patterns at two endpoints; p and q's branches
+		// each have one subquery.
 		d := m.Snapshot().Sub(before)
-		if wantReq := int64(2 * (1 - run)); d.Requests != wantReq || d.Asks != wantReq || tally.Counts != 6*(1-run) {
-			t.Errorf("run %d: %d requests (%d ASKs), %d COUNT cells; want %d, all source selection, and %d cells",
-				run, d.Requests, d.Asks, tally.Counts, wantReq, 6*(1-run))
+		if wantReq := int64(2 * (1 - run)); d.Asks != wantReq || prof.CountProbes != 6*(1-run) {
+			t.Errorf("run %d: %d source-selection requests, %d COUNT cells; want %d and %d",
+				run, d.Asks, prof.CountProbes, wantReq, 6*(1-run))
+		}
+		want := []string{"{?s <http://ex/p> ?o}@[ep1,ep2]", "{?s <http://ex/q> ?o}@[ep2]", "{?a <http://ex/q> ?b}@[ep2]"}
+		if !reflect.DeepEqual(prof.Decomposition, want) {
+			t.Errorf("run %d: decomposition %q, want %q", run, prof.Decomposition, want)
 		}
 	}
 }
 
-// A pattern that repeats within one call is selected once and counts as
+// A pattern that repeats within one query is selected once and counts as
 // neither a cache hit nor a miss.
 func TestInCallDuplicatesAreNotCacheHits(t *testing.T) {
 	hits, misses := obs.Default().Counter(obs.MetricSourceCacheHits, ""), obs.Default().Counter(obs.MetricSourceCacheMisses, "")
 	h0, m0 := hits.Value(), misses.Value()
-	sel := NewSourceSelector(twoEndpointFed(), erh.New(4))
-	if _, _, err := sel.SelectSources(context.Background(), []sparql.TriplePattern{pattern("p", "s", "o"), pattern("p", "x", "y")}, 2); err != nil {
+	e := core.MustNew(twoEndpointFed(), core.DefaultOptions())
+	if _, err := e.Plan(context.Background(), query(pattern("p", "s", "o"), pattern("p", "x", "y"))); err != nil {
 		t.Fatal(err)
 	}
 	if h, m := hits.Value()-h0, misses.Value()-m0; h != 0 || m != 1 {
@@ -65,20 +61,17 @@ func TestInCallDuplicatesAreNotCacheHits(t *testing.T) {
 // one, a counted pattern gets a count cell and an uncounted one nothing.
 func TestSelectSourcesCatalogCounts(t *testing.T) {
 	var m client.Metrics
-	sel := NewSourceSelector(instrumented(twoEndpointFed(), &m), erh.New(4))
-	sel.SetCatalog(&fakeTier{
-		decisions: map[string]TierDecision{"ep1": TierRelevant, "ep2": TierRelevant},
-		cards:     map[string]float64{"ep1": 7},
-	})
-	got, tally, err := sel.SelectSources(context.Background(), []sparql.TriplePattern{pattern("p", "s", "o"), pattern("q", "s", "o")}, 1)
+	opts := core.DefaultOptions()
+	// Both endpoints are relevant for p and q by the catalog; only ep1's
+	// summary can count them. q, in an OPTIONAL block, wants no count.
+	opts.Catalog = newCatalog(summary("ep1", false, 7, "p", "q"), summary("ep2", true, 1, "p", "q"))
+	e := core.MustNew(instrumented(twoEndpointFed(), &m), opts)
+	_, prof, err := e.QueryString(context.Background(), `SELECT * WHERE { ?s <http://ex/p> ?o OPTIONAL { ?s <http://ex/q> ?x } }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := map[string]float64{"ep1": 7, "ep2": 1}; !reflect.DeepEqual(got[0].Card, want) {
-		t.Errorf("counts = %v, want %v", got[0].Card, want)
-	}
-	if d := m.Snapshot(); d.Requests != 1 || tally.Counts != 1 || tally.CatalogCounts != 1 {
-		t.Errorf("%d requests, %d COUNT cells, %d catalog counts; want 1, 1, 1", d.Requests, tally.Counts, tally.CatalogCounts)
+	if d := m.Snapshot(); d.Asks != 1 || prof.CountProbes != 1 || prof.CatalogHits != 1 {
+		t.Errorf("%d source-selection requests, %d COUNT cells, %d catalog counts; want 1, 1, 1", d.Asks, prof.CountProbes, prof.CatalogHits)
 	}
 }
 
@@ -102,23 +95,26 @@ func (e *noBatch) Query(ctx context.Context, q string) (*sparql.Results, error) 
 }
 
 // A rejected batch is re-sent as one plain COUNT per pattern, with no ASK;
-// an endpoint that fails those too stays relevant with its count unknown.
+// an endpoint that fails those too stays relevant, with a warning.
 func TestFailedBatchFallsBackToPlainCounts(t *testing.T) {
 	eps := twoEndpointFed().Endpoints()
 	nb := &noBatch{Endpoint: eps[1]}
-	sel := NewSourceSelector(MustNew(eps[0], nb, &failingEndpoint{name: "dead"}), erh.New(4))
-	got, _, err := sel.SelectSources(context.Background(), []sparql.TriplePattern{pattern("p", "s", "o"), pattern("q", "s", "o")}, 2)
+	e := core.MustNew(federation.MustNew(eps[0], nb, &failingEndpoint{name: "dead"}), core.DefaultOptions())
+	ctx := resilience.WithWarnings(context.Background())
+	p, err := e.Plan(ctx, query(pattern("p", "s", "o"), pattern("q", "s", "x")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nb.rejected.Load() != 1 || nb.counts.Load() != 2 || nb.asks.Load() != 0 {
 		t.Errorf("%d batches rejected, then %d COUNTs and %d ASKs; want 1, 2, 0", nb.rejected.Load(), nb.counts.Load(), nb.asks.Load())
 	}
-	want := []Selection{
-		{Sources: []string{"ep1", "ep2", "dead"}, Card: map[string]float64{"ep1": 1, "ep2": 1}},
-		{Sources: []string{"ep2", "dead"}, Card: map[string]float64{"ep2": 1}},
+	// p's sources are ep1, ep2 and dead, q's ep2 and dead: the patterns
+	// cannot share a subquery.
+	want := []string{"{?s <http://ex/p> ?o}@[ep1,ep2,dead]", "{?s <http://ex/q> ?x}@[ep2,dead]"}
+	if got := p.Decomposition(); !reflect.DeepEqual(got, want) {
+		t.Errorf("decomposition %q, want %q", got, want)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("selections = %+v, want %+v", got, want)
+	if ws := resilience.TakeWarnings(ctx); len(ws) != 2 || ws[0].Endpoint != "dead" || ws[0].Phase != client.PhaseSourceSelection {
+		t.Errorf("warnings = %+v, want one source-selection warning about dead per pattern", ws)
 	}
 }

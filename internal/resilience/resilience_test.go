@@ -464,3 +464,41 @@ func TestWarningsSink(t *testing.T) {
 		t.Fatalf("second TakeWarnings = %v, want drained nil", again)
 	}
 }
+
+// A failed relevance probe warns once, naming the endpoint once, counts a
+// probe failure and comes back as the endpoint's error; selection fails
+// only when every probe failed and nothing about the pattern was known.
+func TestProbeFailedWarningAndSelectionRule(t *testing.T) {
+	failures := obs.Default().Counter(obs.MetricSourceProbeFailures, "")
+	before := failures.Value()
+	ctx := WithWarnings(context.Background())
+	cause := errors.New("connection reset")
+	err := ProbeFailed(ctx, "ep1", &client.EndpointError{Endpoint: "ep1", Phase: client.PhaseCount, Err: cause})
+	var ee *client.EndpointError
+	if !errors.As(err, &ee) || ee.Endpoint != "ep1" || ee.Phase != client.PhaseSourceSelection || !errors.Is(err, cause) {
+		t.Errorf("ProbeFailed = %#v, want ep1's source-selection error wrapping the cause", err)
+	}
+	ws := TakeWarnings(ctx)
+	if len(ws) != 1 || ws[0].Endpoint != "ep1" || ws[0].Phase != client.PhaseSourceSelection ||
+		ws[0].Message != "probe failed; endpoint conservatively treated as relevant: connection reset" {
+		t.Errorf("warnings = %+v, want one source-selection warning about ep1", ws)
+	}
+	if d := failures.Value() - before; d != 1 {
+		t.Errorf("%d probe failures counted, want 1", d)
+	}
+
+	for _, c := range []struct {
+		errs  []error
+		known bool
+		fail  bool
+	}{
+		{nil, false, false},
+		{[]error{err, nil}, false, false},
+		{[]error{err, err}, true, false},
+		{[]error{err, err}, false, true},
+	} {
+		if got := SelectionFailed(c.errs, c.known); (got != nil) != c.fail {
+			t.Errorf("SelectionFailed(%v, known=%v) = %v, want failure %v", c.errs, c.known, got, c.fail)
+		}
+	}
+}

@@ -2,9 +2,12 @@ package resilience
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"sync"
 
 	"lusail/internal/client"
+	"lusail/internal/obs"
 )
 
 // Warning is one structured record of a degraded decision: an endpoint
@@ -60,4 +63,33 @@ func TakeWarnings(ctx context.Context) []Warning {
 	out := s.ws
 	s.ws = nil
 	return out
+}
+
+// ProbeFailed is source selection's policy, Lusail's and FedX's alike, for
+// a relevance probe of endpoint that failed with err: in every failure
+// mode the endpoint stays a source of the pattern for this query, with a
+// warning, and nothing is cached, since an outage is not data. It returns
+// the failure as the endpoint's error, for SelectionFailed.
+func ProbeFailed(ctx context.Context, endpoint string, err error) error {
+	if ee := (*client.EndpointError)(nil); errors.As(err, &ee) {
+		err = ee.Err // the warning names the endpoint once
+	}
+	obs.Default().Counter(obs.MetricSourceProbeFailures, "source-selection probes that failed and were conservatively treated as relevant").Inc()
+	Warn(ctx, Warning{
+		Endpoint: endpoint,
+		Phase:    client.PhaseSourceSelection,
+		Message:  "probe failed; endpoint conservatively treated as relevant: " + err.Error(),
+	})
+	return &client.EndpointError{Endpoint: endpoint, Phase: client.PhaseSourceSelection, Err: err}
+}
+
+// SelectionFailed returns the error that ends source selection of a
+// pattern whose relevance probes returned errs, nil where answered: every
+// probe failed, and no cached fact about the pattern (known) is left to
+// degrade onto.
+func SelectionFailed(errs []error, known bool) error {
+	if known || len(errs) == 0 || slices.Contains(errs, nil) {
+		return nil
+	}
+	return errors.Join(errs...)
 }

@@ -574,3 +574,29 @@ func TestXMLBooleanRoundTrip(t *testing.T) {
 		t.Errorf("boolean round trip = %+v", back)
 	}
 }
+
+func TestPatternKey(t *testing.T) {
+	a := TriplePattern{S: Var("s"), P: IRI("http://p"), O: Var("o")}
+	b := TriplePattern{S: Var("x"), P: IRI("http://p"), O: Var("y")}
+	if PatternKey(nil, a) != PatternKey(nil, b) {
+		t.Error("alpha-equivalent patterns should share a key")
+	}
+	if got := PatternKey(nil, a); got != "?v0 <http://p> ?v1" {
+		t.Errorf("key = %q", got)
+	}
+	// Self-join structure must be preserved.
+	c := TriplePattern{S: Var("s"), P: IRI("http://p"), O: Var("s")}
+	if PatternKey(nil, a) == PatternKey(nil, c) {
+		t.Error("self-join pattern should get a different key")
+	}
+	// A reserved name keeps its place, and names are shared across the
+	// patterns: a subject-only pair differs from a subject/object pair.
+	subj := PatternKey(map[string]string{"s": "?JV"}, a, TriplePattern{S: Var("s"), P: IRI("http://q"), O: Var("z")})
+	if subj != "?JV <http://p> ?v1|?JV <http://q> ?v2" {
+		t.Errorf("reserved key = %q", subj)
+	}
+	subjObj := PatternKey(map[string]string{"s": "?JV"}, a, TriplePattern{S: Var("z"), P: IRI("http://q"), O: Var("s")})
+	if subj == subjObj {
+		t.Error("join variable positions must be part of the key")
+	}
+}

@@ -170,6 +170,33 @@ func (tp TriplePattern) String() string {
 	return fmt.Sprintf("%s %s %s", tp.S, tp.P, tp.O)
 }
 
+// PatternKey renders patterns, separated by "|", with each variable renamed
+// ?vN on its first occurrence, N counting the names given so far, so that
+// patterns equal up to variable names share a key while a variable that
+// repeats, within a pattern or across them, keeps its join structure.
+// names seeds reserved names, such as a join variable's; it may be nil.
+func PatternKey(names map[string]string, tps ...TriplePattern) string {
+	if names == nil {
+		names = map[string]string{}
+	}
+	keys := make([]string, len(tps))
+	for i, tp := range tps {
+		var terms [3]string
+		for k, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
+			if !pt.IsVar() {
+				terms[k] = pt.Term.String()
+				continue
+			}
+			if _, ok := names[pt.Var]; !ok {
+				names[pt.Var] = fmt.Sprintf("?v%d", len(names))
+			}
+			terms[k] = names[pt.Var]
+		}
+		keys[i] = strings.Join(terms[:], " ")
+	}
+	return strings.Join(keys, "|")
+}
+
 // writeFilterConstraint writes an expression in FILTER position: EXISTS
 // blocks appear bare, everything else is parenthesized.
 func writeFilterConstraint(b *strings.Builder, e Expr) {

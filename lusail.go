@@ -6,7 +6,7 @@
 // A federation is a set of independently maintained SPARQL endpoints.
 // Lusail answers a query over the union of their data by:
 //
-//  1. selecting the relevant endpoints per triple pattern (ASK probes),
+//  1. selecting the relevant endpoints per triple pattern (COUNT probes),
 //  2. decomposing the query with LADE — instance-aware locality checks
 //     that detect which join variables can be resolved inside endpoints
 //     and which require a global join, and
@@ -144,7 +144,7 @@ type (
 	Server = endpoint.Server
 	// Catalog is a persistent endpoint catalog: one data summary per
 	// endpoint that lets the engine answer source selection and
-	// cardinality estimation without per-query ASK/COUNT probes. Assign
+	// cardinality estimation without per-query COUNT probes. Assign
 	// one to Options.Catalog to enable the probe-free tier.
 	Catalog = catalog.Store
 	// CatalogSummary is one endpoint's data summary inside a Catalog.
