@@ -1,182 +1,269 @@
-// Command lusail-vet runs lusail's project-specific static-analysis suite
-// (internal/lint): nine analyzers that machine-check the engine's
-// concurrency and resilience invariants — context threading, span
-// lifecycle, breaker admission pairing, lock-region I/O, typed-error
-// discipline, stream closing, and the interprocedural trio (lock-order
-// deadlock detection, goroutine termination evidence, byte-budget
-// discipline on decoder loops). It exits non-zero when any diagnostic
-// survives suppression.
+// Command lusail-vet runs lusail's two analyzer suites: the Go analyzers of
+// internal/lint, which machine-check the engine's concurrency and
+// resilience invariants (context threading, breaker admission pairing,
+// typed-error discipline, stream closing, lock order, byte budgets), and
+// the SPARQL checks of internal/sparql/sema, the same checks the engine
+// runs before planning.
 //
 // Usage:
 //
-//	go run ./cmd/lusail-vet ./...            # whole module
-//	go run ./cmd/lusail-vet ./internal/core  # one package
-//	go run ./cmd/lusail-vet -run spanend,pairedadmission ./...
-//	go run ./cmd/lusail-vet -tests ./...     # include _test.go files
-//	go run ./cmd/lusail-vet -sarif ./...     # SARIF 2.1.0 for code scanning
-//	go run ./cmd/lusail-vet -list            # describe the analyzers
+//	go run ./cmd/lusail-vet ./...                # Go packages and .rq files in the module
+//	go run ./cmd/lusail-vet -corpus ./...        # and the built-in benchmark corpora
+//	go run ./cmd/lusail-vet ./internal/core      # one package (and .rq files beside it)
+//	go run ./cmd/lusail-vet queries/q1.rq        # one query file
+//	go run ./cmd/lusail-vet -                    # query text on stdin
+//	go run ./cmd/lusail-vet -run lockorder,cartesian ./...
+//	go run ./cmd/lusail-vet -canon queries/q1.rq # canonical form + plan-cache key
+//	go run ./cmd/lusail-vet -list                # describe the analyzers and checks
 //
-// Suppress a deliberate finding with a justified directive on (or directly
-// above) the flagged line:
+// A directory argument loads the Go package there and the .rq files beside
+// it; a trailing /... does so for the whole tree, skipping testdata,
+// vendor, and hidden directories. With no arguments it vets ./... .
+//
+// Suppress a deliberate Go finding with a justified directive on (or
+// directly above) the flagged line, and a deliberate query warning with
+// one anywhere in the query text:
 //
 //	//lint:lusail-vet ctxflow -- detached background loop with own stop channel
+//	# lusail-check: cartesian -- bound-join bridging makes this cross product cheap
 //
-// See the "Static analysis" section of README.md and DESIGN.md
-// "Machine-checked invariants" for what each analyzer enforces and why.
+// Exit codes: 0 clean, 1 findings, type errors, or parse failures, 2 usage
+// or I/O errors. See the "Static analysis" and "Query analysis" sections of
+// README.md and DESIGN.md §9 and §12.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
+	"lusail/internal/bench"
+	"lusail/internal/diag"
 	"lusail/internal/lint"
+	"lusail/internal/sparql"
+	"lusail/internal/sparql/sema"
 )
 
 func main() {
-	runList := flag.String("run", "", "comma-separated analyzer subset (default: all)")
-	includeTests := flag.Bool("tests", false, "also analyze _test.go files")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
-	sarifOut := flag.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 (for GitHub code scanning); always exits 0 unless loading fails")
-	timings := flag.Bool("timings", false, "report per-analyzer wall-clock time on stderr")
-	list := flag.Bool("list", false, "list analyzers and exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	analyzers := lint.All()
+// rule is one entry of the combined registry: a Go analyzer or a query
+// check.
+type rule struct {
+	name, doc string
+	analyzer  *lint.Analyzer
+	check     *sema.Check
+}
+
+// rules lists the Go analyzers, then the query checks, in suite order.
+func rules() []rule {
+	var out []rule
+	for _, a := range lint.All() {
+		out = append(out, rule{name: a.Name, doc: a.Doc, analyzer: a})
+	}
+	for _, c := range sema.All() {
+		out = append(out, rule{name: c.Name, doc: fmt.Sprintf("(%s) %s", c.Severity, c.Doc), check: c})
+	}
+	return out
+}
+
+// query is one SPARQL query to vet.
+type query struct {
+	name string // display path ("<stdin>" for -)
+	src  string
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lusail-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runList := fs.String("run", "", "comma-separated analyzer and check subset (default: all)")
+	list := fs.Bool("list", false, "list analyzers and checks and exit")
+	canon := fs.Bool("canon", false, "print each query's canonical form and plan-cache key instead of vetting")
+	corpus := fs.Bool("corpus", false, "also vet the built-in benchmark corpora (LUBM, QFed, LargeRDFBench, Bio2RDF)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "lusail-vet: %v\n", err)
+		return 2
+	}
+
+	selected := rules()
 	if *runList != "" {
 		var err error
-		analyzers, err = lint.ByName(strings.Split(*runList, ","))
+		selected, err = diag.Lookup(selected, func(r rule) string { return r.name }, strings.Split(*runList, ","))
 		if err != nil {
-			fatal(err)
+			return fail(fmt.Errorf("-run: %w", err))
 		}
 	}
 	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%s\n\t%s\n\n", a.Name, strings.ReplaceAll(a.Doc, "\n", "\n\t"))
+		for _, r := range selected {
+			fmt.Fprintf(stdout, "%s\n\t%s\n\n", r.name, strings.ReplaceAll(r.doc, "\n", "\n\t"))
 		}
-		return
+		return 0
+	}
+	var analyzers []*lint.Analyzer
+	var checks []*sema.Check
+	for _, r := range selected {
+		if r.analyzer != nil {
+			analyzers = append(analyzers, r.analyzer)
+		} else {
+			checks = append(checks, r.check)
+		}
 	}
 
-	moduleDir, err := findModuleRoot()
-	if err != nil {
-		fatal(err)
+	paths := fs.Args()
+	if len(paths) == 0 {
+		paths = []string{"./..."}
 	}
-	loader, err := lint.NewLoader(moduleDir)
-	if err != nil {
-		fatal(err)
-	}
-	loader.IncludeTests = *includeTests
-
-	args := flag.Args()
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
+	var loader *lint.Loader
 	var pkgs []*lint.Package
-	for _, arg := range args {
-		loaded, err := loadArg(loader, arg)
+	var queries []query
+	for _, arg := range paths {
+		if arg == "-" || strings.HasSuffix(arg, ".rq") {
+			q, err := readQuery(arg)
+			if err != nil {
+				return fail(err)
+			}
+			queries = append(queries, q)
+			continue
+		}
+		if loader == nil {
+			var err error
+			if loader, err = newLoader(); err != nil {
+				return fail(err)
+			}
+		}
+		root, recursive := strings.CutSuffix(arg, "/...")
+		if root == "..." {
+			root, recursive = ".", true
+		}
+		loaded, files, err := loader.Walk(root, recursive)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		pkgs = append(pkgs, loaded...)
+		for _, path := range files {
+			q, err := readQuery(path)
+			if err != nil {
+				return fail(err)
+			}
+			queries = append(queries, q)
+		}
+	}
+	if *corpus {
+		queries = append(queries, corpusQueries()...)
 	}
 
 	failed := false
-	for _, pkg := range pkgs {
-		for _, terr := range pkg.TypeErrors {
+	if !*canon && len(pkgs) > 0 {
+		for _, pkg := range pkgs {
+			for _, terr := range pkg.TypeErrors {
+				failed = true
+				fmt.Fprintln(stderr, terr)
+			}
+		}
+		for _, d := range lint.Run(pkgs, analyzers, loader.Fset) {
 			failed = true
-			fmt.Fprintf(os.Stderr, "%v\n", terr)
+			fmt.Fprintln(stdout, d)
 		}
 	}
-
-	diags, perAnalyzer := lint.RunTimed(pkgs, analyzers, loader.Fset)
-	if *timings {
-		var total time.Duration
-		for _, tm := range perAnalyzer {
-			fmt.Fprintf(os.Stderr, "timings: %-20s %12s\n", tm.Name, tm.Elapsed.Round(time.Microsecond))
-			total += tm.Elapsed
-		}
-		fmt.Fprintf(os.Stderr, "timings: %-20s %12s\n", "total", total.Round(time.Microsecond))
-	}
-	if *sarifOut {
-		data, err := lint.RenderSARIF(diags, analyzers, loader.ModuleDir)
+	for _, q := range queries {
+		parsed, err := sparql.Parse(q.src)
 		if err != nil {
-			fatal(err)
+			// A parse failure is a finding, not a tool abort, so one bad
+			// file does not hide the rest.
+			failed = true
+			fmt.Fprintf(stdout, "%s:%s\n", q.name, parseDiagnostic(err))
+			continue
 		}
-		if err := lint.ValidateSARIF(data); err != nil {
-			fatal(err)
+		if *canon {
+			text := sema.CanonicalText(parsed)
+			fmt.Fprintf(stdout, "# %s\n# key: %s\n%s\n", q.name, sema.KeyOf(text), text)
+			continue
 		}
-		fmt.Println(string(data))
-		// SARIF mode reports; the findings gate via code scanning, not the
-		// exit status, so one finding does not abort the upload step.
-		if failed {
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(diags); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d.String())
+		for _, d := range sema.AnalyzeWith(parsed, q.src, checks) {
+			failed = true
+			fmt.Fprintf(stdout, "%s:%s\n", q.name, d)
 		}
 	}
-	if failed || len(diags) > 0 {
-		os.Exit(1)
+	if failed {
+		return 1
 	}
+	return 0
 }
 
-// loadArg loads the packages named by one command-line pattern: a
-// directory, or a directory followed by /... for the whole subtree.
-func loadArg(loader *lint.Loader, arg string) ([]*lint.Package, error) {
-	if arg == "./..." || arg == "..." {
-		return loader.LoadAll(loader.ModuleDir)
+// readQuery reads one query file, or stdin for "-".
+func readQuery(path string) (query, error) {
+	if path == "-" {
+		src, err := io.ReadAll(os.Stdin)
+		if err != nil {
+			return query{}, fmt.Errorf("reading stdin: %w", err)
+		}
+		return query{name: "<stdin>", src: string(src)}, nil
 	}
-	if root, ok := strings.CutSuffix(arg, "/..."); ok {
-		return loader.LoadAll(root)
+	src, err := os.ReadFile(path)
+	return query{name: path, src: string(src)}, err
+}
+
+// parseDiagnostic renders a parse failure in the sema diagnostic form,
+// positioned when the parser says where it failed.
+func parseDiagnostic(err error) sparql.SemaDiagnostic {
+	d := sparql.SemaDiagnostic{Check: "parse", Severity: sparql.SevError, Pos: -1, Message: err.Error()}
+	var perr *sparql.ParseError
+	if errors.As(err, &perr) {
+		d.Pos, d.Line, d.Col = perr.Pos, perr.Line, perr.Col
+		d.Message = perr.Msg
+		if perr.Token != "" {
+			d.Message += fmt.Sprintf(" (at %q)", perr.Token)
+		}
 	}
-	abs, err := filepath.Abs(arg)
+	return d
+}
+
+// corpusQueries returns every query in the built-in benchmark corpora as
+// a pseudo-file named bench:<suite>/<query>, so the corpora the
+// experiments run are held to the same bar as on-disk query files.
+func corpusQueries() []query {
+	var out []query
+	for _, suite := range []struct {
+		name    string
+		queries []bench.Query
+	}{
+		{"lubm", bench.LUBMQueries()},
+		{"qfed", bench.QFedQueries()},
+		{"lrb-simple", bench.LRBSimpleQueries()},
+		{"lrb-complex", bench.LRBComplexQueries()},
+		{"lrb-large", bench.LRBLargeQueries()},
+		{"bio2rdf", bench.Bio2RDFQueries()},
+	} {
+		for _, q := range suite.queries {
+			out = append(out, query{name: fmt.Sprintf("bench:%s/%s", suite.name, q.Name), src: q.Text})
+		}
+	}
+	return out
+}
+
+// newLoader returns a loader for the module enclosing the working
+// directory.
+func newLoader() (*lint.Loader, error) {
+	dir, err := os.Getwd()
 	if err != nil {
 		return nil, err
 	}
-	rel, err := filepath.Rel(loader.ModuleDir, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return nil, fmt.Errorf("lusail-vet: %s is outside module %s", arg, loader.ModuleDir)
-	}
-	importPath := loader.ModulePath
-	if rel != "." {
-		importPath = loader.ModulePath + "/" + filepath.ToSlash(rel)
-	}
-	return loader.LoadDir(abs, importPath)
-}
-
-// findModuleRoot walks up from the working directory to the enclosing
-// go.mod.
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
 	for {
 		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
+			return lint.NewLoader(dir)
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			return "", fmt.Errorf("lusail-vet: no go.mod found above %s", dir)
+			return nil, fmt.Errorf("no go.mod found above the working directory")
 		}
 		dir = parent
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "lusail-vet: %v\n", err)
-	os.Exit(2)
 }

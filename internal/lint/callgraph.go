@@ -12,9 +12,8 @@ import (
 // every declared function in the analyzed packages, plus per-function
 // summaries computed bottom-up over strongly connected components. The
 // intra-procedural analyzers see one body at a time; the summaries are how
-// lockorder, spawnjoin, and budgetbound see through a call — a helper that
-// locks again, a worker that selects on its context, a wrapper that
-// enforces the byte budget.
+// lockorder and budgetbound see through a call — a helper that locks
+// again, a wrapper that enforces the byte budget.
 //
 // The graph covers statically resolved calls to declared functions and
 // methods of the analyzed packages. Calls through function values,
@@ -24,8 +23,6 @@ import (
 
 // FuncID names a declared function across the program:
 // "pkg/path.Name" for functions, "pkg/path.(Recv).Name" for methods.
-// String-keyed (not object-keyed) so identities survive the loader
-// rebuilding a package with test files folded in.
 type FuncID string
 
 // funcID derives the FuncID for a function object, or "" when obj is not a
@@ -50,8 +47,8 @@ type callSite struct {
 	// acquisitions at this site.
 	recvText string
 	// inGo marks calls lexically inside a `go func(){...}` literal: they
-	// run on another stack, so lock and termination effects do not
-	// propagate to the spawning function.
+	// run on another stack, so lock effects do not propagate to the
+	// spawning function.
 	inGo bool
 }
 
@@ -66,11 +63,6 @@ type Summary struct {
 	// via same-receiver calls. Call sites instantiate these against the
 	// concrete receiver expression to catch same-instance relocks.
 	RecvAcquires map[string]token.Pos
-	// TermEvidence: the function exhibits a statically evident
-	// termination path for goroutine bodies — a ctx.Done()/ctx.Err() use,
-	// a channel receive/range/select, a WaitGroup.Done or close() join
-	// signal, or a call that passes a context onward.
-	TermEvidence bool
 	// BudgetGuard: the function compares one of its integer parameters
 	// against a bound — the shape of a budget-check wrapper.
 	BudgetGuard bool
@@ -284,10 +276,6 @@ func (prog *Program) propagate(fi *FuncInfo) bool {
 				}
 			}
 		}
-		if callee.Summary.TermEvidence && !fi.Summary.TermEvidence {
-			fi.Summary.TermEvidence = true
-			changed = true
-		}
 		if callee.Summary.BudgetGuard && callPassesIntParam(fi, cs.call) && !fi.Summary.BudgetGuard {
 			fi.Summary.BudgetGuard = true
 			changed = true
@@ -381,68 +369,7 @@ func seedSummary(fi *FuncInfo) {
 	}
 	walk(fi.Decl.Body)
 
-	fi.Summary.TermEvidence = directTermEvidence(pkg, fi.Decl.Body)
 	fi.Summary.BudgetGuard = directBudgetGuard(fi)
-}
-
-// directTermEvidence reports whether body itself exhibits a termination
-// path: ctx.Done()/ctx.Err(), a channel receive/range/select, a
-// WaitGroup.Done or close() signal, or a context handed to a callee.
-// Go-statement literals are excluded — evidence inside a further goroutine
-// says nothing about this frame.
-func directTermEvidence(pkg *Package, body *ast.BlockStmt) bool {
-	found := false
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			if found {
-				return false
-			}
-			switch v := m.(type) {
-			case *ast.GoStmt:
-				return false
-			case *ast.UnaryExpr:
-				if v.Op == token.ARROW {
-					found = true
-				}
-			case *ast.RangeStmt:
-				if tv, ok := pkg.Info.Types[v.X]; ok {
-					if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-						found = true
-					}
-				}
-			case *ast.CallExpr:
-				obj := calleeOf(pkg, v)
-				switch {
-				case isMethod(obj, "sync", "WaitGroup", "Done"):
-					found = true
-				case obj != nil && obj.Name() == "close" && obj.Pkg() == nil:
-					found = true
-				case isCtxMethodCall(pkg, v):
-					found = true
-				default:
-					for _, arg := range v.Args {
-						if tv, ok := pkg.Info.Types[arg]; ok && isContextType(tv.Type) {
-							found = true
-						}
-					}
-				}
-			}
-			return !found
-		})
-	}
-	walk(body)
-	return found
-}
-
-// isCtxMethodCall matches ctx.Done() and ctx.Err() on a context value.
-func isCtxMethodCall(pkg *Package, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Done" && sel.Sel.Name != "Err") {
-		return false
-	}
-	tv, ok := pkg.Info.Types[sel.X]
-	return ok && isContextType(tv.Type)
 }
 
 // directBudgetGuard reports whether the function compares one of its

@@ -20,9 +20,6 @@ func runCtxflow(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
 		// Rule 1: context fabricated mid-stack.
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

@@ -1,9 +1,11 @@
 // Package leakcheck is a standard-library-only goroutine-leak detector for
 // lifecycle tests: snapshot the goroutine count before the scenario, verify
-// the count returns to the baseline after it. It guards the same invariants
-// lusail-vet checks statically — a pool shutdown, breaker heal cycle, or
-// hedged-probe cancellation that strands a goroutine is a cancellation-flow
-// bug even when every call site looks well-formed.
+// the count returns to the baseline after it. It is the check that every
+// goroutine terminates: lusail-vet has no static analyzer for that
+// invariant, so this package and lusail-bench -check-invariants are where
+// it is enforced. A pool shutdown, breaker heal cycle, or hedged-probe
+// cancellation that strands a goroutine is a cancellation-flow bug even
+// when every call site looks well-formed.
 //
 // Typical use in a test:
 //

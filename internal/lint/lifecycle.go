@@ -6,12 +6,11 @@ import (
 	"go/types"
 )
 
-// This file is the shared resource-lifecycle engine behind spanend,
-// streamclose, and pairedadmission. All three enforce the same shape of
-// invariant — an acquisition must reach its release on every return path —
-// and previously each carried its own copy of the use-classification and
-// return-path walks. The engine owns both; the analyzers supply what an
-// acquisition is, what the release is called, and how to word the
+// This file is the resource-lifecycle engine behind streamclose and
+// pairedadmission. Both enforce the same shape of invariant — an
+// acquisition must reach its release on every return path. The engine owns
+// the use classification and the return-path walk; the analyzers supply
+// what an acquisition is, what the release is called, and how to word the
 // diagnostics.
 
 // resource is one tracked acquisition inside a function body.

@@ -19,16 +19,18 @@
 //	//lint:lusail-vet ctxflow -- detached background loop with own stop channel
 //
 // The justification after " -- " is mandatory; malformed or unused
-// directives are themselves diagnostics, so suppressions cannot rot.
+// directives are themselves diagnostics, so suppressions cannot rot. The
+// directive grammar and that rule live in internal/diag, shared with the
+// SPARQL checks of internal/sparql/sema.
 package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
-	"time"
+
+	"lusail/internal/diag"
 )
 
 // Diagnostic is one analyzer finding at a source position.
@@ -85,35 +87,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		analyzerCtxflow,
-		analyzerSpanend,
 		analyzerPairedAdmission,
-		analyzerNoLockIO,
 		analyzerErrwrap,
 		analyzerStreamclose,
 		analyzerLockorder,
-		analyzerSpawnjoin,
 		analyzerBudgetbound,
 	}
-}
-
-// ByName returns the named analyzers from All, preserving suite order, or
-// an error naming the first unknown entry.
-func ByName(names []string) ([]*Analyzer, error) {
-	want := map[string]bool{}
-	for _, n := range names {
-		want[strings.TrimSpace(n)] = true
-	}
-	var out []*Analyzer
-	for _, a := range All() {
-		if want[a.Name] {
-			out = append(out, a)
-			delete(want, a.Name)
-		}
-	}
-	for n := range want {
-		return nil, fmt.Errorf("lint: unknown analyzer %q", n)
-	}
-	return out, nil
 }
 
 // directivePrefix introduces a suppression comment.
@@ -123,22 +102,10 @@ const directivePrefix = "//lint:lusail-vet"
 // unused suppression directives are reported. It cannot be suppressed.
 const DirectiveAnalyzer = "directive"
 
-// directive is one parsed suppression comment.
-type directive struct {
-	pos       token.Position
-	analyzers []string
-	bad       string // non-empty: malformed, with reason
-	used      bool
-}
-
 // parseDirectives extracts suppression directives from a package's
-// comments, validating analyzer names against the analyzers being run.
-func parseDirectives(pkg *Package, fset *token.FileSet, running map[string]bool) []*directive {
-	known := map[string]bool{}
-	for _, a := range All() {
-		known[a.Name] = true
-	}
-	var out []*directive
+// comments, validating analyzer names against the suite and the run.
+func parseDirectives(pkg *Package, fset *token.FileSet, known, running map[string]bool) []*diag.Directive[token.Position] {
+	var out []*diag.Directive[token.Position]
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -146,60 +113,24 @@ func parseDirectives(pkg *Package, fset *token.FileSet, running map[string]bool)
 				if !ok {
 					continue
 				}
-				d := &directive{pos: fset.Position(c.Pos())}
-				out = append(out, d)
+				pos := fset.Position(c.Pos())
 				if rest != "" && !strings.HasPrefix(rest, " ") {
-					d.bad = "malformed directive: expected \"" + directivePrefix + " <analyzer>[,<analyzer>] -- <justification>\""
+					out = append(out, diag.Malformed(pos, "malformed directive: expected \""+directivePrefix+" <analyzer>[,<analyzer>] -- <justification>\""))
 					continue
 				}
-				names, justification, found := strings.Cut(rest, " -- ")
-				if !found || strings.TrimSpace(justification) == "" {
-					d.bad = "suppression without justification: append \" -- <why this is safe>\""
-					continue
-				}
-				for _, n := range strings.Split(names, ",") {
-					n = strings.TrimSpace(n)
-					if n == "" {
-						continue
-					}
-					if !known[n] {
-						d.bad = fmt.Sprintf("unknown analyzer %q in suppression", n)
-						break
-					}
-					if running[n] {
-						d.analyzers = append(d.analyzers, n)
-					} else {
-						// The analyzer is not part of this run; the
-						// directive cannot be marked used, so don't hold
-						// it to the unused check.
-						d.used = true
-					}
-				}
-				if d.bad == "" && len(d.analyzers) == 0 && !d.used {
-					d.bad = "suppression names no analyzer"
-				}
+				out = append(out, diag.Parse(pos, rest, "analyzer", known, running))
 			}
 		}
 	}
 	return out
 }
 
-// covers reports whether the directive suppresses the given diagnostic: the
-// analyzer matches and the diagnostic is on the directive's line or the
-// line immediately below (directive-above-statement style).
-func (d *directive) covers(diag Diagnostic) bool {
-	if d.bad != "" || diag.Pos.Filename != d.pos.Filename {
-		return false
-	}
-	if diag.Pos.Line != d.pos.Line && diag.Pos.Line != d.pos.Line+1 {
-		return false
-	}
-	for _, a := range d.analyzers {
-		if a == diag.Analyzer {
-			return true
-		}
-	}
-	return false
+// covers reports whether the directive suppresses the finding: it names
+// the analyzer, and the finding is on the directive's line or the line
+// immediately below (directive-above-statement style).
+func covers(d *diag.Directive[token.Position], f Diagnostic) bool {
+	return d.Names(f.Analyzer) && f.Pos.Filename == d.Pos.Filename &&
+		(f.Pos.Line == d.Pos.Line || f.Pos.Line == d.Pos.Line+1)
 }
 
 // Run executes the analyzers over the packages and returns the surviving
@@ -212,33 +143,17 @@ func (d *directive) covers(diag Diagnostic) bool {
 // matched globally, because a Module analyzer's diagnostics land in any
 // package's files.
 func Run(pkgs []*Package, analyzers []*Analyzer, fset *token.FileSet) []Diagnostic {
-	diags, _ := RunTimed(pkgs, analyzers, fset)
-	return diags
-}
-
-// AnalyzerTiming is one analyzer's wall-clock cost over a whole run, for
-// the -timings report: the suite grows, and a regressing analyzer should be
-// visible before CI minutes are.
-type AnalyzerTiming struct {
-	Name    string        `json:"name"`
-	Elapsed time.Duration `json:"elapsed_ns"`
-}
-
-// RunTimed is Run, also returning per-analyzer wall-clock timings in
-// analyzer order. Program construction for interprocedural analyzers is
-// charged to the first Module analyzer that needs it (it would not have
-// been built otherwise).
-func RunTimed(pkgs []*Package, analyzers []*Analyzer, fset *token.FileSet) ([]Diagnostic, []AnalyzerTiming) {
-	running := map[string]bool{}
+	known, running := map[string]bool{}, map[string]bool{}
+	for _, a := range All() {
+		known[a.Name] = true
+	}
 	for _, a := range analyzers {
 		running[a.Name] = true
 	}
 
 	var prog *Program
 	var raw []Diagnostic
-	timings := make([]AnalyzerTiming, 0, len(analyzers))
 	for _, a := range analyzers {
-		t0 := time.Now()
 		if a.Module {
 			if prog == nil {
 				prog = BuildProgram(pkgs, fset)
@@ -249,35 +164,15 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, fset *token.FileSet) ([]Di
 				a.Run(&Pass{Analyzer: a, Pkg: pkg, Prog: prog, Fset: fset, diags: &raw})
 			}
 		}
-		timings = append(timings, AnalyzerTiming{Name: a.Name, Elapsed: time.Since(t0)})
 	}
 
-	var dirs []*directive
+	var dirs []*diag.Directive[token.Position]
 	for _, pkg := range pkgs {
-		dirs = append(dirs, parseDirectives(pkg, fset, running)...)
+		dirs = append(dirs, parseDirectives(pkg, fset, known, running)...)
 	}
-	var out []Diagnostic
-	for _, diag := range raw {
-		suppressed := false
-		for _, d := range dirs {
-			if d.covers(diag) {
-				d.used = true
-				suppressed = true
-			}
-		}
-		if !suppressed {
-			out = append(out, diag)
-		}
-	}
-	for _, d := range dirs {
-		switch {
-		case d.bad != "":
-			out = append(out, Diagnostic{Analyzer: DirectiveAnalyzer, Pos: d.pos, Message: d.bad})
-		case !d.used:
-			out = append(out, Diagnostic{Analyzer: DirectiveAnalyzer, Pos: d.pos,
-				Message: "unused suppression directive: nothing to suppress here; delete it"})
-		}
-	}
+	out := diag.Apply(raw, dirs, covers, func(pos token.Position, msg string) Diagnostic {
+		return Diagnostic{Analyzer: DirectiveAnalyzer, Pos: pos, Message: msg}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {
@@ -291,10 +186,5 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, fset *token.FileSet) ([]Di
 		}
 		return out[i].Analyzer < out[j].Analyzer
 	})
-	return out, timings
-}
-
-// isTestFile reports whether the file's name ends in _test.go.
-func isTestFile(fset *token.FileSet, f *ast.File) bool {
-	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
+	return out
 }

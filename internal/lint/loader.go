@@ -16,10 +16,8 @@ import (
 	"strings"
 )
 
-// Package is one type-checked unit of Go code: the parsed files of a single
-// directory plus full go/types information. In-package _test.go files are
-// folded into the unit when the loader's IncludeTests is set; external
-// (package foo_test) files form a separate unit with path "<path>_test".
+// Package is one type-checked unit of Go code: the parsed non-test files
+// of a single directory plus full go/types information.
 type Package struct {
 	// Path is the unit's import path ("lusail/internal/erh").
 	Path string
@@ -54,17 +52,13 @@ type Loader struct {
 	// root).
 	ModulePath string
 	ModuleDir  string
-	// IncludeTests folds _test.go files into loaded target units. Imports
-	// of a package from another package always resolve to its test-free
-	// unit, so test-only import cycles cannot deadlock the loader.
-	IncludeTests bool
 	// Extra maps additional import-path prefixes to directories; the lint
 	// tests use it to address testdata trees ("vetdata" ->
 	// internal/lint/testdata/src/vetdata).
 	Extra map[string]string
 
 	std     types.ImporterFrom
-	pkgs    map[string]*Package // test-free units, by import path
+	pkgs    map[string]*Package // by import path
 	loading map[string]bool
 }
 
@@ -166,14 +160,14 @@ func (l *Loader) dirFor(path string) string {
 }
 
 // Import implements types.Importer for the type-checker: module-local
-// paths load recursively (without test files), everything else goes to the
-// source importer.
+// paths load recursively, everything else goes to the standard-library
+// importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
 	if dir := l.dirFor(path); dir != "" {
-		pkg, err := l.load(path, dir, false)
+		pkg, err := l.LoadDir(dir, path)
 		if err != nil {
 			return nil, err
 		}
@@ -190,73 +184,46 @@ func (l *Loader) ImportFrom(path, _ string, _ types.ImportMode) (*types.Package,
 	return l.Import(path)
 }
 
-// goFiles lists the unit's file names in dir: (base, inTest, extTest).
-func goFiles(dir string) (base, inTest, extTest []string, err error) {
+// listDir returns the non-test Go files and the .rq query files in dir,
+// sorted.
+func listDir(dir string) (goFiles, queries []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		if strings.HasSuffix(name, "_test.go") {
-			// Split in-package from external tests by package clause.
-			src, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, name), nil, parser.PackageClauseOnly)
-			if err != nil || strings.HasSuffix(src.Name.Name, "_test") {
-				extTest = append(extTest, name)
-			} else {
-				inTest = append(inTest, name)
-			}
-			continue
+		switch {
+		case strings.HasSuffix(name, ".rq"):
+			queries = append(queries, filepath.Join(dir, name))
+		case strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go"):
+			goFiles = append(goFiles, name)
 		}
-		base = append(base, name)
 	}
-	sort.Strings(base)
-	sort.Strings(inTest)
-	sort.Strings(extTest)
-	return base, inTest, extTest, nil
+	return goFiles, queries, nil
 }
 
-// load parses and type-checks the package in dir under the given import
-// path. Test-free units are memoized; units with tests are rebuilt per
-// call (they are only built for analysis targets, once each).
-func (l *Loader) load(path, dir string, withTests bool) (*Package, error) {
-	if !withTests {
-		if pkg, ok := l.pkgs[path]; ok {
-			return pkg, nil
-		}
-		if l.loading[path] {
-			return nil, fmt.Errorf("lint: import cycle through %s", path)
-		}
-		l.loading[path] = true
-		defer delete(l.loading, path)
+// LoadDir parses and type-checks the package in dir under the given import
+// path. Packages are memoized per loader.
+func (l *Loader) LoadDir(dir, path string) (*Package, error) {
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg, nil
 	}
-	base, inTest, _, err := goFiles(dir)
+	if l.loading[path] {
+		return nil, fmt.Errorf("lint: import cycle through %s", path)
+	}
+	l.loading[path] = true
+	defer delete(l.loading, path)
+	names, _, err := listDir(dir)
 	if err != nil {
 		return nil, err
-	}
-	names := base
-	if withTests {
-		names = append(append([]string{}, base...), inTest...)
 	}
 	if len(names) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	pkg, err := l.check(path, dir, names)
-	if err != nil {
-		return nil, err
-	}
-	if !withTests {
-		l.pkgs[path] = pkg
-	}
-	return pkg, nil
-}
-
-// check parses the named files and runs the type checker.
-func (l *Loader) check(path, dir string, names []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -278,80 +245,65 @@ func (l *Loader) check(path, dir string, names []string) (*Package, error) {
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
 	pkg.Types, _ = conf.Check(path, l.Fset, files, pkg.Info)
+	l.pkgs[path] = pkg
 	return pkg, nil
 }
 
-// LoadDir loads the package in dir (which must map to importPath) as an
-// analysis target, including test files when IncludeTests is set. When the
-// directory also holds an external test package and IncludeTests is set,
-// it is returned as a second unit.
-func (l *Loader) LoadDir(dir, importPath string) ([]*Package, error) {
-	pkg, err := l.load(importPath, dir, l.IncludeTests)
-	if err != nil {
-		return nil, err
-	}
-	out := []*Package{pkg}
-	if l.IncludeTests {
-		_, _, extTest, err := goFiles(dir)
-		if err != nil {
-			return nil, err
-		}
-		if len(extTest) > 0 {
-			ext, err := l.check(importPath+"_test", dir, extTest)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ext)
-		}
-	}
-	return out, nil
-}
-
-// LoadAll walks root (a directory inside the module) and loads every
-// package under it, skipping testdata, vendor, and hidden directories.
-func (l *Loader) LoadAll(root string) ([]*Package, error) {
+// Walk loads the package in root and lists the .rq query files beside it;
+// with recursive set it does the same for every directory under root,
+// skipping testdata, vendor, and hidden directories. Packages come back
+// sorted by import path, query files in walk order. A directory holding
+// Go files must lie inside the module; query files may lie anywhere.
+func (l *Loader) Walk(root string, recursive bool) ([]*Package, []string, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var out []*Package
+	var pkgs []*Package
+	var queries []string
 	err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if !d.IsDir() {
+			if p == root {
+				return fmt.Errorf("lint: %s is not a directory", p)
+			}
 			return nil
 		}
-		name := d.Name()
-		if p != root && (name == "testdata" || name == "vendor" ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
+		if p != root {
+			name := d.Name()
+			if !recursive || name == "testdata" || name == "vendor" ||
+				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
 		}
-		base, inTest, extTest, err := goFiles(p)
+		goFiles, rq, err := listDir(p)
 		if err != nil {
 			return err
 		}
-		if len(base) == 0 && (!l.IncludeTests || len(inTest)+len(extTest) == 0) {
+		queries = append(queries, rq...)
+		if len(goFiles) == 0 {
 			return nil
 		}
 		rel, err := filepath.Rel(l.ModuleDir, p)
-		if err != nil {
-			return err
+		if err != nil || strings.HasPrefix(rel, "..") {
+			return fmt.Errorf("lint: %s is outside module %s", p, l.ModuleDir)
 		}
-		importPath := l.ModulePath
+		path := l.ModulePath
 		if rel != "." {
-			importPath = l.ModulePath + "/" + filepath.ToSlash(rel)
+			path += "/" + filepath.ToSlash(rel)
 		}
-		pkgs, err := l.LoadDir(p, importPath)
+		pkg, err := l.LoadDir(p, path)
 		if err != nil {
 			return err
 		}
-		out = append(out, pkgs...)
+		pkgs = append(pkgs, pkg)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out, nil
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
+	return pkgs, queries, nil
 }

@@ -7,11 +7,9 @@ import (
 	"strings"
 )
 
-// This file holds the held-lock flow machinery shared by nolockio (what
-// blocks while a lock is held) and lockorder (what locks while a lock is
-// held): a source-order walk over a function body that tracks which
-// mutexes are held on each path, recursing into control flow with a copy
-// of the held set.
+// This file holds lockorder's held-lock flow machinery: a source-order
+// walk over a function body that tracks which mutexes are held on each
+// path, recursing into control flow with a copy of the held set.
 
 // lockRef identifies one mutex acquisition.
 type lockRef struct {
@@ -31,18 +29,39 @@ type lockRef struct {
 	pos       token.Pos
 }
 
-// lockHooks receives the walker's events. Nil hooks are skipped.
+// lockHooks receives the walker's events.
 type lockHooks struct {
 	// acquire fires on every Lock/RLock with the locks held so far; ref is
 	// the new acquisition, not yet in held (so relocks are visible).
 	acquire func(ref lockRef, held map[string]lockRef)
-	// blocked fires for expression trees evaluated while locks are held
-	// (nolockio scans these for blocking calls and receives).
-	blocked func(n ast.Node, held map[string]lockRef)
 	// call fires for every call expression evaluated while locks are held
 	// (lockorder propagates callee acquisitions); lock/unlock calls
 	// themselves are not reported.
 	call func(call *ast.CallExpr, held map[string]lockRef)
+}
+
+// lockCallKey classifies a call as sync lock/unlock and returns the lock
+// expression's text key ("s.mu").
+func lockCallKey(pkg *Package, call *ast.CallExpr) (key string, lock, unlock bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", false, false
+	}
+	obj := calleeOf(pkg, call)
+	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+		return "", false, false
+	}
+	recv := recvTypeName(obj)
+	if recv != "Mutex" && recv != "RWMutex" {
+		return "", false, false
+	}
+	switch obj.Name() {
+	case "Lock", "RLock":
+		return exprText(sel.X), true, false
+	case "Unlock", "RUnlock":
+		return exprText(sel.X), false, true
+	}
+	return "", false, false
 }
 
 // lockAcquire classifies call as a mutex Lock/RLock and resolves its
@@ -120,9 +139,7 @@ func scanLockFlow(pkg *Package, recvObj types.Object, stmts []ast.Stmt, held map
 				if key, lock, unlock := lockCallKey(pkg, call); lock || unlock {
 					if lock {
 						ref, _ := lockAcquire(pkg, call, recvObj)
-						if h.acquire != nil {
-							h.acquire(ref, held)
-						}
+						h.acquire(ref, held)
 						held[key] = ref
 					} else {
 						delete(held, key)
@@ -136,17 +153,10 @@ func scanLockFlow(pkg *Package, recvObj types.Object, stmts []ast.Stmt, held map
 			// function; defer of anything else runs after returns, where
 			// held-lock order is out of scope for this lexical walk.
 			continue
-		case *ast.SendStmt:
-			// The blocked hook sees the whole send (the send itself can
-			// block) plus any calls inside the sent value.
-			scanHeldExpr(pkg, s, held, h)
 		case *ast.GoStmt:
-			// The goroutine body runs without the caller's locks; spawning
-			// itself does not block.
+			// The goroutine body runs without the caller's locks.
 			continue
 		case *ast.SelectStmt:
-			// Channel operations inside select clauses are non-blocking by
-			// construction (some case, or default, proceeds).
 			for _, clause := range s.Body.List {
 				if comm, ok := clause.(*ast.CommClause); ok {
 					scanLockFlow(pkg, recvObj, comm.Body, copyHeldRefs(held), h)
@@ -196,17 +206,11 @@ func scanLockFlow(pkg *Package, recvObj types.Object, stmts []ast.Stmt, held map
 	}
 }
 
-// scanHeldExpr fires the blocked hook for the whole tree and the call hook
-// for every contained call (skipping nested function literals and
-// lock/unlock calls themselves). Only fires while locks are held.
+// scanHeldExpr fires the call hook for every call under n (skipping
+// nested function literals and lock/unlock calls themselves). Only fires
+// while locks are held.
 func scanHeldExpr(pkg *Package, n ast.Node, held map[string]lockRef, h lockHooks) {
 	if n == nil || len(held) == 0 {
-		return
-	}
-	if h.blocked != nil {
-		h.blocked(n, held)
-	}
-	if h.call == nil {
 		return
 	}
 	ast.Inspect(n, func(m ast.Node) bool {

@@ -21,8 +21,7 @@ through a helper that locks again), and (2) cycles between lock classes
 (function f takes A then B, function g takes B then A: two goroutines
 interleaving deadlock both). Locks are classed by owning type and field
 ("server.PlanCache.mu") or package-level variable; distinct instances of
-one class are not ordered against each other. The held-lock tracking is
-shared with nolockio.`,
+one class are not ordered against each other.`,
 	Run: runLockorder,
 }
 

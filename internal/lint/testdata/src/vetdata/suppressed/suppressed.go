@@ -4,7 +4,10 @@
 // themselves reported under the "directive" pseudo-analyzer.
 package suppressed
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
 // daemonRoot is a legitimate context root: its directive (line above the
 // flagged line) must silence ctxflow and produce no output.
@@ -46,34 +49,39 @@ func multiName() context.Context {
 	return context.Background()
 }
 
-// spinSuppressed silences the Module-analyzer diagnostic: spawnjoin is
+// mu is a package-level lock: lockHelper locks it, so calling lockHelper
+// while holding it is a self-deadlock lockorder sees through the call.
+var mu sync.Mutex
+
+func lockHelper() {
+	mu.Lock()
+	mu.Unlock()
+}
+
+// relockSuppressed silences the Module-analyzer diagnostic: lockorder is
 // interprocedural, so its directive must be honored through the global
 // suppression pass, not the per-package one.
-func spinSuppressed() {
-	//lint:lusail-vet spawnjoin -- burn-in harness goroutine, killed with the process
-	go func() {
-		for {
-		}
-	}()
+func relockSuppressed() {
+	mu.Lock()
+	defer mu.Unlock()
+	//lint:lusail-vet lockorder -- fixture for a hang detector: this call must deadlock
+	lockHelper()
 }
 
-// unusedNewName carries a directive for a new analyzer with nothing to
-// suppress: the unused-directive diagnostic must fire for the
-// interprocedural analyzer names too.
+// unusedNewName carries a directive for an interprocedural analyzer with
+// nothing to suppress: the unused-directive diagnostic must fire for
+// Module analyzer names too.
 func unusedNewName() {
 	//lint:lusail-vet lockorder -- stale note about a lock that was removed
-	spinHelper()
+	lockHelper()
 }
 
-// malformedNewName is malformed (no justification) while naming a new
-// analyzer, so the directive diagnostic and the spawnjoin diagnostic both
+// malformedNewName is malformed (no justification) while naming Module
+// analyzers, so the directive diagnostic and the lockorder diagnostic both
 // appear.
 func malformedNewName() {
-	//lint:lusail-vet budgetbound,spawnjoin
-	go spinHelper() // want: spawnjoin (directive above is malformed)
-}
-
-func spinHelper() {
-	for {
-	}
+	mu.Lock()
+	defer mu.Unlock()
+	//lint:lusail-vet budgetbound,lockorder
+	lockHelper() // want: lockorder (directive above is malformed)
 }

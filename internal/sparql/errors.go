@@ -7,7 +7,7 @@ import (
 
 // ParseError is the typed error Parse returns for malformed queries. Every
 // parse failure carries the byte offset, the 1-based line and column, and
-// the text of the offending token, so tools (lusail-check, lusaild's 400
+// the text of the offending token, so tools (lusail-vet, lusaild's 400
 // bodies, editor integrations) can point at the exact failure site.
 //
 // It replaces the anonymous fmt.Errorf chain the parser historically
@@ -126,7 +126,7 @@ type SemaDiagnostic struct {
 }
 
 // String renders "line:col: check: severity: message" (or "offset N" when
-// no line is known), the lusail-check output line.
+// no line is known), the lusail-vet output line after the file name.
 func (d SemaDiagnostic) String() string {
 	switch {
 	case d.Line > 0:
@@ -141,7 +141,7 @@ func (d SemaDiagnostic) String() string {
 // analysis: syntactically valid, semantically broken. It carries every
 // error-tier diagnostic (warnings and infos are reported through other
 // channels — Profile.Warnings in the engine, the diagnostics list in
-// lusail-check).
+// lusail-vet).
 type SemaError struct {
 	Diagnostics []SemaDiagnostic
 }

@@ -3,11 +3,11 @@
 // provably row-multiset-preserving rewrites, and a canonical normal form
 // whose hash keys the server's plan cache.
 //
-// It mirrors the internal/lint architecture (named analyzers, structured
-// diagnostics with positions, severity tiers) but targets the query
-// language instead of the host language: Lusail's whole premise is
-// deciding where and how to evaluate a query before sending anything over
-// the network, and a malformed-but-parseable query (unbound FILTER
+// It shares internal/lint's shape (named checks, structured diagnostics
+// with positions) and its suppression kernel, internal/diag, but targets
+// the query language instead of the host language: Lusail's whole premise
+// is deciding where and how to evaluate a query before sending anything
+// over the network, and a malformed-but-parseable query (unbound FILTER
 // variables, accidental cross products, unsatisfiable filters) otherwise
 // sails straight into LADE decomposition and burns endpoint traffic before
 // failing or returning garbage.
@@ -36,6 +36,7 @@ import (
 	"sort"
 	"strings"
 
+	"lusail/internal/diag"
 	"lusail/internal/sparql"
 )
 
@@ -99,25 +100,14 @@ func All() []*Check {
 	}
 }
 
-// ByName returns the named checks from All, preserving suite order, or an
-// error naming the first unknown entry.
-func ByName(names []string) ([]*Check, error) {
-	want := map[string]bool{}
-	for _, n := range names {
-		want[strings.TrimSpace(n)] = true
-	}
-	var out []*Check
+// registered holds the name of every check in All.
+var registered = func() map[string]bool {
+	m := map[string]bool{}
 	for _, c := range All() {
-		if want[c.Name] {
-			out = append(out, c)
-			delete(want, c.Name)
-		}
+		m[c.Name] = true
 	}
-	for n := range want {
-		return nil, fmt.Errorf("sema: unknown check %q", n)
-	}
-	return out, nil
-}
+	return m
+}()
 
 // DirectiveCheck is the pseudo-check name under which malformed and unused
 // suppression directives are reported. It cannot be suppressed.
@@ -143,34 +133,13 @@ func AnalyzeWith(q *sparql.Query, src string, checks []*Check) []sparql.SemaDiag
 		running[c.Name] = true
 	}
 	dirs := parseDirectives(src, running)
-	var out []sparql.SemaDiagnostic
-	for _, d := range raw {
-		suppressed := false
-		for _, dir := range dirs {
-			if dir.covers(d) {
-				dir.used = true
-				suppressed = true
-			}
-		}
-		if !suppressed {
-			out = append(out, d)
-		}
-	}
-	for _, dir := range dirs {
-		d := sparql.SemaDiagnostic{Check: DirectiveCheck, Severity: sparql.SevWarning, Pos: dir.pos}
-		switch {
-		case dir.bad != "":
-			d.Message = dir.bad
-		case !dir.used:
-			d.Message = "unused suppression directive: nothing to suppress here; delete it"
-		default:
-			continue
-		}
+	out := diag.Apply(raw, dirs, covers, func(pos int, msg string) sparql.SemaDiagnostic {
+		d := sparql.SemaDiagnostic{Check: DirectiveCheck, Severity: sparql.SevWarning, Pos: pos, Message: msg}
 		if src != "" {
-			d.Line, d.Col = sparql.LineCol(src, dir.pos)
+			d.Line, d.Col = sparql.LineCol(src, pos)
 		}
-		out = append(out, d)
-	}
+		return d
+	})
 
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Pos != out[j].Pos {
@@ -205,76 +174,27 @@ func Vet(q *sparql.Query, src string) (*sparql.SemaError, []sparql.SemaDiagnosti
 // directivePrefix introduces a suppression comment inside the query text.
 const directivePrefix = "# lusail-check:"
 
-// directive is one parsed suppression comment.
-type directive struct {
-	pos    int
-	checks []string
-	bad    string // non-empty: malformed, with reason
-	used   bool
-}
-
-// covers reports whether the directive suppresses the diagnostic.
+// covers reports whether the directive suppresses the finding.
 // Directives are query-global (SPARQL has no stable line structure worth
-// anchoring to) and never cover error-tier findings or other directive
-// findings.
-func (d *directive) covers(diag sparql.SemaDiagnostic) bool {
-	if d.bad != "" || diag.Severity == sparql.SevError || diag.Check == DirectiveCheck {
-		return false
-	}
-	for _, c := range d.checks {
-		if c == diag.Check {
-			return true
-		}
-	}
-	return false
+// anchoring to) and never cover error-tier findings.
+func covers(d *diag.Directive[int], f sparql.SemaDiagnostic) bool {
+	return f.Severity != sparql.SevError && d.Names(f.Check)
 }
 
 // parseDirectives extracts suppression directives from the query source's
-// comment lines, validating check names against the checks being run.
-func parseDirectives(src string, running map[string]bool) []*directive {
+// comment lines, validating check names against the suite and the run.
+func parseDirectives(src string, running map[string]bool) []*diag.Directive[int] {
 	if src == "" {
 		return nil
 	}
-	known := map[string]bool{}
-	for _, c := range All() {
-		known[c.Name] = true
-	}
-	var out []*directive
+	var out []*diag.Directive[int]
 	offset := 0
 	for _, line := range strings.SplitAfter(src, "\n") {
 		trimmed := strings.TrimLeft(line, " \t")
 		pos := offset + (len(line) - len(trimmed))
 		offset += len(line)
-		rest, ok := strings.CutPrefix(strings.TrimRight(trimmed, "\r\n"), directivePrefix)
-		if !ok {
-			continue
-		}
-		d := &directive{pos: pos}
-		out = append(out, d)
-		names, justification, found := strings.Cut(rest, " -- ")
-		if !found || strings.TrimSpace(justification) == "" {
-			d.bad = "suppression without justification: append \" -- <why this is safe>\""
-			continue
-		}
-		for _, n := range strings.Split(names, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			if !known[n] {
-				d.bad = fmt.Sprintf("unknown check %q in suppression", n)
-				break
-			}
-			if running[n] {
-				d.checks = append(d.checks, n)
-			} else {
-				// The check is not part of this run; the directive cannot be
-				// marked used, so don't hold it to the unused check.
-				d.used = true
-			}
-		}
-		if d.bad == "" && len(d.checks) == 0 && !d.used {
-			d.bad = "suppression names no check"
+		if rest, ok := strings.CutPrefix(strings.TrimRight(trimmed, "\r\n"), directivePrefix); ok {
+			out = append(out, diag.Parse(pos, rest, "check", registered, running))
 		}
 	}
 	return out
