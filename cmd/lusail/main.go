@@ -49,6 +49,7 @@ import (
 
 	"lusail"
 	"lusail/internal/obs"
+	"lusail/internal/sparql"
 )
 
 type endpointFlags []string
@@ -64,7 +65,7 @@ func main() {
 	flag.Var(&endpoints, "endpoint", "endpoint as name=url (repeatable)")
 	query := flag.String("query", "", "SPARQL query text")
 	queryFile := flag.String("query-file", "", "read the query from a file")
-	format := flag.String("format", "table", "output format: table, json, csv, or tsv")
+	format := flag.String("format", "table", "output format: table, json, xml, csv, or tsv")
 	profile := flag.Bool("profile", false, "print the engine's phase profile")
 	explain := flag.Bool("explain", false, "print the query plan and a span-level execution profile")
 	traceOut := flag.String("trace-out", "", "write the query's span tree as a Chrome trace_event file")
@@ -163,21 +164,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "warning: endpoint %s (%s): %s\n", w.Endpoint, w.Phase, w.Message)
 	}
 
-	switch *format {
-	case "json":
-		if err := res.WriteJSON(os.Stdout); err != nil {
+	if f, ok := formats[*format]; ok {
+		if err := res.Write(os.Stdout, f); err != nil {
 			log.Fatalf("lusail: %v", err)
 		}
-		fmt.Println()
-	case "csv":
-		if err := res.WriteCSV(os.Stdout); err != nil {
-			log.Fatalf("lusail: %v", err)
+		if f == sparql.FormatJSON || f == sparql.FormatXML {
+			fmt.Println() // the document itself ends without a newline
 		}
-	case "tsv":
-		if err := res.WriteTSV(os.Stdout); err != nil {
-			log.Fatalf("lusail: %v", err)
-		}
-	default:
+	} else {
 		printTable(res)
 	}
 	if *profile {
@@ -218,6 +212,15 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "trace written to %s (open in chrome://tracing or Perfetto)\n", *traceOut)
 	}
+}
+
+// formats maps the -format names of the SPARQL results formats; any other
+// name prints a plain table.
+var formats = map[string]sparql.Format{
+	"json": sparql.FormatJSON,
+	"xml":  sparql.FormatXML,
+	"csv":  sparql.FormatCSV,
+	"tsv":  sparql.FormatTSV,
 }
 
 func printTable(res *lusail.Results) {

@@ -66,11 +66,7 @@ func (e *Engine) QueryString(ctx context.Context, query string) (*sparql.Results
 		}
 		rels = append(rels, rel.stream())
 	}
-	all, err := op.Collect(op.Dedup(op.Union(rels...)), x.dict)
-	if err != nil {
-		return nil, err
-	}
-	return qplan.Finalize(q, all)
+	return op.Answer(q, x.dict, op.Finish(q, x.dict, op.Dedup(op.Union(rels...))))
 }
 
 // execution is one query's run of the executor: its relations are rows of

@@ -143,8 +143,14 @@ func TestLUBMWarmRequests(t *testing.T) {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
 		planning := fed.Metrics.Snapshot().Sub(before).Requests
-		if _, _, err := eng.ExecutePlan(ctx, p); err != nil {
+		rows, err := eng.ExecutePlanStream(ctx, p)
+		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
+		}
+		for rows.Next() {
+		}
+		if err := rows.Close(); err != nil || rows.Err() != nil {
+			t.Fatalf("%s: %v %v", q.Name, rows.Err(), err)
 		}
 		first := fed.Metrics.Snapshot().Sub(before).Requests
 

@@ -340,6 +340,46 @@ func TestAskForm(t *testing.T) {
 	}
 }
 
+// TestAskRequests pins what a two-branch ASK sends, cold and warm: its
+// branches run one after another and the first row ends the query, so a
+// branch after one that answers true sends nothing.
+func TestAskRequests(t *testing.T) {
+	for _, tc := range []struct {
+		name, where string
+		want        bool
+		cold, warm  int64
+	}{
+		{"first branch true", `{ ?S ub:takesCourse ?C } UNION { ?P ub:PhDDegreeFrom ?U . ?U ub:takesCourse ?C }`, true, 6, 2},
+		{"second branch true", `{ ?P ub:PhDDegreeFrom ?U . ?U ub:takesCourse ?C } UNION { ?S ub:takesCourse ?C }`, true, 10, 6},
+		{"both false", `{ ?P ub:PhDDegreeFrom ?U . ?U ub:takesCourse ?C } UNION { ?S ub:advisor ?P . ?P ub:takesCourse ?C }`, false, 14, 8},
+	} {
+		eps, _ := paperFederation(false)
+		var m client.Metrics
+		var list []client.Endpoint
+		for _, ep := range eps {
+			list = append(list, client.NewInstrumented(ep, &m))
+		}
+		e := MustNew(federation.MustNew(list...), DefaultOptions())
+		q := "PREFIX ub: <http://lubm.org/ub#> ASK { " + tc.where + " }"
+		for _, run := range []struct {
+			name string
+			want int64
+		}{{"cold", tc.cold}, {"warm", tc.warm}} {
+			before := m.Snapshot()
+			res, _, err := e.QueryString(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, run.name, err)
+			}
+			if !res.IsBoolean || res.Boolean != tc.want {
+				t.Errorf("%s %s: ASK = %+v, want %v", tc.name, run.name, res, tc.want)
+			}
+			if got := m.Snapshot().Sub(before).Requests; got != run.want {
+				t.Errorf("%s %s: %d requests, want %d", tc.name, run.name, got, run.want)
+			}
+		}
+	}
+}
+
 func TestCountAggregateFederated(t *testing.T) {
 	eps, oracle := paperFederation(false)
 	e := newEngine(t, eps, DefaultOptions())

@@ -36,7 +36,6 @@ type Rows struct {
 	dict  *rdf.Dict
 	row   []rdf.Term
 	vars  []string
-	query *sparql.Query
 	prof  *Profile
 	ctx   context.Context
 	start time.Time
@@ -50,8 +49,8 @@ type Rows struct {
 }
 
 // startQuery sets up the per-query profile, trace, and warning sink. The
-// caller owns their teardown: materialized paths finish inline, cursors
-// finish in Close.
+// caller owns their teardown: a planning failure finishes them inline, a
+// cursor in Close.
 func (e *Engine) startQuery(ctx context.Context) (context.Context, *Profile, time.Time) {
 	prof := &Profile{}
 	if e.opts.Trace {
@@ -63,16 +62,12 @@ func (e *Engine) startQuery(ctx context.Context) (context.Context, *Profile, tim
 }
 
 // newRows builds the full result pipeline for a plan and wraps it in a
-// cursor. Branch pipelines are concatenated (UNION), then the solution
-// modifiers apply: queries whose modifiers are streamable (projection,
-// DISTINCT, OFFSET, LIMIT) keep the pipeline incremental end to end;
-// ORDER BY, GROUP BY, and aggregates need the complete result and drain
-// the stream at the tail — everything upstream still runs pipelined.
+// cursor: the branch pipelines concatenated (UNION), then op.Finish. Only
+// blocking modifiers (ORDER BY, GROUP BY, aggregates) hold rows at the
+// tail, and everything upstream of them still runs pipelined. An ASK
+// yields at most one row: branches start lazily, so the branches after
+// the one that answers are never sent.
 func (e *Engine) newRows(ctx context.Context, p *Plan, prof *Profile, start time.Time) (*Rows, error) {
-	q := p.query
-	if q.Form == sparql.AskForm {
-		return nil, fmt.Errorf("lusail: a cursor streams rows; use Query for ASK")
-	}
 	execStart := time.Now()
 	exCtx, exSpan := obs.StartSpan(ctx, "execution")
 	dict := rdf.NewDict()
@@ -89,24 +84,11 @@ func (e *Engine) newRows(ctx context.Context, p *Plan, prof *Profile, start time
 		}
 		branches = append(branches, bs)
 	}
-
-	src := op.Union(branches...)
-
-	if len(q.GroupBy) > 0 || q.HasAggregates() || len(q.OrderBy) > 0 {
-		src = op.Drain(q, dict, src)
-	} else {
-		src = op.Align(src, q.ProjectedVars())
-		if q.Distinct {
-			src = op.Dedup(src)
-		}
-		src = op.Offset(src, q.Offset)
-		src = op.Limit(src, q.Limit)
-	}
+	src := op.Finish(p.query, dict, op.Union(branches...))
 	return &Rows{
 		src:       src,
 		dict:      dict,
 		vars:      append([]string(nil), src.Vars()...),
-		query:     q,
 		prof:      prof,
 		ctx:       ctx,
 		start:     start,
@@ -240,90 +222,21 @@ func (e *Engine) Select(ctx context.Context, query string) (*Rows, error) {
 	return e.newRows(ctx, p, prof, start)
 }
 
-// ExecutePlan runs a plan built by Plan and returns the materialized
-// results and a per-execution profile. The plan is not mutated; concurrent
-// ExecutePlan calls on one plan are safe. The profile's planning counters
-// reflect the plan (GJVs, decomposition); its planning timings are zero
-// because nothing was planned in this call.
-func (e *Engine) ExecutePlan(ctx context.Context, p *Plan) (*sparql.Results, *Profile, error) {
-	ctx, prof, start := e.startQuery(ctx)
-	p.summarize(prof)
-	res, err := e.runPlan(ctx, p, prof, start)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, prof, nil
-}
-
-// ExecutePlanStream executes a plan and returns a streaming cursor — the
-// entry point a serving layer uses to flush rows to the wire as the
-// pipeline produces them, for every plan shape. ASK plans are rejected (a
-// boolean has no rows to stream); run them through ExecutePlan.
+// ExecutePlanStream executes a plan built by Plan and returns a streaming
+// cursor — the one way a plan runs, for every query form. An ASK plan's
+// cursor yields one row when the answer is true and none when it is
+// false. The plan is not mutated; concurrent executions of one plan are
+// safe. The profile's planning counters reflect the plan (GJVs,
+// decomposition); its planning timings are zero because nothing was
+// planned in this call.
 func (e *Engine) ExecutePlanStream(ctx context.Context, p *Plan) (*Rows, error) {
 	ctx, prof, start := e.startQuery(ctx)
 	p.summarize(prof)
 	return e.newRows(ctx, p, prof, start)
 }
 
-// runPlan drains the plan's pipeline into a materialized result: the
-// materializing execution path is the streaming path plus a full drain.
-func (e *Engine) runPlan(ctx context.Context, p *Plan, prof *Profile, start time.Time) (*sparql.Results, error) {
-	if p.query.Form == sparql.AskForm {
-		return e.runAsk(ctx, p, prof, start)
-	}
-	rows, err := e.newRows(ctx, p, prof, start)
-	if err != nil {
-		return nil, err
-	}
-	return op.Collect(idRows{rows}, rows.dict)
-}
-
-// idRows is a cursor seen as the id stream it wraps, for op.Collect: Next,
+// idRows is a cursor seen as the id stream it wraps, for op.Answer: Next,
 // Err and Close stay the cursor's own.
 type idRows struct{ *Rows }
 
 func (r idRows) Row() []uint32 { return r.src.Row() }
-
-// runAsk answers an ASK plan through the pipeline with early exit: the
-// first row of any branch proves true, and closing the pipeline cancels
-// everything still in flight.
-func (e *Engine) runAsk(ctx context.Context, p *Plan, prof *Profile, start time.Time) (*sparql.Results, error) {
-	execStart := time.Now()
-	exCtx, exSpan := obs.StartSpan(ctx, "execution")
-	dict := rdf.NewDict()
-	found := false
-	var err error
-	for _, pb := range p.branches {
-		var bs op.RowStream
-		bs, err = e.branchStream(exCtx, pb, dict, prof)
-		if err != nil {
-			break
-		}
-		got := bs.Next()
-		if !got {
-			err = bs.Err()
-		}
-		if cerr := bs.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			break
-		}
-		if got {
-			found = true
-			break
-		}
-	}
-	prof.Execution += time.Since(execStart)
-	prof.Terms = dict.Len()
-	exSpan.SetAttr("terms", prof.Terms)
-	exSpan.End()
-	finishProfile(ctx, prof, start)
-	if prof.Trace != nil {
-		prof.Trace.End()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return sparql.BoolResults(found), nil
-}

@@ -342,10 +342,10 @@ func (e *Engine) QueryString(ctx context.Context, query string) (*sparql.Results
 
 // Query executes a parsed federated query: source selection, LADE
 // decomposition, and SAPE evaluation, returning the final results and a
-// per-phase profile. It is the plan-then-execute convenience over
-// Engine.Plan and Engine.ExecutePlan; a serving layer that sees the same
-// query shape repeatedly should cache the Plan and call ExecutePlan
-// directly.
+// per-phase profile. It is the plan-then-execute convenience that
+// collects the cursor Engine.ExecutePlanStream returns; a serving layer
+// that sees the same query shape repeatedly should cache the Plan and
+// stream it with ExecutePlanStream directly.
 func (e *Engine) Query(ctx context.Context, q *sparql.Query) (*sparql.Results, *Profile, error) {
 	ctx, prof, start := e.startQuery(ctx)
 	p, err := e.plan(ctx, q, prof)
@@ -356,7 +356,11 @@ func (e *Engine) Query(ctx context.Context, q *sparql.Query) (*sparql.Results, *
 		}
 		return nil, nil, err
 	}
-	res, err := e.runPlan(ctx, p, prof, start)
+	rows, err := e.newRows(ctx, p, prof, start)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := op.Answer(p.query, rows.dict, idRows{rows})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -43,7 +43,7 @@ func (e *Engine) Epoch() Epoch {
 // source selection, statistics collection, GJV detection, and LADE
 // decomposition — everything that precedes SAPE execution. A Plan is
 // immutable after Engine.Plan returns and safe to execute concurrently from
-// many goroutines: ExecutePlan clones the per-execution state (delay
+// many goroutines: ExecutePlanStream clones the per-execution state (delay
 // decisions) instead of mutating the plan. Caching Plans across requests
 // is how a long-running service pays the planning phases once per distinct
 // query shape instead of once per call.
@@ -101,8 +101,8 @@ func (p *Plan) summarize(prof *Profile) {
 
 // Plan runs the planning phases for a parsed query — source selection with
 // COUNT statistics, GJV detection, LADE decomposition — and returns the
-// reusable plan. The companion entry points ExecutePlan and
-// ExecutePlanStream run a plan; Query is the plan-then-execute convenience.
+// reusable plan. ExecutePlanStream runs a plan; Query is the
+// plan-then-execute convenience.
 func (e *Engine) Plan(ctx context.Context, q *sparql.Query) (*Plan, error) {
 	return e.plan(ctx, q, &Profile{})
 }
@@ -283,6 +283,4 @@ func cloneSubqueries(sqs []*Subquery) []*Subquery {
 	return out
 }
 
-// Execution entry points — ExecutePlan (materializing) and
-// ExecutePlanStream (cursor) — live in cursor.go; both run the same
-// streaming pipeline.
+// The execution entry point, ExecutePlanStream, lives in cursor.go.

@@ -75,13 +75,9 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { h.latency.Observe(time.Since(start).Seconds()) }()
 
-	query, err := extractQuery(r)
+	query, err := ExtractQuery(r)
 	if err != nil {
 		h.fail(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if query == "" {
-		h.fail(w, "missing query parameter", http.StatusBadRequest)
 		return
 	}
 	parsed, err := sparql.Parse(query)
@@ -119,25 +115,34 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func extractQuery(r *http.Request) (string, error) {
+// ExtractQuery reads the query text of a request in any of the SPARQL
+// protocol's three forms: GET with ?query=, POST with a form-encoded
+// query, or POST with Content-Type application/sparql-query. A query of
+// only whitespace is missing.
+func ExtractQuery(r *http.Request) (string, error) {
+	var query string
 	switch r.Method {
 	case http.MethodGet:
-		return r.URL.Query().Get("query"), nil
+		query = r.URL.Query().Get("query")
 	case http.MethodPost:
-		ct := r.Header.Get("Content-Type")
-		if strings.HasPrefix(ct, "application/sparql-query") {
+		if strings.HasPrefix(r.Header.Get("Content-Type"), "application/sparql-query") {
 			body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
 			if err != nil {
 				return "", fmt.Errorf("reading query body: %w", err)
 			}
-			return string(body), nil
-		}
-		if err := r.ParseForm(); err != nil {
+			query = string(body)
+		} else if err := r.ParseForm(); err != nil {
 			return "", fmt.Errorf("parsing form: %w", err)
+		} else {
+			query = r.PostForm.Get("query")
 		}
-		return r.PostForm.Get("query"), nil
+	default:
+		return "", fmt.Errorf("method %s not allowed", r.Method)
 	}
-	return "", fmt.Errorf("method %s not allowed", r.Method)
+	if strings.TrimSpace(query) == "" {
+		return "", errors.New("missing query parameter")
+	}
+	return query, nil
 }
 
 // summaryHandler serves the endpoint's own catalog summary as JSON on

@@ -443,7 +443,7 @@ func Collect(src RowStream, dict *rdf.Dict) (*sparql.Results, error) {
 // the first error of the iteration or the Close.
 func CollectIDs(src RowStream) ([][]uint32, error) {
 	var rows [][]uint32
-	//lint:lusail-vet budgetbound -- materializing is the caller's contract (modifier tail, ExecutePlan, the comparators' intermediate relations); upstream growth is bounded by per-response caps and join spill budgets
+	//lint:lusail-vet budgetbound -- materializing is the caller's contract (modifier tail, Engine.Query, the comparators' intermediate relations); upstream growth is bounded by per-response caps and join spill budgets
 	for src.Next() {
 		rows = append(rows, CopyRow(src.Row()))
 	}
@@ -452,6 +452,35 @@ func CollectIDs(src RowStream) ([][]uint32, error) {
 		err = cerr
 	}
 	return rows, err
+}
+
+// Finish is the tail every federated engine here ends a query on, Lusail
+// and the comparators alike: an ASK stops at the first row; a SELECT whose
+// modifiers stream (projection, DISTINCT, OFFSET, LIMIT) stays
+// incremental; ORDER BY, GROUP BY and aggregates need the complete result
+// and go through drain.
+func Finish(q *sparql.Query, dict *rdf.Dict, src RowStream) RowStream {
+	switch {
+	case q.Form == sparql.AskForm:
+		return Limit(src, 1)
+	case len(q.GroupBy) > 0 || q.HasAggregates() || len(q.OrderBy) > 0:
+		return drain(q, dict, src)
+	}
+	src = Align(src, q.ProjectedVars())
+	if q.Distinct {
+		src = Dedup(src)
+	}
+	return Limit(Offset(src, q.Offset), q.Limit)
+}
+
+// Answer collects a finished stream into the query's result: the rows of
+// a SELECT, or for an ASK whether there was one.
+func Answer(q *sparql.Query, dict *rdf.Dict, src RowStream) (*sparql.Results, error) {
+	res, err := Collect(src, dict)
+	if err != nil || q.Form != sparql.AskForm {
+		return res, err
+	}
+	return sparql.BoolResults(res.Len() > 0), nil
 }
 
 // drainStream is the blocking modifier tail.
@@ -466,11 +495,11 @@ type drainStream struct {
 	err     error
 }
 
-// Drain materializes src on the first Next and applies the SELECT query's
+// drain materializes src on the first Next and applies the SELECT query's
 // solution modifiers with sparql.ApplyModifiers — the tail for modifiers
 // that need the complete result (ORDER BY, GROUP BY, aggregates). Its
 // output rows are interned back into dict, aggregates' new terms included.
-func Drain(q *sparql.Query, dict *rdf.Dict, src RowStream) RowStream {
+func drain(q *sparql.Query, dict *rdf.Dict, src RowStream) RowStream {
 	return &drainStream{q: q, dict: dict, src: src}
 }
 

@@ -1,8 +1,8 @@
 // Package qplan holds the query-planning front and back ends shared by
 // every federated engine in this repository (Lusail and the FedX/HiBISCuS/
 // SPLENDID baselines): normalization of parsed queries into conjunctive
-// branches, and Finalize, which turns the engine's final relation into the
-// query's answer. The operators in between live in package op.
+// branches. The operators that evaluate them, and op.Finish, which turns
+// the final relation into the query's answer, live in package op.
 package qplan
 
 import (
@@ -151,16 +151,4 @@ func copyBranch(br *Branch) *Branch {
 		Values:    append([]sparql.InlineData(nil), br.Values...),
 	}
 	return nb
-}
-
-// Finalize answers ASK from the global relation and otherwise applies the
-// query's solution modifiers to it.
-func Finalize(q *sparql.Query, rel *sparql.Results) (*sparql.Results, error) {
-	if rel == nil {
-		rel = sparql.NewResults(nil)
-	}
-	if q.Form == sparql.AskForm {
-		return sparql.BoolResults(len(rel.Rows) > 0), nil
-	}
-	return sparql.ApplyModifiers(q, rel)
 }

@@ -4,27 +4,8 @@ import (
 	"reflect"
 	"testing"
 
-	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 )
-
-func iri(s string) rdf.Term { return rdf.NewIRI("http://ex/" + s) }
-
-func rel(vars []string, rows ...[]rdf.Term) *sparql.Results {
-	r := sparql.NewResults(vars)
-	r.Rows = rows
-	return r
-}
-
-func row(vals ...string) []rdf.Term {
-	out := make([]rdf.Term, len(vals))
-	for i, v := range vals {
-		if v != "" {
-			out[i] = iri(v)
-		}
-	}
-	return out
-}
 
 func TestNormalizeConjunctive(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?a <http://p> ?b . ?b <http://q> ?c . FILTER(?a != ?c) }`)
@@ -96,69 +77,5 @@ func TestNormalizeRejectsEmptyAndUnsupported(t *testing.T) {
 		if _, err := Normalize(q); err == nil {
 			t.Errorf("Normalize(%q) should fail", in)
 		}
-	}
-}
-
-func TestFinalizeProjectionOrderLimit(t *testing.T) {
-	q := sparql.MustParse(`SELECT ?y ?x WHERE { ?x <http://p> ?y } ORDER BY DESC(?x) LIMIT 2 OFFSET 1`)
-	r := rel([]string{"x", "y"}, row("a", "1"), row("b", "2"), row("c", "3"), row("d", "4"))
-	out, err := Finalize(q, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out.Vars, []string{"y", "x"}) {
-		t.Errorf("vars = %v", out.Vars)
-	}
-	if len(out.Rows) != 2 {
-		t.Fatalf("rows = %d", len(out.Rows))
-	}
-	// DESC(?x): d,c,b,a → offset 1 → c,b
-	if out.Rows[0][1] != iri("c") || out.Rows[1][1] != iri("b") {
-		t.Errorf("order/offset wrong: %v", out.Rows)
-	}
-}
-
-func TestFinalizeAsk(t *testing.T) {
-	q := sparql.MustParse(`ASK { ?x <http://p> ?y }`)
-	out, err := Finalize(q, rel([]string{"x"}, row("a")))
-	if err != nil || !out.IsBoolean || !out.Boolean {
-		t.Errorf("ASK finalize = %+v, %v", out, err)
-	}
-	out, err = Finalize(q, rel([]string{"x"}))
-	if err != nil || out.Boolean {
-		t.Errorf("empty ASK finalize = %+v, %v", out, err)
-	}
-}
-
-func TestFinalizeAggregates(t *testing.T) {
-	q := sparql.MustParse(`SELECT (COUNT(DISTINCT ?x) AS ?c) (MAX(?n) AS ?m) WHERE { ?x <http://p> ?n }`)
-	r := sparql.NewResults([]string{"x", "n"})
-	r.Rows = [][]rdf.Term{
-		{iri("a"), rdf.NewInteger(3)},
-		{iri("a"), rdf.NewInteger(7)},
-		{iri("b"), rdf.NewInteger(5)},
-	}
-	out, err := Finalize(q, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := out.Binding(0)
-	if b["c"] != rdf.NewInteger(2) {
-		t.Errorf("count = %v", b["c"])
-	}
-	if f, _ := b["m"].Numeric(); f != 7 {
-		t.Errorf("max = %v", b["m"])
-	}
-}
-
-func TestFinalizeDistinct(t *testing.T) {
-	q := sparql.MustParse(`SELECT DISTINCT ?x WHERE { ?x <http://p> ?y }`)
-	r := rel([]string{"x", "y"}, row("a", "1"), row("a", "2"))
-	out, err := Finalize(q, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Rows) != 1 {
-		t.Errorf("distinct rows = %d", len(out.Rows))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -16,6 +15,7 @@ import (
 
 	"lusail/internal/client"
 	"lusail/internal/core"
+	"lusail/internal/endpoint"
 	"lusail/internal/obs"
 	"lusail/internal/rdf"
 	"lusail/internal/resilience"
@@ -278,41 +278,15 @@ func (s *Server) fail(w http.ResponseWriter, msg string, code int) {
 	http.Error(w, msg, code)
 }
 
-// extractQuery implements the SPARQL protocol's three request forms.
-func extractQuery(r *http.Request) (string, error) {
-	switch r.Method {
-	case http.MethodGet:
-		return r.URL.Query().Get("query"), nil
-	case http.MethodPost:
-		ct := r.Header.Get("Content-Type")
-		if strings.HasPrefix(ct, "application/sparql-query") {
-			body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-			if err != nil {
-				return "", fmt.Errorf("reading query body: %w", err)
-			}
-			return string(body), nil
-		}
-		if err := r.ParseForm(); err != nil {
-			return "", fmt.Errorf("parsing form: %w", err)
-		}
-		return r.PostForm.Get("query"), nil
-	}
-	return "", fmt.Errorf("method %s not allowed", r.Method)
-}
-
 // handleSPARQL is the SPARQL protocol endpoint.
 func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	s.queries.Inc()
 	start := time.Now()
 	defer func() { s.querySecs.Observe(time.Since(start).Seconds()) }()
 
-	query, err := extractQuery(r)
+	query, err := endpoint.ExtractQuery(r)
 	if err != nil {
 		s.fail(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if strings.TrimSpace(query) == "" {
-		s.fail(w, "missing query parameter", http.StatusBadRequest)
 		return
 	}
 	parsed, err := sparql.Parse(query)
@@ -398,143 +372,97 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Lusail-Plan-Cache", "miss")
 	}
 
-	// ASK, CSV and XML need the complete result; JSON and TSV stream.
-	if parsed.Form == sparql.AskForm || format != sparql.FormatJSON && format != sparql.FormatTSV {
-		res, prof, err := s.eng.ExecutePlan(ctx, plan)
-		if err != nil {
-			s.queryError(w, ctx, err)
-			return
-		}
-		// Sema findings describe the query, not the answer: only endpoint
-		// warnings mark the response degraded or block result caching.
-		degraded := endpointWarnings(prof.Warnings)
-		if len(degraded) > 0 {
-			w.Header().Set("X-Lusail-Degraded", strconv.Itoa(len(degraded)))
-		}
-		if s.results != nil {
-			s.results.Put(key, epoch, res, degraded)
-		}
-		s.writeResults(w, format, res)
-		return
-	}
-
-	s.streamRows(ctx, w, format, plan, key, epoch)
+	s.execute(ctx, w, format, plan, parsed.Form == sparql.AskForm, key, epoch)
 }
 
-// rowStream is what streamRows needs of sparql.JSONStream and
-// sparql.TSVStream.
-type rowStream interface {
-	WriteRow(row []rdf.Term) error
-	Flush() error
-	Close() error
-	Err() error
-}
+// degradedTrailer counts the endpoint failures a Degrade-mode answer left
+// out. It is sent as an HTTP trailer: whether an answer is complete is
+// known only once its last row is written.
+const degradedTrailer = "X-Lusail-Degraded"
 
-// streamRows executes the plan through the engine's cursor and flushes
-// rows to the wire in f (JSON or TSV) as the pipeline produces them —
-// every plan shape streams; only blocking modifiers (ORDER BY, aggregates)
-// delay the first row, and then only inside the engine, never by
-// materializing here. Rows are teed into the result cache on the side
-// (keyed by the canonical-form hash), up to its row bound.
-func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, f sparql.Format, plan *core.Plan, key string, epoch core.Epoch) {
+// execute runs the plan through the engine's cursor and writes its answer
+// in f as the pipeline produces it — the one execution path for every
+// query form and results format. An ASK is answered by whether the cursor
+// yields a row. Only blocking modifiers (ORDER BY, aggregates) delay the
+// first row, and then only inside the engine. Rows are teed into the
+// result cache on the side, up to its row bound.
+//
+// The failure rule is the same for every format. The writer holds the
+// document until the first row is flushed, so an error before it is a
+// clean 500; a failure after it aborts the response, so the client sees a
+// broken transfer instead of a complete-looking document.
+func (s *Server) execute(ctx context.Context, w http.ResponseWriter, f sparql.Format, plan *core.Plan, ask bool, key string, epoch core.Epoch) {
 	rows, err := s.eng.ExecutePlanStream(ctx, plan)
 	if err != nil {
-		// Nothing on the wire yet: a clean error response is possible.
 		s.queryError(w, ctx, err)
 		return
 	}
 	defer rows.Close()
 
-	vars := rows.Vars()
-	w.Header().Set("Content-Type", f.ContentType())
-	var stream rowStream
-	if f == sparql.FormatTSV {
-		stream = sparql.NewTSVStream(w, vars)
-	} else if stream, err = sparql.NewJSONStream(w, vars); err != nil {
-		s.queryError(w, ctx, err)
-		return
+	out := sparql.NewRowWriter(w, f, rows.Vars())
+	if ask {
+		out = sparql.NewBoolWriter(w, f)
 	}
-	// A JSON document that stops early lacks its closing "]}}", but TSV
-	// has no closing token: a TSV response that is neither a complete
-	// document nor an error response is aborted, so the client sees a cut
-	// instead of a clean end.
-	answered := false
-	defer func() {
-		if f == sparql.FormatTSV && !answered {
-			panic(http.ErrAbortHandler)
-		}
-	}()
+	w.Header().Set("Content-Type", f.ContentType())
+	w.Header().Set("Trailer", degradedTrailer)
 	flusher, _ := w.(http.Flusher)
 
-	// Tee rows into the result cache while streaming, up to its row bound;
-	// past it the copy is abandoned but streaming continues.
-	var cached *sparql.Results
-	if s.results != nil {
-		cached = sparql.NewResults(vars)
-	}
+	// Past the cache's row bound the copy is abandoned; streaming goes on.
+	var cached [][]rdf.Term
+	caching := s.results != nil
 	emitted := 0
 	for rows.Next() {
-		if stream.WriteRow(rows.Row()) != nil || stream.Flush() != nil {
+		if out.WriteRow(rows.Row()) != nil || out.Flush() != nil {
 			break // client gone; Close cancels the pipeline
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 		emitted++
-		if cached != nil {
-			cached.Rows = append(cached.Rows, append([]rdf.Term(nil), rows.Row()...))
-			if len(cached.Rows) > s.results.maxRows {
-				cached = nil
-			}
+		if caching {
+			cached = append(cached, append([]rdf.Term(nil), rows.Row()...))
+			caching = len(cached) <= s.results.maxRows
 		}
 	}
 	s.rows.Add(int64(emitted))
-	if err := rows.Err(); err != nil {
-		if emitted == 0 && stream.Err() == nil {
-			if f == sparql.FormatTSV && ctx.Err() == nil {
-				// The TSV head is still buffered: nothing is on the wire,
-				// so a clean error response is possible.
-				answered = true
-				s.fail(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			// The head was written but no row: report instead of an empty
-			// result the client would mistake for a complete answer.
-			s.errs.Inc()
-			s.cfg.Logf("lusaild: stream failed before first row: %v", err)
-			return
-		}
-		// Mid-stream failure: the JSON document stays unterminated and a
-		// TSV response is aborted, so the client sees a broken response
-		// rather than a silently truncated result set.
+	if err := rows.Err(); err != nil && emitted == 0 {
+		// The writer still holds the head: nothing is on the wire.
+		w.Header().Del("Trailer")
+		s.queryError(w, ctx, err)
+		return
+	}
+	err = rows.Err()
+	if err == nil {
+		err = out.Err()
+	}
+	if err == nil {
+		err = out.Close()
+	}
+	if err != nil {
 		s.errs.Inc()
-		if ctx.Err() != nil || stream.Err() != nil {
+		if errors.Is(ctx.Err(), context.Canceled) || out.Err() != nil {
 			s.disconnects.Inc()
 			s.cfg.Logf("lusaild: client disconnected after %d rows", emitted)
 		} else {
 			s.cfg.Logf("lusaild: stream failed after %d rows: %v", emitted, err)
 		}
+		panic(http.ErrAbortHandler)
+	}
+	if err := rows.Close(); err != nil {
 		return
 	}
-	if stream.Err() != nil || ctx.Err() != nil {
-		// The client went away mid-stream; nothing more to write.
-		s.disconnects.Inc()
-		s.cfg.Logf("lusaild: client disconnected after %d rows", emitted)
-		return
+	// Sema findings describe the query, not the answer: only endpoint
+	// warnings mark the response degraded or block result caching.
+	degraded := endpointWarnings(rows.Profile().Warnings)
+	if len(degraded) > 0 {
+		w.Header().Set(degradedTrailer, strconv.Itoa(len(degraded)))
 	}
-	if err := stream.Close(); err != nil {
-		s.disconnects.Inc()
-		return
-	}
-	answered = true
-	if flusher != nil {
-		flusher.Flush()
-	}
-	if cached != nil && s.results != nil {
-		if err := rows.Close(); err != nil {
-			return
+	if caching {
+		res := &sparql.Results{Vars: rows.Vars(), Rows: cached}
+		if ask {
+			res = sparql.BoolResults(emitted > 0)
 		}
-		s.results.Put(key, epoch, cached, endpointWarnings(rows.Profile().Warnings))
+		s.results.Put(key, epoch, res, degraded)
 	}
 }
 
@@ -552,10 +480,10 @@ func (s *Server) handleConstruct(ctx context.Context, w http.ResponseWriter, q *
 }
 
 // queryError maps an execution failure to a response: client disconnects
-// are counted but unanswerable, everything else is a 500 (bad SPARQL was
-// already rejected with 400 at parse).
+// are counted but unanswerable, everything else — a query timeout
+// included — is a 500 (bad SPARQL was already rejected with 400 at parse).
 func (s *Server) queryError(w http.ResponseWriter, ctx context.Context, err error) {
-	if ctx.Err() != nil {
+	if errors.Is(ctx.Err(), context.Canceled) {
 		s.disconnects.Inc()
 		s.errs.Inc()
 		return
@@ -563,7 +491,7 @@ func (s *Server) queryError(w http.ResponseWriter, ctx context.Context, err erro
 	s.fail(w, err.Error(), http.StatusInternalServerError)
 }
 
-// writeResults renders a complete result set in the negotiated format.
+// writeResults renders a cached result set in the negotiated format.
 func (s *Server) writeResults(w http.ResponseWriter, f sparql.Format, res *sparql.Results) {
 	w.Header().Set("Content-Type", f.ContentType())
 	if err := res.Write(w, f); err != nil {

@@ -176,7 +176,7 @@ func TestResultsReaderRoundTrip(t *testing.T) {
 	}
 }
 
-// WriteJSON runs through JSONStream; its bytes are pinned to what the
+// WriteJSON runs through the JSON RowWriter; its bytes are pinned to what the
 // encoding/json marshalling of a whole Results produced before: key order,
 // HTML-safe escapes, U+2028, omitted unbound cells, empty head.
 func TestWriteJSONBytes(t *testing.T) {
@@ -256,7 +256,7 @@ func FuzzTSVDecoder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		checkReencodes(t, doc,
 			func(rc io.ReadCloser) (RowReader, error) { return NewTSVDecoder(rc) },
-			(*Results).WriteTSV)
+			writeTSV)
 		checkIDPath(t, doc)
 	})
 }

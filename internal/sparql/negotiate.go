@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"io"
 	"strconv"
 	"strings"
 )
@@ -100,17 +99,4 @@ func qValue(params string) float64 {
 		}
 	}
 	return 1
-}
-
-// Write serializes r to w in format f.
-func (r *Results) Write(w io.Writer, f Format) error {
-	switch f {
-	case FormatXML:
-		return r.WriteXML(w)
-	case FormatCSV:
-		return r.WriteCSV(w)
-	case FormatTSV:
-		return r.WriteTSV(w)
-	}
-	return r.WriteJSON(w)
 }

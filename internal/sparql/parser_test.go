@@ -373,7 +373,7 @@ func TestWriteCSV(t *testing.T) {
 		{rdf.NewBlank("b0"), rdf.Term{}},
 	}
 	var buf strings.Builder
-	if err := res.WriteCSV(&buf); err != nil {
+	if err := res.Write(&buf, FormatCSV); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -383,7 +383,7 @@ func TestWriteCSV(t *testing.T) {
 	}
 
 	var bb strings.Builder
-	if err := BoolResults(true).WriteCSV(&bb); err != nil {
+	if err := BoolResults(true).Write(&bb, FormatCSV); err != nil {
 		t.Fatal(err)
 	}
 	if bb.String() != "boolean\ntrue\n" {
@@ -395,7 +395,7 @@ func TestWriteTSV(t *testing.T) {
 	res := NewResults([]string{"a"})
 	res.Rows = [][]rdf.Term{{rdf.NewLangLiteral("hi", "en")}}
 	var buf strings.Builder
-	if err := res.WriteTSV(&buf); err != nil {
+	if err := res.Write(&buf, FormatTSV); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != "?a\n\"hi\"@en\n" {
@@ -544,7 +544,7 @@ func TestXMLResultsRoundTrip(t *testing.T) {
 		{rdf.NewLiteral("plain"), rdf.Term{}}, // unbound y
 	}
 	var buf strings.Builder
-	if err := res.WriteXML(&buf); err != nil {
+	if err := res.Write(&buf, FormatXML); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "sparql-results#") {
@@ -563,7 +563,7 @@ func TestXMLResultsRoundTrip(t *testing.T) {
 
 func TestXMLBooleanRoundTrip(t *testing.T) {
 	var buf strings.Builder
-	if err := BoolResults(true).WriteXML(&buf); err != nil {
+	if err := BoolResults(true).Write(&buf, FormatXML); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ParseResultsXML([]byte(buf.String()))

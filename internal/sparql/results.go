@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -90,7 +89,8 @@ func (r *Results) Sort() {
 }
 
 // jsonHead and jsonTerm mirror the SPARQL 1.1 Query Results JSON Format's
-// head and RDF term objects; JSONStream writes and JSONDecoder reads them.
+// head and RDF term objects; the JSON RowWriter writes and JSONDecoder reads
+// them.
 type jsonHead struct {
 	Vars []string `json:"vars,omitempty"`
 }
@@ -123,28 +123,6 @@ func termFromJSON(j jsonTerm) (rdf.Term, error) {
 		return rdf.Term{Kind: rdf.Literal, Value: j.Value, Lang: j.Lang, Datatype: j.Datatype}, nil
 	}
 	return rdf.Term{}, fmt.Errorf("sparql results: unknown term type %q", j.Type)
-}
-
-// WriteJSON writes the results to w in the SPARQL JSON format, through
-// JSONStream (an ASK result as its boolean form).
-func (r *Results) WriteJSON(w io.Writer) error {
-	if r.IsBoolean {
-		return writeJSONBoolean(w, r.Vars, r.Boolean)
-	}
-	bw := bufio.NewWriter(w)
-	s, err := NewJSONStream(bw, r.Vars)
-	if err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		if err := s.WriteRow(row); err != nil {
-			return err
-		}
-	}
-	if err := s.Close(); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
 // ParseResultsJSON reads a SPARQL JSON results document.

@@ -3,7 +3,6 @@ package sparql
 import (
 	"encoding/xml"
 	"fmt"
-	"io"
 
 	"lusail/internal/rdf"
 )
@@ -46,49 +45,80 @@ type xmlLiteral struct {
 	Value    string `xml:",chardata"`
 }
 
-// WriteXML writes the results in the SPARQL Query Results XML Format.
-func (r *Results) WriteXML(w io.Writer) error {
-	doc := xmlSparql{}
-	if r.IsBoolean {
-		b := r.Boolean
-		doc.Boolean = &b
-	} else {
-		for _, v := range r.Vars {
-			doc.Head.Variables = append(doc.Head.Variables, xmlVariable{Name: v})
-		}
-		doc.Results = &xmlResults{}
-		for _, row := range r.Rows {
-			var res xmlResult
-			for i, v := range r.Vars {
-				t := row[i]
-				if t.IsZero() {
-					continue
-				}
-				b := xmlBinding{Name: v}
-				switch t.Kind {
-				case rdf.IRI:
-					val := t.Value
-					b.URI = &val
-				case rdf.Blank:
-					val := t.Value
-					b.BNode = &val
-				default:
-					b.Literal = &xmlLiteral{Value: t.Value, Lang: t.Lang, Datatype: t.Datatype}
-				}
-				res.Bindings = append(res.Bindings, b)
-			}
-			doc.Results.Results = append(doc.Results.Results, res)
-		}
-	}
-	if _, err := io.WriteString(w, xml.Header); err != nil {
-		return err
-	}
-	enc := xml.NewEncoder(w)
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("sparql results xml: %w", err)
-	}
-	return enc.Flush()
+// xmlOpen starts every XML results document.
+const xmlOpen = xml.Header + `<sparql xmlns="http://www.w3.org/2005/sparql-results#">`
+
+// xmlStream writes the SPARQL Query Results XML Format, byte for byte as
+// encoding/xml marshals an xmlSparql: no indentation, every element
+// closed by its own end tag, text and attributes escaped by
+// xml.EscapeText.
+type xmlStream struct {
+	chunkBuf
+	vars []string
 }
+
+func newXMLStream(c chunkBuf, vars []string) *xmlStream {
+	s := &xmlStream{chunkBuf: c, vars: vars}
+	s.buf = append(s.buf, xmlOpen+`<head>`...)
+	for _, v := range vars {
+		s.buf = append(s.buf, `<variable`...)
+		s.attr("name", v)
+		s.buf = append(s.buf, `></variable>`...)
+	}
+	s.buf = append(s.buf, `</head><results>`...)
+	return s
+}
+
+func (s *xmlStream) WriteRow(row []rdf.Term) error {
+	if s.err != nil {
+		return s.err
+	}
+	s.buf = append(s.buf, `<result>`...)
+	for i, t := range row {
+		if t.IsZero() || i >= len(s.vars) {
+			continue
+		}
+		s.buf = append(s.buf, `<binding`...)
+		s.attr("name", s.vars[i])
+		switch t.Kind {
+		case rdf.IRI:
+			s.buf = append(s.buf, `><uri>`...)
+			s.text(t.Value)
+			s.buf = append(s.buf, `</uri></binding>`...)
+		case rdf.Blank:
+			s.buf = append(s.buf, `><bnode>`...)
+			s.text(t.Value)
+			s.buf = append(s.buf, `</bnode></binding>`...)
+		default:
+			s.buf = append(s.buf, `><literal`...)
+			if t.Lang != "" {
+				s.attr("xml:lang", t.Lang)
+			}
+			if t.Datatype != "" {
+				s.attr("datatype", t.Datatype)
+			}
+			s.buf = append(s.buf, '>')
+			s.text(t.Value)
+			s.buf = append(s.buf, `</literal></binding>`...)
+		}
+	}
+	s.buf = append(s.buf, `</result>`...)
+	return s.endRow()
+}
+
+// attr appends ` name="value"`.
+func (s *xmlStream) attr(name, value string) {
+	s.buf = append(append(append(s.buf, ' '), name...), `="`...)
+	s.text(value)
+	s.buf = append(s.buf, '"')
+}
+
+// text appends s escaped for XML character data or an attribute value.
+func (s *xmlStream) text(v string) {
+	xml.EscapeText(&s.chunkBuf, []byte(v)) // appending to the buffer never fails
+}
+
+func (s *xmlStream) Close() error { return s.closeWith(`</results></sparql>`) }
 
 // ParseResultsXML reads a SPARQL XML results document.
 func ParseResultsXML(data []byte) (*Results, error) {

@@ -107,7 +107,7 @@ func benchmarkDecode(b *testing.B, write func(*Results, io.Writer) error, decode
 }
 
 func BenchmarkDecodeTSV(b *testing.B) {
-	benchmarkDecode(b, (*Results).WriteTSV, func(rc io.ReadCloser) (RowReader, error) { return NewTSVDecoder(rc) })
+	benchmarkDecode(b, writeTSV, func(rc io.ReadCloser) (RowReader, error) { return NewTSVDecoder(rc) })
 }
 
 func BenchmarkDecodeJSON(b *testing.B) {
@@ -117,14 +117,14 @@ func BenchmarkDecodeJSON(b *testing.B) {
 func BenchmarkWriteTSV(b *testing.B) {
 	res := lubmResult()
 	var out bytes.Buffer
-	if err := res.WriteTSV(&out); err != nil {
+	if err := res.Write(&out, FormatTSV); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(out.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := res.WriteTSV(io.Discard); err != nil {
+		if err := res.Write(io.Discard, FormatTSV); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -135,7 +135,7 @@ func BenchmarkWriteTSV(b *testing.B) {
 // an endpoint's answer.
 func BenchmarkDecodeTSVIDs(b *testing.B) {
 	var doc bytes.Buffer
-	if err := lubmResult().WriteTSV(&doc); err != nil {
+	if err := lubmResult().Write(&doc, FormatTSV); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(doc.Len()))

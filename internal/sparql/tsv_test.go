@@ -100,7 +100,7 @@ func TestTSVDecoderLongLines(t *testing.T) {
 	res := NewResults([]string{"a", "b"})
 	res.Rows = [][]rdf.Term{{long, rdf.NewIRI("http://a")}, {rdf.NewIRI("http://b"), long}}
 	var buf strings.Builder
-	if err := res.WriteTSV(&buf); err != nil {
+	if err := res.Write(&buf, FormatTSV); err != nil {
 		t.Fatal(err)
 	}
 	if got := readAllTSV(t, buf.String()); !sameResults(got, res) {
@@ -108,12 +108,12 @@ func TestTSVDecoderLongLines(t *testing.T) {
 	}
 }
 
-// A TSVStream holds the header until its first Flush, so a server that
+// The TSV writer holds the header until its first Flush, so a server that
 // fails before any row can still answer with an error status; flushed
-// rows read back as WriteTSV writes them.
+// rows read back as Results.Write writes them in TSV.
 func TestTSVStreamFlush(t *testing.T) {
 	var buf strings.Builder
-	s := NewTSVStream(&buf, []string{"x", "y"})
+	s := NewRowWriter(&buf, FormatTSV, []string{"x", "y"})
 	if buf.Len() != 0 {
 		t.Fatalf("header reached the writer before Flush: %q", buf.String())
 	}
@@ -130,8 +130,8 @@ func TestTSVStreamFlush(t *testing.T) {
 	res := NewResults([]string{"x", "y"})
 	res.Rows = [][]rdf.Term{row}
 	var whole strings.Builder
-	if err := res.WriteTSV(&whole); err != nil || whole.String() != buf.String() {
-		t.Fatalf("WriteTSV wrote %q, %v; the stream %q", whole.String(), err, buf.String())
+	if err := res.Write(&whole, FormatTSV); err != nil || whole.String() != buf.String() {
+		t.Fatalf("Write wrote %q, %v; the stream %q", whole.String(), err, buf.String())
 	}
 }
 
@@ -150,7 +150,7 @@ func TestTSVShorthand(t *testing.T) {
 		{},
 	}}
 	var buf strings.Builder
-	if err := res.WriteTSV(&buf); err != nil {
+	if err := res.Write(&buf, FormatTSV); err != nil {
 		t.Fatal(err)
 	}
 	const want = "?a\t?b\t?c\t?d\t?e\t?f\t?g\t?h\n" +
@@ -168,11 +168,14 @@ func TestWriteTSVRejectsUnwritableTerms(t *testing.T) {
 	for _, term := range []rdf.Term{rdf.NewBlank("a b"), rdf.NewBlank(""), rdf.NewLangLiteral("x", "en\nfr")} {
 		res := NewResults([]string{"x"})
 		res.Rows = [][]rdf.Term{{term}}
-		if err := res.WriteTSV(io.Discard); err == nil {
-			t.Errorf("WriteTSV(%#v) succeeded", term)
+		if err := res.Write(io.Discard, FormatTSV); err == nil {
+			t.Errorf("Write(%#v) succeeded", term)
 		}
 	}
 }
+
+// writeTSV is Results.Write in TSV as a function value.
+func writeTSV(r *Results, w io.Writer) error { return r.Write(w, FormatTSV) }
 
 // sameResults compares two result sets as decoders see them: a nil and an
 // empty variable list or row are the same.
@@ -201,7 +204,7 @@ func sameResults(a, b *Results) bool {
 	return true
 }
 
-// randomTSVTerm draws any term WriteTSV can write: every kind, with tabs,
+// randomTSVTerm draws any term the TSV writer can write: every kind, with tabs,
 // newlines, quotes, backslashes, angle brackets and non-ASCII in values
 // and IRIs.
 func randomTSVTerm(rng *rand.Rand) rdf.Term {
@@ -232,7 +235,7 @@ func randomTSVTerm(rng *rand.Rand) rdf.Term {
 	}
 }
 
-// Property: WriteTSV then TSVDecoder reproduces any result set exactly —
+// Property: the TSV writer then TSVDecoder reproduces any result set exactly —
 // every term kind, unbound cells, and zero-variable solutions.
 func TestTSVRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20170514))
@@ -251,8 +254,8 @@ func TestTSVRoundTripProperty(t *testing.T) {
 			res.Rows = append(res.Rows, row)
 		}
 		var buf strings.Builder
-		if err := res.WriteTSV(&buf); err != nil {
-			t.Fatalf("trial %d: WriteTSV: %v", trial, err)
+		if err := res.Write(&buf, FormatTSV); err != nil {
+			t.Fatalf("trial %d: Write: %v", trial, err)
 		}
 		if got := readAllTSV(t, buf.String()); !sameResults(got, res) {
 			t.Fatalf("trial %d: round trip changed the results\nwrote %q\n got %v\nwant %v", trial, buf.String(), got.Rows, res.Rows)

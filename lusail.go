@@ -111,12 +111,13 @@ type (
 	Profile = core.Profile
 	// Rows is the streaming cursor returned by Engine.Select and
 	// Engine.ExecutePlanStream: iterate with Next/Row (or Scan/Binding),
-	// check Err after the loop, and Close on every path.
+	// check Err after the loop, and Close on every path. An ASK plan's
+	// cursor yields one row when the answer is true and none when false.
 	Rows = core.Rows
 	// Plan is a reusable execution plan: the output of source selection and
 	// LADE analysis for one query, executable many times with
-	// Engine.ExecutePlan / Engine.ExecutePlanStream. Services cache Plans
-	// keyed on query shape and Epoch.
+	// Engine.ExecutePlanStream. Services cache Plans keyed on query shape
+	// and Epoch.
 	Plan = core.Plan
 	// Epoch identifies an engine's planning inputs (federation identity +
 	// catalog generation); plans and caches keyed on it are invalidated

@@ -8,9 +8,11 @@
 #   1. a SPARQL protocol query streams back 200 with valid
 #      sparql-results+json and non-empty bindings,
 #   2. repeating the query hits the plan cache (X-Lusail-Plan-Cache: hit),
-#   3. a burst past the bronze tenant's rate quota yields structured 429
+#   3. an ASK is answered with a JSON "boolean", and an XML SELECT with a
+#      complete sparql-results document,
+#   4. a burst past the bronze tenant's rate quota yields structured 429
 #      bodies whose warnings carry phase "admission",
-#   4. SIGTERM drains the daemon cleanly (exit 0).
+#   5. SIGTERM drains the daemon cleanly (exit 0).
 #
 # Requires: go, curl, jq. Used by CI and runnable locally.
 set -euo pipefail
@@ -85,6 +87,21 @@ curl -fsS -G --data-urlencode "query=$QUERY" -H 'Accept: text/csv' -D "$WORK/hea
 grep -qi 'X-Lusail-Plan-Cache: hit' "$WORK/headers3" \
     || { echo "FAIL: repeated query should hit the plan cache"; cat "$WORK/headers3"; exit 1; }
 [ -s "$WORK/result3.csv" ] || { echo "FAIL: CSV response empty"; exit 1; }
+
+echo "== ASK (JSON boolean) =="
+ASK='PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
+ASK { ?X ub:undergraduateDegreeFrom <http://www.University0.edu> }'
+curl -fsS -G --data-urlencode "query=$ASK" http://127.0.0.1:18094/sparql >"$WORK/ask.json"
+jq -e '.boolean == true' "$WORK/ask.json" >/dev/null \
+    || { echo "FAIL: ASK did not answer a JSON boolean true"; cat "$WORK/ask.json"; exit 1; }
+
+echo "== XML SELECT =="
+curl -fsS -G --data-urlencode "query=$QUERY LIMIT 3" -H 'Accept: application/sparql-results+xml' \
+    http://127.0.0.1:18094/sparql >"$WORK/result.xml"
+grep -q 'sparql-results#' "$WORK/result.xml" \
+    || { echo "FAIL: XML answer lacks the sparql-results namespace"; cat "$WORK/result.xml"; exit 1; }
+grep -q '</sparql>$' "$WORK/result.xml" \
+    || { echo "FAIL: XML answer is not a complete document"; cat "$WORK/result.xml"; exit 1; }
 
 echo "== quota burst (structured 429s) =="
 oks=0; throttled=0
