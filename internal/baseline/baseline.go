@@ -204,9 +204,6 @@ func buildUnits(patterns []sparql.TriplePattern, sources [][]string, filters []s
 		}
 	filters:
 		for _, f := range filters {
-			if _, isExists := f.(sparql.ExprExists); isExists {
-				continue
-			}
 			used := sparql.ExprVars(f)
 			for _, v := range used {
 				if !vars[v] {

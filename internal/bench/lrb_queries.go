@@ -115,8 +115,7 @@ func LRBComplexQueries() []Query {
 			?f mdb:actor ?a .
 			?a mdb:actor_name ?an .
 		} LIMIT 50`},
-		{"C5", `# lusail-check: cartesian -- components are value-joined by the STR() filter equality
-		SELECT ?d ?cn WHERE {
+		{"C5", `SELECT ?d ?cn WHERE {
 			?d rdf:type drug:drugs .
 			?d drug:genericName ?dn .
 			?cc rdf:type chebi:Compound .
@@ -175,8 +174,7 @@ func LRBLargeQueries() []Query {
 			?d drug:keggCompoundId ?kc .
 			?kc owl:sameAs ?cc .
 			?cc chebi:mass ?m . }`},
-		{"B5", `# lusail-check: cartesian -- components are value-joined by the STR() filter equality
-		SELECT ?probe ?g WHERE {
+		{"B5", `SELECT ?probe ?g WHERE {
 			?probe rdf:type affy:Probe .
 			?probe affy:symbol ?ps .
 			?g rdf:type kegg:Gene .

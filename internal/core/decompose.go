@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"lusail/internal/qplan"
 	"lusail/internal/sparql"
@@ -282,18 +283,37 @@ func (e *Engine) componentsAsSubqueries(br *qplan.Branch, sources [][]string, g 
 	return sqs
 }
 
-// attachFilters pushes branch filters into every subquery that binds all of
-// the filter's variables. (A filter pushed into a subquery is also retained
-// globally only when it spans subqueries; see execute.)
+// attachFilters pushes each branch filter into every subquery that binds
+// all of its variables. Normalize split the filters into conjuncts, so each
+// conjunct goes wherever its own variables are bound. Filters without
+// variables are pushed nowhere.
 func (e *Engine) attachFilters(br *qplan.Branch, sqs []*Subquery) {
 	for _, sq := range sqs {
-		covered, _ := coveredFilters(sq.Vars(), br.Filters)
-		for _, f := range covered {
-			if len(sparql.ExprVars(f)) > 0 {
+		for _, f := range br.Filters {
+			if pushed(sq, f) {
 				sq.Filters = append(sq.Filters, f)
 			}
 		}
 	}
+}
+
+// pushed reports whether attachFilters pushes the filter into sq.
+func pushed(sq *Subquery, f sparql.Expr) bool {
+	return len(sparql.ExprVars(f)) > 0 && covers(sq.Vars(), f)
+}
+
+// residualFilters returns the branch filters that no mandatory subquery
+// enforces, which the branch's pipeline evaluates on joined rows. A filter
+// pushed into a mandatory subquery holds on each of its rows, and so on
+// every row of the branch: joins never rebind a bound variable.
+func residualFilters(br *qplan.Branch, sqs []*Subquery) []sparql.Expr {
+	var out []sparql.Expr
+	for _, f := range br.Filters {
+		if !slices.ContainsFunc(sqs, func(sq *Subquery) bool { return pushed(sq, f) }) {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // estimate sets EstCard on each subquery from the collected statistics.

@@ -9,6 +9,7 @@ import (
 	"lusail/internal/client"
 	"lusail/internal/op"
 	"lusail/internal/rdf"
+	"lusail/internal/sparql"
 )
 
 // branchStream assembles the streaming pipeline for one planned branch:
@@ -28,12 +29,16 @@ import (
 // Non-delayed scans and delayed bound joins interleave by connectivity: a
 // delayed subquery often bridges two scans that share no variable with
 // each other, and bound-joining it first keeps their cross product from
-// ever materializing (LUBM Q4's shape). VALUES
-// blocks join as in-memory build sides, OPTIONAL blocks as left joins
-// (selective first) — a bound join in optional mode when the block shares
-// a variable with the stream, else a left hash join over an unbound scan
-// — and the tail applies branch filters, aligns to the branch's
-// variables, and deduplicates. Every operator's rows are ids in dict.
+// ever materializing (LUBM Q4's shape). A subquery that shares no
+// variable with the stream but is linked to it by a residual key equality
+// filter (sparql.KeyEquality: STR(?a) = STR(?b), sameTerm) counts as
+// connected and hash-joins keyed on that filter, which is applied there.
+// VALUES blocks join as in-memory build sides, OPTIONAL blocks as left
+// joins (selective first) — a bound join in optional mode when the block
+// shares a variable with the stream, else a left hash join over an unbound
+// scan — and the tail applies the residual filters that remain, aligns to
+// the branch's variables, and deduplicates. Every operator's rows are ids
+// in dict.
 func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.Dict, prof *Profile) (op.RowStream, error) {
 	if pb.empty {
 		return op.NewSlice(pb.br.Vars(), nil), nil
@@ -41,6 +46,7 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 	br := pb.br
 	sqs := cloneSubqueries(pb.sqs)
 	optionals := slices.Clone(pb.optionals)
+	residual := slices.Clone(pb.residual)
 
 	// Delay decisions over the mandatory subqueries (Figure 7).
 	if !e.opts.DisableSAPE && len(sqs) > 1 {
@@ -117,13 +123,25 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 		}
 		return false
 	}
+	// keyFilter returns the index in residual of a key equality filter
+	// that links the stream to sq, which share no variable: one of its
+	// variables is the stream's and the other sq's. It returns -1 when
+	// there is none.
+	keyFilter := func(sq *Subquery) int {
+		vars := acc.Vars()
+		return slices.IndexFunc(residual, func(f sparql.Expr) bool {
+			x, y, _, ok := sparql.KeyEquality(f)
+			return ok && (slices.Contains(vars, x) && sq.HasVar(y) || slices.Contains(vars, y) && sq.HasVar(x))
+		})
+	}
+	linked := func(sq *Subquery) bool { return accHas(sq) || keyFilter(sq) >= 0 }
 	// peek finds the best next subquery in sqs without removing it:
-	// connected to the stream first, most selective among those (or among
-	// all when nothing connects). take commits the choice.
+	// linked to the stream first, most selective among those (or among
+	// all when nothing is linked). take commits the choice.
 	peek := func(sqs []*Subquery) (int, bool) {
 		best, bestConn := -1, false
 		for i, sq := range sqs {
-			conn := accHas(sq)
+			conn := linked(sq)
 			switch {
 			case best < 0,
 				conn && !bestConn,
@@ -137,35 +155,50 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 		sq := sqs[i]
 		return sq, append(sqs[:i], sqs[i+1:]...)
 	}
+	// join hash-joins sq's unbound scan into the stream: on their shared
+	// variables, else keyed on a residual filter that links them, which
+	// the keyed join applies and the tail then no longer needs, else as a
+	// cross product.
+	join := func(sq *Subquery) {
+		build := e.newScanStream(ctx, sq, client.PhaseSubquery, dict, prof)
+		if !accHas(sq) {
+			if k := keyFilter(sq); k >= 0 {
+				acc = op.KeyedJoin(ctx, acc, build, dict, residual[k], e.join)
+				residual = slices.Delete(residual, k, k+1)
+				return
+			}
+		}
+		acc = op.HashJoin(ctx, acc, build, e.join)
+	}
 
-	// Remaining subqueries join greedily by connectivity. A connected
+	// Remaining subqueries join greedily by connectivity. A linked
 	// non-delayed scan is the cheapest next step (an in-memory build side
-	// that must be fetched regardless); otherwise a connected delayed
-	// subquery joins as a pipelined bound join — often bridging scans that
-	// share no variable with each other, so the cross join below stays a
-	// true last resort. Each join widens the stream's variable set, which
-	// can connect subqueries that were disconnected a step earlier.
+	// that must be fetched regardless); otherwise a delayed subquery that
+	// shares a variable joins as a pipelined bound join — often bridging
+	// scans that share no variable with each other, so the cross join
+	// below stays a true last resort. Each join widens the stream's
+	// variable set, which can connect subqueries that were disconnected a
+	// step earlier.
 	for len(nonDelayed) > 0 || len(delayed) > 0 {
 		ni, nConn := peek(nonDelayed)
 		di, dConn := peek(delayed)
 		var sq *Subquery
 		switch {
 		case ni >= 0 && (nConn || di < 0 || !dConn):
-			// A non-delayed scan joins whenever one connects, and
+			// A non-delayed scan joins whenever one is linked, and
 			// cross-joins only when no delayed subquery could bridge
 			// the gap first.
 			sq, nonDelayed = take(nonDelayed, ni)
-			build := e.newScanStream(ctx, sq, client.PhaseSubquery, dict, prof)
-			acc = op.HashJoin(ctx, acc, build, e.join)
-		case di >= 0 && dConn:
+			join(sq)
+		case dConn && accHas(delayed[di]):
 			sq, delayed = take(delayed, di)
 			acc = e.newBoundJoinStream(ctx, acc, sq, dict)
 		default:
-			// Only delayed subqueries remain and none connects:
-			// degrade to an unbound scan under a cross hash join.
+			// The delayed subquery shares no variable with the stream:
+			// degrade to an unbound scan under a hash join, keyed when
+			// a filter links it, else a cross join.
 			sq, delayed = take(delayed, di)
-			build := e.newScanStream(ctx, sq, client.PhaseSubquery, dict, prof)
-			acc = op.HashJoin(ctx, acc, build, e.join)
+			join(sq)
 		}
 	}
 
@@ -187,10 +220,9 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 		}
 	}
 
-	// Branch filters (including those already pushed — reapplying is
-	// harmless and catches cross-subquery predicates), alignment to the
-	// branch header, and set semantics.
-	acc = op.Filter(acc, dict, br.Filters)
+	// The residual filters — those no subquery enforced and no keyed join
+	// applied — alignment to the branch header, and set semantics.
+	acc = op.Filter(acc, dict, residual)
 	acc = op.Align(acc, br.Vars())
 	return op.Dedup(acc), nil
 }

@@ -64,6 +64,7 @@ type Plan struct {
 type plannedBranch struct {
 	br        *qplan.Branch
 	sqs       []*Subquery
+	residual  []sparql.Expr // branch filters no subquery enforces
 	optionals []*optionalPlan
 	// empty marks a branch where a mandatory pattern has no relevant
 	// source: the branch is provably empty and execution is skipped.
@@ -267,7 +268,12 @@ func (e *Engine) planBranch(ctx context.Context, br *qplan.Branch, facts branchF
 	anSpan.End()
 	prof.Analysis += time.Since(t1)
 
-	return &plannedBranch{br: br, sqs: subqueries, optionals: e.planOptionals(br, facts.sources[len(br.Patterns):])}, nil
+	return &plannedBranch{
+		br:        br,
+		sqs:       subqueries,
+		residual:  residualFilters(br, subqueries),
+		optionals: e.planOptionals(br, facts.sources[len(br.Patterns):]),
+	}, nil
 }
 
 // cloneSubqueries copies the per-execution subquery state so that one plan

@@ -35,13 +35,16 @@ func (st *queryStats) known(patternIdx []int, sources []string) bool {
 	return true
 }
 
-// coveredFilters splits filters into those whose variables vars all bind,
-// which a request over them can apply, and the rest. An EXISTS filter is
-// never covered.
+// covers reports whether vars bind every variable of the filter, so that
+// a request over them can apply it.
+func covers(vars []string, f sparql.Expr) bool {
+	return !slices.ContainsFunc(sparql.ExprVars(f), func(v string) bool { return !slices.Contains(vars, v) })
+}
+
+// coveredFilters splits filters into those vars cover and the rest.
 func coveredFilters(vars []string, filters []sparql.Expr) (covered, rest []sparql.Expr) {
 	for _, f := range filters {
-		_, isExists := f.(sparql.ExprExists)
-		if !isExists && !slices.ContainsFunc(sparql.ExprVars(f), func(v string) bool { return !slices.Contains(vars, v) }) {
+		if covers(vars, f) {
 			covered = append(covered, f)
 		} else {
 			rest = append(rest, f)

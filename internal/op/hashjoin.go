@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -73,13 +74,84 @@ func LeftJoin(ctx context.Context, probe, build RowStream, dict *rdf.Dict, cond 
 	return newHashJoin(ctx, probe, build, b, true, dict, cond)
 }
 
+// KeyedJoin inner-joins probe and build on an equality filter linking
+// them, where sparql.KeyEquality recognizes eq and one side binds each of
+// its variables: it widens each side with the key of its variable — the
+// id of STR(term) for STR(?a) = STR(?b), the term's own id for sameTerm —
+// hash-joins the sides on that column as well as on any variables they
+// share, keeps the combined rows on which eq holds, and drops the column
+// again. The key is only a pre-filter: rows whose keys differ never
+// satisfy eq, and a row whose variable is unbound, on which eq errors,
+// joins nothing. So the result is always HashJoin followed by Filter(eq);
+// for any other eq it is computed that way. Its span's "on" attribute is
+// eq. The terms are read and the keys interned through dict.
+func KeyedJoin(ctx context.Context, probe, build RowStream, dict *rdf.Dict, eq sparql.Expr, b Budget) RowStream {
+	cond := []sparql.Expr{eq}
+	x, y, str, ok := sparql.KeyEquality(eq)
+	if !slices.Contains(probe.Vars(), x) {
+		x, y = y, x
+	}
+	px, by := slices.Index(probe.Vars(), x), slices.Index(build.Vars(), y)
+	if !ok || px < 0 || by < 0 {
+		return newHashJoin(ctx, probe, build, b, false, dict, cond)
+	}
+	key := sparql.ExprString(eq) // no variable can have this name
+	s := newHashJoin(ctx, withKey(probe, dict, px, str, key), withKey(build, dict, by, str, key), b, false, dict, cond)
+	s.label = key
+	return Align(s, slices.DeleteFunc(slices.Clone(s.vars), func(v string) bool { return v == key }))
+}
+
+// keyStream widens its source's rows with one column named key: the key
+// of column col, the id of STR(term) when str is set and the id itself
+// otherwise. It drops rows whose column is unbound.
+type keyStream struct {
+	RowStream
+	dict *rdf.Dict
+	col  int
+	str  bool
+	vars []string
+	strs map[uint32]uint32 // id → id of STR(term)
+	row  []uint32
+}
+
+func withKey(src RowStream, dict *rdf.Dict, col int, str bool, key string) RowStream {
+	return &keyStream{RowStream: src, dict: dict, col: col, str: str, vars: append(slices.Clone(src.Vars()), key), strs: map[uint32]uint32{}}
+}
+
+func (s *keyStream) Vars() []string { return s.vars }
+func (s *keyStream) Row() []uint32  { return s.row }
+
+func (s *keyStream) Next() bool {
+	for s.RowStream.Next() {
+		in := s.RowStream.Row()
+		key := in[s.col]
+		if key == 0 {
+			continue
+		}
+		if s.str {
+			id, ok := s.strs[key]
+			if !ok {
+				var ids [1]uint32
+				s.dict.InternRow([]rdf.Term{rdf.NewLiteral(s.dict.Term(key).Value)}, ids[:])
+				id = ids[0]
+				s.strs[key] = id
+			}
+			key = id
+		}
+		s.row = append(append(s.row[:0], in...), key)
+		return true
+	}
+	return false
+}
+
 type hashJoin struct {
 	probe  RowStream
 	build  RowStream
 	budget Budget
 	left   bool
+	label  string // the span's "on" attribute
 	dict   *rdf.Dict
-	exprs  []sparql.Expr // left-join condition
+	exprs  []sparql.Expr // join condition: OPTIONAL filters, a keyed join's equality
 	cond   *Cond         // exprs for the goroutine driving Next
 
 	vars        []string
@@ -132,6 +204,7 @@ func newHashJoin(ctx context.Context, probe, build RowStream, b Budget, left boo
 		}
 	}
 	s.cond = NewCond(dict, s.vars, cond)
+	s.label = joinLabel(s.shared)
 	return s
 }
 
@@ -206,7 +279,7 @@ func (s *hashJoin) start() error {
 		name = "optional"
 	}
 	s.span = s.parent.StartChild(name)
-	s.span.SetAttr("on", joinLabel(s.shared))
+	s.span.SetAttr("on", s.label)
 	budget := s.budget.SpillBytes
 	if len(s.shared) == 0 {
 		for s.build.Next() {

@@ -333,3 +333,80 @@ func TestLeftJoinEmptyProbeSkipsBuild(t *testing.T) {
 		t.Fatalf("rows %v, err %v, build pulled %v", got, err, build.pulled)
 	}
 }
+
+// randomKeyRel is randomRel over terms whose lexical forms collide across
+// kinds: an IRI, a plain, a tagged and an integer literal can all read
+// "1", so STR equality holds between different terms.
+func randomKeyRel(rng *rand.Rand, vars []string, n, domain int) rel {
+	r := rel{vars: vars}
+	for range n {
+		row := make([]rdf.Term, len(vars))
+		for i := range row {
+			lex := fmt.Sprint(rng.Intn(domain))
+			switch rng.Intn(5) {
+			case 1:
+				row[i] = rdf.NewIRI(lex)
+			case 2:
+				row[i] = rdf.NewLiteral(lex)
+			case 3:
+				row[i] = rdf.NewLangLiteral(lex, "en")
+			case 4:
+				row[i] = rdf.NewTypedLiteral(lex, rdf.XSDInteger)
+			}
+		}
+		r.rows = append(r.rows, row)
+	}
+	return r
+}
+
+// TestHashJoinKeyedProperty checks KeyedJoin against a cross join (on any
+// shared variables) followed by the filter, on random relations with
+// unbound cells and lexical forms that collide across term kinds, in
+// memory, through the parallel probe, and spilled.
+func TestHashJoinKeyedProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	eqs := filterExprs(t, `STR(?a) = STR(?c)`, `STR(?c) = STR(?a)`, `sameTerm(?a, ?c)`, `sameTerm(?c, ?a)`)
+	for trial := range 300 {
+		// The probe side binds ?a, the build side ?c; ?b and ?d may be on
+		// either side or both.
+		side := func(key string) []string {
+			vars := []string{key}
+			for _, v := range []string{"b", "d"} {
+				if rng.Intn(2) == 0 {
+					vars = append(vars, v)
+				}
+			}
+			rng.Shuffle(len(vars), func(i, j int) { vars[i], vars[j] = vars[j], vars[i] })
+			return vars
+		}
+		probe := randomKeyRel(rng, side("a"), rng.Intn(12), 3)
+		build := randomKeyRel(rng, side("c"), rng.Intn(12), 3)
+		if trial == 0 {
+			// Large enough for the parallel probe (a fifth of the build
+			// keys are unbound; two chunks of probe rows); the reference
+			// evaluates the filter on every pair.
+			probe = randomKeyRel(rng, []string{"a"}, probeChunkMinRows+2, 9000)
+			build = randomKeyRel(rng, []string{"c", "d"}, 2*parallelProbeMin, 9000)
+		}
+		eq := eqs[rng.Intn(len(eqs))]
+		want := naiveJoin(probe, build, false, []sparql.Expr{eq})
+		for _, spill := range []bool{false, true} {
+			b := Budget{SpillBytes: DefaultSpillBytes}
+			if spill {
+				b.SpillBytes = 1
+			}
+			dict := rdf.NewDict()
+			got, err := collect(t, KeyedJoin(context.Background(), probe.stream(dict), build.stream(dict), dict, eq, b), dict)
+			if err != nil {
+				t.Fatalf("trial %d spill=%v: %v", trial, spill, err)
+			}
+			if !reflect.DeepEqual(got.vars, want.vars) {
+				t.Fatalf("trial %d spill=%v: vars %v, want %v", trial, spill, got.vars, want.vars)
+			}
+			if g, w := keys(got, spill), keys(want, spill); !reflect.DeepEqual(g, w) {
+				t.Fatalf("trial %d spill=%v %s\nprobe %v %v\nbuild %v %v\ngot  %v\nwant %v",
+					trial, spill, sparql.ExprString(eq), probe.vars, probe.rows, build.vars, build.rows, g, w)
+			}
+		}
+	}
+}

@@ -60,7 +60,8 @@ func (br *Branch) Vars() []string {
 // normalize flattens the query's WHERE clause into conjunctive branches by
 // distributing UNION blocks, and collects filters and optional groups.
 // Federated evaluation then runs each Branch independently and unions the
-// results (sound because UNION distributes over join).
+// results (sound because UNION distributes over join). Every filter is
+// split into its top-level conjuncts, which planners place apart.
 func Normalize(q *sparql.Query) ([]*Branch, error) {
 	base := &Branch{}
 	branches := []*Branch{base}
@@ -85,8 +86,12 @@ func flattenGroup(g *sparql.GroupPattern, branches *[]*Branch) error {
 				br.Patterns = append(br.Patterns, el)
 			}
 		case sparql.Filter:
+			conj, err := conjuncts(el)
+			if err != nil {
+				return err
+			}
 			for _, br := range *branches {
-				br.Filters = append(br.Filters, el.Expr)
+				br.Filters = append(br.Filters, conj...)
 			}
 		case sparql.InlineData:
 			for _, br := range *branches {
@@ -132,7 +137,11 @@ func flattenOptional(g *sparql.GroupPattern) (*OptionalBlock, error) {
 		case sparql.TriplePattern:
 			ob.Patterns = append(ob.Patterns, el)
 		case sparql.Filter:
-			ob.Filters = append(ob.Filters, el.Expr)
+			conj, err := conjuncts(el)
+			if err != nil {
+				return nil, err
+			}
+			ob.Filters = append(ob.Filters, conj...)
 		default:
 			return nil, fmt.Errorf("lusail: unsupported element %T inside OPTIONAL", el)
 		}
@@ -141,6 +150,17 @@ func flattenOptional(g *sparql.GroupPattern) (*OptionalBlock, error) {
 		return nil, fmt.Errorf("lusail: OPTIONAL block without triple patterns")
 	}
 	return ob, nil
+}
+
+// conjuncts splits a FILTER into its top-level conjuncts (sparql.Conjuncts),
+// so that each can be pushed to wherever its variables are bound. A filter
+// with an EXISTS block anywhere in it is rejected: the federation tier
+// evaluates filters on joined rows, where an EXISTS block sees no graph.
+func conjuncts(f sparql.Filter) ([]sparql.Expr, error) {
+	if sparql.HasExists(f.Expr) {
+		return nil, fmt.Errorf("lusail: FILTER EXISTS in federated queries is not supported")
+	}
+	return sparql.Conjuncts(f.Expr), nil
 }
 
 func copyBranch(br *Branch) *Branch {

@@ -22,6 +22,30 @@ func TestNormalizeConjunctive(t *testing.T) {
 	}
 }
 
+// Every branch and OPTIONAL filter is split on its top-level &&; a || and
+// a nested && stay whole.
+func TestNormalizeSplitsConjunctions(t *testing.T) {
+	q := sparql.MustParse(`SELECT * WHERE {
+		?a <http://p> ?b . FILTER(?a != ?b && (?b = 1 || ?b = 2 && ?a = 3) && BOUND(?a))
+		OPTIONAL { ?b <http://q> ?c . FILTER(?c > 1 && ?c < ?b) } }`)
+	branches, err := Normalize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, gotOpt []string
+	for _, f := range branches[0].Filters {
+		got = append(got, sparql.ExprString(f))
+	}
+	for _, f := range branches[0].Optionals[0].Filters {
+		gotOpt = append(gotOpt, sparql.ExprString(f))
+	}
+	want := []string{"(?a != ?b)", `((?b = "1"^^<http://www.w3.org/2001/XMLSchema#integer>) || ((?b = "2"^^<http://www.w3.org/2001/XMLSchema#integer>) && (?a = "3"^^<http://www.w3.org/2001/XMLSchema#integer>)))`, "BOUND(?a)"}
+	wantOpt := []string{`(?c > "1"^^<http://www.w3.org/2001/XMLSchema#integer>)`, "(?c < ?b)"}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotOpt, wantOpt) {
+		t.Errorf("filters %q and %q, want %q and %q", got, gotOpt, want, wantOpt)
+	}
+}
+
 func TestNormalizeUnionDistribution(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE {
 		?a <http://p> ?b .
@@ -71,6 +95,8 @@ func TestNormalizeRejectsEmptyAndUnsupported(t *testing.T) {
 		`SELECT * WHERE { ?a <http://p> ?b . BIND(?a AS ?x) }`,                             // BIND
 		`SELECT * WHERE { { SELECT ?a WHERE { ?a <http://p> ?b } } }`,                      // nested select
 		`SELECT * WHERE { ?a <http://p> ?b . OPTIONAL { OPTIONAL { ?b <http://q> ?c } } }`, // nested optional
+		`SELECT * WHERE { ?a <http://p> ?b . OPTIONAL { ?b <http://q> ?c FILTER(?c = ?a || NOT EXISTS { ?c <http://r> ?a }) } }`,
+		`SELECT * WHERE { { ?a <http://p> ?b FILTER(-(EXISTS { ?b <http://q> ?a }) = 0) } UNION { ?a <http://q> ?b } }`,
 	}
 	for _, in := range bad {
 		q := sparql.MustParse(in)

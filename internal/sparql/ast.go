@@ -369,3 +369,71 @@ func ExprVars(e Expr) []string {
 	sort.Strings(out)
 	return out
 }
+
+// Conjuncts splits an expression on its top-level && into its conjuncts.
+// FILTER(A && B) keeps exactly the rows FILTER(A) FILTER(B) keeps: under
+// SPARQL's error rules a conjunction is true only when both sides are.
+func Conjuncts(x Expr) []Expr {
+	if b, ok := x.(ExprBinary); ok && b.Op == "&&" {
+		return append(Conjuncts(b.L), Conjuncts(b.R)...)
+	}
+	return []Expr{x}
+}
+
+// HasExists reports whether an EXISTS block occurs anywhere in the
+// expression.
+func HasExists(x Expr) bool {
+	switch x := x.(type) {
+	case ExprExists:
+		return true
+	case ExprBinary:
+		return HasExists(x.L) || HasExists(x.R)
+	case ExprUnary:
+		return HasExists(x.X)
+	case ExprCall:
+		for _, a := range x.Args {
+			if HasExists(a) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// KeyEquality recognizes the equalities a join can key on: STR(?a) =
+// STR(?b), true exactly when both are bound and their lexical forms are
+// equal (str is true), and sameTerm(?a, ?b), true exactly when both hold
+// one term. It returns the two distinct variables. A plain ?a = ?b is no
+// key equality: it compares values, and 1 = 1.0 holds between different
+// terms and lexical forms.
+func KeyEquality(x Expr) (a, b string, str, ok bool) {
+	switch x := x.(type) {
+	case ExprBinary:
+		if x.Op == "=" {
+			a, okA := strVar(x.L)
+			b, okB := strVar(x.R)
+			if okA && okB && a != b {
+				return a, b, true, true
+			}
+		}
+	case ExprCall:
+		if x.Func == "SAMETERM" && len(x.Args) == 2 {
+			va, okA := x.Args[0].(ExprVar)
+			vb, okB := x.Args[1].(ExprVar)
+			if okA && okB && va.Name != vb.Name {
+				return va.Name, vb.Name, false, true
+			}
+		}
+	}
+	return "", "", false, false
+}
+
+// strVar returns v for the expression STR(?v).
+func strVar(x Expr) (string, bool) {
+	c, ok := x.(ExprCall)
+	if !ok || c.Func != "STR" || len(c.Args) != 1 {
+		return "", false
+	}
+	v, ok := c.Args[0].(ExprVar)
+	return v.Name, ok
+}

@@ -243,12 +243,14 @@ var checkUnboundVar = &Check{
 	},
 }
 
-// joinNode is one union-find node for the cartesian check: an element that
-// contributes rows to its group's join, with the variables it can bind.
+// joinNode is one union-find node for the cartesian check: an element of
+// the group's join with the variables it links, and whether it contributes
+// rows (VALUES, BIND and key-equality filters only link).
 type joinNode struct {
 	vars    []string
 	pos     int
 	display string
+	rows    bool
 }
 
 // checkCartesian warns when a group's required elements split into
@@ -257,18 +259,20 @@ type joinNode struct {
 // expensive (every component's rows ship over the network and multiply).
 // The engine's connectivity-aware subquery ordering and bound-join
 // bridging keep such queries executable, but the cost is almost never what
-// the author intended.
+// the author intended. Components linked by a key equality filter
+// (sparql.KeyEquality: STR(?a) = STR(?b), sameTerm) are not a cross
+// product: the engine hash-joins them on that key.
 var checkCartesian = &Check{
 	Name:     "cartesian",
 	Severity: sparql.SevWarning,
 	Doc: "the required elements of a group share no variables and split into two or\n" +
-		"more disconnected components, so the group's result is their cross product.\n" +
+		"more disconnected components, so the group's result is their cross product\n" +
+		"(a STR(?a) = STR(?b) or sameTerm(?a, ?b) filter links two components).\n" +
 		"Federated execution multiplies every component's rows over the network;\n" +
 		"deliberate cross products should carry a suppression directive.",
 	Run: func(p *Pass) {
 		forEachGroup(p.Query, func(g *sparql.GroupPattern, _ map[string]bool) {
 			var nodes []joinNode
-			dataNodes := 0
 			for _, el := range g.Elements {
 				switch e := el.(type) {
 				case sparql.TriplePattern:
@@ -278,27 +282,27 @@ var checkCartesian = &Check{
 						// row multiplier; it cannot form a cross product.
 						continue
 					}
-					nodes = append(nodes, joinNode{vars: vars, pos: e.Pos, display: patternDisplay(e)})
-					dataNodes++
+					nodes = append(nodes, joinNode{vars: vars, pos: e.Pos, display: patternDisplay(e), rows: true})
 				case sparql.Union:
 					var vars map[string]bool = map[string]bool{}
 					for _, b := range e.Branches {
 						possibleVars(b, vars)
 					}
-					nodes = append(nodes, joinNode{vars: keys(vars), pos: e.Pos, display: "UNION block"})
-					dataNodes++
+					nodes = append(nodes, joinNode{vars: keys(vars), pos: e.Pos, display: "UNION block", rows: true})
 				case sparql.SubSelect:
-					nodes = append(nodes, joinNode{vars: e.Query.ProjectedVars(), pos: e.Pos, display: "sub-select"})
-					dataNodes++
+					nodes = append(nodes, joinNode{vars: e.Query.ProjectedVars(), pos: e.Pos, display: "sub-select", rows: true})
 				case sparql.InlineData:
 					nodes = append(nodes, joinNode{vars: e.Vars, pos: e.Pos, display: "VALUES block"})
 				case sparql.Bind:
 					vars := append([]string{e.Var}, sparql.ExprVars(e.Expr)...)
 					nodes = append(nodes, joinNode{vars: vars, pos: e.Pos, display: "BIND"})
+				case sparql.Filter:
+					for _, c := range sparql.Conjuncts(e.Expr) {
+						if a, b, _, ok := sparql.KeyEquality(c); ok {
+							nodes = append(nodes, joinNode{vars: []string{a, b}, pos: e.Pos, display: "FILTER"})
+						}
+					}
 				}
-			}
-			if dataNodes < 2 {
-				return
 			}
 
 			// Union-find over shared variables.
@@ -327,7 +331,7 @@ var checkCartesian = &Check{
 			// Components that contain at least one row-producing element.
 			compFirst := map[int]int{} // root -> index of first data node
 			for i, n := range nodes {
-				if n.display == "VALUES block" || n.display == "BIND" {
+				if !n.rows {
 					continue
 				}
 				root := find(i)
@@ -408,14 +412,6 @@ var checkFilterSat = &Check{
 	},
 }
 
-// conjuncts splits an expression on top-level && into its conjuncts.
-func conjuncts(x sparql.Expr) []sparql.Expr {
-	if b, ok := x.(sparql.ExprBinary); ok && b.Op == "&&" {
-		return append(conjuncts(b.L), conjuncts(b.R)...)
-	}
-	return []sparql.Expr{x}
-}
-
 // varConstraint is one conjunct of the form ?v OP constant.
 type varConstraint struct {
 	op   string
@@ -427,7 +423,7 @@ type varConstraint struct {
 // when none is provable.
 func contradictionIn(x sparql.Expr) string {
 	perVar := map[string][]varConstraint{}
-	for _, c := range conjuncts(x) {
+	for _, c := range sparql.Conjuncts(x) {
 		b, ok := c.(sparql.ExprBinary)
 		if !ok {
 			continue
