@@ -384,11 +384,7 @@ func (e *Engine) Construct(ctx context.Context, q *sparql.Query) ([]rdf.Triple, 
 	if err != nil {
 		return nil, nil, err
 	}
-	solutions := make([]map[string]rdf.Term, res.Len())
-	for i := range res.Rows {
-		solutions[i] = res.Binding(i)
-	}
-	return eval.InstantiateTemplate(q.Template, solutions), prof, nil
+	return eval.InstantiateTemplate(q.Template, res), prof, nil
 }
 
 // ConstructString parses and executes a federated CONSTRUCT query.

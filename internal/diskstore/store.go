@@ -170,10 +170,6 @@ func (s *Store) Len() int { return int(s.ft.tripleCount) }
 // TermCount returns the number of distinct terms in the dictionary.
 func (s *Store) TermCount() int { return int(s.ft.termCount) }
 
-// Version implements store.Graph. The store is immutable, so the version
-// is the constant recorded at build time.
-func (s *Store) Version() int64 { return int64(s.ft.version) }
-
 // CacheStats reports block-cache hits, misses, and resident bytes.
 func (s *Store) CacheStats() (hits, misses, usedBytes int64) { return s.cache.stats() }
 

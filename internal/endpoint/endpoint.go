@@ -31,7 +31,9 @@ import (
 // dataset: GET with ?query=, POST with form-encoded query, or POST with
 // Content-Type application/sparql-query. Results are returned in the
 // SPARQL 1.1 results format the Accept header asks for (sparql.Negotiate):
-// JSON by default and for ASK, TSV, CSV or XML on request.
+// JSON by default and for ASK, TSV, CSV or XML on request. A SELECT or ASK
+// answer is written row by row from the evaluator's cursor (eval.Select)
+// through the format's sparql.RowWriter, as lusaild writes the engine's.
 type Handler struct {
 	name string
 	ev   *eval.Evaluator
@@ -77,7 +79,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	query, err := ExtractQuery(r)
 	if err != nil {
-		h.fail(w, err.Error(), http.StatusBadRequest)
+		h.fail(w, err.Error(), ExtractStatus(err))
 		return
 	}
 	parsed, err := sparql.Parse(query)
@@ -98,35 +100,57 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	res, err := h.ev.Query(parsed)
+	// eval.Select reports every error before the first row, while the
+	// writer still holds the head; a failure after it aborts.
+	rows, err := h.ev.Select(parsed)
 	if err != nil {
 		h.logf("endpoint %s: query error: %v", h.name, err)
 		h.fail(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	f := sparql.Negotiate(r.Header.Get("Accept"), res.IsBoolean)
+	defer rows.Close()
+	ask := parsed.Form == sparql.AskForm
+	f := sparql.Negotiate(r.Header.Get("Accept"), ask)
+	out := sparql.NewRowWriter(w, f, rows.Vars())
+	if ask {
+		out = sparql.NewBoolWriter(w, f)
+	}
 	w.Header().Set("Content-Type", f.ContentType())
-	if err := res.Write(w, f); err != nil {
+	for err == nil {
+		var row []rdf.Term
+		if row, err = rows.Read(); err == nil {
+			err = out.WriteRow(row)
+		}
+	}
+	if errors.Is(err, io.EOF) {
+		err = out.Close()
+	}
+	if err != nil {
 		// Abort rather than return: a handler that returns ends a chunked
 		// body cleanly, and a TSV body cut at a line boundary would then
 		// read as a complete result.
-		h.logf("endpoint %s: write error: %v", h.name, err)
+		h.logf("endpoint %s: stream failed: %v", h.name, err)
 		panic(http.ErrAbortHandler)
 	}
 }
 
+// maxQueryBytes caps a POST body: parsing what fits of a longer one would
+// answer a different query.
+const maxQueryBytes = 16 << 20
+
 // ExtractQuery reads the query text of a request in any of the SPARQL
 // protocol's three forms: GET with ?query=, POST with a form-encoded
 // query, or POST with Content-Type application/sparql-query. A query of
-// only whitespace is missing.
+// only whitespace is missing; a POST body over maxQueryBytes is an error.
 func ExtractQuery(r *http.Request) (string, error) {
 	var query string
 	switch r.Method {
 	case http.MethodGet:
 		query = r.URL.Query().Get("query")
 	case http.MethodPost:
+		r.Body = http.MaxBytesReader(nil, r.Body, maxQueryBytes)
 		if strings.HasPrefix(r.Header.Get("Content-Type"), "application/sparql-query") {
-			body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+			body, err := io.ReadAll(r.Body)
 			if err != nil {
 				return "", fmt.Errorf("reading query body: %w", err)
 			}
@@ -143,6 +167,15 @@ func ExtractQuery(r *http.Request) (string, error) {
 		return "", errors.New("missing query parameter")
 	}
 	return query, nil
+}
+
+// ExtractStatus is the HTTP status that answers an ExtractQuery error:
+// 413 for an oversized body, 400 otherwise.
+func ExtractStatus(err error) int {
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // summaryHandler serves the endpoint's own catalog summary as JSON on

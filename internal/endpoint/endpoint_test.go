@@ -265,3 +265,36 @@ func TestNegotiatedFormats(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedQueryBodyRejected sends a direct POST whose query only ends
+// past the body cap: cutting it at the cap would drop its LIMIT 0 and
+// answer every triple, so the request is refused whole, with 413.
+func TestOversizedQueryBodyRejected(t *testing.T) {
+	text := `SELECT * WHERE { ?s ?p ?o }` + strings.Repeat(" ", maxQueryBytes) + ` LIMIT 0`
+	post := func(body string) *http.Request {
+		req := httptest.NewRequest(http.MethodPost, "/sparql", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/sparql-query")
+		return req
+	}
+	if q, err := ExtractQuery(post(text)); err == nil {
+		t.Fatalf("extracted %d of %d bytes without an error", len(q), len(text))
+	}
+	rec := httptest.NewRecorder()
+	NewHandler("ep1", testStore()).ServeHTTP(rec, post(text))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("status = %d, want 413: %s", rec.Code, rec.Body.Bytes())
+	}
+	// A body of exactly the cap is read whole.
+	atCap := text[:maxQueryBytes]
+	if q, err := ExtractQuery(post(atCap)); err != nil || q != atCap {
+		t.Errorf("body at the cap: %d bytes, %v", len(q), err)
+	}
+	// A form-encoded POST has the same cap.
+	form := httptest.NewRequest(http.MethodPost, "/sparql", strings.NewReader("query="+url.QueryEscape(text)))
+	form.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	rec = httptest.NewRecorder()
+	NewHandler("ep1", testStore()).ServeHTTP(rec, form)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("form status = %d, want 413: %s", rec.Code, rec.Body.Bytes())
+	}
+}

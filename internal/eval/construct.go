@@ -7,41 +7,32 @@ import (
 	"lusail/internal/sparql"
 )
 
-// Construct evaluates a CONSTRUCT query: the WHERE clause's solutions
-// instantiate the template, and the resulting triples are returned with
-// duplicates removed. Template patterns whose positions remain unbound in
-// a solution (or would bind a literal subject/predicate) are skipped for
-// that solution, per the SPARQL spec.
+// Construct evaluates a CONSTRUCT query: the WHERE clause's solutions, as
+// a SELECT * over it, instantiate the template, and the resulting triples
+// are returned with duplicates removed. Template patterns whose positions
+// remain unbound in a solution (or would bind a literal subject/predicate)
+// are skipped for that solution, per the SPARQL spec.
 func (e *Evaluator) Construct(q *sparql.Query) ([]rdf.Triple, error) {
 	if q.Form != sparql.ConstructForm {
 		return nil, fmt.Errorf("eval: Construct requires a CONSTRUCT query")
 	}
-	sc := newScope(e)
-	sc.addGroup(q.Where)
-	rows, err := sc.evalGroup(q.Where, []row{sc.emptyRow()}, -1)
+	sel := sparql.NewSelect()
+	sel.Star, sel.Where = true, q.Where
+	res, err := e.Query(sel)
 	if err != nil {
 		return nil, err
 	}
-	solutions := make([]map[string]rdf.Term, len(rows))
-	for i, r := range rows {
-		b := map[string]rdf.Term{}
-		for v, s := range sc.slots {
-			if r[s] != unbound {
-				b[v] = sc.term(r[s])
-			}
-		}
-		solutions[i] = b
-	}
-	return InstantiateTemplate(q.Template, solutions), nil
+	return InstantiateTemplate(q.Template, res), nil
 }
 
 // InstantiateTemplate substitutes each solution into the template and
 // collects the valid, deduplicated triples. It is shared by the local
 // evaluator and the federated engines.
-func InstantiateTemplate(template []sparql.TriplePattern, solutions []map[string]rdf.Term) []rdf.Triple {
+func InstantiateTemplate(template []sparql.TriplePattern, solutions *sparql.Results) []rdf.Triple {
 	seen := map[rdf.Triple]bool{}
 	var out []rdf.Triple
-	for _, b := range solutions {
+	for i := range solutions.Rows {
+		b := solutions.Binding(i)
 		for _, tp := range template {
 			t, ok := instantiate(tp, b)
 			if !ok || seen[t] {

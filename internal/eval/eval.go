@@ -4,18 +4,19 @@
 // Virtuoso in the paper's experimental setup.
 //
 // Evaluation runs on dictionary ids: a query's variables are compiled to
-// the slots of fixed-width rows of ids, joins and DISTINCT compare
-// integers, and terms are decoded only where an expression reads them and
-// for the projected columns of the result.
+// the slots of fixed-width rows of ids, joins compare integers, the
+// solution modifiers are the federated engines' own tail (op.Finish) over
+// those ids, and terms are decoded only where an expression reads them and
+// for the projected columns of the rows that survive.
 package eval
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sync"
 
+	"lusail/internal/op"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
+	"lusail/internal/sparql/expr"
 	"lusail/internal/store"
 )
 
@@ -23,58 +24,33 @@ import (
 // store or the disk-backed store).
 type Evaluator struct {
 	st store.Graph
-
-	// memo caches sub-select results within the current store version, so
-	// FILTER (NOT) EXISTS { SELECT ... } blocks — the shape of Lusail's
-	// locality check queries — evaluate their inner query once instead of
-	// once per candidate row.
-	memoMu   sync.Mutex
-	memo     map[*sparql.Query]memoEntry
-	memoSets map[*sparql.Query]map[rdf.Term]bool
-}
-
-type memoEntry struct {
-	version int64
-	res     *sparql.Results
 }
 
 // New returns an evaluator over the given graph backend.
 func New(st store.Graph) *Evaluator {
-	return &Evaluator{
-		st:       st,
-		memo:     map[*sparql.Query]memoEntry{},
-		memoSets: map[*sparql.Query]map[rdf.Term]bool{},
-	}
+	return &Evaluator{st: st}
 }
 
-// singleVarSubSelect matches a group of the form { SELECT ?v WHERE ... }
-// with exactly one projected variable.
-func singleVarSubSelect(g *sparql.GroupPattern) (*sparql.Query, string, bool) {
-	if len(g.Elements) != 1 {
-		return nil, "", false
-	}
-	ss, ok := g.Elements[0].(sparql.SubSelect)
-	if !ok {
-		return nil, "", false
-	}
-	vars := ss.Query.ProjectedVars()
-	if len(vars) != 1 {
-		return nil, "", false
-	}
-	return ss.Query, vars[0], true
+// evaluation is the state one top-level query shares with the queries
+// nested in it: the sub-select memo, so FILTER (NOT) EXISTS { SELECT ... }
+// blocks — the shape of Lusail's locality check queries — evaluate their
+// inner query once instead of once per candidate row. It lives as long as
+// the query, so nothing in it can outlive a change to the store.
+type evaluation struct {
+	e        *Evaluator
+	memo     map[*sparql.Query]*sparql.Results
+	memoSets map[*sparql.Query]map[rdf.Term]bool
 }
 
 // subSelectSet returns the set of bound values of v in the memoized
 // sub-select results.
-func (e *Evaluator) subSelectSet(q *sparql.Query, v string) (map[rdf.Term]bool, error) {
-	res, err := e.subSelect(q)
+func (ev *evaluation) subSelectSet(q *sparql.Query, v string) (map[rdf.Term]bool, error) {
+	if set, ok := ev.memoSets[q]; ok {
+		return set, nil
+	}
+	res, err := ev.subSelect(q)
 	if err != nil {
 		return nil, err
-	}
-	e.memoMu.Lock()
-	defer e.memoMu.Unlock()
-	if set, ok := e.memoSets[q]; ok {
-		return set, nil
 	}
 	idx := res.VarIndex(v)
 	set := make(map[rdf.Term]bool, len(res.Rows))
@@ -85,38 +61,30 @@ func (e *Evaluator) subSelectSet(q *sparql.Query, v string) (map[rdf.Term]bool, 
 			}
 		}
 	}
-	if len(e.memoSets) > 256 {
-		e.memoSets = map[*sparql.Query]map[rdf.Term]bool{}
+	if ev.memoSets == nil {
+		ev.memoSets = map[*sparql.Query]map[rdf.Term]bool{}
 	}
-	e.memoSets[q] = set
+	ev.memoSets[q] = set
 	return set, nil
 }
 
-// subSelect evaluates a nested SELECT, memoized per store version, except
-// an index-answered COUNT: cheaper than the memo, which it would churn.
-func (e *Evaluator) subSelect(q *sparql.Query) (*sparql.Results, error) {
-	if res, ok := e.countProbe(q); ok {
+// subSelect evaluates a nested SELECT once per evaluation, except an
+// index-answered COUNT: cheaper than the memo, which it would only fill.
+func (ev *evaluation) subSelect(q *sparql.Query) (*sparql.Results, error) {
+	if res, ok := ev.e.countProbe(q); ok {
 		return res, nil
 	}
-	v := e.st.Version()
-	e.memoMu.Lock()
-	if ent, ok := e.memo[q]; ok && ent.version == v {
-		e.memoMu.Unlock()
-		return ent.res, nil
+	if res, ok := ev.memo[q]; ok {
+		return res, nil
 	}
-	e.memoMu.Unlock()
-	res, err := e.Query(q)
+	res, err := ev.query(q)
 	if err != nil {
 		return nil, err
 	}
-	e.memoMu.Lock()
-	if len(e.memo) > 256 {
-		e.memo = map[*sparql.Query]memoEntry{}
-		e.memoSets = map[*sparql.Query]map[rdf.Term]bool{}
+	if ev.memo == nil {
+		ev.memo = map[*sparql.Query]*sparql.Results{}
 	}
-	e.memo[q] = memoEntry{version: v, res: res}
-	delete(e.memoSets, q) // the derived value set is stale
-	e.memoMu.Unlock()
+	ev.memo[q] = res
 	return res, nil
 }
 
@@ -132,30 +100,69 @@ func (e *Evaluator) QueryString(q string) (*sparql.Results, error) {
 	return e.Query(parsed)
 }
 
-// Query evaluates a parsed query and returns its results. ASK queries yield
-// a boolean result set.
-//
-// ASK queries and plain LIMIT queries over streamable groups (triple
-// patterns, filters and VALUES only) stop at the limit instead of
-// materializing every solution; Lusail's LIMIT 1 check queries depend on
-// this stopping at the first witness.
+// Query evaluates a parsed query and returns its results, collected from
+// Select. ASK queries yield a boolean result set.
 func (e *Evaluator) Query(q *sparql.Query) (*sparql.Results, error) {
-	if q.Form == sparql.ConstructForm {
-		return nil, fmt.Errorf("eval: use Construct for CONSTRUCT queries")
-	}
-	if res, ok := e.countProbe(q); ok {
-		return res, nil
-	}
-	sc := newScope(e)
-	sc.addGroup(q.Where)
-	rows, err := sc.evalGroup(q.Where, []row{sc.emptyRow()}, limitHint(q))
+	return (&evaluation{e: e}).query(q)
+}
+
+func (ev *evaluation) query(q *sparql.Query) (*sparql.Results, error) {
+	rows, err := ev.selectRows(q)
 	if err != nil {
 		return nil, err
 	}
-	if q.Form == sparql.AskForm {
-		return sparql.BoolResults(len(rows) > 0), nil
+	res, err := sparql.ReadAllRows(rows)
+	if err != nil || q.Form != sparql.AskForm {
+		return res, err
 	}
-	return sc.finishSelect(q, rows)
+	return sparql.BoolResults(res.Len() > 0), nil
+}
+
+// Select evaluates a SELECT or ASK query into a cursor over its answer:
+// the projected terms of each solution that survives the solution
+// modifiers, or for an ASK one empty row when there is a solution. Every
+// error comes back here, before the first row. The cursor's row is only
+// valid until the next Read.
+//
+// Matching is depth-first into rows of ids, and the solution modifiers are
+// op.Finish, the federated engines' tail, over those ids: only the
+// variables the modifiers read are kept (none at all for COUNT(*)), and
+// only the projected columns of the rows that survive are decoded. ASK
+// queries and plain LIMIT queries over streamable groups (triple
+// patterns, filters and VALUES only) stop matching at the limit; Lusail's
+// LIMIT 1 check queries depend on this stopping at the first witness.
+func (e *Evaluator) Select(q *sparql.Query) (sparql.RowReader, error) {
+	return (&evaluation{e: e}).selectRows(q)
+}
+
+func (ev *evaluation) selectRows(q *sparql.Query) (sparql.RowReader, error) {
+	if q.Form == sparql.ConstructForm {
+		return nil, fmt.Errorf("eval: use Construct for CONSTRUCT queries")
+	}
+	if res, ok := ev.e.countProbe(q); ok {
+		return sparql.NewResultsReader(res), nil
+	}
+	sc := newScope(ev)
+	sc.addGroup(q.Where)
+	rows, err := sc.evalGroup(q.Where, []row{make(row, len(sc.vars))}, limitHint(q))
+	if err != nil {
+		return nil, err
+	}
+	var vars []string
+	if q.Form != sparql.AskForm {
+		vars = sparql.ModifierVars(q)
+	}
+	narrowed := op.Align(op.NewSlice(sc.vars, rows), vars)
+	c := &cursor{sc: sc, src: op.Finish(q, sc, narrowed)}
+	// Prime the stream: a blocking tail fails here or not at all, and
+	// knows its columns only once it has run.
+	if c.primed = c.src.Next(); !c.primed {
+		if err := c.src.Err(); err != nil {
+			c.src.Close()
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
 // countProbe answers SAPE's cardinality probe, SELECT (COUNT(*) AS ?c)
@@ -184,7 +191,7 @@ func (e *Evaluator) countProbe(q *sparql.Query) (*sparql.Results, bool) {
 		} else if id, found := e.st.Lookup(pt.Term); found {
 			ids[i] = id
 		} else {
-			ids[i] = localBase // in no triple
+			ids[i] = localBase // in no triple: above every store id
 		}
 	}
 	if vars != len(tp.Vars()) {
@@ -223,68 +230,6 @@ func streamable(g *sparql.GroupPattern) bool {
 		}
 	}
 	return true
-}
-
-// finishSelect decodes the solutions into a positional relation over the
-// variables the solution modifiers read — none at all for COUNT(*) — and
-// hands it to the shared modifier tail. Without grouping or ordering those
-// variables are the projection, so DISTINCT, OFFSET and LIMIT run on ids
-// first and only the surviving rows are decoded.
-func (sc *scope) finishSelect(q *sparql.Query, rows []row) (*sparql.Results, error) {
-	vars := sparql.ModifierVars(q)
-	cols := make([]int, len(vars))
-	for i, v := range vars {
-		cols[i] = sc.slot(v)
-	}
-	if len(q.GroupBy) == 0 && !q.HasAggregates() && len(q.OrderBy) == 0 {
-		if q.Distinct {
-			rows = distinctRows(rows, cols)
-		}
-		rows = rows[min(q.Offset, len(rows)):]
-		if q.Limit >= 0 && q.Limit < len(rows) {
-			rows = rows[:q.Limit]
-		}
-		tail := *q
-		tail.Distinct, tail.Offset, tail.Limit = false, 0, -1
-		q = &tail
-	}
-	rel := sparql.NewResults(vars)
-	rel.Rows = make([][]rdf.Term, len(rows))
-	if n := len(vars); n > 0 {
-		cells := make([]rdf.Term, len(rows)*n)
-		for r, ids := range rows {
-			out := cells[r*n : (r+1)*n : (r+1)*n]
-			for i, c := range cols {
-				if c >= 0 {
-					out[i] = sc.term(ids[c])
-				}
-			}
-			rel.Rows[r] = out
-		}
-	}
-	return sparql.ApplyModifiers(q, rel)
-}
-
-// distinctRows keeps the first of the rows that agree on every column.
-func distinctRows(rows []row, cols []int) []row {
-	seen := make(map[string]struct{}, len(rows))
-	out := make([]row, 0, len(rows))
-	key := make([]byte, 4*len(cols))
-	for _, r := range rows {
-		for i, c := range cols {
-			id := unbound
-			if c >= 0 {
-				id = r[c]
-			}
-			binary.LittleEndian.PutUint32(key[4*i:], id)
-		}
-		if _, dup := seen[string(key)]; dup {
-			continue
-		}
-		seen[string(key)] = struct{}{}
-		out = append(out, r)
-	}
-	return out
 }
 
 // evalGroup evaluates a group graph pattern seeded with the given rows and
@@ -365,7 +310,7 @@ func (sc *scope) evalGroup(g *sparql.GroupPattern, input []row, limit int) ([]ro
 			rows = next
 		case sparql.SubSelect:
 			flushBGP()
-			sub, err := sc.e.subSelect(el.Query)
+			sub, err := sc.ev.subSelect(el.Query)
 			if err != nil {
 				return nil, err
 			}
@@ -376,7 +321,7 @@ func (sc *scope) evalGroup(g *sparql.GroupPattern, input []row, limit int) ([]ro
 			next := make([]row, len(rows))
 			for i, r := range rows {
 				next[i] = r
-				if v, err := evalExpr(el.Expr, rowBinding{sc, r}); err == nil && !v.IsZero() {
+				if v, err := expr.Eval(el.Expr, rowBinding{sc, r}); err == nil && !v.IsZero() {
 					nr := sc.copyRow(r)
 					nr[slot] = sc.id(v)
 					next[i] = nr
@@ -409,7 +354,7 @@ func (sc *scope) evalGroup(g *sparql.GroupPattern, input []row, limit int) ([]ro
 // error removes the row.
 func (sc *scope) passes(filters []sparql.Expr, r row) bool {
 	for _, f := range filters {
-		if ok, err := evalEBV(f, rowBinding{sc, r}); err != nil || !ok {
+		if ok, err := expr.EBV(f, rowBinding{sc, r}); err != nil || !ok {
 			return false
 		}
 	}
@@ -431,29 +376,33 @@ func (sc *scope) bgp(tps []sparql.TriplePattern, seeds []row, emit func(row) boo
 	order := sc.joinOrder(pats, seeds[0])
 	depth := make([]row, len(order)+1)
 	for d := 1; d < len(depth); d++ {
-		depth[d] = make(row, sc.width)
+		depth[d] = make(row, len(sc.vars))
 	}
-	var walk func(d int) bool
-	walk = func(d int) bool {
+	// One match callback per depth, made once per call rather than once
+	// per partial solution: the walk allocates nothing per row.
+	cont := true
+	step := make([]func(s, pr, o uint32) bool, len(order))
+	walk := func(d int) {
 		if d == len(order) {
-			return emit(depth[d])
+			cont = emit(depth[d])
+			return
 		}
-		p := &pats[order[d]]
-		cur, next := depth[d], depth[d+1]
-		ids := p.resolve(cur)
-		cont := true
-		sc.st.MatchIDs(ids[0], ids[1], ids[2], func(s, pr, o uint32) bool {
-			copy(next, cur)
+		ids := pats[order[d]].resolve(depth[d])
+		sc.st.MatchIDs(ids[0], ids[1], ids[2], step[d])
+	}
+	for d := range step {
+		p, next := &pats[order[d]], depth[d+1]
+		step[d] = func(s, pr, o uint32) bool {
+			copy(next, depth[d])
 			if p.bind(next, [3]uint32{s, pr, o}) {
-				cont = walk(d + 1)
+				walk(d + 1)
 			}
 			return cont
-		})
-		return cont
+		}
 	}
 	for _, seed := range seeds {
 		depth[0] = seed
-		if !walk(0) {
+		if walk(0); !cont {
 			return
 		}
 	}
@@ -474,7 +423,7 @@ func (sc *scope) joinOrder(pats []pattern, seed row) []int {
 		ids := pats[i].resolve(seed)
 		counts[i] = sc.st.CountIDs(ids[0], ids[1], ids[2])
 	}
-	bound := make([]bool, sc.width)
+	bound := make([]bool, len(sc.vars))
 	for i, id := range seed {
 		bound[i] = id != unbound
 	}

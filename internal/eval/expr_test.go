@@ -6,6 +6,7 @@ import (
 
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
+	"lusail/internal/sparql/expr"
 	"lusail/internal/store"
 )
 
@@ -169,14 +170,14 @@ func TestFilterBindingStandalone(t *testing.T) {
 		}
 	}
 	b := map[string]rdf.Term{"s": rdf.NewIRI("http://ex/a"), "x": rdf.NewInteger(5)}
-	if !FilterBinding(f, b) {
+	if !expr.Holds(f, b) {
 		t.Error("binding should pass the filter")
 	}
 	b["x"] = rdf.NewInteger(1)
-	if FilterBinding(f, b) {
+	if expr.Holds(f, b) {
 		t.Error("binding should fail the filter")
 	}
-	if FilterBinding(f, map[string]rdf.Term{}) {
+	if expr.Holds(f, map[string]rdf.Term{}) {
 		t.Error("empty binding should error → false")
 	}
 }

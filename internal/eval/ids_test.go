@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"lusail/internal/diskstore"
@@ -201,8 +202,8 @@ func TestBatchedProbes(t *testing.T) {
 		}
 
 		ex := query(t, g, exists.String())
-		ev := New(g)
-		cn, err := ev.Query(counts)
+		ev := &evaluation{e: New(g)}
+		cn, err := ev.query(counts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,5 +222,101 @@ func TestBatchedProbes(t *testing.T) {
 				t.Errorf("%s: COUNT cell of %s = %v, COUNT says %v", name, pat, cn.Rows[0][i], want)
 			}
 		}
+	}
+}
+
+// TestUnboundStaysUnbound checks, on both backends, that a variable the
+// WHERE clause never binds and one an OPTIONAL leaves unbound come back
+// unbound through DISTINCT, ORDER BY and COUNT: op reads id 0 as unbound
+// while store id 0 is a real term, so no unbound cell may decode as it.
+func TestUnboundStaysUnbound(t *testing.T) {
+	names := map[string]rdf.Term{
+		"joy": rdf.NewLangLiteral("Joy", "en"),
+		"tim": rdf.NewLiteral("Tim Smith"),
+		"ben": {}, // no name: the OPTIONAL leaves ?u unbound
+	}
+	const never = `?s <http://ex/advisor> ?o`
+	const optional = `?s <http://ex/advisor> ?o OPTIONAL { ?o <http://ex/name> ?u }`
+	for name, g := range backends(t, testStore()) {
+		if _, ok := g.Term(0); !ok {
+			t.Fatalf("%s: store id 0 names no term; the fixture cannot tell it from unbound", name)
+		}
+		for _, q := range []string{
+			`SELECT DISTINCT ?s ?nope WHERE { ` + never + ` }`,
+			`SELECT ?s ?nope WHERE { ` + never + ` } ORDER BY ?nope ?s`,
+			`SELECT DISTINCT ?nope WHERE { ` + never + ` }`,
+		} {
+			res := query(t, g, q)
+			if res.Len() == 0 {
+				t.Fatalf("%s: %s: no rows", name, q)
+			}
+			for _, v := range res.Column("nope") {
+				if !v.IsZero() {
+					t.Errorf("%s: %s: ?nope = %v, want unbound", name, q, v)
+				}
+			}
+		}
+		for _, q := range []string{
+			`SELECT DISTINCT ?o ?u WHERE { ` + optional + ` }`,
+			`SELECT ?o ?u WHERE { ` + optional + ` } ORDER BY ?u ?o`,
+		} {
+			res := query(t, g, q)
+			if res.Len() != 3 {
+				t.Fatalf("%s: %s: %d rows, want 3", name, q, res.Len())
+			}
+			for _, row := range res.Rows {
+				if want := names[row[0].Value[len("http://ex/"):]]; row[1] != want {
+					t.Errorf("%s: %s: ?u of %v = %v, want %v", name, q, row[0], row[1], want)
+				}
+			}
+		}
+		for q, want := range map[string]int64{
+			`SELECT (COUNT(?nope) AS ?n) WHERE { ` + never + ` }`:                            0,
+			`SELECT (COUNT(?u) AS ?n) WHERE { ` + optional + ` }`:                            2,
+			`SELECT (COUNT(DISTINCT ?u) AS ?n) WHERE { ` + optional + ` }`:                   2,
+			`SELECT ?s (COUNT(?nope) AS ?n) WHERE { ` + never + ` } GROUP BY ?s ORDER BY ?s`: 0,
+		} {
+			for _, row := range query(t, g, q).Rows {
+				if n := row[len(row)-1]; n != rdf.NewInteger(want) {
+					t.Errorf("%s: %s = %v, want %d", name, q, n, want)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentEvaluations runs queries that fill the sub-select memo
+// and the regex cache on one Evaluator from several goroutines at once, as
+// an endpoint does; each must answer as it does alone (run with -race).
+func TestConcurrentEvaluations(t *testing.T) {
+	queries := []string{
+		`SELECT ?y WHERE { ?x <http://ex/advisor> ?y FILTER NOT EXISTS { SELECT ?y WHERE { ?y <http://ex/name> ?n } } }`,
+		`SELECT ?x WHERE { ?x <http://ex/takesCourse> ?c FILTER EXISTS { SELECT ?x WHERE { ?x <http://ex/age> ?a } } }`,
+		`SELECT ?s ?n WHERE { ?s <http://ex/name> ?n FILTER REGEX(?n, "^t", "i") }`,
+	}
+	for name, g := range backends(t, testStore()) {
+		ev := New(g)
+		want := make([]*sparql.Results, len(queries))
+		for i, q := range queries {
+			if want[i] = query(t, g, q); want[i].Len() == 0 {
+				t.Fatalf("%s: %s answers nothing; fixture broken", name, q)
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; n < 20; n++ {
+					i := (w + n) % len(queries)
+					res, err := ev.QueryString(queries[i])
+					if err != nil || !reflect.DeepEqual(res, want[i]) {
+						t.Errorf("%s: %s concurrently = %v, %v; alone %v", name, queries[i], res, err, want[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -1,24 +1,31 @@
 package eval
 
 import (
+	"io"
+	"slices"
+
+	"lusail/internal/op"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 	"lusail/internal/store"
 )
 
 // row is one solution mapping: a term id per variable slot of its scope.
-type row []uint32
+// Its ids are op's: 0 is unbound, and a term in the store is its store id
+// plus one (store id 0 is a real term), so the rows need no translation
+// on their way through op.Finish.
+type row = []uint32
 
-// unbound marks an unbound slot. It is store.Wildcard, so a row's value
-// for a pattern position is also the id to match it with.
-const unbound = store.Wildcard
+// unbound marks an unbound slot. Less one, it is store.Wildcard, so a
+// row's value less one is the id to match a pattern position with.
+const unbound = 0
 
 // localBase is the first query-local id. Terms the store's dictionary
 // lacks — VALUES cells, BIND results, constants in no triple — get ids from
 // here up, above every dictionary id (store.Graph keeps those below 1<<31),
-// so ids stay equal exactly when terms are, and a local id matches nothing
-// in the store.
-const localBase = 1 << 31
+// so ids stay equal exactly when terms are, and a local id less one
+// matches nothing in the store.
+const localBase = 1<<31 + 1
 
 // maxSlabRows caps how many rows one allocation holds; slabs start small
 // and double, so a LIMIT 1 query does not pay for a large one.
@@ -27,10 +34,10 @@ const maxSlabRows = 256
 // scope is the evaluation state of one query: its variables compiled to
 // slots, and the terms it gave query-local ids.
 type scope struct {
-	e     *Evaluator
+	ev    *evaluation
 	st    store.Graph
 	slots map[string]int
-	width int
+	vars  []string // the variable of each slot
 
 	ids      map[rdf.Term]uint32 // every term given an id so far
 	local    []rdf.Term          // term of query-local id localBase+i
@@ -38,16 +45,16 @@ type scope struct {
 	slabRows int                 // rows the last slab held
 }
 
-func newScope(e *Evaluator) *scope {
-	return &scope{e: e, st: e.st, slots: map[string]int{}, ids: map[rdf.Term]uint32{}}
+func newScope(ev *evaluation) *scope {
+	return &scope{ev: ev, st: ev.e.st, slots: map[string]int{}, ids: map[rdf.Term]uint32{}}
 }
 
 // addVar gives a variable a slot. All slots are assigned before the first
 // row is built.
 func (sc *scope) addVar(v string) {
 	if _, ok := sc.slots[v]; !ok {
-		sc.slots[v] = sc.width
-		sc.width++
+		sc.slots[v] = len(sc.vars)
+		sc.vars = append(sc.vars, v)
 	}
 }
 
@@ -63,7 +70,9 @@ func (sc *scope) addGroup(g *sparql.GroupPattern) {
 				}
 			}
 		case sparql.Filter:
-			sc.addExists(el.Expr)
+			for _, ex := range sparql.ExistsGroups(el.Expr) {
+				sc.addGroup(ex)
+			}
 		case sparql.Optional:
 			sc.addGroup(el.Group)
 		case sparql.Union:
@@ -80,24 +89,9 @@ func (sc *scope) addGroup(g *sparql.GroupPattern) {
 			}
 		case sparql.Bind:
 			sc.addVar(el.Var)
-			sc.addExists(el.Expr)
-		}
-	}
-}
-
-// addExists adds the variables of the EXISTS blocks in an expression.
-func (sc *scope) addExists(x sparql.Expr) {
-	switch x := x.(type) {
-	case sparql.ExprExists:
-		sc.addGroup(x.Group)
-	case sparql.ExprUnary:
-		sc.addExists(x.X)
-	case sparql.ExprBinary:
-		sc.addExists(x.L)
-		sc.addExists(x.R)
-	case sparql.ExprCall:
-		for _, a := range x.Args {
-			sc.addExists(a)
+			for _, ex := range sparql.ExistsGroups(el.Expr) {
+				sc.addGroup(ex)
+			}
 		}
 	}
 }
@@ -111,8 +105,8 @@ func (sc *scope) slot(v string) int {
 	return -1
 }
 
-// id returns the term's dictionary id, or a query-local one; the zero term
-// (UNDEF) is unbound.
+// id returns the term's id: its dictionary id plus one, or a query-local
+// one; the zero term (UNDEF) is unbound.
 func (sc *scope) id(t rdf.Term) uint32 {
 	if t.IsZero() {
 		return unbound
@@ -121,7 +115,9 @@ func (sc *scope) id(t rdf.Term) uint32 {
 		return id
 	}
 	id, ok := sc.st.Lookup(t)
-	if !ok {
+	if ok {
+		id++
+	} else {
 		id = localBase + uint32(len(sc.local))
 		sc.local = append(sc.local, t)
 	}
@@ -129,37 +125,71 @@ func (sc *scope) id(t rdf.Term) uint32 {
 	return id
 }
 
-// term decodes an id; unbound decodes to the zero term.
-func (sc *scope) term(id uint32) rdf.Term {
+// Term, Terms and InternRow make the scope the op.Dict of its rows.
+
+// Term decodes an id; unbound decodes to the zero term.
+func (sc *scope) Term(id uint32) rdf.Term {
 	switch {
 	case id == unbound:
 		return rdf.Term{}
 	case id >= localBase:
 		return sc.local[id-localBase]
 	}
-	t, _ := sc.st.Term(id) // a damaged store records why on its side
+	t, _ := sc.st.Term(id - 1) // a damaged store records why on its side
 	return t
+}
+
+// Terms decodes ids into out, grown as needed.
+func (sc *scope) Terms(ids []uint32, out []rdf.Term) []rdf.Term {
+	out = slices.Grow(out[:0], len(ids))[:len(ids)]
+	for i, id := range ids {
+		out[i] = sc.Term(id)
+	}
+	return out
+}
+
+// InternRow writes the id of every term of row into ids.
+func (sc *scope) InternRow(row []rdf.Term, ids []uint32) {
+	for i, t := range row {
+		ids[i] = sc.id(t)
+	}
+}
+
+// cursor is Select's answer: the finished stream's rows, each decoded
+// into one reused buffer.
+type cursor struct {
+	sc     *scope
+	src    op.RowStream
+	primed bool // src holds a row Read has not returned
+	buf    []rdf.Term
+}
+
+func (c *cursor) Vars() []string { return c.src.Vars() }
+func (c *cursor) Close() error   { return c.src.Close() }
+
+func (c *cursor) Read() ([]rdf.Term, error) {
+	if !c.primed && !c.src.Next() {
+		if err := c.src.Err(); err != nil {
+			return nil, err
+		}
+		return nil, io.EOF
+	}
+	c.primed = false
+	c.buf = c.sc.Terms(c.src.Row(), c.buf)
+	return c.buf, nil
 }
 
 // copyRow returns a copy of r carved from the scope's current slab.
 func (sc *scope) copyRow(r row) row {
-	if len(sc.slab) < sc.width {
+	w := len(sc.vars)
+	if len(sc.slab) < w {
 		sc.slabRows = min(max(2*sc.slabRows, 4), maxSlabRows)
-		sc.slab = make([]uint32, sc.width*sc.slabRows)
+		sc.slab = make([]uint32, w*sc.slabRows)
 	}
-	nr := row(sc.slab[:sc.width:sc.width])
-	sc.slab = sc.slab[sc.width:]
+	nr := sc.slab[:w:w]
+	sc.slab = sc.slab[w:]
 	copy(nr, r)
 	return nr
-}
-
-// emptyRow returns a row with every slot unbound.
-func (sc *scope) emptyRow() row {
-	r := make(row, sc.width)
-	for i := range r {
-		r[i] = unbound
-	}
-	return r
 }
 
 // pattern is a triple pattern compiled against a scope: per position, the
@@ -182,8 +212,8 @@ func (sc *scope) compile(tp sparql.TriplePattern) pattern {
 	return p
 }
 
-// resolve returns the ids to match the pattern with under the row:
-// constants, bound variables, and unbound (a wildcard) for the rest.
+// resolve returns the store ids to match the pattern with under the row:
+// constants, bound variables, and store.Wildcard for the rest.
 func (p *pattern) resolve(r row) [3]uint32 {
 	ids := p.id
 	for i, s := range p.slot {
@@ -191,20 +221,24 @@ func (p *pattern) resolve(r row) [3]uint32 {
 			ids[i] = r[s]
 		}
 	}
+	for i := range ids {
+		ids[i]-- // unbound wraps around to store.Wildcard
+	}
 	return ids
 }
 
-// bind writes a match into the row's unbound slots. It reports false when a
-// variable repeated in the pattern (?x p ?x) would need two values.
+// bind writes a match of store ids into the row's unbound slots. It
+// reports false when a variable repeated in the pattern (?x p ?x) would
+// need two values.
 func (p *pattern) bind(r row, match [3]uint32) bool {
 	for i, s := range p.slot {
 		if s < 0 {
 			continue
 		}
-		switch r[s] {
+		switch id := match[i] + 1; r[s] {
 		case unbound:
-			r[s] = match[i]
-		case match[i]:
+			r[s] = id
+		case id:
 		default:
 			return false
 		}
@@ -228,25 +262,26 @@ type rowBinding struct {
 	r  row
 }
 
-func (b rowBinding) get(v string) (rdf.Term, bool) {
+func (b rowBinding) Get(v string) (rdf.Term, bool) {
 	s := b.sc.slot(v)
 	if s < 0 || b.r[s] == unbound {
 		return rdf.Term{}, false
 	}
-	return b.sc.term(b.r[s]), true
+	return b.sc.Term(b.r[s]), true
 }
 
-// exists evaluates an EXISTS block against the row. Lusail's check-query
-// shape, EXISTS over a single sub-select projecting one variable, reduces
+// Exists evaluates an EXISTS block against the row. Lusail's check-query
+// shape, EXISTS { SELECT ?v WHERE ... } with ?v bound in the row, reduces
 // to membership in the (memoized) sub-select's column.
-func (b rowBinding) exists(g *sparql.GroupPattern) (bool, error) {
-	if sub, v, ok := singleVarSubSelect(g); ok {
-		if val, bound := b.get(v); bound {
-			set, err := b.sc.e.subSelectSet(sub, v)
-			if err != nil {
-				return false, err
+func (b rowBinding) Exists(g *sparql.GroupPattern) (bool, error) {
+	if len(g.Elements) == 1 {
+		if sub, ok := g.Elements[0].(sparql.SubSelect); ok {
+			if vars := sub.Query.ProjectedVars(); len(vars) == 1 {
+				if val, bound := b.Get(vars[0]); bound {
+					set, err := b.sc.ev.subSelectSet(sub.Query, vars[0])
+					return set[val], err
+				}
 			}
-			return set[val], nil
 		}
 	}
 	rows, err := b.sc.evalGroup(g, []row{b.r}, 1)

@@ -3,8 +3,8 @@
 // execution's rdf.Dict — that both the Lusail engine (internal/core) and
 // the comparator executor (internal/baseline) assemble. Everything here is
 // independent of endpoints: core adds its two remote operators (scans and
-// bound joins) on top, and the endpoint evaluator (internal/eval) keeps
-// its own operators over its store's ids.
+// bound joins) on top. The modifier tail (Finish) takes any Dict, so the
+// endpoint evaluator (internal/eval) finishes its store's rows on it too.
 package op
 
 import (
@@ -13,9 +13,9 @@ import (
 	"hash/maphash"
 	"slices"
 
-	"lusail/internal/eval"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
+	"lusail/internal/sparql/expr"
 )
 
 // RowStream is the pull-based operator interface of the streaming
@@ -43,6 +43,18 @@ type RowStream interface {
 	Close() error
 }
 
+// Dict is what the modifier tail needs of a stream's dictionary: terms for
+// ids, id 0 being unbound, and ids for terms. *rdf.Dict is one; the
+// endpoint evaluator's query scope is the other.
+type Dict interface {
+	// Term returns the term an id names; 0 is the zero Term.
+	Term(id uint32) rdf.Term
+	// Terms decodes ids into out, grown as needed.
+	Terms(ids []uint32, out []rdf.Term) []rdf.Term
+	// InternRow writes the id of every term of row into ids.
+	InternRow(row []rdf.Term, ids []uint32)
+}
+
 // CopyRow returns a retained copy of a borrowed row.
 func CopyRow(row []uint32) []uint32 {
 	return append([]uint32(nil), row...)
@@ -58,11 +70,18 @@ func InternRows(dict *rdf.Dict, rows [][]rdf.Term) [][]uint32 {
 	return out
 }
 
-// TermRows returns rows of ids in dict as rows of terms.
-func TermRows(dict *rdf.Dict, rows [][]uint32) [][]rdf.Term {
+// TermRows returns rows of ids in dict as rows of terms, carved from one
+// allocation.
+func TermRows(dict Dict, rows [][]uint32) [][]rdf.Term {
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
 	out := make([][]rdf.Term, len(rows))
+	cells := make([]rdf.Term, n)
 	for i, row := range rows {
-		out[i] = dict.Terms(row, make([]rdf.Term, len(row)))
+		out[i] = dict.Terms(row, cells[:0:len(row)])
+		cells = cells[len(row):]
 	}
 	return out
 }
@@ -154,7 +173,7 @@ func (c *Cond) Holds(row []uint32) bool {
 		}
 	}
 	for _, x := range c.exprs {
-		if !eval.FilterBinding(x, c.binding) {
+		if !expr.Holds(x, c.binding) {
 			return false
 		}
 	}
@@ -429,7 +448,7 @@ func (s *concatStream) Close() error {
 // Collect drains src into a materialized relation of the terms its ids
 // name in dict and closes it, returning the first error of the iteration
 // or the Close.
-func Collect(src RowStream, dict *rdf.Dict) (*sparql.Results, error) {
+func Collect(src RowStream, dict Dict) (*sparql.Results, error) {
 	res := sparql.NewResults(append([]string(nil), src.Vars()...))
 	rows, err := CollectIDs(src)
 	if err != nil {
@@ -459,7 +478,7 @@ func CollectIDs(src RowStream) ([][]uint32, error) {
 // modifiers stream (projection, DISTINCT, OFFSET, LIMIT) stays
 // incremental; ORDER BY, GROUP BY and aggregates need the complete result
 // and go through drain.
-func Finish(q *sparql.Query, dict *rdf.Dict, src RowStream) RowStream {
+func Finish(q *sparql.Query, dict Dict, src RowStream) RowStream {
 	switch {
 	case q.Form == sparql.AskForm:
 		return Limit(src, 1)
@@ -475,7 +494,7 @@ func Finish(q *sparql.Query, dict *rdf.Dict, src RowStream) RowStream {
 
 // Answer collects a finished stream into the query's result: the rows of
 // a SELECT, or for an ASK whether there was one.
-func Answer(q *sparql.Query, dict *rdf.Dict, src RowStream) (*sparql.Results, error) {
+func Answer(q *sparql.Query, dict Dict, src RowStream) (*sparql.Results, error) {
 	res, err := Collect(src, dict)
 	if err != nil || q.Form != sparql.AskForm {
 		return res, err
@@ -486,7 +505,7 @@ func Answer(q *sparql.Query, dict *rdf.Dict, src RowStream) (*sparql.Results, er
 // drainStream is the blocking modifier tail.
 type drainStream struct {
 	q       *sparql.Query
-	dict    *rdf.Dict
+	dict    Dict
 	src     RowStream
 	started bool
 	res     *sparql.Results
@@ -499,7 +518,7 @@ type drainStream struct {
 // solution modifiers with sparql.ApplyModifiers — the tail for modifiers
 // that need the complete result (ORDER BY, GROUP BY, aggregates). Its
 // output rows are interned back into dict, aggregates' new terms included.
-func drain(q *sparql.Query, dict *rdf.Dict, src RowStream) RowStream {
+func drain(q *sparql.Query, dict Dict, src RowStream) RowStream {
 	return &drainStream{q: q, dict: dict, src: src}
 }
 

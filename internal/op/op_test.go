@@ -10,9 +10,9 @@ import (
 	"strings"
 	"testing"
 
-	"lusail/internal/eval"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
+	"lusail/internal/sparql/expr"
 )
 
 // rel is a materialized test relation of terms; streams carry its rows as
@@ -94,7 +94,7 @@ func holds(vars []string, row []rdf.Term, cond []sparql.Expr) bool {
 		}
 	}
 	for _, x := range cond {
-		if !eval.FilterBinding(x, b) {
+		if !expr.Holds(x, b) {
 			return false
 		}
 	}

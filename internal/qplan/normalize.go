@@ -157,7 +157,7 @@ func flattenOptional(g *sparql.GroupPattern) (*OptionalBlock, error) {
 // with an EXISTS block anywhere in it is rejected: the federation tier
 // evaluates filters on joined rows, where an EXISTS block sees no graph.
 func conjuncts(f sparql.Filter) ([]sparql.Expr, error) {
-	if sparql.HasExists(f.Expr) {
+	if len(sparql.ExistsGroups(f.Expr)) > 0 {
 		return nil, fmt.Errorf("lusail: FILTER EXISTS in federated queries is not supported")
 	}
 	return sparql.Conjuncts(f.Expr), nil

@@ -286,7 +286,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 
 	query, err := endpoint.ExtractQuery(r)
 	if err != nil {
-		s.fail(w, err.Error(), http.StatusBadRequest)
+		s.fail(w, err.Error(), endpoint.ExtractStatus(err))
 		return
 	}
 	parsed, err := sparql.Parse(query)

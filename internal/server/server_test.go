@@ -8,6 +8,7 @@ import (
 	"maps"
 	"net/http"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -545,5 +546,22 @@ func TestSemaRejection(t *testing.T) {
 	}
 	if resp.Header.Get("X-Lusail-Degraded") != "" {
 		t.Error("sema warnings must not mark the answer degraded")
+	}
+}
+
+// TestOversizedQueryBody checks that a direct POST body over the cap is
+// refused with 413, not parsed as whatever fits: here the cut would drop
+// the query's LIMIT 0.
+func TestOversizedQueryBody(t *testing.T) {
+	srv := startServer(t, sharedFed(t).NewLusail(core.DefaultOptions()), nil)
+	body := testQuery() + strings.Repeat(" ", 16<<20) + " LIMIT 0"
+	resp, err := http.Post(srv.URL, "application/sparql-query", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Errorf("status %d, want 413: %.200s", resp.StatusCode, msg)
 	}
 }

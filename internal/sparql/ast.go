@@ -380,24 +380,24 @@ func Conjuncts(x Expr) []Expr {
 	return []Expr{x}
 }
 
-// HasExists reports whether an EXISTS block occurs anywhere in the
-// expression.
-func HasExists(x Expr) bool {
+// ExistsGroups returns the groups of the EXISTS blocks in the expression,
+// left to right; none when EXISTS occurs nowhere in it.
+func ExistsGroups(x Expr) []*GroupPattern {
 	switch x := x.(type) {
 	case ExprExists:
-		return true
+		return []*GroupPattern{x.Group}
 	case ExprBinary:
-		return HasExists(x.L) || HasExists(x.R)
+		return append(ExistsGroups(x.L), ExistsGroups(x.R)...)
 	case ExprUnary:
-		return HasExists(x.X)
+		return ExistsGroups(x.X)
 	case ExprCall:
+		var out []*GroupPattern
 		for _, a := range x.Args {
-			if HasExists(a) {
-				return true
-			}
+			out = append(out, ExistsGroups(a)...)
 		}
+		return out
 	}
-	return false
+	return nil
 }
 
 // KeyEquality recognizes the equalities a join can key on: STR(?a) =

@@ -330,6 +330,7 @@ func ReadAllRows(r RowReader) (*Results, error) {
 		}
 	}
 	res := NewResults(append([]string(nil), r.Vars()...))
+	var slab []rdf.Term // rows are carved from slabs that double with the result
 	//lint:lusail-vet budgetbound -- callers hand in readers over MaxResponseBytes-limited bodies; the cap bounds the decoded total
 	for {
 		row, err := r.Read()
@@ -339,6 +340,11 @@ func ReadAllRows(r RowReader) (*Results, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, append([]rdf.Term(nil), row...))
+		if len(slab) < len(row) {
+			slab = make([]rdf.Term, len(row)*min(max(len(res.Rows), 1), 1024))
+		}
+		res.Rows = append(res.Rows, slab[:len(row):len(row)])
+		copy(res.Rows[len(res.Rows)-1], row)
+		slab = slab[len(row):]
 	}
 }

@@ -312,3 +312,30 @@ func FuzzJSONDecoder(f *testing.F) {
 			(*Results).WriteJSON)
 	})
 }
+
+func FuzzXMLResults(f *testing.F) {
+	for _, seed := range []string{
+		xmlOpen + `<head><variable name="s"></variable><variable name="o"></variable></head><results><result><binding name="s"><uri>http://ex.org/a</uri></binding><binding name="o"><literal xml:lang="en">x &amp; &lt;y&gt;</literal></binding></result><result><binding name="s"><bnode>b0</bnode></binding></result></results></sparql>`,
+		xmlOpen + `<head><variable name="x"></variable></head><results><result><binding name="x"><literal datatype="http://www.w3.org/2001/XMLSchema#integer">5</literal></binding></result></results></sparql>`,
+		xmlOpen + `<head></head><boolean>true</boolean></sparql>`,
+		`<sparql xmlns="http://www.w3.org/2005/sparql-results#"><head><variable name="x"/></head><results/></sparql>`,
+		xmlOpen + `<head><variable name="t"></variable></head><results><result><binding name="t"><literal>a&#x9;b&#xD;&#xA;c</literal></binding></result></results></sparql>`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		checkReencodes(t, doc,
+			func(rc io.ReadCloser) (RowReader, error) {
+				data, err := io.ReadAll(rc)
+				if err != nil {
+					return nil, err
+				}
+				res, err := ParseResultsXML(data)
+				if err != nil {
+					return nil, err
+				}
+				return NewResultsReader(res), nil
+			},
+			func(res *Results, w io.Writer) error { return res.Write(w, FormatXML) })
+	})
+}

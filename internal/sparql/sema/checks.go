@@ -5,9 +5,9 @@ import (
 	"sort"
 	"strings"
 
-	"lusail/internal/eval"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
+	"lusail/internal/sparql/expr"
 )
 
 // possibleVars collects every variable the group can bind in some
@@ -375,7 +375,7 @@ func keys(m map[string]bool) []string {
 }
 
 // checkFilterSat folds ground filter expressions with the engine's own
-// evaluation semantics (eval.ConstEBV) and detects contradictory
+// evaluation semantics (expr.ConstEBV) and detects contradictory
 // conjunctions over a single variable: equality to two distinct constants,
 // equality contradicting a disequality, and empty numeric ranges.
 var checkFilterSat = &Check{
@@ -393,14 +393,14 @@ var checkFilterSat = &Check{
 				if !ok {
 					continue
 				}
-				if v, err := eval.ConstEBV(f.Expr); err == nil {
+				if v, err := expr.ConstEBV(f.Expr); err == nil {
 					if v {
 						p.ReportfSeverity(sparql.SevInfo, f.Pos, "filter is constant true: it removes no rows and can be deleted")
 					} else {
 						p.Reportf(f.Pos, "filter is constant false: its group yields no rows")
 					}
 					continue
-				} else if !errors.Is(err, eval.ErrNonConst) {
+				} else if !errors.Is(err, expr.ErrNonConst) {
 					p.Reportf(f.Pos, "filter expression always errors (%v): its group yields no rows", err)
 					continue
 				}
@@ -440,7 +440,7 @@ func contradictionIn(x sparql.Expr) string {
 				continue
 			}
 		}
-		t, err := eval.ConstEval(rhs)
+		t, err := expr.ConstEval(rhs)
 		if err != nil {
 			continue
 		}

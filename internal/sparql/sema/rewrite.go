@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 
-	"lusail/internal/eval"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
+	"lusail/internal/sparql/expr"
 )
 
 // Rewrite returns a semantically equivalent copy of the query with the
@@ -15,7 +15,7 @@ import (
 // suite in internal/bench holds it to that on the LUBM workload):
 //
 //   - constfold: ground subexpressions are folded with the engine's own
-//     evaluation semantics (eval.ConstEval); an erroring ground
+//     evaluation semantics (expr.ConstEval); an erroring ground
 //     subexpression is left untouched, because SPARQL's error propagation
 //     is not the same as false propagation (e.g. !error ≠ !false).
 //   - dead-FILTER elimination: a filter folded to constant true removes no
@@ -89,7 +89,7 @@ func rewriteGroup(g *sparql.GroupPattern, notes *[]string) {
 			}
 			seen[key] = true
 		case sparql.Filter:
-			if v, err := eval.ConstEBV(e.Expr); err == nil && v {
+			if v, err := expr.ConstEBV(e.Expr); err == nil && v {
 				*notes = append(*notes, "deadfilter: removed constant-true FILTER")
 				continue
 			}
@@ -133,9 +133,9 @@ func groupAlwaysEmpty(g *sparql.GroupPattern) bool {
 		if !ok {
 			continue
 		}
-		if v, err := eval.ConstEBV(f.Expr); err == nil && !v {
+		if v, err := expr.ConstEBV(f.Expr); err == nil && !v {
 			return true
-		} else if err != nil && !errors.Is(err, eval.ErrNonConst) {
+		} else if err != nil && !errors.Is(err, expr.ErrNonConst) {
 			return true
 		}
 	}
@@ -326,7 +326,7 @@ func tryFold(x sparql.Expr, notes *[]string) sparql.Expr {
 	if _, isTerm := x.(sparql.ExprTerm); isTerm {
 		return x
 	}
-	t, err := eval.ConstEval(x)
+	t, err := expr.ConstEval(x)
 	if err != nil {
 		return x
 	}

@@ -21,7 +21,7 @@ const Wildcard = ^uint32(0)
 //
 // Implementations must be safe for concurrent readers, and a callback may
 // call back into the graph. Mutability is not part of the contract: the
-// disk backend is immutable after open, and its Version never changes.
+// disk backend is immutable after open.
 type Graph interface {
 	// Match streams all triples matching the pattern to fn. A nil term is
 	// a wildcard. Iteration stops early if fn returns false. No ordering
@@ -33,10 +33,6 @@ type Graph interface {
 	Contains(sub, pred, obj *rdf.Term) bool
 	// Len returns the total number of triples.
 	Len() int
-	// Version returns a counter that changes with every mutation; readers
-	// use it to invalidate caches derived from the graph's contents. An
-	// immutable backend returns a constant.
-	Version() int64
 	// PredicateCount returns the number of triples whose predicate is p.
 	// Both backends must report identical numbers for identical data.
 	PredicateCount(p rdf.Term) int

@@ -44,15 +44,6 @@ type Store struct {
 	dirty bool // true when idx lags behind set
 
 	predCount map[uint32]int // predicate id -> triple count
-	version   int64          // bumped on every successful insert
-}
-
-// Version returns a counter that increases with every mutation; readers can
-// use it to invalidate caches derived from the store's contents.
-func (s *Store) Version() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.version
 }
 
 // New returns an empty store.
@@ -95,7 +86,6 @@ func (s *Store) addLocked(t rdf.Triple) {
 	s.set[id] = struct{}{}
 	s.predCount[id[1]]++
 	s.dirty = true
-	s.version++
 }
 
 func (s *Store) internLocked(t rdf.Term) uint32 {
@@ -365,7 +355,6 @@ func (s *Store) Remove(t rdf.Triple) bool {
 		delete(s.predCount, pid)
 	}
 	s.dirty = true
-	s.version++
 	return true
 }
 

@@ -232,24 +232,6 @@ func sortTriples(ts []rdf.Triple) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
 }
 
-func TestVersionBumpsOnInsertOnly(t *testing.T) {
-	s := New()
-	v0 := s.Version()
-	s.Add(tr("a", "p", "b"))
-	v1 := s.Version()
-	if v1 <= v0 {
-		t.Error("version should increase on insert")
-	}
-	s.Add(tr("a", "p", "b")) // duplicate: no change
-	if s.Version() != v1 {
-		t.Error("duplicate insert must not bump version")
-	}
-	s.Count(nil, nil, nil) // reads must not bump version
-	if s.Version() != v1 {
-		t.Error("reads must not bump version")
-	}
-}
-
 func TestStoreMixedTermKinds(t *testing.T) {
 	s := NewFromTriples([]rdf.Triple{
 		{S: rdf.NewBlank("b0"), P: iri("p"), O: rdf.NewLiteral("x")},
@@ -321,14 +303,10 @@ func TestRemoveMatching(t *testing.T) {
 	}
 }
 
-func TestRemoveBumpsVersionAndInvalidatesQueries(t *testing.T) {
+func TestRemoveInvalidatesQueries(t *testing.T) {
 	s := NewFromTriples([]rdf.Triple{tr("a", "p", "b")})
-	v := s.Version()
 	s.Count(nil, nil, nil) // build indexes
 	s.Remove(tr("a", "p", "b"))
-	if s.Version() <= v {
-		t.Error("Remove must bump version")
-	}
 	if s.Count(nil, nil, nil) != 0 {
 		t.Error("removed triple still visible")
 	}

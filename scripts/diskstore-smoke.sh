@@ -6,8 +6,10 @@
 # the disk store with a small block cache — and asserts:
 #
 #   1. lusail-load builds and self-verifies the store,
-#   2. both endpoints answer the same SPARQL query with row-identical
-#      bindings (the acceptance bar for backend interchangeability),
+#   2. both endpoints answer the same SPARQL queries identically — a join
+#      in JSON and in TSV, a DISTINCT ... ORDER BY ... LIMIT, a COUNT(*)
+#      ... GROUP BY and an ASK (the acceptance bar for backend
+#      interchangeability; unordered answers are compared as sorted rows),
 #   3. a truncated store file is rejected at startup rather than served,
 #   4. predicate statistics agree between the two backends (the /summary
 #      endpoint both serve to the federation's catalog).
@@ -59,17 +61,54 @@ SELECT ?X ?Y ?Z WHERE {
   ?X ub:takesCourse ?Z .
 }'
 
-echo "== row-identical results across backends =="
-curl -fsS -G --data-urlencode "query=$QUERY" http://127.0.0.1:18181/sparql >"$WORK/mem.json"
-curl -fsS -G --data-urlencode "query=$QUERY" http://127.0.0.1:18182/sparql >"$WORK/disk.json"
-jq -e '.results.bindings | length > 0' "$WORK/mem.json" >/dev/null \
-    || { echo "FAIL: memory endpoint returned no bindings"; cat "$WORK/mem.json"; exit 1; }
-jq -S '.results.bindings | sort_by(tostring)' "$WORK/mem.json" >"$WORK/mem.sorted"
-jq -S '.results.bindings | sort_by(tostring)' "$WORK/disk.json" >"$WORK/disk.sorted"
-diff -u "$WORK/mem.sorted" "$WORK/disk.sorted" \
-    || { echo "FAIL: backends returned different rows"; exit 1; }
-rows=$(jq '.results.bindings | length' "$WORK/mem.json")
-echo "backends agree on $rows rows"
+# Normalizers: an answer on stdin, put in an order both backends share.
+sorted_bindings() { jq -S '.results.bindings | sort_by(tostring)'; }
+bindings() { jq -S '.results.bindings'; }
+sorted_tsv() { IFS= read -r head; printf '%s\n' "$head"; LC_ALL=C sort; }
+boolean() { jq '.boolean'; }
+
+# agree NAME ACCEPT QUERY NORMALIZER: both endpoints answer QUERY in the
+# format ACCEPT asks for, and the answers agree once normalized; the
+# memory endpoint's normalized answer is left in $WORK/NAME.
+agree() {
+    local name=$1 accept=$2 query=$3 normalize=$4
+    curl -fsS -G -H "Accept: $accept" --data-urlencode "query=$query" \
+        http://127.0.0.1:18181/sparql | "$normalize" >"$WORK/$name"
+    curl -fsS -G -H "Accept: $accept" --data-urlencode "query=$query" \
+        http://127.0.0.1:18182/sparql | "$normalize" >"$WORK/$name.disk"
+    diff -u "$WORK/$name" "$WORK/$name.disk" \
+        || { echo "FAIL: backends answer $name differently"; exit 1; }
+}
+
+JSON=application/sparql-results+json
+echo "== identical answers across backends =="
+agree join.json "$JSON" "$QUERY" sorted_bindings
+rows=$(jq 'length' "$WORK/join.json")
+[ "$rows" -gt 0 ] || { echo "FAIL: memory endpoint returned no bindings"; exit 1; }
+echo "join (JSON): backends agree on $rows rows"
+
+agree join.tsv text/tab-separated-values "$QUERY" sorted_tsv
+[ "$(wc -l <"$WORK/join.tsv")" -eq "$((rows + 1))" ] \
+    || { echo "FAIL: TSV answer is not the JSON answer's $rows rows"; cat "$WORK/join.tsv"; exit 1; }
+echo "join (TSV): backends agree on $rows rows"
+
+agree distinct "$JSON" 'PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
+SELECT DISTINCT ?Y ?Z WHERE { ?X ub:advisor ?Y . ?Y ub:teacherOf ?Z }
+ORDER BY ?Y DESC(?Z) OFFSET 1 LIMIT 4' bindings
+[ "$(jq 'length' "$WORK/distinct")" -eq 4 ] \
+    || { echo "FAIL: DISTINCT ... OFFSET 1 LIMIT 4 did not answer 4 rows"; cat "$WORK/distinct"; exit 1; }
+echo "DISTINCT ... ORDER BY ... OFFSET ... LIMIT: backends agree"
+
+agree group "$JSON" 'PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
+SELECT ?Y (COUNT(*) AS ?n) WHERE { ?X ub:advisor ?Y } GROUP BY ?Y' sorted_bindings
+jq -e 'length > 1 and all(.[]; .n.value | tonumber > 0)' "$WORK/group" >/dev/null \
+    || { echo "FAIL: COUNT(*) ... GROUP BY answered no counts"; cat "$WORK/group"; exit 1; }
+echo "COUNT(*) ... GROUP BY: backends agree on $(jq 'length' "$WORK/group") groups"
+
+agree ask "$JSON" 'PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
+ASK { ?X ub:advisor ?Y . ?Y ub:teacherOf ?Z . ?X ub:takesCourse ?Z }' boolean
+[ "$(cat "$WORK/ask")" = true ] || { echo "FAIL: ASK answered $(cat "$WORK/ask")"; exit 1; }
+echo "ASK: backends agree"
 
 echo "== predicate statistics agree =="
 curl -fsS http://127.0.0.1:18181/summary >"$WORK/mem-summary.json"
