@@ -92,8 +92,8 @@ func BenchmarkFig12a_Profile(b *testing.B) {
 }
 
 func BenchmarkFig12bc_Scaling(b *testing.B) {
-	// 2..32 endpoints keeps each iteration under a few seconds; the cmd
-	// tool sweeps to 256 (the paper's maximum).
+	// 2..32 endpoints keeps each iteration under a few seconds;
+	// lusail-bench sweeps to 256 (the paper's maximum).
 	for i := 0; i < b.N; i++ {
 		ts, err := bench.Fig12bcScaling(context.Background(), []int{2, 8, 32}, benchExp())
 		if err != nil {
@@ -104,7 +104,7 @@ func BenchmarkFig12bc_Scaling(b *testing.B) {
 }
 
 func BenchmarkDiskScale(b *testing.B) {
-	// The 100k tier keeps each iteration in seconds; the cmd tool runs the
+	// The 100k tier keeps each iteration in seconds; lusail-bench runs the
 	// full magnitude grid (10⁵–10⁶+ triples) for BENCH_diskstore.json.
 	for i := 0; i < b.N; i++ {
 		ts, err := bench.DiskScale(context.Background(), benchExp(), "lubm-100k")

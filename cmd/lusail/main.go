@@ -1,243 +1,218 @@
-// Command lusail runs a federated SPARQL query against a set of remote
-// endpoints.
+// Command lusail stands up and queries a Lusail federation. Each job is a
+// verb:
 //
-// Usage:
+//	lusail datagen  -benchmark lubm -universities 2 -out ./data
+//	lusail load     -out u1.lds -verify ./data/university1.nt
+//	lusail endpoint -addr :8081 -name u0 -data ./data/university0.nt
+//	lusail endpoint -addr :8082 -name u1 -store disk:u1.lds
+//	lusail catalog  build -endpoint u0=http://host1:8081/sparql \
+//	                -endpoint u1=http://host2:8082/sparql -catalog catalog.json
+//	lusail query    -endpoint u0=http://host1:8081/sparql \
+//	                -endpoint u1=http://host2:8082/sparql \
+//	                -query 'SELECT ?s WHERE { ?s ?p ?o } LIMIT 10'
+//	lusail serve    -addr :8094 -endpoint u0=... -endpoint u1=...
 //
-//	lusail -endpoint u0=http://host1:8081/sparql \
-//	       -endpoint u1=http://host2:8081/sparql \
-//	       -query 'SELECT ?s WHERE { ?s ?p ?o } LIMIT 10'
+// "lusail <verb> -h" lists a verb's flags. query and serve share the
+// engine flags -endpoint, -catalog, -catalog-ttl, -on-failure and
+// -disable-sape; they differ only in the -on-failure default (query fails
+// the whole query, serve degrades to partial answers).
 //
-// Add -profile to print the per-phase breakdown (source selection, LADE
-// analysis, SAPE execution) and the decomposition chosen by the engine.
-//
-// Add -repeat N to run the query N times against one engine instance. The
-// engine (and its source-selection and check caches) is built once, so runs
-// after the first measure query execution rather than engine rebuild —
-// the right way to time warm-cache behavior from the CLI. Per-run timings
-// go to stderr; the result set is printed once, from the final run.
-//
-// Add -explain to print the full query plan and execution profile: the
-// decomposition, the span tree of everything the engine did (source
-// selection, check queries, COUNT probes, subqueries, bound-join batches,
-// joins), and a per-endpoint table of requests, rows, and bytes.
-// -trace-out writes the same span tree in Chrome trace_event format for
-// chrome://tracing or Perfetto. -admin serves /metrics (Prometheus text)
-// and /debug/federation (JSON) while the query runs.
-//
-// Add -catalog catalog.json (built beforehand with lusail-catalog) to
-// answer source selection and cardinality estimation from precomputed
-// summaries instead of per-query COUNT probes; -catalog-ttl bounds how
-// old a summary may be before the engine falls back to probing.
-//
-// Add -on-failure=degrade to answer from the remaining endpoints when one
-// fails mid-query instead of failing the whole query (partial results; the
-// excluded contributions are reported as warnings on stderr). Degrade mode
-// also enables per-endpoint circuit breakers and hedged probes with the
-// library defaults. The default, -on-failure=fail, keeps strict
-// all-or-nothing semantics.
+// Every verb exits 0 on success, 1 on a runtime failure and 2 on a usage
+// error, and validates all its flags before it touches the network or a
+// file. SIGINT and SIGTERM cancel the verb's context: serve drains its
+// in-flight queries, endpoint closes its listener and store, and both then
+// exit 0; the other verbs stop early with exit 1. A second signal kills
+// the process.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
-	"net/http"
+	"io"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"lusail"
-	"lusail/internal/obs"
-	"lusail/internal/sparql"
 )
 
-type endpointFlags []string
+// verb runs one subcommand and returns its exit code.
+type verb func(ctx context.Context, args []string, stdout, stderr io.Writer) int
 
-func (e *endpointFlags) String() string { return strings.Join(*e, ",") }
-func (e *endpointFlags) Set(v string) error {
-	*e = append(*e, v)
-	return nil
+const usageLine = "usage: lusail {query|serve|endpoint|load|catalog|datagen} [flags]"
+
+var verbs = map[string]verb{
+	"query":    runQuery,
+	"serve":    runServe,
+	"endpoint": runEndpoint,
+	"load":     runLoad,
+	"catalog":  runCatalog,
+	"datagen":  runDatagen,
 }
 
 func main() {
-	var endpoints endpointFlags
-	flag.Var(&endpoints, "endpoint", "endpoint as name=url (repeatable)")
-	query := flag.String("query", "", "SPARQL query text")
-	queryFile := flag.String("query-file", "", "read the query from a file")
-	format := flag.String("format", "table", "output format: table, json, xml, csv, or tsv")
-	profile := flag.Bool("profile", false, "print the engine's phase profile")
-	explain := flag.Bool("explain", false, "print the query plan and a span-level execution profile")
-	traceOut := flag.String("trace-out", "", "write the query's span tree as a Chrome trace_event file")
-	admin := flag.String("admin", "", "serve /metrics and /debug/federation on this address (e.g. 127.0.0.1:9090)")
-	timeout := flag.Duration("timeout", time.Hour, "query timeout")
-	repeat := flag.Int("repeat", 1, "run the query N times against ONE engine: caches and endpoint state stay warm, so runs after the first measure execution (plus any cache-miss planning), not engine rebuild; per-run timings go to stderr and results print once")
-	noSAPE := flag.Bool("disable-sape", false, "run with LADE only (no selectivity-aware execution)")
-	catalogPath := flag.String("catalog", "", "endpoint catalog file (built with lusail-catalog) for probe-free source selection and cardinality estimation")
-	catalogTTL := flag.Duration("catalog-ttl", 24*time.Hour, "treat catalog summaries older than this as stale (0 = never stale)")
-	onFailure := flag.String("on-failure", "fail", "endpoint failure policy: fail (whole query errors) or degrade (partial results from the surviving endpoints)")
-	flag.Parse()
+	ctx, stop := shutdownContext()
+	// The first signal cancels ctx; stop then restores the default
+	// handling, so a second one kills a verb blocked where ctx cannot
+	// reach (reading stdin, a bulk load's final merge).
+	go func() {
+		<-ctx.Done()
+		stop()
+	}()
+	code := dispatch(ctx, verbs, usageLine, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	if len(endpoints) == 0 {
-		log.Fatal("lusail: at least one -endpoint name=url is required")
-	}
-	q := *query
-	if *queryFile != "" {
-		data, err := os.ReadFile(*queryFile)
-		if err != nil {
-			log.Fatalf("lusail: %v", err)
-		}
-		q = string(data)
-	}
-	if strings.TrimSpace(q) == "" {
-		log.Fatal("lusail: provide -query or -query-file")
-	}
+// shutdownContext is cancelled by SIGINT or SIGTERM, the signals a
+// terminal, kill and container runtimes send.
+func shutdownContext() (context.Context, context.CancelFunc) {
+	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+}
 
-	var eps []lusail.Endpoint
-	for _, spec := range endpoints {
-		name, url, ok := strings.Cut(spec, "=")
-		if !ok {
-			log.Fatalf("lusail: invalid -endpoint %q, want name=url", spec)
+// dispatch runs the verb that args[0] names, or prints the usage line.
+func dispatch(ctx context.Context, verbs map[string]verb, help string, args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		if v, ok := verbs[args[0]]; ok {
+			return v(ctx, args[1:], stdout, stderr)
 		}
-		// Instrument every endpoint so the per-endpoint table of -explain
-		// and the /metrics series of -admin have data.
-		eps = append(eps, lusail.Instrument(lusail.NewHTTPEndpoint(name, url), nil))
 	}
+	fmt.Fprintln(stderr, help)
+	return 2
+}
+
+// newFlagSet returns the flag set of the verb name; its parse errors and
+// usage go to stderr.
+func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("lusail "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// parse parses args into fs. When it fails, the flag package has already
+// reported why, and code is the exit code: 0 for -h, 2 for a bad flag.
+func parse(fs *flag.FlagSet, args []string) (code int, ok bool) {
+	switch err := fs.Parse(args); {
+	case err == nil:
+		return 0, true
+	case errors.Is(err, flag.ErrHelp):
+		return 0, false
+	default:
+		return 2, false
+	}
+}
+
+// usage reports a usage error and returns exit code 2.
+func usage(fs *flag.FlagSet, err error) int {
+	fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
+	return 2
+}
+
+// fail reports a runtime failure and returns exit code 1.
+func fail(fs *flag.FlagSet, err error) int {
+	fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
+	return 1
+}
+
+// endpointFlag is the repeatable -endpoint name=url flag.
+type endpointFlag []string
+
+// addEndpointFlag defines -endpoint on fs.
+func addEndpointFlag(fs *flag.FlagSet) *endpointFlag {
+	e := new(endpointFlag)
+	fs.Var(e, "endpoint", "endpoint as name=url (repeatable)")
+	return e
+}
+
+func (e *endpointFlag) String() string { return strings.Join(*e, ",") }
+
+func (e *endpointFlag) Set(spec string) error {
+	if name, url, ok := strings.Cut(spec, "="); !ok || name == "" || url == "" {
+		return errors.New("want name=url")
+	}
+	*e = append(*e, spec)
+	return nil
+}
+
+// check reports a usage error when no -endpoint was given.
+func (e endpointFlag) check() error {
+	if len(e) == 0 {
+		return errors.New("at least one -endpoint name=url is required")
+	}
+	return nil
+}
+
+// endpoints returns one HTTP endpoint per spec, instrumented so -explain's
+// per-endpoint table and every /metrics listener have data.
+func (e endpointFlag) endpoints() []lusail.Endpoint {
+	eps := make([]lusail.Endpoint, len(e))
+	for i, spec := range e {
+		name, url, _ := strings.Cut(spec, "=")
+		eps[i] = lusail.Instrument(lusail.NewHTTPEndpoint(name, url), nil)
+	}
+	return eps
+}
+
+// engineFlags are the flags query and serve share; they configure the
+// verb's engine.
+type engineFlags struct {
+	endpoints  *endpointFlag
+	catalog    string
+	catalogTTL time.Duration
+	onFailure  string
+	noSAPE     bool
+}
+
+// addEngineFlags defines the engine flags on fs; onFailure is the verb's
+// default failure policy.
+func addEngineFlags(fs *flag.FlagSet, onFailure string) *engineFlags {
+	f := &engineFlags{endpoints: addEndpointFlag(fs)}
+	fs.StringVar(&f.catalog, "catalog", "", "endpoint catalog file (built with lusail catalog build) for probe-free source selection and cardinality estimation")
+	fs.DurationVar(&f.catalogTTL, "catalog-ttl", 24*time.Hour, "treat catalog summaries older than this as stale (0 = never stale)")
+	fs.StringVar(&f.onFailure, "on-failure", onFailure, "endpoint failure policy: fail (whole query errors) or degrade (partial results from the surviving endpoints, with circuit breakers and hedged probes)")
+	fs.BoolVar(&f.noSAPE, "disable-sape", false, "run with LADE only (no selectivity-aware execution)")
+	return f
+}
+
+// check reports a usage error in the engine flags.
+func (f *engineFlags) check() error {
+	if f.onFailure != "fail" && f.onFailure != "degrade" {
+		return fmt.Errorf("invalid -on-failure %q, want fail or degrade", f.onFailure)
+	}
+	return f.endpoints.check()
+}
+
+// engine opens the catalog, if any, and builds the engine; trace records
+// each query's span tree in its Profile.
+func (f *engineFlags) engine(stderr io.Writer, trace bool) (*lusail.Engine, error) {
 	opts := lusail.DefaultOptions()
-	opts.DisableSAPE = *noSAPE
-	opts.Trace = *explain || *traceOut != ""
-	switch *onFailure {
-	case "fail":
-	case "degrade":
+	opts.DisableSAPE = f.noSAPE
+	opts.Trace = trace
+	if f.onFailure == "degrade" {
 		opts.OnEndpointFailure = lusail.Degrade
 		opts.Resilience = lusail.DefaultResilience()
-	default:
-		log.Fatalf("lusail: invalid -on-failure %q, want fail or degrade", *onFailure)
 	}
-	if *catalogPath != "" {
-		cat, err := lusail.OpenCatalog(*catalogPath, *catalogTTL)
+	if f.catalog != "" {
+		cat, err := lusail.OpenCatalog(f.catalog, f.catalogTTL)
 		if err != nil {
-			log.Fatalf("lusail: %v", err)
+			return nil, err
 		}
 		if cat.Len() == 0 {
-			log.Printf("lusail: catalog %s is empty; run lusail-catalog build first (falling back to probes)", *catalogPath)
+			fmt.Fprintf(stderr, "lusail: catalog %s is empty; run lusail catalog build first (falling back to probes)\n", f.catalog)
 		}
 		opts.Catalog = cat
 	}
-	eng, err := lusail.NewEngine(eps, opts)
-	if err != nil {
-		log.Fatalf("lusail: %v", err)
-	}
-
-	if *admin != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Default().MetricsHandler())
-		mux.Handle("/debug/federation", obs.Default().DebugHandler())
-		go func() {
-			if err := http.ListenAndServe(*admin, mux); err != nil {
-				log.Printf("lusail: admin listener: %v", err)
-			}
-		}()
-	}
-
-	if *repeat < 1 {
-		log.Fatalf("lusail: -repeat must be >= 1, got %d", *repeat)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	// All -repeat runs share this one engine: the source-selection and
-	// check caches stay warm after run 1, so later runs time execution
-	// rather than engine construction + cold planning.
-	var res *lusail.Results
-	var prof *lusail.Profile
-	for i := 0; i < *repeat; i++ {
-		res, prof, err = eng.QueryString(ctx, q)
-		if err != nil {
-			log.Fatalf("lusail: run %d/%d: %v", i+1, *repeat, err)
-		}
-		if *repeat > 1 {
-			fmt.Fprintf(os.Stderr, "run %d/%d: total=%v (source-selection=%v analysis=%v execution=%v)\n",
-				i+1, *repeat, prof.Total, prof.SourceSelection, prof.Analysis, prof.Execution)
-		}
-	}
-	for _, w := range prof.Warnings {
-		fmt.Fprintf(os.Stderr, "warning: endpoint %s (%s): %s\n", w.Endpoint, w.Phase, w.Message)
-	}
-
-	if f, ok := formats[*format]; ok {
-		if err := res.Write(os.Stdout, f); err != nil {
-			log.Fatalf("lusail: %v", err)
-		}
-		if f == sparql.FormatJSON || f == sparql.FormatXML {
-			fmt.Println() // the document itself ends without a newline
-		}
-	} else {
-		printTable(res)
-	}
-	if *profile {
-		fmt.Fprintf(os.Stderr, "\nphases: source-selection=%v analysis=%v execution=%v total=%v\n",
-			prof.SourceSelection, prof.Analysis, prof.Execution, prof.Total)
-		fmt.Fprintf(os.Stderr, "GJVs: %v  subqueries: %d (%d delayed)  checks: %d  count-probes: %d  catalog-hits: %d\n",
-			prof.GJVs, prof.Subqueries, prof.Delayed, prof.ChecksIssued, prof.CountProbes, prof.CatalogHits)
-		for _, d := range prof.Decomposition {
-			fmt.Fprintf(os.Stderr, "  subquery %s\n", d)
-		}
-	}
-	if *explain {
-		fmt.Fprintf(os.Stderr, "\n== PLAN ==\n")
-		fmt.Fprintf(os.Stderr, "GJVs: %v  subqueries: %d (%d delayed)\n",
-			prof.GJVs, prof.Subqueries, prof.Delayed)
-		for _, d := range prof.Decomposition {
-			fmt.Fprintf(os.Stderr, "  subquery %s\n", d)
-		}
-		fmt.Fprintf(os.Stderr, "\n== PROFILE ==\n")
-		if err := obs.WriteExplain(os.Stderr, prof.Trace); err != nil {
-			log.Fatalf("lusail: %v", err)
-		}
-		fmt.Fprintln(os.Stderr)
-		if err := obs.WriteEndpointStats(os.Stderr, obs.Default()); err != nil {
-			log.Fatalf("lusail: %v", err)
-		}
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatalf("lusail: %v", err)
-		}
-		if err := obs.WriteChromeTrace(f, prof.Trace); err != nil {
-			log.Fatalf("lusail: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("lusail: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s (open in chrome://tracing or Perfetto)\n", *traceOut)
-	}
+	return lusail.NewEngine(f.endpoints.endpoints(), opts)
 }
 
-// formats maps the -format names of the SPARQL results formats; any other
-// name prints a plain table.
-var formats = map[string]sparql.Format{
-	"json": sparql.FormatJSON,
-	"xml":  sparql.FormatXML,
-	"csv":  sparql.FormatCSV,
-	"tsv":  sparql.FormatTSV,
-}
-
-func printTable(res *lusail.Results) {
-	if res.IsBoolean {
-		fmt.Println(res.Boolean)
-		return
+// openInput opens the input file path, or stdin for "-".
+func openInput(path string) (io.ReadCloser, error) {
+	if path == "-" {
+		return io.NopCloser(os.Stdin), nil
 	}
-	fmt.Println(strings.Join(res.Vars, "\t"))
-	for i := range res.Rows {
-		cells := make([]string, len(res.Vars))
-		for j := range res.Vars {
-			t := res.Rows[i][j]
-			if !t.IsZero() {
-				cells[j] = t.String()
-			}
-		}
-		fmt.Println(strings.Join(cells, "\t"))
-	}
-	fmt.Fprintf(os.Stderr, "%d result(s)\n", res.Len())
+	return os.Open(path)
 }

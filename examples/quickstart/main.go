@@ -3,10 +3,10 @@
 // of the paper's Figure 1/2 scenario.
 //
 // To serve the same federation to many users instead of querying it once,
-// point cmd/lusaild at HTTP endpoints and speak the SPARQL protocol:
+// point `lusail serve` at HTTP endpoints and speak the SPARQL protocol:
 //
-//	lusaild -addr :8094 -endpoint u0=http://host1:8081/sparql \
-//	                    -endpoint u1=http://host2:8081/sparql
+//	lusail serve -addr :8094 -endpoint u0=http://host1:8081/sparql \
+//	                         -endpoint u1=http://host2:8081/sparql
 //	curl -G --data-urlencode 'query=SELECT ?s WHERE { ?s ?p ?o } LIMIT 5' \
 //	     http://localhost:8094/sparql
 package main

@@ -314,8 +314,9 @@ func MustNew(fed *federation.Federation, opts Options) *Engine {
 }
 
 // SemaChecksEnabled reports whether the engine runs the static query vet
-// before planning. Serving layers consult it so an edge rejection (lusaild's
-// structured 400) happens exactly when the engine itself would reject.
+// before planning. Serving layers consult it so an edge rejection (the
+// structured 400 of `lusail serve`) happens exactly when the engine itself
+// would reject.
 func (e *Engine) SemaChecksEnabled() bool { return !e.opts.DisableSemaChecks }
 
 // Resilience returns the engine's resilience manager (nil when the

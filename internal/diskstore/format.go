@@ -1,5 +1,5 @@
 // Package diskstore implements a read-optimized, disk-backed, compressed
-// RDF triple store: the substrate that lets a lusail-endpoint serve the
+// RDF triple store: the substrate that lets `lusail endpoint` serve the
 // paper's data magnitudes (10⁶–10⁹ triples) in bounded memory, where the
 // in-memory store caps out at what fits in RAM.
 //

@@ -33,7 +33,8 @@ import (
 // SPARQL 1.1 results format the Accept header asks for (sparql.Negotiate):
 // JSON by default and for ASK, TSV, CSV or XML on request. A SELECT or ASK
 // answer is written row by row from the evaluator's cursor (eval.Select)
-// through the format's sparql.RowWriter, as lusaild writes the engine's.
+// through the format's sparql.RowWriter, as the service tier
+// (internal/server, run by `lusail serve`) writes the engine's.
 type Handler struct {
 	name string
 	ev   *eval.Evaluator

@@ -1,5 +1,6 @@
-// Package server is lusaild: a long-running, multi-tenant HTTP service
-// exposing a Lusail engine over the SPARQL 1.1 protocol. Around the engine
+// Package server is lusaild, the service tier that `lusail serve` runs: a
+// long-running, multi-tenant HTTP service exposing a Lusail engine over the
+// SPARQL 1.1 protocol. Around the engine
 // it layers the pieces a shared federation deployment needs: a single-flight
 // plan cache so decomposition and GJV analysis run once per distinct query
 // shape, a bounded result cache for repeated identical queries, per-tenant

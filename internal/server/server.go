@@ -169,7 +169,7 @@ func Start(addr string, cfg Config) (*Server, error) {
 
 // Shutdown drains the server gracefully: the listener closes immediately,
 // in-flight queries run to completion (bounded by ctx), then the server
-// exits. This is the SIGTERM path of cmd/lusaild.
+// exits. This is the SIGINT/SIGTERM path of `lusail serve`.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.srv == nil {
 		return nil

@@ -10,9 +10,9 @@ const Wildcard = ^uint32(0)
 // the in-process endpoint client, and the HTTP endpoint server. Two
 // implementations exist: the in-memory *Store in this package and the
 // disk-backed, compressed *diskstore.Store. Everything above the evaluator
-// (federation, resilience, lusaild) talks SPARQL and never sees this
-// interface, so an endpoint can serve either backend without any change to
-// the federated code paths.
+// (federation, resilience, the `lusail serve` tier) talks SPARQL and never
+// sees this interface, so an endpoint can serve either backend without any
+// change to the federated code paths.
 //
 // Both backends are dictionary-encoded, and the interface exposes that: a
 // term maps to a uint32 id, and the id-level methods match and count

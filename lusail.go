@@ -136,7 +136,7 @@ type (
 	// DiskStore is a read-only, disk-backed compressed triple store
 	// (front-coded term dictionary + varint-delta triple blocks in three
 	// permutations) accessed through a bounded LRU block cache. Build one
-	// with BuildDiskStore or cmd/lusail-load, open it with OpenDiskStore.
+	// with BuildDiskStore or `lusail load`, open it with OpenDiskStore.
 	DiskStore = diskstore.Store
 	// DiskStoreOptions tunes how a DiskStore is opened (block-cache
 	// memory budget).
@@ -283,7 +283,7 @@ func NewGraphEndpoint(name string, g Graph) Endpoint {
 }
 
 // OpenDiskStore opens a disk-backed triple store previously built with
-// BuildDiskStore or cmd/lusail-load. The zero Options applies the default
+// BuildDiskStore or `lusail load`. The zero Options applies the default
 // block-cache budget; the store is read-only and safe for concurrent use.
 // Close it when done.
 func OpenDiskStore(path string, opts DiskStoreOptions) (*DiskStore, error) {
@@ -292,7 +292,7 @@ func OpenDiskStore(path string, opts DiskStoreOptions) (*DiskStore, error) {
 
 // BuildDiskStore streams triples into a new disk-store file at path using
 // bounded memory (external merge sort). For datasets larger than RAM, use
-// cmd/lusail-load, which streams straight from N-Triples files.
+// `lusail load`, which streams straight from N-Triples files.
 func BuildDiskStore(path string, triples []Triple) error {
 	return diskstore.Build(path, triples, diskstore.BuildOptions{})
 }

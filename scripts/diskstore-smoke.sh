@@ -2,10 +2,10 @@
 # diskstore-smoke.sh: end-to-end check of the disk-backed store pipeline.
 #
 # Generates LUBM data, bulk-loads one university into a .lds store with
-# lusail-load, serves the same dataset twice — once from memory, once from
+# `lusail load`, serves the same dataset twice — once from memory, once from
 # the disk store with a small block cache — and asserts:
 #
-#   1. lusail-load builds and self-verifies the store,
+#   1. `lusail load` builds and self-verifies the store,
 #   2. both endpoints answer the same SPARQL queries identically — a join
 #      in JSON and in TSV, a DISTINCT ... ORDER BY ... LIMIT, a COUNT(*)
 #      ... GROUP BY and an ASK (the acceptance bar for backend
@@ -27,17 +27,17 @@ cleanup() {
 trap cleanup EXIT
 
 echo "== building =="
-go build -o "$WORK/bin/" ./cmd/lusail-datagen ./cmd/lusail-load ./cmd/lusail-endpoint
+go build -o "$WORK/bin/" ./cmd/lusail
 
 echo "== generating LUBM data =="
-"$WORK/bin/lusail-datagen" -benchmark lubm -universities 2 -scale 20 -out "$WORK/data" >/dev/null
+"$WORK/bin/lusail" datagen -benchmark lubm -universities 2 -scale 20 -out "$WORK/data" >/dev/null
 
 echo "== bulk load =="
-"$WORK/bin/lusail-load" -out "$WORK/u0.lds" -verify "$WORK/data/university0.nt"
+"$WORK/bin/lusail" load -out "$WORK/u0.lds" -verify "$WORK/data/university0.nt"
 
 echo "== booting memory and disk endpoints over the same dataset =="
-"$WORK/bin/lusail-endpoint" -addr 127.0.0.1:18181 -name u0mem -data "$WORK/data/university0.nt" -quiet &
-"$WORK/bin/lusail-endpoint" -addr 127.0.0.1:18182 -name u0disk -store "disk:$WORK/u0.lds" -cache 4 -quiet &
+"$WORK/bin/lusail" endpoint -addr 127.0.0.1:18181 -name u0mem -data "$WORK/data/university0.nt" -quiet &
+"$WORK/bin/lusail" endpoint -addr 127.0.0.1:18182 -name u0disk -store "disk:$WORK/u0.lds" -cache 4 -quiet &
 
 wait_http() {
     for _ in $(seq 1 100); do
@@ -121,7 +121,7 @@ diff -u "$WORK/mem-summary.sorted" "$WORK/disk-summary.sorted" \
 echo "== truncated store rejected at startup =="
 size=$(wc -c <"$WORK/u0.lds")
 head -c "$((size - 16))" "$WORK/u0.lds" >"$WORK/truncated.lds"
-if "$WORK/bin/lusail-endpoint" -addr 127.0.0.1:18183 -name broken \
+if "$WORK/bin/lusail" endpoint -addr 127.0.0.1:18183 -name broken \
     -store "disk:$WORK/truncated.lds" -quiet 2>"$WORK/trunc.err"; then
     echo "FAIL: endpoint served a truncated store"
     exit 1

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# service-smoke.sh: end-to-end check of the lusaild service surface.
+# service-smoke.sh: end-to-end check of the lusaild service tier.
 #
-# Boots two real lusail-endpoint processes over generated LUBM data, starts
-# lusaild in front of them with a tight quota for the "bronze" tenant, and
-# asserts:
+# Boots two real `lusail endpoint` processes over generated LUBM data,
+# starts `lusail serve` in front of them with a tight quota for the
+# "bronze" tenant, and asserts:
 #
 #   1. a SPARQL protocol query streams back 200 with valid
 #      sparql-results+json and non-empty bindings,
@@ -27,14 +27,14 @@ cleanup() {
 trap cleanup EXIT
 
 echo "== building =="
-go build -o "$WORK/bin/" ./cmd/lusail-datagen ./cmd/lusail-endpoint ./cmd/lusaild
+go build -o "$WORK/bin/" ./cmd/lusail
 
 echo "== generating LUBM data =="
-"$WORK/bin/lusail-datagen" -benchmark lubm -universities 2 -out "$WORK/data" >/dev/null
+"$WORK/bin/lusail" datagen -benchmark lubm -universities 2 -out "$WORK/data" >/dev/null
 
 echo "== booting endpoints =="
-"$WORK/bin/lusail-endpoint" -addr 127.0.0.1:18081 -name u0 -data "$WORK/data/university0.nt" -quiet &
-"$WORK/bin/lusail-endpoint" -addr 127.0.0.1:18082 -name u1 -data "$WORK/data/university1.nt" -quiet &
+"$WORK/bin/lusail" endpoint -addr 127.0.0.1:18081 -name u0 -data "$WORK/data/university0.nt" -quiet &
+"$WORK/bin/lusail" endpoint -addr 127.0.0.1:18082 -name u1 -data "$WORK/data/university1.nt" -quiet &
 
 wait_http() {
     for _ in $(seq 1 100); do
@@ -47,11 +47,11 @@ wait_http() {
 wait_http -G --data-urlencode 'query=ASK { ?s ?p ?o }' http://127.0.0.1:18081/sparql
 wait_http -G --data-urlencode 'query=ASK { ?s ?p ?o }' http://127.0.0.1:18082/sparql
 
-echo "== booting lusaild =="
+echo "== booting lusail serve =="
 # The short result TTL lets the smoke observe both cache layers: an
 # immediate repeat is a result-cache hit, a repeat after the TTL expires
 # falls through to the plan cache.
-"$WORK/bin/lusaild" -addr 127.0.0.1:18094 \
+"$WORK/bin/lusail" serve -addr 127.0.0.1:18094 \
     -endpoint u0=http://127.0.0.1:18081/sparql \
     -endpoint u1=http://127.0.0.1:18082/sparql \
     -result-cache-ttl 300ms \
@@ -131,7 +131,7 @@ curl -fsS http://127.0.0.1:18094/metrics | grep -q 'lusail_plan_cache_hits' \
 echo "== graceful drain =="
 kill -TERM "$LUSAILD"
 if ! wait "$LUSAILD"; then
-    echo "FAIL: lusaild exited non-zero on SIGTERM"
+    echo "FAIL: lusail serve exited non-zero on SIGTERM"
     exit 1
 fi
 
