@@ -153,12 +153,7 @@ func (u *unit) sharedWith(rel *relation) []string {
 // its units. It returns nil units when some pattern has no source, i.e. the
 // block cannot match anywhere.
 func (e *Engine) planUnits(ctx context.Context, patterns []sparql.TriplePattern, filters []sparql.Expr) ([]*unit, error) {
-	sources := make([][]string, len(patterns))
-	err := e.pool.ForEach(ctx, len(patterns), func(i int) error {
-		s, err := e.pol.sources(ctx, patterns[i])
-		sources[i] = s
-		return err
-	})
+	sources, err := e.pol.sources(ctx, patterns)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: source selection: %w", err)
 	}

@@ -256,11 +256,11 @@ func TestASKSelection(t *testing.T) {
 	sources := func(ctx context.Context, tp sparql.TriplePattern) ([]string, []resilience.Warning) {
 		t.Helper()
 		ctx = resilience.WithWarnings(ctx)
-		got, err := sel.sources(ctx, tp)
+		got, err := sel.block(ctx, []sparql.TriplePattern{tp})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got, resilience.TakeWarnings(ctx)
+		return got[0], resilience.TakeWarnings(ctx)
 	}
 
 	got, ws := sources(context.Background(), pattern("q", "s", "o"))
@@ -285,12 +285,24 @@ func TestASKSelection(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sel.sources(ctx, pattern("other", "s", "o")); !errors.Is(err, context.Canceled) {
+	if _, err := sel.block(ctx, []sparql.TriplePattern{pattern("other", "s", "o")}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled selection: err = %v, want context.Canceled", err)
 	}
 	dead := federation.MustNew(&askFlaky{Endpoint: ep("a")}, &askFlaky{Endpoint: ep("b")})
 	var ee *client.EndpointError
-	if _, err := (&askSelection{fed: dead, pool: erh.New(4)}).sources(context.Background(), pattern("p", "s", "o")); !errors.As(err, &ee) {
+	if _, err := (&askSelection{fed: dead, pool: erh.New(4)}).block(context.Background(), []sparql.TriplePattern{pattern("p", "s", "o")}); !errors.As(err, &ee) {
 		t.Errorf("every ASK failing: err = %v, want an EndpointError", err)
+	}
+
+	// A block is looked up in the cache before any of its ASKs is sent, so
+	// a pattern it holds twice is asked twice, deterministically.
+	sel = &askSelection{fed: federation.MustNew(ep("ep1", rdf.Triple{S: u("a"), P: p, O: u("b")}), ep("ep2")), pool: erh.New(4)}
+	twice := []sparql.TriplePattern{pattern("p", "s", "o"), pattern("p", "x", "y")}
+	for i, want := range []int64{4, 0} {
+		before = m.Snapshot()
+		got, err := sel.block(context.Background(), twice)
+		if d := m.Snapshot().Sub(before); err != nil || !reflect.DeepEqual(got, [][]string{{"ep1"}, {"ep1"}}) || d.Asks != want {
+			t.Errorf("repeated pattern, pass %d: sources %v, err %v, %d ASKs; want [[ep1] [ep1]] and %d", i, got, err, d.Asks, want)
+		}
 	}
 }

@@ -18,8 +18,9 @@ import (
 
 // policy is everything in which the comparator systems differ.
 type policy struct {
-	// sources selects the endpoints that may answer one pattern.
-	sources func(ctx context.Context, tp sparql.TriplePattern) ([]string, error)
+	// sources selects, for each pattern of a conjunctive block, the
+	// endpoints that may answer it.
+	sources func(ctx context.Context, patterns []sparql.TriplePattern) ([][]string, error)
 	// prune, when set, narrows the per-pattern source lists of a
 	// conjunctive block against each other (join-aware selection).
 	prune func(patterns []sparql.TriplePattern, sources [][]string) [][]string
@@ -49,7 +50,7 @@ const (
 // exclusive groups, variable-counting order, bound joins throughout.
 func NewFedX(fed *federation.Federation) *Engine {
 	pool := erh.New(0)
-	return newEngine(fed, pool, fedxPolicy((&askSelection{fed: fed, pool: pool}).sources))
+	return newEngine(fed, pool, fedxPolicy((&askSelection{fed: fed, pool: pool}).block))
 }
 
 // NewHiBISCuS returns HiBISCuS: the FedX executor with source selection
@@ -57,10 +58,11 @@ func NewFedX(fed *federation.Federation) *Engine {
 // The catalog is the index-based systems' offline preprocessing; build it
 // with catalog.Build first.
 func NewHiBISCuS(fed *federation.Federation, cat *catalog.Store) *Engine {
+	pool := erh.New(0)
 	idx := authorityIndex{fed: fed, cat: cat}
-	pol := fedxPolicy(idx.sources)
+	pol := fedxPolicy(eachPattern(pool, idx.sources))
 	pol.prune = idx.prune
-	return newEngine(fed, erh.New(0), pol)
+	return newEngine(fed, pool, pol)
 }
 
 // NewSPLENDID returns SPLENDID: sources and join order from the catalog's
@@ -72,14 +74,14 @@ func NewSPLENDID(fed *federation.Federation, cat *catalog.Store) *Engine {
 	pool := erh.New(0)
 	idx := voidIndex{fed: fed, cat: cat, pool: pool}
 	return newEngine(fed, pool, policy{
-		sources: idx.sources,
+		sources: eachPattern(pool, idx.sources),
 		cost:    idx.cost,
 		bind:    func(rows int, optional bool) bool { return !optional && rows <= splendidBindMax },
 		block:   splendidBlock,
 	})
 }
 
-func fedxPolicy(sources func(context.Context, sparql.TriplePattern) ([]string, error)) policy {
+func fedxPolicy(sources func(context.Context, []sparql.TriplePattern) ([][]string, error)) policy {
 	return policy{
 		sources:   sources,
 		exclusive: true,
@@ -87,6 +89,20 @@ func fedxPolicy(sources func(context.Context, sparql.TriplePattern) ([]string, e
 		bind:      func(int, bool) bool { return true },
 		block:     fedxBlock,
 		limitStop: true,
+	}
+}
+
+// eachPattern lifts a selection for one pattern to a block's, selecting
+// for its patterns concurrently.
+func eachPattern(pool *erh.Pool, sources func(context.Context, sparql.TriplePattern) ([]string, error)) func(context.Context, []sparql.TriplePattern) ([][]string, error) {
+	return func(ctx context.Context, patterns []sparql.TriplePattern) ([][]string, error) {
+		out := make([][]string, len(patterns))
+		err := pool.ForEach(ctx, len(patterns), func(i int) error {
+			s, err := sources(ctx, patterns[i])
+			out[i] = s
+			return err
+		})
+		return out, err
 	}
 }
 
@@ -102,16 +118,40 @@ type askSelection struct {
 	cache sync.Map // normalized pattern "@" endpoint -> relevant
 }
 
-// sources returns the endpoints that may hold matches of the pattern, in
-// federation order, asking those the cache does not know.
-func (x *askSelection) sources(ctx context.Context, tp sparql.TriplePattern) ([]string, error) {
+// block selects for a conjunctive block's patterns in FedX's order: it
+// looks every pattern up in the cache before it sends any ASK, so a
+// pattern the block holds twice is asked twice, whichever ASK ends first.
+func (x *askSelection) block(ctx context.Context, patterns []sparql.TriplePattern) ([][]string, error) {
+	unknown := make([][]string, len(patterns))
+	for i, tp := range patterns {
+		unknown[i] = x.unknown(tp)
+	}
+	out := make([][]string, len(patterns))
+	err := x.pool.ForEach(ctx, len(patterns), func(i int) error {
+		s, err := x.ask(ctx, patterns[i], unknown[i])
+		out[i] = s
+		return err
+	})
+	return out, err
+}
+
+// unknown returns the endpoints whose answer for the pattern is not cached.
+func (x *askSelection) unknown(tp sparql.TriplePattern) []string {
 	key := sparql.PatternKey(nil, tp) + "@"
-	var unknown []string
+	var out []string
 	for _, name := range x.fed.Names() {
 		if _, ok := x.cache.Load(key + name); !ok {
-			unknown = append(unknown, name)
+			out = append(out, name)
 		}
 	}
+	return out
+}
+
+// ask sends the pattern's ASK to the unknown endpoints, caches the answers
+// and returns the endpoints that may hold matches of the pattern, in
+// federation order.
+func (x *askSelection) ask(ctx context.Context, tp sparql.TriplePattern, unknown []string) ([]string, error) {
+	key := sparql.PatternKey(nil, tp) + "@"
 	answers, errs, err := askAll(ctx, x.pool, x.fed, unknown, tp)
 	if err != nil {
 		return nil, err

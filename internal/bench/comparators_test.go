@@ -28,50 +28,50 @@ func TestRequestsPinned(t *testing.T) {
 		requests map[string][6]int64
 	}{
 		{"lubm2", GenerateLUBM(DefaultLUBM(2)), LUBMQueries(), map[string][6]int64{
-			"Q1": {10, 8, 10, 60, 48, 20},
-			"Q2": {10, 8, 10, 56, 44, 12},
-			"Q3": {8, 6, 8, 14, 10, 6},
-			"Q4": {10, 8, 10, 36, 24, 20},
+			"Q1": {8, 8, 8, 60, 48, 20},
+			"Q2": {8, 8, 8, 56, 44, 12},
+			"Q3": {6, 6, 6, 14, 10, 6},
+			"Q4": {8, 8, 8, 36, 24, 20},
 		}},
 		{"lubm4", GenerateLUBM(DefaultLUBM(4)), LUBMQueries(), map[string][6]int64{
-			"Q1": {20, 16, 20, 356, 332, 56},
-			"Q2": {20, 16, 20, 308, 284, 32},
-			"Q3": {16, 12, 16, 40, 32, 12},
-			"Q4": {20, 16, 20, 104, 80, 64},
+			"Q1": {16, 16, 16, 356, 332, 56},
+			"Q2": {16, 16, 16, 308, 284, 32},
+			"Q3": {12, 12, 12, 40, 32, 12},
+			"Q4": {16, 16, 16, 104, 80, 64},
 		}},
 		{"lrb", GenerateLRB(LRBConfig{Scale: 1, Seed: 11}), LRBQueries(), map[string][6]int64{
-			"S1":  {17, 4, 17, 41, 2, 3},
+			"S1":  {16, 4, 16, 41, 2, 3},
 			"S2":  {20, 7, 20, 46, 2, 7},
-			"S3":  {15, 2, 15, 27, 1, 4},
-			"S4":  {16, 3, 16, 27, 1, 2},
+			"S3":  {14, 2, 14, 27, 1, 4},
+			"S4":  {15, 3, 15, 27, 1, 2},
 			"S5":  {20, 7, 20, 46, 2, 7},
-			"S6":  {17, 4, 17, 40, 1, 3},
+			"S6":  {16, 4, 16, 40, 1, 3},
 			"S7":  {20, 7, 20, 52, 3, 13},
-			"S8":  {15, 2, 15, 27, 1, 2},
-			"S9":  {17, 4, 17, 41, 2, 3},
+			"S8":  {14, 2, 14, 27, 1, 2},
+			"S9":  {16, 4, 16, 41, 2, 3},
 			"S10": {17, 4, 17, 43, 4, 4},
-			"S11": {16, 3, 16, 27, 1, 2},
+			"S11": {15, 3, 15, 27, 1, 2},
 			"S12": {20, 7, 20, 46, 2, 7},
 			"S13": {21, 8, 21, 75, 3, 15},
 			"S14": {21, 8, 21, 95, 9, 15},
-			"C1":  {22, 9, 22, 100, 9, 28},
+			"C1":  {21, 9, 21, 100, 9, 28},
 			"C2":  {22, 9, 22, 73, 4, 9},
-			"C3":  {27, 14, 27, 143, 9, 39},
-			"C4":  {15, 2, 15, 53, 1, 9},
-			"C5":  {17, 4, 17, 54, 2, 6},
-			"C6":  {17, 4, 17, 28, 2, 2},
-			"C7":  {22, 9, 22, 135, 70, 9},
-			"C8":  {17, 4, 17, 83, 5, 13},
-			"C9":  {22, 9, 22, 128, 12, 19},
-			"C10": {17, 4, 17, 28, 2, 2},
+			"C3":  {26, 14, 26, 143, 9, 39},
+			"C4":  {14, 2, 14, 53, 1, 9},
+			"C5":  {15, 4, 15, 54, 2, 6},
+			"C6":  {15, 4, 15, 28, 2, 2},
+			"C7":  {20, 9, 20, 135, 70, 9},
+			"C8":  {16, 4, 16, 83, 5, 13},
+			"C9":  {21, 9, 21, 128, 12, 19},
+			"C10": {15, 4, 15, 28, 2, 2},
 			"B1":  {21, 8, 21, 142, 94, 12},
-			"B2":  {15, 2, 15, 40, 1, 3},
+			"B2":  {14, 2, 14, 40, 1, 3},
 			"B3":  {18, 5, 18, 97, 47, 7},
-			"B4":  {21, 8, 21, 90, 9, 25},
-			"B5":  {17, 4, 17, 54, 2, 5},
-			"B6":  {17, 4, 17, 54, 2, 5},
-			"B7":  {16, 3, 16, 43, 4, 4},
-			"B8":  {16, 3, 16, 88, 10, 15},
+			"B4":  {20, 8, 20, 90, 9, 25},
+			"B5":  {15, 4, 15, 54, 2, 5},
+			"B6":  {15, 4, 15, 54, 2, 5},
+			"B7":  {15, 3, 15, 43, 4, 4},
+			"B8":  {15, 3, 15, 88, 10, 15},
 		}},
 	} {
 		fed, err := NewFed(fx.datasets, InProcess())
@@ -98,8 +98,10 @@ func TestRequestsPinned(t *testing.T) {
 }
 
 // TestLRBColdRequests pins lrb_cold_wan's request count in process: the 32
-// LargeRDFBench queries at Scale 3, each on cold caches, cost exactly one
-// source-selection request per endpoint (13) and 599 requests in all.
+// LargeRDFBench queries at Scale 3, each on cold caches, are planned in one
+// round trip, exactly one request per endpoint (13) that answers source
+// selection and carries every check and filtered COUNT, and cost 571
+// requests in all.
 func TestLRBColdRequests(t *testing.T) {
 	datasets := GenerateLRB(LRBConfig{Scale: 3, Seed: 20170514})
 	fed, err := NewFed(datasets, InProcess())
@@ -107,21 +109,32 @@ func TestLRBColdRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := fed.NewLusail(core.DefaultOptions())
+	ctx := context.Background()
 	var total int64
 	for _, q := range LRBQueries() {
 		eng.ClearCaches()
 		before := fed.Metrics.Snapshot()
-		if _, _, err := eng.QueryString(context.Background(), q.Text); err != nil {
+		p, err := eng.PlanString(ctx, q.Text)
+		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		d := fed.Metrics.Snapshot().Sub(before)
-		if d.Asks != int64(len(datasets)) {
-			t.Errorf("%s: %d source-selection requests, want one per endpoint (%d)", q.Name, d.Asks, len(datasets))
+		if d := fed.Metrics.Snapshot().Sub(before); d.Requests != int64(len(datasets)) || d.Asks != d.Requests {
+			t.Errorf("%s: planning sent %d requests (%d source selection), want one per endpoint (%d)",
+				q.Name, d.Requests, d.Asks, len(datasets))
 		}
-		total += d.Requests
+		rows, err := eng.ExecutePlanStream(ctx, p)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		for rows.Next() {
+		}
+		if err := rows.Close(); err != nil || rows.Err() != nil {
+			t.Fatalf("%s: %v %v", q.Name, rows.Err(), err)
+		}
+		total += fed.Metrics.Snapshot().Sub(before).Requests
 	}
-	if total != 599 {
-		t.Errorf("%d requests over the %d queries, pinned 599", total, len(LRBQueries()))
+	if total != 571 {
+		t.Errorf("%d requests over the %d queries, pinned 571", total, len(LRBQueries()))
 	}
 }
 

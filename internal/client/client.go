@@ -89,28 +89,29 @@ func CountValue(t rdf.Term) (n float64, ok bool) {
 // which Instrumented counts as an ASK (its first variable is SourceVar+"0").
 const SourceVar = "lusail_a"
 
-// Batch sends n single-solution probes as one SELECT through send: probe k
-// is the group element elem(k, v), which binds its answer to ?v, v being
-// prefix followed by k. It returns the answers in probe order, a zero term
-// for a variable the response lacks. A response that is not exactly one
-// solution is an error.
-func Batch(n int, prefix string, elem func(k int, v string) sparql.Element, send func(query string) (*sparql.Results, error)) ([]rdf.Term, error) {
+// BatchQuery renders n single-solution probes as one SELECT: probe k is
+// the group element elem(k, v), which binds its answer to ?v, v being
+// prefix followed by k. BatchCells reads the answers.
+func BatchQuery(n int, prefix string, elem func(k int, v string) sparql.Element) string {
 	q := sparql.NewSelect()
 	for k := 0; k < n; k++ {
 		v := prefix + strconv.Itoa(k)
 		q.Projection = append(q.Projection, sparql.Projection{Var: v})
 		q.Where.Elements = append(q.Where.Elements, elem(k, v))
 	}
-	res, err := send(q.String())
-	if err != nil {
-		return nil, err
-	}
+	return q.String()
+}
+
+// BatchCells returns the answers to a BatchQuery of n probes in probe
+// order, a zero term for a variable the response lacks. A response that
+// is not exactly one solution is an error.
+func BatchCells(res *sparql.Results, n int, prefix string) ([]rdf.Term, error) {
 	if res.IsBoolean || len(res.Rows) != 1 {
 		return nil, fmt.Errorf("client: batched probe answered with other than one solution")
 	}
 	cells := make([]rdf.Term, n)
-	for k, p := range q.Projection {
-		if i := res.VarIndex(p.Var); i >= 0 {
+	for k := range cells {
+		if i := res.VarIndex(prefix + strconv.Itoa(k)); i >= 0 {
 			cells[k] = res.Rows[0][i]
 		}
 	}

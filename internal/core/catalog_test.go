@@ -62,7 +62,7 @@ func TestMalformedCountsAreUnknownNotZero(t *testing.T) {
 
 	// The estimates must be marked unknown, not silently zero — zero would
 	// make every subquery look free and eagerly evaluated.
-	gjv, err := e.detectGJVs(context.Background(), br, sources, st)
+	gjv, err := e.detectBranch(context.Background(), br, sources, st)
 	if err != nil {
 		t.Fatal(err)
 	}

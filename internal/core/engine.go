@@ -192,15 +192,15 @@ func (o Options) Validate() error {
 // measurements behind the paper's Figure 12.
 type Profile struct {
 	SourceSelection time.Duration // first planning round: relevance and COUNT statistics
-	Analysis        time.Duration // LADE: second planning round (checks, filtered COUNTs), decomposition
+	Analysis        time.Duration // LADE: the second planning round, when one is left, and decomposition
 	Execution       time.Duration // SAPE: subquery evaluation + global join
 	Total           time.Duration
 
 	GJVs          []string // detected global join variables
 	Subqueries    int      // number of subqueries after decomposition
 	Delayed       int      // subqueries evaluated with bound joins
-	ChecksIssued  int      // check queries sent, one per endpoint asked, batched or not
-	CheckCacheHit int      // check queries answered from cache
+	ChecksIssued  int      // check cells sent, one per check and endpoint asked, in either round
+	CheckCacheHit int      // check answers at a relevant endpoint read from the fact cache
 	CountProbes   int      // COUNT cells sent, one per pattern and endpoint, in either round
 	CatalogHits   int      // cardinalities answered by the catalog (probes avoided)
 	Decomposition []string // human-readable subquery forms

@@ -4,10 +4,13 @@ import (
 	"context"
 	"slices"
 	"sort"
+	"time"
 
+	"lusail/internal/obs"
 	"lusail/internal/qplan"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
+	"lusail/internal/sparql/sema"
 )
 
 // GJVResult records the outcome of global-join-variable detection
@@ -19,10 +22,6 @@ type GJVResult struct {
 	// CausePairs maps a GJV to the index pairs (into the analyzed pattern
 	// list) whose instance-locality check failed.
 	CausePairs map[string][][2]int
-	// ChecksIssued counts the check queries sent to endpoints.
-	ChecksIssued int
-	// CacheHits counts check queries answered from the cache.
-	CacheHits int
 }
 
 // IsGlobal reports whether v is a global join variable.
@@ -95,25 +94,83 @@ func joinEntities(patterns []sparql.TriplePattern) []varRole {
 	return out
 }
 
-// detectGJVs implements Algorithm 1 for a conjunctive branch; sources[i]
-// lists the relevant endpoints of its i-th pattern. Its check queries
-// (lines 17-23) are the second planning round, which also counts each
-// pattern that has pushed filters under them into stats.
-// The query's rdf:type patterns narrow the check queries, per Figure 5.
-func (e *Engine) detectGJVs(ctx context.Context, br *qplan.Branch, sources [][]string, stats *queryStats) (*GJVResult, error) {
+// analysis is the part of Algorithm 1 that needs only a branch's text,
+// formulated before the first planning round so that its questions can
+// ride in that round's batches: the join variables, the check queries of
+// lines 13-16 for every variable line 8's shortcut might leave local, and
+// the COUNT of each pattern under the branch filters it covers.
+type analysis struct {
+	vars   []varRole
+	pairs  [][]pendingCheck // per join variable, the pairs its checks decide
+	counts []*probe         // per pattern, its filtered COUNT, or nil
+}
+
+// pendingCheck is a pattern pair whose variable is global when one of its
+// checks finds a witness at an endpoint relevant to the check's outer
+// pattern.
+type pendingCheck struct {
+	varName string
+	pair    [2]int
+	checks  []check
+}
+
+// check is a check query asked at the relevant endpoints of the branch's
+// pattern outer.
+type check struct {
+	p     *probe
+	outer int
+}
+
+// analyze formulates a branch's analysis. Its probes are the query's
+// (equal ones shared across branches); the branch's patterns start at
+// offset in the first round's pattern list.
+func (ps *probes) analyze(br *qplan.Branch, offset int) *analysis {
 	patterns := br.Patterns
-	res := &GJVResult{Global: map[string]bool{}, CausePairs: map[string][][2]int{}}
-	vars := joinEntities(patterns)
+	a := &analysis{vars: joinEntities(patterns), counts: make([]*probe, len(patterns))}
+	a.pairs = make([][]pendingCheck, len(a.vars))
 	typeOf := typeConstraints(patterns)
-
-	type pendingCheck struct {
-		varName string
-		pair    [2]int
-		queries []checkQuery
+	mk := func(v string, outer, inner int) check {
+		return check{p: ps.add(makeCheck(v, patterns[outer], patterns[inner], typeOf), offset+outer), outer: outer}
 	}
-	var pending []pendingCheck
+	for i, vr := range a.vars {
+		switch {
+		case len(vr.predIdx) > 0:
+		case len(vr.subjIdx) > 0 && len(vr.objIdx) > 0:
+			// Subject and object: for each (object pattern, subject
+			// pattern) pair, instances seen as objects must exist locally
+			// as subjects (Figure 5).
+			for _, oi := range vr.objIdx {
+				for _, si := range vr.subjIdx {
+					if oi != si {
+						a.pairs[i] = append(a.pairs[i], pendingCheck{vr.name, [2]int{oi, si}, []check{mk(vr.name, oi, si)}})
+					}
+				}
+			}
+		case len(vr.subjIdx) > 0:
+			// Subject only: both set differences must be empty, so check
+			// each direction of each pair. (All triples of a subject live
+			// at its authoritative endpoint, so a subject-only join cannot
+			// straddle endpoints undetected.)
+			for _, pr := range pairIndexes(vr.allIdx) {
+				a.pairs[i] = append(a.pairs[i], pendingCheck{vr.name, pr, []check{mk(vr.name, pr[0], pr[1]), mk(vr.name, pr[1], pr[0])}})
+			}
+		}
+	}
+	for i, tp := range patterns {
+		if filters, _ := coveredFilters(tp.Vars(), br.Filters); len(filters) > 0 {
+			a.counts[i] = ps.add(makeCount(tp, filters), offset+i)
+		}
+	}
+	return a
+}
 
-	for _, vr := range vars {
+// shortcut runs lines 1-16 of Algorithm 1 over the branch's sources: the
+// variables that are global without a check query, and per variable the
+// pairs whose checks must decide.
+func (a *analysis) shortcut(sources [][]string) (*GJVResult, []pendingCheck) {
+	res := &GJVResult{Global: map[string]bool{}, CausePairs: map[string][][2]int{}}
+	var pending []pendingCheck
+	for i, vr := range a.vars {
 		// A variable used in predicate position that joins with other
 		// patterns is conservatively global (sound by Lemma 2; the paper
 		// defers variable-predicate joins to the extended version).
@@ -121,7 +178,6 @@ func (e *Engine) detectGJVs(ctx context.Context, br *qplan.Branch, sources [][]s
 			res.Global[vr.name] = true
 			continue
 		}
-		global := false
 		// Lines 8-11: patterns from different sources force a GJV without
 		// any check queries.
 		pairs := pairIndexes(vr.allIdx)
@@ -129,31 +185,11 @@ func (e *Engine) detectGJVs(ctx context.Context, br *qplan.Branch, sources [][]s
 			if !sameSources(sources[pr[0]], sources[pr[1]]) {
 				res.Global[vr.name] = true
 				res.CausePairs[vr.name] = append(res.CausePairs[vr.name], pr)
-				global = true
 			}
 		}
-		if global {
-			continue
-		}
-		// Lines 13-16: formulate check queries.
 		switch {
-		case len(vr.subjIdx) > 0 && len(vr.objIdx) > 0:
-			// Subject and object: for each (object pattern, subject
-			// pattern) pair, instances seen as objects must exist locally
-			// as subjects (Figure 5).
-			for _, oi := range vr.objIdx {
-				for _, si := range vr.subjIdx {
-					if oi == si {
-						continue
-					}
-					pending = append(pending, pendingCheck{
-						varName: vr.name,
-						pair:    [2]int{oi, si},
-						queries: []checkQuery{makeCheck(vr.name, patterns[oi], patterns[si], typeOf, sources[oi])},
-					})
-				}
-			}
-		case len(vr.objIdx) > 0 && len(vr.subjIdx) == 0:
+		case res.Global[vr.name]:
+		case len(vr.subjIdx) == 0:
 			// Object only. Per-endpoint set-difference checks cannot see
 			// the paper's Section 3.3 Case 2: the same object URI may be
 			// referenced from several endpoints (incoming interlinks), in
@@ -169,98 +205,107 @@ func (e *Engine) detectGJVs(ctx context.Context, br *qplan.Branch, sources [][]s
 				}
 			}
 		default:
-			// Subject only: both set differences must be empty, so check
-			// each direction of each pair. (All triples of a subject live
-			// at its authoritative endpoint, so a subject-only join cannot
-			// straddle endpoints undetected.)
-			for _, pr := range pairs {
-				pending = append(pending, pendingCheck{
-					varName: vr.name,
-					pair:    pr,
-					queries: []checkQuery{
-						makeCheck(vr.name, patterns[pr[0]], patterns[pr[1]], typeOf, sources[pr[0]]),
-						makeCheck(vr.name, patterns[pr[1]], patterns[pr[0]], typeOf, sources[pr[1]]),
-					},
-				})
-			}
+			pending = append(pending, a.pairs[i]...)
 		}
 	}
-
-	// Lines 17-23: every check the fact cache cannot answer and every
-	// filtered COUNT, in one request per endpoint.
-	r := &round{byEP: map[string][]question{}, failed: map[string]bool{}, lost: map[string]bool{}, stats: stats}
-	queue := func(srcs []string, q question) {
-		for _, name := range srcs {
-			r.byEP[name] = append(r.byEP[name], q)
-		}
-	}
-	var sent []*checkQuery
-	for _, pc := range pending {
-		for i := range pc.queries {
-			cq := &pc.queries[i]
-			if _, seen := r.failed[cq.key]; seen {
-				continue
-			}
-			if failed, ok := e.facts.check(cq.key); ok {
-				res.CacheHits++
-				r.failed[cq.key] = failed
-				continue
-			}
-			r.failed[cq.key] = false
-			sent = append(sent, cq)
-			queue(cq.sources, question{check: cq})
-			res.ChecksIssued += len(cq.sources)
-		}
-	}
-	for i, tp := range patterns {
-		filters, _ := coveredFilters(tp.Vars(), br.Filters)
-		if len(filters) == 0 {
-			continue
-		}
-		// Source selection's counts ignore the filters.
-		stats.card[i] = map[string]float64{}
-		if e.opts.CatalogOnly {
-			continue
-		}
-		count := []sparql.Element{tp}
-		for _, f := range filters {
-			count = append(count, sparql.Filter{Expr: f})
-		}
-		queue(sources[i], question{pattern: i, count: count})
-		stats.probes += len(sources[i])
-	}
-	if err := e.ask(ctx, r); err != nil {
-		return nil, err
-	}
-
-	for _, cq := range sent {
-		if !r.failed[cq.key] && r.lost[cq.key] {
-			// Some endpoint never answered: a local verdict would be
-			// unsound, and a degraded one must not outlive the failure.
-			r.failed[cq.key] = true
-		} else {
-			e.facts.putCheck(cq.key, r.failed[cq.key])
-		}
-	}
-	for _, pc := range pending {
-		if slices.ContainsFunc(pc.queries, func(cq checkQuery) bool { return r.failed[cq.key] }) {
-			res.Global[pc.varName] = true
-			res.CausePairs[pc.varName] = append(res.CausePairs[pc.varName], pc.pair)
-		}
-	}
-	return res, nil
+	return res, pending
 }
 
-// checkQuery is one locality probe to run at a set of endpoints.
-type checkQuery struct {
-	key     string               // cache key
-	text    string               // SPARQL text, SELECT ?v … LIMIT 1
-	where   *sparql.GroupPattern // its WHERE clause, which a batch asks as EXISTS
-	sources []string             // endpoints to probe
+// detectGJVs finishes Algorithm 1 for every branch once the first round
+// has answered: line 8's shortcut over the sources, then lines 17-23, the
+// checks it leaves, and the filtered COUNTs. An answer counts only from an
+// endpoint relevant to the check's outer pattern, or to the counted
+// pattern; the first round's riders and the fact cache answer most, and
+// the rest, the endpoints the first round did not ask, go in one request
+// per endpoint for the whole query, the second round. A check is a
+// witness when any relevant endpoint holds one or gave no answer: a local
+// verdict from a missing answer would be unsound. A branch with a pattern
+// no endpoint holds is not analyzed.
+func (e *Engine) detectGJVs(ctx context.Context, facts []branchFacts, prof *Profile) ([]*GJVResult, error) {
+	out := make([]*GJVResult, len(facts))
+	pending := make([][]pendingCheck, len(facts))
+	r := &round{byEP: map[string][]question{}}
+	queued := map[answerKey]bool{}
+	need := func(p *probe, names []string) {
+		for _, name := range names {
+			k := answerKey{p.key, name}
+			_, known := p.got[name]
+			if !known {
+				if n, ok := e.facts.answer(k); ok {
+					p.set(name, n)
+					if p.isCheck() {
+						prof.CheckCacheHit++
+						e.facts.checkHits.Inc()
+					}
+					continue
+				}
+			}
+			if p.isCheck() {
+				e.facts.checkMisses.Inc()
+			}
+			if !known && !queued[k] {
+				queued[k] = true
+				p.formulate()
+				r.byEP[name] = append(r.byEP[name], question{p: p})
+				p.sent(prof)
+			}
+		}
+	}
+	for i, f := range facts {
+		if f.empty {
+			continue
+		}
+		out[i], pending[i] = f.lade.shortcut(f.sources)
+		for _, pc := range pending[i] {
+			for _, c := range pc.checks {
+				need(c.p, f.sources[c.outer])
+			}
+		}
+		for k, p := range f.lade.counts {
+			if p != nil && !e.opts.CatalogOnly {
+				need(p, f.sources[k])
+			}
+		}
+	}
+	if len(r.byEP) > 0 {
+		t0 := time.Now()
+		actx, sp := obs.StartSpan(ctx, "analysis")
+		err := e.ask(actx, r)
+		sp.End()
+		prof.Analysis += time.Since(t0)
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	for i, f := range facts {
+		if f.empty {
+			continue
+		}
+		for _, pc := range pending[i] {
+			if slices.ContainsFunc(pc.checks, func(c check) bool { return c.p.witness(f.sources[c.outer]) }) {
+				out[i].Global[pc.varName] = true
+				out[i].CausePairs[pc.varName] = append(out[i].CausePairs[pc.varName], pc.pair)
+			}
+		}
+		for k, p := range f.lade.counts {
+			if p == nil {
+				continue
+			}
+			// Source selection's counts ignore the filters.
+			f.stats.card[k] = map[string]float64{}
+			for _, name := range f.sources[k] {
+				if n, ok := p.got[name]; ok {
+					f.stats.card[k][name] = n
+				}
+			}
+		}
+	}
+	return out, nil
 }
 
-// makeCheck builds the Figure 5 check query testing whether some binding of
-// v in tpOuter lacks a local counterpart in tpInner.
+// makeCheck formulates the Figure 5 check query testing whether some
+// binding of v in tpOuter lacks a local counterpart in tpInner.
 //
 // The paper narrows the check with v's rdf:type pattern when the query has
 // one. That narrowing is only sound when the type triple is co-located with
@@ -275,29 +320,28 @@ type checkQuery struct {
 // patterns and any other cross-pattern sharing — normalizing each pattern
 // on its own would collide, e.g., a subject-only check with a
 // subject/object check over the same predicates — then adds the type
-// narrowing and the sources.
-func makeCheck(v string, tpOuter, tpInner sparql.TriplePattern, typeOf map[string]sparql.TriplePattern, sources []string) checkQuery {
-	q := sparql.NewSelect(v)
-	q.Limit = 1
-	key := sparql.PatternKey(map[string]string{v: "?JV"}, tpOuter, tpInner)
+// narrowing. It names no endpoint: an answer is a fact about one endpoint,
+// and a verdict over any source set is the OR of those facts.
+func makeCheck(v string, tpOuter, tpInner sparql.TriplePattern, typeOf map[string]sparql.TriplePattern) *probe {
+	p := &probe{key: "check|" + sparql.PatternKey(map[string]string{v: "?JV"}, tpOuter, tpInner), v: v, outer: tpOuter, inner: tpInner}
 	if tt, ok := typeOf[v]; ok && tpOuter.S.Var == v {
-		q.Where.Elements = append(q.Where.Elements, tt)
-		key += "|type=" + tt.O.String()
+		p.narrow = &tt
+		p.key += "|type=" + tt.O.String()
 	}
-	q.Where.Elements = append(q.Where.Elements, tpOuter)
+	return p
+}
 
-	inner := sparql.NewSelect(v)
-	inner.Where.Elements = append(inner.Where.Elements, renameExcept(tpInner, v))
-	q.Where.Elements = append(q.Where.Elements, sparql.Filter{
-		Expr: sparql.ExprExists{Not: true, Group: &sparql.GroupPattern{
-			Elements: []sparql.Element{sparql.SubSelect{Query: inner}},
-		}},
-	})
-	return checkQuery{
-		key:     key + "|" + sourcesKey(sources),
-		text:    q.String(),
-		where:   q.Where,
-		sources: sources,
+// makeCount formulates the COUNT of tp under the filters it covers, keyed
+// by its canonical text, so that any spelling of the same count shares one
+// fact per endpoint.
+func makeCount(tp sparql.TriplePattern, filters []sparql.Expr) *probe {
+	where := []sparql.Element{tp}
+	for _, f := range filters {
+		where = append(where, sparql.Filter{Expr: f})
+	}
+	return &probe{
+		key:   "count|" + sema.CanonicalText(sparql.NewCount("n", where...)),
+		where: &sparql.GroupPattern{Elements: where},
 	}
 }
 

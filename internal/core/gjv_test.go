@@ -49,11 +49,13 @@ func TestMakeCheckShape(t *testing.T) {
 	typeOf := map[string]sparql.TriplePattern{
 		"v": {S: sparql.Var("v"), P: sparql.IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"), O: sparql.IRI("http://T")},
 	}
-	cq := makeCheck("v", tpOuter, tpInner, typeOf, []string{"ep1"})
+	cq := makeCheck("v", tpOuter, tpInner, typeOf)
+	cq.formulate()
+	text := cq.text("v")
 	// The check query must parse and have the Figure 5 structure.
-	q, err := sparql.Parse(cq.text)
+	q, err := sparql.Parse(text)
 	if err != nil {
-		t.Fatalf("check query does not parse: %v\n%s", err, cq.text)
+		t.Fatalf("check query does not parse: %v\n%s", err, text)
 	}
 	if q.Limit != 1 {
 		t.Errorf("check query LIMIT = %d, want 1", q.Limit)
@@ -63,8 +65,8 @@ func TestMakeCheckShape(t *testing.T) {
 	}
 	// v is the *object* of the outer pattern here, so the rdf:type
 	// narrowing must NOT be applied (it could hide remote witnesses).
-	if strings.Contains(cq.text, "rdf-syntax-ns#type") {
-		t.Errorf("type narrowing applied to object-position outer:\n%s", cq.text)
+	if strings.Contains(text, "rdf-syntax-ns#type") {
+		t.Errorf("type narrowing applied to object-position outer:\n%s", text)
 	}
 	hasNotExists := false
 	for _, el := range q.Where.Elements {
@@ -78,7 +80,7 @@ func TestMakeCheckShape(t *testing.T) {
 		}
 	}
 	if !hasNotExists {
-		t.Errorf("check query lacks NOT EXISTS:\n%s", cq.text)
+		t.Errorf("check query lacks NOT EXISTS:\n%s", text)
 	}
 }
 
@@ -88,9 +90,10 @@ func TestMakeCheckTypeNarrowingForSubjectOuter(t *testing.T) {
 	typeOf := map[string]sparql.TriplePattern{
 		"v": {S: sparql.Var("v"), P: sparql.IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"), O: sparql.IRI("http://T")},
 	}
-	cq := makeCheck("v", tpOuter, tpInner, typeOf, []string{"ep1"})
-	if !strings.Contains(cq.text, "rdf-syntax-ns#type") {
-		t.Errorf("type narrowing missing for subject-position outer:\n%s", cq.text)
+	cq := makeCheck("v", tpOuter, tpInner, typeOf)
+	cq.formulate()
+	if text := cq.text("v"); !strings.Contains(text, "rdf-syntax-ns#type") {
+		t.Errorf("type narrowing missing for subject-position outer:\n%s", text)
 	}
 }
 
@@ -105,17 +108,20 @@ func TestRenameExceptAvoidsCapture(t *testing.T) {
 	}
 }
 
-// Check verdicts and pattern facts share one cache and one clear; a
+// Probe answers and pattern facts share one cache and one clear; a
 // pattern fact from a failed probe stays unknown.
 func TestCheckCache(t *testing.T) {
 	c := newFacts()
-	if _, ok := c.check("k"); ok {
+	k := answerKey{"check|k", "ep1"}
+	if _, ok := c.answer(k); ok {
 		t.Error("empty cache hit")
 	}
-	c.putCheck("k", true)
-	v, ok := c.check("k")
-	if !ok || !v {
+	c.putAnswer(k, 1)
+	if n, ok := c.answer(k); !ok || n != 1 {
 		t.Error("cache miss after put")
+	}
+	if _, ok := c.answer(answerKey{"check|k", "ep2"}); ok {
+		t.Error("an answer at one endpoint answered another")
 	}
 	if fs, hit := c.pattern("p", 2); hit || len(fs) != 2 {
 		t.Errorf("empty pattern cache: hit %v, %d facts; want a miss with 2 unknown facts", hit, len(fs))
@@ -130,7 +136,7 @@ func TestCheckCache(t *testing.T) {
 		t.Error("pattern miss after every endpoint answered")
 	}
 	c.clear()
-	if len(c.checks) != 0 || len(c.patterns) != 0 {
+	if len(c.answers) != 0 || len(c.patterns) != 0 {
 		t.Error("clear failed")
 	}
 }
@@ -166,16 +172,30 @@ func TestGJVDifferentSourcesShortCircuit(t *testing.T) {
 		{S: sparql.Var("y"), P: sparql.IRI("http://p2"), O: sparql.Var("z")},
 	}
 	sources := [][]string{{"ep1"}, {"ep2"}}
-	res, err := e.detectGJVs(context.Background(), &qplan.Branch{Patterns: patterns}, sources, &queryStats{})
+	var ps probes
+	var prof Profile
+	res, err := e.detectGJVs(context.Background(), []branchFacts{{sources: sources, stats: &queryStats{},
+		lade: ps.analyze(&qplan.Branch{Patterns: patterns}, 0)}}, &prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.IsGlobal("y") {
+	if !res[0].IsGlobal("y") {
 		t.Error("y should be global (different sources)")
 	}
-	if res.ChecksIssued != 0 {
-		t.Errorf("no checks should be issued, got %d", res.ChecksIssued)
+	if prof.ChecksIssued != 0 {
+		t.Errorf("no checks should be issued, got %d", prof.ChecksIssued)
 	}
+}
+
+// detectBranch runs GJV detection for one branch over the given sources,
+// as planning does once the first round has answered.
+func (e *Engine) detectBranch(ctx context.Context, br *qplan.Branch, sources [][]string, stats *queryStats) (*GJVResult, error) {
+	var ps probes
+	gjvs, err := e.detectGJVs(ctx, []branchFacts{{sources: sources, stats: stats, lade: ps.analyze(br, 0)}}, &Profile{})
+	if err != nil {
+		return nil, err
+	}
+	return gjvs[0], nil
 }
 
 func TestGJVPredicateVariableConservative(t *testing.T) {
@@ -186,7 +206,7 @@ func TestGJVPredicateVariableConservative(t *testing.T) {
 		{S: sparql.Var("z"), P: sparql.Var("p"), O: sparql.Var("w")},
 	}
 	sources := [][]string{{"ep1", "ep2"}, {"ep1", "ep2"}}
-	res, err := e.detectGJVs(context.Background(), &qplan.Branch{Patterns: patterns}, sources, &queryStats{})
+	res, err := e.detectBranch(context.Background(), &qplan.Branch{Patterns: patterns}, sources, &queryStats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +235,7 @@ func TestDecomposeSingleGJVSplitsPatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources, stats := facts[0].sources, facts[0].stats
-	gjv, err := e.detectGJVs(ctx, br, sources, stats)
+	gjv, err := e.detectBranch(ctx, br, sources, stats)
 	if err != nil {
 		t.Fatal(err)
 	}

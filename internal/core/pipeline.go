@@ -48,22 +48,7 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 	optionals := slices.Clone(pb.optionals)
 	residual := slices.Clone(pb.residual)
 
-	// Delay decisions over the mandatory subqueries (Figure 7).
-	if !e.opts.DisableSAPE && len(sqs) > 1 {
-		cards := make([]float64, len(sqs))
-		numEPs := make([]float64, len(sqs))
-		known := make([]bool, len(sqs))
-		for i, sq := range sqs {
-			cards[i] = sq.EstCard
-			numEPs[i] = float64(len(sq.Sources))
-			known[i] = sq.CardKnown
-		}
-		delayed := delayDecisions(cards, numEPs, known, e.opts.Threshold)
-		for i, d := range delayed {
-			sqs[i].Delayed = d
-		}
-		ensureNonDelayed(sqs)
-	}
+	e.delay(sqs)
 	var nonDelayed, delayed []*Subquery
 	for _, sq := range sqs {
 		if sq.Delayed {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -160,12 +161,12 @@ func (e *Engine) plan(ctx context.Context, q *sparql.Query, prof *Profile) (*Pla
 	if err != nil {
 		return nil, err
 	}
+	gjvs, err := e.detectGJVs(ctx, facts, prof)
+	if err != nil {
+		return nil, fmt.Errorf("lusail: GJV detection: %w", err)
+	}
 	for i, br := range branches {
-		pb, err := e.planBranch(ctx, br, facts[i], prof)
-		if err != nil {
-			return nil, err
-		}
-		p.branches = append(p.branches, pb)
+		p.branches = append(p.branches, e.planBranch(ctx, br, facts[i], gjvs[i], prof))
 	}
 	p.gjvs = append([]string(nil), prof.GJVs...)
 	p.subqueries = prof.Subqueries
@@ -175,22 +176,31 @@ func (e *Engine) plan(ctx context.Context, q *sparql.Query, prof *Profile) (*Pla
 
 // branchFacts is what the first planning round learned for one branch: the
 // sources of its mandatory patterns, then of its OPTIONAL blocks' patterns
-// in order, and the mandatory patterns' cardinalities.
+// in order, and the mandatory patterns' cardinalities; and the branch's
+// analysis, whose probes rode in that round.
 type branchFacts struct {
 	sources [][]string
 	stats   *queryStats
+	lade    *analysis
+	// empty marks a branch where a mandatory pattern has no relevant
+	// source: it is provably empty, and neither analyzed nor executed.
+	empty bool
 }
 
 // selectSources is the first planning round: source selection and SAPE's
 // statistics for every pattern of every branch and OPTIONAL block at once,
-// each endpoint asked at most one request of COUNT cells. Only mandatory
+// each endpoint asked at most one request of COUNT cells, with every
+// branch's check queries and filtered COUNTs riding along. Only mandatory
 // patterns need their counts.
 func (e *Engine) selectSources(ctx context.Context, branches []*qplan.Branch, prof *Profile) ([]branchFacts, error) {
 	t0 := time.Now()
 	ctx, sp := obs.StartSpan(ctx, "source-selection")
 	defer sp.End()
 	var tps []sparql.TriplePattern
-	for _, br := range branches {
+	var ps probes
+	out := make([]branchFacts, len(branches))
+	for i, br := range branches {
+		out[i].lade = ps.analyze(br, len(tps))
 		tps = append(tps, br.Patterns...)
 	}
 	mandatory := len(tps)
@@ -199,65 +209,49 @@ func (e *Engine) selectSources(ctx context.Context, branches []*qplan.Branch, pr
 			tps = append(tps, ob.Patterns...)
 		}
 	}
-	sels, err := e.firstRound(ctx, tps, mandatory, prof)
+	sels, err := e.firstRound(ctx, tps, mandatory, ps.list, prof)
 	if err != nil {
 		return nil, fmt.Errorf("lusail: source selection: %w", err)
 	}
 	prof.SourceSelection += time.Since(t0)
 	cataloged := 0
-	out := make([]branchFacts, len(branches))
 	m, o := 0, mandatory
 	for i, br := range branches {
-		f := branchFacts{stats: &queryStats{}}
+		f := &out[i]
+		f.stats = &queryStats{}
 		for _, s := range sels[m : m+len(br.Patterns)] {
 			f.sources = append(f.sources, s.sources)
 			f.stats.card = append(f.stats.card, s.card)
 			cataloged += s.cataloged
 		}
 		m += len(br.Patterns)
+		f.empty = slices.ContainsFunc(f.sources, func(s []string) bool { return len(s) == 0 })
 		for _, ob := range br.Optionals {
 			for _, s := range sels[o : o+len(ob.Patterns)] {
 				f.sources = append(f.sources, s.sources)
 			}
 			o += len(ob.Patterns)
 		}
-		out[i] = f
 	}
 	e.catCardHits.Add(int64(cataloged))
 	prof.CatalogHits += cataloged
 	return out, nil
 }
 
-// planBranch runs phase 2 (LADE analysis) for one conjunctive branch: GJV
-// detection, whose check queries are the second planning round, then
-// decomposition.
-func (e *Engine) planBranch(ctx context.Context, br *qplan.Branch, facts branchFacts, prof *Profile) (*plannedBranch, error) {
-	bctx, bsp := obs.StartSpan(ctx, "branch")
+// planBranch decomposes one conjunctive branch by its GJVs (LADE's
+// Algorithm 2).
+func (e *Engine) planBranch(ctx context.Context, br *qplan.Branch, facts branchFacts, gjv *GJVResult, prof *Profile) *plannedBranch {
+	ctx, bsp := obs.StartSpan(ctx, "branch")
 	defer bsp.End()
 	bsp.SetAttr("patterns", len(br.Patterns))
-	ctx = bctx
-
-	sources := facts.sources[:len(br.Patterns)]
-	for _, s := range sources {
-		if len(s) == 0 {
-			// A mandatory pattern with no relevant source: the branch is
-			// provably empty; skip analysis and execution.
-			return &plannedBranch{br: br, empty: true}, nil
-		}
+	if facts.empty {
+		return &plannedBranch{br: br, empty: true}
 	}
 
 	t1 := time.Now()
-	anCtx, anSpan := obs.StartSpan(ctx, "analysis")
-	gjv, err := e.detectGJVs(anCtx, br, sources, facts.stats)
-	if err != nil {
-		anSpan.End()
-		return nil, fmt.Errorf("lusail: GJV detection: %w", err)
-	}
-	prof.ChecksIssued += gjv.ChecksIssued
-	prof.CountProbes += facts.stats.probes
-	prof.CheckCacheHit += gjv.CacheHits
+	_, anSpan := obs.StartSpan(ctx, "analysis")
 	prof.GJVs = append(prof.GJVs, gjv.GlobalVars()...)
-
+	sources := facts.sources[:len(br.Patterns)]
 	subqueries := e.decompose(br, sources, gjv, facts.stats)
 	prof.Subqueries += len(subqueries)
 	for _, sq := range subqueries {
@@ -273,7 +267,7 @@ func (e *Engine) planBranch(ctx context.Context, br *qplan.Branch, facts branchF
 		sqs:       subqueries,
 		residual:  residualFilters(br, subqueries),
 		optionals: e.planOptionals(br, facts.sources[len(br.Patterns):]),
-	}, nil
+	}
 }
 
 // cloneSubqueries copies the per-execution subquery state so that one plan

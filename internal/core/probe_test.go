@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -58,10 +60,11 @@ func warningSet(ws []resilience.Warning) []string {
 }
 
 // An endpoint that rejects the batched forms of both planning rounds is
-// asked again one plain COUNT per pattern, with no ASK, and one check query
-// per check: the answer and the Degrade warnings are those of an endpoint
-// that accepts the batches, here with a dead member in the federation so
-// there are warnings to compare.
+// asked again one plain COUNT per pattern, with no ASK; the checks that
+// rode in its first batch go to the second round, whose batch it rejects
+// too, and then one check query per check: the answer and the Degrade
+// warnings are those of an endpoint that accepts the batches, here with a
+// dead member in the federation so there are warnings to compare.
 func TestRejectedBatchesFallBackPerPattern(t *testing.T) {
 	eps, oracle := paperFederation(true)
 	opts := DefaultOptions()
@@ -85,9 +88,10 @@ func TestRejectedBatchesFallBackPerPattern(t *testing.T) {
 		t.Errorf("CountProbes = %d batched, %d per pattern", gotProf.CountProbes, fbProf.CountProbes)
 	}
 	for _, w := range wrapped {
-		// qa has 8 patterns and no filters.
-		if w.rejected.Load() != 2 || w.asks.Load() != 0 || w.counts.Load() != 8 || w.checks.Load() < 2 {
-			t.Errorf("%s: %d batches rejected, then %d ASKs, %d COUNTs and %d checks; want one batch per round, then no ASK, one COUNT per pattern and one request per check",
+		// qa has 8 patterns, no filters, and 12 checks to ask at each
+		// endpoint.
+		if w.rejected.Load() != 2 || w.asks.Load() != 0 || w.counts.Load() != 8 || w.checks.Load() != 12 {
+			t.Errorf("%s: %d batches rejected, then %d ASKs, %d COUNTs and %d checks; want one batch per round, then no ASK, 8 COUNTs and 12 checks",
 				w.Name(), w.rejected.Load(), w.asks.Load(), w.counts.Load(), w.checks.Load())
 		}
 	}
@@ -95,7 +99,9 @@ func TestRejectedBatchesFallBackPerPattern(t *testing.T) {
 
 // Faults injected into the batches of both planning rounds (and everything
 // else) under Degrade leave a sound answer: a subset of the oracle's rows,
-// warned whenever it is short, or a typed error.
+// warned whenever it is short, or a typed error. The second round runs only
+// after a first-round batch failed, so it takes more seeds than the first
+// to see faults there.
 func TestFaultyBatchesDegradeToWarnedSubset(t *testing.T) {
 	eps, oracle := paperFederation(true)
 	want := oracleResults(t, oracle, qa)
@@ -103,7 +109,7 @@ func TestFaultyBatchesDegradeToWarnedSubset(t *testing.T) {
 	opts.OnEndpointFailure = Degrade
 	warned := 0
 	phases := map[client.Phase]bool{}
-	for seed := uint64(1); seed <= 40; seed++ {
+	for seed := uint64(1); seed <= 120; seed++ {
 		fed := federation.MustNew(
 			resilience.WithFaults(eps[0], resilience.FaultSpec{ErrorRate: 0.2, Seed: seed}),
 			resilience.WithFaults(eps[1], resilience.FaultSpec{ErrorRate: 0.2, Seed: seed + 1000}))
@@ -136,11 +142,11 @@ func TestFaultyBatchesDegradeToWarnedSubset(t *testing.T) {
 	}
 }
 
-// A cold query plans in two round trips: one request of COUNT cells per
-// endpoint, then one per relevant endpoint with the checks and the COUNT of
-// the pattern that has a pushed filter, counted under it. Warm, only that
-// filtered COUNT is asked again.
-func TestPlanningInTwoRounds(t *testing.T) {
+// A cold query plans in one round trip: one request per endpoint of COUNT
+// cells, with the checks and the COUNT of the pattern that has a pushed
+// filter, counted under it, riding along. Warm, it sends nothing: the
+// filtered COUNT is a cached fact like the rest.
+func TestPlanningInOneRound(t *testing.T) {
 	eps, _ := paperFederation(false)
 	var m client.Metrics
 	var list []client.Endpoint
@@ -155,7 +161,7 @@ func TestPlanningInTwoRounds(t *testing.T) {
 			?U ub:address ?A .
 			FILTER(STR(?A) != "AddrB")
 		}`)
-	for run, want := range []struct{ requests, asks, counts int }{{4, 2, 3*2 + 2}, {2, 0, 2}} {
+	for run, want := range []struct{ requests, asks, counts int }{{2, 2, 3*2 + 2}, {0, 0, 0}} {
 		before := m.Snapshot()
 		var prof Profile
 		if _, err := e.plan(context.Background(), q, &prof); err != nil {
@@ -177,10 +183,85 @@ func TestPlanningInTwoRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := facts[0].stats
-	if _, err := e.detectGJVs(context.Background(), branches[0], facts[0].sources, st); err != nil {
+	if _, err := e.detectBranch(context.Background(), branches[0], facts[0].sources, st); err != nil {
 		t.Fatal(err)
 	}
 	if want := map[string]float64{"ep1": 1, "ep2": 0}; !reflect.DeepEqual(st.card[2], want) {
 		t.Errorf("filtered counts = %v, want %v", st.card[2], want)
+	}
+}
+
+// failChecks fails the first-round batch that carries check cells and,
+// with all set, every request that asks a check.
+type failChecks struct {
+	client.Endpoint
+	all bool
+}
+
+func (e failChecks) Query(ctx context.Context, query string) (*sparql.Results, error) {
+	if strings.Contains(query, "EXISTS") && (e.all || strings.Contains(query, client.SourceVar+"0")) {
+		return nil, fmt.Errorf("endpoint %s: request failed", e.Name())
+	}
+	return e.Endpoint.Query(ctx, query)
+}
+
+// A first-round batch that fails at one endpoint loses the checks riding
+// in it, never decides them: the second round asks them again, so the
+// plan is the healthy one. When the endpoint fails those checks too, a
+// missing answer makes its variable global, with a warning under Degrade,
+// and FailFast returns a typed error.
+func TestFailedFusedBatchNeverDecides(t *testing.T) {
+	eps, oracle := paperFederation(false)
+	want := oracleResults(t, oracle, qa)
+	q := sparql.MustParse(qa)
+	healthy := MustNew(federation.MustNew(eps[0], eps[1]), DefaultOptions())
+	hp, err := healthy.Plan(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPlan, wantGJVs := PlanOutline(healthy, hp), hp.GJVs()
+	if len(wantGJVs) >= 3 {
+		t.Fatalf("GJVs %v: the fixture needs variables that the checks keep local", wantGJVs)
+	}
+	for _, mode := range []FailureMode{FailFast, Degrade} {
+		opts := DefaultOptions()
+		opts.OnEndpointFailure = mode
+
+		e := MustNew(federation.MustNew(eps[0], failChecks{Endpoint: eps[1]}), opts)
+		ctx := resilience.WithWarnings(context.Background())
+		p, err := e.Plan(ctx, q)
+		if err != nil {
+			t.Fatalf("%v, fused batch failed: %v", mode, err)
+		}
+		if got := PlanOutline(e, p); got != wantPlan {
+			t.Errorf("%v, fused batch failed: plan\n%s\nwant\n%s", mode, got, wantPlan)
+		}
+		if ws := resilience.TakeWarnings(ctx); len(ws) != 0 {
+			t.Errorf("%v, fused batch failed: warnings %v; a failed batch that was asked again is not degraded", mode, ws)
+		}
+
+		e = MustNew(federation.MustNew(eps[0], failChecks{Endpoint: eps[1], all: true}), opts)
+		res, prof, err := e.QueryString(context.Background(), qa)
+		if mode == FailFast {
+			var epErr *client.EndpointError
+			if !errors.As(err, &epErr) || epErr.Endpoint != "ep2" || epErr.Phase != client.PhaseCheck {
+				t.Errorf("FailFast, checks failed: error %v, want a check-phase EndpointError from ep2", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Degrade, checks failed: %v", err)
+		}
+		if len(prof.Warnings) == 0 || prof.Warnings[0].Phase != client.PhaseCheck {
+			t.Errorf("Degrade, checks failed: warnings %v, want check-phase warnings", prof.Warnings)
+		}
+		if len(prof.GJVs) <= len(wantGJVs) || slices.ContainsFunc(wantGJVs, func(v string) bool { return !slices.Contains(prof.GJVs, v) }) {
+			t.Errorf("Degrade, checks failed: GJVs %v, healthy %v; the unanswered checks must make their variables global", prof.GJVs, wantGJVs)
+		}
+		res.Rows = sparql.DistinctRows(res.Rows)
+		res.Sort()
+		if !reflect.DeepEqual(res.Rows, want.Rows) {
+			t.Errorf("Degrade, checks failed: %d rows, want the oracle's %d", len(res.Rows), len(want.Rows))
+		}
 	}
 }

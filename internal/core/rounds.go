@@ -17,16 +17,16 @@ import (
 
 // facts is the engine's one cache of planning facts, each a fact about an
 // endpoint's data: per normalized pattern, what the first planning round
-// learned at every endpoint, and per check key, the second round's LADE
-// verdict. The paper caches the checks that determine patterns which
-// *cannot* be executed locally; caching both outcomes is strictly more
-// effective and remains sound for a static federation. A fact derived
-// from a failure is never stored, because an outage is not data: the next
-// query asks again exactly what failed.
+// learned at every endpoint, and per probe (a LADE check or a filtered
+// COUNT) and endpoint, its answer there. The paper caches the checks that
+// determine patterns which *cannot* be executed locally; caching both
+// outcomes is strictly more effective and remains sound for a static
+// federation. A fact derived from a failure is never stored, because an
+// outage is not data: the next query asks again exactly what failed.
 type facts struct {
 	mu       sync.Mutex
-	patterns map[string][]fact // normalized pattern -> per endpoint, federation order
-	checks   map[string]bool   // check key -> some endpoint holds a witness (the variable is global)
+	patterns map[string][]fact     // normalized pattern -> per endpoint, federation order
+	answers  map[answerKey]float64 // probe at endpoint -> its answer
 
 	sourceHits, sourceMisses *obs.Counter
 	checkHits, checkMisses   *obs.Counter
@@ -44,7 +44,7 @@ func newFacts() *facts {
 	reg := obs.Default()
 	return &facts{
 		patterns:     map[string][]fact{},
-		checks:       map[string]bool{},
+		answers:      map[answerKey]float64{},
 		sourceHits:   reg.Counter(obs.MetricSourceCacheHits, "source-selection cache hits"),
 		sourceMisses: reg.Counter(obs.MetricSourceCacheMisses, "source-selection cache misses"),
 		checkHits:    reg.Counter(obs.MetricCheckCacheHits, "LADE check-query cache hits"),
@@ -57,7 +57,7 @@ func (c *facts) clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.patterns = map[string][]fact{}
-	c.checks = map[string]bool{}
+	c.answers = map[answerKey]float64{}
 }
 
 // pattern returns a copy of the pattern's facts at n endpoints and whether
@@ -86,25 +86,120 @@ func (c *facts) putPattern(key string, fs []fact) {
 	c.patterns[key] = fs
 }
 
-// check returns the cached verdict of a check query.
-func (c *facts) check(key string) (failed, ok bool) {
-	c.mu.Lock()
-	failed, ok = c.checks[key]
-	c.mu.Unlock()
-	if ok {
-		c.checkHits.Inc()
-	} else {
-		c.checkMisses.Inc()
-	}
-	return failed, ok
-}
+// answerKey names a probe's answer at one endpoint.
+type answerKey struct{ probe, ep string }
 
-// putCheck stores the verdict of a check query that every endpoint
-// answered.
-func (c *facts) putCheck(key string, failed bool) {
+// answer returns a probe's cached answer at an endpoint.
+func (c *facts) answer(k answerKey) (float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.checks[key] = failed
+	n, ok := c.answers[k]
+	return n, ok
+}
+
+// putAnswer stores a probe's answer at an endpoint.
+func (c *facts) putAnswer(k answerKey, n float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.answers[k] = n
+}
+
+// probe is a planning question about one endpoint's data that relevance
+// alone does not answer: a LADE check query, answered 1 when the endpoint
+// holds a binding of v in the outer pattern with no local counterpart in
+// the inner one and 0 when it holds none, or the COUNT of a pattern under
+// the branch filters it covers. Both come from the query text alone, so
+// they can ride in the first round's batches. An endpoint with no match of
+// the outer (or counted) pattern answers 0 to either, so the answers that
+// count are those of the endpoints relevant to that pattern.
+type probe struct {
+	key     string
+	pattern int // the first round's index of the outer or counted pattern
+
+	v            string // a check's variable; empty for a COUNT
+	outer, inner sparql.TriplePattern
+	narrow       *sparql.TriplePattern // v's rdf:type pattern, when it narrows the check
+
+	where *sparql.GroupPattern // the check's WHERE clause once formulated; the COUNT's
+	got   map[string]float64   // this query's answers by endpoint
+}
+
+// probes is a query's probes, one per key.
+type probes struct {
+	byKey map[string]*probe
+	list  []*probe
+}
+
+// add returns the query's probe with p's key, adding p at the first
+// round's pattern index when it is new.
+func (ps *probes) add(p *probe, pattern int) *probe {
+	if have := ps.byKey[p.key]; have != nil {
+		return have
+	}
+	if ps.byKey == nil {
+		ps.byKey = map[string]*probe{}
+	}
+	p.pattern = pattern
+	ps.byKey[p.key] = p
+	ps.list = append(ps.list, p)
+	return p
+}
+
+func (p *probe) isCheck() bool { return p.v != "" }
+
+// formulate builds the check's WHERE clause, once.
+func (p *probe) formulate() {
+	if p.where != nil {
+		return
+	}
+	p.where = &sparql.GroupPattern{}
+	if p.narrow != nil {
+		p.where.Elements = append(p.where.Elements, *p.narrow)
+	}
+	inner := sparql.NewSelect(p.v)
+	inner.Where.Elements = append(inner.Where.Elements, renameExcept(p.inner, p.v))
+	p.where.Elements = append(p.where.Elements, p.outer, sparql.Filter{
+		Expr: sparql.ExprExists{Not: true, Group: &sparql.GroupPattern{
+			Elements: []sparql.Element{sparql.SubSelect{Query: inner}},
+		}},
+	})
+}
+
+// text is the probe as a request of its own binding its answer to v: the
+// check's SELECT ?v … LIMIT 1, or the COUNT.
+func (p *probe) text(v string) string {
+	if !p.isCheck() {
+		return sparql.NewCount(v, p.where.Elements...).String()
+	}
+	q := sparql.NewSelect(p.v)
+	q.Where, q.Limit = p.where, 1
+	return q.String()
+}
+
+// sent counts a cell of the probe sent to an endpoint.
+func (p *probe) sent(prof *Profile) {
+	if p.isCheck() {
+		prof.ChecksIssued++
+	} else {
+		prof.CountProbes++
+	}
+}
+
+// set records the probe's answer at an endpoint.
+func (p *probe) set(name string, n float64) {
+	if p.got == nil {
+		p.got = map[string]float64{}
+	}
+	p.got[name] = n
+}
+
+// witness reports whether a check finds a witness at one of the endpoints,
+// or lacks an endpoint's answer, which must not pass for a local verdict.
+func (p *probe) witness(names []string) bool {
+	return slices.ContainsFunc(names, func(name string) bool {
+		n, ok := p.got[name]
+		return !ok || n > 0
+	})
 }
 
 // selection is the first round's work on one distinct normalized pattern.
@@ -135,7 +230,13 @@ type selection struct {
 // endpoint relevant, count unknown, with a warning (see fail); the round
 // fails only when the context ended or every probe of some pattern failed
 // and the cache knew nothing of it.
-func (e *Engine) firstRound(ctx context.Context, tps []sparql.TriplePattern, counted int, prof *Profile) ([]*selection, error) {
+//
+// The riders, the query's checks and filtered COUNTs, join the request of
+// every endpoint the round asks anyway, unless the cache holds the
+// endpoint's answer or the endpoint cannot match the probe's pattern.
+// They are optional: a batch that fails drops them, and the second round
+// asks again those a plan needs.
+func (e *Engine) firstRound(ctx context.Context, tps []sparql.TriplePattern, counted int, riders []*probe, prof *Profile) ([]*selection, error) {
 	eps := e.fed.Endpoints()
 	out := make([]*selection, len(tps))
 	byKey := map[string]*selection{}
@@ -183,6 +284,23 @@ func (e *Engine) firstRound(ctx context.Context, tps []sparql.TriplePattern, cou
 	}
 	if e.cat != nil && cells > 0 {
 		e.catCardFallbacks.Add(int64(cells))
+	}
+	for j, ep := range eps {
+		name := ep.Name()
+		if len(r.byEP[name]) == 0 {
+			continue
+		}
+		for _, p := range riders {
+			if f := out[p.pattern].facts[j]; f.known && !f.relevant {
+				continue
+			}
+			if _, ok := e.facts.answer(answerKey{p.key, name}); ok {
+				continue
+			}
+			p.formulate()
+			r.byEP[name] = append(r.byEP[name], question{p: p})
+			p.sent(prof)
+		}
 	}
 
 	err := e.ask(ctx, r)
@@ -258,12 +376,12 @@ func (e *Engine) decide(sel *selection) {
 // fail records that endpoint name gave no answer to q and decides what
 // that means, returning the error that ends the round, if any. The first
 // round applies source selection's policy (resilience.ProbeFailed): the
-// endpoint stays relevant for this query and its fact unknown. The second
-// ends under FailFast and warns under Degrade, where a check without an
-// answer makes its variable global. Neither outcome is cached.
+// endpoint stays relevant for this query and its fact unknown. A probe's
+// failure ends the round under FailFast and warns under Degrade, where a
+// check without an answer makes its variable global. Neither outcome is
+// cached.
 func (e *Engine) fail(ctx context.Context, r *round, q question, name string, err error) error {
 	if q.sel == nil {
-		r.record(q, name, rdf.Term{})
 		if !e.degrade(ctx, q.phase(), name, err) {
 			return err
 		}
@@ -280,21 +398,20 @@ func (e *Engine) fail(ctx context.Context, r *round, q question, name string, er
 }
 
 // question is one cell of a planning request: in the first round, the
-// COUNT of a pattern at endpoint ep for source selection; in the second, a
-// check query, or the COUNT of pattern under the branch filters it covers.
+// COUNT of a pattern at endpoint ep for source selection; otherwise, or
+// riding in a first-round batch, a probe.
 type question struct {
-	sel     *selection // first round: the pattern selected
-	ep      int        // first round: the endpoint's position in the federation
-	check   *checkQuery
-	pattern int
-	count   []sparql.Element // a COUNT's WHERE clause
+	sel   *selection       // first round: the pattern selected
+	ep    int              // first round: the endpoint's position in the federation
+	count []sparql.Element // first round: the COUNT's WHERE clause
+	p     *probe
 }
 
 func (q question) phase() client.Phase {
 	switch {
 	case q.sel != nil:
 		return client.PhaseSourceSelection
-	case q.check != nil:
+	case q.p.isCheck():
 		return client.PhaseCheck
 	}
 	return client.PhaseCount
@@ -302,10 +419,13 @@ func (q question) phase() client.Phase {
 
 // cell is the question as a batch cell that binds its answer to ?v.
 func (q question) cell(v string) sparql.Element {
-	if q.check != nil {
-		return sparql.Bind{Var: v, Expr: sparql.ExprExists{Group: q.check.where}}
+	switch {
+	case q.sel != nil:
+		return sparql.SubSelect{Query: sparql.NewCount(v, q.count...)}
+	case q.p.isCheck():
+		return sparql.Bind{Var: v, Expr: sparql.ExprExists{Group: q.p.where}}
 	}
-	return sparql.SubSelect{Query: sparql.NewCount(v, q.count...)}
+	return sparql.SubSelect{Query: sparql.NewCount(v, q.p.where.Elements...)}
 }
 
 // prefix returns the variable prefix of the question's cells: lusail_a in
@@ -317,18 +437,18 @@ func (q question) prefix() string {
 	return "lusail_k"
 }
 
-// query is the question as a request of its own, a COUNT binding its
-// answer to the first cell variable.
+// query is the question as a request of its own, binding its answer to
+// the first cell variable.
 func (q question) query() string {
-	if q.check != nil {
-		return q.check.text
+	if q.sel != nil {
+		return sparql.NewCount(q.prefix()+"0", q.count...).String()
 	}
-	return sparql.NewCount(q.prefix()+"0", q.count...).String()
+	return q.p.text(q.prefix() + "0")
 }
 
 // answer reads the response to query() as the batch cell would have been.
 func (q question) answer(res *sparql.Results) rdf.Term {
-	if q.check != nil {
+	if q.p != nil && q.p.isCheck() {
 		return rdf.NewBoolean(len(res.Rows) > 0)
 	}
 	if _, ok := client.ScalarCount(res); ok {
@@ -337,50 +457,76 @@ func (q question) answer(res *sparql.Results) rdf.Term {
 	return rdf.Term{}
 }
 
-// round is one planning round: each endpoint's questions, and the answers
-// that are not a first-round selection's own.
+// round is one planning round: each endpoint's questions.
 type round struct {
 	byEP map[string][]question // by endpoint name
+	mu   sync.Mutex            // guards what record and fail write
+}
 
-	mu     sync.Mutex
-	failed map[string]bool // check key -> some endpoint holds a witness
-	lost   map[string]bool // check key -> some endpoint gave no answer
-	stats  *queryStats
+// own returns the questions of an endpoint's list that a failed batch asks
+// again one per request: in the first round the selections' own, since
+// the probes riding behind them are optional.
+func own(list []question) []question {
+	if i := slices.IndexFunc(list, func(q question) bool { return q.sel == nil }); i > 0 {
+		return list[:i]
+	}
+	return list
 }
 
 // record files endpoint name's answer to q; a zero term is no answer,
-// which leaves a count unknown and a check unanswered.
-func (r *round) record(q question, name string, t rdf.Term) {
+// which leaves a count unknown and a check unanswered. A probe's answer is
+// also a fact for the cache.
+func (e *Engine) record(r *round, q question, name string, t rdf.Term) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch {
-	case q.sel != nil:
+	if q.sel != nil {
 		// A cell that is not a valid count is no evidence of absence.
 		n, ok := client.CountValue(t)
 		f := &q.sel.facts[q.ep]
 		*f = fact{known: true, relevant: f.relevant || !ok || n > 0, counted: ok, card: n}
-	case q.check != nil:
-		witness, ok := t.Bool()
-		r.failed[q.check.key] = r.failed[q.check.key] || witness
-		r.lost[q.check.key] = r.lost[q.check.key] || !ok
-	default:
-		if n, ok := client.CountValue(t); ok {
-			r.stats.card[q.pattern][name] = n
+		return
+	}
+	var n float64
+	var ok bool
+	if q.p.isCheck() {
+		var witness bool
+		if witness, ok = t.Bool(); witness {
+			n = 1
 		}
+	} else {
+		n, ok = client.CountValue(t)
+	}
+	if ok {
+		q.p.set(name, n)
+		e.facts.putAnswer(answerKey{q.p.key, name}, n)
 	}
 }
 
 // ask asks each endpoint, in federation order, all of its questions in one
-// request, or its one question as a plain COUNT or check query. An
-// endpoint that fails the batch is asked again one question per request,
-// and a question that fails that too, or whose endpoint the breaker
-// rejects, goes to fail. A batch's own failure is neither warned nor
-// cached.
+// request, or its one question as a plain COUNT or check query. Endpoints
+// asked the same cells share one rendering of the batch. An endpoint that
+// fails the batch is asked again its own questions one per request, and a
+// question that fails that too, or whose endpoint the breaker rejects,
+// goes to fail. A batch's own failure is neither warned nor cached.
 func (e *Engine) ask(ctx context.Context, r *round) error {
 	names := slices.DeleteFunc(e.fed.Names(), func(n string) bool { return len(r.byEP[n]) == 0 })
+	texts := make([]string, len(names))
+	for k, name := range names {
+		list := r.byEP[name]
+		if len(list) < 2 {
+			continue
+		}
+		if i := slices.IndexFunc(names[:k], func(n string) bool { return sameCells(r.byEP[n], list) }); i >= 0 {
+			texts[k] = texts[i]
+			continue
+		}
+		texts[k] = client.BatchQuery(len(list), list[0].prefix(), func(i int, v string) sparql.Element {
+			return list[i].cell(v)
+		})
+	}
 	var rejected []error // called from the submitting goroutine only
 	reject := func(k int, err error) {
-		for _, q := range r.byEP[names[k]] {
+		for _, q := range own(r.byEP[names[k]]) {
 			if err := e.fail(ctx, r, q, names[k], err); err != nil {
 				rejected = append(rejected, err)
 				return
@@ -389,9 +535,10 @@ func (e *Engine) ask(ctx context.Context, r *round) error {
 	}
 	err := e.pool.ForEachGated(ctx, names, e.gate(), reject, func(k int) error {
 		name, list := names[k], r.byEP[names[k]]
-		if len(list) > 1 && e.askBatch(ctx, r, name, list) {
+		if len(list) > 1 && e.askBatch(ctx, r, name, list, texts[k]) {
 			return nil
 		}
+		list = own(list)
 		// The context ending skips unstarted questions; their endpoints
 		// have no answer, so the error ends the round.
 		return e.pool.ForEach(ctx, len(list), func(i int) error {
@@ -401,9 +548,14 @@ func (e *Engine) ask(ctx context.Context, r *round) error {
 	return errors.Join(append(rejected, err)...)
 }
 
-// askBatch asks endpoint name several questions in one request and reports
-// whether it answered.
-func (e *Engine) askBatch(ctx context.Context, r *round, name string, list []question) bool {
+// sameCells reports whether two endpoints' questions render as one batch.
+func sameCells(a, b []question) bool {
+	return slices.EqualFunc(a, b, func(x, y question) bool { return x.sel == y.sel && x.p == y.p })
+}
+
+// askBatch asks endpoint name several questions in one request, the
+// batch text, and reports whether it answered.
+func (e *Engine) askBatch(ctx context.Context, r *round, name string, list []question, text string) bool {
 	span := "check-query"
 	if list[0].sel != nil {
 		span = "count-probe"
@@ -412,17 +564,17 @@ func (e *Engine) askBatch(ctx context.Context, r *round, name string, list []que
 	defer sp.End()
 	sp.SetAttr("endpoint", name)
 	sp.SetAttr("cells", len(list))
-	cells, err := client.Batch(len(list), list[0].prefix(), func(k int, v string) sparql.Element {
-		return list[k].cell(v)
-	}, func(q string) (*sparql.Results, error) {
-		return e.probeEndpoint(ctx, list[0].phase(), name, q)
-	})
+	res, err := e.probeEndpoint(ctx, list[0].phase(), name, text)
+	var cells []rdf.Term
+	if err == nil {
+		cells, err = client.BatchCells(res, len(list), list[0].prefix())
+	}
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		return false
 	}
 	for k, q := range list {
-		r.record(q, name, cells[k])
+		e.record(r, q, name, cells[k])
 	}
 	return true
 }
@@ -432,8 +584,7 @@ func (e *Engine) askOne(ctx context.Context, r *round, name string, q question) 
 	parent, kind := obs.FromContext(ctx), "count-probe"
 	if q.sel != nil {
 		parent = q.sel.sp
-	}
-	if q.check != nil {
+	} else if q.p.isCheck() {
 		kind = "check-query"
 	}
 	sp := parent.StartChild(kind)
@@ -448,7 +599,7 @@ func (e *Engine) askOne(ctx context.Context, r *round, name string, q question) 
 		sp.SetAttr("degraded", true)
 		return nil
 	}
-	r.record(q, name, q.answer(res))
+	e.record(r, q, name, q.answer(res))
 	return nil
 }
 
@@ -468,11 +619,4 @@ func intersectSources(a, b []string) []string {
 		}
 	}
 	return out
-}
-
-// sourcesKey returns a canonical string for a set of sources.
-func sourcesKey(names []string) string {
-	s := slices.Clone(names)
-	slices.Sort(s)
-	return strings.Join(s, ",")
 }

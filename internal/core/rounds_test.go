@@ -65,7 +65,7 @@ func TestFirstRoundOneRequestPerEndpoint(t *testing.T) {
 	for run := 0; run < 2; run++ {
 		before := m.Snapshot()
 		var prof Profile
-		sels, err := e.firstRound(context.Background(), tps, 3, &prof)
+		sels, err := e.firstRound(context.Background(), tps, 3, nil, &prof)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestFirstRoundCountsFromCatalogAndFallback(t *testing.T) {
 	nb := &noBatches{inner: eps[1]}
 	e := MustNew(federation.MustNew(eps[0], nb, down{"dead"}), opts)
 	var prof Profile
-	sels, err := e.firstRound(resilience.WithWarnings(context.Background()), []sparql.TriplePattern{exPattern("p", "s", "o"), exPattern("q", "s", "o")}, 2, &prof)
+	sels, err := e.firstRound(resilience.WithWarnings(context.Background()), []sparql.TriplePattern{exPattern("p", "s", "o"), exPattern("q", "s", "o")}, 2, nil, &prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +237,5 @@ func TestSourceSetHelpers(t *testing.T) {
 	got := intersectSources([]string{"a", "b", "c"}, []string{"c", "a"})
 	if !reflect.DeepEqual(got, []string{"a", "c"}) {
 		t.Errorf("intersectSources = %v", got)
-	}
-	if sourcesKey([]string{"b", "a"}) != "a,b" {
-		t.Errorf("sourcesKey = %q", sourcesKey([]string{"b", "a"}))
 	}
 }

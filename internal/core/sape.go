@@ -9,6 +9,26 @@ import (
 	"lusail/internal/sparql"
 )
 
+// delay makes SAPE's delay decisions over a branch's mandatory subqueries
+// (Figure 7).
+func (e *Engine) delay(sqs []*Subquery) {
+	if e.opts.DisableSAPE || len(sqs) < 2 {
+		return
+	}
+	cards := make([]float64, len(sqs))
+	numEPs := make([]float64, len(sqs))
+	known := make([]bool, len(sqs))
+	for i, sq := range sqs {
+		cards[i] = sq.EstCard
+		numEPs[i] = float64(len(sq.Sources))
+		known[i] = sq.CardKnown
+	}
+	for i, d := range delayDecisions(cards, numEPs, known, e.opts.Threshold) {
+		sqs[i].Delayed = d
+	}
+	ensureNonDelayed(sqs)
+}
+
 // ensureNonDelayed guarantees phase 1 has work: if every subquery got
 // delayed, the most selective one is promoted to non-delayed.
 func ensureNonDelayed(sqs []*Subquery) {

@@ -11,15 +11,15 @@ import (
 // query analysis: per-triple-pattern, per-endpoint cardinalities, which
 // COUNT probes (Section 4.1) or a fresh catalog's summaries answer. Source
 // selection counts every pattern; a pattern with pushed filters is counted
-// again under them in the second planning round, for better estimates.
+// again under them, by a COUNT riding in the same requests, for better
+// estimates.
 type queryStats struct {
 	// card[i][ep] is the number of solutions of pattern i at endpoint ep.
 	// Absence means the cardinality is unknown: the probe returned a
 	// malformed result, or it was never issued. Unknown is deliberately not
 	// zero — zero claims the pattern is free, and the delay heuristics
 	// would then eagerly evaluate a subquery nobody measured.
-	card   []map[string]float64
-	probes int // filtered COUNT cells sent in the second round
+	card []map[string]float64
 }
 
 // known reports whether every (pattern, source) cardinality of the

@@ -37,35 +37,71 @@ func New(st store.Graph) *Evaluator {
 // inner query once instead of once per candidate row. It lives as long as
 // the query, so nothing in it can outlive a change to the store.
 type evaluation struct {
-	e        *Evaluator
-	memo     map[*sparql.Query]*sparql.Results
-	memoSets map[*sparql.Query]map[rdf.Term]bool
+	e       *Evaluator
+	memo    map[*sparql.Query]*sparql.Results
+	members map[*sparql.Query]*members
 }
 
-// subSelectSet returns the set of bound values of v in the memoized
-// sub-select results.
-func (ev *evaluation) subSelectSet(q *sparql.Query, v string) (map[rdf.Term]bool, error) {
-	if set, ok := ev.memoSets[q]; ok {
-		return set, nil
+// members is what an EXISTS { SELECT ?v WHERE ... } asks of its sub-select,
+// memoized per sub-select: the one projected variable v (empty when it
+// projects several), and the values v takes in its solutions. When they
+// are exactly its triple patterns' matches (matchesOnly) the values are
+// ids, store ids plus one as in every scope of the evaluation, so nothing
+// is decoded; otherwise terms, collected on first use.
+type members struct {
+	v     string
+	ids   map[uint32]struct{}
+	terms map[rdf.Term]bool
+}
+
+// membersOf returns the sub-select's memoized members.
+func (ev *evaluation) membersOf(q *sparql.Query) *members {
+	if m, ok := ev.members[q]; ok {
+		return m
+	}
+	m := &members{}
+	if vars := q.ProjectedVars(); len(vars) == 1 {
+		m.v = vars[0]
+	}
+	if m.v != "" && matchesOnly(q) {
+		m.ids = map[uint32]struct{}{}
+		sc := newScope(ev)
+		sc.addGroup(q.Where)
+		if s := sc.slot(m.v); s >= 0 {
+			sc.bgp(q.Where.TriplePatterns(), []row{make(row, len(sc.vars))}, func(r row) bool {
+				if r[s] != unbound {
+					m.ids[r[s]] = struct{}{}
+				}
+				return true
+			})
+		}
+	}
+	if ev.members == nil {
+		ev.members = map[*sparql.Query]*members{}
+	}
+	ev.members[q] = m
+	return m
+}
+
+// termsOf returns the terms v takes in the sub-select's solutions.
+func (ev *evaluation) termsOf(q *sparql.Query, m *members) (map[rdf.Term]bool, error) {
+	if m.terms != nil {
+		return m.terms, nil
 	}
 	res, err := ev.subSelect(q)
 	if err != nil {
 		return nil, err
 	}
-	idx := res.VarIndex(v)
-	set := make(map[rdf.Term]bool, len(res.Rows))
+	idx := res.VarIndex(m.v)
+	m.terms = make(map[rdf.Term]bool, len(res.Rows))
 	if idx >= 0 {
 		for _, row := range res.Rows {
 			if !row[idx].IsZero() {
-				set[row[idx]] = true
+				m.terms[row[idx]] = true
 			}
 		}
 	}
-	if ev.memoSets == nil {
-		ev.memoSets = map[*sparql.Query]map[rdf.Term]bool{}
-	}
-	ev.memoSets[q] = set
-	return set, nil
+	return m.terms, nil
 }
 
 // subSelect evaluates a nested SELECT once per evaluation, except an
@@ -353,12 +389,20 @@ func (sc *scope) evalGroup(g *sparql.GroupPattern, input []row, limit int) ([]ro
 // passes reports whether the row satisfies every filter; an expression
 // error removes the row.
 func (sc *scope) passes(filters []sparql.Expr, r row) bool {
+	// The scope's binding views r for the filters, so no row boxes a new
+	// one; an EXISTS in a filter evaluates here again, and restoring the
+	// row it found keeps the outer filters' view.
+	saved := sc.bind.r
+	sc.bind.r = r
+	ok := true
 	for _, f := range filters {
-		if ok, err := expr.EBV(f, rowBinding{sc, r}); err != nil || !ok {
-			return false
+		if pass, err := expr.EBV(f, &sc.bind); err != nil || !pass {
+			ok = false
+			break
 		}
 	}
-	return true
+	sc.bind.r = saved
+	return ok
 }
 
 // bgp joins the triple patterns into every seed row depth-first, in one

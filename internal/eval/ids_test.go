@@ -320,3 +320,53 @@ func TestConcurrentEvaluations(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestSubSelectIDSetParity: EXISTS { SELECT ?v WHERE { P } } over triple
+// patterns only is answered from a set of ids; the same sub-select with a
+// FILTER(true) beside P takes the set of terms. Both must agree on both
+// backends, for values outside the store's dictionary, an unbound ?v,
+// NOT EXISTS, and the BIND(EXISTS { … }) cells of Lusail's checks.
+func TestSubSelectIDSetParity(t *testing.T) {
+	for _, q := range []string{
+		`SELECT ?v WHERE { VALUES ?v { <http://ex/nowhere> <http://ex/joy> "24" 24 } FILTER EXISTS { SELECT ?v WHERE { %s } } }`,
+		`SELECT ?v WHERE { VALUES ?v { <http://ex/nowhere> <http://ex/joy> "24" 24 } FILTER NOT EXISTS { SELECT ?v WHERE { %s } } }`,
+		`SELECT ?s ?v WHERE { ?s <http://ex/takesCourse> ?c OPTIONAL { ?s <http://ex/advisor> ?v } FILTER NOT EXISTS { SELECT ?v WHERE { %s } } }`,
+		`SELECT ?s ?v WHERE { ?s <http://ex/takesCourse> ?c OPTIONAL { ?s <http://ex/name> ?v } FILTER EXISTS { SELECT ?v WHERE { %s } } }`,
+		`SELECT ?k0 ?k1 WHERE { BIND(EXISTS { ?x <http://ex/advisor> ?v FILTER NOT EXISTS { SELECT ?v WHERE { %[1]s } } } AS ?k0)
+			BIND(EXISTS { ?x <http://ex/takesCourse> ?v FILTER NOT EXISTS { SELECT ?v WHERE { %[1]s } } } AS ?k1) }`,
+		`SELECT ?s ?v WHERE { ?s <http://ex/age> ?v FILTER EXISTS { SELECT ?v WHERE { ?x <http://ex/age> ?v . %s } } }`,
+	} {
+		ids := sparql.MustParse(fmt.Sprintf(q, `?v <http://ex/teacherOf> ?c`))
+		terms := sparql.MustParse(fmt.Sprintf(q, `?v <http://ex/teacherOf> ?c FILTER(true)`))
+		for name, g := range backends(t, testStore()) {
+			want, err := New(g).Query(terms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := New(g).Query(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Sort()
+			got.Sort()
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Errorf("%s: %s\nid set %v\nterm set %v", name, q, got.Rows, want.Rows)
+			}
+		}
+	}
+	sub := func(q string) *sparql.Query {
+		return sparql.MustParse(`SELECT ?v WHERE { ` + q + ` }`)
+	}
+	for q, want := range map[string]bool{
+		`?v <http://ex/p> ?c`:                       true,
+		`?v <http://ex/p> ?c FILTER(true)`:          false,
+		`?v <http://ex/p> ?c OPTIONAL { ?v ?q ?w }`: false,
+	} {
+		if got := matchesOnly(sub(q)); got != want {
+			t.Errorf("matchesOnly(%s) = %v, want %v", q, got, want)
+		}
+	}
+	if matchesOnly(sparql.MustParse(`SELECT ?v WHERE { ?v <http://ex/p> ?c } LIMIT 5`)) {
+		t.Error("a LIMIT sub-select took the id path")
+	}
+}

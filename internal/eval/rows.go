@@ -43,10 +43,13 @@ type scope struct {
 	local    []rdf.Term          // term of query-local id localBase+i
 	slab     []uint32            // backing store for new rows
 	slabRows int                 // rows the last slab held
+	bind     rowBinding          // the filters' view of the row passes tests
 }
 
 func newScope(ev *evaluation) *scope {
-	return &scope{ev: ev, st: ev.e.st, slots: map[string]int{}, ids: map[rdf.Term]uint32{}}
+	sc := &scope{ev: ev, st: ev.e.st, slots: map[string]int{}, ids: map[rdf.Term]uint32{}}
+	sc.bind.sc = sc
+	return sc
 }
 
 // addVar gives a variable a slot. All slots are assigned before the first
@@ -272,18 +275,39 @@ func (b rowBinding) Get(v string) (rdf.Term, bool) {
 
 // Exists evaluates an EXISTS block against the row. Lusail's check-query
 // shape, EXISTS { SELECT ?v WHERE ... } with ?v bound in the row, reduces
-// to membership in the (memoized) sub-select's column.
+// to membership in the (memoized) sub-select's column: of ids when the
+// sub-select only matches triple patterns, so nothing is decoded, and of
+// terms otherwise.
 func (b rowBinding) Exists(g *sparql.GroupPattern) (bool, error) {
 	if len(g.Elements) == 1 {
 		if sub, ok := g.Elements[0].(sparql.SubSelect); ok {
-			if vars := sub.Query.ProjectedVars(); len(vars) == 1 {
-				if val, bound := b.Get(vars[0]); bound {
-					set, err := b.sc.ev.subSelectSet(sub.Query, vars[0])
-					return set[val], err
+			m := b.sc.ev.membersOf(sub.Query)
+			if s := b.sc.slot(m.v); m.v != "" && s >= 0 && b.r[s] != unbound {
+				if m.ids != nil {
+					// A query-local id is in no triple, so never in ids.
+					_, in := m.ids[b.r[s]]
+					return in, nil
 				}
+				terms, err := b.sc.ev.termsOf(sub.Query, m)
+				return terms[b.sc.Term(b.r[s])], err
 			}
 		}
 	}
 	rows, err := b.sc.evalGroup(g, []row{b.r}, 1)
 	return len(rows) > 0, err
+}
+
+// matchesOnly reports whether a sub-select's solutions are exactly its
+// triple patterns' matches: no other element, no modifier that drops or
+// groups them.
+func matchesOnly(q *sparql.Query) bool {
+	if q.Form != sparql.SelectForm || q.Limit >= 0 || q.Offset != 0 || len(q.GroupBy) > 0 || q.HasAggregates() {
+		return false
+	}
+	for _, el := range q.Where.Elements {
+		if _, ok := el.(sparql.TriplePattern); !ok {
+			return false
+		}
+	}
+	return true
 }

@@ -39,25 +39,17 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "ASK": true, "CONSTRUCT": true, "WHERE": true, "PREFIX": true, "BASE": true,
-	"DISTINCT": true, "REDUCED": true, "FILTER": true, "OPTIONAL": true,
-	"UNION": true, "LIMIT": true, "OFFSET": true, "ORDER": true, "BY": true, "GROUP": true,
-	"ASC": true, "DESC": true, "VALUES": true, "UNDEF": true, "NOT": true,
-	"EXISTS": true, "AS": true, "BIND": true, "TRUE": true, "FALSE": true,
-	"COUNT": true, "SUM": true, "MIN": true, "MAX": true, "AVG": true,
-	"IN": true,
-}
-
 type lexer struct {
 	in   string
 	pos  int
 	toks []token
 }
 
-// lex tokenizes the whole input up front.
+// lex tokenizes the whole input up front. Queries run from about 4 bytes
+// a token (punctuation, variables) to about 11 (long IRIs); the token list
+// is sized for 5, so most queries fill it without growing it.
 func lex(input string) ([]token, error) {
-	l := &lexer{in: input}
+	l := &lexer{in: input, toks: make([]token, 0, len(input)/5+1)}
 	for {
 		t, err := l.next()
 		if err != nil {
@@ -125,7 +117,7 @@ func (l *lexer) next() (token, error) {
 		return l.lexNumber()
 	case c == '{' || c == '}' || c == '(' || c == ')' || c == '.' || c == ',' || c == ';' || c == '*':
 		l.pos++
-		return token{kind: tokPunct, text: string(c), pos: start}, nil
+		return token{kind: tokPunct, text: l.in[start:l.pos], pos: start}, nil
 	case c == '=':
 		l.pos++
 		return token{kind: tokOp, text: "=", pos: start}, nil
@@ -140,9 +132,8 @@ func (l *lexer) next() (token, error) {
 		l.pos++
 		if l.pos < len(l.in) && l.in[l.pos] == '=' {
 			l.pos++
-			return token{kind: tokOp, text: string(c) + "=", pos: start}, nil
 		}
-		return token{kind: tokOp, text: string(c), pos: start}, nil
+		return token{kind: tokOp, text: l.in[start:l.pos], pos: start}, nil
 	case c == '&' && strings.HasPrefix(l.in[l.pos:], "&&"):
 		l.pos += 2
 		return token{kind: tokOp, text: "&&", pos: start}, nil
@@ -151,7 +142,7 @@ func (l *lexer) next() (token, error) {
 		return token{kind: tokOp, text: "||", pos: start}, nil
 	case c == '+' || c == '/':
 		l.pos++
-		return token{kind: tokOp, text: string(c), pos: start}, nil
+		return token{kind: tokOp, text: l.in[start:l.pos], pos: start}, nil
 	case c == '-':
 		// Could start a negative number.
 		if l.pos+1 < len(l.in) && l.in[l.pos+1] >= '0' && l.in[l.pos+1] <= '9' {
@@ -195,13 +186,9 @@ func (l *lexer) lexWord() (token, error) {
 	if word == "a" {
 		return token{kind: tokA, text: "a", pos: start}, nil
 	}
-	up := strings.ToUpper(word)
-	if keywords[up] {
-		return token{kind: tokKeyword, text: up, pos: start}, nil
-	}
-	// Bare words that are not keywords are only valid as function names in
-	// expressions (REGEX, STR, ...). Treat them as keyword-like tokens.
-	return token{kind: tokKeyword, text: up, pos: start}, nil
+	// Every other bare word is a keyword (SELECT, WHERE, ...) or a function
+	// name (REGEX, STR, ...); the parser tells them apart.
+	return token{kind: tokKeyword, text: strings.ToUpper(word), pos: start}, nil
 }
 
 func (l *lexer) lexString(quote byte) (token, error) {
@@ -271,7 +258,10 @@ func (l *lexer) lexNumber() (token, error) {
 func (l *lexer) takeWhile(pred func(rune) bool) string {
 	start := l.pos
 	for l.pos < len(l.in) {
-		r, size := utf8.DecodeRuneInString(l.in[l.pos:])
+		r, size := rune(l.in[l.pos]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(l.in[l.pos:])
+		}
 		if !pred(r) {
 			break
 		}

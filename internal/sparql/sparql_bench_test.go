@@ -33,6 +33,54 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
+// checkBatch renders a planning batch as an endpoint receives it: COUNT
+// cells for source selection, then BIND(EXISTS { … }) cells of check
+// queries, over LargeRDFBench-style IRIs.
+func checkBatch(cells int) string {
+	q := NewSelect()
+	tp := func(s, p, o string) TriplePattern {
+		return TriplePattern{S: Var(s), P: IRI("http://tcga.deri.ie/schema/" + p), O: Var(o)}
+	}
+	for k := 0; k < 2*cells; k++ {
+		v := fmt.Sprintf("lusail_a%d", k)
+		q.Projection = append(q.Projection, Projection{Var: v})
+		pred := fmt.Sprintf("predicate_%d", k%cells)
+		if k < cells {
+			q.Where.Elements = append(q.Where.Elements, SubSelect{Query: NewCount(v, tp("s", pred, "o"))})
+			continue
+		}
+		inner := NewSelect("e")
+		inner.Where.Elements = append(inner.Where.Elements, tp("e", pred+"_inner", "o_chko"))
+		q.Where.Elements = append(q.Where.Elements, Bind{Var: v, Expr: ExprExists{Group: &GroupPattern{Elements: []Element{
+			tp("e", pred, "p"),
+			Filter{Expr: ExprExists{Not: true, Group: &GroupPattern{Elements: []Element{SubSelect{Query: inner}}}}},
+		}}}})
+	}
+	return q.String()
+}
+
+func BenchmarkParseCheckBatch(b *testing.B) {
+	text := checkBatch(12)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLexCheckBatch(b *testing.B) {
+	text := checkBatch(12)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := lex(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSerialize(b *testing.B) {
 	q := MustParse(benchQuery)
 	b.ReportAllocs()
