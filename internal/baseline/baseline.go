@@ -9,7 +9,9 @@
 // the intermediate relation either by shipping the relation's bindings in
 // VALUES blocks (a bound join) or by fetching the unit whole and hash
 // joining. What a policy decides is in policy.go. Relations are rows of
-// ids in one term dictionary per query.
+// ids in one term dictionary per query; unlike Lusail's engine, which
+// shares one across queries, the comparators are measured on requests, not
+// on allocation.
 //
 // The crucial contrast with Lusail: FedX groups triple patterns only when a
 // single endpoint can answer them (an exclusive group). When several

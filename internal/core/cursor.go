@@ -29,9 +29,11 @@ import (
 // on every path — it cancels in-flight endpoint work, releases spill
 // files, and finalizes the profile; abandoning a cursor without Close
 // leaks goroutines until the surrounding context ends. A cursor is not
-// safe for concurrent use. Its pipeline's rows are ids in one term
-// dictionary, which holds every distinct term of the execution until Close.
+// safe for concurrent use. Its pipeline's rows are ids in the engine's term
+// dictionary, the one that was current when the cursor started; the cursor
+// keeps it until Close even if the engine retires it meanwhile.
 type Rows struct {
+	eng   *Engine
 	src   op.RowStream
 	dict  *rdf.Dict
 	row   []rdf.Term
@@ -70,7 +72,7 @@ func (e *Engine) startQuery(ctx context.Context) (context.Context, *Profile, tim
 func (e *Engine) newRows(ctx context.Context, p *Plan, prof *Profile, start time.Time) (*Rows, error) {
 	execStart := time.Now()
 	exCtx, exSpan := obs.StartSpan(ctx, "execution")
-	dict := rdf.NewDict()
+	dict := e.dict.Load()
 	var branches []op.RowStream
 	for _, pb := range p.branches {
 		bs, err := e.branchStream(exCtx, pb, dict, prof)
@@ -86,6 +88,7 @@ func (e *Engine) newRows(ctx context.Context, p *Plan, prof *Profile, start time
 	}
 	src := op.Finish(p.query, dict, op.Union(branches...))
 	return &Rows{
+		eng:       e,
 		src:       src,
 		dict:      dict,
 		vars:      append([]string(nil), src.Vars()...),
@@ -181,6 +184,7 @@ func (r *Rows) Close() error {
 	r.exSpan.SetAttr("rows", int(r.n))
 	r.exSpan.SetAttr("terms", r.prof.Terms)
 	r.exSpan.End()
+	r.eng.retireDict(r.dict)
 	finishProfile(r.ctx, r.prof, r.start)
 	if r.prof.Trace != nil {
 		r.prof.Trace.SetAttr("results", int(r.n))

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"lusail/internal/catalog"
@@ -114,7 +115,8 @@ type Options struct {
 	// budget spills both join sides to disk and the join finishes as an
 	// external sort-merge. <=0 uses the 64 MiB default; it cannot be
 	// disabled — unbounded build sides would defeat the pipeline's bounded
-	// memory guarantee.
+	// memory guarantee. It bounds the engine's shared term dictionary too:
+	// past this much key text, the next execution starts on a fresh one.
 	JoinSpillBytes int64
 
 	// --- Static query analysis (package sema) ---
@@ -205,7 +207,10 @@ type Profile struct {
 	CatalogHits   int      // cardinalities answered by the catalog (probes avoided)
 	Decomposition []string // human-readable subquery forms
 
-	Terms int // distinct terms in the execution's dictionary, held until Close
+	// Terms is the size of the term dictionary the execution used, read at
+	// Close. The dictionary is the engine's and outlives the execution, so
+	// it counts the terms of earlier and concurrent executions too.
+	Terms int
 
 	// SubqueryStats pairs the cost model's estimates with the measured
 	// cardinalities of subqueries evaluated unbound, for the q-error
@@ -259,6 +264,11 @@ type Engine struct {
 	opts  Options
 	join  op.Budget // every hash join's spill budget
 
+	// dict is the term dictionary every execution starts on and keeps
+	// until its cursor closes. Once it holds more key text than
+	// JoinSpillBytes, the closing cursor swaps in a fresh one.
+	dict atomic.Pointer[rdf.Dict]
+
 	degraded     *obs.Counter
 	semaErrors   *obs.Counter
 	semaWarnings *obs.Counter
@@ -283,7 +293,7 @@ func New(fed *federation.Federation, opts Options) (*Engine, error) {
 		opts.JoinSpillBytes = op.DefaultSpillBytes
 	}
 	reg := obs.Default()
-	return &Engine{
+	e := &Engine{
 		fed:              fed,
 		pool:             erh.New(opts.PoolSize),
 		facts:            newFacts(),
@@ -300,7 +310,18 @@ func New(fed *federation.Federation, opts Options) (*Engine, error) {
 		catalogFallbacks: reg.Counter(obs.MetricCatalogSourceFallbacks, "patterns where the catalog decided nothing and all endpoints were probed"),
 		catCardHits:      reg.Counter(obs.MetricCatalogCardHits, "cardinalities answered by the catalog instead of COUNT probes"),
 		catCardFallbacks: reg.Counter(obs.MetricCatalogCardFallbacks, "COUNT probes issued because the catalog could not answer"),
-	}, nil
+	}
+	e.dict.Store(rdf.NewDict())
+	return e, nil
+}
+
+// retireDict replaces d as the dictionary new executions start on once it
+// holds more key text than the spill budget. Executions still running on
+// d keep it, and it is garbage when the last of them closes.
+func (e *Engine) retireDict(d *rdf.Dict) {
+	if d.Bytes() > e.opts.JoinSpillBytes {
+		e.dict.CompareAndSwap(d, rdf.NewDict())
+	}
 }
 
 // MustNew is New but panics on invalid options; for tests and benchmarks
@@ -329,7 +350,8 @@ func (e *Engine) Federation() *federation.Federation { return e.fed }
 
 // ClearCaches drops every cached planning fact — relevance, counts and
 // check verdicts — as if the engine had just started (used by the cache
-// on/off experiments).
+// on/off experiments). The term dictionary stays: it answers no planning
+// question, so keeping it sends no request a cold engine would not.
 func (e *Engine) ClearCaches() { e.facts.clear() }
 
 // QueryString parses and executes a federated query.

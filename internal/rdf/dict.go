@@ -11,16 +11,19 @@ import (
 // dictionary copies page pointers, never terms.
 const dictPage = 256
 
-// Dict assigns dense uint32 ids to RDF terms, 0 to the zero Term (unbound):
-// the term dictionary of one query execution, shared by the goroutines
-// that decode its rows. It is keyed by a term's canonical text
-// (AppendTerm); InternText aliases every other spelling it meets (Turtle
-// shorthand, unneeded escapes, surrounding space) to that id, so rows join
-// on ids exactly when their terms are equal. Lookups take the read lock
-// once per row, insertions the write lock once per row, and Term no lock.
+// Dict assigns dense uint32 ids to RDF terms, 0 to the zero Term (unbound).
+// It is safe for concurrent use: the engine shares one among all the query
+// executions it runs, and every goroutine that decodes their rows interns
+// into it. It is keyed by a term's canonical text (AppendTerm); InternText
+// aliases every other spelling it meets (Turtle shorthand, unneeded
+// escapes, surrounding space) to that id, so rows join on ids exactly when
+// their terms are equal. Lookups take the read lock once per row,
+// insertions the write lock once per row, and Term no lock. A Dict only
+// grows; Bytes reports the key text it holds, so an owner can retire it.
 type Dict struct {
-	mu  sync.RWMutex
-	ids map[string]uint32 // canonical text and alias spellings → id
+	mu    sync.RWMutex
+	ids   map[string]uint32 // canonical text and alias spellings → id
+	bytes atomic.Int64      // bytes of key text in ids
 
 	pages atomic.Pointer[[]*[dictPage]Term] // id i is at page (i-1)/dictPage
 	n     atomic.Uint32                     // terms stored
@@ -31,6 +34,10 @@ func NewDict() *Dict { return &Dict{ids: make(map[string]uint32)} }
 
 // Len returns the number of distinct terms interned.
 func (d *Dict) Len() int { return int(d.n.Load()) }
+
+// Bytes returns the bytes of key text the dictionary holds: every term's
+// canonical text and every alias spelling.
+func (d *Dict) Bytes() int64 { return d.bytes.Load() }
 
 // Term returns the term with the given id, which must come from d.
 func (d *Dict) Term(id uint32) Term {
@@ -50,16 +57,29 @@ func (d *Dict) Terms(ids []uint32, out []Term) []Term {
 }
 
 // InternRow writes the id of every term of row into ids, adding new terms.
+// Like InternText it looks the row up under the read lock and takes the
+// write lock only when a term is new.
 func (d *Dict) InternRow(row []Term, ids []uint32) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var scratch [256]byte
+	missed := false
+	d.mu.RLock()
 	for i, t := range row {
 		if ids[i] = 0; !t.IsZero() {
 			key := AppendTerm(scratch[:0], t)
 			if ids[i] = d.ids[string(key)]; ids[i] == 0 {
-				ids[i] = d.insertLocked(string(key), t)
+				missed = true
 			}
+		}
+	}
+	d.mu.RUnlock()
+	if !missed {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, t := range row {
+		if ids[i] == 0 && !t.IsZero() {
+			ids[i] = d.insertLocked(string(AppendTerm(scratch[:0], t)), t)
 		}
 	}
 }
@@ -118,8 +138,10 @@ func (d *Dict) InternText(cells [][]byte, ids []uint32) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, p := range todo {
-		if ids[p.cell] = d.insertLocked(p.key, p.term); p.text != p.key {
+		ids[p.cell] = d.insertLocked(p.key, p.term)
+		if _, ok := d.ids[p.text]; !ok {
 			d.ids[p.text] = ids[p.cell]
+			d.bytes.Add(int64(len(p.text)))
 		}
 	}
 	return -1, nil
@@ -146,6 +168,7 @@ func (d *Dict) insertLocked(key string, t Term) uint32 {
 	pages[n/dictPage][n%dictPage] = t
 	d.n.Store(n + 1)
 	d.ids[key] = n + 1
+	d.bytes.Add(int64(len(key)))
 	return n + 1
 }
 

@@ -85,7 +85,8 @@ func TestDictConcurrentIntern(t *testing.T) {
 
 // Every spelling of a term maps to the id of its canonical text: Turtle
 // shorthand and the explicit typed literal, an escaped spelling and its
-// raw twin, whether they arrive as text or as terms.
+// raw twin, whether they arrive as text or as terms. Bytes counts the
+// canonical text once and each other spelling once.
 func TestDictInternCanonical(t *testing.T) {
 	for _, spellings := range [][]string{
 		{`1`, `"1"^^<http://www.w3.org/2001/XMLSchema#integer>`, `"1"^^<http://www.w3.org/2001/XMLSchema#integer>`},
@@ -120,6 +121,18 @@ func TestDictInternCanonical(t *testing.T) {
 		}
 		if d.Len() != 1 {
 			t.Errorf("%v: %d terms, want 1", spellings, d.Len())
+		}
+		canon := string(AppendTerm(nil, d.Term(first)))
+		keys := map[string]bool{canon: true}
+		want := int64(len(canon))
+		for _, s := range spellings {
+			if !keys[s] {
+				keys[s] = true
+				want += int64(len(s))
+			}
+		}
+		if d.Bytes() != want {
+			t.Errorf("%v: %d bytes of keys, want %d", spellings, d.Bytes(), want)
 		}
 	}
 }

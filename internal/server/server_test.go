@@ -8,6 +8,7 @@ import (
 	"maps"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -17,11 +18,13 @@ import (
 	"lusail/internal/catalog"
 	"lusail/internal/client"
 	"lusail/internal/core"
+	"lusail/internal/eval"
 	"lusail/internal/lint/leakcheck"
 	"lusail/internal/resilience"
 	"lusail/internal/server"
 	"lusail/internal/sparql"
 	"lusail/internal/sparql/sema"
+	"lusail/internal/store"
 )
 
 // The LUBM federation is immutable once built, so all tests that only read
@@ -564,4 +567,55 @@ func TestOversizedQueryBody(t *testing.T) {
 		msg, _ := io.ReadAll(resp.Body)
 		t.Errorf("status %d, want 413: %.200s", resp.StatusCode, msg)
 	}
+}
+
+// TestConcurrentShapesShareOneDict sends LUBM Q1–Q4 to lusaild twice each,
+// all at once, with the result cache off: the executions run concurrently
+// on one engine and intern into its one term dictionary, and every answer
+// is the centralized one. Run under -race.
+func TestConcurrentShapesShareOneDict(t *testing.T) {
+	f := sharedFed(t)
+	srv := startServer(t, f.NewLusail(core.DefaultOptions()), func(cfg *server.Config) {
+		cfg.DisableResultCache = true
+		cfg.DefaultTenant = server.TenantConfig{MaxConcurrent: 16}
+	})
+	union := store.New()
+	for _, ds := range f.Datasets {
+		union.AddAll(ds.Triples)
+	}
+	queries := bench.LUBMQueries()
+	want := make([]*sparql.Results, len(queries))
+	for i, q := range queries {
+		res, err := eval.New(union).QueryString(q.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Rows = sparql.DistinctRows(res.Rows)
+		res.Sort()
+		want[i] = res
+	}
+	var wg sync.WaitGroup
+	for n := range 2 * len(queries) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			i := n % len(queries)
+			resp, body := get(t, srv.URL+"?query="+url.QueryEscape(queries[i].Text), nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: status %d: %s", queries[i].Name, resp.StatusCode, body)
+				return
+			}
+			got, err := sparql.ParseResultsJSON(body)
+			if err != nil {
+				t.Errorf("%s: %v", queries[i].Name, err)
+				return
+			}
+			got.Rows = sparql.DistinctRows(got.Rows)
+			got.Sort()
+			if !reflect.DeepEqual(got.Rows, want[i].Rows) {
+				t.Errorf("%s: %d rows, oracle %d", queries[i].Name, len(got.Rows), len(want[i].Rows))
+			}
+		}()
+	}
+	wg.Wait()
 }
