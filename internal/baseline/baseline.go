@@ -29,6 +29,7 @@ import (
 	"slices"
 	"sort"
 
+	"lusail/internal/client"
 	"lusail/internal/erh"
 	"lusail/internal/federation"
 	"lusail/internal/op"
@@ -319,7 +320,7 @@ func (e *execution) fetch(ctx context.Context, u *unit, values *sparql.InlineDat
 	text := u.query(values)
 	partial := make([]op.RowStream, len(u.sources))
 	err := e.pool.ForEach(ctx, len(u.sources), func(i int) error {
-		res, err := e.fed.Get(u.sources[i]).Query(ctx, text)
+		res, err := client.Collect(ctx, e.fed.Get(u.sources[i]), text)
 		if err != nil {
 			return fmt.Errorf("baseline: unit at %s: %w", u.sources[i], err)
 		}

@@ -227,11 +227,11 @@ type askFlaky struct {
 	requests int
 }
 
-func (e *askFlaky) Query(ctx context.Context, q string) (*sparql.Results, error) {
+func (e *askFlaky) QueryStream(ctx context.Context, q string) (sparql.RowReader, error) {
 	if e.requests++; e.requests == 1 {
 		return nil, fmt.Errorf("endpoint %s: connection reset", e.Name())
 	}
-	return e.Endpoint.Query(ctx, q)
+	return e.Endpoint.QueryStream(ctx, q)
 }
 
 // FedX's ASK selection: one ASK per pattern and endpoint, cached by

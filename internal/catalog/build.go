@@ -36,7 +36,7 @@ func BuildSummary(ctx context.Context, ep client.Endpoint) (*Summary, error) {
 		return nil, fmt.Errorf("catalog: counting %s: %w", ep.Name(), err)
 	}
 
-	res, err := ep.Query(ctx, scanQuery())
+	res, err := client.Collect(ctx, ep, scanQuery())
 	if err != nil {
 		return nil, fmt.Errorf("catalog: scanning %s: %w", ep.Name(), err)
 	}
@@ -115,7 +115,7 @@ func probeValues(ctx context.Context, ep client.Endpoint) bool {
 		Vars: []string{"x"},
 		Rows: [][]rdf.Term{{rdf.NewIRI(probeIRI)}},
 	})
-	res, err := ep.Query(ctx, q.String())
+	res, err := client.Collect(ctx, ep, q.String())
 	if err != nil || res == nil || len(res.Rows) != 1 || len(res.Rows[0]) != 1 {
 		return false
 	}

@@ -14,7 +14,9 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"strconv"
 
 	"lusail/internal/eval"
@@ -30,13 +32,35 @@ import (
 type Endpoint interface {
 	// Name returns a stable identifier for the endpoint within a federation.
 	Name() string
-	// Query evaluates a SPARQL query (SELECT or ASK) and returns its results.
+	// QueryStream evaluates a SPARQL query (SELECT or ASK) and returns
+	// once the response head is in; rows are pulled with RowReader.Read,
+	// and an ASK answers a sparql.BooleanReader. Every error that is not
+	// the stream's own comes back here, before the head. The caller owns
+	// the reader and must Close it on every path.
+	QueryStream(ctx context.Context, query string) (sparql.RowReader, error)
+	// Query is Collect of QueryStream in every implementation.
 	Query(ctx context.Context, query string) (*sparql.Results, error)
+}
+
+// Collect drains ep's answer to query into a materialized result set: an
+// ASK's boolean, or a SELECT's rows.
+func Collect(ctx context.Context, ep Endpoint, query string) (*sparql.Results, error) {
+	rd, err := ep.QueryStream(ctx, query)
+	if err != nil {
+		return nil, err
+	}
+	return sparql.ReadAllRows(rd)
+}
+
+// QueryStream is ep.QueryStream as a function, the spelling the
+// benchmark harness (benchmark/trace.go) calls.
+func QueryStream(ctx context.Context, ep Endpoint, query string) (sparql.RowReader, error) {
+	return ep.QueryStream(ctx, query)
 }
 
 // Ask runs an ASK query and returns its boolean.
 func Ask(ctx context.Context, ep Endpoint, query string) (bool, error) {
-	res, err := ep.Query(ctx, query)
+	res, err := Collect(ctx, ep, query)
 	if err != nil {
 		return false, err
 	}
@@ -60,7 +84,7 @@ func Boolean(res *sparql.Results, epName string) (bool, error) {
 // "unknown", never as zero: a remote endpoint that answers with an error
 // page or a truncated result set must not make a pattern look free.
 func Count(ctx context.Context, ep Endpoint, query string) (n float64, ok bool, err error) {
-	res, err := ep.Query(ctx, query)
+	res, err := Collect(ctx, ep, query)
 	if err != nil {
 		return 0, false, err
 	}
@@ -145,41 +169,33 @@ func (e *InProcess) Name() string { return e.name }
 // tests).
 func (e *InProcess) Store() store.Graph { return e.ev.Store() }
 
-// Query implements Endpoint.
-func (e *InProcess) Query(ctx context.Context, query string) (*sparql.Results, error) {
+// QueryStream implements Endpoint with eval.Select's cursor. An ASK's
+// cursor holds one empty row when there is a solution; its first row
+// becomes the boolean answer, as endpoint.Handler writes it.
+func (e *InProcess) QueryStream(ctx context.Context, query string) (sparql.RowReader, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, err := e.ev.QueryString(query)
+	q, err := sparql.Parse(query)
+	var rows sparql.RowReader
+	if err == nil {
+		rows, err = e.ev.Select(q)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("endpoint %s: %w", e.name, err)
 	}
-	return res, nil
+	if q.Form != sparql.AskForm {
+		return rows, nil
+	}
+	defer rows.Close()
+	_, err = rows.Read()
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("endpoint %s: %w", e.name, err)
+	}
+	return sparql.NewResultsReader(sparql.BoolResults(err == nil)), nil
 }
 
-// ResultSize estimates the wire size in bytes of a result set encoded in the
-// SPARQL JSON format, without actually encoding it. Used for communication
-// accounting and bandwidth simulation.
-func ResultSize(r *sparql.Results) int {
-	if r == nil {
-		return 0
-	}
-	if r.IsBoolean {
-		return 40
-	}
-	size := 40
-	for _, v := range r.Vars {
-		size += len(v) + 4
-	}
-	for _, row := range r.Rows {
-		size += 4
-		for _, t := range row {
-			if t.IsZero() {
-				continue
-			}
-			// {"x":{"type":"uri","value":"..."}} overhead ≈ 30 bytes/term.
-			size += len(t.Value) + len(t.Lang) + len(t.Datatype) + 30
-		}
-	}
-	return size
+// Query implements Endpoint.
+func (e *InProcess) Query(ctx context.Context, query string) (*sparql.Results, error) {
+	return Collect(ctx, e, query)
 }

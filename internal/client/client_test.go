@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"lusail/internal/rdf"
-	"lusail/internal/sparql"
 	"lusail/internal/store"
 )
 
@@ -114,6 +114,33 @@ func TestLatencyBandwidthDelay(t *testing.T) {
 	}
 }
 
+// Many small rows pay their transfer in quanta, not one overshooting timer
+// per row: 2,000 rows of ~50 bytes at 5 MB/s are ~20 ms on the modeled
+// wire, and a sleep per row would take several times that.
+func TestLatencyBandwidthBatchesSmallRows(t *testing.T) {
+	var triples []rdf.Triple
+	for i := 0; i < 2000; i++ {
+		triples = append(triples, rdf.Triple{S: rdf.NewIRI("http://ex/a"), P: rdf.NewIRI("http://ex/p"),
+			O: rdf.NewIRI(fmt.Sprintf("http://ex/o%d", i))})
+	}
+	ep := NewLatency(NewInProcess("ep", store.NewFromTriples(triples)), 0, 5_000_000)
+	q := `SELECT ?o WHERE { <http://ex/a> <http://ex/p> ?o }`
+	start := time.Now()
+	res, err := ep.Query(context.Background(), q)
+	elapsed := time.Since(start)
+	if err != nil || len(res.Rows) != 2000 {
+		t.Fatalf("Query = %d rows, %v", len(res.Rows), err)
+	}
+	size := headSize(res.Vars)
+	for _, row := range res.Rows {
+		size += rowSize(row)
+	}
+	modeled := time.Duration(float64(size) / 5e6 * float64(time.Second))
+	if elapsed < modeled || elapsed > 4*modeled {
+		t.Errorf("elapsed = %v for %v of modeled transfer", elapsed, modeled)
+	}
+}
+
 func TestLatencyRespectsContext(t *testing.T) {
 	ep := NewLatency(testEP(), time.Second, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -128,18 +155,41 @@ func TestLatencyRespectsContext(t *testing.T) {
 	}
 }
 
-func TestResultSize(t *testing.T) {
-	if ResultSize(nil) != 0 {
-		t.Error("nil size should be 0")
+// The wire-size model: a head of 40 bytes and len(var)+4 per variable,
+// and a row of 4 bytes and each bound term's text with 30 bytes of
+// framing. Instrumented counts one head per response, and rowSize per row.
+func TestWireSizeModel(t *testing.T) {
+	if headSize(nil) != 40 || headSize([]string{"x", "yz"}) != 40+5+6 {
+		t.Errorf("head sizes %d, %d", headSize(nil), headSize([]string{"x", "yz"}))
 	}
-	if ResultSize(sparql.BoolResults(true)) <= 0 {
-		t.Error("boolean size should be positive")
+	iri := rdf.NewIRI("http://example.org/very/long/iri")
+	if got := rowSize([]rdf.Term{iri, {}}); got != 4+len(iri.Value)+30 {
+		t.Errorf("row size %d", got)
 	}
-	r := sparql.NewResults([]string{"x"})
-	small := ResultSize(r)
-	r.Rows = append(r.Rows, []rdf.Term{rdf.NewIRI("http://example.org/very/long/iri")})
-	if ResultSize(r) <= small {
-		t.Error("size should grow with rows")
+	if rowSize([]rdf.Term{rdf.NewLangLiteral("v", "en")}) <= rowSize([]rdf.Term{rdf.NewLiteral("v")}) {
+		t.Error("a language tag should add to the row size")
+	}
+
+	var m Metrics
+	ep := NewInstrumented(testEP(), &m)
+	ctx := context.Background()
+	res, err := ep.Query(ctx, `SELECT ?o WHERE { <http://ex/a> <http://ex/p> ?o }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := headSize(res.Vars)
+	for _, row := range res.Rows {
+		want += rowSize(row)
+	}
+	if got := m.Snapshot().Bytes; got != int64(want) {
+		t.Errorf("SELECT counted %d bytes, want %d", got, want)
+	}
+	m.Reset()
+	if _, err := ep.Query(ctx, `ASK { ?s ?p ?o }`); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Snapshot().Bytes; got != 40 {
+		t.Errorf("ASK counted %d bytes, want 40", got)
 	}
 }
 

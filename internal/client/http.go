@@ -97,23 +97,17 @@ func (e *HTTP) Name() string { return e.name }
 // URL returns the endpoint URL.
 func (e *HTTP) URL() string { return e.url }
 
-// Query implements Endpoint by draining QueryStream: the materialized
-// convenience is now layered on the streaming path, so both share one
-// protocol implementation and one response-size policy.
+// Query implements Endpoint.
 func (e *HTTP) Query(ctx context.Context, query string) (*sparql.Results, error) {
-	rd, err := e.QueryStream(ctx, query)
-	if err != nil {
-		return nil, err
-	}
-	return sparql.ReadAllRows(rd)
+	return Collect(ctx, e, query)
 }
 
-// QueryStream implements Streamer with the SPARQL 1.1 Protocol's "query
+// QueryStream implements Endpoint with the SPARQL 1.1 Protocol's "query
 // via POST directly" (§2.1.3): the query text is the request body, sent
-// as application/sparql-query, so it is never URL-encoded. It asks for TSV or
-// JSON results (JSON only for ASK) and decodes the one the response's
-// Content-Type names; any
-// other type, or TSV without length framing, is an EndpointError. It
+// as application/sparql-query, so it is never URL-encoded. It asks for
+// TSV or JSON results (JSON only for ASK) and decodes the one the
+// response's Content-Type names; any other type, or TSV without length
+// framing, is an EndpointError. It
 // returns once the response head has been decoded; rows decode
 // incrementally on Read. A body larger than the configured
 // MaxResponseBytes fails the stream with an EndpointError wrapping

@@ -110,34 +110,7 @@ func (e *Instrumented) Metrics() *Metrics { return e.metrics }
 
 // Query implements Endpoint.
 func (e *Instrumented) Query(ctx context.Context, query string) (*sparql.Results, error) {
-	if e.metrics != nil {
-		e.metrics.Requests.Add(1)
-	}
-	e.requests.Inc()
-	start := time.Now()
-	res, err := e.inner.Query(ctx, query)
-	e.latency.Observe(time.Since(start).Seconds())
-	if err != nil {
-		if e.metrics != nil {
-			e.metrics.Errors.Add(1)
-		}
-		e.errors.Inc()
-		return nil, err
-	}
-	size := ResultSize(res)
-	if e.metrics != nil {
-		if isSourceProbe(res.IsBoolean, res.Vars) {
-			e.metrics.Asks.Add(1)
-		}
-		e.metrics.Rows.Add(int64(len(res.Rows)))
-		e.metrics.Bytes.Add(int64(size))
-	}
-	if isSourceProbe(res.IsBoolean, res.Vars) {
-		e.asks.Inc()
-	}
-	e.rows.Observe(float64(len(res.Rows)))
-	e.bytes.Observe(float64(size))
-	return res, nil
+	return Collect(ctx, e, query)
 }
 
 // Latency wraps an endpoint and injects network delay: a fixed round-trip
@@ -165,20 +138,7 @@ func (e *Latency) Unwrap() Endpoint { return e.inner }
 
 // Query implements Endpoint.
 func (e *Latency) Query(ctx context.Context, query string) (*sparql.Results, error) {
-	if err := sleepCtx(ctx, e.RTT); err != nil {
-		return nil, err
-	}
-	res, err := e.inner.Query(ctx, query)
-	if err != nil {
-		return nil, err
-	}
-	if e.BytesPerSecond > 0 {
-		transfer := time.Duration(float64(ResultSize(res)) / float64(e.BytesPerSecond) * float64(time.Second))
-		if err := sleepCtx(ctx, transfer); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return Collect(ctx, e, query)
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {

@@ -2,30 +2,42 @@ package client
 
 import (
 	"context"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"lusail/internal/obs"
+	"lusail/internal/sparql"
 )
 
-// TestObsConcurrentInstrumentedRetry hammers one Instrumented+Retry+Flaky
-// stack from many goroutines; run with -race to verify the obs registry and
-// the endpoint wrappers are concurrency-safe, then check that every counter
-// agrees on the number of logical queries.
+// failEvery fails every n-th request before its head.
+type failEvery struct {
+	Endpoint
+	n        int64
+	requests atomic.Int64
+}
+
+func (e *failEvery) QueryStream(ctx context.Context, query string) (sparql.RowReader, error) {
+	if e.requests.Add(1)%e.n == 0 {
+		return nil, fmt.Errorf("endpoint %s: injected failure", e.Name())
+	}
+	return e.Endpoint.QueryStream(ctx, query)
+}
+
+// TestObsConcurrentInstrumentedRetry hammers one Instrumented endpoint over
+// a fake that fails every 5th request from many goroutines; run with -race
+// to verify the obs registry and the endpoint wrappers are
+// concurrency-safe, then check that every counter agrees on the number of
+// requests and failures.
 func TestObsConcurrentInstrumentedRetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	var m Metrics
-	flaky := NewFlaky(testEP(), 5) // every 5th request fails once, then retried
-	// The other goroutines advance the shared request counter between one
-	// query's attempts, so each attempt fails with probability about 1/5:
-	// with 3 attempts some query exhausted them in ~15% of runs, with 8 in
-	// about one run in a thousand.
-	retry := NewRetry(flaky, 8, time.Microsecond)
-	inst := NewInstrumentedWith(retry, &m, reg)
+	inst := NewInstrumentedWith(&failEvery{Endpoint: testEP(), n: 5}, &m, reg)
 
 	const goroutines, perG = 16, 25
 	ctx := context.Background()
+	var failed atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -34,8 +46,8 @@ func TestObsConcurrentInstrumentedRetry(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				res, err := inst.Query(ctx, `ASK { ?s ?p ?o }`)
 				if err != nil {
-					t.Errorf("Query: %v", err)
-					return
+					failed.Add(1)
+					continue
 				}
 				if !res.Boolean {
 					t.Error("ASK = false, want true")
@@ -47,51 +59,24 @@ func TestObsConcurrentInstrumentedRetry(t *testing.T) {
 	wg.Wait()
 
 	const total = goroutines * perG
-	if s := m.Snapshot(); s.Requests != total || s.Errors != 0 || s.Asks != total {
-		t.Errorf("legacy snapshot = %+v, want %d requests/asks, 0 errors", s, total)
+	errs := failed.Load()
+	if errs != total/5 {
+		t.Errorf("%d requests failed, want %d", errs, total/5)
+	}
+	if s := m.Snapshot(); s.Requests != total || s.Errors != errs || s.Asks != total-errs {
+		t.Errorf("legacy snapshot = %+v, want %d requests, %d errors, %d asks", s, total, errs, total-errs)
 	}
 	label := obs.L("endpoint", "ep")
 	if v := reg.Counter(obs.MetricRequests, "", label).Value(); v != total {
 		t.Errorf("registry requests = %v, want %d", v, total)
 	}
-	if v := reg.Counter(obs.MetricAsks, "", label).Value(); v != total {
-		t.Errorf("registry asks = %v, want %d", v, total)
+	if v := reg.Counter(obs.MetricErrors, "", label).Value(); v != errs {
+		t.Errorf("registry errors = %v, want %d", v, errs)
 	}
-	if n := reg.Histogram(obs.MetricRequestSeconds, "", obs.LatencyBuckets, label).Count(); n != total {
-		t.Errorf("latency observations = %d, want %d", n, total)
+	if v := reg.Counter(obs.MetricAsks, "", label).Value(); v != total-errs {
+		t.Errorf("registry asks = %v, want %d", v, total-errs)
 	}
-	if flaky.Failures() == 0 {
-		t.Error("flaky endpoint never failed; retry path untested")
-	}
-}
-
-// TestRetryBackoffCap verifies the full-jitter backoff is capped: with a
-// nominal backoff of an hour but MaxBackoff of a few milliseconds, an
-// all-failing endpoint must exhaust its attempts almost immediately.
-func TestRetryBackoffCap(t *testing.T) {
-	r := NewRetry(NewFlaky(testEP(), 1), 4, time.Hour)
-	r.MaxBackoff = 5 * time.Millisecond
-
-	start := time.Now()
-	_, err := r.Query(context.Background(), `ASK { ?s ?p ?o }`)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("all-failing endpoint should error")
-	}
-	if elapsed > time.Second {
-		t.Errorf("4 attempts took %v; MaxBackoff cap not applied", elapsed)
-	}
-}
-
-// TestJitterBounds checks the full-jitter draw stays within [0, d].
-func TestJitterBounds(t *testing.T) {
-	if jitter(0) != 0 || jitter(-time.Second) != 0 {
-		t.Error("jitter of non-positive duration should be 0")
-	}
-	const d = 100 * time.Millisecond
-	for i := 0; i < 1000; i++ {
-		if j := jitter(d); j < 0 || j > d {
-			t.Fatalf("jitter(%v) = %v, out of [0, %v]", d, j, d)
-		}
+	if n := reg.Histogram(obs.MetricRequestSeconds, "", obs.LatencyBuckets, label).Count(); n != total-errs {
+		t.Errorf("latency observations = %d, want %d", n, total-errs)
 	}
 }

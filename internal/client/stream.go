@@ -1,9 +1,8 @@
 package client
 
 import (
-	"errors"
-
 	"context"
+	"errors"
 	"io"
 	"time"
 
@@ -11,33 +10,22 @@ import (
 	"lusail/internal/sparql"
 )
 
-// Streamer is implemented by endpoints that can deliver result rows
-// incrementally, as they are decoded off the wire, instead of
-// materializing the whole result set first. QueryStream returns after the
-// response head has been received; rows are pulled with RowReader.Read.
-// The caller owns the reader and must Close it on every path.
-type Streamer interface {
-	QueryStream(ctx context.Context, query string) (sparql.RowReader, error)
+// headSize and rowSize model a response's size on the wire, in bytes, as
+// a SPARQL JSON results document, without encoding it: one head and each
+// row. Instrumented counts these sizes and Latency delays by them.
+
+// headSize is 40 bytes and len(v)+4 per variable (an ASK has none).
+func headSize(vars []string) int {
+	size := 40
+	for _, v := range vars {
+		size += len(v) + 4
+	}
+	return size
 }
 
-// QueryStream issues a query against ep, streaming when the endpoint
-// implements Streamer and falling back to materialize-then-replay
-// otherwise (in-process stores, fault injectors). The fallback preserves
-// the RowReader contract exactly; only memory behavior differs.
-func QueryStream(ctx context.Context, ep Endpoint, query string) (sparql.RowReader, error) {
-	if s, ok := ep.(Streamer); ok {
-		return s.QueryStream(ctx, query)
-	}
-	res, err := ep.Query(ctx, query)
-	if err != nil {
-		return nil, err
-	}
-	return sparql.NewResultsReader(res), nil
-}
-
-// RowSize estimates the wire size in bytes of one solution row, using the
-// same model as ResultSize.
-func RowSize(row []rdf.Term) int {
+// rowSize is 4 bytes and, per bound term, its text and about 30 bytes of
+// {"x":{"type":"uri","value":"..."}} framing.
+func rowSize(row []rdf.Term) int {
 	size := 4
 	for _, t := range row {
 		if t.IsZero() {
@@ -48,16 +36,17 @@ func RowSize(row []rdf.Term) int {
 	return size
 }
 
-// QueryStream implements Streamer: the request is counted up front and the
-// returned reader accounts rows and bytes as they are pulled, reporting
-// latency (time to last row) and totals when the stream ends or is closed.
+// QueryStream implements Endpoint: the request is counted up front and the
+// returned reader accounts rows and bytes (the head's and each row's) as
+// they are pulled, reporting latency (time to last row) and totals once,
+// when the stream ends, fails or is closed.
 func (e *Instrumented) QueryStream(ctx context.Context, query string) (sparql.RowReader, error) {
 	if e.metrics != nil {
 		e.metrics.Requests.Add(1)
 	}
 	e.requests.Inc()
 	start := time.Now()
-	rd, err := QueryStream(ctx, e.inner, query)
+	rd, err := e.inner.QueryStream(ctx, query)
 	if err != nil {
 		if e.metrics != nil {
 			e.metrics.Errors.Add(1)
@@ -65,7 +54,8 @@ func (e *Instrumented) QueryStream(ctx context.Context, query string) (sparql.Ro
 		e.errors.Inc()
 		return nil, err
 	}
-	return &instrumentedReader{inner: rd, ids: sparql.IDsOf(rd), ep: e, start: start}, nil
+	return &instrumentedReader{inner: rd, ids: sparql.IDsOf(rd), ep: e, start: start,
+		bytes: int64(headSize(rd.Vars()))}, nil
 }
 
 // instrumentedReader tees row/byte counts off a streamed response.
@@ -91,14 +81,14 @@ func (r *instrumentedReader) Boolean() (bool, bool) {
 
 func (r *instrumentedReader) Read() ([]rdf.Term, error) {
 	row, err := r.inner.Read()
-	return row, r.count(RowSize(row), err)
+	return row, r.count(rowSize(row), err)
 }
 
 // ReadIDs implements sparql.IDReader, counting like Read.
 func (r *instrumentedReader) ReadIDs(dict *rdf.Dict) ([]uint32, error) {
 	ids, err := r.ids.ReadIDs(dict)
 	r.terms = dict.Terms(ids, r.terms)
-	return ids, r.count(RowSize(r.terms), err)
+	return ids, r.count(rowSize(r.terms), err)
 }
 
 // count accounts one read: a row of size bytes, the end of the stream, or
@@ -163,32 +153,39 @@ func (r *instrumentedReader) Close() error {
 	return r.inner.Close()
 }
 
-// QueryStream implements Streamer: the round-trip delay is paid before the
-// head arrives and the bandwidth term is paid per row as rows are pulled,
-// so a streamed consumer experiences first-row latency ≈ RTT rather than
-// RTT + full-transfer time.
+// QueryStream implements Endpoint: the round-trip delay is paid before the
+// head is returned and the transfer of the head and each row as rows are
+// pulled, so a streamed consumer experiences first-row latency ≈ RTT
+// rather than RTT + full-transfer time.
 func (e *Latency) QueryStream(ctx context.Context, query string) (sparql.RowReader, error) {
 	if err := sleepCtx(ctx, e.RTT); err != nil {
 		return nil, err
 	}
-	rd, err := QueryStream(ctx, e.inner, query)
-	if err != nil {
-		return nil, err
+	rd, err := e.inner.QueryStream(ctx, query)
+	if err != nil || e.BytesPerSecond <= 0 {
+		return rd, err
 	}
-	if e.BytesPerSecond <= 0 {
-		return rd, nil
-	}
-	return &latencyReader{inner: rd, ids: sparql.IDsOf(rd), ctx: ctx, bps: e.BytesPerSecond}, nil
+	r := &latencyReader{inner: rd, ids: sparql.IDsOf(rd), ctx: ctx, bps: e.BytesPerSecond}
+	r.owe(headSize(rd.Vars()))
+	return r, nil
 }
 
-// latencyReader delays each row by its transfer time at the simulated
-// bandwidth.
+// transferQuantum is the least delay a latencyReader sleeps: a timer of
+// a few microseconds overshoots many times over (a 5 µs sleep took
+// ~170 µs on a 2-core Linux host), so sleeping per row would bill a
+// small row many times its transfer time.
+const transferQuantum = time.Millisecond
+
+// latencyReader delays rows by their transfer time at the simulated
+// bandwidth. It owes each row's time and sleeps the debt off once it
+// reaches transferQuantum, and what is left at the end of the stream.
 type latencyReader struct {
 	inner sparql.RowReader
 	ids   sparql.IDReader
 	terms []rdf.Term // ReadIDs' row, decoded for its size
 	ctx   context.Context
 	bps   int64
+	owed  time.Duration
 }
 
 func (r *latencyReader) Vars() []string { return r.inner.Vars() }
@@ -200,13 +197,40 @@ func (r *latencyReader) Boolean() (bool, bool) {
 	return false, false
 }
 
+// owe adds the transfer time of size bytes to the debt.
+func (r *latencyReader) owe(size int) {
+	r.owed += time.Duration(float64(size) / float64(r.bps) * float64(time.Second))
+}
+
+// pay sleeps off the debt once it reaches transferQuantum, or all of it
+// at the end of the stream.
+func (r *latencyReader) pay(end bool) error {
+	if r.owed < transferQuantum && !end {
+		return nil
+	}
+	d := r.owed
+	r.owed = 0
+	return sleepCtx(r.ctx, d)
+}
+
+// after delays one read: a row by its transfer, the end of the stream by
+// the debt left.
+func (r *latencyReader) after(row []rdf.Term, err error) error {
+	switch {
+	case err == nil:
+		r.owe(rowSize(row))
+		return r.pay(false)
+	case errors.Is(err, io.EOF):
+		if perr := r.pay(true); perr != nil {
+			return perr
+		}
+	}
+	return err
+}
+
 func (r *latencyReader) Read() ([]rdf.Term, error) {
 	row, err := r.inner.Read()
-	if err != nil {
-		return nil, err
-	}
-	transfer := time.Duration(float64(RowSize(row)) / float64(r.bps) * float64(time.Second))
-	if err := sleepCtx(r.ctx, transfer); err != nil {
+	if err := r.after(row, err); err != nil {
 		return nil, err
 	}
 	return row, nil
@@ -215,12 +239,10 @@ func (r *latencyReader) Read() ([]rdf.Term, error) {
 // ReadIDs implements sparql.IDReader, delaying like Read.
 func (r *latencyReader) ReadIDs(dict *rdf.Dict) ([]uint32, error) {
 	ids, err := r.ids.ReadIDs(dict)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		r.terms = dict.Terms(ids, r.terms)
 	}
-	r.terms = dict.Terms(ids, r.terms)
-	transfer := time.Duration(float64(RowSize(r.terms)) / float64(r.bps) * float64(time.Second))
-	if err := sleepCtx(r.ctx, transfer); err != nil {
+	if err := r.after(r.terms, err); err != nil {
 		return nil, err
 	}
 	return ids, nil

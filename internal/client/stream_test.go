@@ -11,8 +11,6 @@ import (
 	"testing"
 
 	"lusail/internal/rdf"
-	"lusail/internal/sparql"
-	"lusail/internal/store"
 )
 
 // resultsDoc renders a sparql-results+json document with n one-var rows.
@@ -133,26 +131,5 @@ func TestHTTPQueryStreamIncremental(t *testing.T) {
 	}
 	if _, err := rd.Read(); !errors.Is(err, io.EOF) {
 		t.Fatalf("end of stream: %v", err)
-	}
-}
-
-// TestQueryStreamFallback covers endpoints without native streaming: the
-// package-level QueryStream adapts Query through a materialized reader
-// with identical RowReader semantics.
-func TestQueryStreamFallback(t *testing.T) {
-	st := store.New()
-	st.Add(rdf.Triple{S: rdf.NewIRI("http://ex.org/s"), P: rdf.NewIRI("http://ex.org/p"), O: rdf.NewLiteral("v")})
-	ep := NewInProcess("mem", st)
-	rd, err := QueryStream(context.Background(), ep, "SELECT ?o WHERE { ?s ?p ?o }")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	res, err := sparql.ReadAllRows(rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0] != rdf.NewLiteral("v") {
-		t.Fatalf("rows = %+v", res.Rows)
 	}
 }

@@ -22,13 +22,16 @@ import (
 type malformedCounts struct{ inner client.Endpoint }
 
 func (e *malformedCounts) Name() string { return e.inner.Name() }
-func (e *malformedCounts) Query(ctx context.Context, query string) (*sparql.Results, error) {
+func (e *malformedCounts) QueryStream(ctx context.Context, query string) (sparql.RowReader, error) {
 	if strings.Contains(query, "COUNT(") {
 		res := sparql.NewResults([]string{"lusail_c"})
 		res.Rows = [][]rdf.Term{{rdf.NewLiteral("service unavailable")}}
-		return res, nil
+		return sparql.NewResultsReader(res), nil
 	}
-	return e.inner.Query(ctx, query)
+	return e.inner.QueryStream(ctx, query)
+}
+func (e *malformedCounts) Query(ctx context.Context, query string) (*sparql.Results, error) {
+	return client.Collect(ctx, e, query)
 }
 
 func TestMalformedCountsAreUnknownNotZero(t *testing.T) {

@@ -2,15 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"lusail/internal/client"
 	"lusail/internal/eval"
 	"lusail/internal/federation"
 	"lusail/internal/qplan"
 	"lusail/internal/rdf"
+	"lusail/internal/resilience"
 	"lusail/internal/sparql"
 	"lusail/internal/store"
 )
@@ -537,36 +538,18 @@ func TestDisconnectedSubgraphsJoinedByFilter(t *testing.T) {
 	}
 }
 
-// Failure injection: a flaky endpoint behind a retry wrapper must not
-// change federated answers; without retries, the engine must surface the
-// error rather than return silently partial results.
+// Failure injection: with endpoints that fail some of their requests, the
+// engine must surface the error rather than return silently partial
+// results.
 func TestFailureInjection(t *testing.T) {
-	eps, oracle := paperFederation(false)
-	want := oracleResults(t, oracle, qa)
-
-	// With retries: correct answers despite injected failures.
-	var wrapped []client.Endpoint
-	for _, ep := range eps {
-		flaky := client.NewFlaky(ep, 4)
-		wrapped = append(wrapped, client.NewRetry(flaky, 4, time.Millisecond))
+	eps, _ := paperFederation(false)
+	var faulty []client.Endpoint
+	for i, ep := range eps {
+		faulty = append(faulty, resilience.WithFaults(ep, resilience.FaultSpec{ErrorRate: 0.34, Seed: uint64(i)}))
 	}
-	e := MustNew(federation.MustNew(wrapped...), DefaultOptions())
-	got, _, err := e.QueryString(context.Background(), qa)
-	if err != nil {
-		t.Fatalf("with retry: %v", err)
-	}
-	got.Rows = sparql.DistinctRows(got.Rows)
-	got.Sort()
-	assertSameResults(t, got, want)
-
-	// Without retries: the query errors out loudly.
-	var raw []client.Endpoint
-	for _, ep := range eps {
-		raw = append(raw, client.NewFlaky(ep, 3))
-	}
-	e2 := MustNew(federation.MustNew(raw...), DefaultOptions())
-	if _, _, err := e2.QueryString(context.Background(), qa); err == nil {
-		t.Error("expected an error from the failing federation")
+	e := MustNew(federation.MustNew(faulty...), DefaultOptions())
+	if _, _, err := e.QueryString(context.Background(), qa); !errors.Is(err, resilience.ErrInjected) {
+		t.Errorf("err = %v, want an injected failure", err)
 	}
 }
 

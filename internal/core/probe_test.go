@@ -27,7 +27,7 @@ type noBatches struct {
 }
 
 func (e *noBatches) Name() string { return e.inner.Name() }
-func (e *noBatches) Query(ctx context.Context, query string) (*sparql.Results, error) {
+func (e *noBatches) QueryStream(ctx context.Context, query string) (sparql.RowReader, error) {
 	switch {
 	case strings.Contains(query, "BIND(EXISTS"), strings.Count(query, "COUNT(") > 1:
 		e.rejected.Add(1)
@@ -39,15 +39,21 @@ func (e *noBatches) Query(ctx context.Context, query string) (*sparql.Results, e
 	case strings.Contains(query, "NOT EXISTS"):
 		e.checks.Add(1)
 	}
-	return e.inner.Query(ctx, query)
+	return e.inner.QueryStream(ctx, query)
+}
+func (e *noBatches) Query(ctx context.Context, query string) (*sparql.Results, error) {
+	return client.Collect(ctx, e, query)
 }
 
 // down fails every request.
 type down struct{ name string }
 
 func (e down) Name() string { return e.name }
-func (e down) Query(context.Context, string) (*sparql.Results, error) {
+func (e down) QueryStream(context.Context, string) (sparql.RowReader, error) {
 	return nil, fmt.Errorf("endpoint %s: connection refused", e.name)
+}
+func (e down) Query(ctx context.Context, query string) (*sparql.Results, error) {
+	return client.Collect(ctx, e, query)
 }
 
 func warningSet(ws []resilience.Warning) []string {
@@ -198,11 +204,11 @@ type failChecks struct {
 	all bool
 }
 
-func (e failChecks) Query(ctx context.Context, query string) (*sparql.Results, error) {
+func (e failChecks) QueryStream(ctx context.Context, query string) (sparql.RowReader, error) {
 	if strings.Contains(query, "EXISTS") && (e.all || strings.Contains(query, client.SourceVar+"0")) {
 		return nil, fmt.Errorf("endpoint %s: request failed", e.Name())
 	}
-	return e.Endpoint.Query(ctx, query)
+	return e.Endpoint.QueryStream(ctx, query)
 }
 
 // A first-round batch that fails at one endpoint loses the checks riding

@@ -67,7 +67,7 @@ func (e *Engine) degrade(ctx context.Context, phase client.Phase, endpoint strin
 
 // gate returns the pool admission gate: the resilience manager's
 // non-claiming breaker view (a nil manager admits everything). The
-// claiming admission happens inside Do/DoHedged at dispatch, so gated
+// claiming admission happens inside DoStream/DoHedged at dispatch, so gated
 // tasks are admitted exactly once.
 func (e *Engine) gate() resilience.Gate { return e.res.Gate() }
 

@@ -120,11 +120,11 @@ type flaky struct {
 	requests atomic.Int64
 }
 
-func (e *flaky) Query(ctx context.Context, q string) (*sparql.Results, error) {
+func (e *flaky) QueryStream(ctx context.Context, q string) (sparql.RowReader, error) {
 	if e.requests.Add(1) == 1 {
 		return nil, fmt.Errorf("endpoint %s: connection reset", e.Name())
 	}
-	return e.Endpoint.Query(ctx, q)
+	return e.Endpoint.QueryStream(ctx, q)
 }
 
 // An endpoint whose probe failed is a source of the pattern, with a

@@ -138,55 +138,55 @@ func (h *mergeHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]
 // merge streams every distinct record in sorted order, then releases all
 // run files. The sorter must not be reused afterwards.
 func (s *extSorter) merge(emit func(rec []byte) error) error {
-	defer s.close()
-	if len(s.runs) == 0 {
-		// Everything fit in memory: sort and emit directly.
-		s.sortBuf()
-		for _, r := range s.buf {
-			if err := emit(r); err != nil {
-				return err
-			}
+	it, err := s.iter()
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for {
+		rec, err := it.Next()
+		if errors.Is(err, io.EOF) {
+			return nil
 		}
-		return nil
+		if err != nil {
+			return err
+		}
+		if err := emit(rec); err != nil {
+			return err
+		}
+	}
+}
+
+// iter seals the sorter into an iterator over every distinct record in
+// sorted order: the buffer itself when nothing spilled, else a k-way heap
+// merge over the runs, the buffer spilled as the last one. The iterator
+// owns the run files; on error they are already released.
+func (s *extSorter) iter() (*SortIter, error) {
+	if len(s.runs) == 0 {
+		s.sortBuf()
+		return &SortIter{s: s, mem: s.buf}, nil
 	}
 	if err := s.spill(); err != nil {
-		return err
+		s.close()
+		return nil, err
 	}
 	h := make(mergeHeap, 0, len(s.runs))
 	for _, f := range s.runs {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return err
+			s.close()
+			return nil, err
 		}
 		rr := &runReader{r: bufio.NewReaderSize(f, 1<<20)}
 		if err := rr.next(); err != nil {
-			return err
+			s.close()
+			return nil, err
 		}
 		if !rr.eof {
 			h = append(h, rr)
 		}
 	}
 	heap.Init(&h)
-	var prev []byte
-	havePrev := false
-	for h.Len() > 0 {
-		rr := h[0]
-		if !havePrev || !bytes.Equal(rr.cur, prev) {
-			if err := emit(rr.cur); err != nil {
-				return err
-			}
-			prev = append(prev[:0], rr.cur...)
-			havePrev = true
-		}
-		if err := rr.next(); err != nil {
-			return err
-		}
-		if rr.eof {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
-		}
-	}
-	return nil
+	return &SortIter{s: s, h: h, disk: true}, nil
 }
 
 // close releases the run files (already unlinked; closing frees the disk).

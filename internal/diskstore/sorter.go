@@ -1,7 +1,6 @@
 package diskstore
 
 import (
-	"bufio"
 	"bytes"
 	"container/heap"
 	"io"
@@ -13,9 +12,10 @@ import (
 // read back in globally sorted, deduplicated order through an iterator
 // instead of a callback. It exists for consumers that need to interleave
 // the sorted stream with other work — the engine's spill-to-disk hash
-// join merges two sorted sides record by record, which the callback-style
-// merge() cannot express. Records compare with bytes.Compare, so a
-// length-prefixed join key groups equal keys contiguously.
+// join merges two sorted sides record by record; the loader's
+// callback-style merge() is a loop over the same iterator. Records
+// compare with bytes.Compare, so a length-prefixed join key groups equal
+// keys contiguously.
 //
 // Run files are created in dir (the process temp dir when empty) and
 // unlinked immediately, so nothing survives a crash.
@@ -42,32 +42,7 @@ func (s *Sorter) Spilled() bool { return len(s.s.runs) > 0 }
 // iterator to release the run files.
 func (s *Sorter) Iter() (*SortIter, error) {
 	s.sealed = true
-	if len(s.s.runs) == 0 {
-		// Everything fit in memory: sort and walk the buffer directly.
-		s.s.sortBuf()
-		return &SortIter{s: s.s, mem: s.s.buf}, nil
-	}
-	if err := s.s.spill(); err != nil {
-		s.s.close()
-		return nil, err
-	}
-	h := make(mergeHeap, 0, len(s.s.runs))
-	for _, f := range s.s.runs {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			s.s.close()
-			return nil, err
-		}
-		rr := &runReader{r: bufio.NewReaderSize(f, 1<<20)}
-		if err := rr.next(); err != nil {
-			s.s.close()
-			return nil, err
-		}
-		if !rr.eof {
-			h = append(h, rr)
-		}
-	}
-	heap.Init(&h)
-	return &SortIter{s: s.s, h: h, disk: true}, nil
+	return s.s.iter()
 }
 
 // Close releases the sorter's buffers and run files. Needed only when the

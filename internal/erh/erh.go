@@ -64,7 +64,7 @@ func (p *Pool) Limit() int { return p.limit }
 // slot) would hold it for the whole queue wait and could leak it entirely
 // when the task is skipped by cancellation. The authoritative, claiming
 // admission happens again inside the task when the request dispatches
-// (resilience.Manager.Do / DoHedged).
+// (resilience.Manager.DoStream / DoHedged).
 type Gate interface {
 	// Allow returns nil to admit a task for the named endpoint, or the
 	// rejection cause (wrapping resilience.ErrBreakerOpen for breakers).

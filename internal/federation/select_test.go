@@ -81,7 +81,7 @@ type noBatch struct {
 	rejected, counts, asks atomic.Int64
 }
 
-func (e *noBatch) Query(ctx context.Context, q string) (*sparql.Results, error) {
+func (e *noBatch) QueryStream(ctx context.Context, q string) (sparql.RowReader, error) {
 	switch {
 	case strings.Count(q, "COUNT(") > 1:
 		e.rejected.Add(1)
@@ -91,7 +91,7 @@ func (e *noBatch) Query(ctx context.Context, q string) (*sparql.Results, error) 
 	default:
 		e.counts.Add(1)
 	}
-	return e.Endpoint.Query(ctx, q)
+	return e.Endpoint.QueryStream(ctx, q)
 }
 
 // A rejected batch is re-sent as one plain COUNT per pattern, with no ASK;

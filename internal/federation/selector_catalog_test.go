@@ -50,8 +50,11 @@ func withCatalog(fed *federation.Federation, st *catalog.Store) *core.Engine {
 type failingEndpoint struct{ name string }
 
 func (e *failingEndpoint) Name() string { return e.name }
-func (e *failingEndpoint) Query(ctx context.Context, query string) (*sparql.Results, error) {
+func (e *failingEndpoint) QueryStream(ctx context.Context, query string) (sparql.RowReader, error) {
 	return nil, fmt.Errorf("endpoint %s: connection refused", e.name)
+}
+func (e *failingEndpoint) Query(ctx context.Context, query string) (*sparql.Results, error) {
+	return client.Collect(ctx, e, query)
 }
 
 func TestCatalogTierFullHit(t *testing.T) {

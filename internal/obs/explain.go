@@ -67,7 +67,6 @@ type EndpointStat struct {
 	Endpoint string
 	Requests int64
 	Errors   int64
-	Retries  int64
 	Rows     int64
 	Bytes    int64
 	Seconds  float64 // total request time at this endpoint
@@ -75,7 +74,7 @@ type EndpointStat struct {
 
 // EndpointStats pivots a registry snapshot into per-endpoint traffic rows,
 // sorted by endpoint name. Rows, bytes, and request time come from the
-// histograms' sums; requests, errors, and retries from the counters.
+// histograms' sums; requests and errors from the counters.
 func EndpointStats(r *Registry) []EndpointStat {
 	byEP := map[string]*EndpointStat{}
 	get := func(labels map[string]string) *EndpointStat {
@@ -101,8 +100,6 @@ func EndpointStats(r *Registry) []EndpointStat {
 				st.Requests += int64(s.Value)
 			case MetricErrors:
 				st.Errors += int64(s.Value)
-			case MetricRetries:
-				st.Retries += int64(s.Value)
 			case MetricResultRows:
 				st.Rows += int64(s.Histogram.Sum)
 			case MetricResultBytes:
@@ -121,7 +118,7 @@ func EndpointStats(r *Registry) []EndpointStat {
 }
 
 // WriteEndpointStats renders the per-endpoint traffic table of a registry:
-// requests, errors, retries, rows, payload bytes, and mean request latency
+// requests, errors, rows, payload bytes, and mean request latency
 // per endpoint, plus a totals row.
 func WriteEndpointStats(w io.Writer, r *Registry) error {
 	stats := EndpointStats(r)
@@ -130,25 +127,24 @@ func WriteEndpointStats(w io.Writer, r *Registry) error {
 		return err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %9s %7s %8s %10s %10s %10s\n",
-		"endpoint", "requests", "errors", "retries", "rows", "bytes", "avg-rtt")
+	fmt.Fprintf(&b, "%-16s %9s %7s %10s %10s %10s\n",
+		"endpoint", "requests", "errors", "rows", "bytes", "avg-rtt")
 	var total EndpointStat
 	for _, st := range stats {
 		avg := time.Duration(0)
 		if st.Requests > 0 {
 			avg = time.Duration(st.Seconds / float64(st.Requests) * float64(time.Second))
 		}
-		fmt.Fprintf(&b, "%-16s %9d %7d %8d %10d %10d %10s\n",
-			st.Endpoint, st.Requests, st.Errors, st.Retries, st.Rows, st.Bytes, FormatDuration(avg))
+		fmt.Fprintf(&b, "%-16s %9d %7d %10d %10d %10s\n",
+			st.Endpoint, st.Requests, st.Errors, st.Rows, st.Bytes, FormatDuration(avg))
 		total.Requests += st.Requests
 		total.Errors += st.Errors
-		total.Retries += st.Retries
 		total.Rows += st.Rows
 		total.Bytes += st.Bytes
 		total.Seconds += st.Seconds
 	}
-	fmt.Fprintf(&b, "%-16s %9d %7d %8d %10d %10d\n",
-		"TOTAL", total.Requests, total.Errors, total.Retries, total.Rows, total.Bytes)
+	fmt.Fprintf(&b, "%-16s %9d %7d %10d %10d\n",
+		"TOTAL", total.Requests, total.Errors, total.Rows, total.Bytes)
 	_, err := io.WriteString(w, b.String())
 	return err
 }

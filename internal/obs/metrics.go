@@ -20,7 +20,6 @@ const (
 	MetricRequests       = "lusail_endpoint_requests_total"
 	MetricErrors         = "lusail_endpoint_errors_total"
 	MetricAsks           = "lusail_endpoint_asks_total"
-	MetricRetries        = "lusail_endpoint_retries_total"
 	MetricRequestSeconds = "lusail_endpoint_request_seconds"
 	MetricResultRows     = "lusail_endpoint_result_rows"
 	MetricResultBytes    = "lusail_endpoint_result_bytes"

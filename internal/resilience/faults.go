@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
-	"time"
 
 	"lusail/internal/client"
 	"lusail/internal/obs"
@@ -34,10 +33,6 @@ type FaultSpec struct {
 	// cancellation: the endpoint is up but never answers. Overrides
 	// ErrorRate and HangRate.
 	Hang bool
-	// SlowFactor >= 1 multiplies the observed service time of requests that
-	// are not failed or hung, by sleeping (SlowFactor-1)× the inner
-	// endpoint's latency after it answers. 0 means no slowdown.
-	SlowFactor float64
 	// Seed initializes the deterministic fault stream.
 	Seed uint64
 }
@@ -93,30 +88,30 @@ const (
 	faultHang
 )
 
-// draw picks this request's fate (and the slow factor in effect) from the
-// deterministic stream under one lock, so a concurrent SetSpec never tears
-// a request's view of the spec. One draw per request keeps the sequence
-// aligned across runs regardless of which fault fires.
-func (f *Faulty) draw() (faultKind, float64) {
+// draw picks this request's fate from the deterministic stream under one
+// lock, so a concurrent SetSpec never tears a request's view of the spec.
+// One draw per request keeps the sequence aligned across runs regardless
+// of which fault fires.
+func (f *Faulty) draw() faultKind {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.spec.Hang {
-		return faultHang, 0
+		return faultHang
 	}
 	u := f.rng.Float64()
 	if u < f.spec.ErrorRate {
-		return faultError, 0
+		return faultError
 	}
 	if u < f.spec.ErrorRate+f.spec.HangRate {
-		return faultHang, 0
+		return faultHang
 	}
-	return faultNone, f.spec.SlowFactor
+	return faultNone
 }
 
-// Query implements client.Endpoint.
-func (f *Faulty) Query(ctx context.Context, query string) (*sparql.Results, error) {
-	kind, slow := f.draw()
-	switch kind {
+// QueryStream implements client.Endpoint. Both faults fire before the
+// head; a request spared by its draw streams the inner endpoint's answer.
+func (f *Faulty) QueryStream(ctx context.Context, query string) (sparql.RowReader, error) {
+	switch f.draw() {
 	case faultError:
 		f.injected.Inc()
 		return nil, fmt.Errorf("endpoint %s: %w", f.inner.Name(), ErrInjected)
@@ -125,15 +120,10 @@ func (f *Faulty) Query(ctx context.Context, query string) (*sparql.Results, erro
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	start := time.Now()
-	res, err := f.inner.Query(ctx, query)
-	if err == nil && slow > 1 {
-		extra := time.Duration(float64(time.Since(start)) * (slow - 1))
-		select {
-		case <-time.After(extra):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return res, err
+	return f.inner.QueryStream(ctx, query)
+}
+
+// Query implements client.Endpoint.
+func (f *Faulty) Query(ctx context.Context, query string) (*sparql.Results, error) {
+	return client.Collect(ctx, f, query)
 }

@@ -14,8 +14,8 @@ import (
 // Manager holds the per-endpoint resilience state — circuit breaker and
 // latency-quantile estimator — and mediates every remote request the engine
 // makes. A nil *Manager is valid and means "resilience disabled": Allow
-// admits everything, Do calls the endpoint directly, and DoHedged never
-// hedges. That keeps call sites free of nil checks, mirroring the obs
+// admits everything, DoStream calls the endpoint directly, and DoHedged
+// never hedges. That keeps call sites free of nil checks, mirroring the obs
 // package's nil-safe spans.
 type Manager struct {
 	cfg Config
@@ -27,9 +27,9 @@ type Manager struct {
 	hedges    *obs.Counter
 	hedgeWins *obs.Counter
 
-	// probeObs, when set, observes the wall-clock duration of every Do /
-	// DoHedged call (after hedging, so it sees the latency the caller
-	// experienced). The bench's faults experiment uses it to report probe
+	// probeObs, when set, observes the wall-clock duration of every
+	// DoStream / DoHedged call (after hedging, so it sees the latency the
+	// caller experienced). The bench's faults experiment uses it to report probe
 	// p50/p99 with hedging on and off.
 	probeObs func(endpoint string, d time.Duration)
 }
@@ -63,8 +63,8 @@ func NewManager(cfg Config, reg *obs.Registry) *Manager {
 }
 
 // SetProbeObserver installs fn to observe the caller-experienced duration of
-// every Do/DoHedged call. Call before issuing queries; not synchronized with
-// in-flight requests.
+// every DoStream/DoHedged call. Call before issuing queries; not
+// synchronized with in-flight requests.
 func (m *Manager) SetProbeObserver(fn func(endpoint string, d time.Duration)) {
 	if m != nil {
 		m.probeObs = fn
@@ -89,8 +89,8 @@ func (m *Manager) state(name string) *epState {
 // now, returning an error wrapping ErrBreakerOpen when its breaker
 // rejects. A successful Allow may hold the endpoint's half-open trial
 // slot, so it must be paired with exactly one Record (which releases the
-// slot whatever the outcome, cancellation included). Do and DoHedged keep
-// that pairing themselves; use Gate() — which only peeks — for pool
+// slot whatever the outcome, cancellation included). DoStream and DoHedged
+// keep that pairing themselves; use Gate() — which only peeks — for pool
 // admission, never Allow, or gated requests would claim twice.
 func (m *Manager) Allow(name string) error {
 	if m == nil || m.cfg.FailureThreshold <= 0 {
@@ -104,19 +104,19 @@ func (m *Manager) Allow(name string) error {
 
 // Gate is the Manager's non-claiming admission view for the ERH pool. Its
 // Allow only peeks at breaker state: no open → half-open transition, no
-// trial-slot claim. The claiming admission happens inside Do/DoHedged when
-// the request actually dispatches, so a task queued behind a saturated
-// pool never strands the trial quota, and gate-then-Do admits exactly
-// once. The zero Gate (and a nil Manager's Gate) admits everything.
+// trial-slot claim. The claiming admission happens inside
+// DoStream/DoHedged when the request actually dispatches, so a task queued
+// behind a saturated pool never strands the trial quota, and
+// gate-then-dispatch admits exactly once. The zero Gate (and a nil Manager's Gate) admits everything.
 type Gate struct{ m *Manager }
 
 // Gate returns the pool-admission view of m; valid on a nil Manager.
 func (m *Manager) Gate() Gate { return Gate{m} }
 
 // Allow implements the ERH pool's admission check. A request admitted here
-// is re-checked — and claimed — by Do/DoHedged at dispatch, so a breaker
-// that trips (or runs out of trial slots) while the task waits for a pool
-// slot still rejects it at the last moment.
+// is re-checked — and claimed — by DoStream/DoHedged at dispatch, so a
+// breaker that trips (or runs out of trial slots) while the task waits for
+// a pool slot still rejects it at the last moment.
 func (g Gate) Allow(name string) error {
 	m := g.m
 	if m == nil || m.cfg.FailureThreshold <= 0 {
@@ -195,42 +195,24 @@ func (m *Manager) HedgeDelay(name string) (time.Duration, bool) {
 	return d, true
 }
 
-// Do runs one query through the resilience layer: breaker check, the
-// request itself, and outcome recording. It is the non-hedged path, for
-// requests that are not idempotent probes (subqueries, bound joins) or
-// whose result streams are too large to duplicate cheaply.
-func (m *Manager) Do(ctx context.Context, ep client.Endpoint, query string) (*sparql.Results, error) {
-	if m == nil {
-		return ep.Query(ctx, query)
-	}
-	if err := m.Allow(ep.Name()); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res, err := ep.Query(ctx, query)
-	d := time.Since(start)
-	m.Record(ep.Name(), d, err)
-	if m.probeObs != nil {
-		m.probeObs(ep.Name(), d)
-	}
-	return res, err
-}
-
 // DoHedged runs an idempotent probe (ASK, COUNT, LIMIT-1 check) with tail
 // hedging: if the first request outlives the endpoint's adaptive latency
-// quantile, a second identical request races it and the first response —
-// success or failure — wins, cancelling the other. Hedging only triggers
-// after the per-endpoint warmup, so cold endpoints behave exactly like Do.
+// quantile, a second identical request races it and the first answer —
+// success or failure — wins, cancelling the other. Each attempt drains its
+// own stream and closes it, so the loser's reader closes as its context
+// ends. Hedging only triggers after the per-endpoint warmup; until then,
+// and on a nil Manager, DoHedged collects DoStream's answer.
 //
 // Only the winning attempt's outcome is recorded against the breaker; the
 // loser is cancelled, and Record treats cancellation as neutral.
 func (m *Manager) DoHedged(ctx context.Context, ep client.Endpoint, query string) (*sparql.Results, error) {
-	if m == nil {
-		return ep.Query(ctx, query)
-	}
 	delay, hedgeable := m.HedgeDelay(ep.Name())
 	if !hedgeable {
-		return m.Do(ctx, ep, query)
+		rd, err := m.DoStream(ctx, ep, query)
+		if err != nil {
+			return nil, err
+		}
+		return sparql.ReadAllRows(rd)
 	}
 	if err := m.Allow(ep.Name()); err != nil {
 		return nil, err
@@ -250,7 +232,7 @@ func (m *Manager) DoHedged(ctx context.Context, ep client.Endpoint, query string
 	launch := func(hedged bool) {
 		go func() {
 			start := time.Now()
-			res, err := ep.Query(actx, query)
+			res, err := client.Collect(actx, ep, query)
 			ch <- attempt{res: res, err: err, d: time.Since(start), hedged: hedged}
 		}()
 	}

@@ -220,11 +220,11 @@ func newBreaker(cfg Config, name string, reg *obs.Registry) *breaker {
 // admitted, without claiming anything: no open → half-open transition, no
 // trial slot. The ERH pool gate uses it to skip tasks for broken endpoints
 // before they occupy a worker slot; the claiming admission (allow) happens
-// at dispatch time inside Manager.Do / DoHedged. Peeking and claiming must
-// stay separate operations — if the gate claimed, every gated request
-// would claim twice (gate, then Do), and with HalfOpenProbes=1 the second
-// claim would be rejected before the trial ever ran, wedging the breaker
-// in half-open permanently.
+// at dispatch time inside Manager.DoStream / DoHedged. Peeking and
+// claiming must stay separate operations — if the gate claimed, every
+// gated request would claim twice (gate, then DoStream), and with
+// HalfOpenProbes=1 the second claim would be rejected before the trial
+// ever ran, wedging the breaker in half-open permanently.
 func (b *breaker) peek() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()

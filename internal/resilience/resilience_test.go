@@ -11,6 +11,7 @@ import (
 	"lusail/internal/client"
 	"lusail/internal/lint/leakcheck"
 	"lusail/internal/obs"
+	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 )
 
@@ -26,12 +27,20 @@ type scriptEP struct {
 
 func (s *scriptEP) Name() string { return s.name }
 
-func (s *scriptEP) Query(ctx context.Context, _ string) (*sparql.Results, error) {
+func (s *scriptEP) QueryStream(ctx context.Context, _ string) (sparql.RowReader, error) {
 	s.mu.Lock()
 	call := s.n
 	s.n++
 	s.mu.Unlock()
-	return s.fn(call, ctx)
+	res, err := s.fn(call, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return sparql.NewResultsReader(res), nil
+}
+
+func (s *scriptEP) Query(ctx context.Context, q string) (*sparql.Results, error) {
+	return client.Collect(ctx, s, q)
 }
 
 func (s *scriptEP) calls() int {
@@ -82,8 +91,10 @@ func TestNilManagerIsDisabled(t *testing.T) {
 	if st := m.State("u0"); st != Closed {
 		t.Fatalf("nil manager State = %v, want Closed", st)
 	}
-	if _, err := m.Do(context.Background(), ep, "ASK {}"); err != nil {
-		t.Fatalf("nil manager Do: %v", err)
+	if rd, err := m.DoStream(context.Background(), ep, "ASK {}"); err != nil {
+		t.Fatalf("nil manager DoStream: %v", err)
+	} else {
+		rd.Close()
 	}
 	if _, err := m.DoHedged(context.Background(), ep, "ASK {}"); err != nil {
 		t.Fatalf("nil manager DoHedged: %v", err)
@@ -173,10 +184,10 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 // TestGatedAdmissionSingleShot is the regression test for the pool-gate /
-// Do double-admission bug: the gate's Allow must only peek — no open →
-// half-open transition, no trial-slot claim — so the Do it admits can
-// still claim the (single) trial slot at dispatch and close the breaker.
-// When the gate claimed too, Do's own admission found the slot taken,
+// Do double-admission bug (Do is now DoStream): the gate's Allow must only
+// peek — no open → half-open transition, no trial-slot claim — so the
+// DoStream it admits can still claim the (single) trial slot at dispatch and close the breaker.
+// When the gate claimed too, DoStream's own admission found the slot taken,
 // rejected the request before it ran, and the breaker never left
 // half-open.
 func TestGatedAdmissionSingleShot(t *testing.T) {
@@ -202,7 +213,7 @@ func TestGatedAdmissionSingleShot(t *testing.T) {
 
 	clock = clock.Add(2 * time.Second)
 	// The pool gate admits the task; peeking must neither transition the
-	// breaker nor claim the trial slot — Do does both at dispatch.
+	// breaker nor claim the trial slot — DoStream does both at dispatch.
 	if err := m.Gate().Allow("u0"); err != nil {
 		t.Fatalf("gate after cooldown: %v", err)
 	}
@@ -212,8 +223,10 @@ func TestGatedAdmissionSingleShot(t *testing.T) {
 	ep := &scriptEP{name: "u0", fn: func(int, context.Context) (*sparql.Results, error) {
 		return sparql.NewResults(nil), nil
 	}}
-	if _, err := m.Do(context.Background(), ep, "ASK {}"); err != nil {
-		t.Fatalf("Do after gate admission = %v; admission was double-claimed", err)
+	if rd, err := m.DoStream(context.Background(), ep, "ASK {}"); err != nil {
+		t.Fatalf("DoStream after gate admission = %v; admission was double-claimed", err)
+	} else {
+		rd.Close()
 	}
 	if st := m.State("u0"); st != Closed {
 		t.Fatalf("breaker did not recover through the gated path (state %v)", st)
@@ -408,6 +421,66 @@ func TestDoHedgedRescuesHungProbe(t *testing.T) {
 	}
 	if got := ep.calls(); got != 2 {
 		t.Fatalf("endpoint saw %d attempts, want 2", got)
+	}
+}
+
+// stalledStream has sent its head; its first Read waits until the
+// request's context ends.
+type stalledStream struct {
+	ctx    context.Context
+	closed chan struct{}
+}
+
+func (r *stalledStream) Vars() []string { return []string{"x"} }
+func (r *stalledStream) Read() ([]rdf.Term, error) {
+	<-r.ctx.Done()
+	return nil, r.ctx.Err()
+}
+func (r *stalledStream) Close() error {
+	close(r.closed)
+	return nil
+}
+
+// stallFirst answers its first request with a stalledStream and the rest
+// with one row.
+type stallFirst struct {
+	first *stalledStream
+	calls int
+	mu    sync.Mutex
+}
+
+func (e *stallFirst) Name() string { return "u0" }
+func (e *stallFirst) QueryStream(ctx context.Context, _ string) (sparql.RowReader, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.calls++; e.calls == 1 {
+		e.first.ctx = ctx
+		return e.first, nil
+	}
+	res := sparql.NewResults([]string{"x"})
+	res.Rows = [][]rdf.Term{{rdf.NewIRI("http://ex/x")}}
+	return sparql.NewResultsReader(res), nil
+}
+func (e *stallFirst) Query(ctx context.Context, q string) (*sparql.Results, error) {
+	return client.Collect(ctx, e, q)
+}
+
+// A hedge that wins while the first attempt is stalled mid-stream, after
+// its head, cancels that attempt, whose drain ends and closes its reader.
+func TestDoHedgedClosesLosingStream(t *testing.T) {
+	leakcheck.Check(t)
+	cfg := Config{HedgeQuantile: 0.9, HedgeWarmup: 5, HedgeMinDelay: time.Millisecond}
+	m := NewManager(cfg, obs.NewRegistry())
+	warmHedging(m, "u0", 2*time.Millisecond)
+	ep := &stallFirst{first: &stalledStream{closed: make(chan struct{})}}
+	res, err := m.DoHedged(context.Background(), ep, "SELECT ?x WHERE { ?x ?p ?o }")
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("DoHedged = %+v, %v; want the hedge's one row", res, err)
+	}
+	select {
+	case <-ep.first.closed:
+	case <-time.After(time.Second):
+		t.Fatal("the losing attempt's reader was not closed")
 	}
 }
 

@@ -1,9 +1,8 @@
 package resilience
 
 import (
-	"errors"
-
 	"context"
+	"errors"
 	"io"
 	"time"
 
@@ -21,13 +20,13 @@ import (
 // Manager streams directly.
 func (m *Manager) DoStream(ctx context.Context, ep client.Endpoint, query string) (sparql.RowReader, error) {
 	if m == nil {
-		return client.QueryStream(ctx, ep, query)
+		return ep.QueryStream(ctx, query)
 	}
 	if err := m.Allow(ep.Name()); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	rd, err := client.QueryStream(ctx, ep, query)
+	rd, err := ep.QueryStream(ctx, query)
 	if err != nil {
 		d := time.Since(start)
 		m.Record(ep.Name(), d, err)

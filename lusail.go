@@ -101,7 +101,8 @@ type (
 	// Query is a parsed SPARQL query.
 	Query = sparql.Query
 	// Endpoint is anything queryable with SPARQL: a remote HTTP endpoint,
-	// an in-process store, or a wrapped/instrumented endpoint.
+	// an in-process store, or a wrapped/instrumented endpoint. QueryStream
+	// is its one request method; Query is client.Collect of it.
 	Endpoint = client.Endpoint
 	// Engine is the Lusail federated query processor.
 	Engine = core.Engine
