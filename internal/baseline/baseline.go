@@ -229,7 +229,7 @@ func (e *execution) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.B
 	// stops once LIMIT results are complete (the paper's C4 observation).
 	limit := -1
 	if e.pol.limitStop && q.Limit >= 0 && len(q.OrderBy) == 0 && !q.Distinct && !q.HasAggregates() &&
-		len(br.Optionals) == 0 && q.Offset == 0 {
+		len(br.Optionals) == 0 && len(br.Values) == 0 && q.Offset == 0 {
 		limit = q.Limit
 	}
 
@@ -270,7 +270,13 @@ func (e *execution) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.B
 		}
 	}
 	if rel == nil {
-		rel = &relation{}
+		rel = &relation{rows: [][]uint32{{}}} // the one empty solution
+	}
+	// VALUES blocks from the query text join as in-memory relations.
+	for _, vd := range br.Values {
+		if rel, err = e.join(ctx, rel, &relation{vars: vd.Vars, rows: op.InternRows(e.dict, vd.Rows)}); err != nil {
+			return nil, err
+		}
 	}
 
 	for _, ob := range br.Optionals {

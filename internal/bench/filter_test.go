@@ -49,8 +49,10 @@ func filterDatasets() []Dataset {
 
 // TestFilterPlacementParity holds filter placement — conjuncts pushed
 // apart, a disjunction kept whole, OPTIONAL conjuncts, residual filters,
-// and equality filters run as hash-join keys — to the eval oracle over the
-// union graph: every system returns the oracle's row multiset.
+// and equality filters run as hash-join keys — and the join rule on
+// unbound shared variables — VALUES with UNDEF, OPTIONAL blocks binding
+// the same variable — to the eval oracle over the union graph: every
+// system returns the oracle's row multiset.
 func TestFilterPlacementParity(t *testing.T) {
 	datasets := filterDatasets()
 	const prefix = "PREFIX a: <http://a.org/>\nPREFIX b: <http://b.org/>\n"
@@ -72,6 +74,13 @@ func TestFilterPlacementParity(t *testing.T) {
 			FILTER(STR(?n) = STR(?l) && ?v > 2 && ?w < 8 && ?v < ?w) }`},
 		{"value equality is not keyed", `SELECT ?s ?v ?t ?w WHERE {
 			?s a:num ?v . ?t b:val ?w FILTER(?v = ?w) }`},
+		{"VALUES", `SELECT ?s ?v WHERE { ?s a:num ?v VALUES ?s { a:s1 } }`},
+		{"VALUES with UNDEF", `SELECT ?s ?v WHERE {
+			?s a:num ?v VALUES (?s ?v) { (UNDEF 3) (a:s1 UNDEF) } }`},
+		{"OPTIONALs sharing a variable, opt first", `SELECT ?s ?v ?t WHERE {
+			?s a:num ?v OPTIONAL { ?s a:opt ?t } OPTIONAL { ?s a:link ?t } }`},
+		{"OPTIONALs sharing a variable, link first", `SELECT ?s ?v ?t WHERE {
+			?s a:num ?v OPTIONAL { ?s a:link ?t } OPTIONAL { ?s a:opt ?t } }`},
 	}
 	st := store.New()
 	for _, ds := range datasets {

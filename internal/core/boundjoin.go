@@ -1,10 +1,7 @@
 package core
 
 import (
-	"errors"
-
 	"context"
-	"io"
 	"strings"
 	"sync"
 
@@ -24,10 +21,12 @@ import (
 // without SAPE's materialization barrier.
 //
 // The builder guarantees at least one shared variable (a subquery with no
-// overlap is planned as an unbound scan under a hash join instead).
-// Upstream rows whose shared variables are unbound match nothing, as in
-// op.AppendKey. The block's bindings are decoded to terms once, to render
-// the VALUES block; the responses are interned into the same dictionary.
+// overlap is planned as an unbound scan under a hash join instead). The
+// block rows are an op.Table that the response rows probe, so the join
+// follows op's rule: a block row with an unbound shared variable ships it
+// as UNDEF and joins every response row that agrees with it on the rest.
+// The block's bindings are decoded to terms once, to render the VALUES
+// block; the responses are interned into the same dictionary.
 //
 // In optional mode the stream is an OPTIONAL block's left join: a block
 // row without a surviving extension — a combined row on which the block's
@@ -47,12 +46,7 @@ type boundJoinStream struct {
 	optional bool
 	cond     []sparql.Expr
 	phase    client.Phase
-
-	vars      []string
-	shared    []string
-	srcKeyIdx []int // shared positions in src vars
-	sqKeyIdx  []int // shared positions in sq vars
-	extraIdx  []int // sq positions appended after the src row
+	sh       op.Shared // block rows on the left, response rows on the right
 
 	outBuf [][]uint32
 	obi    int
@@ -71,23 +65,7 @@ type boundJoinStream struct {
 }
 
 func (e *Engine) newBoundJoinStream(ctx context.Context, src op.RowStream, sq *Subquery, dict *rdf.Dict) *boundJoinStream {
-	s := &boundJoinStream{e: e, src: src, sq: sq, dict: dict, phase: client.PhaseBoundJoin, ctx: ctx, parent: obs.FromContext(ctx)}
-	s.vars = append([]string(nil), src.Vars()...)
-	srcPos := make(map[string]int, len(s.vars))
-	for i, v := range s.vars {
-		srcPos[v] = i
-	}
-	for j, v := range sq.Vars() {
-		if i, ok := srcPos[v]; ok {
-			s.shared = append(s.shared, v)
-			s.srcKeyIdx = append(s.srcKeyIdx, i)
-			s.sqKeyIdx = append(s.sqKeyIdx, j)
-		} else {
-			s.vars = append(s.vars, v)
-			s.extraIdx = append(s.extraIdx, j)
-		}
-	}
-	return s
+	return &boundJoinStream{e: e, src: src, sq: sq, dict: dict, phase: client.PhaseBoundJoin, sh: op.Share(src.Vars(), sq.Vars()), ctx: ctx, parent: obs.FromContext(ctx)}
 }
 
 // newOptionalStream left-joins an OPTIONAL block that shares variables
@@ -99,7 +77,7 @@ func (e *Engine) newOptionalStream(ctx context.Context, src op.RowStream, ob *op
 	return s
 }
 
-func (s *boundJoinStream) Vars() []string { return s.vars }
+func (s *boundJoinStream) Vars() []string { return s.sh.Vars }
 func (s *boundJoinStream) Row() []uint32  { return s.row }
 func (s *boundJoinStream) Err() error     { return s.err }
 
@@ -118,88 +96,65 @@ func (s *boundJoinStream) Next() bool {
 		if s.srcEOF {
 			return false
 		}
-		block := s.pullBlock()
+		var block [][]uint32
+		for len(block) < s.e.opts.ValuesBlockSize && s.src.Next() {
+			block = append(block, op.CopyRow(s.src.Row()))
+		}
 		if len(block) == 0 {
-			s.srcEOF = true
-			if err := s.src.Err(); err != nil {
-				s.err = err
-			}
+			s.srcEOF, s.err = true, s.src.Err()
 			return false
 		}
-		if err := s.evalBlock(block); err != nil {
-			s.err = err
+		if s.err = s.joinBlock(block); s.err != nil {
 			return false
 		}
 	}
 }
 
-func (s *boundJoinStream) pullBlock() [][]uint32 {
-	var block [][]uint32
-	for len(block) < s.e.opts.ValuesBlockSize && s.src.Next() {
-		block = append(block, op.CopyRow(s.src.Row()))
-	}
-	return block
-}
-
-// evalBlock ships one block's bindings to every source and joins the
-// responses into outBuf; in optional mode the block rows left without an
-// extension follow, zero-extended.
-func (s *boundJoinStream) evalBlock(block [][]uint32) error {
+// joinBlock ships one block's distinct bindings to the sources and joins
+// the responses back against the block rows, appending every combined row
+// that satisfies cond to outBuf; in optional mode the block rows left
+// without an extension follow, zero-extended.
+func (s *boundJoinStream) joinBlock(block [][]uint32) error {
 	if s.span == nil {
 		if s.optional {
 			s.span = s.parent.StartChild("optional")
 			s.span.SetAttr("sources", strings.Join(s.sq.Sources, ","))
 		} else {
 			s.span = s.parent.StartChild("bound-join")
-			s.span.SetAttr("vars", strings.Join(s.shared, ","))
+			s.span.SetAttr("vars", strings.Join(s.sh.Names, ","))
 		}
 	}
 	s.blocks++
-
-	// Index the block by join key; rows with unbound shared vars match
-	// nothing.
-	table := make(map[string][]int, len(block))
-	var key []byte
-	for i, row := range block {
-		var ok bool
-		if key, ok = op.AppendKey(key[:0], row, s.srcKeyIdx); ok {
-			table[string(key)] = append(table[string(key)], i)
-		}
+	table := op.NewTable(s.sh.Left, len(block))
+	for _, row := range block {
+		table.Add(row)
 	}
 	extended := make([]bool, len(block))
-	if len(table) > 0 {
-		if err := s.fetchBlock(block, table, extended); err != nil {
-			return err
-		}
+	if err := s.fetch(block, table, extended); err != nil {
+		return err
 	}
-	if s.optional {
-		for i, row := range block {
-			if !extended[i] {
-				out := make([]uint32, len(s.vars))
-				copy(out, row)
-				s.outBuf = append(s.outBuf, out)
-			}
+	for i, row := range block {
+		if s.optional && !extended[i] {
+			s.outBuf = append(s.outBuf, s.sh.Combine(make([]uint32, len(s.sh.Vars)), row, nil))
 		}
 	}
 	return nil
 }
 
-// fetchBlock sends the block's distinct bindings to the sources and
-// appends every combined row that satisfies cond to outBuf, marking the
-// block rows it extends.
-func (s *boundJoinStream) fetchBlock(block [][]uint32, table map[string][]int, extended []bool) error {
-	tuples := op.TermRows(s.dict, op.DistinctTuples(block, s.srcKeyIdx))
+// fetch sends the block's bindings to the sources and joins their
+// responses into outBuf, marking the block rows it extends.
+func (s *boundJoinStream) fetch(block [][]uint32, table *op.Table, extended []bool) error {
+	tuples := op.TermRows(s.dict, op.DistinctTuples(block, s.sh.Left))
 	s.tuples += len(tuples)
 	if s.sources == nil && !s.optional {
-		sources, err := s.e.refineSources(s.ctx, s.sq, s.shared, tuples)
+		sources, err := s.e.refineSources(s.ctx, s.sq, s.sh.Names, tuples)
 		if err != nil {
 			return err
 		}
 		s.sources = sources
 	}
 
-	queryText := s.sq.Query(&sparql.InlineData{Vars: s.shared, Rows: tuples}).String()
-	sqVars := s.sq.Vars()
+	queryText := s.sq.Query(&sparql.InlineData{Vars: s.sh.Names, Rows: tuples}).String()
 	var mu sync.Mutex
 	return s.e.pool.ForEachGated(s.ctx, s.sources, s.e.gate(),
 		s.e.onRejectDegrade(s.ctx, s.phase, s.sources), func(i int) error {
@@ -219,44 +174,12 @@ func (s *boundJoinStream) fetchBlock(block [][]uint32, table map[string][]int, e
 				}
 				return err
 			}
-			defer rd.Close()
-			idx := op.VarIndexes(sqVars, rd.Vars())
-			ids := sparql.IDsOf(rd)
-			cond := op.NewCond(s.dict, s.vars, s.cond)
-			aligned := make([]uint32, len(sqVars))
-			var key []byte
+			cond := op.NewCond(s.dict, s.sh.Vars, s.cond)
+			var p op.Probe
 			n := 0
-			for {
-				resp, err := ids.ReadIDs(s.dict)
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				if err != nil {
-					if client.AsEndpointError(err) == nil {
-						err = &client.EndpointError{Endpoint: name, Phase: s.phase, Err: err}
-					}
-					if s.e.degrade(s.ctx, s.phase, name, err) {
-						sp.SetAttr("degraded", true)
-						return nil
-					}
-					return err
-				}
-				clear(aligned)
-				for j, id := range resp {
-					if k := idx[j]; k >= 0 {
-						aligned[k] = id
-					}
-				}
-				var ok bool
-				if key, ok = op.AppendKey(key[:0], aligned, s.sqKeyIdx); !ok {
-					continue
-				}
-				for _, bi := range table[string(key)] {
-					out := make([]uint32, len(s.vars))
-					copy(out, block[bi])
-					for k, pos := range s.extraIdx {
-						out[len(block[bi])+k] = aligned[pos]
-					}
+			degraded, err := s.e.readRows(s.ctx, s.phase, name, rd, s.dict, s.sq.Vars(), func(resp []uint32) bool {
+				for _, bi := range table.Matches(resp, s.sh.Right, &p) {
+					out := s.sh.Combine(make([]uint32, len(s.sh.Vars)), table.Row(bi), resp)
 					if !cond.Holds(out) {
 						continue
 					}
@@ -266,9 +189,14 @@ func (s *boundJoinStream) fetchBlock(block [][]uint32, table map[string][]int, e
 					mu.Unlock()
 					n++
 				}
+				return true
+			})
+			if degraded {
+				sp.SetAttr("degraded", true)
+				return nil
 			}
 			sp.SetAttr("rows", n)
-			return nil
+			return err
 		})
 }
 

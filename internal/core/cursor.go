@@ -69,22 +69,13 @@ func (e *Engine) startQuery(ctx context.Context) (context.Context, *Profile, tim
 // tail, and everything upstream of them still runs pipelined. An ASK
 // yields at most one row: branches start lazily, so the branches after
 // the one that answers are never sent.
-func (e *Engine) newRows(ctx context.Context, p *Plan, prof *Profile, start time.Time) (*Rows, error) {
+func (e *Engine) newRows(ctx context.Context, p *Plan, prof *Profile, start time.Time) *Rows {
 	execStart := time.Now()
 	exCtx, exSpan := obs.StartSpan(ctx, "execution")
 	dict := e.dict.Load()
-	var branches []op.RowStream
-	for _, pb := range p.branches {
-		bs, err := e.branchStream(exCtx, pb, dict, prof)
-		if err != nil {
-			for _, b := range branches {
-				b.Close()
-			}
-			exSpan.End()
-			finishProfile(ctx, prof, start)
-			return nil, err
-		}
-		branches = append(branches, bs)
+	branches := make([]op.RowStream, len(p.branches))
+	for i, pb := range p.branches {
+		branches[i] = e.branchStream(exCtx, pb, dict, prof)
 	}
 	src := op.Finish(p.query, dict, op.Union(branches...))
 	return &Rows{
@@ -97,7 +88,7 @@ func (e *Engine) newRows(ctx context.Context, p *Plan, prof *Profile, start time
 		start:     start,
 		execStart: execStart,
 		exSpan:    exSpan,
-	}, nil
+	}
 }
 
 // finishProfile collects warnings and closes out the timings.
@@ -223,7 +214,7 @@ func (e *Engine) Select(ctx context.Context, query string) (*Rows, error) {
 		}
 		return nil, err
 	}
-	return e.newRows(ctx, p, prof, start)
+	return e.newRows(ctx, p, prof, start), nil
 }
 
 // ExecutePlanStream executes a plan built by Plan and returns a streaming
@@ -236,7 +227,7 @@ func (e *Engine) Select(ctx context.Context, query string) (*Rows, error) {
 func (e *Engine) ExecutePlanStream(ctx context.Context, p *Plan) (*Rows, error) {
 	ctx, prof, start := e.startQuery(ctx)
 	p.summarize(prof)
-	return e.newRows(ctx, p, prof, start)
+	return e.newRows(ctx, p, prof, start), nil
 }
 
 // idRows is a cursor seen as the id stream it wraps, for op.Answer: Next,

@@ -204,25 +204,10 @@ func mergeSubqueries(sqs []*Subquery, gjv *GJVResult) []*Subquery {
 	outer:
 		for i := 0; i < len(sqs); i++ {
 			for j := i + 1; j < len(sqs); j++ {
-				if !sameSources(sqs[i].Sources, sqs[j].Sources) {
-					continue
-				}
-				if len(sqs[i].SharedVars(sqs[j])) == 0 {
-					continue
-				}
-				ok := true
-				for _, pa := range sqs[i].Patterns {
-					for _, pb := range sqs[j].Patterns {
-						if conflict(pa, pb, gjv) {
-							ok = false
-							break
-						}
-					}
-					if !ok {
-						break
-					}
-				}
-				if !ok {
+				if !sameSources(sqs[i].Sources, sqs[j].Sources) || len(sqs[i].SharedVars(sqs[j])) == 0 ||
+					slices.ContainsFunc(sqs[i].Patterns, func(pa sparql.TriplePattern) bool {
+						return slices.ContainsFunc(sqs[j].Patterns, func(pb sparql.TriplePattern) bool { return conflict(pa, pb, gjv) })
+					}) {
 					continue
 				}
 				sqs[i].Patterns = append(sqs[i].Patterns, sqs[j].Patterns...)

@@ -379,10 +379,7 @@ func (e *Engine) Query(ctx context.Context, q *sparql.Query) (*sparql.Results, *
 		}
 		return nil, nil, err
 	}
-	rows, err := e.newRows(ctx, p, prof, start)
-	if err != nil {
-		return nil, nil, err
-	}
+	rows := e.newRows(ctx, p, prof, start)
 	res, err := op.Answer(p.query, rows.dict, idRows{rows})
 	if err != nil {
 		return nil, nil, err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sort"
 
 	"lusail/internal/client"
 	"lusail/internal/op"
@@ -34,14 +33,14 @@ import (
 // filter (sparql.KeyEquality: STR(?a) = STR(?b), sameTerm) counts as
 // connected and hash-joins keyed on that filter, which is applied there.
 // VALUES blocks join as in-memory build sides, OPTIONAL blocks as left
-// joins (selective first) — a bound join in optional mode when the block
-// shares a variable with the stream, else a left hash join over an unbound
-// scan — and the tail applies the residual filters that remain, aligns to
-// the branch's variables, and deduplicates. Every operator's rows are ids
-// in dict.
-func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.Dict, prof *Profile) (op.RowStream, error) {
+// joins (selective first where they commute) — a bound join in optional
+// mode when the block shares a variable with the stream, else a left hash
+// join over an unbound scan — and the tail applies the residual filters
+// that remain, aligns to the branch's variables, and deduplicates. Every
+// operator's rows are ids in dict.
+func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.Dict, prof *Profile) op.RowStream {
 	if pb.empty {
-		return op.NewSlice(pb.br.Vars(), nil), nil
+		return op.NewSlice(pb.br.Vars(), nil)
 	}
 	br := pb.br
 	sqs := cloneSubqueries(pb.sqs)
@@ -96,18 +95,7 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 		acc = op.NewSlice(nil, [][]uint32{{}})
 	}
 
-	accHas := func(sq *Subquery) bool {
-		have := map[string]bool{}
-		for _, v := range acc.Vars() {
-			have[v] = true
-		}
-		for _, v := range sq.Vars() {
-			if have[v] {
-				return true
-			}
-		}
-		return false
-	}
+	accHas := func(sq *Subquery) bool { return slices.ContainsFunc(acc.Vars(), sq.HasVar) }
 	// keyFilter returns the index in residual of a key equality filter
 	// that links the stream to sq, which share no variable: one of its
 	// variables is the stream's and the other sq's. It returns -1 when
@@ -192,11 +180,8 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 		acc = op.HashJoin(ctx, acc, op.NewSlice(vd.Vars, op.InternRows(dict, vd.Rows)), e.join)
 	}
 
-	// OPTIONAL blocks left-join the stream, selective first.
-	sort.SliceStable(optionals, func(i, j int) bool {
-		return optionals[i].sq.EstCard < optionals[j].sq.EstCard
-	})
-	for _, ob := range optionals {
+	// OPTIONAL blocks left-join the stream.
+	for _, ob := range orderOptionals(optionals, pb.sqs) {
 		if accHas(ob.sq) {
 			acc = e.newOptionalStream(ctx, acc, ob, dict)
 		} else {
@@ -209,5 +194,36 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 	// applied — alignment to the branch header, and set semantics.
 	acc = op.Filter(acc, dict, residual)
 	acc = op.Align(acc, br.Vars())
-	return op.Dedup(acc), nil
+	return op.Dedup(acc)
+}
+
+// orderOptionals orders OPTIONAL blocks selective first, except that a
+// block never moves ahead of an earlier one it shares a variable with that
+// no mandatory subquery binds: which of the two binds it first decides
+// what the other can join, so they do not commute.
+func orderOptionals(obs []*optionalPlan, mandatory []*Subquery) []*optionalPlan {
+	vars := func(ob *optionalPlan) []string {
+		vs := ob.sq.Vars()
+		for _, f := range ob.residual {
+			vs = append(vs, sparql.ExprVars(f)...)
+		}
+		return vs
+	}
+	before := func(a, b *optionalPlan) bool { // a must stay ahead of b
+		return slices.ContainsFunc(vars(a), func(v string) bool {
+			return slices.Contains(vars(b), v) && !slices.ContainsFunc(mandatory, func(sq *Subquery) bool { return sq.HasVar(v) })
+		})
+	}
+	out := make([]*optionalPlan, 0, len(obs))
+	for len(obs) > 0 {
+		best := 0
+		for i, ob := range obs {
+			if ob.sq.EstCard < obs[best].sq.EstCard && !slices.ContainsFunc(obs[:i], func(a *optionalPlan) bool { return before(a, ob) }) {
+				best = i
+			}
+		}
+		out = append(out, obs[best])
+		obs = slices.Delete(obs, best, best+1)
+	}
+	return out
 }

@@ -4,16 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"lusail/internal/client"
+	"lusail/internal/op"
+	"lusail/internal/rdf"
 	"lusail/internal/resilience"
 	"lusail/internal/sparql"
 )
 
 // streamEndpoint issues one streaming request through the resilience
 // layer. Errors surfaced later by the returned reader are raw transport
-// errors; consumers wrap them as *client.EndpointError at the read site
-// (see scanStream.push).
+// errors; readRows wraps them as *client.EndpointError.
 func (e *Engine) streamEndpoint(ctx context.Context, phase client.Phase, name, query string) (sparql.RowReader, error) {
 	ep := e.fed.Get(name)
 	if ep == nil {
@@ -25,6 +27,44 @@ func (e *Engine) streamEndpoint(ctx context.Context, phase client.Phase, name, q
 		return nil, &client.EndpointError{Endpoint: name, Phase: phase, Err: err}
 	}
 	return rd, nil
+}
+
+// readRows decodes an endpoint's response to its end and closes it,
+// interning its rows into dict and handing emit each one aligned to vars,
+// in a scratch row that emit copies to keep; emit returning false stops
+// the read. A failure mid-stream becomes the endpoint's EndpointError and
+// degrades like a failed request: the rows handed on are genuine
+// solutions, the endpoint's remaining contribution is lost. readRows
+// reports whether it degraded.
+func (e *Engine) readRows(ctx context.Context, phase client.Phase, name string, rd sparql.RowReader, dict *rdf.Dict, vars []string, emit func([]uint32) bool) (bool, error) {
+	defer rd.Close()
+	idx := op.VarIndexes(vars, rd.Vars())
+	ids := sparql.IDsOf(rd)
+	row := make([]uint32, len(vars))
+	for {
+		resp, err := ids.ReadIDs(dict)
+		if errors.Is(err, io.EOF) {
+			return false, nil
+		}
+		if err != nil {
+			if client.AsEndpointError(err) == nil {
+				err = &client.EndpointError{Endpoint: name, Phase: phase, Err: err}
+			}
+			if e.degrade(ctx, phase, name, err) {
+				return true, nil
+			}
+			return false, err
+		}
+		clear(row)
+		for j, id := range resp {
+			if k := idx[j]; k >= 0 {
+				row[k] = id
+			}
+		}
+		if !emit(row) {
+			return false, nil
+		}
+	}
 }
 
 // probeEndpoint issues one idempotent probe (ASK, COUNT, LIMIT-1 check)

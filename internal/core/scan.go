@@ -1,10 +1,7 @@
 package core
 
 import (
-	"errors"
-
 	"context"
-	"io"
 	"sync"
 
 	"lusail/internal/client"
@@ -26,13 +23,13 @@ const scanBuf = 64
 // Pool discipline: a pool slot is held only while the request is issued
 // (connection + response head). Decoding runs in a per-endpoint pusher
 // goroutine outside any slot, so a slow consumer of this scan can never
-// starve other operators — bound-join dispatch, sibling scans — of slots;
-// with the old held-slot design a PoolSize=1 engine would deadlock.
+// starve other operators — bound-join dispatch, sibling scans — of slots,
+// and a PoolSize=1 engine cannot deadlock.
 //
-// Failure discipline mirrors the materialized path: in Degrade mode an
-// endpoint that fails — at request time or mid-stream — is absorbed with a
-// warning and its (remaining) contribution excluded; in FailFast mode the
-// first failure cancels the scan and surfaces through Err.
+// Failure discipline: in Degrade mode an endpoint that fails — at request
+// time or mid-stream — is absorbed with a warning and its (remaining)
+// contribution excluded; in FailFast mode the first failure cancels the
+// scan and surfaces through Err.
 type scanStream struct {
 	e     *Engine
 	sq    *Subquery
@@ -111,7 +108,7 @@ func (s *scanStream) run() {
 // the final error before closing the row channel.
 func (s *scanStream) drive() {
 	var wg sync.WaitGroup
-	var mu sync.Mutex
+	var first sync.Once
 	var pushErr error
 	e := s.e
 	queryText := s.sq.Query(nil).String()
@@ -129,60 +126,32 @@ func (s *scanStream) drive() {
 			go func() {
 				defer wg.Done()
 				if perr := s.push(rd, name); perr != nil {
-					mu.Lock()
-					if pushErr == nil {
-						pushErr = perr
-					}
-					mu.Unlock()
+					first.Do(func() { pushErr = perr })
 					s.cancel() // fail fast: stop sibling pushers
 				}
 			}()
 			return nil
 		})
 	wg.Wait()
-	mu.Lock()
 	if err == nil {
 		err = pushErr
 	}
-	mu.Unlock()
 	s.errc <- err
 	close(s.out)
 }
 
 // push decodes one endpoint's response outside the pool, forwarding rows
-// aligned to the scan's variables. A mid-stream failure after some rows
-// were already forwarded degrades like a request failure: the rows seen
-// are genuine solutions, the endpoint's remaining contribution is lost.
+// aligned to the scan's variables.
 func (s *scanStream) push(rd sparql.RowReader, name string) error {
-	defer rd.Close()
-	idx := op.VarIndexes(s.vars, rd.Vars())
-	ids := sparql.IDsOf(rd)
-	for {
-		row, err := ids.ReadIDs(s.dict)
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			if client.AsEndpointError(err) == nil {
-				err = &client.EndpointError{Endpoint: name, Phase: s.phase, Err: err}
-			}
-			if s.e.degrade(s.ctx, s.phase, name, err) {
-				return nil
-			}
-			return err
-		}
-		aligned := make([]uint32, len(s.vars))
-		for j, id := range row {
-			if k := idx[j]; k >= 0 {
-				aligned[k] = id
-			}
-		}
+	_, err := s.e.readRows(s.ctx, s.phase, name, rd, s.dict, s.vars, func(row []uint32) bool {
 		select {
-		case s.out <- aligned:
+		case s.out <- op.CopyRow(row):
+			return true
 		case <-s.ctx.Done():
-			return nil
+			return false
 		}
-	}
+	})
+	return err
 }
 
 func (s *scanStream) Close() error {

@@ -285,7 +285,7 @@ func (sc *scope) evalGroup(g *sparql.GroupPattern, input []row, limit int) ([]ro
 	for _, el := range g.Elements {
 		switch el := el.(type) {
 		case sparql.InlineData:
-			rows = sc.joinTerms(rows, el.Vars, el.Rows)
+			rows = sc.join(rows, el.Vars, el.Rows)
 		case sparql.Filter:
 			filters = append(filters, el.Expr)
 		}
@@ -350,7 +350,7 @@ func (sc *scope) evalGroup(g *sparql.GroupPattern, input []row, limit int) ([]ro
 			if err != nil {
 				return nil, err
 			}
-			rows = sc.joinTerms(rows, sub.Vars, sub.Rows)
+			rows = sc.join(rows, sub.Vars, sub.Rows)
 		case sparql.Bind:
 			flushBGP()
 			slot := sc.slot(el.Var)
@@ -494,37 +494,23 @@ func (sc *scope) joinOrder(pats []pattern, seed row) []int {
 	return order
 }
 
-// joinTerms is the nested-loop join of the rows with a relation of terms
-// (a VALUES block, a sub-select's results): a pair joins when it agrees on
-// every variable both bind, and a zero cell (UNDEF, unbound) binds nothing.
-func (sc *scope) joinTerms(rows []row, vars []string, rel [][]rdf.Term) []row {
-	slots := make([]int, len(vars))
-	for i, v := range vars {
-		slots[i] = sc.slot(v)
-	}
-	vals := make([][]uint32, len(rel))
-	for i, cells := range rel {
-		vals[i] = make([]uint32, len(cells))
-		for j, t := range cells {
-			vals[i][j] = sc.id(t)
-		}
-	}
-	var out []row
+// join joins the rows with a relation of terms (a VALUES block, a
+// sub-select's results) by op's join rule. The rows are the table and the
+// relation's tuples probe it, so a VALUES block that seeds the patterns —
+// one all-unbound row — builds no index.
+func (sc *scope) join(rows []row, vars []string, rel [][]rdf.Term) []row {
+	sh := op.Share(sc.vars, vars)
+	t := op.NewTable(sh.Left, len(rows))
 	for _, r := range rows {
-	next:
-		for _, vr := range vals {
-			for i, s := range slots {
-				if s >= 0 && vr[i] != unbound && r[s] != unbound && r[s] != vr[i] {
-					continue next
-				}
-			}
-			nr := sc.copyRow(r)
-			for i, s := range slots {
-				if s >= 0 && vr[i] != unbound {
-					nr[s] = vr[i]
-				}
-			}
-			out = append(out, nr)
+		t.Add(r)
+	}
+	var p op.Probe
+	tuple := make(row, len(vars))
+	var out []row
+	for _, cells := range rel {
+		sc.InternRow(cells, tuple)
+		for _, i := range t.Matches(tuple, sh.Right, &p) {
+			out = append(out, sh.Combine(sc.newRow(), t.Row(i), tuple))
 		}
 	}
 	return out

@@ -182,8 +182,8 @@ func (c *cursor) Read() ([]rdf.Term, error) {
 	return c.buf, nil
 }
 
-// copyRow returns a copy of r carved from the scope's current slab.
-func (sc *scope) copyRow(r row) row {
+// newRow returns an unbound row carved from the scope's current slab.
+func (sc *scope) newRow() row {
 	w := len(sc.vars)
 	if len(sc.slab) < w {
 		sc.slabRows = min(max(2*sc.slabRows, 4), maxSlabRows)
@@ -191,6 +191,12 @@ func (sc *scope) copyRow(r row) row {
 	}
 	nr := sc.slab[:w:w]
 	sc.slab = sc.slab[w:]
+	return nr
+}
+
+// copyRow returns a copy of r carved from the scope's current slab.
+func (sc *scope) copyRow(r row) row {
+	nr := sc.newRow()
 	copy(nr, r)
 	return nr
 }

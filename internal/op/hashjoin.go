@@ -37,27 +37,36 @@ type Budget struct {
 	SpillBytes int64
 }
 
+// ErrBudget is the error of a join that outgrows its budget where it
+// cannot spill: a cross product's build side, or, once a join has spilled,
+// its rows with an unbound join variable, which have no key to sort under.
+var ErrBudget = errors.New("op: join exceeds its memory budget")
+
 // HashJoin inner-joins two streams on their shared variables with an
 // incremental build/probe hash join: the build side is consumed into a
 // hash table on first Next, then probe rows stream through one at a time
 // (or in parallel batches against a large table), each emitting its
 // matches immediately — in probe order, and per probe row in build order.
 // The output carries the probe's variables followed by the build side's
-// other variables. Rows with an unbound join variable match nothing.
+// other variables. Rows join by the one rule of Table and Shared: a row
+// with an unbound join variable joins every row that agrees with it on
+// the variables both bind.
 //
 // Memory is bounded by the build side, never the output: a build side
 // whose table exceeds b.SpillBytes spills both sides to disk through the
 // diskstore sorter and the join finishes as a sort-merge over the spilled
 // runs (grace-join style: first-row latency is traded for bounded memory).
-// The spill path rides the sorter's record deduplication, so duplicate
-// (key,row) records collapse: every caller applies set semantics
-// downstream.
+// A build row with an unbound join variable has no key to sort under; it
+// stays in memory, held to the budget, and a probe row with one fails the
+// spilled join with ErrBudget. The spill path rides the sorter's record
+// deduplication, so duplicate (key,row) records collapse: every caller
+// applies set semantics downstream.
 //
 // With no shared variables the operator degenerates to a cross product and
 // keeps the build side in memory — a cross product cannot be keyed for a
 // merge join, so it cannot spill. The build side is still held to the
 // budget: a remote endpoint must not be able to grow it without bound, so
-// exceeding the budget fails the join instead.
+// exceeding the budget fails the join with ErrBudget instead.
 func HashJoin(ctx context.Context, probe, build RowStream, b Budget) RowStream {
 	return newHashJoin(ctx, probe, build, b, false, nil, nil)
 }
@@ -65,11 +74,10 @@ func HashJoin(ctx context.Context, probe, build RowStream, b Budget) RowStream {
 // LeftJoin is HashJoin in left mode — SPARQL OPTIONAL with the probe side
 // preserved: each probe row is extended by the build rows it joins with
 // whose combined row satisfies cond, and a probe row with no such
-// extension (including one whose join variables are unbound) is emitted
-// once, zero-extended. cond is the OPTIONAL block's FILTER, so it sees the
-// variables of both sides. A left join whose probe side is empty never
-// consumes its build side. Its trace span is named "optional".
-// The condition reads terms through dict.
+// extension is emitted once, zero-extended. cond is the OPTIONAL block's
+// FILTER, so it sees the variables of both sides. A left join whose probe
+// side is empty never consumes its build side. Its trace span is named
+// "optional". The condition reads terms through dict.
 func LeftJoin(ctx context.Context, probe, build RowStream, dict *rdf.Dict, cond []sparql.Expr, b Budget) RowStream {
 	return newHashJoin(ctx, probe, build, b, true, dict, cond)
 }
@@ -98,7 +106,7 @@ func KeyedJoin(ctx context.Context, probe, build RowStream, dict *rdf.Dict, eq s
 	key := sparql.ExprString(eq) // no variable can have this name
 	s := newHashJoin(ctx, withKey(probe, dict, px, str, key), withKey(build, dict, by, str, key), b, false, dict, cond)
 	s.label = key
-	return Align(s, slices.DeleteFunc(slices.Clone(s.vars), func(v string) bool { return v == key }))
+	return Align(s, slices.DeleteFunc(slices.Clone(s.sh.Vars), func(v string) bool { return v == key }))
 }
 
 // keyStream widens its source's rows with one column named key: the key
@@ -153,25 +161,17 @@ type hashJoin struct {
 	dict   *rdf.Dict
 	exprs  []sparql.Expr // join condition: OPTIONAL filters, a keyed join's equality
 	cond   *Cond         // exprs for the goroutine driving Next
-
-	vars        []string
-	shared      []string
-	probeKeyIdx []int
-	buildKeyIdx []int
-	buildExtra  []int // build columns appended after the probe row
+	sh     Shared        // probe on the left, build on the right
 
 	started bool
 	pending bool // the current probe row has not been joined yet
 	done    bool
-	index   map[string]int32 // join key → groups index
-	groups  [][][]uint32     // build rows per key, in build order
-	cross   [][]uint32
-	key     []byte // scratch join key of the goroutine driving Next
+	table   *Table // the build side; once spilled, its rows with an unbound join variable
+	scratch Probe  // of the goroutine driving Next
 	sj      *spillJoin
 
-	buildRows  int64
-	buildBytes int64
-	spilled    bool
+	buildRows int64
+	spilled   bool
 
 	outBuf [][]uint32
 	obi    int
@@ -179,36 +179,20 @@ type hashJoin struct {
 	err    error
 	closed bool
 
-	ctx    context.Context
 	parent *obs.Span
 	span   *obs.Span
 	rows   int64
 }
 
 func newHashJoin(ctx context.Context, probe, build RowStream, b Budget, left bool, dict *rdf.Dict, cond []sparql.Expr) *hashJoin {
-	pv, bv := probe.Vars(), build.Vars()
-	s := &hashJoin{probe: probe, build: build, budget: b, left: left, dict: dict, exprs: cond, ctx: ctx, parent: obs.FromContext(ctx)}
-	s.vars = append([]string(nil), pv...)
-	pPos := make(map[string]int, len(pv))
-	for i, v := range pv {
-		pPos[v] = i
-	}
-	for i, v := range bv {
-		if j, ok := pPos[v]; ok {
-			s.shared = append(s.shared, v)
-			s.probeKeyIdx = append(s.probeKeyIdx, j)
-			s.buildKeyIdx = append(s.buildKeyIdx, i)
-		} else {
-			s.vars = append(s.vars, v)
-			s.buildExtra = append(s.buildExtra, i)
-		}
-	}
-	s.cond = NewCond(dict, s.vars, cond)
-	s.label = joinLabel(s.shared)
+	s := &hashJoin{probe: probe, build: build, budget: b, left: left, dict: dict, exprs: cond, parent: obs.FromContext(ctx)}
+	s.sh = Share(probe.Vars(), build.Vars())
+	s.cond = NewCond(dict, s.sh.Vars, cond)
+	s.label = joinLabel(s.sh.Names)
 	return s
 }
 
-func (s *hashJoin) Vars() []string { return s.vars }
+func (s *hashJoin) Vars() []string { return s.sh.Vars }
 func (s *hashJoin) Row() []uint32  { return s.row }
 func (s *hashJoin) Err() error     { return s.err }
 
@@ -220,14 +204,12 @@ func (s *hashJoin) Next() bool {
 		s.started = true
 		if s.left {
 			if !s.probe.Next() {
-				s.done = true
-				s.err = s.probe.Err()
+				s.done, s.err = true, s.probe.Err()
 				return false
 			}
 			s.pending = true
 		}
-		if err := s.start(); err != nil {
-			s.err = err
+		if s.err = s.start(); s.err != nil {
 			return false
 		}
 	}
@@ -240,21 +222,15 @@ func (s *hashJoin) Next() bool {
 		}
 		s.outBuf, s.obi = s.outBuf[:0], 0
 		if s.spilled {
-			batch, ok, err := s.sj.next(s)
-			if err != nil {
-				s.err = err
-				return false
-			}
-			if !ok {
+			var more bool
+			if more, s.err = s.sj.fill(s); !more || s.err != nil {
 				s.done = true
 				return false
 			}
-			s.outBuf = batch
 			continue
 		}
 		if !s.fillFromProbe() {
-			s.done = true
-			s.err = s.probe.Err()
+			s.done, s.err = true, s.probe.Err()
 			return false
 		}
 	}
@@ -271,8 +247,8 @@ func (s *hashJoin) nextProbe() bool {
 	return s.probe.Next()
 }
 
-// start consumes the build side, switching to the spill path if the table
-// outgrows the byte budget.
+// start consumes the build side into the table, switching to the spill
+// path if the table outgrows the byte budget.
 func (s *hashJoin) start() error {
 	name := "hash-join"
 	if s.left {
@@ -280,39 +256,18 @@ func (s *hashJoin) start() error {
 	}
 	s.span = s.parent.StartChild(name)
 	s.span.SetAttr("on", s.label)
-	budget := s.budget.SpillBytes
-	if len(s.shared) == 0 {
-		for s.build.Next() {
-			row := CopyRow(s.build.Row())
-			s.cross = append(s.cross, row)
-			s.buildRows++
-			s.buildBytes += spillRowBytes(row)
-			if s.buildBytes > budget {
-				_ = s.closeBuild()
-				return fmt.Errorf("op: cross-join build side exceeds the %d-byte join budget after %d rows: a cross product cannot spill; restrict the disjoint components or raise the budget (JoinSpillBytes)", budget, s.buildRows)
-			}
-		}
-		return s.closeBuild()
-	}
-	s.index = make(map[string]int32)
+	s.table = NewTable(s.sh.Right, 0)
 	for s.build.Next() {
-		var ok bool
-		if s.key, ok = AppendKey(s.key[:0], s.build.Row(), s.buildKeyIdx); !ok {
-			continue // unbound join key: can never match
-		}
-		row := CopyRow(s.build.Row())
-		g, seen := s.index[string(s.key)]
-		if !seen {
-			g = int32(len(s.groups))
-			s.index[string(s.key)] = g
-			s.groups = append(s.groups, nil)
-		}
-		s.groups[g] = append(s.groups[g], row)
+		s.table.Add(CopyRow(s.build.Row()))
 		s.buildRows++
-		s.buildBytes += spillRowBytes(row)
-		if s.buildBytes > budget {
-			return s.spillToDisk()
+		if s.table.bytes <= s.budget.SpillBytes {
+			continue
 		}
+		if len(s.sh.Names) == 0 {
+			_ = s.closeBuild()
+			return fmt.Errorf("%w: a cross join's build side passes %d bytes after %d rows and a cross product cannot spill; restrict the disjoint components or raise the budget (JoinSpillBytes)", ErrBudget, s.budget.SpillBytes, s.buildRows)
+		}
+		return s.spillToDisk()
 	}
 	return s.closeBuild()
 }
@@ -328,17 +283,14 @@ func (s *hashJoin) closeBuild() error {
 // returning false when the probe side is exhausted. Against a large table
 // it pulls a batch and probes it across the CPUs in parallel.
 func (s *hashJoin) fillFromProbe() bool {
-	if s.buildRows == 0 && !s.left {
+	if s.table.Len() == 0 && !s.left {
 		return false // empty build side: an inner join is empty, skip the probe
 	}
-	if s.buildRows >= parallelProbeMin {
+	if s.table.Len() >= parallelProbeMin {
 		return s.fillParallel()
 	}
 	for s.nextProbe() {
-		prow := s.probe.Row()
-		var matches [][]uint32
-		matches, s.key = s.matches(prow, s.key)
-		s.outBuf = s.emit(s.outBuf, prow, matches, s.cond)
+		s.outBuf = s.emit(s.outBuf, s.probe.Row(), nil, &s.scratch, s.cond)
 		if len(s.outBuf) > 0 {
 			return true
 		}
@@ -346,33 +298,29 @@ func (s *hashJoin) fillFromProbe() bool {
 	return false
 }
 
-// matches returns the build rows prow joins with, using key as scratch.
-func (s *hashJoin) matches(prow []uint32, key []byte) ([][]uint32, []byte) {
-	if len(s.shared) == 0 {
-		return s.cross, key
-	}
-	key, ok := AppendKey(key[:0], prow, s.probeKeyIdx)
-	if !ok {
-		return nil, key
-	}
-	if g, ok := s.index[string(key)]; ok {
-		return s.groups[g], key
-	}
-	return nil, key
-}
-
-// emit appends one probe row's output to out: its combinations with the
-// matching build rows that satisfy cond, or — in left mode, when there
-// are none — the probe row itself, zero-extended.
-func (s *hashJoin) emit(out [][]uint32, prow []uint32, matches [][]uint32, cond *Cond) [][]uint32 {
+// emit appends one probe row's output to out: its combinations that
+// satisfy cond with the build rows it joins — group, rows already known
+// to join it, then the table's matches — or in left mode, when there are
+// none, the probe row itself, zero-extended.
+func (s *hashJoin) emit(out [][]uint32, prow []uint32, group [][]uint32, p *Probe, cond *Cond) [][]uint32 {
 	n := len(out)
-	for _, brow := range matches {
-		if row := s.combine(prow, brow); cond.Holds(row) {
-			out = append(out, row)
-		}
+	for _, brow := range group {
+		out = s.keep(out, prow, brow, cond)
+	}
+	for _, i := range s.table.Matches(prow, s.sh.Left, p) {
+		out = s.keep(out, prow, s.table.Row(i), cond)
 	}
 	if s.left && len(out) == n {
-		out = append(out, s.combine(prow, nil))
+		out = append(out, s.sh.Combine(make([]uint32, len(s.sh.Vars)), prow, nil))
+	}
+	return out
+}
+
+// keep appends the combination of a probe and a build row to out when
+// cond holds on it.
+func (s *hashJoin) keep(out [][]uint32, prow, brow []uint32, cond *Cond) [][]uint32 {
+	if row := s.sh.Combine(make([]uint32, len(s.sh.Vars)), prow, brow); cond.Holds(row) {
+		out = append(out, row)
 	}
 	return out
 }
@@ -387,22 +335,16 @@ func (s *hashJoin) fillParallel() bool {
 	}
 	workers := runtime.GOMAXPROCS(0)
 	chunk := max((len(batch)+workers-1)/workers, probeChunkMinRows)
-	var chunks [][][]uint32
-	for start := 0; start < len(batch); start += chunk {
-		chunks = append(chunks, batch[start:min(start+chunk, len(batch))])
-	}
-	results := make([][][]uint32, len(chunks))
+	results := make([][][]uint32, (len(batch)+chunk-1)/chunk)
 	var wg sync.WaitGroup
-	for i := range chunks {
+	for i := range results {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cond := NewCond(s.dict, s.vars, s.exprs)
-			var key []byte
-			for _, prow := range chunks[i] {
-				var matches [][]uint32
-				matches, key = s.matches(prow, key)
-				results[i] = s.emit(results[i], prow, matches, cond)
+			cond := NewCond(s.dict, s.sh.Vars, s.exprs)
+			var p Probe
+			for _, prow := range batch[i*chunk : min((i+1)*chunk, len(batch))] {
+				results[i] = s.emit(results[i], prow, nil, &p, cond)
 			}
 		}()
 	}
@@ -415,19 +357,6 @@ func (s *hashJoin) fillParallel() bool {
 	return true
 }
 
-// combine widens a probe row with a build row's extra columns; a nil
-// build row leaves them unbound.
-func (s *hashJoin) combine(prow, brow []uint32) []uint32 {
-	out := make([]uint32, len(s.vars))
-	copy(out, prow)
-	if brow != nil {
-		for k, bi := range s.buildExtra {
-			out[len(prow)+k] = brow[bi]
-		}
-	}
-	return out
-}
-
 func (s *hashJoin) Close() error {
 	if s.closed {
 		return nil
@@ -438,8 +367,7 @@ func (s *hashJoin) Close() error {
 	if s.sj != nil {
 		s.sj.close()
 	}
-	s.index, s.groups = nil, nil
-	s.cross = nil
+	s.table = nil
 	s.span.SetAttr("build_rows", int(s.buildRows))
 	s.span.SetAttr("spilled", s.spilled)
 	s.span.SetAttr("rows", int(s.rows))
@@ -459,10 +387,12 @@ func joinLabel(shared []string) string {
 
 // --- spill path -----------------------------------------------------------
 
-// spillToDisk dumps the in-memory table plus the rest of both inputs into
-// two external sorters keyed by join key, then sets up the merge join. In
-// left mode, probe rows with an unbound join variable are kept under the
-// empty key, which no build row has.
+// spillToDisk dumps the table's keyed rows plus the rest of both inputs'
+// into two external sorters keyed by join key, then sets up the merge
+// join. A build row with an unbound join variable has no key to sort
+// under: it stays in memory, held to the budget, and meets every probe
+// row. A probe row with one would have to meet every spilled build row:
+// it fails the join with ErrBudget instead.
 func (s *hashJoin) spillToDisk() error {
 	s.spilled = true
 	budget := s.budget.SpillBytes
@@ -473,43 +403,40 @@ func (s *hashJoin) spillToDisk() error {
 		probeSorter.Close()
 		return err
 	}
-	var rec []byte
-	for _, rows := range s.groups {
-		for _, row := range rows {
-			s.key, _ = AppendKey(s.key[:0], row, s.buildKeyIdx)
-			rec = encodeSpillRec(rec[:0], s.key, row)
-			if err := buildSorter.Add(rec); err != nil {
-				return fail(err)
-			}
+	loose := NewTable(s.sh.Right, 0)
+	var key, rec []byte
+	// put sorts a row under its key, or keeps a build row that has none.
+	put := func(sorter *diskstore.Sorter, row []uint32, cols []int) error {
+		var keyed bool
+		if key, keyed = appendKey(key[:0], row, cols); keyed {
+			rec = encodeSpillRec(rec[:0], key, row)
+			return sorter.Add(rec)
+		}
+		if sorter == probeSorter {
+			return fmt.Errorf("%w: a probe row with an unbound join variable meets a spilled build side; raise the budget (JoinSpillBytes)", ErrBudget)
+		}
+		if loose.Add(CopyRow(row)); loose.bytes > budget {
+			return fmt.Errorf("%w: %d bytes of build rows with an unbound join variable stay in memory beside the spilled join; raise the budget (JoinSpillBytes)", ErrBudget, loose.bytes)
+		}
+		return nil
+	}
+	for i := range s.table.Len() {
+		if err := put(buildSorter, s.table.Row(int32(i)), s.sh.Right); err != nil {
+			return fail(err)
 		}
 	}
-	s.index, s.groups = nil, nil
 	for s.build.Next() {
-		row := s.build.Row()
-		var ok bool
-		if s.key, ok = AppendKey(s.key[:0], row, s.buildKeyIdx); !ok {
-			continue
-		}
 		s.buildRows++
-		rec = encodeSpillRec(rec[:0], s.key, row)
-		if err := buildSorter.Add(rec); err != nil {
+		if err := put(buildSorter, s.build.Row(), s.sh.Right); err != nil {
 			return fail(err)
 		}
 	}
 	if err := s.closeBuild(); err != nil {
 		return fail(err)
 	}
+	s.table = loose
 	for s.nextProbe() {
-		row := s.probe.Row()
-		var ok bool
-		if s.key, ok = AppendKey(s.key[:0], row, s.probeKeyIdx); !ok {
-			if !s.left {
-				continue
-			}
-			s.key = s.key[:0]
-		}
-		rec = encodeSpillRec(rec[:0], s.key, row)
-		if err := probeSorter.Add(rec); err != nil {
+		if err := put(probeSorter, s.probe.Row(), s.sh.Left); err != nil {
 			return fail(err)
 		}
 	}
@@ -559,44 +486,40 @@ func (c *spillCursor) key() []byte { return spillRecKey(c.cur) }
 type spillJoin struct {
 	build, probe *spillCursor
 	group        [][]uint32 // decoded build rows of groupKey
-	groupKey     []byte
-	keyed        bool // groupKey is set
+	groupKey     []byte     // nil before the first seek
+	p            Probe
 }
 
-// next returns the output of the next probe row that has any, or false at
-// the end of the join.
-func (sj *spillJoin) next(hj *hashJoin) ([][]uint32, bool, error) {
-	for {
-		if err := errors.Join(sj.build.err, sj.probe.err); err != nil {
-			return nil, false, err
+// fill appends the next output to hj.outBuf, reporting false at the end of
+// the join.
+func (sj *spillJoin) fill(hj *hashJoin) (bool, error) {
+	for len(hj.outBuf) == 0 {
+		if err := errors.Join(sj.build.err, sj.probe.err); err != nil || sj.probe.cur == nil {
+			return false, err
 		}
-		if sj.probe.cur == nil {
-			return nil, false, nil
-		}
-		if pKey := sj.probe.key(); !sj.keyed || !bytes.Equal(pKey, sj.groupKey) {
+		if pKey := sj.probe.key(); sj.groupKey == nil || !bytes.Equal(pKey, sj.groupKey) {
 			if err := sj.seek(pKey); err != nil {
-				return nil, false, err
+				return false, err
 			}
 		}
-		if sj.group == nil && !hj.left {
+		if sj.group == nil && !hj.left && hj.table.Len() == 0 {
 			sj.probe.advance()
 			continue
 		}
 		prow, err := decodeSpillRow(sj.probe.cur)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		sj.probe.advance()
-		if out := hj.emit(nil, prow, sj.group, hj.cond); len(out) > 0 {
-			return out, true, nil
-		}
+		hj.outBuf = hj.emit(hj.outBuf, prow, sj.group, &sj.p, hj.cond)
 	}
+	return true, nil
 }
 
 // seek advances the build cursor to key and loads its group (nil when the
 // build side has no row with that key).
 func (sj *spillJoin) seek(key []byte) error {
-	sj.group, sj.groupKey, sj.keyed = nil, append(sj.groupKey[:0], key...), true
+	sj.group, sj.groupKey = nil, append(sj.groupKey[:0], key...)
 	for sj.build.cur != nil && bytes.Compare(sj.build.key(), sj.groupKey) < 0 {
 		sj.build.advance()
 	}
@@ -656,10 +579,4 @@ func decodeSpillRow(rec []byte) ([]uint32, error) {
 		row[i] = binary.LittleEndian.Uint32(p[4*i:])
 	}
 	return row, nil
-}
-
-// spillRowBytes estimates a row's resident footprint in the hash table;
-// its terms live in the query's dictionary, which the budget does not cover.
-func spillRowBytes(row []uint32) int64 {
-	return int64(32 + 4*len(row))
 }

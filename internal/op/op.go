@@ -104,11 +104,11 @@ func VarIndexes(target, src []string) []int {
 	return idx
 }
 
-// AppendKey appends the join key of a row over the column indexes idx to
-// buf — the bytes of the columns' ids — for a lookup as m[string(key)],
-// which does not allocate. The second return is false when a key column
-// is unbound (such rows do not participate in a join on that key).
-func AppendKey(buf []byte, row []uint32, idx []int) ([]byte, bool) {
+// appendKey appends the join key of a row over the columns idx to buf —
+// the bytes of the columns' ids — for a lookup as m[string(key)], which
+// does not allocate. The second return is false when a key column is
+// unbound: the row has no key to look up.
+func appendKey(buf []byte, row []uint32, idx []int) ([]byte, bool) {
 	for _, i := range idx {
 		if row[i] == 0 {
 			return buf, false
@@ -119,15 +119,18 @@ func AppendKey(buf []byte, row []uint32, idx []int) ([]byte, bool) {
 }
 
 // DistinctTuples projects rows onto the columns idx and returns the
-// distinct projections in first-seen order, skipping rows with an unbound
-// key column — the bindings a bound join ships in a VALUES block.
+// distinct projections in first-seen order — the bindings a bound join
+// ships in a VALUES block, where an unbound cell is UNDEF.
 func DistinctTuples(rows [][]uint32, idx []int) [][]uint32 {
 	seen := map[string]bool{}
 	var out [][]uint32
 	var key []byte
 	for _, row := range rows {
-		var ok bool
-		if key, ok = AppendKey(key[:0], row, idx); !ok || seen[string(key)] {
+		key = key[:0]
+		for _, j := range idx {
+			key = binary.LittleEndian.AppendUint32(key, row[j])
+		}
+		if seen[string(key)] {
 			continue
 		}
 		seen[string(key)] = true

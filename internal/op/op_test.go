@@ -2,6 +2,7 @@ package op
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -101,11 +102,13 @@ func holds(vars []string, row []rdf.Term, cond []sparql.Expr) bool {
 	return true
 }
 
-// naiveJoin is the nested-loop reference for both join modes: a probe and
-// a build row join when every shared variable is bound on both sides to
-// the same term, the combined row carries the probe's variables then the
-// build side's others, and it is kept when cond holds on it. In left mode
-// a probe row that keeps no combined row is kept itself, zero-extended.
+// naiveJoin is the nested-loop reference for both join modes, SPARQL's
+// compatibility rule written out: a probe and a build row join when every
+// shared variable bound on both sides is bound to the same term. The
+// combined row carries the probe's variables then the build side's
+// others, each shared variable taking the side's value that is bound, and
+// it is kept when cond holds on it. In left mode a probe row that keeps no
+// combined row is kept itself, zero-extended.
 func naiveJoin(probe, build rel, left bool, cond []sparql.Expr) rel {
 	out := rel{vars: slices.Clone(probe.vars)}
 	for _, v := range build.vars {
@@ -118,15 +121,15 @@ func naiveJoin(probe, build rel, left bool, cond []sparql.Expr) rel {
 	builds:
 		for _, b := range build.rows {
 			for j, v := range build.vars {
-				if i := probe.col(v); i >= 0 && (p[i].IsZero() || b[j].IsZero() || p[i] != b[j]) {
+				if i := probe.col(v); i >= 0 && !p[i].IsZero() && !b[j].IsZero() && p[i] != b[j] {
 					continue builds
 				}
 			}
 			row := make([]rdf.Term, len(out.vars))
 			copy(row, p)
 			for j, v := range build.vars {
-				if probe.col(v) < 0 {
-					row[out.col(v)] = b[j]
+				if k := out.col(v); row[k].IsZero() {
+					row[k] = b[j]
 				}
 			}
 			if holds(out.vars, row, cond) {
@@ -139,6 +142,55 @@ func naiveJoin(probe, build rel, left bool, cond []sparql.Expr) rel {
 			copy(row, p)
 			out.rows = append(out.rows, row)
 		}
+	}
+	return out
+}
+
+// looseBytes is the footprint of r's rows with an unbound variable that
+// other also has, each widened by extra columns: what a spilled join over
+// r keeps in memory.
+func looseBytes(r rel, other []string, extra int) int64 {
+	var n int64
+	for _, row := range r.rows {
+		for i, v := range r.vars {
+			if row[i].IsZero() && slices.Contains(other, v) {
+				n += rowBytes(make([]uint32, len(row)+extra))
+				break
+			}
+		}
+	}
+	return n
+}
+
+// spillCase returns a budget at which the join of probe and build spills
+// once it holds any keyed build row beyond its build rows with an unbound
+// join variable, which a spilled join keeps in memory, and whether the
+// join must then fail with ErrBudget: a cross product cannot spill, and a
+// probe row with an unbound join variable would have to meet every
+// spilled build row. Both sides' rows are widened by extra columns, which
+// they share (a keyed join's key).
+func spillCase(probe, build rel, left bool, extra int) (Budget, bool) {
+	b := Budget{SpillBytes: max(1, looseBytes(build, probe.vars, extra))}
+	width := rowBytes(make([]uint32, len(build.vars)+extra))
+	spills := int64(len(build.rows))*width > b.SpillBytes && (len(probe.rows) > 0 || !left)
+	cross := extra == 0 && !slices.ContainsFunc(probe.vars, func(v string) bool { return build.col(v) >= 0 })
+	return b, spills && (cross || looseBytes(probe, build.vars, extra) > 0)
+}
+
+// fewLoose keeps at most n of r's rows whose variable v is unbound: such a
+// row joins every row of the other side, which a big trial's output
+// cannot afford.
+func fewLoose(r rel, v string, n int) rel {
+	i := r.col(v)
+	out := rel{vars: r.vars}
+	for _, row := range r.rows {
+		if row[i].IsZero() {
+			if n == 0 {
+				continue
+			}
+			n--
+		}
+		out.rows = append(out.rows, row)
 	}
 	return out
 }
@@ -169,17 +221,17 @@ func collect(t *testing.T, s RowStream, dict *rdf.Dict) (rel, error) {
 	return rel{vars: res.Vars, rows: res.Rows}, nil
 }
 
-// checkJoin runs one join at a roomy budget and again at a 1-byte budget,
-// which forces every keyed join onto the spill path and fails every cross
-// product with a non-empty build side. In memory the output must equal the
-// reference as a multiset; spilled, as a set (the sorter collapses
-// duplicate records).
-func checkJoin(t *testing.T, trial int, probe, build rel, left bool, cond []sparql.Expr, want rel) {
+// checkJoin runs one join at a roomy budget and again at spillCase's. In
+// memory the output must equal the reference as a multiset; spilled, as a
+// set (the sorter collapses duplicate records), or the join must fail
+// with ErrBudget where spillCase says so. It reports whether the join
+// spilled with build rows of an unbound join variable in memory.
+func checkJoin(t *testing.T, trial int, probe, build rel, left bool, cond []sparql.Expr, want rel) (spilledLoose bool) {
 	t.Helper()
 	for _, spill := range []bool{false, true} {
-		b := Budget{SpillBytes: DefaultSpillBytes}
+		b, wantErr := Budget{SpillBytes: DefaultSpillBytes}, false
 		if spill {
-			b.SpillBytes = 1
+			b, wantErr = spillCase(probe, build, left, 0)
 		}
 		dict := rdf.NewDict()
 		var s RowStream
@@ -189,10 +241,9 @@ func checkJoin(t *testing.T, trial int, probe, build rel, left bool, cond []spar
 			s = HashJoin(context.Background(), probe.stream(dict), build.stream(dict), b)
 		}
 		got, err := collect(t, s, dict)
-		cross := len(want.vars) == len(probe.vars)+len(build.vars)
-		if spill && cross && len(build.rows) > 0 && (len(probe.rows) > 0 || !left) {
-			if err == nil {
-				t.Fatalf("trial %d: a cross product over budget must fail", trial)
+		if wantErr {
+			if !errors.Is(err, ErrBudget) {
+				t.Fatalf("trial %d left=%v: err %v, want ErrBudget\nprobe %v %v\nbuild %v %v", trial, left, err, probe.vars, probe.rows, build.vars, build.rows)
 			}
 			continue
 		}
@@ -206,16 +257,20 @@ func checkJoin(t *testing.T, trial int, probe, build rel, left bool, cond []spar
 			t.Fatalf("trial %d spill=%v left=%v\nprobe %v %v\nbuild %v %v\ngot  %v\nwant %v",
 				trial, spill, left, probe.vars, probe.rows, build.vars, build.rows, g, w)
 		}
+		spilledLoose = spill && s.(*hashJoin).spilled && b.SpillBytes > 1
 	}
+	return spilledLoose
 }
 
 // TestHashJoinProperty checks the inner join, and the union, filter and
 // VALUES-tuple operators the comparators assemble around it, against
 // nested-loop references on random relations: shared and unbound join
-// variables, cross products, duplicates, in memory and spilled, and
-// build tables large enough for the parallel probe.
+// variables, cross products, duplicates, in memory and spilled (build rows
+// of an unbound join variable kept beside the spill, ErrBudget for probe
+// rows with one), and build tables large enough for the parallel probe.
 func TestHashJoinProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
+	spilledLoose := 0
 	for trial := range 300 {
 		probe := randomRel(rng, randomVars(rng), rng.Intn(9), 3)
 		// The build side is the union of two relations with their own
@@ -223,9 +278,9 @@ func TestHashJoinProperty(t *testing.T) {
 		part1 := randomRel(rng, randomVars(rng), rng.Intn(9), 3)
 		part2 := randomRel(rng, randomVars(rng), rng.Intn(5), 3)
 		if bigTrial(trial) {
-			probe = randomRel(rng, []string{"a", "b"}, 300, 9000)
-			part1 = randomRel(rng, []string{"c", "a"}, 5000, 9000)
-			part2 = randomRel(rng, []string{"a", "c"}, 4000, 9000)
+			probe = fewLoose(randomRel(rng, []string{"a", "b"}, 300, 9000), "a", 2)
+			part1 = fewLoose(randomRel(rng, []string{"c", "a"}, 5000, 9000), "a", 2)
+			part2 = fewLoose(randomRel(rng, []string{"a", "c"}, 4000, 9000), "a", 2)
 		}
 		vars := slices.Clone(part1.vars)
 		for _, v := range part2.vars {
@@ -249,7 +304,9 @@ func TestHashJoinProperty(t *testing.T) {
 			t.Fatalf("trial %d: union %v, want %v (%v)", trial, union, build, err)
 		}
 
-		checkJoin(t, trial, probe, build, false, nil, naiveJoin(probe, build, false, nil))
+		if checkJoin(t, trial, probe, build, false, nil, naiveJoin(probe, build, false, nil)) {
+			spilledLoose++
+		}
 
 		cond := randomCond(t, rng)
 		filtered, err := collect(t, Filter(build.stream(dict), dict, cond), dict)
@@ -274,13 +331,9 @@ func TestHashJoinProperty(t *testing.T) {
 		}
 		var tuples [][]rdf.Term
 		seen := map[string]bool{}
-	rows:
 		for _, row := range build.rows {
 			tuple := make([]rdf.Term, len(idx))
 			for k, i := range idx {
-				if row[i].IsZero() {
-					continue rows
-				}
 				tuple[k] = row[i]
 			}
 			if key := fmt.Sprint(tuple); !seen[key] {
@@ -296,6 +349,9 @@ func TestHashJoinProperty(t *testing.T) {
 			t.Fatalf("trial %d: distinct tuples %v, want %v", trial, got, tuples)
 		}
 	}
+	if spilledLoose < 10 {
+		t.Fatalf("%d trials spilled with build rows of an unbound join variable in memory; the path is not exercised", spilledLoose)
+	}
 }
 
 // TestLeftJoinProperty checks the left join with a condition over both
@@ -303,15 +359,72 @@ func TestHashJoinProperty(t *testing.T) {
 // and spilled.
 func TestLeftJoinProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
+	spilledLoose := 0
 	for trial := range 300 {
 		probe := randomRel(rng, randomVars(rng), rng.Intn(9), 3)
 		build := randomRel(rng, randomVars(rng), rng.Intn(13), 3)
 		if bigTrial(trial) {
-			probe = randomRel(rng, []string{"a", "b"}, 300, 9000)
-			build = randomRel(rng, []string{"d", "a"}, 9000, 9000)
+			probe = fewLoose(randomRel(rng, []string{"a", "b"}, 300, 9000), "a", 2)
+			build = fewLoose(randomRel(rng, []string{"d", "a"}, 9000, 9000), "a", 2)
 		}
 		cond := randomCond(t, rng)
-		checkJoin(t, trial, probe, build, true, cond, naiveJoin(probe, build, true, cond))
+		if checkJoin(t, trial, probe, build, true, cond, naiveJoin(probe, build, true, cond)) {
+			spilledLoose++
+		}
+	}
+	if spilledLoose < 10 {
+		t.Fatalf("%d trials spilled with build rows of an unbound join variable in memory; the path is not exercised", spilledLoose)
+	}
+}
+
+// TestJoinSpillUnbound: once a join spills, its build rows with an
+// unbound join variable stay in memory and still join every compatible
+// probe row; when they outgrow the budget, or a probe row with an unbound
+// join variable meets the spilled build side, the join fails with
+// ErrBudget rather than dropping or zero-extending rows.
+func TestJoinSpillUnbound(t *testing.T) {
+	x := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://ex/x%d", i)) }
+	keyed := rel{vars: []string{"a", "b"}, rows: [][]rdf.Term{{x(1), x(101)}, {x(2), x(100)}, {x(999), x(102)}}}
+	loose := rel{vars: keyed.vars, rows: append(slices.Clone(keyed.rows), []rdf.Term{{}, x(102)})}
+	build := rel{vars: []string{"b", "a"}}
+	for i := range 50 {
+		build.rows = append(build.rows, []rdf.Term{x(100 + i%3), x(i)})
+	}
+	build.rows = append(build.rows, []rdf.Term{x(101), {}}, []rdf.Term{{}, {}})
+	fits, _ := spillCase(keyed, build, false, 0)
+	for _, c := range []struct {
+		name  string
+		probe rel
+		b     Budget
+		fail  bool
+	}{
+		{"build rows kept aside", keyed, fits, false},
+		{"build rows over the budget", keyed, Budget{SpillBytes: fits.SpillBytes - 1}, true},
+		{"probe row without a key", loose, fits, true},
+	} {
+		for _, left := range []bool{false, true} {
+			dict := rdf.NewDict()
+			var s RowStream
+			if left {
+				s = LeftJoin(context.Background(), c.probe.stream(dict), build.stream(dict), dict, nil, c.b)
+			} else {
+				s = HashJoin(context.Background(), c.probe.stream(dict), build.stream(dict), c.b)
+			}
+			hj := s.(*hashJoin)
+			got, err := collect(t, s, dict)
+			if c.fail {
+				if !errors.Is(err, ErrBudget) {
+					t.Errorf("%s left=%v: err %v, want ErrBudget", c.name, left, err)
+				}
+				continue
+			}
+			if err != nil || !hj.spilled {
+				t.Fatalf("%s left=%v: err %v, spilled %v", c.name, left, err, hj.spilled)
+			}
+			if g, w := keys(got, true), keys(naiveJoin(c.probe, build, left, nil), true); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s left=%v:\ngot  %v\nwant %v", c.name, left, g, w)
+			}
+		}
 	}
 }
 
@@ -392,11 +505,20 @@ func TestHashJoinKeyedProperty(t *testing.T) {
 		want := naiveJoin(probe, build, false, []sparql.Expr{eq})
 		for _, spill := range []bool{false, true} {
 			b := Budget{SpillBytes: DefaultSpillBytes}
+			wantErr := false
 			if spill {
-				b.SpillBytes = 1
+				// The key column widens both sides; rows without a key never
+				// reach the join.
+				b, wantErr = spillCase(fewLoose(probe, "a", 0), fewLoose(build, "c", 0), false, 1)
 			}
 			dict := rdf.NewDict()
 			got, err := collect(t, KeyedJoin(context.Background(), probe.stream(dict), build.stream(dict), dict, eq, b), dict)
+			if wantErr {
+				if !errors.Is(err, ErrBudget) {
+					t.Fatalf("trial %d: err %v, want ErrBudget", trial, err)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("trial %d spill=%v: %v", trial, spill, err)
 			}

@@ -99,12 +99,15 @@ func TestHashJoinCrossProduct(t *testing.T) {
 	}
 }
 
-func TestHashJoinUnboundKeyRowsDropped(t *testing.T) {
+// A row whose join variable is unbound is compatible with every row and
+// takes the other side's value, as in SPARQL.
+func TestHashJoinUnboundKeyRowsJoin(t *testing.T) {
 	a := relation([]string{"x", "y"}, tuple("a1", "k1"), tuple("a2", "")) // a2's y unbound
 	b := relation([]string{"y", "z"}, tuple("k1", "b1"))
 	j := mustCollect(t, op.HashJoin(context.Background(), a, b, budget()))
-	if len(j.Rows) != 1 {
-		t.Errorf("rows = %d, want 1 (unbound key does not inner-join)", len(j.Rows))
+	want := [][]rdf.Term{tuple("a1", "k1", "b1"), tuple("a2", "k1", "b1")}
+	if !reflect.DeepEqual(j.Rows, want) {
+		t.Errorf("rows = %v, want %v", j.Rows, want)
 	}
 }
 
@@ -112,7 +115,7 @@ func TestProjectDistinct(t *testing.T) {
 	vars := []string{"x", "y", "z"}
 	rows := [][]rdf.Term{tuple("a", "k", "1"), tuple("a", "k", "2"), tuple("b", "k", "3"), tuple("c", "", "4")}
 	got := op.TermRows(dict, op.DistinctTuples(op.InternRows(dict, rows), []int{0, 1}))
-	want := [][]rdf.Term{tuple("a", "k"), tuple("b", "k")} // (c,unbound) skipped
+	want := [][]rdf.Term{tuple("a", "k"), tuple("b", "k"), tuple("c", "")} // (c,unbound) ships as (c,UNDEF)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("projected %v onto x,y: %v, want %v", vars, got, want)
 	}

@@ -7,10 +7,11 @@ import (
 	"lusail/internal/rdf"
 )
 
-// This file is the one solution-modifier tail. Both sides of the
-// federation finish a query here: the endpoint evaluator over the rows it
-// matched in its store, and the federated engines over the global joined
-// relation.
+// This file holds the modifiers that need a complete relation: GROUP BY
+// and aggregates, ORDER BY, then projection, DISTINCT and OFFSET/LIMIT.
+// The one solution-modifier tail is op.Finish, which both sides of the
+// federation finish a query on; it streams what it can and drains into
+// ApplyModifiers for the rest.
 
 // ModifierVars returns the variables ApplyModifiers reads from the
 // relation it is given: the grouping and aggregated variables of a grouped
