@@ -21,7 +21,9 @@ import (
 )
 
 func benchExp() bench.ExpOptions {
-	return bench.ExpOptions{Scale: 1, Timeout: 30 * time.Second, Repeats: 1}
+	// 2..32 endpoints keeps each fig12bc iteration under a few seconds;
+	// lusail-bench sweeps to 256 (the paper's maximum).
+	return bench.ExpOptions{Scale: 1, Timeout: 30 * time.Second, Repeats: 1, Endpoints: []int{2, 8, 32}}
 }
 
 // logTables prints experiment output on the first iteration only.
@@ -34,26 +36,10 @@ func logTables(b *testing.B, i int, tables ...*bench.Table) {
 	}
 }
 
-func BenchmarkTable1_Datasets(b *testing.B) {
+// benchExperiment regenerates one experiment per iteration.
+func benchExperiment(b *testing.B, run func(context.Context, bench.ExpOptions) ([]*bench.Table, error)) {
 	for i := 0; i < b.N; i++ {
-		t := bench.Table1Datasets(benchExp())
-		logTables(b, i, t)
-	}
-}
-
-func BenchmarkFig8_QFed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig8QFed(context.Background(), benchExp())
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, i, t)
-	}
-}
-
-func BenchmarkFig9_LUBM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ts, err := bench.Fig9LUBM(context.Background(), benchExp())
+		ts, err := run(context.Background(), benchExp())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,89 +47,19 @@ func BenchmarkFig9_LUBM(b *testing.B) {
 	}
 }
 
-func BenchmarkFig10_LargeRDFBench(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ts, err := bench.Fig10LargeRDFBench(context.Background(), benchExp())
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, i, ts...)
-	}
-}
-
-func BenchmarkFig11_Geo(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ts, err := bench.Fig11Geo(context.Background(), benchExp())
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, i, ts...)
-	}
-}
-
-func BenchmarkFig12a_Profile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig12aProfile(context.Background(), benchExp())
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, i, t)
-	}
-}
-
-func BenchmarkFig12bc_Scaling(b *testing.B) {
-	// 2..32 endpoints keeps each iteration under a few seconds;
-	// lusail-bench sweeps to 256 (the paper's maximum).
-	for i := 0; i < b.N; i++ {
-		ts, err := bench.Fig12bcScaling(context.Background(), []int{2, 8, 32}, benchExp())
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, i, ts...)
-	}
-}
-
-func BenchmarkDiskScale(b *testing.B) {
-	// The 100k tier keeps each iteration in seconds; lusail-bench runs the
-	// full magnitude grid (10⁵–10⁶+ triples) for BENCH_diskstore.json.
-	for i := 0; i < b.N; i++ {
-		ts, err := bench.DiskScale(context.Background(), benchExp(), "lubm-100k")
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, i, ts...)
-	}
-}
-
-func BenchmarkFig13_Thresholds(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig13Thresholds(context.Background(), benchExp())
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, i, t)
-	}
-}
-
-func BenchmarkFig14_Ablation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig14Ablation(context.Background(), benchExp())
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, i, t)
-	}
-}
-
-func BenchmarkTable2_RealEndpoints(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Table2RealEndpoints(context.Background(), benchExp())
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, i, t)
-	}
-}
+func BenchmarkTable1_Datasets(b *testing.B)      { benchExperiment(b, bench.Table1Datasets) }
+func BenchmarkFig8_QFed(b *testing.B)            { benchExperiment(b, bench.Fig8QFed) }
+func BenchmarkFig9_LUBM(b *testing.B)            { benchExperiment(b, bench.Fig9LUBM) }
+func BenchmarkFig10_LargeRDFBench(b *testing.B)  { benchExperiment(b, bench.Fig10LargeRDFBench) }
+func BenchmarkFig11_Geo(b *testing.B)            { benchExperiment(b, bench.Fig11Geo) }
+func BenchmarkFig12a_Profile(b *testing.B)       { benchExperiment(b, bench.Fig12aProfile) }
+func BenchmarkFig12bc_Scaling(b *testing.B)      { benchExperiment(b, bench.Fig12bcScaling) }
+func BenchmarkFig13_Thresholds(b *testing.B)     { benchExperiment(b, bench.Fig13Thresholds) }
+func BenchmarkFig14_Ablation(b *testing.B)       { benchExperiment(b, bench.Fig14Ablation) }
+func BenchmarkTable2_RealEndpoints(b *testing.B) { benchExperiment(b, bench.Table2RealEndpoints) }
+func BenchmarkPreprocessingCost(b *testing.B)    { benchExperiment(b, bench.PreprocessingCost) }
+func BenchmarkAblationBlockSize(b *testing.B)    { benchExperiment(b, bench.BlockSizeAblation) }
+func BenchmarkAblationPoolSize(b *testing.B)     { benchExperiment(b, bench.PoolSizeAblation) }
 
 func BenchmarkQError(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -153,36 +69,6 @@ func BenchmarkQError(b *testing.B) {
 		}
 		if i == 0 {
 			b.ReportMetric(median, "median-q-error")
-		}
-		logTables(b, i, t)
-	}
-}
-
-func BenchmarkPreprocessingCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.PreprocessingCost(context.Background(), benchExp())
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, i, t)
-	}
-}
-
-func BenchmarkAblationBlockSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.BlockSizeAblation(context.Background(), benchExp())
-		if err != nil {
-			b.Fatal(err)
-		}
-		logTables(b, i, t)
-	}
-}
-
-func BenchmarkAblationPoolSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.PoolSizeAblation(context.Background(), benchExp())
-		if err != nil {
-			b.Fatal(err)
 		}
 		logTables(b, i, t)
 	}

@@ -10,9 +10,12 @@
 //	lusail-bench -scale 4 -timeout 2m  # bigger data, longer cutoff
 //	lusail-bench -experiment catalog -json .  # also write BENCH_catalog.json
 //
-// Experiments: table1, fig8, fig9, fig10, fig11, fig12a, fig12bc, fig13,
-// fig14, table2, qerror, preprocessing, blocksize, poolsize, catalog,
-// faults, service, diskscale, pipeline, all.
+// Experiments (bench.Experiments, in the order "all" runs them): table1,
+// fig8, fig9, fig10, fig11, fig12a, fig12bc, fig13, fig14, table2, qerror,
+// preprocessing, blocksize, poolsize, catalog, faults.
+//
+// It exits 0 on success, 1 when an experiment fails and 2 on a usage
+// error, such as an experiment ID that is not in the table.
 //
 // -metrics-addr also exposes /debug/pprof/ for live CPU and heap profiles
 // of a running experiment.
@@ -23,11 +26,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -40,156 +45,124 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment id (or comma list)")
-	scale := flag.Int("scale", 1, "dataset scale factor")
-	timeout := flag.Duration("timeout", 60*time.Second, "per-query timeout")
-	repeats := flag.Int("repeats", 3, "runs per query (first is warmup)")
-	endpoints := flag.String("endpoints", "4,16,64,256", "endpoint counts for fig12bc")
-	faultRate := flag.Float64("fault-rate", 0.3, "injected error rate of the faulty endpoint (faults experiment)")
-	faultHang := flag.Float64("fault-hang", 0.1, "injected hang rate of the faulty endpoint (faults experiment)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/federation on this address while experiments run")
-	jsonDir := flag.String("json", "", "also write each experiment's tables to BENCH_<id>.json in this directory")
-	checkInvariants := flag.Bool("check-invariants", false, "run a single LUBM query with resilience enabled under a goroutine-leak check and exit")
-	flag.Parse()
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the selected experiments in table order and
+// returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lusail-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	experiment := fs.String("experiment", "all", "experiment id (or comma list)")
+	scale := fs.Int("scale", 1, "dataset scale factor")
+	timeout := fs.Duration("timeout", 60*time.Second, "per-query timeout")
+	repeats := fs.Int("repeats", 3, "runs per query (first is warmup)")
+	endpoints := fs.String("endpoints", "4,16,64,256", "endpoint counts for fig12bc")
+	faultRate := fs.Float64("fault-rate", 0.3, "injected error rate of the faulty endpoint (faults experiment)")
+	faultHang := fs.Float64("fault-hang", 0.1, "injected hang rate of the faulty endpoint (faults experiment)")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /debug/federation on this address while experiments run")
+	jsonDir := fs.String("json", "", "also write each experiment's tables to BENCH_<id>.json in this directory")
+	checkInvariants := fs.Bool("check-invariants", false, "run a single LUBM query with resilience enabled under a goroutine-leak check and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *checkInvariants {
-		if err := runInvariantSmoke(context.Background(), *timeout); err != nil {
-			log.Fatalf("lusail-bench: invariant smoke failed: %v", err)
+		if err := runInvariantSmoke(ctx, *timeout); err != nil {
+			fmt.Fprintf(stderr, "lusail-bench: invariant smoke failed: %v\n", err)
+			return 1
 		}
-		fmt.Println("invariant smoke passed: query answered, breaker state consistent, no goroutines leaked")
-		return
+		fmt.Fprintln(stdout, "invariant smoke passed: query answered, breaker state consistent, no goroutines leaked")
+		return 0
 	}
 
-	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Default().MetricsHandler())
-		mux.Handle("/debug/federation", obs.Default().DebugHandler())
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
-				log.Printf("lusail-bench: metrics listener: %v", err)
-			}
-		}()
-	}
-
-	ctx := context.Background()
 	opts := bench.ExpOptions{Scale: *scale, Timeout: *timeout, Repeats: *repeats, FaultRate: *faultRate, FaultHang: *faultHang}
-
-	var counts []int
 	for _, s := range strings.Split(*endpoints, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil || n <= 0 {
-			log.Fatalf("lusail-bench: invalid -endpoints %q", *endpoints)
+			fmt.Fprintf(stderr, "lusail-bench: invalid -endpoints %q\n", *endpoints)
+			return 2
 		}
-		counts = append(counts, n)
+		opts.Endpoints = append(opts.Endpoints, n)
+	}
+	selected, err := selectExperiments(*experiment)
+	if err != nil {
+		fmt.Fprintf(stderr, "lusail-bench: %v\n", err)
+		return 2
 	}
 
-	wanted := map[string]bool{}
-	for _, e := range strings.Split(*experiment, ",") {
-		wanted[strings.TrimSpace(e)] = true
+	if *metricsAddr != "" {
+		serveMetrics(*metricsAddr)
 	}
-	want := func(id string) bool { return wanted["all"] || wanted[id] }
-	emit := func(id string, ts []*bench.Table, err error) {
+	start := time.Now()
+	for _, e := range selected {
+		ts, err := e.Run(ctx, opts)
 		if err != nil {
-			log.Fatalf("lusail-bench: %v", err)
+			fmt.Fprintf(stderr, "lusail-bench: %s: %v\n", e.ID, err)
+			return 1
 		}
 		for _, t := range ts {
-			fmt.Println(t.String())
+			fmt.Fprintln(stdout, t.String())
 		}
 		if *jsonDir == "" {
-			return
+			continue
 		}
-		path := filepath.Join(*jsonDir, "BENCH_"+id+".json")
+		path := filepath.Join(*jsonDir, "BENCH_"+e.ID+".json")
 		data, err := json.MarshalIndent(ts, "", "  ")
+		if err == nil {
+			err = os.WriteFile(path, append(data, '\n'), 0o644)
+		}
 		if err != nil {
-			log.Fatalf("lusail-bench: encoding %s: %v", path, err)
+			fmt.Fprintf(stderr, "lusail-bench: writing %s: %v\n", path, err)
+			return 1
 		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			log.Fatalf("lusail-bench: %v", err)
-		}
-		fmt.Printf("wrote %s\n\n", path)
+		fmt.Fprintf(stdout, "wrote %s\n\n", path)
 	}
-	show := func(id string) func(t *bench.Table, err error) {
-		return func(t *bench.Table, err error) {
-			if err != nil {
-				emit(id, nil, err)
-				return
-			}
-			emit(id, []*bench.Table{t}, nil)
-		}
-	}
+	fmt.Fprintf(stdout, "total experiment time: %v\n", time.Since(start).Round(time.Millisecond))
+	return 0
+}
 
-	start := time.Now()
-	if want("table1") {
-		show("table1")(bench.Table1Datasets(opts), nil)
+// selectExperiments returns the experiments a comma list of IDs names, in
+// table order; "all" names every one. An ID that is not in the table is an
+// error that lists the valid ones.
+func selectExperiments(list string) ([]bench.Experiment, error) {
+	var ids []string
+	for _, e := range bench.Experiments {
+		ids = append(ids, e.ID)
 	}
-	if want("fig8") {
-		show("fig8")(bench.Fig8QFed(ctx, opts))
+	want := map[string]bool{}
+	for _, id := range strings.Split(list, ",") {
+		id = strings.TrimSpace(id)
+		if id != "all" && !slices.Contains(ids, id) {
+			return nil, fmt.Errorf("unknown experiment %q; valid: %s, all", id, strings.Join(ids, ", "))
+		}
+		want[id] = true
 	}
-	if want("fig9") {
-		ts, err := bench.Fig9LUBM(ctx, opts)
-		emit("fig9", ts, err)
+	var out []bench.Experiment
+	for _, e := range bench.Experiments {
+		if want["all"] || want[e.ID] {
+			out = append(out, e)
+		}
 	}
-	if want("fig10") {
-		ts, err := bench.Fig10LargeRDFBench(ctx, opts)
-		emit("fig10", ts, err)
-	}
-	if want("fig11") {
-		ts, err := bench.Fig11Geo(ctx, opts)
-		emit("fig11", ts, err)
-	}
-	if want("fig12a") {
-		show("fig12a")(bench.Fig12aProfile(ctx, opts))
-	}
-	if want("fig12bc") {
-		ts, err := bench.Fig12bcScaling(ctx, counts, opts)
-		emit("fig12bc", ts, err)
-	}
-	if want("fig13") {
-		show("fig13")(bench.Fig13Thresholds(ctx, opts))
-	}
-	if want("fig14") {
-		show("fig14")(bench.Fig14Ablation(ctx, opts))
-	}
-	if want("table2") {
-		show("table2")(bench.Table2RealEndpoints(ctx, opts))
-	}
-	if want("qerror") {
-		t, _, err := bench.QErrorExperiment(ctx, opts)
-		show("qerror")(t, err)
-	}
-	if want("preprocessing") {
-		show("preprocessing")(bench.PreprocessingCost(ctx, opts))
-	}
-	if want("blocksize") {
-		show("blocksize")(bench.BlockSizeAblation(ctx, opts))
-	}
-	if want("poolsize") {
-		show("poolsize")(bench.PoolSizeAblation(ctx, opts))
-	}
-	if want("catalog") {
-		show("catalog")(bench.CatalogProbes(ctx, opts))
-	}
-	if want("faults") {
-		ts, err := bench.FaultsExperiment(ctx, opts)
-		emit("faults", ts, err)
-	}
-	if want("service") {
-		show("service")(bench.ServiceExperiment(ctx, opts))
-	}
-	if want("pipeline") {
-		show("pipeline")(bench.PipelineExperiment(ctx, opts))
-	}
-	if want("diskscale") {
-		// The JSON id is the subsystem name: BENCH_diskstore.json.
-		ts, err := bench.DiskScale(ctx, opts)
-		emit("diskstore", ts, err)
-	}
-	fmt.Printf("total experiment time: %v\n", time.Since(start).Round(time.Millisecond))
+	return out, nil
+}
+
+// serveMetrics serves the process's metrics, federation snapshot and pprof
+// handlers on addr in the background.
+func serveMetrics(addr string) {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", obs.Default().MetricsHandler())
+	mux.Handle("/debug/federation", obs.Default().DebugHandler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	go func() {
+		if err := http.ListenAndServe(addr, mux); err != nil {
+			log.Printf("lusail-bench: metrics listener: %v", err)
+		}
+	}()
 }
 
 // runInvariantSmoke is the -check-invariants mode: one LUBM query on a

@@ -106,8 +106,8 @@ func runCatalogInspect(_ context.Context, args []string, stdout, stderr io.Write
 		return 0
 	}
 	now := time.Now()
-	fmt.Fprintf(stdout, "%-20s %10s %6s %8s %7s %6s %6s %9s\n",
-		"endpoint", "triples", "preds", "classes", "values", "trunc", "fresh", "age")
+	fmt.Fprintf(stdout, "%-20s %10s %6s %8s %6s %6s %9s\n",
+		"endpoint", "triples", "preds", "classes", "trunc", "fresh", "age")
 	for _, name := range cat.Endpoints() {
 		sum, ok := cat.Summary(name)
 		if !ok {
@@ -117,9 +117,9 @@ func runCatalogInspect(_ context.Context, args []string, stdout, stderr io.Write
 		if !sum.Fresh(now, *ttl) {
 			fresh = "STALE"
 		}
-		fmt.Fprintf(stdout, "%-20s %10d %6d %8d %7v %6v %6s %9s\n",
+		fmt.Fprintf(stdout, "%-20s %10d %6d %8d %6v %6s %9s\n",
 			sum.Endpoint, sum.Triples, len(sum.Predicates), len(sum.Classes),
-			sum.Capabilities.SupportsValues, sum.Capabilities.Truncated, fresh,
+			sum.Capabilities.Truncated, fresh,
 			sum.Age(now).Round(time.Second))
 		if !*verbose {
 			continue

@@ -9,7 +9,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -160,15 +159,6 @@ func (f *Fed) EnsureCatalog(ctx context.Context) (*catalog.Store, error) {
 	}
 	f.catStore = st
 	return st, nil
-}
-
-// TotalTriples sums the federation's dataset sizes.
-func (f *Fed) TotalTriples() int {
-	n := 0
-	for _, ds := range f.Datasets {
-		n += len(ds.Triples)
-	}
-	return n
 }
 
 // engine abstracts the systems under test.
@@ -413,14 +403,4 @@ func FormatDuration(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%dµs", d.Microseconds())
 	}
-}
-
-// SortedNames returns dataset names sorted, for deterministic output.
-func SortedNames(datasets []Dataset) []string {
-	out := make([]string, len(datasets))
-	for i, ds := range datasets {
-		out[i] = ds.Name
-	}
-	sort.Strings(out)
-	return out
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -103,7 +104,11 @@ func TestQFedGeneratorShape(t *testing.T) {
 	if len(datasets) != 4 {
 		t.Fatalf("datasets = %d", len(datasets))
 	}
-	names := SortedNames(datasets)
+	var names []string
+	for _, ds := range datasets {
+		names = append(names, ds.Name)
+	}
+	sort.Strings(names)
 	want := []string{"DailyMed", "Diseasome", "DrugBank", "Sider"}
 	if !reflect.DeepEqual(names, want) {
 		t.Errorf("names = %v", names)

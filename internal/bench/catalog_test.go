@@ -93,11 +93,12 @@ func TestCatalogProbesExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment driver; skipped in -short")
 	}
-	opts := DefaultExp()
-	tbl, err := CatalogProbes(context.Background(), opts)
+	opts := fastExp()
+	ts, err := CatalogProbes(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := ts[0]
 	if len(tbl.Rows) != len(LUBMQueries()) {
 		t.Fatalf("got %d rows, want %d", len(tbl.Rows), len(LUBMQueries()))
 	}

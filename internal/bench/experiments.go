@@ -25,11 +25,41 @@ type ExpOptions struct {
 	// endpoint in the faults experiment's hedging table (0 means the 0.1
 	// default).
 	FaultHang float64
+	// Endpoints are the federation sizes fig12bc sweeps (empty means the
+	// paper's 4, 16, 64 and 256).
+	Endpoints []int
 }
 
-// DefaultExp returns fast settings suitable for `go test -bench`.
-func DefaultExp() ExpOptions {
-	return ExpOptions{Scale: 1, Timeout: 30 * time.Second, Repeats: 3, FaultRate: 0.3, FaultHang: 0.1}
+// Experiment is one entry of the experiment table: an ID (what
+// `lusail-bench -experiment` names) and the run that regenerates its
+// tables.
+type Experiment struct {
+	ID  string
+	Run func(context.Context, ExpOptions) ([]*Table, error)
+}
+
+// Experiments lists every experiment in the order `-experiment all` runs
+// them: the paper's tables and figures, then the extensions beyond it.
+var Experiments = []Experiment{
+	{"table1", Table1Datasets},
+	{"fig8", Fig8QFed},
+	{"fig9", Fig9LUBM},
+	{"fig10", Fig10LargeRDFBench},
+	{"fig11", Fig11Geo},
+	{"fig12a", Fig12aProfile},
+	{"fig12bc", Fig12bcScaling},
+	{"fig13", Fig13Thresholds},
+	{"fig14", Fig14Ablation},
+	{"table2", Table2RealEndpoints},
+	{"qerror", func(ctx context.Context, opts ExpOptions) ([]*Table, error) {
+		t, _, err := QErrorExperiment(ctx, opts)
+		return []*Table{t}, err
+	}},
+	{"preprocessing", PreprocessingCost},
+	{"blocksize", BlockSizeAblation},
+	{"poolsize", PoolSizeAblation},
+	{"catalog", CatalogProbes},
+	{"faults", FaultsExperiment},
 }
 
 func (o ExpOptions) run() RunOptions {
@@ -59,7 +89,7 @@ func compareSystems(ctx context.Context, title string, fed *Fed, queries []Query
 }
 
 // Table1Datasets reproduces Table 1: the datasets and their sizes.
-func Table1Datasets(opts ExpOptions) *Table {
+func Table1Datasets(_ context.Context, opts ExpOptions) ([]*Table, error) {
 	t := &Table{Title: "Table 1: Datasets used in experiments (scaled)"}
 	t.Header = []string{"benchmark", "endpoint", "triples"}
 	addAll := func(name string, datasets []Dataset) {
@@ -82,13 +112,13 @@ func Table1Datasets(opts ExpOptions) *Table {
 		total += len(ds.Triples)
 	}
 	t.Rows = append(t.Rows, []string{"LUBM", fmt.Sprintf("%d Universities", len(lubm)), fmt.Sprintf("%d", total)})
-	return t
+	return []*Table{t}, nil
 }
 
 // Fig8QFed reproduces Figure 8: QFed query runtimes for Lusail, FedX,
 // HiBISCuS, and SPLENDID. Expected shape: Lusail wins everywhere; the
 // big-literal variants (C2P2B*) hurt the bound-join systems most.
-func Fig8QFed(ctx context.Context, opts ExpOptions) (*Table, error) {
+func Fig8QFed(ctx context.Context, opts ExpOptions) ([]*Table, error) {
 	cfg := DefaultQFed()
 	cfg.Drugs *= opts.Scale
 	cfg.Diseases *= opts.Scale
@@ -99,7 +129,7 @@ func Fig8QFed(ctx context.Context, opts ExpOptions) (*Table, error) {
 	t := compareSystems(ctx, "Figure 8: QFed (local cluster)", fed, QFedQueries(),
 		[]EngineKind{Lusail, FedX, HiBISCuS, SPLENDID}, opts)
 	t.Notes = append(t.Notes, "paper: Lusail fastest on all; FedX/HiBISCuS degrade or time out on C2P2B/C2P2BO")
-	return t, nil
+	return []*Table{t}, nil
 }
 
 // Fig9LUBM reproduces Figure 9: LUBM queries on 2 and 4 same-schema
@@ -168,7 +198,7 @@ func Fig11Geo(ctx context.Context, opts ExpOptions) ([]*Table, error) {
 // and large (B1) query. The phase times come from the engine's span tree
 // (Options.Trace) rather than the Profile's hand-rolled timers: each phase
 // is the sum of its named spans, and the total is the root span's duration.
-func Fig12aProfile(ctx context.Context, opts ExpOptions) (*Table, error) {
+func Fig12aProfile(ctx context.Context, opts ExpOptions) ([]*Table, error) {
 	fed, err := NewFed(GenerateLRB(LRBConfig{Scale: opts.Scale, Seed: 11}), LocalCluster())
 	if err != nil {
 		return nil, err
@@ -204,12 +234,13 @@ func Fig12aProfile(ctx context.Context, opts ExpOptions) (*Table, error) {
 		})
 	}
 	t.Notes = append(t.Notes, "paper: execution dominates; analysis adds no significant overhead")
-	return t, nil
+	return []*Table{t}, nil
 }
 
 // Fig12bcScaling reproduces Figures 12(b,c): LUBM Q3 and Q4 phase times as
 // the number of endpoints grows, with and without the ASK/check caches.
-func Fig12bcScaling(ctx context.Context, endpointCounts []int, opts ExpOptions) ([]*Table, error) {
+func Fig12bcScaling(ctx context.Context, opts ExpOptions) ([]*Table, error) {
+	endpointCounts := opts.Endpoints
 	if len(endpointCounts) == 0 {
 		endpointCounts = []int{4, 16, 64, 256}
 	}
@@ -259,7 +290,7 @@ func Fig12bcScaling(ctx context.Context, endpointCounts []int, opts ExpOptions) 
 // Fig13Thresholds reproduces Figure 13: total per-category LargeRDFBench
 // time under the four delay-threshold rules, in the geo-distributed
 // setting.
-func Fig13Thresholds(ctx context.Context, opts ExpOptions) (*Table, error) {
+func Fig13Thresholds(ctx context.Context, opts ExpOptions) ([]*Table, error) {
 	fed, err := NewFed(GenerateLRB(LRBConfig{Scale: opts.Scale, Seed: 11}), GeoDistributed())
 	if err != nil {
 		return nil, err
@@ -297,12 +328,12 @@ func Fig13Thresholds(ctx context.Context, opts ExpOptions) (*Table, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes, "paper: mu+sigma consistently good; mu worst on large; mu+2sigma/outliers worse on simple+complex")
-	return t, nil
+	return []*Table{t}, nil
 }
 
 // Fig14Ablation reproduces Figure 14: FedX vs Lusail-LADE-only vs full
 // Lusail (LADE+SAPE) on two queries from each benchmark.
-func Fig14Ablation(ctx context.Context, opts ExpOptions) (*Table, error) {
+func Fig14Ablation(ctx context.Context, opts ExpOptions) ([]*Table, error) {
 	t := &Table{
 		Title:  "Figure 14: effect of LADE and SAPE",
 		Header: []string{"benchmark", "query", "FedX", "FedX#KB", "LADE", "LADE#KB", "LADE+SAPE", "SAPE#KB"},
@@ -349,13 +380,13 @@ func Fig14Ablation(ctx context.Context, opts ExpOptions) (*Table, error) {
 	addRows("LargeRDFBench", lrb, picked)
 	t.Notes = append(t.Notes, "paper: LADE alone beats FedX by up to 3 orders; SAPE always improves on LADE alone",
 		"#KB columns: payload shipped from endpoints — SAPE's bound joins cut communication even when LAN times are equal")
-	return t, nil
+	return []*Table{t}, nil
 }
 
 // Table2RealEndpoints reproduces Table 2: Lusail vs FedX on the Bio2RDF
 // queries R1-R5 and six LargeRDFBench queries, over WAN-simulated
 // independently deployed endpoints.
-func Table2RealEndpoints(ctx context.Context, opts ExpOptions) (*Table, error) {
+func Table2RealEndpoints(ctx context.Context, opts ExpOptions) ([]*Table, error) {
 	net := GeoDistributed()
 	bio, err := NewFed(GenerateBio2RDF(Bio2RDFConfig{Scale: opts.Scale}), net)
 	if err != nil {
@@ -387,7 +418,7 @@ func Table2RealEndpoints(ctx context.Context, opts ExpOptions) (*Table, error) {
 	}
 	addRows("LargeRDFBench", lrb, picked)
 	t.Notes = append(t.Notes, "paper: FedX wins tiny selective S3/S4; Lusail wins the rest by 1-2 orders; FedX fails on several")
-	return t, nil
+	return []*Table{t}, nil
 }
 
 // QErrorExperiment reproduces the cardinality-estimation accuracy analysis
@@ -443,7 +474,7 @@ func QErrorExperiment(ctx context.Context, opts ExpOptions) (*Table, float64, er
 // PreprocessingCost reproduces the Section 5.1 discussion: index-based
 // systems pay a preprocessing cost proportional to data size; index-free
 // systems pay none.
-func PreprocessingCost(ctx context.Context, opts ExpOptions) (*Table, error) {
+func PreprocessingCost(ctx context.Context, opts ExpOptions) ([]*Table, error) {
 	qfed, err := NewFed(GenerateQFed(DefaultQFed()), LocalCluster())
 	if err != nil {
 		return nil, err
@@ -471,14 +502,14 @@ func PreprocessingCost(ctx context.Context, opts ExpOptions) (*Table, error) {
 		build := FormatDuration(time.Since(start))
 		t.Rows = append(t.Rows, []string{f.name, "none", "none", build, build})
 	}
-	return t, nil
+	return []*Table{t}, nil
 }
 
 // BlockSizeAblation is an extension experiment beyond the paper's figures:
 // it sweeps SAPE's VALUES block size on the bound-join-heavy LUBM Q4 to
 // expose the trade-off between the number of bound-join requests (small
 // blocks) and per-request payload (large blocks).
-func BlockSizeAblation(ctx context.Context, opts ExpOptions) (*Table, error) {
+func BlockSizeAblation(ctx context.Context, opts ExpOptions) ([]*Table, error) {
 	cfg := DefaultLUBM(4)
 	cfg.StudentsPerDept *= opts.Scale
 	fed, err := NewFed(GenerateLUBM(cfg), LocalCluster())
@@ -514,14 +545,14 @@ func BlockSizeAblation(ctx context.Context, opts ExpOptions) (*Table, error) {
 		})
 	}
 	t.Notes = append(t.Notes, "extension: small blocks multiply bound-join requests; the default 500 balances the two costs")
-	return t, nil
+	return []*Table{t}, nil
 }
 
 // PoolSizeAblation is an extension experiment: it sweeps the ERH worker
 // pool size to show how endpoint-request parallelism drives response time
 // (the paper sizes the pool to the number of physical cores; the default
 // here is erh.DefaultLimit).
-func PoolSizeAblation(ctx context.Context, opts ExpOptions) (*Table, error) {
+func PoolSizeAblation(ctx context.Context, opts ExpOptions) ([]*Table, error) {
 	fed, err := NewFed(GenerateLRB(LRBConfig{Scale: opts.Scale, Seed: 11}), GeoDistributed())
 	if err != nil {
 		return nil, err
@@ -550,7 +581,7 @@ func PoolSizeAblation(ctx context.Context, opts ExpOptions) (*Table, error) {
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", size), FormatDuration(time.Since(start))})
 	}
 	t.Notes = append(t.Notes, "extension: request parallelism hides WAN latency; gains flatten once all endpoints are busy")
-	return t, nil
+	return []*Table{t}, nil
 }
 
 // CatalogProbes measures the probe traffic the endpoint catalog removes:
@@ -561,7 +592,7 @@ func PoolSizeAblation(ctx context.Context, opts ExpOptions) (*Table, error) {
 // probes this experiment counts. The catalog build itself is offline
 // preprocessing, reported in a note; the index-based baselines read the
 // same catalog.
-func CatalogProbes(ctx context.Context, opts ExpOptions) (*Table, error) {
+func CatalogProbes(ctx context.Context, opts ExpOptions) ([]*Table, error) {
 	cfg := DefaultLUBM(4)
 	cfg.StudentsPerDept *= opts.Scale
 	fed, err := NewFed(GenerateLUBM(cfg), LocalCluster())
@@ -594,5 +625,5 @@ func CatalogProbes(ctx context.Context, opts ExpOptions) (*Table, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("catalog built offline in %s (one scan per endpoint; the index-based baselines read the same catalog)", FormatDuration(buildTime)),
 		"off = probe-based Lusail; on = catalog-backed; single cold run per cell so probes are not hidden by warm caches")
-	return t, nil
+	return []*Table{t}, nil
 }

@@ -30,7 +30,11 @@ func assertNoLusailFailures(t *testing.T, tb *Table) {
 }
 
 func TestTable1(t *testing.T) {
-	tb := Table1Datasets(fastExp())
+	ts, err := Table1Datasets(context.Background(), fastExp())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := ts[0]
 	if len(tb.Rows) < 15 {
 		t.Errorf("Table 1 rows = %d", len(tb.Rows))
 	}
@@ -40,10 +44,11 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig8Smoke(t *testing.T) {
-	tb, err := Fig8QFed(context.Background(), fastExp())
+	ts, err := Fig8QFed(context.Background(), fastExp())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb := ts[0]
 	if len(tb.Rows) != 7 {
 		t.Errorf("Fig8 rows = %d, want 7 QFed queries", len(tb.Rows))
 	}
@@ -103,17 +108,20 @@ func TestFig11Smoke(t *testing.T) {
 }
 
 func TestFig12aSmoke(t *testing.T) {
-	tb, err := Fig12aProfile(context.Background(), fastExp())
+	ts, err := Fig12aProfile(context.Background(), fastExp())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb := ts[0]
 	if len(tb.Rows) != 3 {
 		t.Errorf("Fig12a rows = %d", len(tb.Rows))
 	}
 }
 
 func TestFig12bcSmoke(t *testing.T) {
-	tables, err := Fig12bcScaling(context.Background(), []int{2, 4}, fastExp())
+	opts := fastExp()
+	opts.Endpoints = []int{2, 4}
+	tables, err := Fig12bcScaling(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,20 +139,22 @@ func TestFig13Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	tb, err := Fig13Thresholds(context.Background(), fastExp())
+	ts, err := Fig13Thresholds(context.Background(), fastExp())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb := ts[0]
 	if len(tb.Rows) != 3 {
 		t.Errorf("Fig13 rows = %d", len(tb.Rows))
 	}
 }
 
 func TestFig14Smoke(t *testing.T) {
-	tb, err := Fig14Ablation(context.Background(), fastExp())
+	ts, err := Fig14Ablation(context.Background(), fastExp())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb := ts[0]
 	if len(tb.Rows) != 6 {
 		t.Errorf("Fig14 rows = %d, want 6", len(tb.Rows))
 	}
@@ -155,10 +165,11 @@ func TestTable2Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	tb, err := Table2RealEndpoints(context.Background(), fastExp())
+	ts, err := Table2RealEndpoints(context.Background(), fastExp())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb := ts[0]
 	if len(tb.Rows) != 11 { // 5 Bio2RDF + 6 LRB
 		t.Errorf("Table2 rows = %d, want 11", len(tb.Rows))
 	}
@@ -184,10 +195,11 @@ func TestQErrorSmoke(t *testing.T) {
 }
 
 func TestPreprocessingCostSmoke(t *testing.T) {
-	tb, err := PreprocessingCost(context.Background(), fastExp())
+	ts, err := PreprocessingCost(context.Background(), fastExp())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb := ts[0]
 	if len(tb.Rows) != 2 {
 		t.Errorf("preprocessing rows = %d", len(tb.Rows))
 	}
@@ -199,10 +211,11 @@ func TestPreprocessingCostSmoke(t *testing.T) {
 }
 
 func TestBlockSizeAblationSmoke(t *testing.T) {
-	tb, err := BlockSizeAblation(context.Background(), fastExp())
+	ts, err := BlockSizeAblation(context.Background(), fastExp())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb := ts[0]
 	if len(tb.Rows) != 5 {
 		t.Errorf("block-size rows = %d", len(tb.Rows))
 	}
@@ -212,10 +225,11 @@ func TestPoolSizeAblationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	tb, err := PoolSizeAblation(context.Background(), fastExp())
+	ts, err := PoolSizeAblation(context.Background(), fastExp())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb := ts[0]
 	if len(tb.Rows) != 5 {
 		t.Errorf("pool-size rows = %d", len(tb.Rows))
 	}

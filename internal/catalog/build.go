@@ -14,14 +14,11 @@ import (
 	"lusail/internal/sparql"
 )
 
-// probeIRI is the throwaway constant used by the VALUES capability probe.
-const probeIRI = "urn:lusail:capability-probe"
-
-// BuildSummary summarizes one endpoint with three requests: a COUNT of its
-// triples, one full scan that feeds every statistic and sketch, and a
-// VALUES capability probe. When the scan returns fewer rows than the COUNT
-// (a server-side result cap), the summary is marked Truncated and will
-// prove relevance but never irrelevance.
+// BuildSummary summarizes one endpoint with two requests: a COUNT of its
+// triples and one full scan that feeds every statistic and sketch. When
+// the scan returns fewer rows than the COUNT (a server-side result cap),
+// the summary is marked Truncated and will prove relevance but never
+// irrelevance.
 func BuildSummary(ctx context.Context, ep client.Endpoint) (*Summary, error) {
 	start := time.Now()
 	sum := &Summary{
@@ -97,29 +94,12 @@ func BuildSummary(ctx context.Context, ep client.Endpoint) (*Summary, error) {
 	// a failed or malformed COUNT leaves completeness unproven, so the
 	// summary stays partial (it will never prune).
 	sum.Capabilities.Truncated = !totalKnown || int64(total) != sum.Triples
-	sum.Capabilities.SupportsValues = probeValues(ctx, ep)
 
 	sum.BuildDuration = time.Since(start)
 	obs.Default().
 		Histogram(obs.MetricCatalogBuildSeconds, "time to build one endpoint summary", obs.LatencyBuckets).
 		Observe(sum.BuildDuration.Seconds())
 	return sum, nil
-}
-
-// probeValues checks whether the endpoint evaluates a VALUES block: one
-// inlined row must come back unchanged. Any error or wrong shape counts as
-// "unsupported" — the engine then knows bound joins cannot ship VALUES.
-func probeValues(ctx context.Context, ep client.Endpoint) bool {
-	q := sparql.NewSelect("x")
-	q.Where.Elements = append(q.Where.Elements, sparql.InlineData{
-		Vars: []string{"x"},
-		Rows: [][]rdf.Term{{rdf.NewIRI(probeIRI)}},
-	})
-	res, err := client.Collect(ctx, ep, q.String())
-	if err != nil || res == nil || len(res.Rows) != 1 || len(res.Rows[0]) != 1 {
-		return false
-	}
-	return res.Rows[0][0].IsIRI() && res.Rows[0][0].Value == probeIRI
 }
 
 func countAllQuery() string {

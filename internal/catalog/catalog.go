@@ -63,11 +63,8 @@ type PredicateStat struct {
 	ObjAuthorities []string `json:"obj_authorities,omitempty"`
 }
 
-// Capabilities records what the endpoint was probed to support.
+// Capabilities records the limits the summary scan observed at the endpoint.
 type Capabilities struct {
-	// SupportsValues reports whether the endpoint answered a VALUES-block
-	// query, i.e. bound joins may ship VALUES there.
-	SupportsValues bool `json:"supports_values"`
 	// MaxResultRows is the largest result size the endpoint returned while
 	// being summarized; when Truncated it is the observed server-side cap.
 	MaxResultRows int64 `json:"max_result_rows,omitempty"`

@@ -68,9 +68,6 @@ func TestBuildSummary(t *testing.T) {
 	if sum.Capabilities.Truncated {
 		t.Error("complete scan marked Truncated")
 	}
-	if !sum.Capabilities.SupportsValues {
-		t.Error("in-process endpoint should pass the VALUES probe")
-	}
 	if got := sum.Classes["http://drugbank.org/Drug"]; got != 2 {
 		t.Errorf("Drug instances = %d, want 2", got)
 	}

@@ -121,13 +121,6 @@ type Options struct {
 
 	// --- Static query analysis (package sema) ---
 
-	// DisableSemaChecks skips the static semantic vet that otherwise runs
-	// before planning. With checks on (the default), error-tier findings —
-	// queries that cannot mean what they say, like a FILTER over a variable
-	// the group never binds — reject the query with a *sparql.SemaError
-	// before any endpoint traffic; warning-tier findings thread into
-	// Profile.Warnings under client.PhaseSema.
-	DisableSemaChecks bool
 	// DisableQueryRewrite skips the sema rewrite pass (constant folding,
 	// dead FILTER/OPTIONAL elimination, duplicate-pattern removal, FILTER
 	// pushdown into UNION branches). Every rewrite is row-multiset
@@ -333,12 +326,6 @@ func MustNew(fed *federation.Federation, opts Options) *Engine {
 	}
 	return e
 }
-
-// SemaChecksEnabled reports whether the engine runs the static query vet
-// before planning. Serving layers consult it so an edge rejection (the
-// structured 400 of `lusail serve`) happens exactly when the engine itself
-// would reject.
-func (e *Engine) SemaChecksEnabled() bool { return !e.opts.DisableSemaChecks }
 
 // Resilience returns the engine's resilience manager (nil when the
 // configuration enables neither breakers nor hedging). Exposed for

@@ -77,18 +77,6 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 		driveSq := nonDelayed[drive]
 		nonDelayed = append(nonDelayed[:drive], nonDelayed[drive+1:]...)
 		acc = e.newScanStream(ctx, driveSq, client.PhaseSubquery, dict, prof)
-	} else if len(delayed) > 0 {
-		// Everything got delayed and SAPE is off or ensureNonDelayed was
-		// bypassed; seed with the most selective as an unbound scan.
-		best := 0
-		for i, sq := range delayed {
-			if effCard(sq) < effCard(delayed[best]) {
-				best = i
-			}
-		}
-		seed := delayed[best]
-		delayed = append(delayed[:best], delayed[best+1:]...)
-		acc = e.newScanStream(ctx, seed, client.PhaseSubquery, dict, prof)
 	} else {
 		// A branch without mandatory subqueries (VALUES/OPTIONAL only)
 		// starts from the single empty solution.

@@ -125,22 +125,20 @@ func (e *Engine) PlanString(ctx context.Context, query string) (*Plan, error) {
 // thread into the profile under client.PhaseSema, and the sema rewrites
 // produce the query that is actually planned.
 func (e *Engine) plan(ctx context.Context, q *sparql.Query, prof *Profile) (*Plan, error) {
-	var semaWarns []resilience.Warning
-	if !e.opts.DisableSemaChecks {
-		semaErr, rest := sema.Vet(q, "")
-		if semaErr != nil {
-			e.semaErrors.Inc()
-			return nil, semaErr
-		}
-		for _, d := range rest {
-			e.semaWarnings.Inc()
-			semaWarns = append(semaWarns, resilience.Warning{
-				Phase:   client.PhaseSema,
-				Message: d.String(),
-			})
-		}
-		prof.Warnings = append(prof.Warnings, semaWarns...)
+	semaErr, rest := sema.Vet(q, "")
+	if semaErr != nil {
+		e.semaErrors.Inc()
+		return nil, semaErr
 	}
+	var semaWarns []resilience.Warning
+	for _, d := range rest {
+		e.semaWarnings.Inc()
+		semaWarns = append(semaWarns, resilience.Warning{
+			Phase:   client.PhaseSema,
+			Message: d.String(),
+		})
+	}
+	prof.Warnings = append(prof.Warnings, semaWarns...)
 	var notes []string
 	if !e.opts.DisableQueryRewrite {
 		var rewritten *sparql.Query

@@ -221,7 +221,7 @@ type alignStream struct {
 }
 
 // Align remaps src's rows to vars. Variables absent from the source stay
-// unbound, matching how projection zero-fills in sparql.ApplyModifiers.
+// unbound, as SPARQL's projection leaves a variable the solution lacks.
 func Align(src RowStream, vars []string) RowStream {
 	if slices.Equal(src.Vars(), vars) {
 		return src
@@ -477,18 +477,23 @@ func CollectIDs(src RowStream) ([][]uint32, error) {
 }
 
 // Finish is the tail every federated engine here ends a query on, Lusail
-// and the comparators alike: an ASK stops at the first row; a SELECT whose
-// modifiers stream (projection, DISTINCT, OFFSET, LIMIT) stays
-// incremental; ORDER BY, GROUP BY and aggregates need the complete result
-// and go through drain.
+// and the comparators alike: an ASK stops at the first row; GROUP BY,
+// aggregates and ORDER BY need the complete result and go through drain,
+// over only the columns they read (sparql.ModifierVars); projection,
+// DISTINCT, OFFSET and LIMIT then stream, so a drained ORDER BY … LIMIT k
+// interns only the k rows it passes on.
 func Finish(q *sparql.Query, dict Dict, src RowStream) RowStream {
-	switch {
-	case q.Form == sparql.AskForm:
+	if q.Form == sparql.AskForm {
 		return Limit(src, 1)
-	case len(q.GroupBy) > 0 || q.HasAggregates() || len(q.OrderBy) > 0:
-		return drain(q, dict, src)
 	}
-	src = Align(src, q.ProjectedVars())
+	vars := q.ProjectedVars()
+	if grouped := len(q.GroupBy) > 0 || q.HasAggregates(); grouped || len(q.OrderBy) > 0 {
+		src = drain(q, dict, Align(src, sparql.ModifierVars(q)))
+		if grouped && len(q.Projection) == 0 {
+			vars = src.Vars() // SELECT * over groups: the grouping variables
+		}
+	}
+	src = Align(src, vars)
 	if q.Distinct {
 		src = Dedup(src)
 	}
@@ -505,36 +510,35 @@ func Answer(q *sparql.Query, dict Dict, src RowStream) (*sparql.Results, error) 
 	return sparql.BoolResults(res.Len() > 0), nil
 }
 
-// drainStream is the blocking modifier tail.
+// drainStream is the blocking half of the modifier tail.
 type drainStream struct {
 	q       *sparql.Query
 	dict    Dict
 	src     RowStream
+	vars    []string
 	started bool
-	res     *sparql.Results
+	rows    [][]rdf.Term
 	i       int
 	row     []uint32
 	err     error
 }
 
 // drain materializes src on the first Next and applies the SELECT query's
-// solution modifiers with sparql.ApplyModifiers — the tail for modifiers
-// that need the complete result (ORDER BY, GROUP BY, aggregates). Its
-// output rows are interned back into dict, aggregates' new terms included.
+// GROUP BY, aggregates and ORDER BY with sparql.GroupAndSort. Each output
+// row is interned back into dict, aggregates' new terms included, when it
+// is pulled.
 func drain(q *sparql.Query, dict Dict, src RowStream) RowStream {
-	return &drainStream{q: q, dict: dict, src: src}
-}
-
-func (s *drainStream) Vars() []string {
-	if s.res != nil {
-		return s.res.Vars
+	vars := src.Vars()
+	if len(q.GroupBy) > 0 || q.HasAggregates() {
+		vars = sparql.GroupedVars(q)
 	}
-	return s.q.ProjectedVars()
+	return &drainStream{q: q, dict: dict, src: src, vars: vars}
 }
 
-func (s *drainStream) Row() []uint32 { return s.row }
-func (s *drainStream) Err() error    { return s.err }
-func (s *drainStream) Close() error  { return s.src.Close() }
+func (s *drainStream) Vars() []string { return s.vars }
+func (s *drainStream) Row() []uint32  { return s.row }
+func (s *drainStream) Err() error     { return s.err }
+func (s *drainStream) Close() error   { return s.src.Close() }
 
 func (s *drainStream) Next() bool {
 	if s.err != nil {
@@ -544,17 +548,18 @@ func (s *drainStream) Next() bool {
 		s.started = true
 		rel, err := Collect(s.src, s.dict)
 		if err == nil {
-			s.res, err = sparql.ApplyModifiers(s.q, rel)
+			rel, err = sparql.GroupAndSort(s.q, rel)
 		}
 		if err != nil {
 			s.err = err
 			return false
 		}
+		s.rows = rel.Rows
 	}
-	if s.i >= len(s.res.Rows) {
+	if s.i >= len(s.rows) {
 		return false
 	}
-	row := s.res.Rows[s.i]
+	row := s.rows[s.i]
 	s.row = slices.Grow(s.row[:0], len(row))[:len(row)]
 	s.dict.InternRow(row, s.row)
 	s.i++

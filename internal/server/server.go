@@ -302,14 +302,10 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	// without spending an admission slot or any endpoint traffic. The vet
 	// sees the original source text, so diagnostics carry line/column
 	// positions; warnings do not block and reach the client via headers.
-	var semaWarnings []sparql.SemaDiagnostic
-	if s.eng.SemaChecksEnabled() {
-		semaErr, rest := sema.Vet(parsed, query)
-		if semaErr != nil {
-			s.writeSemaRejection(w, semaErr)
-			return
-		}
-		semaWarnings = rest
+	semaErr, semaWarnings := sema.Vet(parsed, query)
+	if semaErr != nil {
+		s.writeSemaRejection(w, semaErr)
+		return
 	}
 
 	// Admission: quota and concurrency are charged before any engine work.

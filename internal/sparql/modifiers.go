@@ -2,22 +2,23 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lusail/internal/rdf"
 )
 
 // This file holds the modifiers that need a complete relation: GROUP BY
-// and aggregates, ORDER BY, then projection, DISTINCT and OFFSET/LIMIT.
-// The one solution-modifier tail is op.Finish, which both sides of the
-// federation finish a query on; it streams what it can and drains into
-// ApplyModifiers for the rest.
+// and aggregates, then ORDER BY. The one solution-modifier tail is
+// op.Finish, which both sides of the federation finish a query on: it
+// drains into GroupAndSort when the query has any of these, and streams
+// projection, DISTINCT and OFFSET/LIMIT after it.
 
-// ModifierVars returns the variables ApplyModifiers reads from the
-// relation it is given: the grouping and aggregated variables of a grouped
-// query, otherwise the projected variables followed by any ORDER BY keys
-// that are not projected. A relation built over exactly these columns
-// loses nothing, and one without extra ORDER BY keys needs no
+// ModifierVars returns the variables the solution modifiers read from the
+// relation they are given: the grouping and aggregated variables of a
+// grouped query, otherwise the projected variables followed by any ORDER
+// BY keys that are not projected. A relation built over exactly these
+// columns loses nothing, and one without extra ORDER BY keys needs no
 // re-projection.
 func ModifierVars(q *Query) []string {
 	var out []string
@@ -48,40 +49,38 @@ func ModifierVars(q *Query) []string {
 	return out
 }
 
-// ApplyModifiers applies q's solution modifiers to the complete solution
-// relation, in SPARQL's order: GROUP BY and aggregates, ORDER BY,
-// projection, DISTINCT, then OFFSET and LIMIT. Sorting sees the whole
+// GroupedVars returns the header GROUP BY and aggregation give a
+// relation: the projection, then the grouping variables it leaves out,
+// which ORDER BY may still name.
+func GroupedVars(q *Query) []string {
+	var vars []string
+	for _, p := range q.Projection {
+		vars = append(vars, p.Var)
+	}
+	for _, v := range q.GroupBy {
+		if !slices.Contains(vars, v) {
+			vars = append(vars, v)
+		}
+	}
+	return vars
+}
+
+// GroupAndSort applies q's GROUP BY and aggregates, then its ORDER BY, to
+// the complete solution relation. The result's header is GroupedVars(q)
+// for a grouped query and rel's otherwise. Sorting sees the whole
 // relation, so an ORDER BY key need not be projected. rel is not modified;
 // the result may share its rows.
-func ApplyModifiers(q *Query, rel *Results) (*Results, error) {
-	vars := q.ProjectedVars()
+func GroupAndSort(q *Query, rel *Results) (*Results, error) {
 	if len(q.GroupBy) > 0 || q.HasAggregates() {
 		var err error
 		if rel, err = groupRows(q, rel); err != nil {
 			return nil, err
 		}
-		// groupRows puts the projection first, then grouping variables
-		// that are only there to be sorted on; SELECT * projects them.
-		vars = rel.Vars
-		if n := len(q.Projection); n > 0 {
-			vars = rel.Vars[:n]
-		}
 	}
-	rows := rel.Rows
-	if len(q.OrderBy) > 0 {
-		rows = sortedRows(rel, q.OrderBy)
+	if len(q.OrderBy) == 0 {
+		return rel, nil
 	}
-	rows = projectRows(rel.Vars, rows, vars)
-	if q.Distinct {
-		rows = DistinctRows(rows)
-	}
-	if q.Offset > 0 {
-		rows = rows[min(q.Offset, len(rows)):]
-	}
-	if q.Limit >= 0 && q.Limit < len(rows) {
-		rows = rows[:q.Limit]
-	}
-	return &Results{Vars: vars, Rows: rows}, nil
+	return &Results{Vars: rel.Vars, Rows: sortedRows(rel, q.OrderBy)}, nil
 }
 
 // sortedRows returns rel's rows stably ordered by the conditions. Keys the
@@ -110,35 +109,6 @@ func sortedRows(rel *Results, conds []OrderCond) [][]rdf.Term {
 		return false
 	})
 	return rows
-}
-
-// projectRows re-aligns rows from the from header to the to header;
-// variables absent from the source stay unbound. Rows already in the
-// target shape are returned as they are.
-func projectRows(from []string, rows [][]rdf.Term, to []string) [][]rdf.Term {
-	same := len(from) == len(to)
-	for i := 0; same && i < len(to); i++ {
-		same = from[i] == to[i]
-	}
-	if same {
-		return rows
-	}
-	src := &Results{Vars: from}
-	idx := make([]int, len(to))
-	for i, v := range to {
-		idx[i] = src.VarIndex(v)
-	}
-	out := make([][]rdf.Term, len(rows))
-	for r, row := range rows {
-		nr := make([]rdf.Term, len(to))
-		for i, j := range idx {
-			if j >= 0 {
-				nr[i] = row[j]
-			}
-		}
-		out[r] = nr
-	}
-	return out
 }
 
 // DistinctRows removes duplicate rows (set semantics), keeping first
@@ -174,39 +144,26 @@ func TermsKey(row []rdf.Term) string {
 // groupRows implements GROUP BY and aggregation: rows are partitioned by
 // the grouping variables (one partition, possibly empty, when there are
 // none) and each projection is either a grouping variable or an aggregate
-// over its partition. The output header is the projection followed by the
-// grouping variables it leaves out, which ORDER BY may still name.
+// over its partition. The output header is GroupedVars(q).
 func groupRows(q *Query, rel *Results) (*Results, error) {
-	grouping := make(map[string]bool, len(q.GroupBy))
-	for _, v := range q.GroupBy {
-		grouping[v] = true
-	}
-	projected := make(map[string]bool, len(q.Projection))
 	// Each output column is an aggregate or a grouping variable, read at
 	// column src of the input.
 	type column struct {
 		agg *Aggregate
 		src int
 	}
-	var vars []string
-	var cols []column
-	for _, p := range q.Projection {
-		switch {
-		case p.Agg != nil:
-			cols = append(cols, column{agg: p.Agg, src: rel.VarIndex(p.Agg.Var)})
-		case grouping[p.Var]:
-			cols = append(cols, column{src: rel.VarIndex(p.Var)})
-		default:
-			return nil, fmt.Errorf("sparql: projected variable ?%s is neither grouped nor aggregated", p.Var)
+	vars := GroupedVars(q)
+	cols := make([]column, len(vars))
+	for i, v := range vars {
+		cols[i].src = rel.VarIndex(v)
+		if i >= len(q.Projection) {
+			continue
 		}
-		vars = append(vars, p.Var)
-		projected[p.Var] = true
-	}
-	for _, v := range q.GroupBy {
-		if !projected[v] {
-			projected[v] = true
-			vars = append(vars, v)
-			cols = append(cols, column{src: rel.VarIndex(v)})
+		switch p := q.Projection[i]; {
+		case p.Agg != nil:
+			cols[i] = column{agg: p.Agg, src: rel.VarIndex(p.Agg.Var)}
+		case !slices.Contains(q.GroupBy, v):
+			return nil, fmt.Errorf("sparql: projected variable ?%s is neither grouped nor aggregated", v)
 		}
 	}
 
