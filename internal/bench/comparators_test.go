@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lusail/internal/core"
+	"lusail/internal/obs"
 )
 
 // TestRequestsPinned pins the request count of every compared system on
@@ -133,6 +134,64 @@ func TestLRBColdRequests(t *testing.T) {
 	}
 	if total != 571 {
 		t.Errorf("%d requests over the %d queries, pinned 571", total, len(LRBQueries()))
+	}
+}
+
+// TestLUBMBulkRequests pins the warm request counts of the LUBM queries at
+// the scale of the lubm_bulk_mem benchmark workload (4 universities of 5
+// departments, 20 professors and 200 students each). Q2's FullProfessor
+// pattern is a Chauvenet outlier below its subqueries' estimates; it runs
+// as a scan, so no subquery of Q2 is delayed into a bound join.
+func TestLUBMBulkRequests(t *testing.T) {
+	cfg := LUBMConfig{Universities: 4, DeptsPerUniv: 5, ProfsPerDept: 20, StudentsPerDept: 200, Seed: 20170514, RemoteDegreeRatio: 0.3}
+	fed, err := NewFed(GenerateLUBM(cfg), InProcess())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := fed.NewLusail(core.DefaultOptions())
+	ctx := context.Background()
+	want := map[string]int64{"Q1": 12, "Q2": 12, "Q3": 8, "Q4": 44}
+	for _, q := range LUBMQueries() {
+		if _, _, err := eng.QueryString(ctx, q.Text); err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		before := fed.Metrics.Snapshot()
+		_, prof, err := eng.QueryString(ctx, q.Text)
+		if err != nil {
+			t.Fatalf("%s warm: %v", q.Name, err)
+		}
+		if got := fed.Metrics.Snapshot().Sub(before).Requests; got != want[q.Name] {
+			t.Errorf("%s warm: %d requests, pinned %d", q.Name, got, want[q.Name])
+		}
+		if q.Name == "Q2" && prof.Delayed != 0 {
+			t.Errorf("Q2: %d subqueries delayed, want none", prof.Delayed)
+		}
+	}
+}
+
+// TestLRBLowOutlierRequests: S1's and S6's most selective patterns (an
+// estimate of 1 against scans of 150-368 rows) are Chauvenet outliers
+// below the pack, so at Scale 3 both queries run on scans alone and send
+// no bound-join request.
+func TestLRBLowOutlierRequests(t *testing.T) {
+	fed, err := NewFed(GenerateLRB(LRBConfig{Scale: 3, Seed: 20170514}), InProcess())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Trace = true
+	eng := fed.NewLusail(opts)
+	for _, q := range LRBQueries() {
+		if q.Name != "S1" && q.Name != "S6" {
+			continue
+		}
+		_, prof, err := eng.QueryString(context.Background(), q.Text)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		if n := len(obs.FindAll(prof.Trace, "batch")); n != 0 || prof.Delayed != 0 {
+			t.Errorf("%s: %d bound-join requests, %d subqueries delayed; want none", q.Name, n, prof.Delayed)
+		}
 	}
 }
 

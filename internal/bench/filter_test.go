@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"lusail/internal/core"
 	"lusail/internal/eval"
+	"lusail/internal/obs"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 	"lusail/internal/store"
@@ -117,6 +119,42 @@ func TestFilterPlacementParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestValuesJoinPushedIntoScan: a VALUES block of the query text is
+// rendered into every subquery that binds all of its variables, so the
+// endpoints ship only the rows it admits. The UNDEF case keeps the rows
+// either VALUES row is compatible with.
+func TestValuesJoinPushedIntoScan(t *testing.T) {
+	const prefix = "PREFIX a: <http://a.org/>\n"
+	fed, err := NewFed(filterDatasets(), InProcess())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Trace = true
+	eng := fed.NewLusail(opts)
+	for _, c := range []struct {
+		query         string
+		scanned, rows int
+	}{
+		{`SELECT ?s ?v WHERE { ?s a:num ?v VALUES ?s { a:s1 } }`, 1, 1},
+		{`SELECT ?s ?v WHERE { ?s a:num ?v VALUES (?s ?v) { (UNDEF 3) (a:s1 UNDEF) } }`, 2, 2},
+		{`SELECT ?s ?v WHERE { ?s a:num ?v VALUES ?s { } }`, 0, 0},
+	} {
+		res, prof, err := eng.QueryString(context.Background(), prefix+c.query)
+		if err != nil {
+			t.Fatalf("%s: %v", c.query, err)
+		}
+		scanned := 0
+		for _, sp := range obs.FindAll(prof.Trace, "scan") {
+			n, _ := sp.Attr("rows")
+			scanned += n.(int)
+		}
+		if scanned != c.scanned || len(res.Rows) != c.rows {
+			t.Errorf("%s: scans returned %d rows, answer %d; want %d and %d", c.query, scanned, len(res.Rows), c.scanned, c.rows)
+		}
 	}
 }
 

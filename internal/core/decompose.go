@@ -36,7 +36,7 @@ func (e *Engine) decompose(br *qplan.Branch, sources [][]string, gjv *GJVResult,
 			best = sqs
 		}
 	}
-	e.attachFilters(br, best)
+	e.pushDown(br, best)
 	e.estimate(best, patterns, stats)
 	return best
 }
@@ -263,26 +263,36 @@ func (e *Engine) componentsAsSubqueries(br *qplan.Branch, sources [][]string, g 
 		// the intersection defensively.
 		sqs[c].Sources = intersectSources(sqs[c].Sources, sources[i])
 	}
-	e.attachFilters(br, sqs)
+	e.pushDown(br, sqs)
 	e.estimate(sqs, patterns, stats)
 	return sqs
 }
 
-// attachFilters pushes each branch filter into every subquery that binds
-// all of its variables. Normalize split the filters into conjuncts, so each
-// conjunct goes wherever its own variables are bound. Filters without
-// variables are pushed nowhere.
-func (e *Engine) attachFilters(br *qplan.Branch, sqs []*Subquery) {
+// pushDown pushes each branch filter, and each VALUES block of the query
+// text, into every subquery that binds all of its variables, so that the
+// endpoints ship only the rows that can survive them. Normalize split the
+// filters into conjuncts, so each conjunct goes wherever its own variables
+// are bound. Filters and VALUES blocks without variables are pushed
+// nowhere. A pushed VALUES block still joins the stream in branchStream,
+// which keeps op's join rule on UNDEF cells the only one that decides the
+// answer: the endpoint's copy only drops rows no VALUES row is compatible
+// with.
+func (e *Engine) pushDown(br *qplan.Branch, sqs []*Subquery) {
 	for _, sq := range sqs {
 		for _, f := range br.Filters {
 			if pushed(sq, f) {
 				sq.Filters = append(sq.Filters, f)
 			}
 		}
+		for _, vd := range br.Values {
+			if len(vd.Vars) > 0 && !slices.ContainsFunc(vd.Vars, func(v string) bool { return !sq.HasVar(v) }) {
+				sq.Values = append(sq.Values, vd)
+			}
+		}
 	}
 }
 
-// pushed reports whether attachFilters pushes the filter into sq.
+// pushed reports whether pushDown pushes the filter into sq.
 func pushed(sq *Subquery, f sparql.Expr) bool {
 	return len(sparql.ExprVars(f)) > 0 && covers(sq.Vars(), f)
 }

@@ -30,7 +30,8 @@ const (
 	ThresholdMu
 	// ThresholdMu2Sigma delays subqueries with cardinality > μ+2σ.
 	ThresholdMu2Sigma
-	// ThresholdOutliers delays only Chauvenet-rejected outliers.
+	// ThresholdOutliers delays only the Chauvenet-rejected outliers above
+	// every kept sample.
 	ThresholdOutliers
 )
 

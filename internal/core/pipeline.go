@@ -164,6 +164,9 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 	}
 
 	// VALUES blocks from the query text join as in-memory build sides.
+	// pushDown rendered each into the subqueries that bind all of its
+	// variables, which only cut their scans; this join alone decides how
+	// UNDEF cells match.
 	for _, vd := range br.Values {
 		acc = op.HashJoin(ctx, acc, op.NewSlice(vd.Vars, op.InternRows(dict, vd.Rows)), e.join)
 	}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,8 @@ import (
 	"lusail/internal/bench"
 	"lusail/internal/core"
 )
+
+var updatePlans = flag.Bool("update", false, "rewrite testdata/plans.golden from the current planner")
 
 // TestPlanGolden pins what planning decides — decompositions, GJVs, SAPE
 // estimates and delay flags — for LUBM Q1–Q4 over 2 and 4 universities
@@ -71,6 +74,12 @@ func TestPlanGolden(t *testing.T) {
 		}
 	}
 	path := filepath.Join("testdata", "plans.golden")
+	if *updatePlans {
+		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -134,9 +134,13 @@ func chauvenetReject(xs []float64) (kept []float64, rejected []bool) {
 	return kept, rejected
 }
 
-// delayDecisions marks subqueries to delay: Chauvenet-rejected outliers are
-// always delayed; among the rest, those whose cardinality (or number of
-// relevant endpoints) exceeds the mode's threshold are delayed (Figure 7).
+// delayDecisions marks subqueries to delay (Figure 7): those whose
+// cardinality, or number of relevant endpoints, exceeds the mode's
+// threshold over the samples Chauvenet's criterion keeps. A rejected
+// sample is delayed only when it lies above every kept sample: a low
+// outlier is the cheapest subquery to evaluate unbound, and bound-joining
+// a large relation into it pays a request per block for rows a single
+// scan returns. ThresholdOutliers delays the high rejected samples alone.
 //
 // known masks the cardinality samples (nil: all known). Unknown
 // cardinalities are excluded from the μ/σ statistics — a made-up value
@@ -148,14 +152,6 @@ func delayDecisions(cards, numEPs []float64, known []bool, mode ThresholdMode) [
 	delayed := make([]bool, len(cards))
 	mark := func(idx []int, xs []float64) {
 		keptVals, rejectedMask := chauvenetReject(xs)
-		if mode == ThresholdOutliers {
-			for k, r := range rejectedMask {
-				if r {
-					delayed[idx[k]] = true
-				}
-			}
-			return
-		}
 		mu, sigma := meanStddev(keptVals)
 		var threshold float64
 		switch mode {
@@ -163,11 +159,14 @@ func delayDecisions(cards, numEPs []float64, known []bool, mode ThresholdMode) [
 			threshold = mu
 		case ThresholdMu2Sigma:
 			threshold = mu + 2*sigma
+		case ThresholdOutliers:
+			threshold = math.Inf(1)
 		default: // ThresholdMuSigma
 			threshold = mu + sigma
 		}
 		for k, x := range xs {
-			if rejectedMask[k] || x > threshold {
+			// A rejected sample leaves a non-empty kept set behind.
+			if rejectedMask[k] && x > slices.Max(keptVals) || x > threshold {
 				delayed[idx[k]] = true
 			}
 		}

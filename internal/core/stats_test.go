@@ -115,6 +115,56 @@ func TestDelayDecisionsByEndpointCount(t *testing.T) {
 	}
 }
 
+// checkDelayed compares delayDecisions under each mode with want.
+func checkDelayed(t *testing.T, cards, eps []float64, want []bool, modes ...ThresholdMode) {
+	t.Helper()
+	for _, mode := range modes {
+		got := delayDecisions(cards, eps, nil, mode)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("mode %v: delayed[%d] = %v, want %v (cards=%v eps=%v)", mode, i, got[i], want[i], cards, eps)
+			}
+		}
+	}
+}
+
+func TestDelayDecisionsLowOutlierNotDelayed(t *testing.T) {
+	// Chauvenet rejects the most selective subquery of each set (LUBM
+	// Q2's FullProfessor pattern, LRB S1's est-1 pattern); it runs as a
+	// scan, and nothing else crosses μ+σ of the kept samples.
+	for _, cards := range [][]float64{{200, 4000, 4000}, {1, 150, 180}} {
+		if _, rejected := chauvenetReject(cards); !rejected[0] {
+			t.Fatalf("%v: the low sample is not rejected; the case tests nothing", cards)
+		}
+		checkDelayed(t, cards, []float64{4, 4, 4}, []bool{false, false, false}, ThresholdMuSigma, ThresholdMu2Sigma, ThresholdOutliers)
+	}
+}
+
+func TestDelayDecisionsLowEndpointOutlierNotDelayed(t *testing.T) {
+	eps := []float64{1, 13, 13}
+	if _, rejected := chauvenetReject(eps); !rejected[0] {
+		t.Fatal("the low endpoint count is not rejected; the case tests nothing")
+	}
+	checkDelayed(t, []float64{10, 10, 10}, eps, []bool{false, false, false}, ThresholdMu, ThresholdMuSigma, ThresholdMu2Sigma, ThresholdOutliers)
+}
+
+func TestDelayDecisionsOutliersOnlyHigh(t *testing.T) {
+	cards := []float64{1, 500, 500, 500, 500, 500, 500, 500, 500, 1000}
+	_, rejected := chauvenetReject(cards)
+	if !rejected[0] || !rejected[len(cards)-1] {
+		t.Fatalf("rejected = %v, want the low and the high sample; the case tests nothing", rejected)
+	}
+	want := make([]bool, len(cards))
+	want[len(cards)-1] = true
+	checkDelayed(t, cards, make([]float64, len(cards)), want, ThresholdOutliers)
+}
+
+func TestDelayDecisionsHighOutlierDelayed(t *testing.T) {
+	all := []ThresholdMode{ThresholdMu, ThresholdMuSigma, ThresholdMu2Sigma, ThresholdOutliers}
+	checkDelayed(t, []float64{4000, 4000, 200000}, []float64{4, 4, 4}, []bool{false, false, true}, all...)
+	checkDelayed(t, []float64{10, 10, 10}, []float64{2, 2, 40}, []bool{false, false, true}, all...)
+}
+
 func TestEnsureNonDelayed(t *testing.T) {
 	sqs := []*Subquery{
 		{EstCard: 50, Delayed: true},

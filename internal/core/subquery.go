@@ -27,6 +27,9 @@ type Subquery struct {
 	// Filters are filter expressions pushed into the subquery (every
 	// variable they mention is bound by Patterns).
 	Filters []sparql.Expr
+	// Values are the query's VALUES blocks pushed into the subquery (every
+	// variable they mention is bound by Patterns).
+	Values []sparql.InlineData
 	// Sources are the names of the relevant endpoints.
 	Sources []string
 	// Optional marks a subquery originating from an OPTIONAL block; it is
@@ -87,13 +90,16 @@ func (sq *Subquery) SharedVars(other *Subquery) []string {
 }
 
 // Query renders the subquery as an executable SELECT projecting all its
-// variables, with optional extra VALUES bindings appended (used by SAPE's
-// bound joins).
+// variables, with its pushed VALUES blocks and optional extra VALUES
+// bindings appended (used by SAPE's bound joins).
 func (sq *Subquery) Query(values *sparql.InlineData) *sparql.Query {
 	q := sparql.NewSelect(sq.Vars()...)
 	q.Distinct = true
 	for _, tp := range sq.Patterns {
 		q.Where.Elements = append(q.Where.Elements, tp)
+	}
+	for _, vd := range sq.Values {
+		q.Where.Elements = append(q.Where.Elements, vd)
 	}
 	if values != nil && len(values.Vars) > 0 && len(values.Rows) > 0 {
 		q.Where.Elements = append(q.Where.Elements, *values)
