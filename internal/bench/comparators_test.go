@@ -141,16 +141,21 @@ func TestLRBColdRequests(t *testing.T) {
 // the scale of the lubm_bulk_mem benchmark workload (4 universities of 5
 // departments, 20 professors and 200 students each). Q2's FullProfessor
 // pattern is a Chauvenet outlier below its subqueries' estimates; it runs
-// as a scan, so no subquery of Q2 is delayed into a bound join.
+// as a scan, so no subquery of Q2 is delayed into a bound join. Q4's
+// delayed subquery would be bound to 4,404 ?U bindings in 9 blocks, more
+// than the 400 distinct ?U it can answer, so its bound join runs as one
+// unbound scan per endpoint and ships no VALUES block.
 func TestLUBMBulkRequests(t *testing.T) {
 	cfg := LUBMConfig{Universities: 4, DeptsPerUniv: 5, ProfsPerDept: 20, StudentsPerDept: 200, Seed: 20170514, RemoteDegreeRatio: 0.3}
 	fed, err := NewFed(GenerateLUBM(cfg), InProcess())
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := fed.NewLusail(core.DefaultOptions())
+	opts := core.DefaultOptions()
+	opts.Trace = true
+	eng := fed.NewLusail(opts)
 	ctx := context.Background()
-	want := map[string]int64{"Q1": 12, "Q2": 12, "Q3": 8, "Q4": 44}
+	want := map[string]int64{"Q1": 12, "Q2": 12, "Q3": 8, "Q4": 12}
 	for _, q := range LUBMQueries() {
 		if _, _, err := eng.QueryString(ctx, q.Text); err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
@@ -165,6 +170,9 @@ func TestLUBMBulkRequests(t *testing.T) {
 		}
 		if q.Name == "Q2" && prof.Delayed != 0 {
 			t.Errorf("Q2: %d subqueries delayed, want none", prof.Delayed)
+		}
+		if n := len(obs.FindAll(prof.Trace, "batch")); q.Name == "Q4" && n != 0 {
+			t.Errorf("Q4: %d bound-join requests, want none", n)
 		}
 	}
 }

@@ -544,7 +544,7 @@ func BlockSizeAblation(ctx context.Context, opts ExpOptions) ([]*Table, error) {
 			fmt.Sprintf("%d", d.Bytes/1024),
 		})
 	}
-	t.Notes = append(t.Notes, "extension: small blocks multiply bound-join requests; the default 500 balances the two costs")
+	t.Notes = append(t.Notes, "extension: small blocks multiply bound-join requests until the bindings shipped pass the subquery's limit and the join switches to an unbound scan; the default 500 balances the two costs")
 	return []*Table{t}, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 
@@ -28,6 +29,22 @@ import (
 // The block's bindings are decoded to terms once, to render the VALUES
 // block; the responses are interned into the same dictionary.
 //
+// Bindings select only while they are fewer than the join tuples the
+// subquery can answer. Its limit D is the smaller of EstCard and the
+// product of C(sq, v) over the shared variables; once the bindings
+// shipped so far plus the next block's exceed D, the join would return
+// about the whole subquery, which one unbound request per source returns.
+// So before shipping a block the join switches to that scan when it would
+// need more than one block — a block has been shipped, or another
+// upstream row follows this full one — and the bindings exceed D: the
+// unshipped rows, this block and the rest of the upstream, probe an
+// op.HashJoin whose build side is the subquery's scan. Each upstream row
+// is joined exactly once, in a shipped block or against the scan, and
+// upstream rows bind every shared variable, as they come from mandatory
+// subqueries. A one-block join never switches: it costs the scan's
+// requests and ships at most its rows. Nor do joins with an unknown
+// cardinality or in optional mode.
+//
 // In optional mode the stream is an OPTIONAL block's left join: a block
 // row without a surviving extension — a combined row on which the block's
 // residual filters (cond) hold — passes through zero-extended, sources are
@@ -42,18 +59,22 @@ type boundJoinStream struct {
 	src  op.RowStream
 	sq   *Subquery
 	dict *rdf.Dict
+	prof *Profile // the switched scan's SubqueryStats sink (may be nil)
 
 	optional bool
 	cond     []sparql.Expr
 	phase    client.Phase
 	sh       op.Shared // block rows on the left, response rows on the right
+	limit    float64   // D; +Inf never switches
 
-	outBuf [][]uint32
-	obi    int
-	row    []uint32
-	err    error
-	closed bool
-	srcEOF bool
+	outBuf  [][]uint32
+	obi     int
+	peeked  []uint32     // an upstream row pulled to see that a full block is not the last
+	unbound op.RowStream // after the switch: the unshipped rows joined against the scan
+	row     []uint32
+	err     error
+	closed  bool
+	srcEOF  bool
 
 	ctx     context.Context
 	parent  *obs.Span
@@ -64,15 +85,23 @@ type boundJoinStream struct {
 	sources []string // refined sources, resolved once on the first block (optional mode: sq.Sources)
 }
 
-func (e *Engine) newBoundJoinStream(ctx context.Context, src op.RowStream, sq *Subquery, dict *rdf.Dict) *boundJoinStream {
-	return &boundJoinStream{e: e, src: src, sq: sq, dict: dict, phase: client.PhaseBoundJoin, sh: op.Share(src.Vars(), sq.Vars()), ctx: ctx, parent: obs.FromContext(ctx)}
+func (e *Engine) newBoundJoinStream(ctx context.Context, src op.RowStream, sq *Subquery, dict *rdf.Dict, prof *Profile) *boundJoinStream {
+	s := &boundJoinStream{e: e, src: src, sq: sq, dict: dict, prof: prof, phase: client.PhaseBoundJoin, sh: op.Share(src.Vars(), sq.Vars()), limit: math.Inf(1), ctx: ctx, parent: obs.FromContext(ctx)}
+	if sq.CardKnown && sq.varCards != nil {
+		tuples := 1.0
+		for _, c := range s.sh.Right {
+			tuples *= sq.varCards[c]
+		}
+		s.limit = min(sq.EstCard, tuples)
+	}
+	return s
 }
 
 // newOptionalStream left-joins an OPTIONAL block that shares variables
 // with src: a bound join in optional mode.
 func (e *Engine) newOptionalStream(ctx context.Context, src op.RowStream, ob *optionalPlan, dict *rdf.Dict) *boundJoinStream {
-	s := e.newBoundJoinStream(ctx, src, ob.sq, dict)
-	s.optional, s.cond, s.phase = true, ob.residual, client.PhaseOptional
+	s := e.newBoundJoinStream(ctx, src, ob.sq, dict, nil)
+	s.optional, s.cond, s.phase, s.limit = true, ob.residual, client.PhaseOptional, math.Inf(1)
 	s.sources = ob.sq.Sources
 	return s
 }
@@ -86,6 +115,15 @@ func (s *boundJoinStream) Next() bool {
 		return false
 	}
 	for {
+		if s.unbound != nil {
+			if !s.unbound.Next() {
+				s.err = s.unbound.Err()
+				return false
+			}
+			s.row = s.unbound.Row()
+			s.rows++
+			return true
+		}
 		if s.obi < len(s.outBuf) {
 			s.row = s.outBuf[s.obi]
 			s.obi++
@@ -97,6 +135,9 @@ func (s *boundJoinStream) Next() bool {
 			return false
 		}
 		var block [][]uint32
+		if s.peeked != nil {
+			block, s.peeked = append(block, s.peeked), nil
+		}
 		for len(block) < s.e.opts.ValuesBlockSize && s.src.Next() {
 			block = append(block, op.CopyRow(s.src.Row()))
 		}
@@ -110,10 +151,21 @@ func (s *boundJoinStream) Next() bool {
 	}
 }
 
+// more reports whether another upstream row follows, keeping it for the
+// next block.
+func (s *boundJoinStream) more() bool {
+	if !s.src.Next() {
+		return false
+	}
+	s.peeked = op.CopyRow(s.src.Row())
+	return true
+}
+
 // joinBlock ships one block's distinct bindings to the sources and joins
 // the responses back against the block rows, appending every combined row
 // that satisfies cond to outBuf; in optional mode the block rows left
-// without an extension follow, zero-extended.
+// without an extension follow, zero-extended. When the bindings can no
+// longer select, it switches the join to an unbound scan instead.
 func (s *boundJoinStream) joinBlock(block [][]uint32) error {
 	if s.span == nil {
 		if s.optional {
@@ -124,13 +176,19 @@ func (s *boundJoinStream) joinBlock(block [][]uint32) error {
 			s.span.SetAttr("vars", strings.Join(s.sh.Names, ","))
 		}
 	}
+	tuples := op.DistinctTuples(block, s.sh.Left)
+	if bindings := s.tuples + len(tuples); float64(bindings) > s.limit &&
+		(s.blocks > 0 || len(block) == s.e.opts.ValuesBlockSize && s.more()) {
+		s.switchToScan(block, bindings)
+		return nil
+	}
 	s.blocks++
 	table := op.NewTable(s.sh.Left, len(block))
 	for _, row := range block {
 		table.Add(row)
 	}
 	extended := make([]bool, len(block))
-	if err := s.fetch(block, table, extended); err != nil {
+	if err := s.fetch(op.TermRows(s.dict, tuples), table, extended); err != nil {
 		return err
 	}
 	for i, row := range block {
@@ -141,10 +199,25 @@ func (s *boundJoinStream) joinBlock(block [][]uint32) error {
 	return nil
 }
 
-// fetch sends the block's bindings to the sources and joins their
-// responses into outBuf, marking the block rows it extends.
-func (s *boundJoinStream) fetch(block [][]uint32, table *op.Table, extended []bool) error {
-	tuples := op.TermRows(s.dict, op.DistinctTuples(block, s.sh.Left))
+// switchToScan stops shipping bindings: the unshipped rows — block, the
+// row peeked at, then the rest of the upstream — probe a hash join whose
+// build side is the subquery's unbound scan, traced under the bound
+// join's span.
+func (s *boundJoinStream) switchToScan(block [][]uint32, bindings int) {
+	s.span.SetAttr("unbound", true)
+	s.span.SetAttr("switch_bindings", bindings)
+	s.span.SetAttr("limit", int(s.limit))
+	if s.peeked != nil {
+		block, s.peeked = append(block, s.peeked), nil
+	}
+	ctx := obs.ContextWithSpan(s.ctx, s.span)
+	scan := s.e.newScanStream(ctx, s.sq, client.PhaseSubquery, s.dict, s.prof)
+	s.unbound = op.HashJoin(ctx, op.Union(op.NewSlice(s.src.Vars(), block), s.src), scan, s.e.join)
+}
+
+// fetch sends the block's distinct bindings to the sources and joins
+// their responses into outBuf, marking the block rows it extends.
+func (s *boundJoinStream) fetch(tuples [][]rdf.Term, table *op.Table, extended []bool) error {
 	s.tuples += len(tuples)
 	if s.sources == nil && !s.optional {
 		sources, err := s.e.refineSources(s.ctx, s.sq, s.sh.Names, tuples)
@@ -205,7 +278,12 @@ func (s *boundJoinStream) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := s.src.Close()
+	var err error
+	if s.unbound != nil {
+		err = s.unbound.Close() // closes the upstream too
+	} else {
+		err = s.src.Close()
+	}
 	if s.span != nil {
 		s.span.SetAttr("blocks", s.blocks)
 		s.span.SetAttr("bindings", s.tuples)

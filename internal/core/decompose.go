@@ -311,10 +311,17 @@ func residualFilters(br *qplan.Branch, sqs []*Subquery) []sparql.Expr {
 	return out
 }
 
-// estimate sets EstCard on each subquery from the collected statistics.
+// estimate sets EstCard and the per-variable estimates on each subquery
+// from the collected statistics.
 func (e *Engine) estimate(sqs []*Subquery, patterns []sparql.TriplePattern, stats *queryStats) {
 	for _, sq := range sqs {
-		sq.EstCard = stats.subqueryCardinality(sq, sq.patternIdx, patterns)
+		vars := sq.Vars()
+		sq.varCards = make([]float64, len(vars))
+		sq.EstCard = 0
+		for i, v := range vars {
+			sq.varCards[i] = stats.varCardinality(sq, sq.patternIdx, v, patterns)
+			sq.EstCard = max(sq.EstCard, sq.varCards[i])
+		}
 		sq.CardKnown = stats.known(sq.patternIdx, sq.Sources)
 	}
 }

@@ -105,7 +105,9 @@ type Options struct {
 	Threshold ThresholdMode
 	// ValuesBlockSize is the number of binding rows per VALUES block in
 	// bound joins (default 500; larger blocks trade request count for
-	// request size, the balance SAPE aims for).
+	// request size, the balance SAPE aims for). A bound join that needs
+	// more than one block for more bindings than its subquery can answer
+	// runs as an unbound scan instead.
 	ValuesBlockSize int
 	// DisableSAPE turns off selectivity-aware execution: no subqueries are
 	// delayed and results are joined in input order. Used for the LADE-only

@@ -23,8 +23,10 @@ import (
 // an incremental hash join (smallest, connected first), so only the
 // smaller relations are held in memory, and only up to the spill budget.
 // Delayed subqueries become pipelined bound joins fed blockwise from the
-// stream; a delayed subquery sharing no variable with the accumulated
-// stream falls back to an unbound scan under a (cross) hash join.
+// stream, each of which runs as an unbound scan under a hash join instead
+// once its bindings outnumber what its subquery can answer; a delayed
+// subquery sharing no variable with the accumulated stream falls back to
+// an unbound scan under a (cross) hash join.
 // Non-delayed scans and delayed bound joins interleave by connectivity: a
 // delayed subquery often bridges two scans that share no variable with
 // each other, and bound-joining it first keeps their cross product from
@@ -153,7 +155,7 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 			join(sq)
 		case dConn && accHas(delayed[di]):
 			sq, delayed = take(delayed, di)
-			acc = e.newBoundJoinStream(ctx, acc, sq, dict)
+			acc = e.newBoundJoinStream(ctx, acc, sq, dict, prof)
 		default:
 			// The delayed subquery shares no variable with the stream:
 			// degrade to an unbound scan under a hash join, keyed when

@@ -7,8 +7,10 @@
 //   - SAPE (Selectivity-Aware Planning and parallel Execution): cardinality
 //     estimation from COUNT probes, Chauvenet-filtered μ+σ delay rule,
 //     concurrent evaluation of non-delayed subqueries, bound-join (VALUES)
-//     evaluation of delayed subqueries with source refinement, and a
-//     DP-ordered parallel hash join of subquery results (Algorithms 3).
+//     evaluation of delayed subqueries with source refinement (Algorithm
+//     3), as a tree of streaming operators joined greedily by connectivity
+//     (pipeline.go). A bound join whose bindings outnumber what its
+//     subquery can answer runs as an unbound scan instead (boundjoin.go).
 package core
 
 import (
@@ -46,6 +48,11 @@ type Subquery struct {
 	// Delayed marks the subquery for bound-join evaluation in SAPE's second
 	// phase.
 	Delayed bool
+
+	// varCards are the estimates C(sq, v) of the distinct values of each
+	// variable, aligned with Vars(); EstCard is their maximum. A bound
+	// join bounds the join tuples the subquery can answer by them.
+	varCards []float64
 
 	// patternIdx are the indexes of Patterns in the analyzed branch's
 	// pattern list, used to look up per-pattern statistics.

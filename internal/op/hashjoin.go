@@ -39,7 +39,8 @@ type Budget struct {
 
 // ErrBudget is the error of a join that outgrows its budget where it
 // cannot spill: a cross product's build side, or, once a join has spilled,
-// its rows with an unbound join variable, which have no key to sort under.
+// its rows with an unbound join variable, which have no key to sort under
+// and stay in memory.
 var ErrBudget = errors.New("op: join exceeds its memory budget")
 
 // HashJoin inner-joins two streams on their shared variables with an
@@ -56,11 +57,12 @@ var ErrBudget = errors.New("op: join exceeds its memory budget")
 // whose table exceeds b.SpillBytes spills both sides to disk through the
 // diskstore sorter and the join finishes as a sort-merge over the spilled
 // runs (grace-join style: first-row latency is traded for bounded memory).
-// A build row with an unbound join variable has no key to sort under; it
-// stays in memory, held to the budget, and a probe row with one fails the
-// spilled join with ErrBudget. The spill path rides the sorter's record
-// deduplication, so duplicate (key,row) records collapse: every caller
-// applies set semantics downstream.
+// A row with an unbound join variable has no key to sort under; it stays
+// in memory, the rows of both sides held together to the budget. Such a
+// build row meets every probe row, and such a probe row meets every build
+// row: the spilled ones as the merge passes them. The spill path rides the
+// sorter's record deduplication, so duplicate (key,row) records collapse:
+// every caller applies set semantics downstream.
 //
 // With no shared variables the operator degenerates to a cross product and
 // keeps the build side in memory — a cross product cannot be keyed for a
@@ -389,10 +391,10 @@ func joinLabel(shared []string) string {
 
 // spillToDisk dumps the table's keyed rows plus the rest of both inputs'
 // into two external sorters keyed by join key, then sets up the merge
-// join. A build row with an unbound join variable has no key to sort
-// under: it stays in memory, held to the budget, and meets every probe
-// row. A probe row with one would have to meet every spilled build row:
-// it fails the join with ErrBudget instead.
+// join. A row with an unbound join variable has no key to sort under: it
+// stays in memory, the rows of both sides held together to the budget. A
+// build row with one meets every probe row; a probe row with one meets
+// every build row, the spilled ones in the merge's pass over them.
 func (s *hashJoin) spillToDisk() error {
 	s.spilled = true
 	budget := s.budget.SpillBytes
@@ -403,40 +405,38 @@ func (s *hashJoin) spillToDisk() error {
 		probeSorter.Close()
 		return err
 	}
-	loose := NewTable(s.sh.Right, 0)
+	looseBuild, looseProbe := NewTable(s.sh.Right, 0), NewTable(s.sh.Left, 0)
 	var key, rec []byte
-	// put sorts a row under its key, or keeps a build row that has none.
-	put := func(sorter *diskstore.Sorter, row []uint32, cols []int) error {
+	// put sorts a row under its key, or keeps one that has none in loose.
+	put := func(sorter *diskstore.Sorter, loose *Table, row []uint32, cols []int) error {
 		var keyed bool
 		if key, keyed = appendKey(key[:0], row, cols); keyed {
 			rec = encodeSpillRec(rec[:0], key, row)
 			return sorter.Add(rec)
 		}
-		if sorter == probeSorter {
-			return fmt.Errorf("%w: a probe row with an unbound join variable meets a spilled build side; raise the budget (JoinSpillBytes)", ErrBudget)
-		}
-		if loose.Add(CopyRow(row)); loose.bytes > budget {
-			return fmt.Errorf("%w: %d bytes of build rows with an unbound join variable stay in memory beside the spilled join; raise the budget (JoinSpillBytes)", ErrBudget, loose.bytes)
+		loose.Add(CopyRow(row))
+		if n := looseBuild.bytes + looseProbe.bytes; n > budget {
+			return fmt.Errorf("%w: %d bytes of rows with an unbound join variable stay in memory beside the spilled join; raise the budget (JoinSpillBytes)", ErrBudget, n)
 		}
 		return nil
 	}
 	for i := range s.table.Len() {
-		if err := put(buildSorter, s.table.Row(int32(i)), s.sh.Right); err != nil {
+		if err := put(buildSorter, looseBuild, s.table.Row(int32(i)), s.sh.Right); err != nil {
 			return fail(err)
 		}
 	}
 	for s.build.Next() {
 		s.buildRows++
-		if err := put(buildSorter, s.build.Row(), s.sh.Right); err != nil {
+		if err := put(buildSorter, looseBuild, s.build.Row(), s.sh.Right); err != nil {
 			return fail(err)
 		}
 	}
 	if err := s.closeBuild(); err != nil {
 		return fail(err)
 	}
-	s.table = loose
+	s.table = looseBuild
 	for s.nextProbe() {
-		if err := put(probeSorter, s.probe.Row(), s.sh.Left); err != nil {
+		if err := put(probeSorter, looseProbe, s.probe.Row(), s.sh.Left); err != nil {
 			return fail(err)
 		}
 	}
@@ -454,6 +454,9 @@ func (s *hashJoin) spillToDisk() error {
 		return err
 	}
 	s.sj = &spillJoin{build: &spillCursor{it: bIt}, probe: &spillCursor{it: pIt}}
+	if looseProbe.Len() > 0 {
+		s.sj.loose, s.sj.joined = looseProbe, make([]bool, looseProbe.Len())
+	}
 	s.sj.build.advance()
 	s.sj.probe.advance()
 	return nil
@@ -482,23 +485,39 @@ func (c *spillCursor) key() []byte { return spillRecKey(c.cur) }
 
 // spillJoin merge-joins the two sorted spills: records sharing a join key
 // are contiguous after sorting, so only the build group of the current
-// probe key is materialized while probe rows stream through.
+// probe key is materialized while probe rows stream through. The probe
+// rows with an unbound join variable (loose) meet every build record the
+// merge passes, and once the keyed probe rows are done, the records it
+// did not reach and the build rows kept in memory.
 type spillJoin struct {
 	build, probe *spillCursor
 	group        [][]uint32 // decoded build rows of groupKey
 	groupKey     []byte     // nil before the first seek
 	p            Probe
+	loose        *Table // nil once its rows have met every build row
+	joined       []bool // per loose row, whether it joined a build row
 }
 
 // fill appends the next output to hj.outBuf, reporting false at the end of
 // the join.
 func (sj *spillJoin) fill(hj *hashJoin) (bool, error) {
 	for len(hj.outBuf) == 0 {
-		if err := errors.Join(sj.build.err, sj.probe.err); err != nil || sj.probe.cur == nil {
+		if err := errors.Join(sj.build.err, sj.probe.err); err != nil {
 			return false, err
 		}
+		if sj.probe.cur == nil {
+			if sj.loose == nil {
+				return false, nil
+			}
+			if sj.build.cur == nil {
+				sj.finishLoose(hj)
+			} else if err := sj.pass(hj); err != nil {
+				return false, err
+			}
+			continue
+		}
 		if pKey := sj.probe.key(); sj.groupKey == nil || !bytes.Equal(pKey, sj.groupKey) {
-			if err := sj.seek(pKey); err != nil {
+			if err := sj.seek(hj, pKey); err != nil {
 				return false, err
 			}
 		}
@@ -517,11 +536,14 @@ func (sj *spillJoin) fill(hj *hashJoin) (bool, error) {
 }
 
 // seek advances the build cursor to key and loads its group (nil when the
-// build side has no row with that key).
-func (sj *spillJoin) seek(key []byte) error {
+// build side has no row with that key). The loose probe rows meet every
+// record it passes.
+func (sj *spillJoin) seek(hj *hashJoin, key []byte) error {
 	sj.group, sj.groupKey = nil, append(sj.groupKey[:0], key...)
 	for sj.build.cur != nil && bytes.Compare(sj.build.key(), sj.groupKey) < 0 {
-		sj.build.advance()
+		if err := sj.pass(hj); err != nil {
+			return err
+		}
 	}
 	for sj.build.cur != nil && bytes.Equal(sj.build.key(), sj.groupKey) {
 		brow, err := decodeSpillRow(sj.build.cur)
@@ -529,9 +551,54 @@ func (sj *spillJoin) seek(key []byte) error {
 			return err
 		}
 		sj.group = append(sj.group, brow)
+		sj.meet(hj, brow)
 		sj.build.advance()
 	}
 	return nil
+}
+
+// pass lets the loose probe rows meet the current build record, which the
+// merge does not join, and advances the build cursor past it.
+func (sj *spillJoin) pass(hj *hashJoin) error {
+	if sj.loose != nil {
+		brow, err := decodeSpillRow(sj.build.cur)
+		if err != nil {
+			return err
+		}
+		sj.meet(hj, brow)
+	}
+	sj.build.advance()
+	return nil
+}
+
+// meet appends the joins of the loose probe rows with a spilled build row
+// to hj.outBuf.
+func (sj *spillJoin) meet(hj *hashJoin, brow []uint32) {
+	if sj.loose == nil {
+		return
+	}
+	for _, i := range sj.loose.Matches(brow, hj.sh.Right, &sj.p) {
+		n := len(hj.outBuf)
+		hj.outBuf = hj.keep(hj.outBuf, sj.loose.Row(i), brow, hj.cond)
+		sj.joined[i] = sj.joined[i] || len(hj.outBuf) > n
+	}
+}
+
+// finishLoose joins the loose probe rows, which have met every spilled
+// build row, with the build rows kept in memory; in left mode a loose row
+// that joined nothing follows zero-extended.
+func (sj *spillJoin) finishLoose(hj *hashJoin) {
+	for i := range sj.loose.Len() {
+		prow := sj.loose.Row(int32(i))
+		n := len(hj.outBuf)
+		for _, j := range hj.table.Matches(prow, hj.sh.Left, &sj.p) {
+			hj.outBuf = hj.keep(hj.outBuf, prow, hj.table.Row(j), hj.cond)
+		}
+		if hj.left && !sj.joined[i] && len(hj.outBuf) == n {
+			hj.outBuf = append(hj.outBuf, hj.sh.Combine(make([]uint32, len(hj.sh.Vars)), prow, nil))
+		}
+	}
+	sj.loose = nil
 }
 
 func (sj *spillJoin) close() {

@@ -163,18 +163,17 @@ func looseBytes(r rel, other []string, extra int) int64 {
 }
 
 // spillCase returns a budget at which the join of probe and build spills
-// once it holds any keyed build row beyond its build rows with an unbound
-// join variable, which a spilled join keeps in memory, and whether the
-// join must then fail with ErrBudget: a cross product cannot spill, and a
-// probe row with an unbound join variable would have to meet every
-// spilled build row. Both sides' rows are widened by extra columns, which
-// they share (a keyed join's key).
+// once it holds any keyed build row beyond the rows of both sides with an
+// unbound join variable, which a spilled join keeps in memory, and
+// whether the join must then fail with ErrBudget: a cross product cannot
+// spill. Both sides' rows are widened by extra columns, which they share
+// (a keyed join's key).
 func spillCase(probe, build rel, left bool, extra int) (Budget, bool) {
-	b := Budget{SpillBytes: max(1, looseBytes(build, probe.vars, extra))}
+	b := Budget{SpillBytes: max(1, looseBytes(build, probe.vars, extra)+looseBytes(probe, build.vars, extra))}
 	width := rowBytes(make([]uint32, len(build.vars)+extra))
 	spills := int64(len(build.rows))*width > b.SpillBytes && (len(probe.rows) > 0 || !left)
 	cross := extra == 0 && !slices.ContainsFunc(probe.vars, func(v string) bool { return build.col(v) >= 0 })
-	return b, spills && (cross || looseBytes(probe, build.vars, extra) > 0)
+	return b, spills && cross
 }
 
 // fewLoose keeps at most n of r's rows whose variable v is unbound: such a
@@ -225,8 +224,9 @@ func collect(t *testing.T, s RowStream, dict *rdf.Dict) (rel, error) {
 // memory the output must equal the reference as a multiset; spilled, as a
 // set (the sorter collapses duplicate records), or the join must fail
 // with ErrBudget where spillCase says so. It reports whether the join
-// spilled with build rows of an unbound join variable in memory.
-func checkJoin(t *testing.T, trial int, probe, build rel, left bool, cond []sparql.Expr, want rel) (spilledLoose bool) {
+// spilled with build rows, and with probe rows, of an unbound join
+// variable in memory.
+func checkJoin(t *testing.T, trial int, probe, build rel, left bool, cond []sparql.Expr, want rel) (looseBuild, looseProbe bool) {
 	t.Helper()
 	for _, spill := range []bool{false, true} {
 		b, wantErr := Budget{SpillBytes: DefaultSpillBytes}, false
@@ -257,20 +257,22 @@ func checkJoin(t *testing.T, trial int, probe, build rel, left bool, cond []spar
 			t.Fatalf("trial %d spill=%v left=%v\nprobe %v %v\nbuild %v %v\ngot  %v\nwant %v",
 				trial, spill, left, probe.vars, probe.rows, build.vars, build.rows, g, w)
 		}
-		spilledLoose = spill && s.(*hashJoin).spilled && b.SpillBytes > 1
+		if spill && s.(*hashJoin).spilled {
+			looseBuild, looseProbe = looseBytes(build, probe.vars, 0) > 0, looseBytes(probe, build.vars, 0) > 0
+		}
 	}
-	return spilledLoose
+	return looseBuild, looseProbe
 }
 
 // TestHashJoinProperty checks the inner join, and the union, filter and
 // VALUES-tuple operators the comparators assemble around it, against
 // nested-loop references on random relations: shared and unbound join
-// variables, cross products, duplicates, in memory and spilled (build rows
-// of an unbound join variable kept beside the spill, ErrBudget for probe
-// rows with one), and build tables large enough for the parallel probe.
+// variables, cross products, duplicates, in memory and spilled (rows of
+// an unbound join variable on either side kept beside the spill), and
+// build tables large enough for the parallel probe.
 func TestHashJoinProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	spilledLoose := 0
+	var loose spilledLoose
 	for trial := range 300 {
 		probe := randomRel(rng, randomVars(rng), rng.Intn(9), 3)
 		// The build side is the union of two relations with their own
@@ -304,9 +306,7 @@ func TestHashJoinProperty(t *testing.T) {
 			t.Fatalf("trial %d: union %v, want %v (%v)", trial, union, build, err)
 		}
 
-		if checkJoin(t, trial, probe, build, false, nil, naiveJoin(probe, build, false, nil)) {
-			spilledLoose++
-		}
+		loose.add(checkJoin(t, trial, probe, build, false, nil, naiveJoin(probe, build, false, nil)))
 
 		cond := randomCond(t, rng)
 		filtered, err := collect(t, Filter(build.stream(dict), dict, cond), dict)
@@ -349,8 +349,26 @@ func TestHashJoinProperty(t *testing.T) {
 			t.Fatalf("trial %d: distinct tuples %v, want %v", trial, got, tuples)
 		}
 	}
-	if spilledLoose < 10 {
-		t.Fatalf("%d trials spilled with build rows of an unbound join variable in memory; the path is not exercised", spilledLoose)
+	loose.check(t)
+}
+
+// spilledLoose counts the trials that spilled with rows of an unbound join
+// variable in memory, on the build side and on the probe side.
+type spilledLoose struct{ build, probe int }
+
+func (n *spilledLoose) add(build, probe bool) {
+	if build {
+		n.build++
+	}
+	if probe {
+		n.probe++
+	}
+}
+
+func (n spilledLoose) check(t *testing.T) {
+	t.Helper()
+	if n.build < 10 || n.probe < 10 {
+		t.Fatalf("%d trials spilled with build rows and %d with probe rows of an unbound join variable in memory; the paths are not exercised", n.build, n.probe)
 	}
 }
 
@@ -359,7 +377,7 @@ func TestHashJoinProperty(t *testing.T) {
 // and spilled.
 func TestLeftJoinProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	spilledLoose := 0
+	var loose spilledLoose
 	for trial := range 300 {
 		probe := randomRel(rng, randomVars(rng), rng.Intn(9), 3)
 		build := randomRel(rng, randomVars(rng), rng.Intn(13), 3)
@@ -368,20 +386,17 @@ func TestLeftJoinProperty(t *testing.T) {
 			build = fewLoose(randomRel(rng, []string{"d", "a"}, 9000, 9000), "a", 2)
 		}
 		cond := randomCond(t, rng)
-		if checkJoin(t, trial, probe, build, true, cond, naiveJoin(probe, build, true, cond)) {
-			spilledLoose++
-		}
+		loose.add(checkJoin(t, trial, probe, build, true, cond, naiveJoin(probe, build, true, cond)))
 	}
-	if spilledLoose < 10 {
-		t.Fatalf("%d trials spilled with build rows of an unbound join variable in memory; the path is not exercised", spilledLoose)
-	}
+	loose.check(t)
 }
 
-// TestJoinSpillUnbound: once a join spills, its build rows with an
-// unbound join variable stay in memory and still join every compatible
-// probe row; when they outgrow the budget, or a probe row with an unbound
-// join variable meets the spilled build side, the join fails with
-// ErrBudget rather than dropping or zero-extending rows.
+// TestJoinSpillUnbound: once a join spills, its rows with an unbound join
+// variable stay in memory and still join every compatible row of the
+// other side — a build row every probe row, a probe row every spilled
+// build row and every build row kept in memory; when they outgrow the
+// budget, the join fails with ErrBudget rather than dropping or
+// zero-extending rows.
 func TestJoinSpillUnbound(t *testing.T) {
 	x := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://ex/x%d", i)) }
 	keyed := rel{vars: []string{"a", "b"}, rows: [][]rdf.Term{{x(1), x(101)}, {x(2), x(100)}, {x(999), x(102)}}}
@@ -392,6 +407,7 @@ func TestJoinSpillUnbound(t *testing.T) {
 	}
 	build.rows = append(build.rows, []rdf.Term{x(101), {}}, []rdf.Term{{}, {}})
 	fits, _ := spillCase(keyed, build, false, 0)
+	fitsLoose, _ := spillCase(loose, build, false, 0)
 	for _, c := range []struct {
 		name  string
 		probe rel
@@ -400,7 +416,8 @@ func TestJoinSpillUnbound(t *testing.T) {
 	}{
 		{"build rows kept aside", keyed, fits, false},
 		{"build rows over the budget", keyed, Budget{SpillBytes: fits.SpillBytes - 1}, true},
-		{"probe row without a key", loose, fits, true},
+		{"probe row without a key", loose, fitsLoose, false},
+		{"probe row without a key over the budget", loose, fits, true},
 	} {
 		for _, left := range []bool{false, true} {
 			dict := rdf.NewDict()
