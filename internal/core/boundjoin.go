@@ -16,10 +16,10 @@ import (
 // boundJoinStream evaluates a delayed subquery as a pipelined bound join:
 // instead of waiting for the complete upstream relation, it pulls one
 // VALUES-block worth of upstream rows at a time, ships the block's distinct
-// shared-variable tuples to the subquery's (refined) sources, and joins the
-// responses back against the block. Downstream operators see joined rows
-// after the first block round-trips — the core of SAPE's delay mechanism
-// without SAPE's materialization barrier.
+// shared-variable tuples to the subquery's sources (refined per block), and
+// joins the responses back against the block. Downstream operators see
+// joined rows after the first block round-trips — the core of SAPE's delay
+// mechanism without SAPE's materialization barrier.
 //
 // The builder guarantees at least one shared variable (a subquery with no
 // overlap is planned as an unbound scan under a hash join instead). The
@@ -76,13 +76,12 @@ type boundJoinStream struct {
 	closed  bool
 	srcEOF  bool
 
-	ctx     context.Context
-	parent  *obs.Span
-	span    *obs.Span
-	blocks  int
-	tuples  int
-	rows    int64
-	sources []string // refined sources, resolved once on the first block (optional mode: sq.Sources)
+	ctx    context.Context
+	parent *obs.Span
+	span   *obs.Span
+	blocks int
+	tuples int
+	rows   int64
 }
 
 func (e *Engine) newBoundJoinStream(ctx context.Context, src op.RowStream, sq *Subquery, dict *rdf.Dict, prof *Profile) *boundJoinStream {
@@ -102,7 +101,6 @@ func (e *Engine) newBoundJoinStream(ctx context.Context, src op.RowStream, sq *S
 func (e *Engine) newOptionalStream(ctx context.Context, src op.RowStream, ob *optionalPlan, dict *rdf.Dict) *boundJoinStream {
 	s := e.newBoundJoinStream(ctx, src, ob.sq, dict, nil)
 	s.optional, s.cond, s.phase, s.limit = true, ob.residual, client.PhaseOptional, math.Inf(1)
-	s.sources = ob.sq.Sources
 	return s
 }
 
@@ -216,22 +214,25 @@ func (s *boundJoinStream) switchToScan(block [][]uint32, bindings int) {
 }
 
 // fetch sends the block's distinct bindings to the sources and joins
-// their responses into outBuf, marking the block rows it extends.
+// their responses into outBuf, marking the block rows it extends. Outside
+// optional mode the sources are refined by this block's own bindings: a
+// later block's bindings may live at an endpoint an earlier block's ASK
+// pruned.
 func (s *boundJoinStream) fetch(tuples [][]rdf.Term, table *op.Table, extended []bool) error {
 	s.tuples += len(tuples)
-	if s.sources == nil && !s.optional {
-		sources, err := s.e.refineSources(s.ctx, s.sq, s.sh.Names, tuples)
-		if err != nil {
+	sources := s.sq.Sources
+	if !s.optional {
+		var err error
+		if sources, err = s.e.refineSources(s.ctx, s.sq, s.sh.Names, tuples); err != nil {
 			return err
 		}
-		s.sources = sources
 	}
 
 	queryText := s.sq.Query(&sparql.InlineData{Vars: s.sh.Names, Rows: tuples}).String()
 	var mu sync.Mutex
-	return s.e.pool.ForEachGated(s.ctx, s.sources, s.e.gate(),
-		s.e.onRejectDegrade(s.ctx, s.phase, s.sources), func(i int) error {
-			name := s.sources[i]
+	return s.e.pool.ForEachGated(s.ctx, sources, s.e.gate(),
+		s.e.onRejectDegrade(s.ctx, s.phase, sources), func(i int) error {
+			name := sources[i]
 			var sp *obs.Span
 			if !s.optional {
 				sp = s.span.StartChild("batch")

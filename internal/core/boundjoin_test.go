@@ -211,3 +211,30 @@ func TestBoundJoinSwitchAfterBlocksKeepsMultiset(t *testing.T) {
 		}
 	}
 }
+
+// A bound join of a variable-predicate subquery refines each block's
+// sources by that block's own bindings. Upstream x1..x4 and a duplicate
+// x2: x1 and x3 live at ep1 alone, x2 and x4 at ep0 alone, so sources
+// refined once, by a first block of x1 alone, lost x2's and x4's rows.
+func TestBoundJoinRefinesEveryBlock(t *testing.T) {
+	q, err := sparql.Parse(`SELECT * WHERE { ?x ?p ?y }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, size := range []int{500, 1} {
+		c := newSwitchCase(t, size)
+		c.rows = c.rows[1:]
+		c.sq = &Subquery{Patterns: []sparql.TriplePattern{q.Where.Elements[0].(sparql.TriplePattern)}, Sources: []string{"ep0", "ep1"}}
+		got, _, _, _ := c.run(4, false)
+		if want == nil {
+			if want = got; len(want) != 10 { // two triples per upstream row
+				t.Fatalf("block size %d: %d rows, want 10", size, len(want))
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("block size %d\n got %v\nwant %v", size, got, want)
+		}
+	}
+}

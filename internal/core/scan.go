@@ -3,22 +3,37 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"lusail/internal/client"
 	"lusail/internal/obs"
-	"lusail/internal/op"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 )
 
-// scanBuf is the bounded depth of a scan's row channel: deep enough to
-// decouple decoder and consumer bursts, shallow enough that a stalled
-// consumer exerts backpressure on the wire instead of buffering the result.
+// scanBuf bounds a scan's decoded rows not yet read by its consumer:
+// deep enough to decouple decoder and consumer bursts, shallow enough that
+// a stalled consumer exerts backpressure on the wire instead of buffering
+// the result. It also sets how far a LIMIT-closed scan reads before it
+// stops, so a deeper bound reads more bytes.
 const scanBuf = 64
 
 // scanStream evaluates one subquery at all its relevant endpoints with one
 // streaming request each, delivering rows as they are decoded off each
 // response. Rows from different endpoints interleave in arrival order.
+//
+// Rows cross from the pushers to the consumer in batches: each pusher
+// appends a decoded row's ids to one flat slab (queued) under mu, and the
+// consumer, once it has used up its own slab, swaps the two. A batch is
+// whatever the pushers queued while the consumer was busy; a row is
+// visible as soon as it is queued, so the first row waits for no batch.
+// The two slabs take turns, so no row is allocated, and Row stays valid
+// until the next Next because the pushers never write the consumer's
+// slab. The consumer waits only on an empty queue. A pusher waits while
+// the queued rows and the consumer's unread ones reach scanBuf; the
+// consumer tells the pushers how many it has left unread when it takes
+// the queue, and again, while one waits, every scanBuf/4 rows it reads.
+// mu is never held across I/O or interning.
 //
 // Pool discipline: a pool slot is held only while the request is issued
 // (connection + response head). Decoding runs in a per-endpoint pusher
@@ -29,7 +44,7 @@ const scanBuf = 64
 // Failure discipline: in Degrade mode an endpoint that fails — at request
 // time or mid-stream — is absorbed with a warning and its (remaining)
 // contribution excluded; in FailFast mode the first failure cancels the
-// scan and surfaces through Err.
+// scan and surfaces through Err once the rows queued before it are read.
 type scanStream struct {
 	e     *Engine
 	sq    *Subquery
@@ -44,10 +59,26 @@ type scanStream struct {
 
 	started bool
 	drained bool
-	out     chan []uint32
-	errc    chan error
 	span    *obs.Span
 
+	// The queue, guarded by mu. more wakes the consumer (a row queued, or
+	// drive done); room wakes the pushers (rows read, or the scan
+	// cancelled).
+	mu      sync.Mutex
+	more    sync.Cond
+	room    sync.Cond
+	queued  []uint32 // rows of len(vars) ids, back to back
+	nqueued int      // rows in queued; counted apart for zero-variable rows
+	held    int      // the consumer's unread rows, as it last told
+	stopped bool     // the scan is closed or its context done: pushers stop
+	done    bool     // drive has reaped the pushers; doneErr is final
+	doneErr error
+	blocked atomic.Bool // a pusher waits for room
+
+	// The consumer's side, owned by the goroutine calling Next.
+	slab   []uint32 // the batch being read
+	off    int      // the next row's offset in slab
+	left   int      // rows of slab not yet read
 	row    []uint32
 	rows   int64
 	err    error
@@ -56,7 +87,7 @@ type scanStream struct {
 
 func (e *Engine) newScanStream(ctx context.Context, sq *Subquery, phase client.Phase, dict *rdf.Dict, prof *Profile) *scanStream {
 	sctx, cancel := context.WithCancel(ctx)
-	return &scanStream{
+	s := &scanStream{
 		e:      e,
 		sq:     sq,
 		phase:  phase,
@@ -66,9 +97,9 @@ func (e *Engine) newScanStream(ctx context.Context, sq *Subquery, phase client.P
 		cancel: cancel,
 		parent: obs.FromContext(ctx),
 		prof:   prof,
-		out:    make(chan []uint32, scanBuf),
-		errc:   make(chan error, 1),
 	}
+	s.more.L, s.room.L = &s.mu, &s.mu
+	return s
 }
 
 func (s *scanStream) Vars() []string { return s.vars }
@@ -83,16 +114,42 @@ func (s *scanStream) Next() bool {
 		s.started = true
 		s.run()
 	}
-	row, ok := <-s.out
-	if !ok {
-		s.drained = true
-		if err := <-s.errc; err != nil {
-			s.err = err
-		}
+	if s.left == 0 && !s.take() {
 		return false
 	}
-	s.row = row
+	w := len(s.vars)
+	s.row = s.slab[s.off : s.off+w : s.off+w]
+	s.off += w
+	s.left--
 	s.rows++
+	if s.blocked.Load() && s.held-s.left >= scanBuf/4 {
+		s.mu.Lock()
+		s.held = s.left
+		s.blocked.Store(false)
+		s.room.Broadcast()
+		s.mu.Unlock()
+	}
+	return true
+}
+
+// take swaps the used-up slab for the queued rows, waiting while none are
+// queued. It reports false, with drive's final error in err, once the
+// queue is empty and drive done.
+func (s *scanStream) take() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.held = 0
+	s.blocked.Store(false)
+	s.room.Broadcast()
+	for s.nqueued == 0 && !s.done {
+		s.more.Wait()
+	}
+	if s.nqueued == 0 {
+		s.drained, s.err = true, s.doneErr
+		return false
+	}
+	s.slab, s.queued = s.queued, s.slab[:0]
+	s.off, s.left, s.held, s.nqueued = 0, s.nqueued, s.nqueued, 0
 	return true
 }
 
@@ -104,9 +161,11 @@ func (s *scanStream) run() {
 }
 
 // drive issues one streaming request per endpoint through the pool, hands
-// each response to a pusher goroutine, waits for all pushers, and delivers
-// the final error before closing the row channel.
+// each response to a pusher goroutine, waits for all pushers, and hands
+// the final error to the consumer. Until the pushers are done, cancelling
+// the scan wakes those waiting on a full queue.
 func (s *scanStream) drive() {
+	stopWake := context.AfterFunc(s.ctx, s.stop)
 	var wg sync.WaitGroup
 	var first sync.Once
 	var pushErr error
@@ -133,25 +192,51 @@ func (s *scanStream) drive() {
 			return nil
 		})
 	wg.Wait()
+	stopWake()
 	if err == nil {
 		err = pushErr
 	}
-	s.errc <- err
-	close(s.out)
+	s.mu.Lock()
+	s.done, s.doneErr = true, err
+	s.more.Signal()
+	s.mu.Unlock()
 }
 
-// push decodes one endpoint's response outside the pool, forwarding rows
+// push decodes one endpoint's response outside the pool, queueing rows
 // aligned to the scan's variables.
 func (s *scanStream) push(rd sparql.RowReader, name string) error {
-	_, err := s.e.readRows(s.ctx, s.phase, name, rd, s.dict, s.vars, func(row []uint32) bool {
-		select {
-		case s.out <- op.CopyRow(row):
-			return true
-		case <-s.ctx.Done():
-			return false
-		}
-	})
+	_, err := s.e.readRows(s.ctx, s.phase, name, rd, s.dict, s.vars, s.enqueue)
 	return err
+}
+
+// stop makes the pushers drop their rows and return, waking those that
+// wait for room.
+func (s *scanStream) stop() {
+	s.mu.Lock()
+	s.stopped = true
+	s.room.Broadcast()
+	s.mu.Unlock()
+}
+
+// enqueue appends one row to the queue, waiting while scanBuf rows are
+// unread; false once the scan is cancelled.
+func (s *scanStream) enqueue(row []uint32) bool {
+	s.mu.Lock()
+	for s.nqueued+s.held >= scanBuf && !s.stopped {
+		s.blocked.Store(true)
+		s.room.Wait()
+	}
+	if s.stopped {
+		s.mu.Unlock()
+		return false
+	}
+	s.queued = append(s.queued, row...)
+	s.nqueued++
+	if s.nqueued == 1 {
+		s.more.Signal()
+	}
+	s.mu.Unlock()
+	return true
 }
 
 func (s *scanStream) Close() error {
@@ -161,12 +246,16 @@ func (s *scanStream) Close() error {
 	s.closed = true
 	s.cancel()
 	if s.started && !s.drained {
-		// Unblock pushers stuck on a full channel, then reap the driver's
-		// terminal send. A deliberately abandoned scan reports no error.
-		for range s.out {
+		// Stop the pushers at their next row rather than once the
+		// cancellation reaches them, and wait for drive to reap them.
+		// A deliberately abandoned scan reports no error.
+		s.stop()
+		s.mu.Lock()
+		for !s.done {
+			s.more.Wait()
 		}
+		s.mu.Unlock()
 		s.drained = true
-		<-s.errc
 	}
 	if s.prof != nil && s.started && len(s.sq.Patterns) > 1 && !s.sq.Optional {
 		s.prof.SubqueryStats = append(s.prof.SubqueryStats, SubqueryStat{
