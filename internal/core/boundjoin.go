@@ -3,8 +3,8 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
-	"sync"
 
 	"lusail/internal/client"
 	"lusail/internal/obs"
@@ -16,18 +16,18 @@ import (
 // boundJoinStream evaluates a delayed subquery as a pipelined bound join:
 // instead of waiting for the complete upstream relation, it pulls one
 // VALUES-block worth of upstream rows at a time, ships the block's distinct
-// shared-variable tuples to the subquery's sources (refined per block), and
-// joins the responses back against the block. Downstream operators see
-// joined rows after the first block round-trips — the core of SAPE's delay
-// mechanism without SAPE's materialization barrier.
+// shared-variable tuples to the subquery's sources (refined per block) as a
+// scan with the block's VALUES attached, and joins the scan's rows back
+// against the block as they arrive — the core of SAPE's delay mechanism
+// without SAPE's materialization barrier, holding one block at a time.
 //
 // The builder guarantees at least one shared variable (a subquery with no
 // overlap is planned as an unbound scan under a hash join instead). The
-// block rows are an op.Table that the response rows probe, so the join
+// block rows are an op.Table that the scan rows probe, so the join
 // follows op's rule: a block row with an unbound shared variable ships it
-// as UNDEF and joins every response row that agrees with it on the rest.
+// as UNDEF and joins every scan row that agrees with it on the rest.
 // The block's bindings are decoded to terms once, to render the VALUES
-// block; the responses are interned into the same dictionary.
+// block; the scan interns the responses into the same dictionary.
 //
 // Bindings select only while they are fewer than the join tuples the
 // subquery can answer. Its limit D is the smaller of EstCard and the
@@ -45,15 +45,11 @@ import (
 // requests and ships at most its rows. Nor do joins with an unknown
 // cardinality or in optional mode.
 //
-// In optional mode the stream is an OPTIONAL block's left join: a block
-// row without a surviving extension — a combined row on which the block's
-// residual filters (cond) hold — passes through zero-extended, sources are
-// not refined, and the work is traced as one "optional" span without
-// per-request spans.
-//
-// Endpoint responses are decoded inside the pool slot: block tasks append
-// to an in-memory buffer under a mutex and never block on a consumer, so
-// holding the slot cannot deadlock the pool.
+// In optional mode the stream is an OPTIONAL block's left join: once a
+// block's scan has drained, each block row without a surviving extension
+// — a combined row on which the block's residual filters (cond) hold —
+// passes through zero-extended; sources are not refined, and the work is
+// traced as one "optional" span without batch spans.
 type boundJoinStream struct {
 	e    *Engine
 	src  op.RowStream
@@ -62,19 +58,26 @@ type boundJoinStream struct {
 	prof *Profile // the switched scan's SubqueryStats sink (may be nil)
 
 	optional bool
-	cond     []sparql.Expr
+	cond     *op.Cond // optional mode's residual filters; nil holds
 	phase    client.Phase
-	sh       op.Shared // block rows on the left, response rows on the right
+	sh       op.Shared // block rows on the left, scan rows on the right
 	limit    float64   // D; +Inf never switches
 
-	outBuf  [][]uint32
-	obi     int
+	block    [][]uint32 // the current block, indexed on the shared columns in table
+	table    *op.Table
+	extended []bool      // the block rows a scan row extended
+	scan     *scanStream // the block's bindings shipped (nil once drained)
+	batch    *obs.Span
+	hits     []int32 // the block rows the scan's current row joins
+	probe    op.Probe
+	tail     int // optional mode: the next block row to pass through
+
 	peeked  []uint32     // an upstream row pulled to see that a full block is not the last
 	unbound op.RowStream // after the switch: the unshipped rows joined against the scan
+	out     []uint32     // the row the join combines, valid until the next Next
 	row     []uint32
 	err     error
 	closed  bool
-	srcEOF  bool
 
 	ctx    context.Context
 	parent *obs.Span
@@ -86,6 +89,7 @@ type boundJoinStream struct {
 
 func (e *Engine) newBoundJoinStream(ctx context.Context, src op.RowStream, sq *Subquery, dict *rdf.Dict, prof *Profile) *boundJoinStream {
 	s := &boundJoinStream{e: e, src: src, sq: sq, dict: dict, prof: prof, phase: client.PhaseBoundJoin, sh: op.Share(src.Vars(), sq.Vars()), limit: math.Inf(1), ctx: ctx, parent: obs.FromContext(ctx)}
+	s.out = make([]uint32, len(s.sh.Vars))
 	if sq.CardKnown && sq.varCards != nil {
 		tuples := 1.0
 		for _, c := range s.sh.Right {
@@ -100,7 +104,8 @@ func (e *Engine) newBoundJoinStream(ctx context.Context, src op.RowStream, sq *S
 // with src: a bound join in optional mode.
 func (e *Engine) newOptionalStream(ctx context.Context, src op.RowStream, ob *optionalPlan, dict *rdf.Dict) *boundJoinStream {
 	s := e.newBoundJoinStream(ctx, src, ob.sq, dict, nil)
-	s.optional, s.cond, s.phase, s.limit = true, ob.residual, client.PhaseOptional, math.Inf(1)
+	s.optional, s.phase, s.limit = true, client.PhaseOptional, math.Inf(1)
+	s.cond = op.NewCond(dict, s.sh.Vars, ob.residual)
 	return s
 }
 
@@ -108,63 +113,93 @@ func (s *boundJoinStream) Vars() []string { return s.sh.Vars }
 func (s *boundJoinStream) Row() []uint32  { return s.row }
 func (s *boundJoinStream) Err() error     { return s.err }
 
+// Next yields the block's joined rows as its scan delivers them, then in
+// optional mode the block rows left unextended, then the next block's.
 func (s *boundJoinStream) Next() bool {
 	if s.closed || s.err != nil {
 		return false
 	}
 	for {
-		if s.unbound != nil {
+		switch {
+		case s.unbound != nil:
 			if !s.unbound.Next() {
 				s.err = s.unbound.Err()
 				return false
 			}
 			s.row = s.unbound.Row()
-			s.rows++
-			return true
+		case s.scan != nil:
+			if !s.join() {
+				s.err = s.scan.Err()
+				s.closeScan()
+				if s.err != nil {
+					return false
+				}
+				continue
+			}
+		case s.optional && s.tail < len(s.block):
+			i := s.tail
+			s.tail++
+			if s.extended[i] {
+				continue
+			}
+			clear(s.out)
+			s.row = s.sh.Combine(s.out, s.block[i], nil)
+		default:
+			if !s.nextBlock() {
+				return false
+			}
+			continue
 		}
-		if s.obi < len(s.outBuf) {
-			s.row = s.outBuf[s.obi]
-			s.obi++
-			s.rows++
-			return true
-		}
-		s.outBuf, s.obi = s.outBuf[:0], 0
-		if s.srcEOF {
-			return false
-		}
-		var block [][]uint32
-		if s.peeked != nil {
-			block, s.peeked = append(block, s.peeked), nil
-		}
-		for len(block) < s.e.opts.ValuesBlockSize && s.src.Next() {
-			block = append(block, op.CopyRow(s.src.Row()))
-		}
-		if len(block) == 0 {
-			s.srcEOF, s.err = true, s.src.Err()
-			return false
-		}
-		if s.err = s.joinBlock(block); s.err != nil {
-			return false
-		}
+		s.rows++
+		return true
 	}
 }
 
-// more reports whether another upstream row follows, keeping it for the
-// next block.
-func (s *boundJoinStream) more() bool {
-	if !s.src.Next() {
+// join advances to the next scan row and block row combined on which cond
+// holds, marking the block row extended; false once the scan is done.
+func (s *boundJoinStream) join() bool {
+	for {
+		for len(s.hits) > 0 {
+			bi := s.hits[0]
+			s.hits = s.hits[1:]
+			s.row = s.sh.Combine(s.out, s.table.Row(bi), s.scan.Row())
+			if s.cond.Holds(s.row) {
+				s.extended[bi] = true
+				return true
+			}
+		}
+		if !s.scan.Next() {
+			return false
+		}
+		s.hits = s.table.Matches(s.scan.Row(), s.sh.Right, &s.probe)
+	}
+}
+
+// closeScan closes the block's scan and ends its batch span.
+func (s *boundJoinStream) closeScan() {
+	s.scan.Close()
+	s.batch.End()
+	s.scan, s.batch, s.hits = nil, nil, nil
+}
+
+// nextBlock pulls the next upstream block and opens its scan, over the
+// sources its own bindings refine outside optional mode (a later block's
+// may live at an endpoint an earlier block's ASK pruned); a block no
+// source answers is shipped nowhere. It switches to an unbound scan
+// instead once the bindings can no longer select, and reports false at
+// the upstream's end or on an error.
+func (s *boundJoinStream) nextBlock() bool {
+	var block [][]uint32
+	if s.peeked != nil {
+		block, s.peeked = append(block, s.peeked), nil
+	}
+	for len(block) < s.e.opts.ValuesBlockSize && s.src.Next() {
+		block = append(block, op.CopyRow(s.src.Row()))
+	}
+	if len(block) == 0 {
+		s.err = s.src.Err()
 		return false
 	}
-	s.peeked = op.CopyRow(s.src.Row())
-	return true
-}
-
-// joinBlock ships one block's distinct bindings to the sources and joins
-// the responses back against the block rows, appending every combined row
-// that satisfies cond to outBuf; in optional mode the block rows left
-// without an extension follow, zero-extended. When the bindings can no
-// longer select, it switches the join to an unbound scan instead.
-func (s *boundJoinStream) joinBlock(block [][]uint32) error {
 	if s.span == nil {
 		if s.optional {
 			s.span = s.parent.StartChild("optional")
@@ -178,23 +213,47 @@ func (s *boundJoinStream) joinBlock(block [][]uint32) error {
 	if bindings := s.tuples + len(tuples); float64(bindings) > s.limit &&
 		(s.blocks > 0 || len(block) == s.e.opts.ValuesBlockSize && s.more()) {
 		s.switchToScan(block, bindings)
-		return nil
+		return true
 	}
 	s.blocks++
-	table := op.NewTable(s.sh.Left, len(block))
-	for _, row := range block {
-		table.Add(row)
-	}
-	extended := make([]bool, len(block))
-	if err := s.fetch(op.TermRows(s.dict, tuples), table, extended); err != nil {
-		return err
-	}
-	for i, row := range block {
-		if s.optional && !extended[i] {
-			s.outBuf = append(s.outBuf, s.sh.Combine(make([]uint32, len(s.sh.Vars)), row, nil))
+	s.tuples += len(tuples)
+	values := sparql.InlineData{Vars: s.sh.Names, Rows: op.TermRows(s.dict, tuples)}
+	sources := s.sq.Sources
+	if !s.optional {
+		if sources, s.err = s.e.refineSources(s.ctx, s.sq, s.sh.Names, values.Rows); s.err != nil {
+			return false
 		}
 	}
-	return nil
+	s.block, s.extended, s.tail = block, make([]bool, len(block)), 0
+	if len(sources) == 0 {
+		return true
+	}
+	s.table = op.NewTable(s.sh.Left, len(block))
+	for _, row := range block {
+		s.table.Add(row)
+	}
+	blockSq := *s.sq
+	blockSq.Values = append(slices.Clip(s.sq.Values), values)
+	blockSq.Sources = sources
+	ctx := obs.ContextWithSpan(s.ctx, s.span)
+	if !s.optional {
+		s.batch = s.span.StartChild("batch")
+		s.batch.SetAttr("values", len(tuples))
+		s.batch.SetAttr("endpoints", len(sources))
+		ctx = obs.ContextWithSpan(s.ctx, s.batch)
+	}
+	s.scan = s.e.newScanStream(ctx, &blockSq, s.phase, s.dict, nil)
+	return true
+}
+
+// more reports whether another upstream row follows, keeping it for the
+// next block.
+func (s *boundJoinStream) more() bool {
+	if !s.src.Next() {
+		return false
+	}
+	s.peeked = op.CopyRow(s.src.Row())
+	return true
 }
 
 // switchToScan stops shipping bindings: the unshipped rows — block, the
@@ -213,72 +272,14 @@ func (s *boundJoinStream) switchToScan(block [][]uint32, bindings int) {
 	s.unbound = op.HashJoin(ctx, op.Union(op.NewSlice(s.src.Vars(), block), s.src), scan, s.e.join)
 }
 
-// fetch sends the block's distinct bindings to the sources and joins
-// their responses into outBuf, marking the block rows it extends. Outside
-// optional mode the sources are refined by this block's own bindings: a
-// later block's bindings may live at an endpoint an earlier block's ASK
-// pruned.
-func (s *boundJoinStream) fetch(tuples [][]rdf.Term, table *op.Table, extended []bool) error {
-	s.tuples += len(tuples)
-	sources := s.sq.Sources
-	if !s.optional {
-		var err error
-		if sources, err = s.e.refineSources(s.ctx, s.sq, s.sh.Names, tuples); err != nil {
-			return err
-		}
-	}
-
-	queryText := s.sq.Query(&sparql.InlineData{Vars: s.sh.Names, Rows: tuples}).String()
-	var mu sync.Mutex
-	return s.e.pool.ForEachGated(s.ctx, sources, s.e.gate(),
-		s.e.onRejectDegrade(s.ctx, s.phase, sources), func(i int) error {
-			name := sources[i]
-			var sp *obs.Span
-			if !s.optional {
-				sp = s.span.StartChild("batch")
-				defer sp.End()
-				sp.SetAttr("endpoint", name)
-				sp.SetAttr("values", len(tuples))
-			}
-			rd, err := s.e.streamEndpoint(s.ctx, s.phase, name, queryText)
-			if err != nil {
-				if s.e.degrade(s.ctx, s.phase, name, err) {
-					sp.SetAttr("degraded", true)
-					return nil
-				}
-				return err
-			}
-			cond := op.NewCond(s.dict, s.sh.Vars, s.cond)
-			var p op.Probe
-			n := 0
-			degraded, err := s.e.readRows(s.ctx, s.phase, name, rd, s.dict, s.sq.Vars(), func(resp []uint32) bool {
-				for _, bi := range table.Matches(resp, s.sh.Right, &p) {
-					out := s.sh.Combine(make([]uint32, len(s.sh.Vars)), table.Row(bi), resp)
-					if !cond.Holds(out) {
-						continue
-					}
-					mu.Lock()
-					s.outBuf = append(s.outBuf, out)
-					extended[bi] = true
-					mu.Unlock()
-					n++
-				}
-				return true
-			})
-			if degraded {
-				sp.SetAttr("degraded", true)
-				return nil
-			}
-			sp.SetAttr("rows", n)
-			return err
-		})
-}
-
 func (s *boundJoinStream) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
+	if s.scan != nil {
+		s.closeScan()
+	}
 	var err error
 	if s.unbound != nil {
 		err = s.unbound.Close() // closes the upstream too

@@ -3,14 +3,18 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"reflect"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lusail/internal/client"
 	"lusail/internal/federation"
+	"lusail/internal/lint/leakcheck"
 	"lusail/internal/obs"
 	"lusail/internal/op"
 	"lusail/internal/rdf"
@@ -236,5 +240,127 @@ func TestBoundJoinRefinesEveryBlock(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("block size %d\n got %v\nwant %v", size, got, want)
 		}
+	}
+}
+
+// A block that no source answers is shipped nowhere: the refinement ASK
+// carries the block's own bindings, so an answer of false at every
+// source means the block has no solution. Upstream x8 and x9 and a
+// duplicate x9, which live at no endpoint, in blocks of one: each block
+// sends its two ASKs and no SELECT.
+func TestBoundJoinRefinedToNoSource(t *testing.T) {
+	q, err := sparql.Parse(`SELECT * WHERE { ?x ?p ?y }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newSwitchCase(t, 1)
+	c.rows = c.rows[8:]
+	c.sq = &Subquery{Patterns: []sparql.TriplePattern{q.Where.Elements[0].(sparql.TriplePattern)}, Sources: []string{"ep0", "ep1"}}
+	got, log, span, _ := c.run(2, false)
+	asks := 0
+	for _, q := range log {
+		if strings.HasPrefix(q, "ASK") {
+			asks++
+		}
+	}
+	if len(got) != 0 || asks != 6 || len(log) != asks {
+		t.Errorf("%d rows, %d requests of which %d ASKs; want no row and 2 ASKs per block for 3 blocks:\n%s", len(got), len(log), asks, strings.Join(log, "\n"))
+	}
+	if n := len(obs.FindAll(span, "batch")); n != 0 {
+		t.Errorf("%d batch spans, want none", n)
+	}
+}
+
+// twoSources returns a bound join of one upstream row x=a into
+// newFuncEngine's subquery over the two sources, in optional mode if
+// asked.
+func twoSources(t *testing.T, optional bool, fast, slow func(ctx context.Context) funcRows) (op.RowStream, uint32) {
+	t.Helper()
+	e, sq := newFuncEngine(t, FailFast, fast, slow)
+	dict := rdf.NewDict()
+	a := exID(dict, "a")
+	src := op.NewSlice([]string{"x"}, [][]uint32{{a}})
+	if optional {
+		return e.newOptionalStream(context.Background(), src, &optionalPlan{sq: sq}, dict), a
+	}
+	return e.newBoundJoinStream(context.Background(), src, sq, dict, nil), a
+}
+
+// A block's joined rows flow as each source decodes them: the join yields
+// the first row while the other source still holds back the rest of its
+// response.
+func TestBoundJoinFirstRowNotHeldForSlowestSource(t *testing.T) {
+	leakcheck.Check(t)
+	release := make(chan struct{})
+	var released atomic.Bool
+	safety := time.AfterFunc(10*time.Second, func() { released.Store(true); close(release) })
+	defer safety.Stop()
+	fast := func(ctx context.Context) funcRows {
+		n := 0
+		return funcRows{[]string{"x"}, func(dict *rdf.Dict) ([]uint32, error) {
+			if n++; n == 1 {
+				return []uint32{exID(dict, "a")}, nil
+			}
+			return nil, io.EOF
+		}}
+	}
+	slow := func(ctx context.Context) funcRows {
+		n := 0
+		return funcRows{[]string{"x"}, func(dict *rdf.Dict) ([]uint32, error) {
+			if n++; n == 1 {
+				return []uint32{exID(dict, "a")}, nil
+			}
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return nil, io.EOF
+		}}
+	}
+	s, a := twoSources(t, false, fast, slow)
+	defer s.Close()
+	if !s.Next() {
+		t.Fatalf("no row: %v", s.Err())
+	}
+	if released.Load() {
+		t.Fatal("the first joined row arrived only once the slow source released the rest")
+	}
+	if got := s.Row(); len(got) != 1 || got[0] != a {
+		t.Errorf("row %v, want [%d]", got, a)
+	}
+	if safety.Stop() {
+		close(release)
+	}
+	n := 1
+	for s.Next() {
+		n++
+	}
+	if err := s.Err(); err != nil || n != 2 {
+		t.Errorf("%d rows, Err %v; want one row per source", n, err)
+	}
+}
+
+// Closing a bound join after its first row, while both sources still
+// stream, stops the block's scan: Close returns and no goroutine is left,
+// in both modes.
+func TestBoundJoinCloseMidBlock(t *testing.T) {
+	for _, optional := range []bool{false, true} {
+		t.Run(fmt.Sprintf("optional=%v", optional), func(t *testing.T) {
+			leakcheck.Check(t)
+			var reads [2]atomic.Int64
+			s, a := twoSources(t, optional, endless(&reads[0]), endless(&reads[1]))
+			if !s.Next() {
+				t.Fatalf("no row: %v", s.Err())
+			}
+			if got := s.Row(); len(got) != 1 || got[0] != a {
+				t.Errorf("row %v, want [%d]", got, a)
+			}
+			if err := s.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+			if s.Next() {
+				t.Error("Next after Close")
+			}
+		})
 	}
 }

@@ -25,7 +25,8 @@ import (
 //
 // Rows are delivered as the pipeline produces them: memory stays bounded
 // by operator state (hash-table build sides up to the spill budget, one
-// VALUES block per bound join), not by the result size. Close is required
+// VALUES block and its scan's queue per bound join), not by the result
+// size. Close is required
 // on every path — it cancels in-flight endpoint work, releases spill
 // files, and finalizes the profile; abandoning a cursor without Close
 // leaks goroutines until the surrounding context ends. A cursor is not

@@ -260,7 +260,7 @@ func TestSubqueryQueryRendering(t *testing.T) {
 		},
 		Sources: []string{"ep1"},
 	}
-	q := sq.Query(nil)
+	q := sq.Query()
 	if !q.Distinct {
 		t.Error("subquery should request DISTINCT")
 	}
@@ -269,8 +269,8 @@ func TestSubqueryQueryRendering(t *testing.T) {
 		t.Errorf("subquery text does not parse: %v\n%s", err, text)
 	}
 	// With a VALUES block attached.
-	vals := &sparql.InlineData{Vars: []string{"s"}, Rows: [][]rdf.Term{{rdf.NewIRI("http://a")}}}
-	text = sq.Query(vals).String()
+	sq.Values = []sparql.InlineData{{Vars: []string{"s"}, Rows: [][]rdf.Term{{rdf.NewIRI("http://a")}}}}
+	text = sq.Query().String()
 	if !strings.Contains(text, "VALUES") {
 		t.Errorf("bound query lacks VALUES:\n%s", text)
 	}

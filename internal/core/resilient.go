@@ -4,18 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 
 	"lusail/internal/client"
-	"lusail/internal/op"
-	"lusail/internal/rdf"
 	"lusail/internal/resilience"
 	"lusail/internal/sparql"
 )
 
 // streamEndpoint issues one streaming request through the resilience
 // layer. Errors surfaced later by the returned reader are raw transport
-// errors; readRows wraps them as *client.EndpointError.
+// errors; the scan's pushers wrap them as *client.EndpointError.
 func (e *Engine) streamEndpoint(ctx context.Context, phase client.Phase, name, query string) (sparql.RowReader, error) {
 	ep := e.fed.Get(name)
 	if ep == nil {
@@ -27,44 +24,6 @@ func (e *Engine) streamEndpoint(ctx context.Context, phase client.Phase, name, q
 		return nil, &client.EndpointError{Endpoint: name, Phase: phase, Err: err}
 	}
 	return rd, nil
-}
-
-// readRows decodes an endpoint's response to its end and closes it,
-// interning its rows into dict and handing emit each one aligned to vars,
-// in a scratch row that emit copies to keep; emit returning false stops
-// the read. A failure mid-stream becomes the endpoint's EndpointError and
-// degrades like a failed request: the rows handed on are genuine
-// solutions, the endpoint's remaining contribution is lost. readRows
-// reports whether it degraded.
-func (e *Engine) readRows(ctx context.Context, phase client.Phase, name string, rd sparql.RowReader, dict *rdf.Dict, vars []string, emit func([]uint32) bool) (bool, error) {
-	defer rd.Close()
-	idx := op.VarIndexes(vars, rd.Vars())
-	ids := sparql.IDsOf(rd)
-	row := make([]uint32, len(vars))
-	for {
-		resp, err := ids.ReadIDs(dict)
-		if errors.Is(err, io.EOF) {
-			return false, nil
-		}
-		if err != nil {
-			if client.AsEndpointError(err) == nil {
-				err = &client.EndpointError{Endpoint: name, Phase: phase, Err: err}
-			}
-			if e.degrade(ctx, phase, name, err) {
-				return true, nil
-			}
-			return false, err
-		}
-		clear(row)
-		for j, id := range resp {
-			if k := idx[j]; k >= 0 {
-				row[k] = id
-			}
-		}
-		if !emit(row) {
-			return false, nil
-		}
-	}
 }
 
 // probeEndpoint issues one idempotent probe (ASK, COUNT, LIMIT-1 check)
@@ -112,18 +71,11 @@ func (e *Engine) degrade(ctx context.Context, phase client.Phase, endpoint strin
 func (e *Engine) gate() resilience.Gate { return e.res.Gate() }
 
 // onRejectDegrade returns the ForEachGated rejection callback for Degrade
-// mode — record a warning for the breaker-rejected endpoint and move on —
-// or nil in FailFast mode, making a rejection the task's error.
+// mode — degrade the breaker-rejected endpoint and move on — or nil in
+// FailFast mode, making a rejection the task's error.
 func (e *Engine) onRejectDegrade(ctx context.Context, phase client.Phase, names []string) func(i int, err error) {
 	if e.opts.OnEndpointFailure != Degrade {
 		return nil
 	}
-	return func(i int, err error) {
-		e.degraded.Inc()
-		resilience.Warn(ctx, resilience.Warning{
-			Endpoint: names[i],
-			Phase:    phase,
-			Message:  err.Error(),
-		})
-	}
+	return func(i int, err error) { e.degrade(ctx, phase, names[i], err) }
 }

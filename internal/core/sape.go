@@ -61,7 +61,10 @@ func ensureNonDelayed(sqs []*Subquery) {
 // endpoint) using the found bindings, as Algorithm 3 line 13 prescribes: an
 // ASK with the VALUES block attached prunes endpoints that cannot
 // contribute. The ASK probes cost far less than shipping bound subqueries
-// to irrelevant endpoints, as the paper verified empirically.
+// to irrelevant endpoints, as the paper verified empirically. The ASK
+// carries the block's own bindings, so when every endpoint answers false
+// the block has no solution and no source is returned; an endpoint whose
+// probe was rejected or degraded is kept.
 func (e *Engine) refineSources(ctx context.Context, sq *Subquery, shared []string, rows [][]rdf.Term) ([]string, error) {
 	if !hasVarPredicate(sq) || len(sq.Sources) < 2 {
 		return sq.Sources, nil
@@ -101,11 +104,6 @@ func (e *Engine) refineSources(ctx context.Context, sq *Subquery, shared []strin
 		if k {
 			out = append(out, sq.Sources[i])
 		}
-	}
-	if len(out) == 0 {
-		// The sample may simply miss; fall back to all sources rather than
-		// silently dropping results.
-		return sq.Sources, nil
 	}
 	return out, nil
 }

@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
+	"io"
 	"sync"
 	"sync/atomic"
 
 	"lusail/internal/client"
 	"lusail/internal/obs"
+	"lusail/internal/op"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 )
@@ -38,8 +41,8 @@ const scanBuf = 64
 // Pool discipline: a pool slot is held only while the request is issued
 // (connection + response head). Decoding runs in a per-endpoint pusher
 // goroutine outside any slot, so a slow consumer of this scan can never
-// starve other operators — bound-join dispatch, sibling scans — of slots,
-// and a PoolSize=1 engine cannot deadlock.
+// starve other scans — siblings, or a bound join's blocks — of slots, and
+// a PoolSize=1 engine cannot deadlock.
 //
 // Failure discipline: in Degrade mode an endpoint that fails — at request
 // time or mid-stream — is absorbed with a warning and its (remaining)
@@ -170,7 +173,7 @@ func (s *scanStream) drive() {
 	var first sync.Once
 	var pushErr error
 	e := s.e
-	queryText := s.sq.Query(nil).String()
+	queryText := s.sq.Query().String()
 	err := e.pool.ForEachGated(s.ctx, s.sq.Sources, e.gate(),
 		e.onRejectDegrade(s.ctx, s.phase, s.sq.Sources), func(i int) error {
 			name := s.sq.Sources[i]
@@ -202,11 +205,39 @@ func (s *scanStream) drive() {
 	s.mu.Unlock()
 }
 
-// push decodes one endpoint's response outside the pool, queueing rows
-// aligned to the scan's variables.
+// push decodes one endpoint's response outside the pool and closes it,
+// queueing rows aligned to the scan's variables. A failure mid-stream
+// degrades like a failed request: the rows queued are genuine solutions,
+// the endpoint's remaining contribution is lost.
 func (s *scanStream) push(rd sparql.RowReader, name string) error {
-	_, err := s.e.readRows(s.ctx, s.phase, name, rd, s.dict, s.vars, s.enqueue)
-	return err
+	defer rd.Close()
+	idx := op.VarIndexes(s.vars, rd.Vars())
+	ids := sparql.IDsOf(rd)
+	row := make([]uint32, len(s.vars))
+	for {
+		resp, err := ids.ReadIDs(s.dict)
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			if client.AsEndpointError(err) == nil {
+				err = &client.EndpointError{Endpoint: name, Phase: s.phase, Err: err}
+			}
+			if s.e.degrade(s.ctx, s.phase, name, err) {
+				return nil
+			}
+			return err
+		}
+		clear(row)
+		for j, id := range resp {
+			if k := idx[j]; k >= 0 {
+				row[k] = id
+			}
+		}
+		if !s.enqueue(row) {
+			return nil
+		}
+	}
 }
 
 // stop makes the pushers drop their rows and return, waking those that

@@ -57,9 +57,9 @@ func exID(dict *rdf.Dict, name string) uint32 {
 	return ids[0]
 }
 
-// newFuncScan returns a scan of the subquery {?x ex:p ex:o} over one
-// funcEndpoint per open, named ep0, ep1, ...
-func newFuncScan(t testing.TB, ctx context.Context, mode FailureMode, opens ...func(ctx context.Context) funcRows) (*scanStream, *rdf.Dict) {
+// newFuncEngine returns an engine over one funcEndpoint per open, named
+// ep0, ep1, ..., and the subquery {?x ex:p ex:o} at all of them.
+func newFuncEngine(t testing.TB, mode FailureMode, opens ...func(ctx context.Context) funcRows) (*Engine, *Subquery) {
 	t.Helper()
 	q, err := sparql.Parse(`SELECT * WHERE { ?x <http://ex/p> <http://ex/o> }`)
 	if err != nil {
@@ -73,7 +73,13 @@ func newFuncScan(t testing.TB, ctx context.Context, mode FailureMode, opens ...f
 	}
 	opts := DefaultOptions()
 	opts.OnEndpointFailure = mode
-	e := MustNew(federation.MustNew(eps...), opts)
+	return MustNew(federation.MustNew(eps...), opts), sq
+}
+
+// newFuncScan returns a scan of newFuncEngine's subquery.
+func newFuncScan(t testing.TB, ctx context.Context, mode FailureMode, opens ...func(ctx context.Context) funcRows) (*scanStream, *rdf.Dict) {
+	t.Helper()
+	e, sq := newFuncEngine(t, mode, opens...)
 	dict := rdf.NewDict()
 	return e.newScanStream(ctx, sq, client.PhaseSubquery, dict, nil), dict
 }

@@ -30,7 +30,8 @@ type Subquery struct {
 	// variable they mention is bound by Patterns).
 	Filters []sparql.Expr
 	// Values are the query's VALUES blocks pushed into the subquery (every
-	// variable they mention is bound by Patterns).
+	// variable they mention is bound by Patterns), then, in a bound join's
+	// copy for one block, the block's bindings.
 	Values []sparql.InlineData
 	// Sources are the names of the relevant endpoints.
 	Sources []string
@@ -97,9 +98,9 @@ func (sq *Subquery) SharedVars(other *Subquery) []string {
 }
 
 // Query renders the subquery as an executable SELECT projecting all its
-// variables, with its pushed VALUES blocks and optional extra VALUES
-// bindings appended (used by SAPE's bound joins).
-func (sq *Subquery) Query(values *sparql.InlineData) *sparql.Query {
+// variables, with its VALUES blocks appended (a bound-join block's
+// bindings are its last).
+func (sq *Subquery) Query() *sparql.Query {
 	q := sparql.NewSelect(sq.Vars()...)
 	q.Distinct = true
 	for _, tp := range sq.Patterns {
@@ -107,9 +108,6 @@ func (sq *Subquery) Query(values *sparql.InlineData) *sparql.Query {
 	}
 	for _, vd := range sq.Values {
 		q.Where.Elements = append(q.Where.Elements, vd)
-	}
-	if values != nil && len(values.Vars) > 0 && len(values.Rows) > 0 {
-		q.Where.Elements = append(q.Where.Elements, *values)
 	}
 	for _, f := range sq.Filters {
 		q.Where.Elements = append(q.Where.Elements, sparql.Filter{Expr: f})
