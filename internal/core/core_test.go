@@ -345,14 +345,23 @@ func TestAskForm(t *testing.T) {
 // branches run one after another and the first row ends the query, so a
 // branch after one that answers true sends nothing.
 func TestAskRequests(t *testing.T) {
+	// cold and warm are the requests when every planned request is sent.
+	// A true ASK closes the answering branch's scan at its first row, and
+	// the pool then dispatches none of that scan's requests not yet
+	// started, which is the intended early stop: that scan sends from 1
+	// to scan requests, one per relevant source, as the first row's
+	// timing falls.
+	// Planning requests, and those of a branch that answers nothing, are
+	// exact.
 	for _, tc := range []struct {
 		name, where string
 		want        bool
 		cold, warm  int64
+		scan        int64
 	}{
-		{"first branch true", `{ ?S ub:takesCourse ?C } UNION { ?P ub:PhDDegreeFrom ?U . ?U ub:takesCourse ?C }`, true, 4, 2},
-		{"second branch true", `{ ?P ub:PhDDegreeFrom ?U . ?U ub:takesCourse ?C } UNION { ?S ub:takesCourse ?C }`, true, 8, 6},
-		{"both false", `{ ?P ub:PhDDegreeFrom ?U . ?U ub:takesCourse ?C } UNION { ?S ub:advisor ?P . ?P ub:takesCourse ?C }`, false, 10, 8},
+		{"first branch true", `{ ?S ub:takesCourse ?C } UNION { ?P ub:PhDDegreeFrom ?U . ?U ub:takesCourse ?C }`, true, 4, 2, 2},
+		{"second branch true", `{ ?P ub:PhDDegreeFrom ?U . ?U ub:takesCourse ?C } UNION { ?S ub:takesCourse ?C }`, true, 8, 6, 2},
+		{"both false", `{ ?P ub:PhDDegreeFrom ?U . ?U ub:takesCourse ?C } UNION { ?S ub:advisor ?P . ?P ub:takesCourse ?C }`, false, 10, 8, 0},
 	} {
 		eps, _ := paperFederation(false)
 		var m client.Metrics
@@ -374,8 +383,9 @@ func TestAskRequests(t *testing.T) {
 			if !res.IsBoolean || res.Boolean != tc.want {
 				t.Errorf("%s %s: ASK = %+v, want %v", tc.name, run.name, res, tc.want)
 			}
-			if got := m.Snapshot().Sub(before).Requests; got != run.want {
-				t.Errorf("%s %s: %d requests, want %d", tc.name, run.name, got, run.want)
+			lo := run.want - max(tc.scan-1, 0)
+			if got := m.Snapshot().Sub(before).Requests; got < lo || got > run.want {
+				t.Errorf("%s %s: %d requests, want [%d, %d]", tc.name, run.name, got, lo, run.want)
 			}
 		}
 	}

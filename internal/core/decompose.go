@@ -274,17 +274,22 @@ func (e *Engine) componentsAsSubqueries(br *qplan.Branch, sources [][]string, g 
 // filters into conjuncts, so each conjunct goes wherever its own variables
 // are bound. Filters and VALUES blocks without variables are pushed
 // nowhere. A pushed VALUES block still joins the stream in branchStream,
-// which keeps op's join rule on UNDEF cells the only one that decides the
-// answer: the endpoint's copy only drops rows no VALUES row is compatible
-// with.
+// which keeps op's join rule on UNDEF cells, and the block's row
+// multiplicity, the only ones that decide the answer: the endpoint's copy
+// only drops rows no VALUES row is compatible with, so it carries each
+// distinct row once, and the subquery's plain SELECT ships no duplicate.
 func (e *Engine) pushDown(br *qplan.Branch, sqs []*Subquery) {
+	values := slices.Clone(br.Values)
+	for i := range values {
+		values[i].Rows = sparql.DistinctRows(values[i].Rows)
+	}
 	for _, sq := range sqs {
 		for _, f := range br.Filters {
 			if pushed(sq, f) {
 				sq.Filters = append(sq.Filters, f)
 			}
 		}
-		for _, vd := range br.Values {
+		for _, vd := range values {
 			if len(vd.Vars) > 0 && !slices.ContainsFunc(vd.Vars, func(v string) bool { return !sq.HasVar(v) }) {
 				sq.Values = append(sq.Values, vd)
 			}

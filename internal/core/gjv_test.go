@@ -261,10 +261,13 @@ func TestSubqueryQueryRendering(t *testing.T) {
 		Sources: []string{"ep1"},
 	}
 	q := sq.Query()
-	if !q.Distinct {
-		t.Error("subquery should request DISTINCT")
+	if q.Distinct {
+		t.Error("subquery requests DISTINCT; the branch tail's Dedup is the one statement of set semantics")
 	}
 	text := q.String()
+	if strings.Contains(text, "DISTINCT") {
+		t.Errorf("subquery text requests DISTINCT:\n%s", text)
+	}
 	if _, err := sparql.Parse(text); err != nil {
 		t.Errorf("subquery text does not parse: %v\n%s", err, text)
 	}

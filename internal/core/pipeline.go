@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"strconv"
 
 	"lusail/internal/client"
 	"lusail/internal/op"
@@ -168,9 +169,17 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 	// VALUES blocks from the query text join as in-memory build sides.
 	// pushDown rendered each into the subqueries that bind all of its
 	// variables, which only cut their scans; this join alone decides how
-	// UNDEF cells match.
-	for _, vd := range br.Values {
-		acc = op.HashJoin(ctx, acc, op.NewSlice(vd.Vars, op.InternRows(dict, vd.Rows)), e.join)
+	// UNDEF cells match. A VALUES block is a multiset, so each row carries
+	// its position in a hidden column (valuesTag) that the tail's Dedup
+	// sees and its Align drops: two equal rows, or two rows that UNDEF
+	// makes join a solution alike, answer twice, as over the union graph.
+	for i, vd := range br.Values {
+		rows := make([][]rdf.Term, len(vd.Rows))
+		for j, row := range vd.Rows {
+			rows[j] = append(slices.Clip(row), rdf.NewInteger(int64(j)))
+		}
+		build := op.NewSlice(append(slices.Clip(vd.Vars), valuesTag(i)), op.InternRows(dict, rows))
+		acc = op.HashJoin(ctx, acc, build, e.join)
 	}
 
 	// OPTIONAL blocks left-join the stream.
@@ -184,11 +193,18 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 	}
 
 	// The residual filters — those no subquery enforced and no keyed join
-	// applied — alignment to the branch header, and set semantics.
+	// applied — then set semantics, then alignment to the branch header.
+	// This Dedup is the engine's one statement of set semantics: the
+	// subqueries ship plain SELECTs, so the same triple held at two
+	// endpoints reaches the branch twice, and only here, over every
+	// branch variable and the VALUES tags, is it seen as a duplicate.
 	acc = op.Filter(acc, dict, residual)
-	acc = op.Align(acc, br.Vars())
-	return op.Dedup(acc)
+	return op.Align(op.Dedup(acc), br.Vars())
 }
+
+// valuesTag names the hidden column that numbers the rows of the branch's
+// i-th VALUES block; the colon keeps it apart from every SPARQL variable.
+func valuesTag(i int) string { return "lusail:values" + strconv.Itoa(i) }
 
 // orderOptionals orders OPTIONAL blocks selective first, except that a
 // block never moves ahead of an earlier one it shares a variable with that

@@ -20,6 +20,12 @@ import (
 // objects freely reference entities owned by other endpoints (the Linked
 // Data interlink model of the paper's Figure 1).
 func randomFederation(rng *rand.Rand, nEndpoints, nEntities int) ([]client.Endpoint, *store.Store) {
+	return federationOf(randomParts(rng, nEndpoints, nEntities))
+}
+
+// randomParts generates randomFederation's triples, one slice per
+// endpoint: every triple at the endpoint owning its subject.
+func randomParts(rng *rand.Rand, nEndpoints, nEntities int) [][]rdf.Triple {
 	preds := []rdf.Term{
 		rdf.NewIRI("http://ex/p0"),
 		rdf.NewIRI("http://ex/p1"),
@@ -37,10 +43,8 @@ func randomFederation(rng *rand.Rand, nEndpoints, nEntities int) ([]client.Endpo
 		owner[i] = rng.Intn(nEndpoints)
 	}
 	parts := make([][]rdf.Triple, nEndpoints)
-	oracle := store.New()
 	add := func(ep int, t rdf.Triple) {
 		parts[ep] = append(parts[ep], t)
-		oracle.Add(t)
 	}
 	for i := 0; i < nEntities; i++ {
 		ep := owner[i]
@@ -58,9 +62,17 @@ func randomFederation(rng *rand.Rand, nEndpoints, nEntities int) ([]client.Endpo
 			})
 		}
 	}
-	eps := make([]client.Endpoint, nEndpoints)
-	for i := range eps {
-		eps[i] = client.NewInProcess(fmt.Sprintf("ep%d", i), store.NewFromTriples(parts[i]))
+	return parts
+}
+
+// federationOf serves each part at its own endpoint, ep0, ep1, …, and
+// returns the endpoints with their union graph, a set.
+func federationOf(parts [][]rdf.Triple) ([]client.Endpoint, *store.Store) {
+	oracle := store.New()
+	eps := make([]client.Endpoint, len(parts))
+	for i, part := range parts {
+		oracle.AddAll(part)
+		eps[i] = client.NewInProcess(fmt.Sprintf("ep%d", i), store.NewFromTriples(part))
 	}
 	return eps, oracle
 }

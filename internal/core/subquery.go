@@ -99,10 +99,15 @@ func (sq *Subquery) SharedVars(other *Subquery) []string {
 
 // Query renders the subquery as an executable SELECT projecting all its
 // variables, with its VALUES blocks appended (a bound-join block's
-// bindings are its last).
+// bindings are its last). It is a plain SELECT, not SELECT DISTINCT: a
+// basic graph pattern over a set graph, with every variable projected, has
+// no duplicate solutions, and the pushed VALUES blocks and a bound join's
+// block carry distinct rows, so an endpoint's DISTINCT would hash every
+// row it ships and remove none. The same triple held at two endpoints
+// does answer twice, which no one endpoint can see; the branch tail's
+// op.Dedup over all the branch's variables removes those rows.
 func (sq *Subquery) Query() *sparql.Query {
 	q := sparql.NewSelect(sq.Vars()...)
-	q.Distinct = true
 	for _, tp := range sq.Patterns {
 		q.Where.Elements = append(q.Where.Elements, tp)
 	}
