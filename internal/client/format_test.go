@@ -48,6 +48,8 @@ func tsvServer(t *testing.T, contentType, body string) string {
 
 const tsvType = "text/tab-separated-values; charset=utf-8"
 
+// The client asks for TSV with back-references first, and a server that
+// offers only TSV still answers it.
 func TestHTTPAsksForTSV(t *testing.T) {
 	accept := make(chan string, 1)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -60,8 +62,8 @@ func TestHTTPAsksForTSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sparql.Negotiate(<-accept, false); got != sparql.FormatTSV {
-		t.Errorf("the client's Accept header negotiates %v, want TSV", got)
+	if got := sparql.Negotiate(<-accept, false); got != sparql.FormatTSVRefs {
+		t.Errorf("the client's Accept header negotiates %v, want TSV with back-references", got)
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0] != rdf.NewIRI("http://ex.org/a") {
 		t.Errorf("rows = %v", res.Rows)
@@ -156,13 +158,60 @@ func TestHTTPTSVConnectionCut(t *testing.T) {
 }
 
 // Without length framing a cut at a line boundary is undetectable, so such
-// a TSV response is refused outright.
+// a response in either TSV form is refused outright.
 func TestHTTPTSVCloseDelimited(t *testing.T) {
-	raw := "HTTP/1.1 200 OK\r\nContent-Type: " + tsvType + "\r\nConnection: close\r\n\r\n?x\n<http://ex.org/a>\n"
-	_, err := NewHTTP("ep", rawServer(t, raw)).QueryStream(context.Background(), "SELECT ?x WHERE { ?x ?p ?o }")
-	var ee *EndpointError
-	if !errors.As(err, &ee) || ee.Endpoint != "ep" {
-		t.Fatalf("err = %v, want *EndpointError for ep", err)
+	for _, ct := range []string{tsvType, refsType} {
+		raw := "HTTP/1.1 200 OK\r\nContent-Type: " + ct + "\r\nConnection: close\r\n\r\n?x\n<http://ex.org/a>\n#0\n"
+		_, err := NewHTTP("ep", rawServer(t, raw)).QueryStream(context.Background(), "SELECT ?x WHERE { ?x ?p ?o }")
+		var ee *EndpointError
+		if !errors.As(err, &ee) || ee.Endpoint != "ep" {
+			t.Fatalf("%s: err = %v, want *EndpointError for ep", ct, err)
+		}
+	}
+}
+
+const refsType = "text/x-lusail-tsv-refs; charset=utf-8"
+
+// Whichever of its three formats the server answers in, the client reads
+// the same rows from one request.
+func TestHTTPFormatsOneRequest(t *testing.T) {
+	a := rdf.NewIRI("http://ex.org/a")
+	for _, tc := range []struct{ contentType, body string }{
+		{refsType, "?x\t?y\n<http://ex.org/a>\t#0\n"},
+		{tsvType, "?x\t?y\n<http://ex.org/a>\t<http://ex.org/a>\n"},
+		{"application/sparql-results+json", `{"head":{"vars":["x","y"]},"results":{"bindings":[` +
+			`{"x":{"type":"uri","value":"http://ex.org/a"},"y":{"type":"uri","value":"http://ex.org/a"}}]}}`},
+	} {
+		var requests atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Add(1)
+			w.Header().Set("Content-Type", tc.contentType)
+			io.WriteString(w, tc.body)
+		}))
+		res, err := NewHTTP("ep", srv.URL).Query(context.Background(), "SELECT ?x ?y WHERE { ?x ?p ?y }")
+		srv.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.contentType, err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0] != a || res.Rows[0][1] != a || requests.Load() != 1 {
+			t.Errorf("%s: rows %v from %d requests, want [[a a]] from 1", tc.contentType, res.Rows, requests.Load())
+		}
+	}
+}
+
+// An endpoint that fails after its first rows aborts the response; the
+// client reports an error, never the rows so far as the whole answer.
+func TestHTTPTSVRefsAbortedStream(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", refsType)
+		io.WriteString(w, "?x\n<http://ex.org/a>\n#0\n")
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}))
+	defer srv.Close()
+	res, err := NewHTTP("ep", srv.URL).Query(context.Background(), "SELECT ?x WHERE { ?x ?p ?o }")
+	if err == nil {
+		t.Fatalf("aborted stream read as %d complete rows", len(res.Rows))
 	}
 }
 

@@ -19,9 +19,11 @@ import (
 // historical materialization cap.
 const DefaultMaxResponseBytes = 256 << 20
 
-// acceptResults asks for TSV, the cheaper format to write and to decode,
-// and takes JSON from endpoints that do not offer it.
-const acceptResults = "text/tab-separated-values, application/sparql-results+json;q=0.9"
+// acceptResults asks for TSV with back-references, which only this
+// module's endpoints and lusaild offer, then for TSV, the cheaper standard
+// format to write and to decode, and takes JSON from endpoints that offer
+// neither.
+const acceptResults = "text/x-lusail-tsv-refs, text/tab-separated-values;q=0.95, application/sparql-results+json;q=0.9"
 
 // acceptBoolean is the Accept header of an ASK query. SPARQL TSV has no
 // boolean form, and an endpoint that honours a TSV-first header may answer
@@ -105,9 +107,9 @@ func (e *HTTP) Query(ctx context.Context, query string) (*sparql.Results, error)
 // QueryStream implements Endpoint with the SPARQL 1.1 Protocol's "query
 // via POST directly" (§2.1.3): the query text is the request body, sent
 // as application/sparql-query, so it is never URL-encoded. It asks for
-// TSV or JSON results (JSON only for ASK) and decodes the one the
-// response's Content-Type names; any other type, or TSV without length
-// framing, is an EndpointError. It
+// TSV with back-references, TSV or JSON results (JSON only for ASK) and
+// decodes the one the response's Content-Type names; any other type, or
+// either TSV form without length framing, is an EndpointError. It
 // returns once the response head has been decoded; rows decode
 // incrementally on Read. A body larger than the configured
 // MaxResponseBytes fails the stream with an EndpointError wrapping
@@ -149,7 +151,9 @@ func (e *HTTP) QueryStream(ctx context.Context, query string) (sparql.RowReader,
 		dec, err = sparql.NewJSONDecoder(body)
 	case ok && f == sparql.FormatTSV && framed(resp):
 		dec, err = sparql.NewTSVDecoder(body)
-	case ok && f == sparql.FormatTSV:
+	case ok && f == sparql.FormatTSVRefs && framed(resp):
+		dec, err = sparql.NewTSVRefsDecoder(body)
+	case ok && (f == sparql.FormatTSV || f == sparql.FormatTSVRefs):
 		resp.Body.Close()
 		return nil, &EndpointError{Endpoint: e.name,
 			Err: errors.New("TSV response delimited by connection close: a cut at a line boundary would read as complete")}
@@ -166,8 +170,8 @@ func (e *HTTP) QueryStream(ctx context.Context, query string) (sparql.RowReader,
 // framed reports whether the transport detects a response body that ends
 // early: a short Content-Length or chunked body, an HTTP/2 stream, or a
 // gzip stream the transport decompressed all fail with
-// io.ErrUnexpectedEOF instead of a clean end. TSV, which has no closing
-// token of its own, is accepted only in such a response.
+// io.ErrUnexpectedEOF instead of a clean end. Both TSV forms, which have
+// no closing token of their own, are accepted only in such a response.
 func framed(resp *http.Response) bool {
 	return resp.ContentLength >= 0 || slices.Contains(resp.TransferEncoding, "chunked") ||
 		resp.ProtoMajor >= 2 || resp.Uncompressed

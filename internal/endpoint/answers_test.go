@@ -53,6 +53,7 @@ func answerStore() *store.Store {
 // sends.
 var answerForms = []struct{ name, query string }{
 	{"select", `SELECT ?s ?n WHERE { ?s <http://ex/name> ?n }`},
+	{"select-repeats", `SELECT ?s ?a ?c WHERE { ?s <http://ex/advisor> ?a . ?s <http://ex/takesCourse> ?c }`},
 	{"select-distinct", `SELECT DISTINCT ?a WHERE { ?s <http://ex/advisor> ?a . ?s <http://ex/takesCourse> ?c }`},
 	{"offset-limit", `SELECT ?s ?c WHERE { ?s <http://ex/takesCourse> ?c } OFFSET 1 LIMIT 2`},
 	{"order-by-unprojected", `SELECT ?s WHERE { ?s <http://ex/age> ?a } ORDER BY DESC(?a)`},
@@ -74,6 +75,7 @@ var answerForms = []struct{ name, query string }{
 var answerFormats = []struct{ name, accept string }{
 	{"json", "application/sparql-results+json"},
 	{"tsv", "text/tab-separated-values"},
+	{"tsv-refs", "text/x-lusail-tsv-refs"},
 	{"csv", "text/csv"},
 	{"xml", "application/sparql-results+xml"},
 }

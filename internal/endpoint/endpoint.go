@@ -31,10 +31,12 @@ import (
 // dataset: GET with ?query=, POST with form-encoded query, or POST with
 // Content-Type application/sparql-query. Results are returned in the
 // SPARQL 1.1 results format the Accept header asks for (sparql.Negotiate):
-// JSON by default and for ASK, TSV, CSV or XML on request. A SELECT or ASK
+// JSON by default and for ASK, TSV, CSV or XML on request, and TSV with
+// back-references for a lusail engine that names it. A SELECT or ASK
 // answer is written row by row from the evaluator's cursor (eval.Select)
 // through the format's sparql.RowWriter, as the service tier
-// (internal/server, run by `lusail serve`) writes the engine's.
+// (internal/server, run by `lusail serve`) writes the engine's; the TSV
+// writers take the cursor's id rows.
 type Handler struct {
 	name string
 	ev   *eval.Evaluator
@@ -117,7 +119,18 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		out = sparql.NewBoolWriter(w, f)
 	}
 	w.Header().Set("Content-Type", f.ContentType())
+	// A TSV writer takes the evaluator's id rows as they are: with
+	// back-references it decodes an id only at its first occurrence.
+	cur, _ := rows.(idRows)
+	iw, _ := out.(sparql.IDRowWriter)
 	for err == nil {
+		if cur != nil && iw != nil {
+			var row []uint32
+			if row, err = cur.ReadRow(); err == nil {
+				err = iw.WriteIDs(row, cur.Dict())
+			}
+			continue
+		}
 		var row []rdf.Term
 		if row, err = rows.Read(); err == nil {
 			err = out.WriteRow(row)
@@ -133,6 +146,13 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.logf("endpoint %s: stream failed: %v", h.name, err)
 		panic(http.ErrAbortHandler)
 	}
+}
+
+// idRows is eval.Select's cursor for every query it evaluates, all but an
+// index-answered COUNT: its rows read as ids that Dict decodes, 0 unbound.
+type idRows interface {
+	ReadRow() ([]uint32, error)
+	Dict() sparql.TermDict
 }
 
 // maxQueryBytes caps a POST body: parsing what fits of a longer one would

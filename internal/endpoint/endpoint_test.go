@@ -13,7 +13,9 @@ import (
 
 	"lusail/internal/catalog"
 	"lusail/internal/client"
+	"lusail/internal/eval"
 	"lusail/internal/rdf"
+	"lusail/internal/sparql"
 	"lusail/internal/store"
 )
 
@@ -235,8 +237,9 @@ func TestSummaryRoute(t *testing.T) {
 	}
 }
 
-// The engine's client gets TSV for SELECT and JSON for ASK; q-values are
-// honoured.
+// The engine's client gets TSV with back-references for SELECT and JSON
+// for ASK; its old TSV-first header, as a foreign client would send it,
+// still gets TSV; wildcards get JSON; q-values are honoured.
 func TestNegotiatedFormats(t *testing.T) {
 	ts := httptest.NewServer(NewHandler("ep1", testStore()))
 	defer ts.Close()
@@ -251,11 +254,16 @@ func TestNegotiatedFormats(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		return resp.Header.Get("Content-Type")
 	}
-	const engine = "text/tab-separated-values, application/sparql-results+json;q=0.9"
+	const (
+		engine = "text/x-lusail-tsv-refs, text/tab-separated-values;q=0.95, application/sparql-results+json;q=0.9"
+		tsv    = "text/tab-separated-values, application/sparql-results+json;q=0.9"
+	)
 	sel, ask := `SELECT ?o WHERE { <http://ex/a> <http://ex/p> ?o }`, `ASK { ?s ?p ?o }`
 	for _, tc := range []struct{ query, accept, want string }{
-		{sel, engine, "text/tab-separated-values; charset=utf-8"},
+		{sel, engine, "text/x-lusail-tsv-refs; charset=utf-8"},
+		{sel, tsv, "text/tab-separated-values; charset=utf-8"},
 		{ask, engine, "application/sparql-results+json"},
+		{ask, tsv, "application/sparql-results+json"},
 		{ask, "text/tab-separated-values", "application/sparql-results+json"},
 		{sel, "application/sparql-results+json, text/csv;q=0.1", "application/sparql-results+json"},
 		{sel, "*/*", "application/sparql-results+json"},
@@ -263,6 +271,19 @@ func TestNegotiatedFormats(t *testing.T) {
 		if got := contentType(tc.query, tc.accept); got != tc.want {
 			t.Errorf("%s with Accept %q: Content-Type %q, want %q", tc.query, tc.accept, got, tc.want)
 		}
+	}
+}
+
+// The handler writes TSV from the evaluator's id rows; a cursor that
+// stopped offering them would silently decode every cell instead.
+func TestSelectCursorReadsIDRows(t *testing.T) {
+	rows, err := eval.New(testStore()).Select(sparql.MustParse(`SELECT ?o WHERE { <http://ex/a> <http://ex/p> ?o }`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	if _, ok := rows.(idRows); !ok {
+		t.Fatalf("eval.Select returned %T, which does not read id rows", rows)
 	}
 }
 

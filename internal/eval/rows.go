@@ -158,8 +158,10 @@ func (sc *scope) InternRow(row []rdf.Term, ids []uint32) {
 	}
 }
 
-// cursor is Select's answer: the finished stream's rows, each decoded
-// into one reused buffer.
+// cursor is Select's answer for every query it evaluates, all but an
+// index-answered COUNT: the finished stream's rows, each decoded into one
+// reused buffer by Read, or left as ids by ReadRow, so a writer that keys
+// its work by id (sparql.IDRowWriter) decodes only what it writes as text.
 type cursor struct {
 	sc     *scope
 	src    op.RowStream
@@ -170,7 +172,21 @@ type cursor struct {
 func (c *cursor) Vars() []string { return c.src.Vars() }
 func (c *cursor) Close() error   { return c.src.Close() }
 
+// Dict decodes ReadRow's ids.
+func (c *cursor) Dict() sparql.TermDict { return c.sc }
+
 func (c *cursor) Read() ([]rdf.Term, error) {
+	row, err := c.ReadRow()
+	if err != nil {
+		return nil, err
+	}
+	c.buf = c.sc.Terms(row, c.buf)
+	return c.buf, nil
+}
+
+// ReadRow is Read with the row left as ids of Dict, 0 unbound; it is
+// valid until the next read.
+func (c *cursor) ReadRow() ([]uint32, error) {
 	if !c.primed && !c.src.Next() {
 		if err := c.src.Err(); err != nil {
 			return nil, err
@@ -178,8 +194,7 @@ func (c *cursor) Read() ([]rdf.Term, error) {
 		return nil, io.EOF
 	}
 	c.primed = false
-	c.buf = c.sc.Terms(c.src.Row(), c.buf)
-	return c.buf, nil
+	return c.src.Row(), nil
 }
 
 // newRow returns an unbound row carved from the scope's current slab.

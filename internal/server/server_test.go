@@ -362,7 +362,8 @@ func (rt *recordingTransport) RoundTrip(r *http.Request) (*http.Response, error)
 }
 
 // TestStreamsEngineClientTSV queries lusaild through the engine's own
-// endpoint client, which asks for TSV first: the answer must stream (a
+// endpoint client, which asks for TSV with back-references first (the
+// term-keyed path of the TSV writer): the answer must stream (a
 // body flushed before the handler finished has no Content-Length, while a
 // materialized one this small would) and hold the rows the JSON stream
 // holds.
@@ -379,8 +380,8 @@ func TestStreamsEngineClientTSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, _ := sparql.FormatOf(rt.last.Header.Get("Content-Type")); f != sparql.FormatTSV {
-		t.Errorf("Content-Type %q, want TSV", rt.last.Header.Get("Content-Type"))
+	if f, _ := sparql.FormatOf(rt.last.Header.Get("Content-Type")); f != sparql.FormatTSVRefs {
+		t.Errorf("Content-Type %q, want TSV with back-references", rt.last.Header.Get("Content-Type"))
 	}
 	if rt.last.ContentLength != -1 {
 		t.Errorf("Content-Length %d: the TSV answer was materialized, not streamed", rt.last.ContentLength)

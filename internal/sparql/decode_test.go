@@ -257,7 +257,40 @@ func FuzzTSVDecoder(f *testing.F) {
 		checkReencodes(t, doc,
 			func(rc io.ReadCloser) (RowReader, error) { return NewTSVDecoder(rc) },
 			writeTSV)
-		checkIDPath(t, doc)
+		checkIDPath(t, doc, NewTSVDecoder)
+	})
+}
+
+// FuzzTSVRefsDecoder is FuzzTSVDecoder for TSV with back-references: an
+// accepted document re-encodes to the same rows, and both read paths agree
+// on every row and on the first error, which is sticky.
+func FuzzTSVRefsDecoder(f *testing.F) {
+	for _, seed := range []string{
+		"?s\t?o\n<http://ex.org/a>\t\"x\\ty\"@en\n_:b0\t\n",
+		"$x\t$y\r\n5\ttrue\r\n-1.5e3\t\"caf\\u00E9\"^^<http://dt>\r\n",
+		"\n\n\n",
+		"?x\n<http://a/\\u0020b>\n\"\\U0001F600\"\n",
+		"?x\t?y\n<http://a>\t#0\n#0\t<http://b>\n#2\t#1\n",
+		"?x\t?y\n12\t12\n#1\t\n",
+		"?x\n<http://a>\n#1\n",
+		"?x\n<http://a>\n#\n",
+		"?x\n<http://a>\n#0x\n",
+		"?x\n<http://a>\n#99999999999999999999\n",
+		"#0\n<http://a>\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		checkReencodes(t, doc,
+			func(rc io.ReadCloser) (RowReader, error) { return NewTSVRefsDecoder(rc) },
+			func(r *Results, w io.Writer) error { return r.Write(w, FormatTSVRefs) })
+		checkIDPath(t, doc, NewTSVRefsDecoder)
+		if d, err := NewTSVRefsDecoder(io.NopCloser(bytes.NewReader(doc))); err == nil {
+			_, err := ReadAllRows(d)
+			if _, again := d.Read(); err != nil && again != err {
+				t.Fatalf("error not sticky: %v, then %v\ninput: %q", err, again, doc)
+			}
+		}
 	})
 }
 
@@ -265,9 +298,9 @@ func FuzzTSVDecoder(f *testing.F) {
 // ReadIDs into a fresh dictionary (twice over, so the second pass hits
 // every cell), and requires the ids to decode back to exactly Read's rows
 // and the same error.
-func checkIDPath(t *testing.T, doc []byte) {
+func checkIDPath(t *testing.T, doc []byte, decoder func(io.ReadCloser) (*TSVDecoder, error)) {
 	open := func() *TSVDecoder {
-		d, err := NewTSVDecoder(io.NopCloser(bytes.NewReader(doc)))
+		d, err := decoder(io.NopCloser(bytes.NewReader(doc)))
 		if err != nil {
 			return nil
 		}

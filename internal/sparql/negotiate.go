@@ -9,12 +9,19 @@ import (
 type Format int
 
 // The results formats this package writes. JSON, the zero value, is the
-// default and the only one every reader here streams besides TSV.
+// default and the only one every reader here streams besides the two TSV
+// forms.
 const (
 	FormatJSON Format = iota
 	FormatXML
 	FormatCSV
 	FormatTSV
+	// FormatTSVRefs is TSV with per-response back-references, an
+	// extension only this module's endpoints and lusaild offer: a cell
+	// that repeats one written earlier in the response may be sent as #k,
+	// the index of that earlier text cell (DESIGN.md §14). It is chosen
+	// only when a client names it.
+	FormatTSVRefs
 )
 
 // ContentType is the media type (with charset where the format needs one)
@@ -27,6 +34,8 @@ func (f Format) ContentType() string {
 		return "text/csv; charset=utf-8"
 	case FormatTSV:
 		return "text/tab-separated-values; charset=utf-8"
+	case FormatTSVRefs:
+		return "text/x-lusail-tsv-refs; charset=utf-8"
 	}
 	return "application/sparql-results+json"
 }
@@ -43,18 +52,22 @@ func FormatOf(mediaType string) (Format, bool) {
 		return FormatCSV, true
 	case "text/tab-separated-values":
 		return FormatTSV, true
+	case "text/x-lusail-tsv-refs":
+		return FormatTSVRefs, true
 	}
 	return FormatJSON, false
 }
 
 // negotiationOrder breaks ties between equally weighted formats.
-var negotiationOrder = [...]Format{FormatCSV, FormatXML, FormatTSV, FormatJSON}
+var negotiationOrder = [...]Format{FormatCSV, FormatXML, FormatTSVRefs, FormatTSV, FormatJSON}
 
 // Negotiate picks the results format for an HTTP Accept header: the
-// format with the highest q-value, ties going to CSV, XML, TSV, then JSON.
-// A wildcard range (*/* or application/*) weighs JSON only, and a missing
-// header, or one no format satisfies with q > 0, gets JSON. An ASK result
-// is always JSON: the TSV and CSV formats have no boolean form.
+// format with the highest q-value, ties going to CSV, XML, TSV with
+// back-references, TSV, then JSON. A wildcard range (*/* or application/*)
+// weighs JSON only, so TSV with back-references, which no standard client
+// reads, is chosen only when named; a missing header, or one no format
+// satisfies with q > 0, gets JSON. An ASK result is always JSON: the TSV
+// and CSV formats have no boolean form.
 func Negotiate(accept string, ask bool) Format {
 	if ask {
 		return FormatJSON

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"lusail/internal/rdf"
@@ -178,29 +179,101 @@ func BenchmarkWriteTSV(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeTSVIDs is BenchmarkDecodeTSV through the id read path
-// into a fresh dictionary per document, as one query execution interns
-// an endpoint's answer.
-func BenchmarkDecodeTSVIDs(b *testing.B) {
-	var doc bytes.Buffer
-	if err := lubmResult().Write(&doc, FormatTSV); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(doc.Len()))
-	b.ReportAllocs()
-	for range b.N {
-		rd, err := NewTSVDecoder(io.NopCloser(bytes.NewReader(doc.Bytes())))
-		if err != nil {
-			b.Fatal(err)
-		}
-		dict := rdf.NewDict()
-		for {
-			if _, err := rd.ReadIDs(dict); errors.Is(err, io.EOF) {
-				break
-			} else if err != nil {
+// tsvForms are the two TSV forms the layer benchmarks compare.
+var tsvForms = []struct {
+	name   string
+	format Format
+	decode func(io.ReadCloser) (*TSVDecoder, error)
+}{
+	{"plain", FormatTSV, NewTSVDecoder},
+	{"refs", FormatTSVRefs, NewTSVRefsDecoder},
+}
+
+// BenchmarkTSVDecode decodes lubmResult, whose advisor and course cells
+// repeat, through the engine's id read path into a warm dictionary, in
+// each TSV form.
+func BenchmarkTSVDecode(b *testing.B) {
+	res := lubmResult()
+	for _, form := range tsvForms {
+		b.Run(form.name, func(b *testing.B) {
+			var doc bytes.Buffer
+			if err := res.Write(&doc, form.format); err != nil {
 				b.Fatal(err)
 			}
-		}
-		rd.Close()
+			dict := rdf.NewDict()
+			read := func() {
+				rd, err := form.decode(io.NopCloser(bytes.NewReader(doc.Bytes())))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					if _, err := rd.ReadIDs(dict); errors.Is(err, io.EOF) {
+						break
+					} else if err != nil {
+						b.Fatal(err)
+					}
+				}
+				rd.Close()
+			}
+			read()
+			b.SetBytes(int64(doc.Len()))
+			perRow(b, len(res.Rows), read)
+		})
 	}
+}
+
+// BenchmarkTSVWrite writes lubmResult from id rows, as an endpoint
+// writes its evaluator's rows, in each TSV form.
+func BenchmarkTSVWrite(b *testing.B) {
+	res := lubmResult()
+	dict := rdf.NewDict()
+	rows := make([][]uint32, len(res.Rows))
+	for i, row := range res.Rows {
+		rows[i] = make([]uint32, len(row))
+		dict.InternRow(row, rows[i])
+	}
+	for _, form := range tsvForms {
+		b.Run(form.name, func(b *testing.B) {
+			var out countingWriter
+			write := func() {
+				w := NewRowWriter(&out, form.format, res.Vars).(IDRowWriter)
+				for _, row := range rows {
+					if err := w.WriteIDs(row, dict); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			write()
+			b.SetBytes(int64(out))
+			perRow(b, len(rows), write)
+		})
+	}
+}
+
+// countingWriter discards what it is written and counts the bytes.
+type countingWriter int64
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	*w += countingWriter(len(p))
+	return len(p), nil
+}
+
+// perRow runs body b.N times and reports ns/row and allocs/row, body
+// handling rows rows a run.
+func perRow(b *testing.B, rows int, body func()) {
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for range b.N {
+		body()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N) * float64(rows)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/row")
 }

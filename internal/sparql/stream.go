@@ -32,6 +32,22 @@ type RowWriter interface {
 	Err() error
 }
 
+// TermDict decodes the ids of an id row: id 0 is unbound, and every other
+// id names one term.
+type TermDict interface {
+	Term(id uint32) rdf.Term
+}
+
+// IDRowWriter is a RowWriter that also takes rows of ids, so a server
+// whose rows are ids decodes a cell only where the format needs its text.
+// The writers of both TSV forms implement it: with back-references, only
+// an id's first occurrence in the response is decoded and encoded.
+type IDRowWriter interface {
+	RowWriter
+	// WriteIDs appends one solution of ids that dict decodes.
+	WriteIDs(row []uint32, dict TermDict) error
+}
+
 // NewRowWriter returns the writer of a SELECT result over vars in format f.
 func NewRowWriter(w io.Writer, f Format, vars []string) RowWriter {
 	c := newChunkBuf(w)
@@ -40,8 +56,8 @@ func NewRowWriter(w io.Writer, f Format, vars []string) RowWriter {
 		return newXMLStream(c, vars)
 	case FormatCSV:
 		return newCSVStream(c, vars)
-	case FormatTSV:
-		return newTSVStream(c, vars)
+	case FormatTSV, FormatTSVRefs:
+		return newTSVStream(c, vars, f == FormatTSVRefs)
 	}
 	return newJSONStream(c, vars)
 }
@@ -203,7 +219,7 @@ func (b *boolWriter) Close() error {
 		return b.closeWith(xmlOpen + `<head></head><boolean>` + v + `</boolean></sparql>`)
 	case FormatCSV:
 		return b.closeWith("boolean\n" + v + "\n")
-	case FormatTSV:
+	case FormatTSV, FormatTSVRefs:
 		return b.closeWith("?boolean\n" + v + "\n")
 	}
 	return b.closeWith(`{"head":{},"boolean":` + v + `}`)

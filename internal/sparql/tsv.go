@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"lusail/internal/rdf"
 )
@@ -35,6 +36,14 @@ const maxTSVLineBytes = 16 << 20
 // framing reports truncation (an HTTP body with a Content-Length or chunked
 // encoding does). A row whose field count differs from the header's is an
 // error.
+//
+// A decoder made by NewTSVRefsDecoder reads TSV with back-references
+// (FormatTSVRefs): each text cell is also the next entry of the
+// response's table, and a cell #k is entry k again, k decimal and below
+// the number of text cells before it. A reference out of range or
+// malformed fails the stream like any bad cell. Such a response must be
+// read wholly through Read or wholly through ReadIDs, whose tables hold
+// terms and ids respectively.
 type TSVDecoder struct {
 	rc   io.ReadCloser
 	br   *bufio.Reader
@@ -42,14 +51,28 @@ type TSVDecoder struct {
 
 	vars  []string
 	row   []rdf.Term
-	ids   []uint32 // ReadIDs' row
-	cells [][]byte // the current line's cells
-	rows  int      // solutions decoded, for error messages
+	ids   []uint32  // ReadIDs' row
+	cells [][]byte  // the current line's cells
+	rows  int       // solutions decoded, for error messages
+	table *refTable // the back-reference table; nil for plain TSV
 
 	done   bool
 	closed bool
 	err    error
 }
+
+// refTable is the decoder's back-reference table: the terms (Read) or ids
+// (ReadIDs) of the response's text cells so far, and the current line's
+// text cells ReadIDs interns. It is recycled with the decoder, so a
+// response does not pay for a fresh table.
+type refTable struct {
+	terms []rdf.Term
+	ids   []uint32
+	text  [][]byte
+}
+
+// refTables recycles the tables of closed decoders.
+var refTables = sync.Pool{New: func() any { return new(refTable) }}
 
 // NewTSVDecoder reads the header line from rc and positions the decoder at
 // the first solution. The decoder owns rc and closes it on Close.
@@ -60,6 +83,15 @@ func NewTSVDecoder(rc io.ReadCloser) (*TSVDecoder, error) {
 		return nil, fmt.Errorf("sparql: tsv header: %w", err)
 	}
 	return d, nil
+}
+
+// NewTSVRefsDecoder is NewTSVDecoder for TSV with back-references.
+func NewTSVRefsDecoder(rc io.ReadCloser) (*TSVDecoder, error) {
+	d, err := NewTSVDecoder(rc)
+	if err == nil {
+		d.table = refTables.Get().(*refTable)
+	}
+	return d, err
 }
 
 func (d *TSVDecoder) readHeader() error {
@@ -125,18 +157,32 @@ func (d *TSVDecoder) Vars() []string { return d.vars }
 // row's terms are sliced from.
 func (d *TSVDecoder) Read() ([]rdf.Term, error) {
 	err := d.next(func(line []byte) error {
+		t := d.table
+		if t != nil && len(t.ids) > 0 {
+			return errMixedReads
+		}
 		s, off := string(line), 0
 		for i, c := range d.cells {
 			cell := s[off : off+len(c)]
-			if off += len(c) + 1; cell == "" {
+			switch off += len(c) + 1; {
+			case cell == "":
 				d.row[i] = rdf.Term{}
-				continue
+			case t != nil && cell[0] == '#':
+				k, err := tableIndex(cell, len(t.terms))
+				if err != nil {
+					return fmt.Errorf("?%s: %w", d.vars[i], err)
+				}
+				d.row[i] = t.terms[k]
+			default:
+				term, err := rdf.ParseTerm(cell)
+				if err != nil {
+					return fmt.Errorf("?%s: %w", d.vars[i], err)
+				}
+				d.row[i] = term
+				if t != nil {
+					t.terms = append(t.terms, term)
+				}
 			}
-			t, err := rdf.ParseTerm(cell)
-			if err != nil {
-				return fmt.Errorf("?%s: %w", d.vars[i], err)
-			}
-			d.row[i] = t
 		}
 		return nil
 	})
@@ -148,17 +194,103 @@ func (d *TSVDecoder) Read() ([]rdf.Term, error) {
 
 // ReadIDs implements IDReader: the cells are interned into dict straight
 // from the read buffer, so a row of terms dict holds allocates nothing.
+// With back-references only the text cells are interned; a reference
+// costs an index into the table of ids.
 func (d *TSVDecoder) ReadIDs(dict *rdf.Dict) ([]uint32, error) {
 	err := d.next(func([]byte) error {
-		if i, err := dict.InternText(d.cells, d.ids); err != nil {
-			return fmt.Errorf("?%s: %w", d.vars[i], err)
+		if d.table == nil {
+			if i, err := dict.InternText(d.cells, d.ids); err != nil {
+				return fmt.Errorf("?%s: %w", d.vars[i], err)
+			}
+			return nil
 		}
-		return nil
+		return d.internRefs(dict)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return d.ids, nil
+}
+
+// internRefs is ReadIDs on a line with back-references. A reference may
+// name a text cell earlier in the same line, so the line's text cells are
+// interned, straight into the table, before references are resolved.
+func (d *TSVDecoder) internRefs(dict *rdf.Dict) error {
+	t := d.table
+	if len(t.terms) > 0 {
+		return errMixedReads
+	}
+	first := len(t.ids)
+	t.text = t.text[:0]
+	// A bad reference stops the line, but a bad text cell before it is
+	// the error Read reports, so the text cells before it are interned
+	// first.
+	var refErr error
+cells:
+	for i, c := range d.cells {
+		switch {
+		case len(c) == 0:
+			d.ids[i] = 0
+		case c[0] == '#':
+			k, err := tableIndex(c, len(t.ids))
+			if err != nil {
+				refErr = fmt.Errorf("?%s: %w", d.vars[i], err)
+				break cells
+			}
+			d.ids[i] = uint32(k)
+		default:
+			t.text = append(t.text, c)
+			t.ids = append(t.ids, 0)
+		}
+	}
+	if len(t.text) > 0 {
+		if j, err := dict.InternText(t.text, t.ids[first:]); err != nil {
+			for i, c := range d.cells {
+				if len(c) > 0 && c[0] != '#' {
+					if j--; j < 0 {
+						return fmt.Errorf("?%s: %w", d.vars[i], err)
+					}
+				}
+			}
+		}
+	}
+	if refErr != nil {
+		return refErr
+	}
+	for i, c := range d.cells {
+		switch {
+		case len(c) == 0:
+		case c[0] == '#':
+			d.ids[i] = t.ids[d.ids[i]]
+		default:
+			d.ids[i] = t.ids[first]
+			first++
+		}
+	}
+	return nil
+}
+
+// errMixedReads fails a response with back-references read through both
+// Read and ReadIDs: the second would find the other's table.
+var errMixedReads = errors.New("a response with back-references read through both Read and ReadIDs")
+
+// tableIndex parses the back-reference cell #k against a table of n
+// entries: k must be decimal digits naming an entry.
+func tableIndex[S ~string | ~[]byte](cell S, n int) (int, error) {
+	if len(cell) < 2 {
+		return 0, errors.New("empty back-reference #")
+	}
+	k := 0
+	for _, c := range []byte(cell[1:]) {
+		if c < '0' || c > '9' {
+			return 0, fmt.Errorf("malformed back-reference %q", cell)
+		}
+		// k stays below 10n+10 and cannot overflow.
+		if k = 10*k + int(c-'0'); k >= n {
+			return 0, fmt.Errorf("back-reference %q past the table's %d entries", cell, n)
+		}
+	}
+	return k, nil
 }
 
 // next reads one solution line, slices it into d.cells, one per header
@@ -206,11 +338,19 @@ func (d *TSVDecoder) split(line []byte) error {
 	return nil
 }
 
-// Close implements RowReader.
+// Close implements RowReader. It recycles the back-reference table unless
+// a huge response grew it.
 func (d *TSVDecoder) Close() error {
 	if d.closed {
 		return nil
 	}
 	d.closed = true
+	if t := d.table; t != nil && cap(t.terms) <= maxPooledEntries && cap(t.ids) <= maxPooledEntries {
+		clear(t.terms)
+		clear(t.text[:cap(t.text)])
+		t.terms, t.ids, t.text = t.terms[:0], t.ids[:0], t.text[:0]
+		refTables.Put(t)
+	}
+	d.table = nil
 	return d.rc.Close()
 }

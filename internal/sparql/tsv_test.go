@@ -66,6 +66,7 @@ func TestTSVDecoderMalformed(t *testing.T) {
 		"\n<http://a>\n",               // any field under an empty header
 		"?x\nnot-a-term\n",
 		"?x\n\"unterminated\n",
+		"?x\n<http://a>\n#0\n", // a back-reference, which plain TSV has not
 	} {
 		d := tsvDecoderFor(t, doc)
 		_, err := ReadAllRows(d)
@@ -265,6 +266,7 @@ func TestTSVRoundTripProperty(t *testing.T) {
 
 func TestNegotiate(t *testing.T) {
 	const client = "text/tab-separated-values, application/sparql-results+json;q=0.9"
+	const engine = "text/x-lusail-tsv-refs, text/tab-separated-values;q=0.95, application/sparql-results+json;q=0.9"
 	tests := []struct {
 		accept string
 		ask    bool
@@ -295,6 +297,14 @@ func TestNegotiate(t *testing.T) {
 		{"application/sparql-results+json, text/tab-separated-values, application/xml", false, FormatXML},
 		{"application/sparql-results+json, text/tab-separated-values", false, FormatTSV},
 		{"text/csv, */*", false, FormatCSV},
+		// TSV with back-references only when named: the engine's header
+		// gets it, its old TSV-first header and wildcards do not.
+		{engine, false, FormatTSVRefs},
+		{"text/x-lusail-tsv-refs", false, FormatTSVRefs},
+		{"text/x-lusail-tsv-refs;q=0.5, text/tab-separated-values", false, FormatTSV},
+		{"text/x-lusail-tsv-refs, text/tab-separated-values", false, FormatTSVRefs},
+		{"*/*, text/tab-separated-values;q=0.5", false, FormatJSON},
+		{engine, true, FormatJSON},
 		// ASK is always JSON.
 		{client, true, FormatJSON},
 		{"text/csv", true, FormatJSON},
@@ -325,5 +335,203 @@ func TestIsAsk(t *testing.T) {
 		if got := IsAsk(q); got != want {
 			t.Errorf("IsAsk(%q) = %v, want %v", q, got, want)
 		}
+	}
+}
+
+// A repeated cell is written #k, k the index of its first text cell, only
+// when that is shorter; a repeat written as text is a table entry too.
+func TestTSVRefsWriter(t *testing.T) {
+	a, long := rdf.NewIRI("http://a"), rdf.NewLiteral("a literal longer than its reference")
+	res := NewResults([]string{"x", "y", "z", "w"})
+	res.Rows = [][]rdf.Term{
+		{rdf.NewInteger(12), rdf.NewInteger(12), a, a},
+		{long, {}, a, rdf.NewInteger(12)},
+		{long, long, rdf.NewBoolean(true), {}},
+	}
+	var refs, plain strings.Builder
+	if err := res.Write(&refs, FormatTSVRefs); err != nil {
+		t.Fatal(err)
+	}
+	const want = "?x\t?y\t?z\t?w\n" +
+		"12\t12\t<http://a>\t#2\n" +
+		"\"a literal longer than its reference\"\t\t#2\t12\n" +
+		"#3\t#3\ttrue\t\n"
+	if refs.String() != want {
+		t.Fatalf("wrote %q\nwant  %q", refs.String(), want)
+	}
+	if err := res.Write(&plain, FormatTSV); err != nil {
+		t.Fatal(err)
+	}
+	if refs.Len() >= plain.Len() {
+		t.Errorf("%d bytes with back-references, %d without", refs.Len(), plain.Len())
+	}
+	if got := readAllTSVRefs(t, refs.String()); !sameResults(got, res) {
+		t.Fatalf("round trip: %v, want %v", got.Rows, res.Rows)
+	}
+}
+
+func readAllTSVRefs(t *testing.T, doc string) *Results {
+	t.Helper()
+	d, err := NewTSVRefsDecoder(io.NopCloser(strings.NewReader(doc)))
+	if err != nil {
+		t.Fatalf("NewTSVRefsDecoder: %v", err)
+	}
+	defer d.Close()
+	res, err := ReadAllRows(d)
+	if err != nil {
+		t.Fatalf("decoding %q: %v", doc, err)
+	}
+	return res
+}
+
+// A back-reference may name a text cell earlier on its own line; both
+// read paths resolve it.
+func TestTSVRefsSameLine(t *testing.T) {
+	const doc = "?x\t?y\n<http://a>\t#0\n#0\t<http://b>\n"
+	a, b := rdf.NewIRI("http://a"), rdf.NewIRI("http://b")
+	want := [][]rdf.Term{{a, a}, {a, b}}
+	if got := readAllTSVRefs(t, doc); !reflect.DeepEqual(got.Rows, want) {
+		t.Fatalf("Read: %v, want %v", got.Rows, want)
+	}
+	d, err := NewTSVRefsDecoder(io.NopCloser(strings.NewReader(doc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	dict := rdf.NewDict()
+	for i, w := range want {
+		ids, err := d.ReadIDs(dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dict.Terms(ids, nil); !reflect.DeepEqual(got, w) {
+			t.Errorf("ReadIDs row %d: %v, want %v", i, got, w)
+		}
+	}
+}
+
+// A bad back-reference fails its line with a sticky error that names the
+// line, on both read paths, and the rows before it still decode. A
+// reference in the header is a malformed variable.
+func TestTSVRefsMalformed(t *testing.T) {
+	for _, bad := range []string{
+		"#2",                       // the table has entries 0 and 1
+		"#1\t#9",                   // the second past the table
+		"#x",                       // not a number
+		"#1a",                      // trailing garbage
+		"#",                        // empty
+		"#-1",                      // sign
+		"#99999999999999999999999", // would overflow
+		"#3\t<http://c>",           // a text cell later on its own line
+		"bad\t#9",                  // a bad text cell before a bad reference
+	} {
+		cells := strings.Count(bad, "\t") + 1
+		header, first := "?x", "<http://a>"
+		if cells == 2 {
+			header, first = "?x\t?y", "<http://a>\t<http://b>"
+		}
+		doc := header + "\n" + first + "\n" + bad + "\n"
+		d, err := NewTSVRefsDecoder(io.NopCloser(strings.NewReader(doc)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, err := NewTSVRefsDecoder(io.NopCloser(strings.NewReader(doc)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dict := rdf.NewDict()
+		if _, err := d.Read(); err != nil {
+			t.Fatalf("%q: first row: %v", doc, err)
+		}
+		if _, err := ids.ReadIDs(dict); err != nil {
+			t.Fatalf("%q: first row ids: %v", doc, err)
+		}
+		row, err := d.Read()
+		idRow, idErr := ids.ReadIDs(dict)
+		if err == nil || row != nil || idErr == nil || idRow != nil {
+			t.Errorf("%q: Read %v, %v; ReadIDs %v, %v; want errors and no row", bad, row, err, idRow, idErr)
+			continue
+		}
+		if !strings.Contains(err.Error(), "solution 2") || err.Error() != idErr.Error() {
+			t.Errorf("%q: errors %q and %q, want the same one naming solution 2", bad, err, idErr)
+		}
+		if _, again := d.Read(); again != err {
+			t.Errorf("%q: error not sticky: %v then %v", bad, err, again)
+		}
+		d.Close()
+		ids.Close()
+	}
+	if _, err := NewTSVRefsDecoder(io.NopCloser(strings.NewReader("#0\n"))); err == nil {
+		t.Error("a back-reference in the header was accepted")
+	}
+}
+
+// The two read paths keep different tables, so a response with
+// back-references read through both fails instead of misreading.
+func TestTSVRefsMixedReads(t *testing.T) {
+	d, err := NewTSVRefsDecoder(io.NopCloser(strings.NewReader("?x\n<http://a>\n#0\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.Read(); err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := d.ReadIDs(rdf.NewDict()); err == nil {
+		t.Fatalf("ReadIDs after Read = %v, want an error", ids)
+	}
+}
+
+// Property: with back-references the writer's term path (WriteRow) and id
+// path (WriteIDs over a dictionary) write the same bytes, never more than
+// plain TSV, and both read paths give the rows back, on results that
+// repeat terms within and across rows.
+func TestTSVRefsRoundTripProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(20170514))
+	for trial := 0; trial < 300; trial++ {
+		pool := make([]rdf.Term, 1+rng.Intn(6))
+		for i := range pool {
+			pool[i] = randomTSVTerm(rng)
+		}
+		res := NewResults(nil)
+		for i := rng.Intn(4); i > 0; i-- {
+			res.Vars = append(res.Vars, "v"+string(rune('a'+len(res.Vars))))
+		}
+		for i := rng.Intn(40); i > 0; i-- {
+			row := make([]rdf.Term, len(res.Vars))
+			for j := range row {
+				if rng.Intn(5) > 0 {
+					row[j] = pool[rng.Intn(len(pool))]
+				}
+			}
+			res.Rows = append(res.Rows, row)
+		}
+		var terms, plain strings.Builder
+		if err := res.Write(&terms, FormatTSVRefs); err != nil {
+			t.Fatalf("trial %d: Write: %v", trial, err)
+		}
+		if err := res.Write(&plain, FormatTSV); err != nil {
+			t.Fatal(err)
+		}
+		dict := rdf.NewDict()
+		var idDoc strings.Builder
+		w := NewRowWriter(&idDoc, FormatTSVRefs, res.Vars).(IDRowWriter)
+		for _, row := range res.Rows {
+			ids := make([]uint32, len(row))
+			dict.InternRow(row, ids)
+			if err := w.WriteIDs(ids, dict); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if idDoc.String() != terms.String() || terms.Len() > plain.Len() {
+			t.Fatalf("trial %d: WriteIDs %q\nWriteRow %q (%d bytes, plain %d)", trial, idDoc.String(), terms.String(), terms.Len(), plain.Len())
+		}
+		if got := readAllTSVRefs(t, terms.String()); !sameResults(got, res) {
+			t.Fatalf("trial %d: round trip changed the results\nwrote %q\n got %v\nwant %v", trial, terms.String(), got.Rows, res.Rows)
+		}
+		checkIDPath(t, []byte(terms.String()), NewTSVRefsDecoder)
 	}
 }
