@@ -13,7 +13,7 @@
 //	go run ./cmd/lusail-vet queries/q1.rq        # one query file
 //	go run ./cmd/lusail-vet -                    # query text on stdin
 //	go run ./cmd/lusail-vet -run lockorder,cartesian ./...
-//	go run ./cmd/lusail-vet -canon queries/q1.rq # canonical form + plan-cache key
+//	go run ./cmd/lusail-vet -canon queries/q1.rq # canonical form + result-cache key
 //	go run ./cmd/lusail-vet -list                # describe the analyzers and checks
 //
 // A directory argument loads the Go package there and the .rq files beside
@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	runList := fs.String("run", "", "comma-separated analyzer and check subset (default: all)")
 	list := fs.Bool("list", false, "list analyzers and checks and exit")
-	canon := fs.Bool("canon", false, "print each query's canonical form and plan-cache key instead of vetting")
+	canon := fs.Bool("canon", false, "print each query's canonical form and lusaild result-cache key instead of vetting")
 	corpus := fs.Bool("corpus", false, "also vet the built-in benchmark corpora (LUBM, QFed, LargeRDFBench, Bio2RDF)")
 	if err := fs.Parse(args); err != nil {
 		return 2

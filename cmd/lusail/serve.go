@@ -36,7 +36,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		return nil
 	})
 	addr := fs.String("addr", ":8094", "listen address")
-	fs.IntVar(&cfg.PlanCacheSize, "plan-cache", 256, "max cached query plans (0 disables the plan cache)")
 	fs.IntVar(&cfg.ResultCacheSize, "result-cache", 128, "max cached results (0 disables the result cache)")
 	fs.DurationVar(&cfg.ResultCacheTTL, "result-cache-ttl", 30*time.Second, "result cache entry lifetime")
 	fs.Float64Var(&cfg.DefaultTenant.RatePerSec, "rate", 0, "default tenant rate quota in queries/second (0 = unlimited)")
@@ -51,7 +50,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	if err := ef.check(); err != nil {
 		return usage(fs, err)
 	}
-	cfg.DisablePlanCache = cfg.PlanCacheSize == 0
 	cfg.DisableResultCache = cfg.ResultCacheSize == 0
 
 	eng, err := ef.engine(stderr, false)

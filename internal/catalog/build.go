@@ -165,60 +165,3 @@ func buildEndpoints(ctx context.Context, fed *federation.Federation, pool *erh.P
 		return nil
 	})
 }
-
-// Refresher periodically rebuilds stale summaries in the background and
-// persists the store after each round.
-type Refresher struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-// StartRefresher launches a background loop that, every interval, rebuilds
-// the summaries the TTL has expired and saves the store (when it has a
-// path). logf receives non-fatal errors; pass nil to discard them. Call
-// Stop to halt the loop and wait for an in-flight round to finish.
-func StartRefresher(st *Store, fed *federation.Federation, pool *erh.Pool, interval time.Duration, logf func(format string, args ...any)) *Refresher {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	r := &Refresher{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(r.done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-r.stop:
-				return
-			case <-ticker.C:
-			}
-			//lint:lusail-vet ctxflow -- detached background refresher rooted on its own stop channel, not a request
-			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				select {
-				case <-r.stop:
-					cancel()
-				case <-ctx.Done():
-				}
-			}()
-			n, err := Refresh(ctx, fed, pool, st)
-			if err != nil {
-				logf("catalog: background refresh: %v", err)
-			}
-			if n > 0 {
-				if err := st.Save(); err != nil {
-					logf("catalog: saving after refresh: %v", err)
-				}
-			}
-			cancel()
-		}
-	}()
-	return r
-}
-
-// Stop halts the refresher, cancelling an in-flight round, and waits for
-// the loop to exit.
-func (r *Refresher) Stop() {
-	close(r.stop)
-	<-r.done
-}

@@ -27,7 +27,7 @@ type file struct {
 
 // Store holds the endpoint summaries, answers tier decisions and
 // cardinality estimates, and persists itself as JSON. It is safe for
-// concurrent use: lookups may race with a background refresh.
+// concurrent use: lookups may race with a Put or a refresh.
 type Store struct {
 	mu         sync.RWMutex
 	byEndpoint map[string]*Summary

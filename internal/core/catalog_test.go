@@ -187,3 +187,36 @@ func TestStaleCatalogFallsBackToProbes(t *testing.T) {
 		t.Errorf("stale-catalog rows differ from probe path")
 	}
 }
+
+// A catalog Put moves the engine's epoch: a plan built before it is
+// stale, and one built after it is not.
+func TestCatalogPutMakesPlanStale(t *testing.T) {
+	eps, _ := paperFederation(false)
+	var list []client.Endpoint
+	for _, ep := range eps {
+		list = append(list, ep)
+	}
+	st := catalog.NewStore("", time.Hour)
+	opts := DefaultOptions()
+	opts.Catalog = st
+	e := MustNew(federation.MustNew(list...), opts)
+
+	before, err := e.PlanString(context.Background(), qa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Stale(e) {
+		t.Fatal("a plan is stale before anything changed")
+	}
+	st.Put(&catalog.Summary{Endpoint: "ghost", BuiltAt: time.Now()})
+	if !before.Stale(e) {
+		t.Errorf("plan of epoch %v is not stale at epoch %v after a catalog Put", before.Epoch(), e.Epoch())
+	}
+	after, err := e.PlanString(context.Background(), qa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Stale(e) || after.Epoch() == before.Epoch() {
+		t.Errorf("plan made after the Put: epoch %v, stale %v; the first plan's epoch %v", after.Epoch(), after.Stale(e), before.Epoch())
+	}
+}

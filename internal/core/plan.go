@@ -20,7 +20,8 @@ import (
 // equal epochs guarantee that a Plan built under one is still valid under
 // the other — decomposition and GJV analysis are deterministic per query,
 // federation, and catalog state — so epochs are the invalidation key for
-// plan and result caches layered above the engine.
+// caches layered above the engine: lusaild's result cache, or a caller's
+// own cache of Plans.
 type Epoch struct {
 	Federation uint64 `json:"federation"`
 	Catalog    uint64 `json:"catalog"`
@@ -30,7 +31,7 @@ type Epoch struct {
 func (ep Epoch) String() string { return fmt.Sprintf("fed%d/cat%d", ep.Federation, ep.Catalog) }
 
 // Epoch returns the engine's current planning epoch. It changes when the
-// catalog is updated (a background refresh, a Put, a Drop); the federation
+// catalog is updated (a refresh, a Put, a Drop); the federation
 // component is fixed for the engine's lifetime.
 func (e *Engine) Epoch() Epoch {
 	ep := Epoch{Federation: e.fed.Epoch()}
@@ -45,9 +46,10 @@ func (e *Engine) Epoch() Epoch {
 // decomposition — everything that precedes SAPE execution. A Plan is
 // immutable after Engine.Plan returns and safe to execute concurrently from
 // many goroutines: ExecutePlanStream clones the per-execution state (delay
-// decisions) instead of mutating the plan. Caching Plans across requests
-// is how a long-running service pays the planning phases once per distinct
-// query shape instead of once per call.
+// decisions) instead of mutating the plan. A caller may cache Plans
+// across requests; the engine's fact cache already answers the planning
+// requests of a shape it has planned, so such a cache saves planning CPU
+// only.
 type Plan struct {
 	query    *sparql.Query
 	epoch    Epoch

@@ -34,9 +34,6 @@ func NewSorter(dir, prefix string, budgetBytes int64) *Sorter {
 // budget. Add must not be called after Iter.
 func (s *Sorter) Add(rec []byte) error { return s.s.add(rec) }
 
-// Spilled reports whether any run file has been written so far.
-func (s *Sorter) Spilled() bool { return len(s.s.runs) > 0 }
-
 // Iter seals the sorter and returns an iterator over every distinct
 // record in sorted order. The sorter must not be reused; Close the
 // iterator to release the run files.

@@ -38,9 +38,7 @@ import (
 // (internal/server, run by `lusail serve`) writes the engine's; the TSV
 // writers take the cursor's id rows.
 type Handler struct {
-	name string
-	ev   *eval.Evaluator
-	logf func(format string, args ...any)
+	ev *eval.Evaluator
 
 	requests *obs.Counter
 	errors   *obs.Counter
@@ -56,17 +54,12 @@ func NewHandler(name string, st store.Graph) *Handler {
 	reg := obs.Default()
 	label := obs.L("endpoint", name)
 	return &Handler{
-		name:     name,
 		ev:       eval.New(st),
-		logf:     func(string, ...any) {},
 		requests: reg.Counter(obs.MetricHTTPRequests, "SPARQL protocol requests served", label),
 		errors:   reg.Counter(obs.MetricHTTPErrors, "SPARQL protocol requests rejected", label),
 		latency:  reg.Histogram(obs.MetricHTTPRequestSeconds, "SPARQL protocol request latency", obs.LatencyBuckets, label),
 	}
 }
-
-// SetLogger directs request logging to logf (default: silent).
-func (h *Handler) SetLogger(logf func(format string, args ...any)) { h.logf = logf }
 
 // fail rejects a request, counting it as an error.
 func (h *Handler) fail(w http.ResponseWriter, msg string, code int) {
@@ -93,21 +86,17 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if parsed.Form == sparql.ConstructForm {
 		triples, err := h.ev.Construct(parsed)
 		if err != nil {
-			h.logf("endpoint %s: construct error: %v", h.name, err)
 			h.fail(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		w.Header().Set("Content-Type", "application/n-triples; charset=utf-8")
-		if err := rdf.WriteNTriples(w, triples); err != nil {
-			h.logf("endpoint %s: write error: %v", h.name, err)
-		}
+		_ = rdf.WriteNTriples(w, triples) // a failed write means the client is gone
 		return
 	}
 	// eval.Select reports every error before the first row, while the
 	// writer still holds the head; a failure after it aborts.
 	rows, err := h.ev.Select(parsed)
 	if err != nil {
-		h.logf("endpoint %s: query error: %v", h.name, err)
 		h.fail(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -143,7 +132,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// Abort rather than return: a handler that returns ends a chunked
 		// body cleanly, and a TSV body cut at a line boundary would then
 		// read as a complete result.
-		h.logf("endpoint %s: stream failed: %v", h.name, err)
 		panic(http.ErrAbortHandler)
 	}
 }

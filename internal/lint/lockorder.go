@@ -20,7 +20,7 @@ re-acquired while already held (a guaranteed self-deadlock, possibly
 through a helper that locks again), and (2) cycles between lock classes
 (function f takes A then B, function g takes B then A: two goroutines
 interleaving deadlock both). Locks are classed by owning type and field
-("server.PlanCache.mu") or package-level variable; distinct instances of
+("server.ResultCache.mu") or package-level variable; distinct instances of
 one class are not ordered against each other.`,
 	Run: runLockorder,
 }
@@ -273,7 +273,7 @@ func classIsVar(class string) bool {
 }
 
 // shortClass trims the module path prefix for readable diagnostics:
-// "lusail/internal/server.PlanCache.mu" -> "server.PlanCache.mu".
+// "lusail/internal/server.ResultCache.mu" -> "server.ResultCache.mu".
 func shortClass(class string) string {
 	if i := strings.LastIndex(class, "/"); i >= 0 {
 		return class[i+1:]

@@ -70,13 +70,8 @@ const (
 	MetricHTTPErrors         = "lusail_http_errors_total"
 	MetricHTTPRequestSeconds = "lusail_http_request_seconds"
 
-	// lusaild federation service (package server): plan cache, result
-	// cache, per-tenant admission, and streaming delivery.
-	MetricPlanCacheHits        = "lusail_plan_cache_hits_total"
-	MetricPlanCacheMisses      = "lusail_plan_cache_misses_total"
-	MetricPlanCacheEvictions   = "lusail_plan_cache_evictions_total"
-	MetricPlanCacheStale       = "lusail_plan_cache_stale_total"
-	MetricPlanCacheSize        = "lusail_plan_cache_size"
+	// lusaild federation service (package server): result cache,
+	// per-tenant admission, and streaming delivery.
 	MetricResultCacheHits      = "lusail_result_cache_hits_total"
 	MetricResultCacheMisses    = "lusail_result_cache_misses_total"
 	MetricResultCacheEvictions = "lusail_result_cache_evictions_total"
@@ -92,6 +87,13 @@ const (
 	MetricAdmissionInFlight    = "lusail_admission_in_flight"
 	MetricAdmissionQueued      = "lusail_admission_queued"
 	MetricAdmissionWaitSeconds = "lusail_admission_wait_seconds"
+
+	// The series of lusaild's former plan cache. Nothing registers them
+	// any more; each is read only by the benchmark module, which keeps
+	// them until it drops its "plan" sample class (ROADMAP item 1).
+	MetricPlanCacheHits   = "lusail_plan_cache_hits_total"   // read only by the benchmark
+	MetricPlanCacheMisses = "lusail_plan_cache_misses_total" // read only by the benchmark
+	MetricPlanCacheStale  = "lusail_plan_cache_stale_total"  // read only by the benchmark
 )
 
 // Fixed bucket layouts for the engine's histograms. Request latencies span

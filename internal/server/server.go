@@ -1,3 +1,12 @@
+// Package server is lusaild, the service tier that `lusail serve` runs: a
+// long-running, multi-tenant HTTP service exposing a Lusail engine over the
+// SPARQL 1.1 protocol. Around the engine it layers the pieces a shared
+// federation deployment needs: a bounded result cache for repeated queries
+// of one canonical shape, per-tenant admission control (token-bucket
+// quotas, a concurrency gate above the shared ERH pool, and queue-depth
+// load shedding), and incremental result streaming with client-disconnect
+// cancellation. It keeps no plans: the engine's fact cache already answers
+// the planning requests of every shape it has planned.
 package server
 
 import (
@@ -28,10 +37,12 @@ type Config struct {
 	// Engine is the federated engine to expose (required).
 	Engine *core.Engine
 
-	// PlanCacheSize bounds the plan cache (<=0: 256). DisablePlanCache
-	// plans every request from scratch (the bench's cache-off arm).
-	PlanCacheSize    int
-	DisablePlanCache bool
+	// PlanCacheSize is ignored: lusaild caches results only, and the
+	// engine's fact cache already spares every planning request.
+	//
+	// Deprecated: ignored. Kept for the benchmark module, which sets it,
+	// until the benchmark drops it (ROADMAP item 1).
+	PlanCacheSize int
 
 	// ResultCacheSize / ResultCacheMaxRows / ResultCacheTTL bound the
 	// result cache (defaults 128 entries × 10000 rows × 30s).
@@ -60,14 +71,13 @@ type Config struct {
 }
 
 // Server is a running lusaild instance: the SPARQL protocol on /sparql,
-// health on /healthz, Prometheus text on /metrics, cache/tenant inspection
+// health on /healthz, Prometheus text on /metrics, tenant inspection
 // under /admin/, and pprof under /debug/pprof/.
 type Server struct {
 	URL string // http://host:port/sparql
 
 	eng     *core.Engine
-	plans   *PlanCache // nil when disabled
-	results *ResultCache
+	results *ResultCache // nil when disabled
 	adm     *Admission
 	cfg     Config
 	mux     *http.ServeMux
@@ -77,6 +87,7 @@ type Server struct {
 	queries     *obs.Counter
 	errs        *obs.Counter
 	querySecs   *obs.Histogram
+	planSecs    *obs.Histogram
 	rows        *obs.Counter
 	disconnects *obs.Counter
 }
@@ -101,11 +112,9 @@ func New(cfg Config) (*Server, error) {
 		queries:     reg.Counter(obs.MetricServerQueries, "queries received by lusaild"),
 		errs:        reg.Counter(obs.MetricServerErrors, "queries rejected or failed in lusaild"),
 		querySecs:   reg.Histogram(obs.MetricServerQuerySeconds, "end-to-end lusaild query latency", obs.LatencyBuckets),
+		planSecs:    reg.Histogram(obs.MetricServerPlanSeconds, "planning latency on result cache misses", obs.LatencyBuckets),
 		rows:        reg.Counter(obs.MetricServerRowsStreamed, "result rows streamed to clients"),
 		disconnects: reg.Counter(obs.MetricServerDisconnects, "queries cancelled by client disconnect"),
-	}
-	if !cfg.DisablePlanCache {
-		s.plans = NewPlanCache(cfg.Engine, cfg.PlanCacheSize)
 	}
 	if !cfg.DisableResultCache {
 		s.results = NewResultCache(cfg.ResultCacheSize, cfg.ResultCacheMaxRows, cfg.ResultCacheTTL)
@@ -116,7 +125,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.Handle("/metrics", obs.Default().MetricsHandler())
 	mux.Handle("/debug/federation", obs.Default().DebugHandler())
-	mux.HandleFunc("/admin/plancache", s.handleAdminPlanCache)
 	mux.HandleFunc("/admin/tenants", s.handleAdminTenants)
 	// pprof registers on DefaultServeMux only via its init; a custom mux
 	// needs the handlers wired explicitly.
@@ -138,9 +146,6 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// PlanCache returns the server's plan cache (nil when disabled).
-func (s *Server) PlanCache() *PlanCache { return s.plans }
 
 // Admission returns the server's admission controller.
 func (s *Server) Admission() *Admission { return s.adm }
@@ -332,10 +337,12 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The sema canonical form is the cache key: it normalizes whitespace,
-	// prefix declarations, commutative pattern order, and internal variable
-	// names, so every spelling of one query shares one plan and one cached
-	// result. The canonical text is what gets planned on a miss.
+	// The sema canonical form is the result cache key: it normalizes
+	// whitespace, prefix declarations, commutative pattern order, and
+	// internal variable names, so every spelling of one query shares one
+	// cached result. The canonical text is what gets planned on a miss;
+	// the engine's fact cache answers the planning requests of any shape
+	// it has planned before.
 	canonical := sema.CanonicalText(parsed)
 	key := sema.KeyOf(canonical)
 	if len(semaWarnings) > 0 {
@@ -351,22 +358,13 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	var plan *core.Plan
-	var hit bool
-	if s.plans != nil {
-		plan, hit, err = s.plans.Get(ctx, key, canonical)
-	} else {
-		plan, err = s.eng.Plan(ctx, parsed)
-	}
+	t0 := time.Now()
+	plan, err := s.eng.PlanString(ctx, canonical)
 	if err != nil {
 		s.queryError(w, ctx, fmt.Errorf("planning: %w", err))
 		return
 	}
-	if hit {
-		w.Header().Set("X-Lusail-Plan-Cache", "hit")
-	} else {
-		w.Header().Set("X-Lusail-Plan-Cache", "miss")
-	}
+	s.planSecs.Observe(time.Since(t0).Seconds())
 
 	s.execute(ctx, w, format, plan, parsed.Form == sparql.AskForm, key, epoch)
 }
@@ -505,21 +503,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"endpoints": s.eng.Federation().Size(),
 		"epoch":     s.eng.Epoch(),
 	})
-}
-
-// handleAdminPlanCache serves the plan cache contents.
-func (s *Server) handleAdminPlanCache(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	body := map[string]any{"epoch": s.eng.Epoch()}
-	if s.plans != nil {
-		body["enabled"] = true
-		body["plans"] = s.plans.Snapshot()
-	} else {
-		body["enabled"] = false
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
 }
 
 // handleAdminTenants serves per-tenant admission state.

@@ -19,6 +19,7 @@ import (
 	"lusail/internal/client"
 	"lusail/internal/core"
 	"lusail/internal/eval"
+	"lusail/internal/federation"
 	"lusail/internal/lint/leakcheck"
 	"lusail/internal/resilience"
 	"lusail/internal/server"
@@ -66,11 +67,12 @@ func startServer(t *testing.T, eng *core.Engine, mutate func(*server.Config)) *s
 
 func testQuery() string { return bench.LUBMQueries()[0].Text }
 
-func get(t *testing.T, rawURL string, header map[string]string) (*http.Response, []byte) {
-	t.Helper()
+// fetch GETs rawURL and reads the body. Unlike get it may run on any
+// goroutine.
+func fetch(rawURL string, header map[string]string) (*http.Response, []byte, error) {
 	req, err := http.NewRequest(http.MethodGet, rawURL, nil)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	for k, v := range header {
 		req.Header.Set(k, v)
@@ -78,37 +80,142 @@ func get(t *testing.T, rawURL string, header map[string]string) (*http.Response,
 	client := &http.Client{Timeout: 30 * time.Second}
 	resp, err := client.Do(req)
 	if err != nil {
-		t.Fatalf("GET %s: %v", rawURL, err)
+		return nil, nil, fmt.Errorf("GET %s: %w", rawURL, err)
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		t.Fatalf("reading body: %v", err)
+		return nil, nil, fmt.Errorf("reading body: %w", err)
+	}
+	return resp, body, nil
+}
+
+func get(t *testing.T, rawURL string, header map[string]string) (*http.Response, []byte) {
+	t.Helper()
+	resp, body, err := fetch(rawURL, header)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return resp, body
 }
 
-// TestConcurrentSameShapeSingleFlight exercises the plan cache's single-
-// flight path: many concurrent requests for one query shape must plan it
-// exactly once, and every response must be a valid streamed JSON document.
-// Run under -race this also checks the cache's locking.
-func TestConcurrentSameShapeSingleFlight(t *testing.T) {
-	eng := sharedFed(t).NewLusail(core.DefaultOptions())
+// countedEngine returns a fresh engine, so its fact cache is cold, over
+// the shared federation's endpoints, each passed through wrap (when
+// non-nil) and wrapped to count its own requests.
+func countedEngine(t *testing.T, wrap func(client.Endpoint) client.Endpoint) (*core.Engine, map[string]*client.Metrics) {
+	t.Helper()
+	counts := map[string]*client.Metrics{}
+	var eps []client.Endpoint
+	for _, ep := range sharedFed(t).Federation.Endpoints() {
+		if wrap != nil {
+			ep = wrap(ep)
+		}
+		m := &client.Metrics{}
+		counts[ep.Name()] = m
+		eps = append(eps, client.NewInstrumented(ep, m))
+	}
+	return core.MustNew(federation.MustNew(eps...), core.DefaultOptions()), counts
+}
+
+// requests reads each endpoint's request count.
+func requests(counts map[string]*client.Metrics) map[string]int64 {
+	out := map[string]int64{}
+	for name, m := range counts {
+		out[name] = m.Requests.Load()
+	}
+	return out
+}
+
+// barrier holds an endpoint's first n requests until all n have arrived.
+// n concurrent cold queries therefore all send their first planning
+// request before any of them learns a fact.
+type barrier struct {
+	client.Endpoint
+	n int
+
+	mu      sync.Mutex
+	arrived int
+	all     chan struct{}
+}
+
+func newBarrier(ep client.Endpoint, n int) *barrier {
+	return &barrier{Endpoint: ep, n: n, all: make(chan struct{})}
+}
+
+func (b *barrier) QueryStream(ctx context.Context, q string) (sparql.RowReader, error) {
+	b.mu.Lock()
+	b.arrived++
+	held := b.arrived <= b.n
+	if b.arrived == b.n {
+		close(b.all)
+	}
+	b.mu.Unlock()
+	if held {
+		select {
+		case <-b.all:
+		case <-time.After(10 * time.Second):
+			return nil, fmt.Errorf("%s: fewer than %d requests reached the barrier", b.Name(), b.n)
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return b.Endpoint.QueryStream(ctx, q)
+}
+
+func (b *barrier) Query(ctx context.Context, q string) (*sparql.Results, error) {
+	return client.Collect(ctx, b, q)
+}
+
+// TestConcurrentColdSameShape sends one query shape 8 times at once to a
+// cold lusaild with the result cache off: every response must be a valid
+// streamed JSON document. lusaild does not single-flight planning, so the
+// 8 cold requests each send one cold plan's planning requests; once the
+// engine's fact cache holds the shape's facts, a 9th sends none. Run
+// under -race.
+func TestConcurrentColdSameShape(t *testing.T) {
+	const n = 8
+	canonical := sema.CanonicalText(sparql.MustParse(testQuery()))
+
+	// One cold plan's planning requests per endpoint, and one execution's.
+	eng, counts := countedEngine(t, nil)
+	plan, err := eng.PlanString(context.Background(), canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planning := requests(counts)
+	rows, err := eng.ExecutePlanStream(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	execution := requests(counts)
+	for name := range execution {
+		execution[name] -= planning[name]
+	}
+
+	eng, counts = countedEngine(t, func(ep client.Endpoint) client.Endpoint { return newBarrier(ep, n) })
 	srv := startServer(t, eng, func(cfg *server.Config) {
-		cfg.DisableResultCache = true // isolate the plan cache
+		cfg.DisableResultCache = true
 		cfg.DefaultTenant = server.TenantConfig{MaxConcurrent: 16}
 	})
 	u := srv.URL + "?query=" + url.QueryEscape(testQuery())
 
-	const n = 8
 	var mu sync.Mutex
-	misses, rows := 0, 0
+	answered := 0
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, body := get(t, u, nil)
+			resp, body, err := fetch(u, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("status %d: %s", resp.StatusCode, body)
 				return
@@ -119,44 +226,47 @@ func TestConcurrentSameShapeSingleFlight(t *testing.T) {
 				return
 			}
 			mu.Lock()
-			rows += res.Len()
-			if resp.Header.Get("X-Lusail-Plan-Cache") == "miss" {
-				misses++
-			}
+			answered += res.Len()
 			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	if misses != 1 {
-		t.Errorf("plan-cache misses = %d, want exactly 1 (single flight)", misses)
-	}
-	if srv.PlanCache().Len() != 1 {
-		t.Errorf("plan cache holds %d plans, want 1", srv.PlanCache().Len())
-	}
-	if rows == 0 {
+	if answered == 0 {
 		t.Error("all responses were empty; expected LUBM results")
+	}
+	got := requests(counts)
+	for name, p := range planning {
+		if want := n * (p + execution[name]); got[name] != want {
+			t.Errorf("%s: %d requests, want %d: %d cold plans of %d planning requests and %d executions of %d",
+				name, got[name], want, n, p, n, execution[name])
+		}
+	}
+
+	if resp, body := get(t, u, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm request: status %d: %s", resp.StatusCode, body)
+	}
+	warm := requests(counts)
+	for name := range warm {
+		if d := warm[name] - got[name]; d != execution[name] {
+			t.Errorf("%s: warm request sent %d requests, want the execution's %d and no planning", name, d, execution[name])
+		}
 	}
 }
 
-// TestPlanCacheEpochInvalidation checks that a catalog update bumps the
-// engine's epoch and forces cached plans to be rebuilt.
-func TestPlanCacheEpochInvalidation(t *testing.T) {
+// TestCatalogPutInvalidatesResultHit checks that a catalog update bumps the
+// engine's epoch and so turns a result hit into a miss.
+func TestCatalogPutInvalidatesResultHit(t *testing.T) {
 	cat := catalog.NewStore("", 0)
 	opts := core.DefaultOptions()
 	opts.Catalog = cat
 	eng := sharedFed(t).NewLusail(opts)
-	srv := startServer(t, eng, func(cfg *server.Config) {
-		cfg.DisableResultCache = true
-	})
+	srv := startServer(t, eng, nil)
 	u := srv.URL + "?query=" + url.QueryEscape(testQuery())
 
-	resp, _ := get(t, u, nil)
-	if got := resp.Header.Get("X-Lusail-Plan-Cache"); got != "miss" {
-		t.Fatalf("first request: plan cache %q, want miss", got)
-	}
-	resp, _ = get(t, u, nil)
-	if got := resp.Header.Get("X-Lusail-Plan-Cache"); got != "hit" {
-		t.Fatalf("second request: plan cache %q, want hit", got)
+	for i, want := range []string{"", "result-hit"} {
+		if resp, _ := get(t, u, nil); resp.Header.Get("X-Lusail-Cache") != want {
+			t.Fatalf("request %d: X-Lusail-Cache=%q, want %q", i, resp.Header.Get("X-Lusail-Cache"), want)
+		}
 	}
 
 	before := eng.Epoch()
@@ -167,13 +277,10 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 		t.Fatal("catalog Put did not change the engine epoch")
 	}
 
-	resp, _ = get(t, u, nil)
-	if got := resp.Header.Get("X-Lusail-Plan-Cache"); got != "miss" {
-		t.Fatalf("post-bump request: plan cache %q, want miss (stale plan rebuilt)", got)
-	}
-	resp, _ = get(t, u, nil)
-	if got := resp.Header.Get("X-Lusail-Plan-Cache"); got != "hit" {
-		t.Fatalf("post-rebuild request: plan cache %q, want hit", got)
+	for i, want := range []string{"", "result-hit"} {
+		if resp, _ := get(t, u, nil); resp.Header.Get("X-Lusail-Cache") != want {
+			t.Fatalf("post-bump request %d: X-Lusail-Cache=%q, want %q", i, resp.Header.Get("X-Lusail-Cache"), want)
+		}
 	}
 }
 
@@ -410,54 +517,13 @@ func TestStreamsEngineClientTSV(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDirectSingleFlight hits the cache API without HTTP: all
-// concurrent getters of one shape must receive the identical *core.Plan.
-func TestPlanCacheDirectSingleFlight(t *testing.T) {
-	eng := sharedFed(t).NewLusail(core.DefaultOptions())
-	pc := server.NewPlanCache(eng, 8)
-	parsed, err := sparql.Parse(testQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	canonical := sema.CanonicalText(parsed)
-	key := sema.KeyOf(canonical)
-
-	const n = 16
-	plans := make([]*core.Plan, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p, _, err := pc.Get(context.Background(), key, canonical)
-			if err != nil {
-				t.Errorf("get %d: %v", i, err)
-				return
-			}
-			plans[i] = p
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < n; i++ {
-		if plans[i] != plans[0] || plans[i] == nil {
-			t.Fatalf("getter %d received a different plan (%p vs %p)", i, plans[i], plans[0])
-		}
-	}
-	if pc.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", pc.Len())
-	}
-}
-
-// TestCanonicalKeyHitRate proves the plan cache keys on the sema canonical
-// form: the same LUBM shape spelled with different whitespace, prefix
-// names, pattern order, and variable names must build exactly one plan —
-// the second spelling is a hit.
+// TestCanonicalKeyHitRate proves the result cache keys on the sema
+// canonical form: the same LUBM shape spelled with different whitespace,
+// prefix names, pattern order, and variable names is answered from the
+// first spelling's result. With the result cache off, each spelling on a
+// cold engine plans the same canonical text: both send the same requests
+// to every endpoint and return the same rows.
 func TestCanonicalKeyHitRate(t *testing.T) {
-	eng := sharedFed(t).NewLusail(core.DefaultOptions())
-	srv := startServer(t, eng, func(cfg *server.Config) {
-		cfg.DisableResultCache = true // the plan cache is under test
-	})
-
 	spellingA := `PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
 PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
 SELECT ?X WHERE {
@@ -472,33 +538,42 @@ WHERE {
 	?X   uni:undergraduateDegreeFrom   <http://www.University0.edu> .
 	?X <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> uni:GraduateStudent
 }`
-
-	respA, bodyA := get(t, srv.URL+"?query="+url.QueryEscape(spellingA), nil)
-	if respA.StatusCode != http.StatusOK {
-		t.Fatalf("spelling A: status %d: %s", respA.StatusCode, bodyA)
-	}
-	if got := respA.Header.Get("X-Lusail-Plan-Cache"); got != "miss" {
-		t.Fatalf("spelling A: X-Lusail-Plan-Cache=%q, want miss", got)
-	}
-	respB, bodyB := get(t, srv.URL+"?query="+url.QueryEscape(spellingB), nil)
-	if respB.StatusCode != http.StatusOK {
-		t.Fatalf("spelling B: status %d: %s", respB.StatusCode, bodyB)
-	}
-	if got := respB.Header.Get("X-Lusail-Plan-Cache"); got != "hit" {
-		t.Errorf("spelling B: X-Lusail-Plan-Cache=%q, want hit (canonical keying)", got)
-	}
-	if srv.PlanCache().Len() != 1 {
-		t.Errorf("plan cache holds %d plans, want 1", srv.PlanCache().Len())
+	query := func(srv *server.Server, q string) (*http.Response, *sparql.Results) {
+		t.Helper()
+		resp, body := get(t, srv.URL+"?query="+url.QueryEscape(q), nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		res, err := sparql.ParseResultsJSON(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Sort()
+		return resp, res
 	}
 
-	// Both spellings must return the same rows.
-	resA, errA := sparql.ParseResultsJSON(bodyA)
-	resB, errB := sparql.ParseResultsJSON(bodyB)
-	if errA != nil || errB != nil {
-		t.Fatalf("parsing results: %v / %v", errA, errB)
+	srv := startServer(t, sharedFed(t).NewLusail(core.DefaultOptions()), nil)
+	if resp, _ := query(srv, spellingA); resp.Header.Get("X-Lusail-Cache") != "" {
+		t.Fatalf("spelling A: X-Lusail-Cache=%q, want a miss", resp.Header.Get("X-Lusail-Cache"))
 	}
-	if resA.Len() != resB.Len() {
-		t.Errorf("spellings returned different row counts: %d vs %d", resA.Len(), resB.Len())
+	if resp, _ := query(srv, spellingB); resp.Header.Get("X-Lusail-Cache") != "result-hit" {
+		t.Errorf("spelling B: X-Lusail-Cache=%q, want result-hit (canonical keying)", resp.Header.Get("X-Lusail-Cache"))
+	}
+
+	var sent []map[string]int64
+	var answers []*sparql.Results
+	for _, q := range []string{spellingA, spellingB} {
+		eng, counts := countedEngine(t, nil)
+		srv := startServer(t, eng, func(cfg *server.Config) { cfg.DisableResultCache = true })
+		_, res := query(srv, q)
+		sent = append(sent, requests(counts))
+		answers = append(answers, res)
+	}
+	if !maps.Equal(sent[0], sent[1]) {
+		t.Errorf("per-endpoint requests: spelling A %v, spelling B %v", sent[0], sent[1])
+	}
+	if answers[0].Len() == 0 || !reflect.DeepEqual(answers[0].Rows, answers[1].Rows) {
+		t.Errorf("spelling A returned %d rows, spelling B %d, or they differ", answers[0].Len(), answers[1].Len())
 	}
 }
 
@@ -601,7 +676,11 @@ func TestConcurrentShapesShareOneDict(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			i := n % len(queries)
-			resp, body := get(t, srv.URL+"?query="+url.QueryEscape(queries[i].Text), nil)
+			resp, body, err := fetch(srv.URL+"?query="+url.QueryEscape(queries[i].Text), nil)
+			if err != nil {
+				t.Errorf("%s: %v", queries[i].Name, err)
+				return
+			}
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("%s: status %d: %s", queries[i].Name, resp.StatusCode, body)
 				return

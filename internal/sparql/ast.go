@@ -151,14 +151,6 @@ func (g *GroupPattern) TriplePatterns() []TriplePattern {
 	return out
 }
 
-// AllTriplePatterns returns every triple pattern in the group, descending
-// into OPTIONAL, UNION, and sub-select blocks.
-func (g *GroupPattern) AllTriplePatterns() []TriplePattern {
-	var out []TriplePattern
-	g.walk(func(tp TriplePattern) { out = append(out, tp) })
-	return out
-}
-
 func (g *GroupPattern) walk(fn func(TriplePattern)) {
 	for _, e := range g.Elements {
 		switch e := e.(type) {

@@ -12,7 +12,7 @@ import (
 // the parser accepts must serialize to text the parser accepts again, and
 // the reparsed AST (positions stripped) must be structurally identical to
 // the first. A divergence here means the serializer loses information or
-// the parser is whitespace-sensitive — either breaks canonical plan-cache
+// the parser is whitespace-sensitive — either breaks canonical result-cache
 // keys, which hash serialized canonical text.
 func FuzzParseRoundTrip(f *testing.F) {
 	for _, corpus := range [][]bench.Query{

@@ -14,13 +14,13 @@ import (
 // syntactic spellings of the same query — different whitespace, prefix
 // declarations, join-commutative pattern order, union branch order, or
 // internal variable names — serialize identically. The sha256 of the
-// canonical text is the plan-cache key (server.PlanCache), so spelling
-// variants share one cached plan.
+// canonical text is lusaild's result-cache key (server.ResultCache), so
+// spelling variants share one cached result.
 //
 // Soundness direction matters: the canonical form must never merge two
 // queries with different semantics (a false merge serves wrong answers
 // from the cache); failing to merge two equivalent queries only costs a
-// duplicate plan build. Every transformation below is therefore
+// duplicate execution. Every transformation below is therefore
 // individually row-multiset-preserving:
 //
 //   - whitespace/prefix normalization: Query.String always emits absolute
@@ -54,7 +54,7 @@ func CanonicalText(q *sparql.Query) string {
 	return canonicalQuery(q).String()
 }
 
-// Key returns the plan-cache key for the query: the hex sha256 of its
+// Key returns the result-cache key for the query: the hex sha256 of its
 // canonical text.
 func Key(q *sparql.Query) string {
 	return KeyOf(CanonicalText(q))

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"lusail/internal/rdf"
 )
@@ -71,8 +73,14 @@ type refTable struct {
 	text  [][]byte
 }
 
-// refTables recycles the tables of closed decoders.
-var refTables = sync.Pool{New: func() any { return new(refTable) }}
+// refTables recycles the tables of closed decoders. refHigh is the most
+// ids a closed decoder's table held, at most maxPooledEntries: a shorter
+// table, such as one the pool made afresh after a GC emptied it, grows to
+// it at once rather than doubling its way up through a large response.
+var (
+	refTables = sync.Pool{New: func() any { return new(refTable) }}
+	refHigh   atomic.Int64
+)
 
 // NewTSVDecoder reads the header line from rc and positions the decoder at
 // the first solution. The decoder owns rc and closes it on Close.
@@ -221,6 +229,9 @@ func (d *TSVDecoder) internRefs(dict *rdf.Dict) error {
 		return errMixedReads
 	}
 	first := len(t.ids)
+	if need := first + len(d.cells); need > cap(t.ids) {
+		t.ids = slices.Grow(t.ids, max(need, int(refHigh.Load()))-first)
+	}
 	t.text = t.text[:0]
 	// A bad reference stops the line, but a bad text cell before it is
 	// the error Read reports, so the text cells before it are interned
@@ -345,11 +356,18 @@ func (d *TSVDecoder) Close() error {
 		return nil
 	}
 	d.closed = true
-	if t := d.table; t != nil && cap(t.terms) <= maxPooledEntries && cap(t.ids) <= maxPooledEntries {
-		clear(t.terms)
-		clear(t.text[:cap(t.text)])
-		t.terms, t.ids, t.text = t.terms[:0], t.ids[:0], t.text[:0]
-		refTables.Put(t)
+	if t := d.table; t != nil {
+		for n := min(int64(len(t.ids)), maxPooledEntries); ; {
+			if high := refHigh.Load(); n <= high || refHigh.CompareAndSwap(high, n) {
+				break
+			}
+		}
+		if cap(t.terms) <= maxPooledEntries && cap(t.ids) <= maxPooledEntries {
+			clear(t.terms)
+			clear(t.text[:cap(t.text)])
+			t.terms, t.ids, t.text = t.terms[:0], t.ids[:0], t.text[:0]
+			refTables.Put(t)
+		}
 	}
 	d.table = nil
 	return d.rc.Close()

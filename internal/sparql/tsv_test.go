@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math/rand"
@@ -479,6 +480,47 @@ func TestTSVRefsMixedReads(t *testing.T) {
 	}
 	if ids, err := d.ReadIDs(rdf.NewDict()); err == nil {
 		t.Fatalf("ReadIDs after Read = %v, want an error", ids)
+	}
+}
+
+// A table the pool made afresh, as after a GC emptied the pool, grows
+// once, to the largest table a response used before, and not step by step
+// through a large response: decoding a large response allocates no more
+// than decoding a four-row one.
+func TestTSVRefsTableGrowsOnce(t *testing.T) {
+	dict := rdf.NewDict()
+	allocs := func(res *Results) float64 {
+		var doc bytes.Buffer
+		if err := res.Write(&doc, FormatTSVRefs); err != nil {
+			t.Fatal(err)
+		}
+		read := func() {
+			d, err := NewTSVRefsDecoder(io.NopCloser(bytes.NewReader(doc.Bytes())))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if _, err := d.ReadIDs(dict); errors.Is(err, io.EOF) {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			d.Close()
+		}
+		read() // interns every term and records the table's size
+		return testing.AllocsPerRun(20, func() {
+			refTables.Get() // drop the pooled table
+			read()
+		})
+	}
+	large := lubmResult()
+	small := &Results{Vars: large.Vars, Rows: large.Rows[:4]}
+	// A race build's pool drops some tables on Put, which costs the next
+	// Get one allocation now and then.
+	if a, b := allocs(large), allocs(small); a > b+1 {
+		t.Errorf("a %d-row response allocates %.1f times per decode, a %d-row one %.1f: the table regrew",
+			len(large.Rows), a, len(small.Rows), b)
 	}
 }
 

@@ -117,8 +117,10 @@ type (
 	Rows = core.Rows
 	// Plan is a reusable execution plan: the output of source selection and
 	// LADE analysis for one query, executable many times with
-	// Engine.ExecutePlanStream. Services cache Plans keyed on query shape
-	// and Epoch.
+	// Engine.ExecutePlanStream. A caller that caches Plans itself drops
+	// one whose Plan.Stale reports a changed Epoch. lusaild caches none:
+	// the engine's fact cache already spares every planning request of a
+	// shape planned before, so planning again costs only CPU.
 	Plan = core.Plan
 	// Epoch identifies an engine's planning inputs (federation identity +
 	// catalog generation); plans and caches keyed on it are invalidated

@@ -7,7 +7,9 @@
 #
 #   1. a SPARQL protocol query streams back 200 with valid
 #      sparql-results+json and non-empty bindings,
-#   2. repeating the query hits the plan cache (X-Lusail-Plan-Cache: hit),
+#   2. an immediate repeat is answered from the result cache
+#      (X-Lusail-Cache: result-hit), and a repeat after the result TTL is
+#      planned and run again (no result hit, non-empty CSV),
 #   3. an ASK is answered with a JSON "boolean", and an XML SELECT with a
 #      complete sparql-results document,
 #   4. a burst past the bronze tenant's rate quota yields structured 429
@@ -48,9 +50,9 @@ wait_http -G --data-urlencode 'query=ASK { ?s ?p ?o }' http://127.0.0.1:18081/sp
 wait_http -G --data-urlencode 'query=ASK { ?s ?p ?o }' http://127.0.0.1:18082/sparql
 
 echo "== booting lusail serve =="
-# The short result TTL lets the smoke observe both cache layers: an
-# immediate repeat is a result-cache hit, a repeat after the TTL expires
-# falls through to the plan cache.
+# The short result TTL lets the smoke observe the result cache both ways:
+# an immediate repeat is a result hit, a repeat after the TTL expires is
+# planned and run again.
 "$WORK/bin/lusail" serve -addr 127.0.0.1:18094 \
     -endpoint u0=http://127.0.0.1:18081/sparql \
     -endpoint u1=http://127.0.0.1:18082/sparql \
@@ -71,8 +73,9 @@ curl -fsS -G --data-urlencode "query=$QUERY" -D "$WORK/headers1" \
     http://127.0.0.1:18094/sparql >"$WORK/result1.json"
 jq -e '.results.bindings | length > 0' "$WORK/result1.json" >/dev/null \
     || { echo "FAIL: smoke query returned no bindings"; cat "$WORK/result1.json"; exit 1; }
-grep -qi 'X-Lusail-Plan-Cache: miss' "$WORK/headers1" \
-    || { echo "FAIL: first query should be a plan-cache miss"; cat "$WORK/headers1"; exit 1; }
+if grep -qi 'X-Lusail-Cache: result-hit' "$WORK/headers1"; then
+    echo "FAIL: first query should not be a result-cache hit"; cat "$WORK/headers1"; exit 1
+fi
 
 echo "== immediate repeat (result cache hit) =="
 curl -fsS -G --data-urlencode "query=$QUERY" -D "$WORK/headers2" \
@@ -80,12 +83,13 @@ curl -fsS -G --data-urlencode "query=$QUERY" -D "$WORK/headers2" \
 grep -qi 'X-Lusail-Cache: result-hit' "$WORK/headers2" \
     || { echo "FAIL: immediate repeat should hit the result cache"; cat "$WORK/headers2"; exit 1; }
 
-echo "== repeat after result TTL (plan cache hit, CSV) =="
+echo "== repeat after result TTL (result cache miss, CSV) =="
 sleep 0.5
 curl -fsS -G --data-urlencode "query=$QUERY" -H 'Accept: text/csv' -D "$WORK/headers3" \
     http://127.0.0.1:18094/sparql >"$WORK/result3.csv"
-grep -qi 'X-Lusail-Plan-Cache: hit' "$WORK/headers3" \
-    || { echo "FAIL: repeated query should hit the plan cache"; cat "$WORK/headers3"; exit 1; }
+if grep -qi 'X-Lusail-Cache: result-hit' "$WORK/headers3"; then
+    echo "FAIL: a repeat after the result TTL should not be a result-cache hit"; cat "$WORK/headers3"; exit 1
+fi
 [ -s "$WORK/result3.csv" ] || { echo "FAIL: CSV response empty"; exit 1; }
 
 echo "== ASK (JSON boolean) =="
@@ -125,8 +129,8 @@ done
 echo "burst: $oks ok, $throttled throttled with structured bodies"
 
 echo "== metrics visible =="
-curl -fsS http://127.0.0.1:18094/metrics | grep -q 'lusail_plan_cache_hits' \
-    || { echo "FAIL: plan cache metrics missing from /metrics"; exit 1; }
+curl -fsS http://127.0.0.1:18094/metrics | grep -q 'lusail_result_cache_hits' \
+    || { echo "FAIL: result cache metrics missing from /metrics"; exit 1; }
 
 echo "== graceful drain =="
 kill -TERM "$LUSAILD"
