@@ -175,11 +175,13 @@ type hashJoin struct {
 	buildRows int64
 	spilled   bool
 
-	outBuf [][]uint32
-	obi    int
-	row    []uint32
-	err    error
-	closed bool
+	out     rowBuf // the output rows not yet returned, from obi on
+	obi     int
+	batch   rowBuf    // the parallel probe's batch of probe rows
+	workers []*worker // the parallel probe's, one per chunk of a batch
+	row     []uint32
+	err     error
+	closed  bool
 
 	parent *obs.Span
 	span   *obs.Span
@@ -189,6 +191,7 @@ type hashJoin struct {
 func newHashJoin(ctx context.Context, probe, build RowStream, b Budget, left bool, dict *rdf.Dict, cond []sparql.Expr) *hashJoin {
 	s := &hashJoin{probe: probe, build: build, budget: b, left: left, dict: dict, exprs: cond, parent: obs.FromContext(ctx)}
 	s.sh = Share(probe.Vars(), build.Vars())
+	s.out.width, s.batch.width = len(s.sh.Vars), len(probe.Vars())
 	s.cond = NewCond(dict, s.sh.Vars, cond)
 	s.label = joinLabel(s.sh.Names)
 	return s
@@ -216,13 +219,14 @@ func (s *hashJoin) Next() bool {
 		}
 	}
 	for {
-		if s.obi < len(s.outBuf) {
-			s.row = s.outBuf[s.obi]
+		if s.obi < s.out.n {
+			s.row = s.out.row(s.obi)
 			s.obi++
 			s.rows++
 			return true
 		}
-		s.outBuf, s.obi = s.outBuf[:0], 0
+		s.out.reset()
+		s.obi = 0
 		if s.spilled {
 			var more bool
 			if more, s.err = s.sj.fill(s); !more || s.err != nil {
@@ -260,7 +264,7 @@ func (s *hashJoin) start() error {
 	s.span.SetAttr("on", s.label)
 	s.table = NewTable(s.sh.Right, 0)
 	for s.build.Next() {
-		s.table.Add(CopyRow(s.build.Row()))
+		s.table.Add(s.build.Row())
 		s.buildRows++
 		if s.table.bytes <= s.budget.SpillBytes {
 			continue
@@ -281,7 +285,7 @@ func (s *hashJoin) closeBuild() error {
 	return s.build.Close()
 }
 
-// fillFromProbe pulls probe rows and emits their output into outBuf,
+// fillFromProbe pulls probe rows and emits their output into out,
 // returning false when the probe side is exhausted. Against a large table
 // it pulls a batch and probes it across the CPUs in parallel.
 func (s *hashJoin) fillFromProbe() bool {
@@ -292,8 +296,7 @@ func (s *hashJoin) fillFromProbe() bool {
 		return s.fillParallel()
 	}
 	for s.nextProbe() {
-		s.outBuf = s.emit(s.outBuf, s.probe.Row(), nil, &s.scratch, s.cond)
-		if len(s.outBuf) > 0 {
+		if s.emit(&s.out, s.probe.Row(), nil, &s.scratch, s.cond); s.out.n > 0 {
 			return true
 		}
 	}
@@ -304,58 +307,71 @@ func (s *hashJoin) fillFromProbe() bool {
 // satisfy cond with the build rows it joins — group, rows already known
 // to join it, then the table's matches — or in left mode, when there are
 // none, the probe row itself, zero-extended.
-func (s *hashJoin) emit(out [][]uint32, prow []uint32, group [][]uint32, p *Probe, cond *Cond) [][]uint32 {
-	n := len(out)
-	for _, brow := range group {
-		out = s.keep(out, prow, brow, cond)
+func (s *hashJoin) emit(out *rowBuf, prow []uint32, group *rowBuf, p *Probe, cond *Cond) {
+	n := out.n
+	if group != nil {
+		for i := range group.n {
+			s.keep(out, prow, group.row(i), cond)
+		}
 	}
 	for _, i := range s.table.Matches(prow, s.sh.Left, p) {
-		out = s.keep(out, prow, s.table.Row(i), cond)
+		s.keep(out, prow, s.table.Row(i), cond)
 	}
-	if s.left && len(out) == n {
-		out = append(out, s.sh.Combine(make([]uint32, len(s.sh.Vars)), prow, nil))
+	if s.left && out.n == n {
+		s.sh.Combine(out.add(), prow, nil)
 	}
-	return out
 }
 
-// keep appends the combination of a probe and a build row to out when
-// cond holds on it.
-func (s *hashJoin) keep(out [][]uint32, prow, brow []uint32, cond *Cond) [][]uint32 {
-	if row := s.sh.Combine(make([]uint32, len(s.sh.Vars)), prow, brow); cond.Holds(row) {
-		out = append(out, row)
+// keep appends the combination of a probe and a build row to out and
+// reports true when cond holds on it.
+func (s *hashJoin) keep(out *rowBuf, prow, brow []uint32, cond *Cond) bool {
+	if cond.Holds(s.sh.Combine(out.add(), prow, brow)) {
+		return true
 	}
-	return out
+	out.pop()
+	return false
+}
+
+// worker is the state of one goroutine of the parallel probe, kept from
+// batch to batch.
+type worker struct {
+	out  rowBuf
+	p    Probe
+	cond *Cond
 }
 
 func (s *hashJoin) fillParallel() bool {
-	var batch [][]uint32
-	for len(batch) < probeBatchRows && s.nextProbe() {
-		batch = append(batch, CopyRow(s.probe.Row()))
+	s.batch.reset()
+	for s.batch.n < probeBatchRows && s.nextProbe() {
+		s.batch.push(s.probe.Row())
 	}
-	if len(batch) == 0 {
+	if s.batch.n == 0 {
 		return false
 	}
 	workers := runtime.GOMAXPROCS(0)
-	chunk := max((len(batch)+workers-1)/workers, probeChunkMinRows)
-	results := make([][][]uint32, (len(batch)+chunk-1)/chunk)
+	chunk := max((s.batch.n+workers-1)/workers, probeChunkMinRows)
+	chunks := (s.batch.n + chunk - 1) / chunk
+	for len(s.workers) < chunks {
+		s.workers = append(s.workers, &worker{out: rowBuf{width: s.out.width}, cond: NewCond(s.dict, s.sh.Vars, s.exprs)})
+	}
 	var wg sync.WaitGroup
-	for i := range results {
+	for i, w := range s.workers[:chunks] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cond := NewCond(s.dict, s.sh.Vars, s.exprs)
-			var p Probe
-			for _, prow := range batch[i*chunk : min((i+1)*chunk, len(batch))] {
-				results[i] = s.emit(results[i], prow, nil, &p, cond)
+			for j := i * chunk; j < min((i+1)*chunk, s.batch.n); j++ {
+				s.emit(&w.out, s.batch.row(j), nil, &w.p, w.cond)
 			}
 		}()
 	}
 	wg.Wait()
-	for _, out := range results {
-		s.outBuf = append(s.outBuf, out...)
+	for _, w := range s.workers {
+		s.out.cells = append(s.out.cells, w.out.cells...)
+		s.out.n += w.out.n
+		w.out.reset()
 	}
 	// A batch may produce zero rows; report progress anyway — the caller
-	// loops until outBuf fills or the probe side ends.
+	// loops until out fills or the probe side ends.
 	return true
 }
 
@@ -414,7 +430,7 @@ func (s *hashJoin) spillToDisk() error {
 			rec = encodeSpillRec(rec[:0], key, row)
 			return sorter.Add(rec)
 		}
-		loose.Add(CopyRow(row))
+		loose.Add(row)
 		if n := looseBuild.bytes + looseProbe.bytes; n > budget {
 			return fmt.Errorf("%w: %d bytes of rows with an unbound join variable stay in memory beside the spilled join; raise the budget (JoinSpillBytes)", ErrBudget, n)
 		}
@@ -453,7 +469,8 @@ func (s *hashJoin) spillToDisk() error {
 		probeSorter.Close()
 		return err
 	}
-	s.sj = &spillJoin{build: &spillCursor{it: bIt}, probe: &spillCursor{it: pIt}}
+	s.sj = &spillJoin{build: &spillCursor{it: bIt}, probe: &spillCursor{it: pIt}, group: rowBuf{width: len(s.build.Vars())},
+		prow: make([]uint32, len(s.probe.Vars())), brow: make([]uint32, len(s.build.Vars()))}
 	if looseProbe.Len() > 0 {
 		s.sj.loose, s.sj.joined = looseProbe, make([]bool, looseProbe.Len())
 	}
@@ -491,17 +508,18 @@ func (c *spillCursor) key() []byte { return spillRecKey(c.cur) }
 // did not reach and the build rows kept in memory.
 type spillJoin struct {
 	build, probe *spillCursor
-	group        [][]uint32 // decoded build rows of groupKey
-	groupKey     []byte     // nil before the first seek
+	group        rowBuf   // decoded build rows of groupKey
+	groupKey     []byte   // nil before the first seek
+	prow, brow   []uint32 // a decoded probe row, a decoded build row
 	p            Probe
 	loose        *Table // nil once its rows have met every build row
 	joined       []bool // per loose row, whether it joined a build row
 }
 
-// fill appends the next output to hj.outBuf, reporting false at the end of
+// fill appends the next output to hj.out, reporting false at the end of
 // the join.
 func (sj *spillJoin) fill(hj *hashJoin) (bool, error) {
-	for len(hj.outBuf) == 0 {
+	for hj.out.n == 0 {
 		if err := errors.Join(sj.build.err, sj.probe.err); err != nil {
 			return false, err
 		}
@@ -521,36 +539,35 @@ func (sj *spillJoin) fill(hj *hashJoin) (bool, error) {
 				return false, err
 			}
 		}
-		if sj.group == nil && !hj.left && hj.table.Len() == 0 {
+		if sj.group.n == 0 && !hj.left && hj.table.Len() == 0 {
 			sj.probe.advance()
 			continue
 		}
-		prow, err := decodeSpillRow(sj.probe.cur)
-		if err != nil {
+		if err := decodeSpillRow(sj.prow, sj.probe.cur); err != nil {
 			return false, err
 		}
 		sj.probe.advance()
-		hj.outBuf = hj.emit(hj.outBuf, prow, sj.group, &sj.p, hj.cond)
+		hj.emit(&hj.out, sj.prow, &sj.group, &sj.p, hj.cond)
 	}
 	return true, nil
 }
 
-// seek advances the build cursor to key and loads its group (nil when the
-// build side has no row with that key). The loose probe rows meet every
-// record it passes.
+// seek advances the build cursor to key and loads its group (empty when
+// the build side has no row with that key). The loose probe rows meet
+// every record it passes.
 func (sj *spillJoin) seek(hj *hashJoin, key []byte) error {
-	sj.group, sj.groupKey = nil, append(sj.groupKey[:0], key...)
+	sj.group.reset()
+	sj.groupKey = append(sj.groupKey[:0], key...)
 	for sj.build.cur != nil && bytes.Compare(sj.build.key(), sj.groupKey) < 0 {
 		if err := sj.pass(hj); err != nil {
 			return err
 		}
 	}
 	for sj.build.cur != nil && bytes.Equal(sj.build.key(), sj.groupKey) {
-		brow, err := decodeSpillRow(sj.build.cur)
-		if err != nil {
+		brow := sj.group.add()
+		if err := decodeSpillRow(brow, sj.build.cur); err != nil {
 			return err
 		}
-		sj.group = append(sj.group, brow)
 		sj.meet(hj, brow)
 		sj.build.advance()
 	}
@@ -561,26 +578,25 @@ func (sj *spillJoin) seek(hj *hashJoin, key []byte) error {
 // merge does not join, and advances the build cursor past it.
 func (sj *spillJoin) pass(hj *hashJoin) error {
 	if sj.loose != nil {
-		brow, err := decodeSpillRow(sj.build.cur)
-		if err != nil {
+		if err := decodeSpillRow(sj.brow, sj.build.cur); err != nil {
 			return err
 		}
-		sj.meet(hj, brow)
+		sj.meet(hj, sj.brow)
 	}
 	sj.build.advance()
 	return nil
 }
 
 // meet appends the joins of the loose probe rows with a spilled build row
-// to hj.outBuf.
+// to hj.out.
 func (sj *spillJoin) meet(hj *hashJoin, brow []uint32) {
 	if sj.loose == nil {
 		return
 	}
 	for _, i := range sj.loose.Matches(brow, hj.sh.Right, &sj.p) {
-		n := len(hj.outBuf)
-		hj.outBuf = hj.keep(hj.outBuf, sj.loose.Row(i), brow, hj.cond)
-		sj.joined[i] = sj.joined[i] || len(hj.outBuf) > n
+		if hj.keep(&hj.out, sj.loose.Row(i), brow, hj.cond) {
+			sj.joined[i] = true
+		}
 	}
 }
 
@@ -590,12 +606,12 @@ func (sj *spillJoin) meet(hj *hashJoin, brow []uint32) {
 func (sj *spillJoin) finishLoose(hj *hashJoin) {
 	for i := range sj.loose.Len() {
 		prow := sj.loose.Row(int32(i))
-		n := len(hj.outBuf)
+		n := hj.out.n
 		for _, j := range hj.table.Matches(prow, hj.sh.Left, &sj.p) {
-			hj.outBuf = hj.keep(hj.outBuf, prow, hj.table.Row(j), hj.cond)
+			hj.keep(&hj.out, prow, hj.table.Row(j), hj.cond)
 		}
-		if hj.left && !sj.joined[i] && len(hj.outBuf) == n {
-			hj.outBuf = append(hj.outBuf, hj.sh.Combine(make([]uint32, len(hj.sh.Vars)), prow, nil))
+		if hj.left && !sj.joined[i] && hj.out.n == n {
+			hj.sh.Combine(hj.out.add(), prow, nil)
 		}
 	}
 	sj.loose = nil
@@ -604,7 +620,6 @@ func (sj *spillJoin) finishLoose(hj *hashJoin) {
 func (sj *spillJoin) close() {
 	sj.build.it.Close()
 	sj.probe.it.Close()
-	sj.group = nil
 }
 
 // --- spill record encoding ------------------------------------------------
@@ -634,16 +649,53 @@ func spillRecKey(rec []byte) []byte {
 
 var errCorruptSpill = errors.New("op: corrupt spill record")
 
-// decodeSpillRow decodes the row part of an encoded record.
-func decodeSpillRow(rec []byte) ([]uint32, error) {
+// decodeSpillRow decodes the row part of an encoded record into row,
+// which has the record's width.
+func decodeSpillRow(row []uint32, rec []byte) error {
 	l, w := binary.Uvarint(rec)
-	if w <= 0 || l > uint64(len(rec)-w) || (len(rec)-w-int(l))%4 != 0 {
-		return nil, errCorruptSpill
+	if w <= 0 || l > uint64(len(rec)-w) || len(rec)-w-int(l) != 4*len(row) {
+		return errCorruptSpill
 	}
 	p := rec[w+int(l):]
-	row := make([]uint32, len(p)/4)
 	for i := range row {
 		row[i] = binary.LittleEndian.Uint32(p[4*i:])
 	}
-	return row, nil
+	return nil
+}
+
+// rowBuf is a reused buffer of rows of one width, their ids back to back.
+// It counts its rows apart from the ids, so zero-width rows count too.
+type rowBuf struct {
+	width int
+	cells []uint32
+	n     int
+}
+
+func (b *rowBuf) row(i int) []uint32 {
+	return b.cells[i*b.width : (i+1)*b.width : (i+1)*b.width]
+}
+
+// add appends a zeroed row and returns it.
+func (b *rowBuf) add() []uint32 {
+	b.cells = slices.Grow(b.cells, b.width)[:len(b.cells)+b.width]
+	b.n++
+	row := b.row(b.n - 1)
+	clear(row)
+	return row
+}
+
+// push appends a copy of row.
+func (b *rowBuf) push(row []uint32) {
+	b.cells = append(b.cells, row...)
+	b.n++
+}
+
+// pop drops the last row.
+func (b *rowBuf) pop() {
+	b.n--
+	b.cells = b.cells[:b.n*b.width]
+}
+
+func (b *rowBuf) reset() {
+	b.cells, b.n = b.cells[:0], 0
 }

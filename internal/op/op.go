@@ -105,9 +105,9 @@ func VarIndexes(target, src []string) []int {
 }
 
 // appendKey appends the join key of a row over the columns idx to buf —
-// the bytes of the columns' ids — for a lookup as m[string(key)], which
-// does not allocate. The second return is false when a key column is
-// unbound: the row has no key to look up.
+// the bytes of the columns' ids, a spilled record's sort key. The second
+// return is false when a key column is unbound: the row has no key to
+// sort under.
 func appendKey(buf []byte, row []uint32, idx []int) ([]byte, bool) {
 	for _, i := range idx {
 		if row[i] == 0 {
@@ -120,23 +120,23 @@ func appendKey(buf []byte, row []uint32, idx []int) ([]byte, bool) {
 
 // DistinctTuples projects rows onto the columns idx and returns the
 // distinct projections in first-seen order — the bindings a bound join
-// ships in a VALUES block, where an unbound cell is UNDEF.
+// ships in a VALUES block, where an unbound cell is UNDEF. The tuples are
+// carved from one slice.
 func DistinctTuples(rows [][]uint32, idx []int) [][]uint32 {
-	seen := map[string]bool{}
+	var seen idIndex
+	seen.reserve(len(rows))
+	cells := make([]uint32, 0, len(rows)*len(idx))
 	var out [][]uint32
-	var key []byte
+	hash := func(g int32) uint64 { return hashIDs(out[g]) }
 	for _, row := range rows {
-		key = key[:0]
+		n := len(cells)
 		for _, j := range idx {
-			key = binary.LittleEndian.AppendUint32(key, row[j])
+			cells = append(cells, row[j])
 		}
-		if seen[string(key)] {
+		t := cells[n:len(cells):len(cells)]
+		if _, ok := seen.lookup(hashIDs(t), func(g int32) bool { return slices.Equal(out[g], t) }, hash); ok {
+			cells = cells[:n]
 			continue
-		}
-		seen[string(key)] = true
-		t := make([]uint32, len(idx))
-		for i, j := range idx {
-			t[i] = row[j]
 		}
 		out = append(out, t)
 	}

@@ -549,3 +549,86 @@ func TestHashJoinKeyedProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestTableMatchesProperty checks Table against a scan of its rows in add
+// order, on random tables of up to a few thousand rows of width 0 to 4,
+// keyed on up to three columns, with ids from {0…4}: unbound cells and
+// repeated keys are common, and the slot array grows several times. A
+// table copies the rows it is given, and a row stays valid for the
+// table's life.
+func TestTableMatchesProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	randomRow := func(row []uint32) {
+		for i := range row {
+			row[i] = uint32(rng.Intn(5))
+		}
+	}
+	for trial := range 40 {
+		width := rng.Intn(5)
+		cols := rng.Perm(width)[:rng.Intn(min(width, 3)+1)]
+		n := rng.Intn(3000)
+		if trial%4 == 0 {
+			n = rng.Intn(3)
+		}
+		tab := NewTable(cols, []int{0, 1, n / 2, n}[rng.Intn(4)])
+		var added, held [][]uint32
+		src := make([]uint32, width)
+		keyed := map[string]bool{}
+		for range n {
+			randomRow(src)
+			tab.Add(src)
+			added = append(added, slices.Clone(src))
+			held = append(held, tab.Row(int32(len(held))))
+			if key, ok := appendKey(nil, src, cols); ok {
+				keyed[string(key)] = true
+			}
+		}
+		if tab.Len() != n || int(tab.index.keys) != len(keyed) {
+			t.Fatalf("trial %d: %d rows and %d keys, want %d and %d", trial, tab.Len(), tab.index.keys, n, len(keyed))
+		}
+		for i, row := range added {
+			if !slices.Equal(tab.Row(int32(i)), row) || !slices.Equal(held[i], row) {
+				t.Fatalf("trial %d: row %d is %v, held %v, want %v", trial, i, tab.Row(int32(i)), held[i], row)
+			}
+		}
+		var p Probe
+		for range 50 {
+			prow := make([]uint32, len(cols)+rng.Intn(3))
+			randomRow(prow)
+			pcols := rng.Perm(len(prow))[:len(cols)]
+			var want []int32
+			for i, row := range added {
+				if tab.compatible(row, prow, pcols) {
+					want = append(want, int32(i))
+				}
+			}
+			if got := tab.Matches(prow, pcols, &p); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: width %d cols %v, probe %v on %v: matches %v, want %v", trial, width, cols, prow, pcols, got, want)
+			}
+		}
+	}
+}
+
+// TestHashJoinAllocsFlat pins the hash join's allocations to its build
+// side: joining 8192 probe rows allocates no more than joining 512 against
+// the same build side, up to a small constant.
+func TestHashJoinAllocsFlat(t *testing.T) {
+	probe, build := joinInputs()
+	dict := rdf.NewDict()
+	probeIDs, buildIDs := InternRows(dict, probe.rows), InternRows(dict, build.rows)
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			s := HashJoin(context.Background(), NewSlice(probe.vars, probeIDs[:n]), NewSlice(build.vars, buildIDs), Budget{SpillBytes: DefaultSpillBytes})
+			for s.Next() {
+			}
+			if err := errors.Join(s.Err(), s.Close()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(512), allocs(len(probeIDs))
+	t.Logf("%v allocations for 512 probe rows, %v for %d", small, large, len(probeIDs))
+	if large > small+4 {
+		t.Fatalf("%v allocations for %d probe rows, %v for 512", large, len(probeIDs), small)
+	}
+}
