@@ -1,17 +1,23 @@
 // Package baseline implements the three systems the paper compares Lusail
 // against — FedX (Schwarte et al., ISWC 2011), HiBISCuS (Saleem & Ngonga
 // Ngomo, ESWC 2014) and SPLENDID (Görlitz & Staab, COLD 2011) — as three
-// policies over one left-deep executor, so the figures compare strategies
-// on identical joins, decoders and request plumbing.
+// policies over one left-deep strategy. The strategy is the comparators'
+// own; the mechanisms are Lusail's: a unit is a core.Subquery, fetched
+// through core's remote leaf (Engine.Scans), which decodes answers straight
+// to ids, and joined, filtered and finished by op's operators, down to
+// the VALUES multiset (op.Values) and the branch tail. So the figures
+// compare strategies on identical requests, decoders and joins.
 //
 // The executor selects sources per triple pattern, forms execution units,
 // runs them one at a time in the policy's order, and joins each unit into
 // the intermediate relation either by shipping the relation's bindings in
 // VALUES blocks (a bound join) or by fetching the unit whole and hash
-// joining. What a policy decides is in policy.go. Relations are rows of
-// ids in one term dictionary per query; unlike Lusail's engine, which
-// shares one across queries, the comparators are measured on requests, not
-// on allocation.
+// joining. The relation stays materialized, because the policies decide
+// on its size and FedX's LIMIT stop counts its joined rows; Lusail's
+// streaming pipeline has neither. What a policy decides is in policy.go.
+// Relations are rows of ids in one term dictionary per query; unlike
+// Lusail's engine, which shares one across queries, the comparators are
+// measured on requests, not on allocation.
 //
 // The crucial contrast with Lusail: FedX groups triple patterns only when a
 // single endpoint can answer them (an exclusive group). When several
@@ -27,9 +33,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
-	"lusail/internal/client"
+	"lusail/internal/core"
 	"lusail/internal/erh"
 	"lusail/internal/federation"
 	"lusail/internal/op"
@@ -40,14 +45,17 @@ import (
 
 // Engine is one comparator system: the shared executor under one policy.
 type Engine struct {
-	fed    *federation.Federation
+	// pool fans out source selection and the reading of a unit's
+	// per-source scans; each scan issues its request through leaf's own
+	// pool, since it holds a slot of that pool while it does.
 	pool   *erh.Pool
+	leaf   *core.Engine
 	budget op.Budget
 	pol    policy
 }
 
 func newEngine(fed *federation.Federation, pool *erh.Pool, pol policy) *Engine {
-	return &Engine{fed: fed, pool: pool, budget: op.Budget{SpillBytes: op.DefaultSpillBytes}, pol: pol}
+	return &Engine{pool: pool, leaf: core.MustNew(fed, core.DefaultOptions()), budget: op.Budget{SpillBytes: op.DefaultSpillBytes}, pol: pol}
 }
 
 // QueryString parses and executes a federated query.
@@ -67,9 +75,10 @@ func (e *Engine) QueryString(ctx context.Context, query string) (*sparql.Results
 		if err != nil {
 			return nil, err
 		}
-		rels = append(rels, rel.stream())
+		rels = append(rels, rel)
 	}
-	return op.Answer(q, x.dict, op.Finish(q, x.dict, op.Dedup(op.Union(rels...))))
+	// UNION is a bag union: every branch's rows pass.
+	return op.Answer(q, x.dict, op.Finish(q, x.dict, op.Union(rels...)))
 }
 
 // execution is one query's run of the executor: its relations are rows of
@@ -99,63 +108,10 @@ func collect(src op.RowStream) (*relation, error) {
 	return &relation{vars: vars, rows: rows}, nil
 }
 
-// unit is one execution step: an exclusive group or a single pattern, with
-// the filters it can evaluate at the endpoints.
-type unit struct {
-	patterns  []sparql.TriplePattern
-	sources   []string
-	exclusive bool
-	filters   []sparql.Expr
-}
-
-// vars returns the unit's variables, sorted.
-func (u *unit) vars() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, tp := range u.patterns {
-		for _, v := range tp.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// query renders the unit as a SELECT DISTINCT, optionally restricted by a
-// VALUES block.
-func (u *unit) query(values *sparql.InlineData) string {
-	q := sparql.NewSelect(u.vars()...)
-	q.Distinct = true
-	for _, tp := range u.patterns {
-		q.Where.Elements = append(q.Where.Elements, tp)
-	}
-	if values != nil {
-		q.Where.Elements = append(q.Where.Elements, *values)
-	}
-	for _, f := range u.filters {
-		q.Where.Elements = append(q.Where.Elements, sparql.Filter{Expr: f})
-	}
-	return q.String()
-}
-
-// sharedWith returns the unit's variables the relation also carries.
-func (u *unit) sharedWith(rel *relation) []string {
-	var out []string
-	for _, v := range u.vars() {
-		if rel.has(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // planUnits selects sources for a conjunctive block of patterns and forms
 // its units. It returns nil units when some pattern has no source, i.e. the
 // block cannot match anywhere.
-func (e *Engine) planUnits(ctx context.Context, patterns []sparql.TriplePattern, filters []sparql.Expr) ([]*unit, error) {
+func (e *Engine) planUnits(ctx context.Context, patterns []sparql.TriplePattern, filters []sparql.Expr) ([]*core.Subquery, error) {
 	sources, err := e.pol.sources(ctx, patterns)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: source selection: %w", err)
@@ -171,58 +127,51 @@ func (e *Engine) planUnits(ctx context.Context, patterns []sparql.TriplePattern,
 	return buildUnits(patterns, sources, filters, e.pol.exclusive), nil
 }
 
-// buildUnits makes one unit per pattern. With exclusive set it instead
-// merges the patterns whose only relevant endpoint is the same single
-// source into one exclusive group, and pushes each filter into every unit
-// that binds all of its variables (the filter is still applied to the
-// final relation, so pushing only trims what is shipped).
-func buildUnits(patterns []sparql.TriplePattern, sources [][]string, filters []sparql.Expr, exclusive bool) []*unit {
-	var units []*unit
-	bySource := map[string]*unit{}
+// buildUnits makes one unit per pattern, each a SELECT DISTINCT as the
+// published systems send. With exclusive set it instead merges the
+// patterns whose only relevant endpoint is the same single source into
+// one exclusive group, and pushes each filter into every unit that binds
+// all of its variables (the filter is still applied to the final
+// relation, so pushing only trims what is shipped).
+func buildUnits(patterns []sparql.TriplePattern, sources [][]string, filters []sparql.Expr, exclusive bool) []*core.Subquery {
+	var units []*core.Subquery
+	bySource := map[string]*core.Subquery{}
 	for i, tp := range patterns {
 		if exclusive && len(sources[i]) == 1 {
 			if u, ok := bySource[sources[i][0]]; ok {
-				u.patterns = append(u.patterns, tp)
+				u.Patterns = append(u.Patterns, tp)
 				continue
 			}
-			u := &unit{patterns: []sparql.TriplePattern{tp}, sources: sources[i], exclusive: true}
-			bySource[sources[i][0]] = u
-			units = append(units, u)
-			continue
 		}
-		units = append(units, &unit{patterns: []sparql.TriplePattern{tp}, sources: sources[i]})
+		u := &core.Subquery{Patterns: []sparql.TriplePattern{tp}, Sources: sources[i], Distinct: true}
+		if exclusive && len(sources[i]) == 1 {
+			bySource[sources[i][0]] = u
+		}
+		units = append(units, u)
 	}
 	if !exclusive {
 		return units
 	}
 	for _, u := range units {
-		vars := map[string]bool{}
-		for _, v := range u.vars() {
-			vars[v] = true
-		}
-	filters:
 		for _, f := range filters {
-			used := sparql.ExprVars(f)
-			for _, v := range used {
-				if !vars[v] {
-					continue filters
-				}
-			}
-			if len(used) > 0 {
-				u.filters = append(u.filters, f)
+			if used := sparql.ExprVars(f); len(used) > 0 && !slices.ContainsFunc(used, func(v string) bool { return !u.HasVar(v) }) {
+				u.Filters = append(u.Filters, f)
 			}
 		}
 	}
 	return units
 }
 
-func (e *execution) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.Branch) (*relation, error) {
+// evalBranch runs the policy's left-deep strategy over one branch and
+// returns its rows through the tail every branch of every system ends on.
+func (e *execution) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.Branch) (op.RowStream, error) {
+	empty := op.NewSlice(br.Vars(), nil)
 	units, err := e.planUnits(ctx, br.Patterns, br.Filters)
 	if err != nil {
 		return nil, err
 	}
 	if units == nil && len(br.Patterns) > 0 { // a branch of OPTIONALs only has no units either
-		return &relation{vars: br.Vars()}, nil
+		return empty, nil
 	}
 
 	// Early termination applies when any N results are acceptable: FedX
@@ -248,7 +197,7 @@ func (e *execution) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.B
 		u := units[next]
 		units = append(units[:next], units[next+1:]...)
 		if rel == nil {
-			rel, err = e.fetch(ctx, u, nil)
+			rel, err = e.fetch(ctx, u)
 		} else {
 			stopAt := -1
 			if len(units) == 0 {
@@ -263,9 +212,9 @@ func (e *execution) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.B
 			return nil, err
 		}
 		if len(rel.rows) == 0 {
-			return &relation{vars: br.Vars()}, nil
+			return empty, nil
 		}
-		for _, v := range u.vars() {
+		for _, v := range u.Vars() {
 			bound[v] = true
 		}
 	}
@@ -273,8 +222,12 @@ func (e *execution) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.B
 		rel = &relation{rows: [][]uint32{{}}} // the one empty solution
 	}
 	// VALUES blocks from the query text join as in-memory relations.
-	for _, vd := range br.Values {
-		if rel, err = e.join(ctx, rel, &relation{vars: vd.Vars, rows: op.InternRows(e.dict, vd.Rows)}); err != nil {
+	for i, vd := range br.Values {
+		values, err := collect(op.Values(e.dict, vd, i))
+		if err == nil {
+			rel, err = e.join(ctx, rel, values)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -291,7 +244,9 @@ func (e *execution) evalBranch(ctx context.Context, q *sparql.Query, br *qplan.B
 			return nil, err
 		}
 	}
-	return collect(op.Filter(rel.stream(), e.dict, br.Filters))
+	// Lusail's branch tail: the branch's filters, set semantics over its
+	// variables and op.Values' hidden columns, alignment to its header.
+	return op.Align(op.Dedup(op.Filter(rel.stream(), e.dict, br.Filters)), br.Vars()), nil
 }
 
 // evalOptional evaluates an OPTIONAL block's patterns for the caller to
@@ -320,23 +275,28 @@ func (e *execution) evalOptional(ctx context.Context, ob *qplan.OptionalBlock, r
 	return orel, nil
 }
 
-// fetch evaluates the unit at all its sources concurrently and returns the
-// distinct union of the answers.
-func (e *execution) fetch(ctx context.Context, u *unit, values *sparql.InlineData) (*relation, error) {
-	text := u.query(values)
-	partial := make([]op.RowStream, len(u.sources))
-	err := e.pool.ForEach(ctx, len(u.sources), func(i int) error {
-		res, err := client.Collect(ctx, e.fed.Get(u.sources[i]), text)
+// fetch evaluates the unit at all its sources concurrently, one scan of
+// core's remote leaf each, and returns the distinct union of the answers
+// in federation order: the order FedX's LIMIT stop counts joined rows in
+// and DistinctTuples numbers bindings in, whichever answer ends first.
+func (e *execution) fetch(ctx context.Context, u *core.Subquery) (*relation, error) {
+	scans := e.leaf.Scans(ctx, u, e.dict)
+	partial := make([]op.RowStream, len(scans))
+	err := e.pool.ForEach(ctx, len(scans), func(i int) error {
+		rows, err := op.CollectIDs(scans[i])
 		if err != nil {
-			return fmt.Errorf("baseline: unit at %s: %w", u.sources[i], err)
+			return fmt.Errorf("baseline: unit at %s: %w", u.Sources[i], err)
 		}
-		partial[i] = op.NewSlice(res.Vars, op.InternRows(e.dict, res.Rows))
+		partial[i] = op.NewSlice(scans[i].Vars(), rows)
 		return nil
 	})
 	if err != nil {
+		for _, s := range scans {
+			s.Close() // releases those a cancelled ForEach never read
+		}
 		return nil, err
 	}
-	return collect(op.Dedup(op.Align(op.Union(partial...), u.vars())))
+	return collect(op.Dedup(op.Union(partial...)))
 }
 
 // fetchFor fetches the unit's side of a join with rel. When the policy
@@ -344,21 +304,22 @@ func (e *execution) fetch(ctx context.Context, u *unit, values *sparql.InlineDat
 // shipped in VALUES blocks; otherwise, and when nothing is shared, the
 // unit is fetched whole. With stopAt >= 0, a bound join stops as soon as
 // that many joined rows exist (LIMIT pushdown).
-func (e *execution) fetchFor(ctx context.Context, u *unit, rel *relation, optional bool, stopAt int) (*relation, error) {
-	shared := u.sharedWith(rel)
+func (e *execution) fetchFor(ctx context.Context, u *core.Subquery, rel *relation, optional bool, stopAt int) (*relation, error) {
+	shared := slices.DeleteFunc(u.Vars(), func(v string) bool { return !rel.has(v) })
 	if len(shared) == 0 || !e.pol.bind(len(rel.rows), optional) {
-		return e.fetch(ctx, u, nil)
+		return e.fetch(ctx, u)
 	}
 	idx := make([]int, len(shared))
 	for i, v := range shared {
 		idx[i] = slices.Index(rel.vars, v)
 	}
 	rows := op.TermRows(e.dict, op.DistinctTuples(rel.rows, idx))
-	right := &relation{vars: u.vars()}
+	right := &relation{vars: u.Vars()}
 	joined := 0
 	for start := 0; start < len(rows); start += e.pol.block {
-		block := sparql.InlineData{Vars: shared, Rows: rows[start:min(start+e.pol.block, len(rows))]}
-		part, err := e.fetch(ctx, u, &block)
+		block := *u
+		block.Values = []sparql.InlineData{{Vars: shared, Rows: rows[start:min(start+e.pol.block, len(rows))]}}
+		part, err := e.fetch(ctx, &block)
 		if err != nil {
 			return nil, err
 		}

@@ -12,6 +12,7 @@ import (
 	"lusail/internal/erh"
 	"lusail/internal/eval"
 	"lusail/internal/federation"
+	"lusail/internal/qplan"
 	"lusail/internal/rdf"
 	"lusail/internal/resilience"
 	"lusail/internal/sparql"
@@ -218,6 +219,31 @@ func TestSystems(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestUnitQueryText pins the text of one rendered unit: an exclusive
+// group with a pushed filter conjunct and a bound join's VALUES block.
+// The comparators send their published SELECT DISTINCT with the elements
+// in this order, and their endpoints' work depends on both.
+func TestUnitQueryText(t *testing.T) {
+	brs, err := qplan.Normalize(sparql.MustParse(prefixes + `SELECT * WHERE {
+		?s ub:advisor ?p . ?p ub:teacherOf ?c . ?s ub:age ?a FILTER(?c != ub:c0 && ?a > 20) }`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := brs[0]
+	units := buildUnits(br.Patterns, [][]string{{"ep0"}, {"ep0"}, {"ep0", "ep1"}}, br.Filters, true)
+	if len(units) != 2 {
+		t.Fatalf("%d units, want the group and the shared pattern", len(units))
+	}
+	group := *units[0]
+	group.Values = []sparql.InlineData{{Vars: []string{"p"}, Rows: [][]rdf.Term{{u("p0")}, {u("p1")}}}}
+	const want = "SELECT DISTINCT ?c ?p ?s WHERE { ?s <http://lubm.org/ub#advisor> ?p . " +
+		"?p <http://lubm.org/ub#teacherOf> ?c . VALUES (?p) { (<http://lubm.org/ub#p0>) (<http://lubm.org/ub#p1>) } . " +
+		"FILTER ((?c != <http://lubm.org/ub#c0>)) . }"
+	if got := group.Query().String(); got != want {
+		t.Errorf("unit text\n%s\nwant\n%s", got, want)
 	}
 }
 

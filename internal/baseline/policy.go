@@ -9,6 +9,7 @@ import (
 
 	"lusail/internal/catalog"
 	"lusail/internal/client"
+	"lusail/internal/core"
 	"lusail/internal/erh"
 	"lusail/internal/federation"
 	"lusail/internal/rdf"
@@ -29,7 +30,7 @@ type policy struct {
 	exclusive bool
 	// cost ranks a unit given the variables bound so far; the cheapest
 	// remaining unit runs next.
-	cost func(u *unit, bound map[string]bool) float64
+	cost func(u *core.Subquery, bound map[string]bool) float64
 	// bind chooses a bound join over fetching the unit whole and hash
 	// joining, given the size of the relation it joins with; optional is
 	// set for the units of an OPTIONAL block.
@@ -192,21 +193,23 @@ func askAll(ctx context.Context, pool *erh.Pool, fed *federation.Federation, nam
 
 // variableCount is FedX's variable-counting heuristic: prefer the unit with
 // the fewest unbound variables; constants and exclusive groups break ties.
-func variableCount(u *unit, bound map[string]bool) float64 {
+// It serves exclusive policies only, where a unit with one source is an
+// exclusive group.
+func variableCount(u *core.Subquery, bound map[string]bool) float64 {
 	score := 0
-	for _, v := range u.vars() {
+	for _, v := range u.Vars() {
 		if !bound[v] {
 			score += 100
 		}
 	}
-	for _, tp := range u.patterns {
+	for _, tp := range u.Patterns {
 		for _, pt := range []sparql.PatternTerm{tp.S, tp.P, tp.O} {
 			if !pt.IsVar() {
 				score -= 10
 			}
 		}
 	}
-	if u.exclusive {
+	if len(u.Sources) == 1 {
 		score -= 50
 	}
 	return float64(score)
@@ -376,10 +379,10 @@ func (x voidIndex) sources(ctx context.Context, tp sparql.TriplePattern) ([]stri
 // cost orders units by the VoID cardinality estimate of their pattern
 // (SPLENDID's units hold one each), pushing units that share no bound
 // variable — cross products — to the back.
-func (x voidIndex) cost(u *unit, bound map[string]bool) float64 {
-	tp := u.patterns[0]
+func (x voidIndex) cost(u *core.Subquery, bound map[string]bool) float64 {
+	tp := u.Patterns[0]
 	est := 0.0
-	for _, ep := range u.sources {
+	for _, ep := range u.Sources {
 		c := float64(x.count(ep, tp))
 		if !tp.P.IsVar() && !typesClass(tp) && (!tp.S.IsVar() || !tp.O.IsVar()) {
 			c /= 10 // constants are selective; VoID has no finer data

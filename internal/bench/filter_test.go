@@ -83,6 +83,12 @@ func TestFilterPlacementParity(t *testing.T) {
 			?s a:num ?v OPTIONAL { ?s a:opt ?t } OPTIONAL { ?s a:link ?t } }`},
 		{"OPTIONALs sharing a variable, link first", `SELECT ?s ?v ?t WHERE {
 			?s a:num ?v OPTIONAL { ?s a:link ?t } OPTIONAL { ?s a:opt ?t } }`},
+		{"VALUES with a repeated row", `SELECT ?s ?v WHERE { ?s a:num ?v VALUES ?s { a:s1 a:s1 } }`},
+		{"UNION of identical branches", `SELECT ?s ?v WHERE { { ?s a:num ?v } UNION { ?s a:num ?v } }`},
+		{"OPTIONAL whose patterns share no endpoint", `SELECT ?s ?v ?t ?w WHERE {
+			?s a:num ?v OPTIONAL { ?s a:link ?t . ?t b:val ?w } }`},
+		{"OPTIONAL whose patterns share no endpoint, residual filter", `SELECT ?s ?v ?t ?w WHERE {
+			?s a:num ?v OPTIONAL { ?s a:link ?t . ?t b:val ?w FILTER(?w > ?v) } }`},
 	}
 	st := store.New()
 	for _, ds := range datasets {

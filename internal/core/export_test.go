@@ -26,8 +26,11 @@ func PlanOutline(e *Engine, p *Plan) string {
 		for _, sq := range sqs {
 			fmt.Fprintf(&b, "  %s filters %s est %g known %t\n", sq, exprs(sq.Filters), sq.EstCard, sq.CardKnown)
 		}
-		for _, op := range pb.optionals {
-			fmt.Fprintf(&b, "  %s filters %s residual %s\n", op.sq, exprs(op.sq.Filters), exprs(op.residual))
+		for _, ob := range pb.optionals {
+			fmt.Fprintf(&b, "  %s filters %s residual %s\n", ob.sq, exprs(ob.sq.Filters), exprs(ob.residual))
+			for _, part := range ob.parts {
+				fmt.Fprintf(&b, "    part %s filters %s\n", part, exprs(part.Filters))
+			}
 		}
 	}
 	return b.String()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"strconv"
 
 	"lusail/internal/client"
 	"lusail/internal/op"
@@ -38,7 +37,8 @@ import (
 // VALUES blocks join as in-memory build sides, OPTIONAL blocks as left
 // joins (selective first where they commute) — a bound join in optional
 // mode when the block shares a variable with the stream, else a left hash
-// join over an unbound scan — and the tail applies the residual filters
+// join over an unbound scan, or over its parts' joined scans when the
+// block is split — and the tail applies the residual filters
 // that remain, aligns to the branch's variables, and deduplicates. Every
 // operator's rows are ids in dict.
 func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.Dict, prof *Profile) op.RowStream {
@@ -169,24 +169,25 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 	// VALUES blocks from the query text join as in-memory build sides.
 	// pushDown rendered each into the subqueries that bind all of its
 	// variables, which only cut their scans; this join alone decides how
-	// UNDEF cells match. A VALUES block is a multiset, so each row carries
-	// its position in a hidden column (valuesTag) that the tail's Dedup
-	// sees and its Align drops: two equal rows, or two rows that UNDEF
-	// makes join a solution alike, answer twice, as over the union graph.
+	// UNDEF cells match, and op.Values keeps the block's multiplicity.
 	for i, vd := range br.Values {
-		rows := make([][]rdf.Term, len(vd.Rows))
-		for j, row := range vd.Rows {
-			rows[j] = append(slices.Clip(row), rdf.NewInteger(int64(j)))
-		}
-		build := op.NewSlice(append(slices.Clip(vd.Vars), valuesTag(i)), op.InternRows(dict, rows))
-		acc = op.HashJoin(ctx, acc, build, e.join)
+		acc = op.HashJoin(ctx, acc, op.Values(dict, vd, i), e.join)
 	}
 
 	// OPTIONAL blocks left-join the stream.
 	for _, ob := range orderOptionals(optionals, pb.sqs) {
-		if accHas(ob.sq) {
+		switch {
+		case ob.parts != nil:
+			// A split block: its parts' scans join, and the join
+			// left-joins the stream.
+			block := op.RowStream(e.newScanStream(ctx, ob.parts[0], client.PhaseOptional, dict, nil))
+			for _, part := range ob.parts[1:] {
+				block = op.HashJoin(ctx, block, e.newScanStream(ctx, part, client.PhaseOptional, dict, nil), e.join)
+			}
+			acc = op.LeftJoin(ctx, acc, block, dict, ob.residual, e.join)
+		case accHas(ob.sq):
 			acc = e.newOptionalStream(ctx, acc, ob, dict)
-		} else {
+		default:
 			scan := e.newScanStream(ctx, ob.sq, client.PhaseOptional, dict, nil)
 			acc = op.LeftJoin(ctx, acc, scan, dict, ob.residual, e.join)
 		}
@@ -197,14 +198,11 @@ func (e *Engine) branchStream(ctx context.Context, pb *plannedBranch, dict *rdf.
 	// This Dedup is the engine's one statement of set semantics: the
 	// subqueries ship plain SELECTs, so the same triple held at two
 	// endpoints reaches the branch twice, and only here, over every
-	// branch variable and the VALUES tags, is it seen as a duplicate.
+	// branch variable and op.Values' hidden columns, is it seen as a
+	// duplicate.
 	acc = op.Filter(acc, dict, residual)
 	return op.Align(op.Dedup(acc), br.Vars())
 }
-
-// valuesTag names the hidden column that numbers the rows of the branch's
-// i-th VALUES block; the colon keeps it apart from every SPARQL variable.
-func valuesTag(i int) string { return "lusail:values" + strconv.Itoa(i) }
 
 // orderOptionals orders OPTIONAL blocks selective first, except that a
 // block never moves ahead of an earlier one it shares a variable with that

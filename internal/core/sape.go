@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"lusail/internal/client"
 	"lusail/internal/qplan"
@@ -121,27 +122,46 @@ func hasVarPredicate(sq *Subquery) bool {
 
 // planOptionals wraps each OPTIONAL block as an optional subquery over the
 // endpoints relevant to all its patterns; sources lists the blocks'
-// patterns in order. An optional block with no relevant endpoint simply
-// never extends any row.
+// patterns in order. When no endpoint is relevant to all of them but every
+// pattern has one, the block is split instead: each pattern runs as its
+// own optional subquery over its own sources, with the filters it covers,
+// and their scans join before the left join. (Decomposing the block like
+// a branch would group its patterns as LADE does; the split is the
+// interim answer.) A block with a pattern no endpoint holds never extends
+// any row.
 func (e *Engine) planOptionals(br *qplan.Branch, sources [][]string) []*optionalPlan {
 	var out []*optionalPlan
 	for _, ob := range br.Optionals {
+		own := sources[:len(ob.Patterns)]
+		sources = sources[len(ob.Patterns):]
 		names := e.fed.Names()
-		for _, s := range sources[:len(ob.Patterns)] {
+		for _, s := range own {
 			names = intersectSources(names, s)
 		}
-		sources = sources[len(ob.Patterns):]
 		sq := &Subquery{Patterns: ob.Patterns, Sources: names, Optional: true}
-		// Push optional-scoped filters that the block fully binds.
-		var residual []sparql.Expr
-		sq.Filters, residual = coveredFilters(sq.Vars(), ob.Filters)
 		sq.EstCard = float64(len(names)) // coarse: more endpoints, later
-		out = append(out, &optionalPlan{sq: sq, residual: residual})
+		plan := &optionalPlan{sq: sq}
+		out = append(out, plan)
+		if len(names) > 0 || slices.ContainsFunc(own, func(s []string) bool { return len(s) == 0 }) {
+			// Push optional-scoped filters that the block fully binds.
+			sq.Filters, plan.residual = coveredFilters(sq.Vars(), ob.Filters)
+			continue
+		}
+		plan.residual = ob.Filters
+		for i, tp := range ob.Patterns {
+			part := &Subquery{Patterns: []sparql.TriplePattern{tp}, Sources: own[i], Optional: true}
+			part.Filters, plan.residual = coveredFilters(part.Vars(), plan.residual)
+			plan.parts = append(plan.parts, part)
+			sq.EstCard += float64(len(own[i]))
+		}
 	}
 	return out
 }
 
 type optionalPlan struct {
-	sq       *Subquery
+	sq *Subquery
+	// parts, when set, run the block instead of sq, whose patterns share
+	// no endpoint: one optional subquery per pattern.
+	parts    []*Subquery
 	residual []sparql.Expr // filters evaluated on the joined rows
 }

@@ -54,6 +54,7 @@ type scanStream struct {
 	phase client.Phase
 	vars  []string
 	dict  *rdf.Dict // the query's term dictionary, fed by the pushers
+	text  string    // the request, when rendered ahead (Scans); else drive renders sq
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -103,6 +104,25 @@ func (e *Engine) newScanStream(ctx context.Context, sq *Subquery, phase client.P
 	}
 	s.more.L, s.room.L = &s.mu, &s.mu
 	return s
+}
+
+// Scans returns the remote leaf over sq as one scan per source, in
+// sq.Sources' order, all sending the one request text rendered here. Each
+// issues its request through the engine's pool when first read and
+// decodes its rows straight to ids in dict, aligned to sq.Vars(). The
+// comparators (internal/baseline) fetch their units through it: they read
+// the scans concurrently and take the rows in federation order.
+func (e *Engine) Scans(ctx context.Context, sq *Subquery, dict *rdf.Dict) []op.RowStream {
+	text := sq.Query().String()
+	scans := make([]op.RowStream, len(sq.Sources))
+	for i := range sq.Sources {
+		at := *sq
+		at.Sources = sq.Sources[i : i+1]
+		s := e.newScanStream(ctx, &at, client.PhaseSubquery, dict, nil)
+		s.text = text
+		scans[i] = s
+	}
+	return scans
 }
 
 func (s *scanStream) Vars() []string { return s.vars }
@@ -173,7 +193,10 @@ func (s *scanStream) drive() {
 	var first sync.Once
 	var pushErr error
 	e := s.e
-	queryText := s.sq.Query().String()
+	queryText := s.text
+	if queryText == "" {
+		queryText = s.sq.Query().String()
+	}
 	err := e.pool.ForEachGated(s.ctx, s.sq.Sources, e.gate(),
 		e.onRejectDegrade(s.ctx, s.phase, s.sq.Sources), func(i int) error {
 			name := s.sq.Sources[i]

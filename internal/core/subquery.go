@@ -38,6 +38,10 @@ type Subquery struct {
 	// Optional marks a subquery originating from an OPTIONAL block; it is
 	// left-joined at the global level.
 	Optional bool
+	// Distinct renders the subquery as a SELECT DISTINCT. Lusail never
+	// sets it (see Query); the comparators (internal/baseline) do, as
+	// their published systems send it.
+	Distinct bool
 
 	// EstCard is SAPE's estimated cardinality (set during planning).
 	EstCard float64
@@ -99,7 +103,7 @@ func (sq *Subquery) SharedVars(other *Subquery) []string {
 
 // Query renders the subquery as an executable SELECT projecting all its
 // variables, with its VALUES blocks appended (a bound-join block's
-// bindings are its last). It is a plain SELECT, not SELECT DISTINCT: a
+// bindings are its last). Unless Distinct is set it is a plain SELECT: a
 // basic graph pattern over a set graph, with every variable projected, has
 // no duplicate solutions, and the pushed VALUES blocks and a bound join's
 // block carry distinct rows, so an endpoint's DISTINCT would hash every
@@ -108,6 +112,7 @@ func (sq *Subquery) SharedVars(other *Subquery) []string {
 // op.Dedup over all the branch's variables removes those rows.
 func (sq *Subquery) Query() *sparql.Query {
 	q := sparql.NewSelect(sq.Vars()...)
+	q.Distinct = sq.Distinct
 	for _, tp := range sq.Patterns {
 		q.Where.Elements = append(q.Where.Elements, tp)
 	}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"hash/maphash"
 	"slices"
+	"strconv"
 
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
@@ -68,6 +69,21 @@ func InternRows(dict *rdf.Dict, rows [][]rdf.Term) [][]uint32 {
 		dict.InternRow(row, out[i])
 	}
 	return out
+}
+
+// Values returns the query text's i-th VALUES block of a branch as rows
+// of ids in dict, the in-memory build side every executor joins it on. A
+// VALUES block is a multiset, so each row carries its position in a
+// hidden column that a branch tail's Dedup sees and its Align drops: two
+// equal rows, or two rows that UNDEF makes join a solution alike, answer
+// twice, as over the union graph. The colon in the column's name keeps it
+// apart from every SPARQL variable.
+func Values(dict *rdf.Dict, vd sparql.InlineData, i int) RowStream {
+	rows := make([][]rdf.Term, len(vd.Rows))
+	for j, row := range vd.Rows {
+		rows[j] = append(slices.Clip(row), rdf.NewInteger(int64(j)))
+	}
+	return NewSlice(append(slices.Clip(vd.Vars), "lusail:values"+strconv.Itoa(i)), InternRows(dict, rows))
 }
 
 // TermRows returns rows of ids in dict as rows of terms, carved from one

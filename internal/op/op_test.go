@@ -632,3 +632,27 @@ func TestHashJoinAllocsFlat(t *testing.T) {
 		t.Fatalf("%v allocations for %d probe rows, %v for 512", large, len(probeIDs), small)
 	}
 }
+
+// TestValuesMultiplicity: a VALUES block joins as a multiset. Equal rows,
+// and rows that UNDEF makes join a solution alike, each keep their answer
+// through the branch tail, Dedup then Align.
+func TestValuesMultiplicity(t *testing.T) {
+	dict := rdf.NewDict()
+	a, b := rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/b")
+	solutions := rel{vars: []string{"s", "v"}, rows: [][]rdf.Term{{a, rdf.NewInteger(1)}, {b, rdf.NewInteger(2)}}}
+	vd := sparql.InlineData{Vars: []string{"s"}, Rows: [][]rdf.Term{{a}, {a}, {{}}}}
+	values := Values(dict, vd, 3)
+	if got, want := values.Vars(), []string{"s", "lusail:values3"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("vars %v, want %v", got, want)
+	}
+	joined := HashJoin(context.Background(), solutions.stream(dict), values, Budget{SpillBytes: DefaultSpillBytes})
+	res, err := Collect(Align(Dedup(joined), solutions.vars), dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Sort()
+	want := [][]rdf.Term{{a, rdf.NewInteger(1)}, {a, rdf.NewInteger(1)}, {a, rdf.NewInteger(1)}, {b, rdf.NewInteger(2)}}
+	if !reflect.DeepEqual(res.Rows, want) {
+		t.Errorf("rows %v, want %v", res.Rows, want)
+	}
+}
