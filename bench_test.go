@@ -59,7 +59,6 @@ func BenchmarkFig14_Ablation(b *testing.B)       { benchExperiment(b, bench.Fig1
 func BenchmarkTable2_RealEndpoints(b *testing.B) { benchExperiment(b, bench.Table2RealEndpoints) }
 func BenchmarkPreprocessingCost(b *testing.B)    { benchExperiment(b, bench.PreprocessingCost) }
 func BenchmarkAblationBlockSize(b *testing.B)    { benchExperiment(b, bench.BlockSizeAblation) }
-func BenchmarkAblationPoolSize(b *testing.B)     { benchExperiment(b, bench.PoolSizeAblation) }
 
 func BenchmarkQError(b *testing.B) {
 	for i := 0; i < b.N; i++ {

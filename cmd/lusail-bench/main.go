@@ -12,7 +12,7 @@
 //
 // Experiments (bench.Experiments, in the order "all" runs them): table1,
 // fig8, fig9, fig10, fig11, fig12a, fig12bc, fig13, fig14, table2, qerror,
-// preprocessing, blocksize, poolsize, catalog, faults.
+// preprocessing, blocksize, catalog, faults.
 //
 // It exits 0 on success, 1 when an experiment fails and 2 on a usage
 // error, such as an experiment ID that is not in the table.

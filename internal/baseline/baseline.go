@@ -46,8 +46,8 @@ import (
 // Engine is one comparator system: the shared executor under one policy.
 type Engine struct {
 	// pool fans out source selection and the reading of a unit's
-	// per-source scans; each scan issues its request through leaf's own
-	// pool, since it holds a slot of that pool while it does.
+	// per-source scans; each scan issues its request from its own
+	// collector goroutine.
 	pool   *erh.Pool
 	leaf   *core.Engine
 	budget op.Budget

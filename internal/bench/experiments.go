@@ -57,7 +57,6 @@ var Experiments = []Experiment{
 	}},
 	{"preprocessing", PreprocessingCost},
 	{"blocksize", BlockSizeAblation},
-	{"poolsize", PoolSizeAblation},
 	{"catalog", CatalogProbes},
 	{"faults", FaultsExperiment},
 }
@@ -545,42 +544,6 @@ func BlockSizeAblation(ctx context.Context, opts ExpOptions) ([]*Table, error) {
 		})
 	}
 	t.Notes = append(t.Notes, "extension: small blocks multiply bound-join requests until the bindings shipped pass the subquery's limit and the join switches to an unbound scan; the default 500 balances the two costs")
-	return []*Table{t}, nil
-}
-
-// PoolSizeAblation is an extension experiment: it sweeps the ERH worker
-// pool size to show how endpoint-request parallelism drives response time
-// (the paper sizes the pool to the number of physical cores; the default
-// here is erh.DefaultLimit).
-func PoolSizeAblation(ctx context.Context, opts ExpOptions) ([]*Table, error) {
-	fed, err := NewFed(GenerateLRB(LRBConfig{Scale: opts.Scale, Seed: 11}), GeoDistributed())
-	if err != nil {
-		return nil, err
-	}
-	var q Query
-	for _, cand := range LRBQueries() {
-		if cand.Name == "C1" {
-			q = cand
-		}
-	}
-	t := &Table{
-		Title:  "Ablation: ERH pool size (LargeRDFBench C1, geo-distributed)",
-		Header: []string{"pool size", "time"},
-	}
-	for _, size := range []int{1, 2, 4, 8, 16} {
-		o := core.DefaultOptions()
-		o.PoolSize = size
-		eng := fed.NewLusail(o)
-		if _, _, err := eng.QueryString(ctx, q.Text); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if _, _, err := eng.QueryString(ctx, q.Text); err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", size), FormatDuration(time.Since(start))})
-	}
-	t.Notes = append(t.Notes, "extension: request parallelism hides WAN latency; gains flatten once all endpoints are busy")
 	return []*Table{t}, nil
 }
 

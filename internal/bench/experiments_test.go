@@ -220,17 +220,3 @@ func TestBlockSizeAblationSmoke(t *testing.T) {
 		t.Errorf("block-size rows = %d", len(tb.Rows))
 	}
 }
-
-func TestPoolSizeAblationSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy")
-	}
-	ts, err := PoolSizeAblation(context.Background(), fastExp())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := ts[0]
-	if len(tb.Rows) != 5 {
-		t.Errorf("pool-size rows = %d", len(tb.Rows))
-	}
-}

@@ -63,8 +63,7 @@ type boundJoinStream struct {
 	sh       op.Shared // block rows on the left, scan rows on the right
 	limit    float64   // D; +Inf never switches
 
-	block    [][]uint32 // the current block, indexed on the shared columns in table
-	table    *op.Table
+	table    *op.Table   // the current block, indexed on its shared columns
 	extended []bool      // the block rows a scan row extended
 	scan     *scanStream // the block's bindings shipped (nil once drained)
 	batch    *obs.Span
@@ -136,14 +135,14 @@ func (s *boundJoinStream) Next() bool {
 				}
 				continue
 			}
-		case s.optional && s.tail < len(s.block):
+		case s.optional && s.tail < len(s.extended):
 			i := s.tail
 			s.tail++
 			if s.extended[i] {
 				continue
 			}
 			clear(s.out)
-			s.row = s.sh.Combine(s.out, s.block[i], nil)
+			s.row = s.sh.Combine(s.out, s.table.Row(int32(i)), nil)
 		default:
 			if !s.nextBlock() {
 				return false
@@ -189,16 +188,21 @@ func (s *boundJoinStream) closeScan() {
 // instead once the bindings can no longer select, and reports false at
 // the upstream's end or on an error.
 func (s *boundJoinStream) nextBlock() bool {
-	var block [][]uint32
+	table := op.NewTable(s.sh.Left, 0)
 	if s.peeked != nil {
-		block, s.peeked = append(block, s.peeked), nil
+		table.Add(s.peeked)
+		s.peeked = nil
 	}
-	for len(block) < s.e.opts.ValuesBlockSize && s.src.Next() {
-		block = append(block, op.CopyRow(s.src.Row()))
+	for table.Len() < s.e.opts.ValuesBlockSize && s.src.Next() {
+		table.Add(s.src.Row())
 	}
-	if len(block) == 0 {
+	if table.Len() == 0 {
 		s.err = s.src.Err()
 		return false
+	}
+	block := make([][]uint32, table.Len())
+	for i := range block {
+		block[i] = table.Row(int32(i))
 	}
 	if s.span == nil {
 		if s.optional {
@@ -224,13 +228,9 @@ func (s *boundJoinStream) nextBlock() bool {
 			return false
 		}
 	}
-	s.block, s.extended, s.tail = block, make([]bool, len(block)), 0
+	s.table, s.extended, s.tail = table, make([]bool, len(block)), 0
 	if len(sources) == 0 {
 		return true
-	}
-	s.table = op.NewTable(s.sh.Left, len(block))
-	for _, row := range block {
-		s.table.Add(row)
 	}
 	blockSq := *s.sq
 	blockSq.Values = append(slices.Clip(s.sq.Values), values)

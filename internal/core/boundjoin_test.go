@@ -364,3 +364,33 @@ func TestBoundJoinCloseMidBlock(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkBoundJoinBlocks ships n distinct upstream rows to one source,
+// which answers nothing: the cost of building the VALUES blocks, whose
+// rows are copied once, into the block's table.
+func BenchmarkBoundJoinBlocks(b *testing.B) {
+	for _, n := range []int{3, 500, 2000} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			empty := func(context.Context) funcRows {
+				return funcRows{[]string{"x"}, func(*rdf.Dict) ([]uint32, error) { return nil, io.EOF }}
+			}
+			e, sq := newFuncEngine(b, FailFast, empty)
+			dict := rdf.NewDict()
+			rows := make([][]uint32, n)
+			for i := range rows {
+				rows[i] = []uint32{exID(dict, fmt.Sprintf("x%d", i)), exID(dict, fmt.Sprintf("w%d", i))}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				s := e.newBoundJoinStream(context.Background(), op.NewSlice([]string{"x", "w"}, rows), sq, dict, nil)
+				for s.Next() {
+				}
+				if err := s.Err(); err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
+			}
+		})
+	}
+}

@@ -97,10 +97,6 @@ type Options struct {
 
 	// --- SAPE (selectivity-aware parallel execution) ---
 
-	// PoolSize bounds concurrent endpoint requests per ERH call; <=0 uses
-	// erh.DefaultLimit, max(NumCPU, 16), since the requests wait on the
-	// network (the paper sizes the pool by physical cores).
-	PoolSize int
 	// Threshold is the SAPE delay rule (default μ+σ).
 	Threshold ThresholdMode
 	// ValuesBlockSize is the number of binding rows per VALUES block in
@@ -291,7 +287,7 @@ func New(fed *federation.Federation, opts Options) (*Engine, error) {
 	reg := obs.Default()
 	e := &Engine{
 		fed:              fed,
-		pool:             erh.New(opts.PoolSize),
+		pool:             erh.New(0),
 		facts:            newFacts(),
 		cat:              opts.Catalog,
 		res:              resilience.NewManager(opts.Resilience, reg),

@@ -12,7 +12,7 @@ import (
 
 // streamEndpoint issues one streaming request through the resilience
 // layer. Errors surfaced later by the returned reader are raw transport
-// errors; the scan's pushers wrap them as *client.EndpointError.
+// errors; the scan's collectors wrap them as *client.EndpointError.
 func (e *Engine) streamEndpoint(ctx context.Context, phase client.Phase, name, query string) (sparql.RowReader, error) {
 	ep := e.fed.Get(name)
 	if ep == nil {
@@ -69,13 +69,3 @@ func (e *Engine) degrade(ctx context.Context, phase client.Phase, endpoint strin
 // claiming admission happens inside DoStream/DoHedged at dispatch, so gated
 // tasks are admitted exactly once.
 func (e *Engine) gate() resilience.Gate { return e.res.Gate() }
-
-// onRejectDegrade returns the ForEachGated rejection callback for Degrade
-// mode — degrade the breaker-rejected endpoint and move on — or nil in
-// FailFast mode, making a rejection the task's error.
-func (e *Engine) onRejectDegrade(ctx context.Context, phase client.Phase, names []string) func(i int, err error) {
-	if e.opts.OnEndpointFailure != Degrade {
-		return nil
-	}
-	return func(i int, err error) { e.degrade(ctx, phase, names[i], err) }
-}

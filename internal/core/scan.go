@@ -25,36 +25,34 @@ const scanBuf = 64
 // streaming request each, delivering rows as they are decoded off each
 // response. Rows from different endpoints interleave in arrival order.
 //
-// Rows cross from the pushers to the consumer in batches: each pusher
-// appends a decoded row's ids to one flat slab (queued) under mu, and the
-// consumer, once it has used up its own slab, swaps the two. A batch is
-// whatever the pushers queued while the consumer was busy; a row is
-// visible as soon as it is queued, so the first row waits for no batch.
-// The two slabs take turns, so no row is allocated, and Row stays valid
-// until the next Next because the pushers never write the consumer's
-// slab. The consumer waits only on an empty queue. A pusher waits while
-// the queued rows and the consumer's unread ones reach scanBuf; the
-// consumer tells the pushers how many it has left unread when it takes
-// the queue, and again, while one waits, every scanBuf/4 rows it reads.
-// mu is never held across I/O or interning.
-//
-// Pool discipline: a pool slot is held only while the request is issued
-// (connection + response head). Decoding runs in a per-endpoint pusher
-// goroutine outside any slot, so a slow consumer of this scan can never
-// starve other scans — siblings, or a bound join's blocks — of slots, and
-// a PoolSize=1 engine cannot deadlock.
+// Each source is one collector goroutine: it issues the request, decodes
+// the response into the queue and exits; the last one to exit ends the
+// scan. All of a scan's requests go out at once, with no limit. Rows cross
+// from the collectors to the consumer in batches: each collector appends a
+// decoded row's ids to one flat slab (queued) under mu, and the consumer,
+// once it has used up its own slab, swaps the two. A batch is whatever the
+// collectors queued while the consumer was busy; a row is visible as soon
+// as it is queued, so the first row waits for no batch. The two slabs take
+// turns, so no row is allocated, and Row stays valid until the next Next
+// because the collectors never write the consumer's slab. The consumer
+// waits only on an empty queue. A collector waits while the queued rows
+// and the consumer's unread ones reach scanBuf; the consumer tells the
+// collectors how many it has left unread when it takes the queue, and
+// again, while one waits, every scanBuf/4 rows it reads. mu is never held
+// across I/O or interning.
 //
 // Failure discipline: in Degrade mode an endpoint that fails — at request
-// time or mid-stream — is absorbed with a warning and its (remaining)
-// contribution excluded; in FailFast mode the first failure cancels the
-// scan and surfaces through Err once the rows queued before it are read.
+// time, breaker rejection included, or mid-stream — is absorbed with a
+// warning and its (remaining) contribution excluded; in FailFast mode the
+// first failure cancels the scan and surfaces through Err once the rows
+// queued before it are read.
 type scanStream struct {
 	e     *Engine
 	sq    *Subquery
 	phase client.Phase
 	vars  []string
-	dict  *rdf.Dict // the query's term dictionary, fed by the pushers
-	text  string    // the request, when rendered ahead (Scans); else drive renders sq
+	dict  *rdf.Dict // the query's term dictionary, fed by the collectors
+	text  string    // the request, when rendered ahead (Scans); else run renders sq
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -66,18 +64,20 @@ type scanStream struct {
 	span    *obs.Span
 
 	// The queue, guarded by mu. more wakes the consumer (a row queued, or
-	// drive done); room wakes the pushers (rows read, or the scan
-	// cancelled).
-	mu      sync.Mutex
-	more    sync.Cond
-	room    sync.Cond
-	queued  []uint32 // rows of len(vars) ids, back to back
-	nqueued int      // rows in queued; counted apart for zero-variable rows
-	held    int      // the consumer's unread rows, as it last told
-	stopped bool     // the scan is closed or its context done: pushers stop
-	done    bool     // drive has reaped the pushers; doneErr is final
-	doneErr error
-	blocked atomic.Bool // a pusher waits for room
+	// the last collector done); room wakes the collectors (rows read, or
+	// the scan cancelled).
+	mu       sync.Mutex
+	more     sync.Cond
+	room     sync.Cond
+	queued   []uint32 // rows of len(vars) ids, back to back
+	nqueued  int      // rows in queued; counted apart for zero-variable rows
+	held     int      // the consumer's unread rows, as it last told
+	stopped  bool     // the scan is closed or its context done: collectors stop
+	live     int      // collectors not yet exited
+	done     bool     // every collector has exited; doneErr is final
+	doneErr  error    // the first failure
+	stopWake func() bool
+	blocked  atomic.Bool // a collector waits for room
 
 	// The consumer's side, owned by the goroutine calling Next.
 	slab   []uint32 // the batch being read
@@ -108,10 +108,10 @@ func (e *Engine) newScanStream(ctx context.Context, sq *Subquery, phase client.P
 
 // Scans returns the remote leaf over sq as one scan per source, in
 // sq.Sources' order, all sending the one request text rendered here. Each
-// issues its request through the engine's pool when first read and
-// decodes its rows straight to ids in dict, aligned to sq.Vars(). The
-// comparators (internal/baseline) fetch their units through it: they read
-// the scans concurrently and take the rows in federation order.
+// issues its request when first read and decodes its rows straight to ids
+// in dict, aligned to sq.Vars(). The comparators (internal/baseline) fetch
+// their units through it: they read the scans concurrently and take the
+// rows in federation order.
 func (e *Engine) Scans(ctx context.Context, sq *Subquery, dict *rdf.Dict) []op.RowStream {
 	text := sq.Query().String()
 	scans := make([]op.RowStream, len(sq.Sources))
@@ -156,8 +156,8 @@ func (s *scanStream) Next() bool {
 }
 
 // take swaps the used-up slab for the queued rows, waiting while none are
-// queued. It reports false, with drive's final error in err, once the
-// queue is empty and drive done.
+// queued. It reports false, with the scan's error in err, once the queue
+// is empty and every collector done.
 func (s *scanStream) take() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -176,63 +176,61 @@ func (s *scanStream) take() bool {
 	return true
 }
 
+// run starts one collector per source; a scan with no sources is done at
+// once. Until the collectors are done, cancelling the scan wakes those
+// waiting on a full queue.
 func (s *scanStream) run() {
 	s.span = s.parent.StartChild("scan")
 	s.span.SetAttr("patterns", len(s.sq.Patterns))
 	s.span.SetAttr("endpoints", len(s.sq.Sources))
-	go s.drive()
+	if len(s.sq.Sources) == 0 {
+		s.done = true
+		return
+	}
+	text := s.text
+	if text == "" {
+		text = s.sq.Query().String()
+	}
+	s.live = len(s.sq.Sources)
+	s.stopWake = context.AfterFunc(s.ctx, s.stop)
+	for _, name := range s.sq.Sources {
+		go s.collect(name, text)
+	}
 }
 
-// drive issues one streaming request per endpoint through the pool, hands
-// each response to a pusher goroutine, waits for all pushers, and hands
-// the final error to the consumer. Until the pushers are done, cancelling
-// the scan wakes those waiting on a full queue.
-func (s *scanStream) drive() {
-	stopWake := context.AfterFunc(s.ctx, s.stop)
-	var wg sync.WaitGroup
-	var first sync.Once
-	var pushErr error
-	e := s.e
-	queryText := s.text
-	if queryText == "" {
-		queryText = s.sq.Query().String()
-	}
-	err := e.pool.ForEachGated(s.ctx, s.sq.Sources, e.gate(),
-		e.onRejectDegrade(s.ctx, s.phase, s.sq.Sources), func(i int) error {
-			name := s.sq.Sources[i]
-			rd, rerr := e.streamEndpoint(s.ctx, s.phase, name, queryText)
-			if rerr != nil {
-				if e.degrade(s.ctx, s.phase, name, rerr) {
-					return nil
-				}
-				return rerr
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if perr := s.push(rd, name); perr != nil {
-					first.Do(func() { pushErr = perr })
-					s.cancel() // fail fast: stop sibling pushers
-				}
-			}()
-			return nil
-		})
-	wg.Wait()
-	stopWake()
-	if err == nil {
-		err = pushErr
-	}
+// collect is one source's goroutine. Its failure, if the first, is the
+// scan's error and cancels the other collectors; the last collector to
+// exit ends the scan.
+func (s *scanStream) collect(name, text string) {
+	err := s.push(name, text)
 	s.mu.Lock()
-	s.done, s.doneErr = true, err
-	s.more.Signal()
+	first := err != nil && s.doneErr == nil
+	if first {
+		s.doneErr = err
+	}
+	if s.live--; s.live == 0 {
+		s.stopWake()
+		s.done = true
+		s.more.Signal()
+	}
 	s.mu.Unlock()
+	if first {
+		s.cancel()
+	}
 }
 
-// push decodes one endpoint's response outside the pool and closes it,
-// queueing rows aligned to the scan's variables. A failure mid-stream
-// degrades like a failed request: the rows queued are genuine solutions,
-// the endpoint's remaining contribution is lost.
-func (s *scanStream) push(rd sparql.RowReader, name string) error {
+// push issues the request to one endpoint and decodes its response,
+// queueing rows aligned to the scan's variables, then closes it. A failure
+// mid-stream degrades like a failed request: the rows queued are genuine
+// solutions, the endpoint's remaining contribution is lost.
+func (s *scanStream) push(name, text string) error {
+	rd, err := s.e.streamEndpoint(s.ctx, s.phase, name, text)
+	if err != nil {
+		if s.e.degrade(s.ctx, s.phase, name, err) {
+			return nil
+		}
+		return err
+	}
 	defer rd.Close()
 	idx := op.VarIndexes(s.vars, rd.Vars())
 	ids := sparql.IDsOf(rd)
@@ -263,7 +261,7 @@ func (s *scanStream) push(rd sparql.RowReader, name string) error {
 	}
 }
 
-// stop makes the pushers drop their rows and return, waking those that
+// stop makes the collectors drop their rows and return, waking those that
 // wait for room.
 func (s *scanStream) stop() {
 	s.mu.Lock()
@@ -300,9 +298,9 @@ func (s *scanStream) Close() error {
 	s.closed = true
 	s.cancel()
 	if s.started && !s.drained {
-		// Stop the pushers at their next row rather than once the
-		// cancellation reaches them, and wait for drive to reap them.
-		// A deliberately abandoned scan reports no error.
+		// Stop the collectors at their next row rather than once the
+		// cancellation reaches them, and wait for the last to exit. A
+		// deliberately abandoned scan reports no error.
 		s.stop()
 		s.mu.Lock()
 		for !s.done {

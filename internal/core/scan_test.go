@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"lusail/internal/client"
 	"lusail/internal/federation"
 	"lusail/internal/lint/leakcheck"
+	"lusail/internal/obs"
 	"lusail/internal/rdf"
 	"lusail/internal/resilience"
 	"lusail/internal/sparql"
@@ -136,7 +138,7 @@ func endless(reads *atomic.Int64) func(ctx context.Context) funcRows {
 	}
 }
 
-// Closing a scan whose pushers wait on a full queue stops them: Close
+// Closing a scan whose collectors wait on a full queue stops them: Close
 // returns nil once every goroutine of the scan is gone.
 func TestScanQueueCloseWithFullQueue(t *testing.T) {
 	leakcheck.Check(t)
@@ -146,7 +148,7 @@ func TestScanQueueCloseWithFullQueue(t *testing.T) {
 	if !s.Next() {
 		t.Fatalf("no row: %v", s.Err())
 	}
-	// Each pusher holds one row it read but could not queue once both wait
+	// Each collector holds one row it read but could not queue once both wait
 	// on the full queue.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -268,10 +270,118 @@ func TestScanQueueMidStreamFailure(t *testing.T) {
 	}
 }
 
+// A source whose breaker is open is rejected when its request is issued,
+// as a typed failure naming the endpoint and phase: FailFast ends the scan
+// with it, Degrade warns once and answers from the other source.
+func TestScanQueueBreakerOpenFailFast(t *testing.T) {
+	var opened atomic.Int64
+	one := func(ctx context.Context) funcRows {
+		opened.Add(1)
+		n := 0
+		return funcRows{[]string{"x"}, func(dict *rdf.Dict) ([]uint32, error) {
+			if n++; n > 1 {
+				return nil, io.EOF
+			}
+			return []uint32{exID(dict, "a")}, nil
+		}}
+	}
+	for _, mode := range []FailureMode{FailFast, Degrade} {
+		opened.Store(0)
+		e, sq := newFuncEngine(t, mode, one, one)
+		e.res = resilience.NewManager(resilience.Config{FailureThreshold: 0.5, Window: 4, MinSamples: 2, Cooldown: time.Hour}, obs.NewRegistry())
+		boom := errors.New("boom")
+		e.res.Record("ep0", time.Millisecond, boom)
+		e.res.Record("ep0", time.Millisecond, boom)
+		ctx := resilience.WithWarnings(context.Background())
+		s := e.newScanStream(ctx, sq, client.PhaseSubquery, rdf.NewDict(), nil)
+		n := 0
+		for s.Next() {
+			n++
+		}
+		err := s.Err()
+		s.Close()
+		warnings := resilience.TakeWarnings(ctx)
+		if mode == FailFast {
+			ee := client.AsEndpointError(err)
+			if ee == nil || ee.Endpoint != "ep0" || ee.Phase != client.PhaseSubquery || !errors.Is(err, resilience.ErrBreakerOpen) {
+				t.Errorf("FailFast: Err = %v, want the open breaker at ep0 in phase %s", err, client.PhaseSubquery)
+			}
+			continue
+		}
+		if err != nil || n != 1 || len(warnings) != 1 || warnings[0].Endpoint != "ep0" {
+			t.Errorf("Degrade: Err = %v, %d rows, warnings %v; want ep1's row and one warning for ep0", err, n, warnings)
+		}
+		if got := opened.Load(); got != 1 {
+			t.Errorf("Degrade: %d responses opened, want ep1's alone", got)
+		}
+	}
+}
+
+// A scan runs one goroutine per source while their responses are open,
+// and none once closed. It counts the goroutines running the scan's code,
+// so others that come and go in the test binary do not shift the count.
+func TestScanQueueOneGoroutinePerSource(t *testing.T) {
+	leakcheck.Check(t)
+	var holding sync.WaitGroup
+	holding.Add(3)
+	hold := func(ctx context.Context) funcRows {
+		n := 0
+		return funcRows{[]string{"x"}, func(dict *rdf.Dict) ([]uint32, error) {
+			if n++; n == 1 {
+				return []uint32{exID(dict, "a")}, nil
+			}
+			holding.Done()
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}}
+	}
+	// waitScanGoroutines polls until want goroutines run the scan's code,
+	// letting those of earlier tests finish exiting, and returns the last
+	// count.
+	waitScanGoroutines := func(want int) int {
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			got := scanGoroutines()
+			if got == want || time.Now().After(deadline) {
+				return got
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	s, _ := newFuncScan(t, context.Background(), FailFast, hold, hold, hold)
+	if !s.Next() {
+		t.Fatalf("no row: %v", s.Err())
+	}
+	holding.Wait()
+	if got := waitScanGoroutines(3); got != 3 {
+		t.Errorf("the scan runs %d goroutines over 3 sources, want 3", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	if got := waitScanGoroutines(0); got != 0 {
+		t.Errorf("%d scan goroutines after Close, want 0", got)
+	}
+}
+
+// scanGoroutines counts the live goroutines whose stacks are in a scan's
+// methods.
+func scanGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("core.(*scanStream).")) {
+			n++
+		}
+	}
+	return n
+}
+
 var benchRows int
 
 // BenchmarkScanStream moves rows of three ids from k sources through one
-// scan: the cost of the hand-over from the pushers to the consumer.
+// scan: the cost of the hand-over from the collectors to the consumer.
 func BenchmarkScanStream(b *testing.B) {
 	const k, perSource = 4, 2048
 	q, err := sparql.Parse(`SELECT * WHERE { ?s ?p ?o }`)

@@ -1,10 +1,10 @@
 // Package erh implements the Elastic Request Handler: a bounded worker pool
-// that multiplexes endpoint requests (ASK source-selection probes, LADE
-// check queries, COUNT cardinality probes, and SAPE subqueries) across a
-// fixed number of workers, as in Figure 3 of the paper. The paper sizes
-// the pool by physical cores; here it defaults to DefaultLimit in-flight
-// requests per call, because the work is waiting on the network, not
-// computing.
+// that multiplexes endpoint requests (COUNT cardinality and LADE check
+// probes, source-refinement ASKs, catalog summaries, the comparators'
+// ASKs) across a fixed number of workers, as in Figure 3 of the paper. The
+// paper sizes the pool by physical cores; here it defaults to DefaultLimit
+// in-flight requests per call, because the work is waiting on the network,
+// not computing.
 package erh
 
 import (
